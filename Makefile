@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-report test test-short race bench bench-smoke bench-report trace-smoke resume-smoke fuzz fuzz-smoke experiments check resilience examples clean
+.PHONY: all build vet lint lint-report test test-short workload-test race bench bench-smoke bench-report trace-smoke resume-smoke fuzz fuzz-smoke experiments check resilience examples clean
 
 all: build vet lint test
 
@@ -32,6 +32,13 @@ test:
 
 test-short:
 	$(GO) test -short ./...
+
+# The workload benchmark (cmd/dtnworkload) is its own module, so `go test
+# ./...` at the root skips it. Its tests (~8 s) check BENCHMARK.json's
+# names and units, that replayed drop-list gossip equals every node's live
+# table, and the pinned seed-1 fingerprints.
+workload-test:
+	cd cmd/dtnworkload && GOWORK=off $(GO) test .
 
 # Race-detector pass; exercises the concurrent experiment runner.
 race:

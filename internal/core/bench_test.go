@@ -38,32 +38,42 @@ func BenchmarkEstimateSeen(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkDropTableMerge times one contact's gossip at the Table II
+// long-horizon end state: 100 nodes that each dropped 300 of 3000 messages
+// and know every record. Before each contact one endpoint drops a new
+// message, so newer records keep spreading and merges adopt them rather
+// than skip. The fleet is rebuilt untimed every 1000 contacts, which keeps
+// records near 300 ids.
 func BenchmarkDropTableMerge(b *testing.B) {
-	// A realistic mid-run state: 100 owners, a few hundred drops each side.
-	mk := func(self int) *DropTable {
-		t := NewDropTable(self)
-		for owner := 0; owner < 100; owner++ {
-			if owner == self {
-				continue
+	const nodes, ids, msgs, epoch = 100, 300, 3000, 1000
+	tables := make([]*DropTable, nodes)
+	build := func() {
+		for o := range tables {
+			tables[o] = NewDropTable(o)
+			for k := 0; k < ids; k++ {
+				tables[o].RecordDrop(msg.ID((o*31+k*10)%msgs), float64(k))
 			}
-			src := NewDropTable(owner)
-			for k := 0; k < 6; k++ {
-				src.RecordDrop(msg.ID(owner*10+k), float64(owner+k))
-			}
-			t.MergeFrom(src)
 		}
-		return t
-	}
-	a, bb := mk(0), mk(1)
-	for k := 0; k < 50; k++ {
-		a.RecordDrop(msg.ID(5000+k), float64(k))
-		bb.RecordDrop(msg.ID(6000+k), float64(k))
+		for _, t := range tables[1:] {
+			tables[0].MergeFrom(t)
+		}
+		for _, t := range tables[1:] {
+			t.MergeFrom(tables[0])
+		}
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.MergeFrom(bb)
-		bb.MergeFrom(a)
+		if i%epoch == 0 {
+			b.StopTimer()
+			build()
+			b.StartTimer()
+		}
+		x, y := tables[i%nodes], tables[(i*37+11)%nodes]
+		x.RecordDrop(msg.ID(msgs+i%epoch), float64(ids+i%epoch))
+		if x != y {
+			x.MergeFrom(y)
+			y.MergeFrom(x)
+		}
 	}
 }
 

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"sdsrp/internal/msg"
+	"sdsrp/internal/rng"
 )
 
 func TestDropTableOwnRecord(t *testing.T) {
@@ -86,15 +89,16 @@ func TestDropTableOwnRecordAuthoritative(t *testing.T) {
 }
 
 func TestDropTableMergeIsolation(t *testing.T) {
-	// After a merge, the source mutating its own record must not leak into
-	// the cached copy (records are cloned).
+	// After a merge, the owner's later drops must not leak into the cached
+	// record: the view shares the owner's log but covers only the prefix it
+	// adopted.
 	a := NewDropTable(1)
 	b := NewDropTable(2)
 	a.RecordDrop(10, 50)
 	b.MergeFrom(a)
 	a.RecordDrop(12, 55)
 	if b.DroppedCount(12) != 0 {
-		t.Fatal("cached record shares storage with the owner's record")
+		t.Fatal("cached record sees a drop made after the merge")
 	}
 }
 
@@ -188,5 +192,227 @@ func TestPropertyGossipCountConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refDropTable is the previous DropTable, kept as the reference the
+// shared-log table is checked against: every node holds a private sorted
+// copy of every owner's record, merges diff consecutive generations, and
+// Forget deletes the id from every copy.
+type refDropTable struct {
+	self    int
+	records []*refRecord
+	nrec    int
+	counts  []int32
+}
+
+type refRecord struct {
+	time float64
+	ids  []msg.ID // sorted
+}
+
+func (t *refDropTable) record(owner int) *refRecord {
+	if owner >= len(t.records) {
+		t.records = append(t.records, make([]*refRecord, owner+1-len(t.records))...)
+	}
+	return t.records[owner]
+}
+
+func (t *refDropTable) incCount(id msg.ID) {
+	if int(id) >= len(t.counts) {
+		t.counts = append(t.counts, make([]int32, int(id)+1-len(t.counts))...)
+	}
+	t.counts[id]++
+}
+
+func (t *refDropTable) RecordDrop(id msg.ID, now float64) {
+	rec := t.record(t.self)
+	if rec == nil {
+		rec = &refRecord{}
+		t.records[t.self] = rec
+		t.nrec++
+	}
+	rec.time = now
+	if pos, dup := slices.BinarySearch(rec.ids, id); !dup {
+		rec.ids = slices.Insert(rec.ids, pos, id)
+		t.incCount(id)
+	}
+}
+
+func (t *refDropTable) MergeFrom(peer *refDropTable) {
+	for owner, rec := range peer.records {
+		if rec == nil || owner == t.self {
+			continue
+		}
+		cur := t.record(owner)
+		if cur != nil && cur.time >= rec.time {
+			continue
+		}
+		var old []msg.ID
+		if cur == nil {
+			cur = &refRecord{}
+			t.records[owner] = cur
+			t.nrec++
+		} else {
+			old = cur.ids
+		}
+		i, j := 0, 0
+		for i < len(old) || j < len(rec.ids) {
+			switch {
+			case j >= len(rec.ids) || (i < len(old) && old[i] < rec.ids[j]):
+				t.counts[old[i]]--
+				i++
+			case i >= len(old) || rec.ids[j] < old[i]:
+				t.incCount(rec.ids[j])
+				j++
+			default:
+				i, j = i+1, j+1
+			}
+		}
+		cur.time = rec.time
+		cur.ids = append(cur.ids[:0], rec.ids...)
+	}
+}
+
+func (t *refDropTable) DroppedCount(id msg.ID) int {
+	if int(id) >= len(t.counts) {
+		return 0
+	}
+	return int(t.counts[id])
+}
+
+func (t *refDropTable) RejectsIncoming(id msg.ID) bool {
+	if t.self >= len(t.records) || t.records[t.self] == nil {
+		return false
+	}
+	_, ok := slices.BinarySearch(t.records[t.self].ids, id)
+	return ok
+}
+
+func (t *refDropTable) Forget(id msg.ID) {
+	for _, rec := range t.records {
+		if rec == nil {
+			continue
+		}
+		if pos, ok := slices.BinarySearch(rec.ids, id); ok {
+			rec.ids = slices.Delete(rec.ids, pos, pos+1)
+		}
+	}
+	if int(id) < len(t.counts) {
+		t.counts[id] = 0
+	}
+}
+
+func (t *refDropTable) Reset() {
+	clear(t.records)
+	t.nrec = 0
+	clear(t.counts)
+}
+
+// TestDropTableMatchesReference drives the shared-log table and the
+// reference with the same random RecordDrop / MergeFrom / Forget / Reset
+// sequences and requires identical answers. Time advances only on some
+// steps, so equal-time drops (and equal-time records across a Reset) are
+// common. Forget hits a random subset of nodes, as an expiry sweep hits
+// only the holders; from then on the id is dead and no longer compared,
+// which is the contract Forget documents.
+func TestDropTableMatchesReference(t *testing.T) {
+	const nodes, maxID = 8, 40
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := rng.New(seed)
+		got := make([]*DropTable, nodes)
+		want := make([]*refDropTable, nodes)
+		for i := range got {
+			got[i], want[i] = NewDropTable(i), &refDropTable{self: i}
+		}
+		forgotten := make([]bool, maxID)
+		now := 0.0
+		for step := 0; step < 400; step++ {
+			if r.Bool(0.5) {
+				now++
+			}
+			a, b := r.IntN(nodes), r.IntN(nodes)
+			switch p := r.Float64(); {
+			case p < 0.45:
+				id := msg.ID(r.IntN(maxID))
+				got[a].RecordDrop(id, now)
+				want[a].RecordDrop(id, now)
+			case p < 0.9:
+				got[a].MergeFrom(got[b])
+				want[a].MergeFrom(want[b])
+			case p < 0.97:
+				id := msg.ID(r.IntN(maxID))
+				forgotten[id] = true
+				for n := range got {
+					if r.Bool(0.5) {
+						got[n].Forget(id)
+						want[n].Forget(id)
+					}
+				}
+			default:
+				got[a].Reset()
+				want[a].Reset()
+			}
+			for n := range got {
+				if g, w := got[n].Records(), want[n].nrec; g != w {
+					t.Fatalf("seed %d step %d node %d: Records %d, reference %d", seed, step, n, g, w)
+				}
+				for id := msg.ID(0); id < maxID; id++ {
+					if forgotten[id] {
+						continue
+					}
+					if g, w := got[n].DroppedCount(id), want[n].DroppedCount(id); g != w {
+						t.Fatalf("seed %d step %d node %d msg %d: DroppedCount %d, reference %d",
+							seed, step, n, id, g, w)
+					}
+					if g, w := got[n].RejectsIncoming(id), want[n].RejectsIncoming(id); g != w {
+						t.Fatalf("seed %d step %d node %d msg %d: RejectsIncoming %v, reference %v",
+							seed, step, n, id, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDropTableMergeAllocs: once a table's views and counts have grown,
+// adopting newer records allocates nothing — the merge copies views into
+// the shared logs and bumps counts.
+func TestDropTableMergeAllocs(t *testing.T) {
+	const owners, runs = 8, 100
+	src := make([]*DropTable, owners)
+	for o := range src {
+		src[o] = NewDropTable(o)
+	}
+	// carriers[k] caches every owner's record after its k-th drop, so each
+	// merge below adopts one new id per owner.
+	carriers := make([]*DropTable, runs+2)
+	for k := range carriers {
+		carriers[k] = NewDropTable(owners)
+		for o, s := range src {
+			s.RecordDrop(msg.ID(k*owners+o), float64(k))
+			carriers[k].MergeFrom(s)
+		}
+	}
+	dst := NewDropTable(owners + 1)
+	dst.RecordDrop(msg.ID(len(carriers)*owners), 0) // grows counts past every id
+	k := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		dst.MergeFrom(carriers[k])
+		k++
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state MergeFrom allocates %v times per call", allocs)
+	}
+	if got := dst.DroppedCount(msg.ID(runs * owners)); got != 1 {
+		t.Fatalf("last merge not adopted: DroppedCount = %d", got)
+	}
+}
+
+// TestDropTableSize: every node carries a table, and idle ones dominate
+// large traffic-free fleets, so the header must stay in the 64 B size class.
+func TestDropTableSize(t *testing.T) {
+	if size := unsafe.Sizeof(DropTable{}); size > 64 {
+		t.Fatalf("DropTable is %d B, want <= 64", size)
 	}
 }

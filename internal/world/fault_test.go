@@ -6,6 +6,7 @@ import (
 
 	"sdsrp/internal/config"
 	"sdsrp/internal/fault"
+	"sdsrp/internal/msg"
 	"sdsrp/internal/obs"
 )
 
@@ -139,5 +140,74 @@ func TestChurnGroupScoping(t *testing.T) {
 	}
 	if downs == 0 {
 		t.Fatal("no churn events for the fragile group")
+	}
+}
+
+// sweepProbe is a tracer that follows churn state and records every commit
+// (forward or delivery) of a message at or past its expiry.
+type sweepProbe struct {
+	ttl     float64
+	created map[msg.ID]float64
+	down    map[int]bool
+	late    []obs.Event
+}
+
+func (p *sweepProbe) Emit(e obs.Event) {
+	switch e.Type {
+	case obs.MessageCreated:
+		p.created[e.Msg] = e.T
+	case obs.NodeDown:
+		p.down[e.Node] = true
+	case obs.NodeUp:
+		p.down[e.Node] = false
+	case obs.MessageForwarded, obs.MessageDelivered:
+		if e.T >= p.created[e.Msg]+p.ttl {
+			p.late = append(p.late, e)
+		}
+	}
+}
+
+// TestExpirySweepIsComplete checks the invariant DropTable.Forget relies on
+// to be O(1): once an expiry sweep has run, no host — down hosts included —
+// holds a message whose Expiry() <= now, and no transfer of an expired
+// message ever commits. So an expired id is never stored, scored or offered
+// again, and nobody queries the drop tables about it.
+func TestExpirySweepIsComplete(t *testing.T) {
+	sc := tinyTracedScenario()
+	sc.Duration = 3600
+	sc.TTL = 300                 // short enough that hundreds of copies expire
+	sc.BufferBytes = 2000 * 1000 // and roomy enough that they live until then
+	sc.Faults = heavyFaults()
+	probe := &sweepProbe{ttl: sc.TTL, created: map[msg.ID]float64{}, down: map[int]bool{}}
+	w, err := Build(sc, WithTracer(probe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Registered after Build, so at every sweep instant this ticker runs
+	// right after the world's own sweep.
+	sweeps, downHolding := 0, 0
+	w.Engine.Every(sc.ExpiryInterval, func(now float64) {
+		sweeps++
+		for _, h := range w.Hosts {
+			for _, s := range h.Buffer().Items() {
+				if s.M.Expiry() <= now {
+					t.Fatalf("t=%v: host %d still holds message %d, expired at %v",
+						now, h.ID(), s.M.ID, s.M.Expiry())
+				}
+			}
+			if probe.down[h.ID()] && h.Buffer().Len() > 0 {
+				downHolding++
+			}
+		}
+	})
+	res := mustRun(t, w)
+	for _, e := range probe.late {
+		t.Errorf("t=%v: %v of message %d from %d to %d after its expiry", e.T, e.Type, e.Msg, e.Node, e.Peer)
+	}
+	if sweeps == 0 || res.ExpiredDrops == 0 {
+		t.Fatalf("%d sweeps, %d expiries: the run never exercised expiry", sweeps, res.ExpiredDrops)
+	}
+	if downHolding == 0 {
+		t.Fatal("no sweep found a down host holding messages; churn coverage is missing")
 	}
 }
