@@ -2,15 +2,21 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-report test test-short workload-test race bench bench-smoke bench-report trace-smoke resume-smoke fuzz fuzz-smoke experiments check resilience examples clean
+.PHONY: all build vet fmt-check lint lint-report test test-short workload-test race bench bench-smoke bench-report trace-smoke resume-smoke fuzz fuzz-smoke experiments check resilience examples clean
 
-all: build vet lint test
+all: build vet fmt-check lint test
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails, listing the files, when any Go file in the tree
+# (the workload benchmark module included) is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Determinism + hot-path + shard-safety static analysis (DESIGN.md §11),
 # eleven checks: no wall-clock in simulation logic, no global math/rand, no
@@ -70,9 +76,10 @@ bench-smoke:
 	$(GO) test -run 'TestScan100kKineticScalesWithinBudget|TestCommittedScan100kPeakHeapWithinBudget' ./internal/bench/ && \
 	rm -rf $$tmp
 
-# Full regression suite (~1 h): write a candidate report and gate it against
-# the newest committed BENCH_<n>.json. See PERFORMANCE.md for how to read
-# the delta table and when to commit the candidate as the next baseline.
+# Full regression suite (~15 s at -iters 3 on a 2-vCPU host): write a
+# candidate report and gate it against the newest committed BENCH_<n>.json.
+# See PERFORMANCE.md for how to read the delta table and when to commit the
+# candidate as the next baseline.
 bench-report:
 	$(GO) run ./cmd/dtnbench -iters 3 -out BENCH_candidate.json \
 		-baseline $$(ls BENCH_*.json | grep -v candidate | sort -t_ -k2 -n | tail -1)

@@ -15,6 +15,7 @@
 // Remove compacts the slice in place, preserving order, at O(n) — overflow
 // evictions are rare relative to lookups. Byte accounting (Used/Free) is
 // maintained incrementally and costs O(1).
+//
 //lint:shard-safe per-node store; no package state, no substreams
 package buffer
 

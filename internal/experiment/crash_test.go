@@ -25,7 +25,7 @@ const panicSendPolicy = "test-panic-send"
 
 type sendPanicPolicy struct{}
 
-func (sendPanicPolicy) Name() string                              { return panicSendPolicy }
+func (sendPanicPolicy) Name() string                               { return panicSendPolicy }
 func (sendPanicPolicy) SendScore(policy.View, *msg.Stored) float64 { panic("injected SendScore panic") }
 func (sendPanicPolicy) DropScore(policy.View, *msg.Stored) float64 { return 0 }
 
@@ -125,9 +125,9 @@ func TestRetryTransient(t *testing.T) {
 	var calls atomic.Int64
 	var last ProgressInfo
 	o := Options{
-		Workers: 1,
-		Retries: 2,
-		Progress: func(done, total int) {},
+		Workers:       1,
+		Retries:       2,
+		Progress:      func(done, total int) {},
 		ProgressStats: func(p ProgressInfo) { last = p },
 		runOne: func(config.Scenario) (world.Result, error) {
 			if calls.Add(1) < 3 {
@@ -214,9 +214,9 @@ func TestResumeSkipsJournaledRuns(t *testing.T) {
 	var last ProgressInfo
 	var mu sync.Mutex
 	o := Options{
-		Workers: 1,
-		Journal: j2,
-		Resume:  true,
+		Workers:  1,
+		Journal:  j2,
+		Resume:   true,
 		OnResult: func(world.Result) { onResult.Add(1) },
 		ProgressStats: func(p ProgressInfo) {
 			mu.Lock()

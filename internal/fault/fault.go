@@ -25,6 +25,7 @@
 // the affected state — internal/network cuts links and discards transfers,
 // internal/routing implements adversarial node behaviour, internal/world
 // wires it all from config.Scenario.Faults.
+//
 //lint:shard-safe the injector owns four substreams injected at construction; no package state
 package fault
 

@@ -14,8 +14,12 @@
 // Results alias the out buffer: reusing it overwrites the previous call's
 // results in place (internal/geo/reuse_test.go pins these semantics).
 //
-// Grid.Update likewise reuses its per-cell buckets, so a rebuild every scan
-// tick is a copy plus bucketing with no steady-state allocation.
+// Grid.Update rebuilds the index every scan tick as a counting sort into
+// flat arrays sized once by NewGrid: item ids and positions grouped by
+// occupied cell, an occupancy bitmap, and a dense cell→slot table. A
+// rebuild touches only the items and the previous build's occupied cells
+// and allocates nothing.
+//
 //lint:shard-safe pure geometry plus per-instance grid state; nothing shared
 package geo
 

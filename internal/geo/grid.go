@@ -5,16 +5,41 @@ package geo
 // radius so a 3×3 cell neighbourhood covers every candidate pair.
 //
 // The grid is rebuilt (Update) every scan tick rather than maintained
-// incrementally: with N ≤ a few hundred nodes a rebuild is a handful of
-// microseconds and keeps the structure trivially correct.
+// incrementally, and a rebuild is a counting sort into flat arrays: the
+// items' ids and positions are grouped by occupied cell, cells in
+// first-occurrence order and ids in insertion order within a cell. An
+// occupancy bitmap answers "is this neighbour cell occupied" with one bit
+// test, and a dense cell→slot table says where an occupied cell's items
+// are, so an empty cell costs one bit and one int32, and queries read only
+// the occupied cells' contiguous runs.
+// Sparse fleets, where most items sit alone in their cell and most
+// neighbour lookups find nothing, are the case this layout is built for.
 type Grid struct {
-	area     Rect
-	cell     float64
-	cols     int
-	rows     int
-	cells    [][]int32 // per-cell item ids
-	pos      []Point   // last known position per item
-	occupied []int32   // indices of non-empty cells, for fast reset
+	area Rect
+	cell float64
+	cols int
+	rows int
+
+	// bits marks the cells occupied by the current build, one bit per
+	// cell; slot[ci] is cell ci's index in occ and is meaningful only
+	// where its bit is set.
+	bits []uint64
+	slot []int32
+	// occ lists the occupied cells in first-occurrence order.
+	occ []occCell
+	// ids and pts hold the built items grouped by occupied cell: cell s
+	// owns ids[occ[s].lo:occ[s].hi], and pts[k] is the position of ids[k].
+	ids []int32
+	pts []Point
+	// into is build scratch: the occ index of each inserted item.
+	into []int32
+}
+
+// occCell is one occupied cell: its column and row, cached so queries do no
+// integer division, and its item run in Grid.ids and Grid.pts.
+type occCell struct {
+	cx, cy int32
+	lo, hi int32
 }
 
 // NewGrid creates a grid over area with the given cell size for n items.
@@ -29,12 +54,16 @@ func NewGrid(area Rect, cell float64, n int) *Grid {
 		rows = 1
 	}
 	return &Grid{
-		area:  area,
-		cell:  cell,
-		cols:  cols,
-		rows:  rows,
-		cells: make([][]int32, cols*rows),
-		pos:   make([]Point, n),
+		area: area,
+		cell: cell,
+		cols: cols,
+		rows: rows,
+		bits: make([]uint64, (cols*rows+63)/64),
+		slot: make([]int32, cols*rows),
+		occ:  make([]occCell, 0, n),
+		ids:  make([]int32, n),
+		pts:  make([]Point, n),
+		into: make([]int32, n),
 	}
 }
 
@@ -52,7 +81,10 @@ func (g *Grid) Dims() (cols, rows int) { return g.cols, g.rows }
 // byte-compatible with this grid's Pairs enumeration.
 //
 // Performance contract: pure arithmetic, no allocation.
-func (g *Grid) CellIndex(p Point) int { return g.index(p) }
+func (g *Grid) CellIndex(p Point) int {
+	cx, cy := g.coords(p)
+	return cy*g.cols + cx
+}
 
 // BoundaryDist returns the distance from p to the nearest edge of cell ci's
 // box (≤ 0 when p lies on the boundary or outside the box, which happens
@@ -77,9 +109,11 @@ func (g *Grid) BoundaryDist(p Point, ci int) float64 {
 	return d
 }
 
-func (g *Grid) index(p Point) int {
-	cx := int((p.X - g.area.Min.X) / g.cell)
-	cy := int((p.Y - g.area.Min.Y) / g.cell)
+// coords returns the column and row of the cell containing p, clamped to
+// the border cells.
+func (g *Grid) coords(p Point) (cx, cy int) {
+	cx = int((p.X - g.area.Min.X) / g.cell)
+	cy = int((p.Y - g.area.Min.Y) / g.cell)
 	if cx < 0 {
 		cx = 0
 	} else if cx >= g.cols {
@@ -90,94 +124,152 @@ func (g *Grid) index(p Point) int {
 	} else if cy >= g.rows {
 		cy = g.rows - 1
 	}
-	return cy*g.cols + cx
+	return cx, cy
 }
+
+// occupied reports whether cell ci's bit is set in an occupancy bitmap.
+func occupied(bits []uint64, ci int) bool { return bits[ci>>6]&(1<<(ci&63)) != 0 }
 
 // Update replaces all item positions. len(pos) must equal the n passed to
 // NewGrid.
 //
-// Performance contract: reuses the per-cell buckets and the occupied list
-// across rebuilds; once every visited cell has reached its peak occupancy,
-// Update allocates nothing.
+// Performance contract: a two-pass counting sort into arrays sized by
+// NewGrid; it clears only the previous build's occupied cells and
+// allocates nothing.
 func (g *Grid) Update(pos []Point) {
-	for _, ci := range g.occupied {
-		g.cells[ci] = g.cells[ci][:0]
+	g.reset()
+	into := g.into[:len(pos)]
+	for id := range pos {
+		into[id] = g.count(pos[id])
 	}
-	g.occupied = g.occupied[:0]
-	copy(g.pos, pos)
-	for id, p := range pos {
-		ci := g.index(p)
-		if len(g.cells[ci]) == 0 {
-			g.occupied = append(g.occupied, int32(ci))
-		}
-		g.cells[ci] = append(g.cells[ci], int32(id))
+	g.offsets()
+	for id := range pos {
+		g.place(into[id], int32(id), pos[id])
 	}
 }
 
 // UpdateSubset rebuilds the grid from only the listed item ids, reading
 // their coordinates from pos (which must have the full length n passed to
-// NewGrid — ids index into it). Queries then see just the subset: Pairs
-// enumerates pairs within it, in the deterministic order fixed by the
-// insertion sequence, so callers wanting the same order as Update must
-// pass ids in ascending order. Only the listed ids' cached positions are
-// refreshed — unlisted items keep stale coordinates, which subset queries
-// never read. Built for the sharded scan's per-stripe grids (DESIGN.md
-// §13), where each shard indexes its own node band plus the neighbouring
-// one.
+// NewGrid — ids index into it; ids must be distinct). Queries then see
+// just the subset: Pairs enumerates pairs within it, in the deterministic
+// order fixed by the insertion sequence, so callers wanting the same order
+// as Update must pass ids in ascending order. Built for the sharded scan's
+// per-stripe grids (DESIGN.md §13), where each shard indexes its own node
+// band plus the neighbouring one.
 //
-// Performance contract: O(len(ids)) regardless of n, with the same bucket
-// reuse as Update — a steady-state rebuild allocates nothing.
+// Performance contract: O(len(ids)) regardless of n, with the same
+// counting sort as Update — a rebuild allocates nothing.
 func (g *Grid) UpdateSubset(pos []Point, ids []int32) {
-	for _, ci := range g.occupied {
-		g.cells[ci] = g.cells[ci][:0]
+	g.reset()
+	into := g.into[:len(ids)]
+	for k, id := range ids {
+		into[k] = g.count(pos[id])
 	}
-	g.occupied = g.occupied[:0]
-	for _, id := range ids {
-		g.pos[id] = pos[id]
-		ci := g.index(pos[id])
-		if len(g.cells[ci]) == 0 {
-			g.occupied = append(g.occupied, int32(ci))
-		}
-		g.cells[ci] = append(g.cells[ci], id)
+	g.offsets()
+	for k, id := range ids {
+		g.place(into[k], id, pos[id])
 	}
+}
+
+// reset empties the previous build. Clearing whole bitmap words is exact:
+// every set bit belongs to some occupied cell, and every occupied cell's
+// word is cleared.
+func (g *Grid) reset() {
+	for _, c := range g.occ {
+		ci := int(c.cy)*g.cols + int(c.cx)
+		g.bits[ci>>6] = 0
+	}
+	g.occ = g.occ[:0]
+}
+
+// count is the sort's first pass for an item at p: it marks p's cell
+// occupied on first sight, counts the item in the cell's hi, and returns
+// the cell's occ index.
+func (g *Grid) count(p Point) int32 {
+	cx, cy := g.coords(p)
+	ci := cy*g.cols + cx
+	if !occupied(g.bits, ci) {
+		g.bits[ci>>6] |= 1 << (ci & 63)
+		g.slot[ci] = int32(len(g.occ))
+		g.occ = append(g.occ, occCell{cx: int32(cx), cy: int32(cy)})
+	}
+	s := g.slot[ci]
+	g.occ[s].hi++
+	return s
+}
+
+// offsets turns the per-cell counts into item runs, leaving each cell's hi
+// at its run start as the second pass's write cursor.
+func (g *Grid) offsets() {
+	var off int32
+	for s := range g.occ {
+		c := &g.occ[s]
+		n := c.hi
+		c.lo, c.hi = off, off
+		off += n
+	}
+}
+
+// place is the sort's second pass: it appends the item to its cell's run.
+func (g *Grid) place(s, id int32, p Point) {
+	c := &g.occ[s]
+	g.ids[c.hi] = id
+	g.pts[c.hi] = p
+	c.hi++
 }
 
 // Pairs appends to out every unordered pair (a,b), a<b, whose distance is at
 // most radius, and returns the extended slice. radius must be ≤ the cell
-// size for completeness.
+// size for completeness. Occupied cells are visited in first-occurrence
+// order, each pairing its own items and then those of its forward
+// neighbours E, SW, S, SE (so each cell pair is visited exactly once); the
+// kinetic scanner reconstructs this order, so it is part of the contract.
 //
 // Performance contract: compares squared distances only and writes through
 // the caller's slice; with a warm out buffer Pairs allocates nothing.
 func (g *Grid) Pairs(radius float64, out [][2]int32) [][2]int32 {
 	r2 := radius * radius
-	for _, ciAny := range g.occupied {
-		ci := int(ciAny)
-		cx := ci % g.cols
-		cy := ci / g.cols
-		items := g.cells[ci]
-		// Pairs within the cell itself.
-		for i := 0; i < len(items); i++ {
-			for j := i + 1; j < len(items); j++ {
-				a, b := items[i], items[j]
-				if g.pos[a].Dist2(g.pos[b]) <= r2 {
-					out = appendPair(out, a, b)
+	bits, cols, rows := g.bits, g.cols, g.rows
+	for _, c := range g.occ {
+		ids, pts := g.ids[c.lo:c.hi], g.pts[c.lo:c.hi]
+		for i := range ids {
+			for j := i + 1; j < len(ids); j++ {
+				if pts[i].Dist2(pts[j]) <= r2 {
+					out = appendPair(out, ids[i], ids[j])
 				}
 			}
 		}
-		// Pairs with forward neighbour cells only (E, SW, S, SE) so each
-		// cell pair is visited exactly once.
-		for _, d := range [4][2]int{{1, 0}, {-1, 1}, {0, 1}, {1, 1}} {
-			nx, ny := cx+d[0], cy+d[1]
-			if nx < 0 || nx >= g.cols || ny >= g.rows {
-				continue
+		cx, cy := int(c.cx), int(c.cy)
+		ci := cy*cols + cx
+		east := cx+1 < cols
+		if east && occupied(bits, ci+1) {
+			out = g.cross(ids, pts, ci+1, r2, out)
+		}
+		if cy+1 < rows {
+			below := ci + cols
+			if cx > 0 && occupied(bits, below-1) {
+				out = g.cross(ids, pts, below-1, r2, out)
 			}
-			other := g.cells[ny*g.cols+nx]
-			for _, a := range items {
-				for _, b := range other {
-					if g.pos[a].Dist2(g.pos[b]) <= r2 {
-						out = appendPair(out, a, b)
-					}
-				}
+			if occupied(bits, below) {
+				out = g.cross(ids, pts, below, r2, out)
+			}
+			if east && occupied(bits, below+1) {
+				out = g.cross(ids, pts, below+1, r2, out)
+			}
+		}
+	}
+	return out
+}
+
+// cross appends the in-range pairs between one cell's items (ids at pts)
+// and the items of the occupied cell ci.
+func (g *Grid) cross(ids []int32, pts []Point, ci int, r2 float64, out [][2]int32) [][2]int32 {
+	o := g.occ[g.slot[ci]]
+	oids, opts := g.ids[o.lo:o.hi], g.pts[o.lo:o.hi]
+	for i, a := range ids {
+		for j, b := range oids {
+			if pts[i].Dist2(opts[j]) <= r2 {
+				out = appendPair(out, a, b)
 			}
 		}
 	}
@@ -192,7 +284,8 @@ func appendPair(out [][2]int32, a, b int32) [][2]int32 {
 }
 
 // Near appends to out the ids of all items within radius of p (including
-// items at exactly radius), and returns the extended slice.
+// items at exactly radius), and returns the extended slice. Cells are
+// visited row by row, ids in insertion order within a cell.
 //
 // Performance contract: compares squared distances only and writes through
 // the caller's slice; with a warm out buffer Near allocates nothing.
@@ -211,9 +304,14 @@ func (g *Grid) Near(p Point, radius float64, out []int32) []int32 {
 			if nx < 0 || nx >= g.cols {
 				continue
 			}
-			for _, id := range g.cells[ny*g.cols+nx] {
-				if g.pos[id].Dist2(p) <= r2 {
-					out = append(out, id)
+			ci := ny*g.cols + nx
+			if !occupied(g.bits, ci) {
+				continue
+			}
+			c := g.occ[g.slot[ci]]
+			for k := c.lo; k < c.hi; k++ {
+				if g.pts[k].Dist2(p) <= r2 {
+					out = append(out, g.ids[k])
 				}
 			}
 		}

@@ -9,6 +9,7 @@
 // RandomWalk and RandomDirection (used by the intermeeting-tail literature
 // the paper cites), Static, Path (trace playback), and Taxi (hotspot-biased
 // city driving, the EPFL substitute — see DESIGN.md §4).
+//
 //lint:shard-safe models own their substreams via constructor injection and touch no package state
 package mobility
 

@@ -4,6 +4,7 @@
 // size, TTL). A Stored is one node's copy of it: the remaining spray count
 // C_i, the hop count of this copy, and the lineage of binary-spray split
 // times used by SDSRP's m_i estimator (paper Eq. 15 / Fig. 6).
+//
 //lint:shard-safe plain data types; no package state
 package msg
 

@@ -16,7 +16,8 @@ import (
 // suppressed from re-upping until the nodes genuinely leave radio range
 // (scanner mode); in scheduled mode the next recorded contact re-ups it.
 func (m *Manager) flapLink(k pairKey, now float64) {
-	if _, up := m.links[k]; !up {
+	l := m.linkOf(k)
+	if l == nil {
 		return // timer should have been canceled with the link; be safe
 	}
 	if m.tracer != nil {
@@ -25,7 +26,7 @@ func (m *Manager) flapLink(k pairKey, now float64) {
 	if m.flapped != nil {
 		m.flapped[k] = true
 	}
-	freed := m.linkDown(k, now, nil)
+	freed := m.linkDown(l, now, nil)
 	kickAll(m, freed, now, -1)
 }
 
@@ -53,16 +54,11 @@ func (m *Manager) scheduleCrash(id int, after float64) {
 // link-ups, and a reboot is scheduled after a drawn outage.
 func (m *Manager) nodeDown(id int, now float64) {
 	m.down[id] = true
-	// Collect the neighbor-map keys, then sort: teardown order feeds
-	// emitted events and must not inherit map iteration order.
-	keys := make([]pairKey, 0, len(m.neighbors[id]))
-	for p := range m.neighbors[id] {
-		keys = append(keys, keyOf(id, p))
-	}
-	sortPairKeys(keys)
+	// Tear the links down in key order, which is the adjacency list's
+	// own order; each teardown removes the list's head.
 	var freed []int
-	for _, k := range keys {
-		freed = m.linkDown(k, now, freed)
+	for len(m.adj[id]) > 0 {
+		freed = m.linkDown(m.adj[id][0], now, freed)
 	}
 	if m.tracer != nil {
 		m.tracer.Emit(obs.Event{T: now, Type: obs.NodeDown, Node: id})

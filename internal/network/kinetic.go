@@ -63,9 +63,9 @@ import (
 //   - Every linkDown — scan separation, flap, churn crash — wakes both
 //     endpoints (onLinkDown), the same conservative discipline the sweep
 //     applies to pairs; linked pairs are excluded from pair deadlines
-//     because the per-tick down walk over Manager.links owns them.
-//   - Downs derive from Manager.links exactly like the naive path, in
-//     sortPairKeys order. Position sampling is lazy but Model.Pos is
+//     because the per-tick down walk over Manager.live owns them.
+//   - Downs derive from Manager.live exactly like the naive path, in key
+//     order. Position sampling is lazy but Model.Pos is
 //     deterministic for a given query time, so sampled values are
 //     bit-identical to the naive schedule.
 //   - Ups: zero or one candidate needs no ordering. Two or more are sorted
@@ -412,8 +412,8 @@ func (m *Manager) scanKinetic(now float64) {
 					if jj == i {
 						continue
 					}
-					if _, linked := m.neighbors[i][jj]; linked {
-						// The per-tick down walk over Manager.links owns
+					if len(m.adj[i]) > 0 && m.linkOf(keyOf(i, jj)) != nil {
+						// The per-tick down walk over Manager.live owns
 						// linked pairs; they never constrain a deadline.
 						continue
 					}
@@ -451,20 +451,14 @@ func (m *Manager) scanKinetic(now float64) {
 	// 4. Downs, exactly like the naive path: recompute the predicate per
 	// live link, canonical sort, teardown with deferred kicks. linkDown
 	// wakes both endpoints via onLinkDown.
-	downs := m.downsBuf[:0]
-	for k := range m.links {
-		a, b := int(k[0]), int(k[1])
-		s.samplePos(a, now)
-		s.samplePos(b, now)
-		checked++
-		if !m.pairInContact(a, b) {
-			downs = append(downs, k)
-		}
+	for _, l := range m.live {
+		s.samplePos(int(l.key[0]), now)
+		s.samplePos(int(l.key[1]), now)
 	}
-	sortPairKeys(downs)
+	checked += uint64(len(m.live))
 	freed := m.freedBuf[:0]
-	for _, k := range downs {
-		freed = m.linkDown(k, now, freed)
+	for _, l := range m.collectDowns() {
+		freed = m.linkDown(l, now, freed)
 	}
 
 	// 5. Ups. One candidate needs no ordering; two or more are sorted into
@@ -472,7 +466,7 @@ func (m *Manager) scanKinetic(now float64) {
 	switch len(s.ups) {
 	case 0:
 	case 1:
-		if _, up := m.links[s.ups[0]]; !up {
+		if m.linkOf(s.ups[0]) == nil {
 			m.linkUp(s.ups[0], now)
 		}
 	default:
@@ -581,7 +575,7 @@ func (s *kinetic) emitUps(now float64) {
 		return ord[x].b < ord[y].b
 	})
 	for _, c := range ord {
-		if _, up := m.links[c.key]; !up {
+		if m.linkOf(c.key) == nil {
 			m.linkUp(c.key, now)
 		}
 	}
@@ -605,7 +599,7 @@ func (s *kinetic) replayNaiveUps(now float64) {
 		if m.flapped[k] {
 			continue
 		}
-		if _, up := m.links[k]; !up {
+		if m.linkOf(k) == nil {
 			m.linkUp(k, now)
 		}
 	}

@@ -20,12 +20,14 @@
 //   - Optional per-node radio ranges (both radios must reach), a battery
 //     model (EnergyConfig), and contact-trace replay (StartScheduled)
 //     extend the paper's fixed setup.
+//
 //lint:shard-safe manager state is per-run; map iteration feeding the event stream is collect-then-sort throughout
 package network
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -112,16 +114,14 @@ func keyOf(a, b int) pairKey {
 	return pairKey{int32(a), int32(b)}
 }
 
-// sortPairKeys orders link keys lexicographically — the canonical order for
-// keys collected from the link and neighbor maps before any teardown or
-// event emission, so map iteration order never reaches observable output.
-func sortPairKeys(keys []pairKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
+// cmpPairKeys orders pair keys lexicographically: the canonical order for
+// links collected from the live-link table before any teardown or event
+// emission, so the table's internal order never reaches observable output.
+func cmpPairKeys(x, y pairKey) int {
+	if x[0] != y[0] {
+		return int(x[0]) - int(y[0])
+	}
+	return int(x[1]) - int(y[1])
 }
 
 type transfer struct {
@@ -138,8 +138,11 @@ type link struct {
 	a, b   *routing.Host // a.ID() < b.ID()
 	upAt   float64
 	active *transfer
+	// slot is the link's index in Manager.live.
+	slot int32
 	// refusedTo[0] holds ids refused by b (direction a→b); refusedTo[1]
-	// ids refused by a (direction b→a). Cleared when the contact ends.
+	// ids refused by a (direction b→a). Each map is allocated on the
+	// direction's first refusal and dies with the contact.
 	refusedTo [2]map[msg.ID]bool
 	// flip alternates which direction gets first pick, for fairness
 	// during long contacts.
@@ -151,6 +154,15 @@ type link struct {
 	flapTimer sim.EventID
 }
 
+// refuse records that direction dir's receiver refused message id for the
+// rest of this contact.
+func (l *link) refuse(dir int, id msg.ID) {
+	if l.refusedTo[dir] == nil {
+		l.refusedTo[dir] = make(map[msg.ID]bool)
+	}
+	l.refusedTo[dir][id] = true
+}
+
 // Manager owns the links and transfer scheduling for one simulation run.
 type Manager struct {
 	eng    *sim.Engine
@@ -159,14 +171,23 @@ type Manager struct {
 	models []mobility.Model
 	grid   *geo.Grid
 
-	links     map[pairKey]*link
-	neighbors []map[int]*link // per host: peer id -> link
-	busy      []bool
+	// live holds every up link, in no meaningful order: links join at the
+	// end and leave by swap-removal through link.slot. Walks that reach
+	// the event stream sort what they collect from it.
+	live []*link
+	// adj[i] holds node i's up links in key order, which is ascending peer
+	// order too: peers below i carry keys (peer, i) and sort first, by
+	// peer; peers above i carry keys (i, peer), whose low id i exceeds
+	// every earlier one.
+	adj  [][]*link
+	busy []bool
 
 	collector *stats.Collector
 	inter     *stats.Intermeeting // may be nil
 	tracer    obs.Tracer          // may be nil
-	lastEnd   map[pairKey]float64
+	// lastEnd records each pair's last contact end for the intermeeting
+	// sampler; nil unless inter is set.
+	lastEnd map[pairKey]float64
 
 	positions  []geo.Point
 	pairBuf    [][2]int32
@@ -203,7 +224,7 @@ type Manager struct {
 	shardHandoffs uint64
 	// downsBuf and freedBuf are per-tick scratch, reused so a steady-state
 	// scan allocates nothing.
-	downsBuf []pairKey
+	downsBuf []*link
 	freedBuf []int
 	// Scan-strategy counters (see ScanStats).
 	pairsChecked uint64
@@ -247,19 +268,17 @@ func NewManager(eng *sim.Engine, cfg Config, hosts []*routing.Host, models []mob
 		ranges:    cfg.Ranges,
 		maxRange:  maxRange,
 		grid:      geo.NewGrid(cfg.Area, cell, n),
-		links:     make(map[pairKey]*link),
-		neighbors: make([]map[int]*link, n),
+		adj:       make([][]*link, n),
 		busy:      make([]bool, n),
 		collector: collector,
 		inter:     inter,
 		tracer:    cfg.Tracer,
-		lastEnd:   make(map[pairKey]float64),
 		positions: make([]geo.Point, n),
 		energy:    newEnergyState(cfg.Energy, n),
 		faults:    cfg.Faults,
 	}
-	for i := range m.neighbors {
-		m.neighbors[i] = make(map[int]*link)
+	if inter != nil {
+		m.lastEnd = make(map[pairKey]float64)
 	}
 	if m.faults.ChurnEnabled() {
 		m.down = make([]bool, n)
@@ -351,7 +370,52 @@ func (m *Manager) Start() {
 func (m *Manager) Contacts() int { return m.contacts }
 
 // ActiveLinks returns the number of links currently up.
-func (m *Manager) ActiveLinks() int { return len(m.links) }
+func (m *Manager) ActiveLinks() int { return len(m.live) }
+
+// linkOf returns the up link for pair k, or nil, searching the shorter of
+// the two endpoints' key-ordered adjacency lists.
+func (m *Manager) linkOf(k pairKey) *link {
+	ls := m.adj[k[0]]
+	if other := m.adj[k[1]]; len(other) < len(ls) {
+		ls = other
+	}
+	if i, ok := slices.BinarySearchFunc(ls, k, cmpLinkKey); ok {
+		return ls[i]
+	}
+	return nil
+}
+
+// cmpLinkKey compares l's key with k (cmpPairKeys).
+func cmpLinkKey(l *link, k pairKey) int { return cmpPairKeys(l.key, k) }
+
+// insertLink adds l to a node's adjacency list, keeping it in key order.
+func insertLink(ls []*link, l *link) []*link {
+	i, _ := slices.BinarySearchFunc(ls, l.key, cmpLinkKey)
+	return slices.Insert(ls, i, l)
+}
+
+// removeLink deletes l from a node's adjacency list, keeping it in key
+// order.
+func removeLink(ls []*link, l *link) []*link {
+	i := slices.Index(ls, l)
+	return slices.Delete(ls, i, i+1)
+}
+
+// collectDowns appends every live link whose pair fails the contact
+// predicate to the downs scratch and returns it in key order, ready for
+// teardown. The predicate reads m.positions, so the caller must have
+// sampled both endpoints of every live link for this tick.
+func (m *Manager) collectDowns() []*link {
+	downs := m.downsBuf[:0]
+	for _, l := range m.live {
+		if !m.pairInContact(int(l.key[0]), int(l.key[1])) {
+			downs = append(downs, l)
+		}
+	}
+	slices.SortFunc(downs, func(x, y *link) int { return cmpPairKeys(x.key, y.key) })
+	m.downsBuf = downs
+	return downs
+}
 
 // ContactDurations returns the sampler of finished contact lengths in
 // seconds (links still up at the horizon are not included).
@@ -395,27 +459,21 @@ func (m *Manager) scanNaive(now float64) {
 	m.grid.Update(m.positions)
 	m.pairBuf = m.grid.Pairs(m.maxRange, m.pairBuf[:0])
 
-	// Downs first (frees endpoints). Collect the link-map keys, then sort:
-	// the teardown order must never inherit map iteration order, or the
-	// abort/kick sequence — and every event it emits — would vary run to run.
-	// The in-contact predicate is recomputed per link instead of consulting a
-	// freshly built pair-set map: pairInContact true implies membership in
-	// pairBuf (the grid finds every pair within maxRange ≥ the pair range),
-	// so the diff against the old map semantics is exact — and the per-tick
-	// map allocation is gone.
-	downs := m.downsBuf[:0]
-	for k := range m.links {
-		if !m.pairInContact(int(k[0]), int(k[1])) {
-			downs = append(downs, k)
-		}
-	}
-	sortPairKeys(downs)
+	// Downs first (frees endpoints), in key order: the teardown order must
+	// never inherit the live table's order, or the abort/kick sequence —
+	// and every event it emits — would depend on which links happened to
+	// be swap-removed earlier. The in-contact predicate is recomputed per
+	// link instead of consulting a freshly built pair set: pairInContact
+	// true implies membership in pairBuf (the grid finds every pair within
+	// maxRange ≥ the pair range), so the diff is exact without a per-tick
+	// set.
+	downs := m.collectDowns()
 	// Kicks are deferred until every down in this tick is processed, so a
 	// freed endpoint never starts a transfer on a sibling link that is
 	// itself about to drop in the same tick.
 	freed := m.freedBuf[:0]
-	for _, k := range downs {
-		freed = m.linkDown(k, now, freed)
+	for _, l := range downs {
+		freed = m.linkDown(l, now, freed)
 	}
 
 	// Ups in grid order (already deterministic), skipping existing links,
@@ -429,7 +487,7 @@ func (m *Manager) scanNaive(now float64) {
 		if m.flapped[k] {
 			continue
 		}
-		if _, up := m.links[k]; !up {
+		if m.linkOf(k) == nil {
 			m.linkUp(k, now)
 		}
 	}
@@ -439,7 +497,7 @@ func (m *Manager) scanNaive(now float64) {
 			delete(m.flapped, k)
 		}
 	}
-	m.pairsChecked += uint64(len(m.links)) + uint64(len(m.pairBuf)) + uint64(len(m.flapped))
+	m.pairsChecked += uint64(len(m.live)) + uint64(len(m.pairBuf)) + uint64(len(m.flapped))
 	m.finishScan(freed, now)
 }
 
@@ -456,6 +514,7 @@ func (m *Manager) finishScan(freed []int, now float64) {
 			}
 		}
 	}
+	clear(m.downsBuf) // release the torn-down links
 	m.downsBuf = m.downsBuf[:0]
 	m.freedBuf = freed[:0]
 }
@@ -486,9 +545,7 @@ func (m *Manager) pairRange(a, b int) float64 {
 
 func (m *Manager) linkUp(k pairKey, now float64) {
 	a, b := m.hosts[k[0]], m.hosts[k[1]]
-	l := &link{key: k, a: a, b: b, upAt: now, bw: 1}
-	l.refusedTo[0] = make(map[msg.ID]bool)
-	l.refusedTo[1] = make(map[msg.ID]bool)
+	l := &link{key: k, a: a, b: b, upAt: now, bw: 1, slot: int32(len(m.live))}
 	if m.faults != nil {
 		// Fixed draw order (jitter, then flap), each from its own
 		// substream, so enabling one model never shifts the other.
@@ -497,9 +554,9 @@ func (m *Manager) linkUp(k pairKey, now float64) {
 			l.flapTimer = m.eng.After(d, func(flapAt float64) { m.flapLink(k, flapAt) })
 		}
 	}
-	m.links[k] = l
-	m.neighbors[k[0]][int(k[1])] = l
-	m.neighbors[k[1]][int(k[0])] = l
+	m.live = append(m.live, l)
+	m.adj[k[0]] = insertLink(m.adj[k[0]], l)
+	m.adj[k[1]] = insertLink(m.adj[k[1]], l)
 	if m.sweep != nil {
 		m.sweep.onLinkUp(k)
 	}
@@ -518,13 +575,19 @@ func (m *Manager) linkUp(k pairKey, now float64) {
 	m.tryStart(l, now)
 }
 
-// linkDown tears the link down, aborting any in-flight transfer. Endpoints
-// freed by an abort are appended to freed (deduplicated by the caller) so
-// their next transfers start only after the caller finishes its batch of
-// topology changes; the updated slice is returned.
-func (m *Manager) linkDown(k pairKey, now float64, freed []int) []int {
-	l := m.links[k]
-	delete(m.links, k)
+// linkDown tears the up link l down, aborting any in-flight transfer.
+// Endpoints freed by an abort are appended to freed (deduplicated by the
+// caller) so their next transfers start only after the caller finishes its
+// batch of topology changes; the updated slice is returned.
+func (m *Manager) linkDown(l *link, now float64, freed []int) []int {
+	k := l.key
+	last := m.live[len(m.live)-1]
+	m.live[l.slot] = last
+	last.slot = l.slot
+	m.live[len(m.live)-1] = nil
+	m.live = m.live[:len(m.live)-1]
+	m.adj[k[0]] = removeLink(m.adj[k[0]], l)
+	m.adj[k[1]] = removeLink(m.adj[k[1]], l)
 	l.flapTimer.Cancel()
 	m.durations.Add(now - l.upAt)
 	if m.cfg.RecordContacts {
@@ -532,8 +595,6 @@ func (m *Manager) linkDown(k pairKey, now float64, freed []int) []int {
 			A: int(k[0]), B: int(k[1]), Start: l.upAt, End: now,
 		})
 	}
-	delete(m.neighbors[k[0]], int(k[1]))
-	delete(m.neighbors[k[1]], int(k[0]))
 	if m.sweep != nil {
 		// Every teardown — scan separation, flap, churn crash — returns the
 		// pair to the every-tick set; the next tick re-parks it if it is
@@ -546,7 +607,9 @@ func (m *Manager) linkDown(k pairKey, now float64, freed []int) []int {
 		// tick if their neighbourhoods are genuinely quiet.
 		m.kin.onLinkDown(k)
 	}
-	m.lastEnd[k] = now
+	if m.lastEnd != nil {
+		m.lastEnd[k] = now
+	}
 	if m.tracer != nil {
 		m.tracer.Emit(obs.Event{T: now, Type: obs.ContactDown, Node: int(k[0]), Peer: int(k[1])})
 	}
@@ -575,17 +638,11 @@ func (m *Manager) linkDown(k pairKey, now float64, freed []int) []int {
 // when new traffic appears at a node mid-contact).
 func (m *Manager) Kick(id int, now float64) { m.kick(id, now) }
 
+// kick offers every idle link of id a transfer, in ascending peer order.
+// Nothing tryStart reaches adds or removes links, so the adjacency list is
+// stable under the walk.
 func (m *Manager) kick(id int, now float64) {
-	peers := make([]int, 0, len(m.neighbors[id]))
-	for p := range m.neighbors[id] {
-		peers = append(peers, p)
-	}
-	sort.Ints(peers)
-	for _, p := range peers {
-		l, ok := m.neighbors[id][p]
-		if !ok {
-			continue // the previous iteration may have torn state down
-		}
+	for _, l := range m.adj[id] {
 		m.tryStart(l, now)
 	}
 }
@@ -611,14 +668,13 @@ func (m *Manager) startDirection(l *link, dir int, now float64) bool {
 	if dir == 1 {
 		sender, receiver = l.b, l.a
 	}
-	refused := l.refusedTo[dir]
 	for {
-		offer, ok := sender.NextOffer(receiver, func(id msg.ID) bool { return refused[id] })
+		offer, ok := sender.NextOffer(receiver, func(id msg.ID) bool { return l.refusedTo[dir][id] })
 		if !ok {
 			return false
 		}
 		if !receiver.PreAccept(offer, now) {
-			refused[offer.S.M.ID] = true
+			l.refuse(dir, offer.S.M.ID)
 			m.collector.TransferRefused()
 			if m.tracer != nil {
 				m.tracer.Emit(obs.Event{T: now, Type: obs.MessageRefused, Msg: offer.S.M.ID,
@@ -683,7 +739,7 @@ func (m *Manager) complete(t *transfer, now float64) {
 			if t.sender == t.link.b {
 				dir = 1
 			}
-			t.link.refusedTo[dir][id] = true
+			t.link.refuse(dir, id)
 		}
 	}
 	m.kick(t.sender.ID(), now)

@@ -234,16 +234,9 @@ func (m *Manager) scanSharded(now float64) {
 
 	// Serial merge. Downs first, in the canonical sorted-key order — the
 	// exact code path scanNaive runs.
-	downs := m.downsBuf[:0]
-	for k := range m.links {
-		if !m.pairInContact(int(k[0]), int(k[1])) {
-			downs = append(downs, k)
-		}
-	}
-	sortPairKeys(downs)
 	freed := m.freedBuf[:0]
-	for _, k := range downs {
-		freed = m.linkDown(k, now, freed)
+	for _, l := range m.collectDowns() {
+		freed = m.linkDown(l, now, freed)
 	}
 
 	// Ups: count the genuinely new links among the proposals. Zero or one
@@ -257,7 +250,7 @@ func (m *Manager) scanSharded(now float64) {
 			if m.flapped[k] {
 				continue
 			}
-			if _, up := m.links[k]; up {
+			if m.linkOf(k) != nil {
 				continue
 			}
 			if ups == 0 {
@@ -281,7 +274,7 @@ func (m *Manager) scanSharded(now float64) {
 			if m.flapped[k] {
 				continue
 			}
-			if _, up := m.links[k]; !up {
+			if m.linkOf(k) == nil {
 				m.linkUp(k, now)
 			}
 		}
@@ -298,6 +291,6 @@ func (m *Manager) scanSharded(now float64) {
 		m.shardHandoffs += ps.handoff[s]
 		ps.checked[s], ps.handoff[s] = 0, 0
 	}
-	m.pairsChecked += uint64(len(m.links)) + uint64(len(m.flapped))
+	m.pairsChecked += uint64(len(m.live)) + uint64(len(m.flapped))
 	m.finishScan(freed, now)
 }

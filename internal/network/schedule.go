@@ -61,7 +61,7 @@ func (m *Manager) StartScheduled(contacts []Contact) error {
 		m.eng.At(c.Start, func(now float64) {
 			depth[k]++
 			if depth[k] == 1 && !m.isDown(int(k[0])) && !m.isDown(int(k[1])) {
-				if _, up := m.links[k]; !up {
+				if m.linkOf(k) == nil {
 					m.linkUp(k, now)
 				}
 			}
@@ -69,8 +69,8 @@ func (m *Manager) StartScheduled(contacts []Contact) error {
 		m.eng.At(c.End, func(now float64) {
 			depth[k]--
 			if depth[k] <= 0 {
-				if _, up := m.links[k]; up {
-					for _, id := range m.linkDown(k, now, nil) {
+				if l := m.linkOf(k); l != nil {
+					for _, id := range m.linkDown(l, now, nil) {
 						m.kick(id, now)
 					}
 				}

@@ -11,7 +11,7 @@ import (
 // Every unordered node pair is in exactly one of four states:
 //
 //   - near:   checked every tick (it could plausibly transition).
-//   - linked: a live link; the per-tick down check walks Manager.links.
+//   - linked: a live link; the per-tick down check walks Manager.live.
 //   - parked: physics rules the pair out of radio range until a computed
 //     wake tick; it sits in a tick-bucketed wake wheel and is neither
 //     distance-checked nor grid-compared until then.
@@ -35,8 +35,8 @@ import (
 //     float comparisons; position sampling is lazy but Model.Pos is
 //     deterministic for a given query time regardless of intermediate
 //     queries, so sampled values are bit-identical to the naive schedule.
-//   - Downs derive from Manager.links exactly like the naive path and are
-//     emitted in sortPairKeys order — canonical, so trivially identical.
+//   - Downs derive from Manager.live exactly like the naive path and are
+//     emitted in key order — canonical, so trivially identical.
 //   - Ups: a tick with zero or one new link needs no ordering. A tick with
 //     two or more falls back to the naive up loop itself (full sample, grid
 //     rebuild, enumeration in grid order) — the candidate sets provably
@@ -77,7 +77,7 @@ const (
 )
 
 // Pair-state codes. near pairs live in the active slice; parked pairs in
-// the wheel; linked pairs are tracked by Manager.links; retired pairs are
+// the wheel; linked pairs are tracked by Manager.live; retired pairs are
 // nowhere.
 const (
 	sweepNear uint8 = iota
@@ -199,7 +199,7 @@ func (s *sweep) deactivate(p int32) {
 	s.slot[p] = -1
 }
 
-// onLinkUp marks the pair linked; the down check walks Manager.links, so
+// onLinkUp marks the pair linked; the down check walks Manager.live, so
 // the pair leaves the near set.
 func (s *sweep) onLinkUp(k pairKey) {
 	p := int32(s.pairIndex(int(k[0]), int(k[1])))
@@ -339,20 +339,14 @@ func (m *Manager) scanLazy(now float64) {
 
 	// 3. Downs, exactly like the naive path: recompute the predicate per
 	// live link, canonical sort, teardown with deferred kicks.
-	downs := m.downsBuf[:0]
-	for k := range m.links {
-		a, b := int(k[0]), int(k[1])
-		s.samplePos(a, now)
-		s.samplePos(b, now)
-		checked++
-		if !m.pairInContact(a, b) {
-			downs = append(downs, k)
-		}
+	for _, l := range m.live {
+		s.samplePos(int(l.key[0]), now)
+		s.samplePos(int(l.key[1]), now)
 	}
-	sortPairKeys(downs)
+	checked += uint64(len(m.live))
 	freed := m.freedBuf[:0]
-	for _, k := range downs {
-		freed = m.linkDown(k, now, freed)
+	for _, l := range m.collectDowns() {
+		freed = m.linkDown(l, now, freed)
 	}
 
 	// 4. Ups. One candidate needs no ordering; two or more replay the
@@ -361,7 +355,7 @@ func (m *Manager) scanLazy(now float64) {
 	switch len(ups) {
 	case 0:
 	case 1:
-		if _, up := m.links[ups[0]]; !up {
+		if m.linkOf(ups[0]) == nil {
 			m.linkUp(ups[0], now)
 		}
 	default:
@@ -379,7 +373,7 @@ func (m *Manager) scanLazy(now float64) {
 			if m.flapped[k] {
 				continue
 			}
-			if _, up := m.links[k]; !up {
+			if m.linkOf(k) == nil {
 				m.linkUp(k, now)
 			}
 		}

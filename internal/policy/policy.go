@@ -23,6 +23,7 @@
 // break on ascending message ID, so the reusable path draws RNG and ranks
 // byte-identically to the throwaway SendOrder/PlanEviction convenience
 // functions.
+//
 //lint:shard-safe the write-once policy registry is the single annotated package state; runtime state lives in per-run Orderer scratch
 package policy
 

@@ -5,6 +5,7 @@
 // derives an independent child stream by name, so adding randomness to one
 // subsystem never perturbs the draw sequence of another. This keeps whole
 // experiment sweeps reproducible run-to-run and bisection-friendly.
+//
 //lint:shard-safe streams are value-owned and split purely; this package defines the substream discipline the engine is checked against
 package rng
 

@@ -6,6 +6,7 @@
 // on each contact (NextOffer / PreAccept) and commits finished transfers
 // (CommitTransfer); the world layer (internal/world) generates traffic and
 // drives TTL expiry.
+//
 //lint:shard-safe host, ack, and tracker state is per-run and per-node; no package-level state
 package routing
 

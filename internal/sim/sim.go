@@ -5,6 +5,7 @@
 // scenario seed. A single Engine is driven by one goroutine; cross-run
 // parallelism lives in internal/experiment, which runs independent engines
 // on a worker pool.
+//
 //lint:shard-safe engine state is per-Engine; the wall-deadline watchdog is the one annotated wall-clock touchpoint and stops dispatch without reordering it
 package sim
 

@@ -1,6 +1,7 @@
 // Package world assembles a full simulation from a config.Scenario: engine,
 // mobility, hosts, radio, traffic, and TTL sweeps — the equivalent of the
 // ONE simulator's scenario loader.
+//
 //lint:shard-safe run state is per-World; the traffic substream touchpoint is annotated where it is scheduled
 package world
 
