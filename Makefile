@@ -54,15 +54,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # CI-sized perf sanity pass (~1 min, see PERFORMANCE.md): runs the suite's
-# smoke cases — serial and its multi-core twin smoke-mc — asserts the report
-# round-trips through the schema, that two separate processes simulate
-# byte-identically (second invocation gating on the first's sim digests),
-# and that both digests still match the newest committed BENCH_<n>.json —
-# any scanner or engine change that perturbs the event stream, serial or
-# sharded, fails here before the full bench-report would catch it. The test
-# step additionally pins smoke-mc's digest to smoke's (parallel ≡ serial)
-# and that the sharded path actually engages at workers=2. The huge
-# -max-regress disarms the timing gate (CI machines are noisy); only
+# smoke case, asserts the report round-trips through the schema, that two
+# separate processes simulate byte-identically (second invocation gating on
+# the first's sim digest), and that the digest still matches the newest
+# committed BENCH_<n>.json — any scanner or engine change that perturbs the
+# event stream fails here before the full bench-report would catch it. The
+# huge -max-regress disarms the timing gate (CI machines are noisy); only
 # determinism failures can trip it.
 bench-smoke:
 	@tmp=$$(mktemp -d) && \
@@ -72,7 +69,7 @@ bench-smoke:
 		-baseline $$(ls BENCH_*.json | grep -v candidate | sort -t_ -k2 -n | tail -1) && \
 	$(GO) run ./cmd/dtnbench -cases scan100k -iters 2 -max-regress 100000 -quiet \
 		-baseline $$(ls BENCH_*.json | grep -v candidate | sort -t_ -k2 -n | tail -1) && \
-	$(GO) test -short -run 'TestGoldenTraceByteIdentical|TestReportByteStable|TestSmokeCaseMatchesGoldenCounters|TestMultiCoreCasesMatchSerialDigests|TestSmokeMCEngagesShardedScan' ./internal/bench/ && \
+	$(GO) test -short -run 'TestGoldenTraceByteIdentical|TestReportByteStable|TestSmokeCaseMatchesGoldenCounters' ./internal/bench/ && \
 	$(GO) test -run 'TestScan100kKineticScalesWithinBudget|TestCommittedScan100kPeakHeapWithinBudget' ./internal/bench/ && \
 	rm -rf $$tmp
 
@@ -87,18 +84,19 @@ bench-report:
 # Observability round-trip gate (~20 s): run dtnsim with the event log (gzip)
 # and snapshot sampler, then require (a) dtntrace stats to reproduce the
 # printed summary bit-for-bit from the trace alone, (b) a second same-seed
-# run — executed under the sharded parallel scan (-workers 2) — to be
+# run — executed under the naive scanner (-scan naive) — to be
 # byte-identical under dtntrace diff, and (c) a different-seed run to be
 # flagged divergent. Catches any drift between the live collector and the
 # event vocabulary, any nondeterminism in the emit path, and any divergence
-# between the serial and parallel engines at the CLI surface.
+# between the default lazy scanner and the naive reference at the CLI
+# surface.
 trace-smoke:
 	@tmp=$$(mktemp -d) && \
 	$(GO) build -o $$tmp/dtnsim ./cmd/dtnsim && \
 	$(GO) build -o $$tmp/dtntrace ./cmd/dtntrace && \
 	$$tmp/dtnsim -nodes 24 -duration 3600 -seed 3 \
 		-events $$tmp/a.jsonl.gz -snapshot-interval 300 > $$tmp/sim.txt && \
-	$$tmp/dtnsim -nodes 24 -duration 3600 -seed 3 -workers 2 \
+	$$tmp/dtnsim -nodes 24 -duration 3600 -seed 3 -scan naive \
 		-events $$tmp/b.jsonl -snapshot-interval 300 > /dev/null && \
 	$$tmp/dtnsim -nodes 24 -duration 3600 -seed 4 \
 		-events $$tmp/c.jsonl > /dev/null && \

@@ -36,7 +36,7 @@ func run() int {
 		maxRegress = flag.Float64("max-regress", 10, "fail (exit 1) when any case's ns/op regresses more than this percent")
 		cases      = flag.String("cases", "", "comma-separated case names to run (default: all; see -list)")
 		iters      = flag.Int("iters", 3, "measured iterations per case (min 2; the extra iterations double as a determinism check)")
-		smoke      = flag.Bool("smoke", false, "run only the smoke cases (shorthand for -cases smoke,smoke-mc)")
+		smoke      = flag.Bool("smoke", false, "run only the smoke case (shorthand for -cases smoke)")
 		list       = flag.Bool("list", false, "list suite cases and exit")
 		quiet      = flag.Bool("quiet", false, "suppress per-case progress on stderr")
 	)
@@ -55,9 +55,7 @@ func run() int {
 
 	cfg := bench.Config{Iters: *iters}
 	if *smoke {
-		// The -mc twin rides along so CI's digest gate also certifies the
-		// sharded parallel scan against the committed baseline.
-		cfg.Cases = []string{"smoke", "smoke-mc"}
+		cfg.Cases = []string{"smoke"}
 	} else if *cases != "" {
 		for _, n := range strings.Split(*cases, ",") {
 			if n = strings.TrimSpace(n); n != "" {

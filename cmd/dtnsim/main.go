@@ -57,7 +57,6 @@ func main() {
 		profileOut       = flag.String("profile", "", "write a CPU profile of the run to this path")
 		scanMode         = flag.String("scan", "", "connectivity scan strategy: lazy (default), kinetic, or naive; all are byte-identical")
 		cellSize         = flag.Float64("cell-size", 0, "scan grid cell edge in metres (0 = radio range; must be >= range)")
-		workers          = flag.Int("workers", 0, "sharded parallel scan goroutines (0/1 = serial; traces are byte-identical at any count)")
 		maxEvents        = flag.Uint64("max-events", 0, "stop the run after this many engine events and report partial metrics (0 = unbounded)")
 	)
 	flag.Parse()
@@ -151,9 +150,6 @@ func main() {
 	}
 	if *cellSize > 0 {
 		sc.CellSize = *cellSize
-	}
-	if *workers > 0 {
-		sc.Workers = *workers
 	}
 	if *energyCap > 0 {
 		sc.Energy = config.Energy{Capacity: *energyCap, ScanPerSec: 0.5, TxPerSec: 15, RxPerSec: 10}

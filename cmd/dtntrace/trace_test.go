@@ -180,46 +180,6 @@ func TestStatsCheckAgainstSim(t *testing.T) {
 	}
 }
 
-// TestStatsCheckOnParallelTrace re-runs the collector-arithmetic gate on a
-// sharded-scan trace (DESIGN.md §13): the parallel engine must produce a
-// trace dtntrace can fold back into the exact printed summary, and that
-// trace must be byte-identical to the serial run's. The run must actually
-// have sharded (shard windows > 0), or the test degenerates to
-// serial-vs-serial.
-func TestStatsCheckOnParallelTrace(t *testing.T) {
-	dir := t.TempDir()
-	serial := filepath.Join(dir, "serial.jsonl")
-	parallel := filepath.Join(dir, "parallel.jsonl.gz")
-	writeTrace(t, testScenario(3), serial, 0)
-	scP := testScenario(3)
-	scP.Workers = 2
-	resP := writeTrace(t, scP, parallel, 0)
-	if resP.Perf.ShardWindows == 0 {
-		t.Fatalf("workers=2 run fell back to serial (perf %+v)", resP.Perf)
-	}
-
-	var out bytes.Buffer
-	identical, err := runDiff([]string{serial, parallel}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !identical {
-		t.Fatalf("parallel trace diverges from serial:\n%s", out.String())
-	}
-
-	simOut := filepath.Join(dir, "sim.txt")
-	if err := writeFileLines(simOut, renderSimStats(resP)); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := runStats([]string{"-check", simOut, parallel}, &out); err != nil {
-		t.Fatalf("stats -check failed on parallel trace: %v\noutput:\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "check           ok") {
-		t.Fatalf("missing check-ok line:\n%s", out.String())
-	}
-}
-
 // renderSimStats formats a Result exactly as dtnsim's summary printf block
 // does.
 func renderSimStats(res sdsrp.Result) []string {

@@ -6,7 +6,6 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
-	"runtime"
 	"sync"
 
 	"sdsrp/internal/config"
@@ -21,7 +20,7 @@ import (
 // refuse to compare measurements of different workloads. Adding a case keeps
 // the version: Compare reports baseline-absent cases as New without gating
 // on them, so old reports stay comparable.
-const SuiteVersion = "v1"
+const SuiteVersion = "v2"
 
 // BenchOptions is the shared reduced scale for sweep cases — identical to
 // the root `go test -bench` targets (bench_test.go), so dtnbench and the
@@ -104,41 +103,13 @@ func Scan100kScenario() config.Scenario {
 	return sc
 }
 
-// MCWorkers is the worker count the multi-core (-mc) cases run at:
-// runtime.NumCPU(), floored at 2 so the sharded scan path is exercised even
-// on a single-core host (where the goroutines merely interleave). The -mc
-// digests are host-independent either way — traces are byte-identical at
-// every worker count — only the wall-clock halves of the report vary.
-func MCWorkers() int {
-	if n := runtime.NumCPU(); n > 2 {
-		return n
-	}
-	return 2
-}
-
-// withWorkers lifts a scenario generator into its sharded-scan twin.
-func withWorkers(gen func() config.Scenario, workers int) func() config.Scenario {
-	return func() config.Scenario {
-		sc := gen()
-		sc.Workers = workers
-		return sc
-	}
-}
-
 // Suite returns the fixed benchmark suite, in definition order. Names are
 // stable identifiers: reports key on them, and -cases filters by them.
-// Every "-mc" case is the same workload as its serial namesake at
-// Workers=MCWorkers(); its Sim digest must be identical to the serial one
-// (TestMultiCoreCasesMatchSerialDigests), so the pair measures scheduling
-// overhead/speedup with simulation outcome held fixed.
 func Suite() []Case {
 	return []Case{
 		scenarioCase("smoke", "16-node RWP smoke run (seconds-scale, golden-trace scenario)", SmokeScenario),
-		scenarioCase("smoke-mc", "smoke scenario under the sharded parallel scan (workers=NumCPU)", withWorkers(SmokeScenario, MCWorkers())),
 		scenarioCase("table2", "full Table II baseline: 100-node RWP, 18000 s, SDSRP", config.RandomWaypoint),
-		scenarioCase("table2-mc", "Table II under the sharded parallel scan (workers=NumCPU)", withWorkers(config.RandomWaypoint, MCWorkers())),
 		scenarioCase("table3", "full Table III: 200-taxi EPFL substitute, 18000 s, SDSRP", config.EPFL),
-		scenarioCase("table3-mc", "Table III under the sharded parallel scan (workers=NumCPU)", withWorkers(config.EPFL, MCWorkers())),
 		scenarioCase("densescan", "400-node traffic-free RWP over 15×12 km: contact-scan cost in isolation", DenseScanScenario),
 		scenarioCase("scan100k", "100k-node traffic-free RWP over 250×250 km under the kinetic scanner (peak-memory gate)", Scan100kScenario),
 		experimentCase("fig8copies", "Fig. 8 a-c sweep: metrics vs initial copies (reduced scale)"),

@@ -9,66 +9,6 @@ import (
 	"sdsrp/internal/world"
 )
 
-// runCase executes one named suite case and returns its Sim digest.
-func runCase(t *testing.T, name string) Sim {
-	t.Helper()
-	for _, c := range Suite() {
-		if c.Name == name {
-			sim, err := c.Run()
-			if err != nil {
-				t.Fatalf("case %s: %v", name, err)
-			}
-			return sim
-		}
-	}
-	t.Fatalf("case %s not in suite", name)
-	return Sim{}
-}
-
-// TestMultiCoreCasesMatchSerialDigests is the bench half of the parallel-DES
-// determinism contract: every -mc case must produce a Sim digest (counters
-// and fingerprint alike) identical to its serial namesake. The -mc/serial
-// pairs may differ only in the Perf (wall-clock) half of a report.
-func TestMultiCoreCasesMatchSerialDigests(t *testing.T) {
-	pairs := [][2]string{{"smoke", "smoke-mc"}, {"table2", "table2-mc"}}
-	if !testing.Short() {
-		pairs = append(pairs, [2]string{"table3", "table3-mc"})
-	}
-	for _, p := range pairs {
-		p := p
-		t.Run(p[1], func(t *testing.T) {
-			t.Parallel()
-			serial := runCase(t, p[0])
-			mc := runCase(t, p[1])
-			if serial != mc {
-				t.Fatalf("digest diverges:\n  %-9s %+v\n  %-9s %+v", p[0], serial, p[1], mc)
-			}
-		})
-	}
-}
-
-// TestSmokeMCEngagesShardedScan guards the -mc cases against silently
-// degenerating into serial reruns: at workers=2 the smoke geometry (700 m
-// wide, 350 m stripes, 100 m radios, 2 m/s fleet) provably admits a
-// conservative window, so the sharded path must report window activity.
-// (MCWorkers() itself may legitimately fall back on hosts with enough cores
-// to shrink stripes below the radio range; the digest identity above holds
-// regardless.)
-func TestSmokeMCEngagesShardedScan(t *testing.T) {
-	sc := withWorkers(SmokeScenario, 2)()
-	w, err := world.Build(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := w.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Perf.ShardWindows == 0 || res.Perf.ShardBarriers == 0 {
-		t.Fatalf("sharded scan inert on smoke at workers=2: %+v", res.Perf)
-	}
-}
-
 // TestScan100kKineticScalesWithinBudget is the live half of the large-fleet
 // gate: the scan100k case must run under the kinetic planner without any
 // strategy fallback, actually park nodes (the whole point at this scale),

@@ -110,17 +110,6 @@ type Scenario struct {
 	// order, so traces are only comparable across runs that share a cell
 	// size.
 	CellSize float64
-	// Workers ≥ 2 runs the connectivity scan's sampling and candidate
-	// enumeration phases concurrently on that many spatially sharded
-	// goroutines (DESIGN.md §13), with every event committed serially at
-	// the window barrier — traces stay byte-identical to the serial
-	// engine for any worker count. 0 or 1 (the default) is fully serial.
-	// When the scenario admits no conservative lookahead window (an
-	// unbounded-MaxSpeed mobility model, or stripes narrower than one
-	// scan tick of head-on closing), the run silently falls back to the
-	// serial ScanMode strategy; Result.Perf.ShardWindows == 0 is the
-	// fallback signal.
-	Workers int
 
 	BufferBytes int64
 	MessageSize int64
@@ -291,9 +280,6 @@ func (s Scenario) Validate() error {
 	}
 	if s.CellSize != 0 && s.CellSize < s.Range {
 		add("cell size %v must be 0 (auto) or >= range %v", s.CellSize, s.Range)
-	}
-	if s.Workers < 0 {
-		add("workers %d must be non-negative (0 or 1 = serial)", s.Workers)
 	}
 	if s.MessageSize <= 0 {
 		add("message size %d must be positive", s.MessageSize)

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"sdsrp/internal/config"
@@ -119,12 +120,13 @@ func TestRunPropagatesBuildError(t *testing.T) {
 }
 
 func TestRunProgressCallback(t *testing.T) {
-	var calls int
+	// Progress fires from the worker goroutines, so the count is atomic.
+	var calls atomic.Int64
 	sc := config.RandomWaypoint()
 	sc.Nodes, sc.Duration, sc.TTL = 10, 300, 300
 	sc.Area.Max.X, sc.Area.Max.Y = 500, 400
 	_, err := Run([]config.Scenario{sc, sc}, 2, func(done, total int) {
-		calls++
+		calls.Add(1)
 		if total != 2 {
 			t.Errorf("total = %d", total)
 		}
@@ -132,8 +134,8 @@ func TestRunProgressCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 2 {
-		t.Fatalf("progress calls = %d", calls)
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("progress calls = %d", n)
 	}
 }
 

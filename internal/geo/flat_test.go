@@ -55,8 +55,7 @@ var gridLayouts = map[string]gridLayout{
 // TestGridMatchesReference is the flat layout's differential test: over
 // many seeds, layouts and cell sizes, Pairs must return the reference
 // grid's exact sequence (order, not just the set — kinetic's emitUps and
-// every trace depend on it), Near the exact id sequence, and UpdateSubset
-// the same order for ascending, shuffled and partial id lists. One grid
+// every trace depend on it) and Near the exact id sequence. One grid
 // instance is reused across every tick, so stale state from a previous
 // build would show. Every eighth seed uses an area smaller than one cell,
 // where every forward neighbour is out of bounds.
@@ -73,7 +72,6 @@ func TestGridMatchesReference(t *testing.T) {
 		g := NewGrid(area, cell, n)
 		ref := newRefGrid(area, cell, n)
 		pos := make([]Point, n)
-		ids := make([]int32, 0, n)
 		var got, want [][2]int32
 		var gotNear, wantNear []int32
 		for _, name := range []string{"uniform", "hotspot", "clamped", "boundary"} {
@@ -101,24 +99,6 @@ func TestGridMatchesReference(t *testing.T) {
 							seed, name, tick, p, r, gotNear, wantNear)
 					}
 				}
-
-				ids = ids[:0]
-				for i := 0; i < n; i++ {
-					if tick == 0 || s.Bool(0.6) {
-						ids = append(ids, int32(i))
-					}
-				}
-				if tick >= 2 {
-					s.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-				}
-				g.UpdateSubset(pos, ids)
-				ref.UpdateSubset(pos, ids)
-				got = g.Pairs(radius, got[:0])
-				want = ref.Pairs(radius, want[:0])
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d %s tick %d: UpdateSubset(%d ids) Pairs diverge from reference:\n got %v\nwant %v",
-						seed, name, tick, len(ids), got, want)
-				}
 			}
 		}
 	}
@@ -142,12 +122,9 @@ func TestGridWarmUpdatePairsAllocatesNothing(t *testing.T) {
 		g.Update(p)
 		buf = g.Pairs(100, buf[:0])
 	}
-	ids := []int32{5, 1, 9, 120, 77}
 	k := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		g.Update(snaps[k%len(snaps)])
-		buf = g.Pairs(100, buf[:0])
-		g.UpdateSubset(snaps[k%len(snaps)], ids)
 		buf = g.Pairs(100, buf[:0])
 		k++
 	})

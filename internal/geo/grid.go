@@ -67,9 +67,6 @@ func NewGrid(area Rect, cell float64, n int) *Grid {
 	}
 }
 
-// CellSize returns the grid's cell edge length in metres.
-func (g *Grid) CellSize() float64 { return g.cell }
-
 // Dims returns the grid's column and row counts.
 func (g *Grid) Dims() (cols, rows int) { return g.cols, g.rows }
 
@@ -145,29 +142,6 @@ func (g *Grid) Update(pos []Point) {
 	g.offsets()
 	for id := range pos {
 		g.place(into[id], int32(id), pos[id])
-	}
-}
-
-// UpdateSubset rebuilds the grid from only the listed item ids, reading
-// their coordinates from pos (which must have the full length n passed to
-// NewGrid — ids index into it; ids must be distinct). Queries then see
-// just the subset: Pairs enumerates pairs within it, in the deterministic
-// order fixed by the insertion sequence, so callers wanting the same order
-// as Update must pass ids in ascending order. Built for the sharded scan's
-// per-stripe grids (DESIGN.md §13), where each shard indexes its own node
-// band plus the neighbouring one.
-//
-// Performance contract: O(len(ids)) regardless of n, with the same
-// counting sort as Update — a rebuild allocates nothing.
-func (g *Grid) UpdateSubset(pos []Point, ids []int32) {
-	g.reset()
-	into := g.into[:len(ids)]
-	for k, id := range ids {
-		into[k] = g.count(pos[id])
-	}
-	g.offsets()
-	for k, id := range ids {
-		g.place(into[k], id, pos[id])
 	}
 }
 

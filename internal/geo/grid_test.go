@@ -1,7 +1,6 @@
 package geo
 
 import (
-	"reflect"
 	"sort"
 	"testing"
 
@@ -163,83 +162,5 @@ func BenchmarkGridPairs100(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.Update(pos)
 		buf = g.Pairs(100, buf[:0])
-	}
-}
-
-// TestUpdateSubsetMatchesUpdate checks the sharded-scan contract: indexing
-// the full id set via UpdateSubset (ascending ids) is indistinguishable
-// from Update — same pairs in the same order — and indexing a subset
-// yields exactly the brute-force pairs within that subset.
-func TestUpdateSubsetMatchesUpdate(t *testing.T) {
-	s := rng.New(42)
-	area := NewRect(900, 700)
-	const n = 60
-	gFull := NewGrid(area, 120, n)
-	gSub := NewGrid(area, 120, n)
-	pos := make([]Point, n)
-	all := make([]int32, n)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	var bufA, bufB [][2]int32
-	for tick := 0; tick < 30; tick++ {
-		for i := range pos {
-			pos[i] = Point{s.Uniform(0, 900), s.Uniform(0, 700)}
-		}
-		gFull.Update(pos)
-		gSub.UpdateSubset(pos, all)
-		bufA = gFull.Pairs(120, bufA[:0])
-		bufB = gSub.Pairs(120, bufB[:0])
-		if !reflect.DeepEqual(bufA, bufB) {
-			t.Fatalf("tick %d: UpdateSubset(all) pairs diverge from Update:\n%v\n%v", tick, bufA, bufB)
-		}
-
-		// A proper subset (every other id) must yield exactly the
-		// brute-force pairs restricted to it.
-		half := all[:0:0]
-		in := make([]bool, n)
-		for i := 0; i < n; i += 2 {
-			half = append(half, int32(i))
-			in[i] = true
-		}
-		gSub.UpdateSubset(pos, half)
-		bufB = gSub.Pairs(120, bufB[:0])
-		var want [][2]int32
-		for _, p := range bruteForcePairs(pos, 120) {
-			if in[p[0]] && in[p[1]] {
-				want = append(want, p)
-			}
-		}
-		if len(bufB) != len(want) {
-			t.Fatalf("tick %d: subset pairs %d, want %d", tick, len(bufB), len(want))
-		}
-		for _, p := range bufB {
-			if !in[p[0]] || !in[p[1]] {
-				t.Fatalf("tick %d: pair %v includes an id outside the subset", tick, p)
-			}
-		}
-	}
-}
-
-// TestUpdateSubsetDeterministicOrder pins that two identical subset
-// rebuilds enumerate pairs in the same order — the property that lets a
-// shard's candidate list feed the serial merge without sorting.
-func TestUpdateSubsetDeterministicOrder(t *testing.T) {
-	s := rng.New(5)
-	area := NewRect(400, 400)
-	const n = 25
-	g1 := NewGrid(area, 80, n)
-	g2 := NewGrid(area, 80, n)
-	pos := make([]Point, n)
-	for i := range pos {
-		pos[i] = Point{s.Uniform(0, 400), s.Uniform(0, 400)}
-	}
-	ids := []int32{3, 7, 8, 11, 12, 15, 20, 24}
-	g1.UpdateSubset(pos, ids)
-	g2.UpdateSubset(pos, ids)
-	a := g1.Pairs(80, nil)
-	b := g2.Pairs(80, nil)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same subset, different pair order:\n%v\n%v", a, b)
 	}
 }

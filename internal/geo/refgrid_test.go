@@ -76,13 +76,6 @@ func (g *refGrid) Update(pos []Point) {
 	}
 }
 
-func (g *refGrid) UpdateSubset(pos []Point, ids []int32) {
-	g.reset()
-	for _, id := range ids {
-		g.insert(id, pos[id])
-	}
-}
-
 func (g *refGrid) Pairs(radius float64, out [][2]int32) [][2]int32 {
 	r2 := radius * radius
 	for _, ciAny := range g.occupied {

@@ -1,8 +1,8 @@
 // Package lint is dtnlint's engine: a stdlib-only static-analysis suite
 // that machine-checks the simulator's determinism, error-handling,
 // hot-path, and shard-safety invariants (same seed ⇒ byte-identical
-// results, and — once event execution is sharded — the same bytes from a
-// parallel run as from the serial engine).
+// results, also while the experiment runner runs many worlds concurrently
+// in one process).
 //
 // The suite is built from go/parser, go/ast, go/types, and go/token alone,
 // preserving the module's zero-external-dependency constraint. Eleven
@@ -29,24 +29,26 @@
 //     the lazy sweep. Legitimate scalar uses (canonical definitions,
 //     parse-time bounds) carry a //lint:ignore hot-dist annotation.
 //
-// Five shard-safety checks certify that the engine-path packages can run
-// under deterministic sharded parallel event execution (DESIGN.md §11):
+// Five shard-safety checks certify that the engine-path packages keep every
+// world's state its own, so worlds the experiment runner runs concurrently
+// in one process neither race nor perturb each other (DESIGN.md §11):
 //
 //   - shared-mutable: package-level mutable state (vars, non-const maps or
-//     slices, settable singletons) in an engine-path package. Any of it
-//     races once shards run concurrently; state must live in constructed
-//     per-run structs. Sentinel errors (error-typed Err* vars) and blank
-//     interface-compliance assertions are exempt by shape.
+//     slices, settable singletons) in an engine-path package. Every world
+//     in the process shares it, so concurrent runs race on it; state must
+//     live in constructed per-run structs. Sentinel errors (error-typed
+//     Err* vars) and blank interface-compliance assertions are exempt by
+//     shape.
 //   - no-conc-sim: go statements, channel operations, select, channel
 //     types, and sync / sync/atomic imports anywhere in the deterministic
-//     sim path. Concurrency may enter only through the future shard
-//     barrier; the experiment fan-out, bench harness, obs sinks, and CLIs
-//     are allowlisted.
+//     sim path. A world runs on one goroutine; the experiment fan-out
+//     (whole worlds in parallel), bench harness, obs sinks, and CLIs are
+//     allowlisted.
 //   - rng-escape: an *rng.Stream / *rng.Source substream must not be
 //     captured by a closure that outlives the statement (stored in a
 //     struct field, returned, or handed to a non-constructor call) and
 //     must not be stored into a struct field outside a constructor —
-//     the substream-ownership discipline per-shard determinism requires.
+//     the ownership discipline that keeps each draw sequence seed-pure.
 //   - map-order-flow: extends ordered-map-emit from emission sites to
 //     state flow. Inside a map-range body: floating-point accumulation
 //     into outer state, order-dependent assignments to outer state
@@ -101,7 +103,7 @@ var Checks = []CheckInfo{
 	{"ordered-map-emit", "map-range loop emitting or collecting in randomized iteration order"},
 	{"float-eq", "bare ==/!= on floats in score math; use an epsilon or annotate the tie-break"},
 	{"hot-dist", "scalar Euclidean distance on the scan path; compare squared distances"},
-	{"shared-mutable", "package-level mutable state in an engine package; shards would race on it"},
+	{"shared-mutable", "package-level mutable state in an engine package; concurrent worlds would race on it"},
 	{"no-conc-sim", "goroutine/channel/sync use inside the deterministic sim path"},
 	{"rng-escape", "RNG substream escaping its owning subsystem outside a constructor"},
 	{"map-order-flow", "map-iteration order flowing into engine state, scheduling, or float sums"},
@@ -156,7 +158,7 @@ type Config struct {
 	HotDistScope []string
 	// EngineScope limits the shard-safety state checks (shared-mutable,
 	// rng-escape, map-order-flow) to these directories; empty = everywhere.
-	// The default config lists every package on the sharded-execution path.
+	// The default config lists every package a world's engine runs on.
 	EngineScope []string
 	// ConcAllow lists packages where goroutines, channels, and sync are
 	// legitimate (the experiment fan-out, bench harness, obs sinks, CLIs).
@@ -201,13 +203,11 @@ func DefaultConfig() Config {
 			"internal/fault",
 			"internal/msg",
 			"internal/rng",
-			"internal/shard",
 		},
 		ConcAllow: []string{
 			"internal/experiment", // worker fan-out across whole runs
 			"internal/bench",      // harness measurement plumbing
 			"internal/obs",        // sink side of the event stream
-			"internal/shard",      // the sanctioned fork-join barrier (DESIGN.md §13)
 			"cmd",                 // CLI signal handling and progress
 		},
 		AllocHotScope: []string{

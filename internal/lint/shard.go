@@ -9,10 +9,11 @@ import (
 )
 
 // This file holds the shard-safety analyzers: the checks that certify an
-// engine-path package can run under deterministic sharded parallel event
-// execution. They are dataflow-aware (go/types-backed) rather than purely
-// syntactic: shared-mutable reasons about package state shape, rng-escape
-// about substream ownership, map-order-flow about state touched under map
+// engine-path package keeps each world's state its own, so the worlds the
+// experiment runner runs concurrently in one process stay deterministic.
+// They are dataflow-aware (go/types-backed) rather than purely syntactic:
+// shared-mutable reasons about package state shape, rng-escape about
+// substream ownership, map-order-flow about state touched under map
 // iteration, and alloc-hot about allocation sites inside functions bound by
 // a Performance-contract godoc. no-conc-sim fences concurrency primitives
 // out of the sim path entirely.
@@ -20,7 +21,7 @@ import (
 // All four shard-safety checks (shared-mutable, no-conc-sim, rng-escape,
 // map-order-flow) accept a //lint:invariant <reason> annotation as a
 // deliberate, explained exemption in addition to //lint:ignore — the
-// annotation is how the engine documents its known cross-shard touchpoints.
+// annotation is how the engine documents its known cross-world touchpoints.
 
 // reportShard records a shard-safety finding unless a //lint:invariant
 // annotation covers the line (same line or the line above).
@@ -35,8 +36,9 @@ func (p *Pass) reportShard(pos token.Pos, check, format string, args ...any) {
 
 // checkSharedMutable flags package-level mutable state in engine-path
 // packages: any var declaration, including maps, slices, and settable
-// singletons. Once event execution is sharded, two shards touching the same
-// package variable race; run state must live in constructed structs.
+// singletons. Every world in the process shares a package variable, so two
+// concurrent runs touching it race; run state must live in constructed
+// structs.
 // Exempt by shape: the blank identifier (interface-compliance assertions)
 // and sentinel errors (vars of type error, conventionally immutable).
 func checkSharedMutable(p *Pass) {
@@ -64,7 +66,7 @@ func checkSharedMutable(p *Pass) {
 						continue // sentinel error, immutable by convention
 					}
 					p.reportShard(name.Pos(), "shared-mutable",
-						"package-level mutable state %q in an engine package; shards would race on it — move it into a constructed per-run struct", name.Name)
+						"package-level mutable state %q in an engine package; concurrent worlds would race on it — move it into a constructed per-run struct", name.Name)
 				}
 			}
 		}
@@ -74,9 +76,8 @@ func checkSharedMutable(p *Pass) {
 // checkNoConcSim flags concurrency primitives in the deterministic sim
 // path: go statements, channel sends/receives, select, channel types, and
 // imports of sync or sync/atomic. A simulation run is single-threaded by
-// design; concurrency may enter only through the future shard barrier.
-// The experiment fan-out, bench harness, obs sinks, and CLIs (Config.
-// ConcAllow) parallelize across whole runs, never inside one.
+// design. The experiment fan-out, bench harness, obs sinks, and CLIs
+// (Config.ConcAllow) parallelize across whole runs, never inside one.
 func checkNoConcSim(p *Pass) {
 	if inScope(p.Pkg.Rel, p.Cfg.ConcAllow) {
 		return
@@ -89,14 +90,14 @@ func checkNoConcSim(p *Pass) {
 			}
 			if path == "sync" || path == "sync/atomic" {
 				p.reportShard(imp.Pos(), "no-conc-sim",
-					"import of %s in the sim path; a run is single-threaded — concurrency enters only at the shard barrier", path)
+					"import of %s in the sim path; a run is single-threaded — concurrency belongs across whole runs", path)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				p.reportShard(n.Pos(), "no-conc-sim",
-					"go statement in the sim path; a run is single-threaded — concurrency enters only at the shard barrier")
+					"go statement in the sim path; a run is single-threaded — concurrency belongs across whole runs")
 			case *ast.SendStmt:
 				p.reportShard(n.Pos(), "no-conc-sim",
 					"channel send in the sim path; event flow must stay on the deterministic queue")
@@ -107,7 +108,7 @@ func checkNoConcSim(p *Pass) {
 				}
 			case *ast.SelectStmt:
 				p.reportShard(n.Pos(), "no-conc-sim",
-					"select in the sim path; a run is single-threaded — concurrency enters only at the shard barrier")
+					"select in the sim path; a run is single-threaded — concurrency belongs across whole runs")
 			case *ast.ChanType:
 				p.reportShard(n.Pos(), "no-conc-sim",
 					"channel type in the sim path; event flow must stay on the deterministic queue")
@@ -138,13 +139,14 @@ func isStreamType(t types.Type) bool {
 	return obj.Name() == "Stream" || obj.Name() == "Source"
 }
 
-// checkRNGEscape enforces the substream-ownership discipline per-shard
-// determinism requires: an *rng.Stream may flow into a subsystem only
-// through constructor parameters. Two escapes are flagged: a closure that
-// captures a substream and outlives its statement (stored in a struct
-// field, returned, or handed to a non-constructor call — the closure drags
-// the substream wherever it is later invoked), and a substream stored into
-// a struct field from inside a method (re-seeding a subsystem mid-run).
+// checkRNGEscape enforces the substream-ownership discipline that keeps
+// every draw sequence a pure function of the seed: an *rng.Stream may flow
+// into a subsystem only through constructor parameters. Two escapes are
+// flagged: a closure that captures a substream and outlives its statement
+// (stored in a struct field, returned, or handed to a non-constructor call
+// — the closure drags the substream wherever it is later invoked), and a
+// substream stored into a struct field from inside a method (re-seeding a
+// subsystem mid-run).
 func checkRNGEscape(p *Pass) {
 	if len(p.Cfg.EngineScope) > 0 && !inScope(p.Pkg.Rel, p.Cfg.EngineScope) {
 		return

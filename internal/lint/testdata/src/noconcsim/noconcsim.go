@@ -1,8 +1,8 @@
 // Package noconcsim exercises the no-conc-sim check: a simulation run is
 // single-threaded by design, so goroutines, channels, select, and the sync
-// primitives have no business in the sim path. Concurrency enters only at
-// the future shard barrier; the experiment fan-out parallelizes across
-// whole runs under Config.ConcAllow, never inside one.
+// primitives have no business in the sim path. Concurrency lives outside a
+// world: the experiment fan-out parallelizes across whole runs under
+// Config.ConcAllow, never inside one.
 package noconcsim
 
 import (

@@ -1,6 +1,6 @@
 // Package sharedmutable exercises the shared-mutable check: package-level
-// mutable state is invisible to a per-shard ownership story, so two shards
-// dispatching in parallel would race on it. Run state must live in
+// mutable state is shared by every world in the process, so two worlds
+// running concurrently would race on it. Run state must live in
 // constructed per-run structs; the only package-level vars the check
 // tolerates by shape are blank interface-compliance assertions and
 // sentinel errors (type error, immutable by convention).

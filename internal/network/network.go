@@ -84,17 +84,6 @@ type Config struct {
 	// same-tick link-up order) differs between cell sizes, so traces are
 	// only comparable across runs using the same value.
 	CellSize float64
-	// Workers enables the sharded parallel scan (parscan.go, DESIGN.md
-	// §13) when ≥ 2: the area is cut into Workers vertical stripes whose
-	// position sampling and candidate-pair enumeration run concurrently
-	// inside a conservative lookahead window, with all event emission
-	// serialized at the window barrier — traces are byte-identical to the
-	// serial scanners for every worker count. 0 or 1 keeps the configured
-	// serial strategy. When the scenario admits no conservative window
-	// (an unbounded-MaxSpeed fleet, or stripes narrower than one tick of
-	// head-on closing), the Manager silently falls back to the serial
-	// strategy for the whole run; ShardStats distinguishes the cases.
-	Workers int
 }
 
 // Scan strategy names accepted by Config.Scan.
@@ -205,23 +194,15 @@ type Manager struct {
 	// until the nodes genuinely separate (nil unless flapping is enabled).
 	flapped map[pairKey]bool
 
-	// sweep is the lazy scan planner (nil in naive, kinetic, and sharded
-	// modes).
+	// sweep is the lazy scan planner (nil in naive and kinetic modes).
 	sweep *sweep
 	// kin is the kinetic per-node scan planner (nil unless ScanKinetic,
 	// or unless the lazy planner's pair index overflowed and the run fell
 	// back here).
 	kin *kinetic
-	// par is the sharded parallel scan state (nil unless Config.Workers
-	// ≥ 2 and the scenario admits a conservative lookahead window).
-	par *parScan
 	// fallback records, in first-occurrence order, every scan-strategy
 	// fallback the run took (see FallbackReason).
 	fallback []string
-	// Sharded-scan counters (see ShardStats).
-	shardWindows  uint64
-	shardBarriers uint64
-	shardHandoffs uint64
 	// downsBuf and freedBuf are per-tick scratch, reused so a steady-state
 	// scan allocates nothing.
 	downsBuf []*link
@@ -291,25 +272,17 @@ func NewManager(eng *sim.Engine, cfg Config, hosts []*routing.Host, models []mob
 	default:
 		return nil, fmt.Errorf("network: unknown scan strategy %q (want %q, %q, or %q)", cfg.Scan, ScanLazy, ScanNaive, ScanKinetic)
 	}
-	// The sharded parallel scan supersedes the serial strategies when it
-	// can construct a conservative window; otherwise the run falls back to
-	// the strategy Scan names (all orderings emit identical traces).
-	if cfg.Workers > 1 {
-		m.par = newParScan(m, cfg.Workers)
-	}
-	if m.par == nil {
-		switch cfg.Scan {
-		case ScanNaive:
-		case ScanKinetic:
+	switch cfg.Scan {
+	case ScanNaive:
+	case ScanKinetic:
+		m.kin = newKinetic(m)
+	default: // "" or ScanLazy
+		if m.sweep = newSweep(m); m.sweep == nil {
+			// The triangular pair index would overflow int32
+			// (n ≥ 65536); the kinetic planner's O(n) state is the
+			// right tool there and emits the identical stream.
+			m.noteFallback("lazy:pair-index-overflow->kinetic")
 			m.kin = newKinetic(m)
-		default: // "" or ScanLazy
-			if m.sweep = newSweep(m); m.sweep == nil {
-				// The triangular pair index would overflow int32
-				// (n ≥ 65536); the kinetic planner's O(n) state is the
-				// right tool there and emits the identical stream.
-				m.noteFallback("lazy:pair-index-overflow->kinetic")
-				m.kin = newKinetic(m)
-			}
 		}
 	}
 	return m, nil
@@ -328,11 +301,10 @@ func (m *Manager) noteFallback(reason string) {
 // FallbackReason returns the comma-joined, first-occurrence-ordered list of
 // scan-strategy fallbacks this run took, or "" when every configured
 // strategy held. Reasons cover the lazy planner's pair-index overflow
-// (n ≥ 65536 → kinetic), every newParScan refusal (the serial fallback that
-// previously signalled only implicitly via ShardWindows == 0), and the lazy
-// and kinetic planners' load-monitor retirements to the naive scan. Every
-// fallback is byte-identity-preserving; this string exists so capacity
-// planning never has to infer the active strategy from counters.
+// (n ≥ 65536 → kinetic) and the lazy and kinetic planners' load-monitor
+// retirements to the naive scan. Every fallback is byte-identity-preserving;
+// this string exists so capacity planning never has to infer the active
+// strategy from counters.
 func (m *Manager) FallbackReason() string {
 	return strings.Join(m.fallback, ",")
 }
@@ -345,18 +317,6 @@ func (m *Manager) FallbackReason() string {
 // strategies while the event trace stays byte-identical.
 func (m *Manager) ScanStats() (checked, skipped, wakeups uint64) {
 	return m.pairsChecked, m.pairsSkipped, m.wakeups
-}
-
-// ShardStats reports the sharded parallel scan's progress counters: lookahead
-// windows opened (stripe reassignments), barriers crossed (two per scan tick
-// — after the sampling phase and after the enumeration phase), and hand-offs
-// (in-contact candidate pairs straddling two stripes, merged serially at the
-// barrier). All zero when the scan runs serially — including the silent
-// fallback when Config.Workers ≥ 2 but the scenario admits no conservative
-// window — so a zero windows counter on a Workers ≥ 2 run is the documented
-// fallback signal.
-func (m *Manager) ShardStats() (windows, barriers, handoffs uint64) {
-	return m.shardWindows, m.shardBarriers, m.shardHandoffs
 }
 
 // Start schedules the periodic connectivity scan. Call once before
@@ -427,8 +387,8 @@ func (m *Manager) ContactLog() []Contact { return m.contactLog }
 
 // Scan samples positions, diffs the in-range pair set against the active
 // links, and emits link-up/down transitions. Exported for tests; normally
-// driven by Start. Dispatches to the strategy selected by Config.Scan; both
-// strategies emit byte-identical event streams.
+// driven by Start. Dispatches to the strategy selected by Config.Scan; all
+// three emit byte-identical event streams.
 func (m *Manager) Scan(now float64) {
 	// Radios beacon continuously: charge the scan drain first so nodes that
 	// die this tick drop out of the pair set immediately.
@@ -436,10 +396,6 @@ func (m *Manager) Scan(now float64) {
 		for i := range m.hosts {
 			m.energy.drain(i, m.cfg.Energy.ScanPerSec*m.cfg.ScanInterval, now)
 		}
-	}
-	if m.par != nil {
-		m.scanSharded(now)
-		return
 	}
 	if m.sweep != nil {
 		m.scanLazy(now)

@@ -241,21 +241,6 @@ type RunStats struct {
 	PairsChecked uint64
 	PairsSkipped uint64
 	Wakeups      uint64
-	// ShardWindows, ShardBarriers, and ShardHandoffs report the sharded
-	// parallel scan's progress (DESIGN.md §13): lookahead windows opened
-	// (stripe reassignments), barriers crossed (two per scan tick — one
-	// after parallel position sampling, one after parallel candidate
-	// enumeration), and candidate contacts that straddled two stripes and
-	// were merged serially at the barrier. All zero on serial runs —
-	// including the silent fallback when Workers ≥ 2 but the scenario
-	// admits no conservative window — so ShardWindows == 0 on a
-	// Workers ≥ 2 run is the documented fallback signal. Like the scan
-	// counters above, these describe strategy work, not simulation
-	// outcome: they vary across worker counts while Events, PeakQueue,
-	// and the event trace itself stay byte-identical.
-	ShardWindows  uint64
-	ShardBarriers uint64
-	ShardHandoffs uint64
 	// ScanFallback records every scan-strategy substitution the run made,
 	// comma-joined in occurrence order (e.g.
 	// "lazy:pair-index-overflow->kinetic"). Empty when the configured
@@ -282,10 +267,6 @@ func (r RunStats) String() string {
 	if r.PairsChecked > 0 || r.PairsSkipped > 0 {
 		s += fmt.Sprintf(" pairs-checked=%d pairs-skipped=%d wakeups=%d",
 			r.PairsChecked, r.PairsSkipped, r.Wakeups)
-	}
-	if r.ShardWindows > 0 || r.ShardBarriers > 0 {
-		s += fmt.Sprintf(" shard-windows=%d shard-barriers=%d shard-handoffs=%d",
-			r.ShardWindows, r.ShardBarriers, r.ShardHandoffs)
 	}
 	if r.ScanFallback != "" {
 		s += " scan-fallback=" + r.ScanFallback

@@ -15,8 +15,9 @@ type Factory func(stream *rng.Stream) Policy
 // The registry is the one deliberate piece of package state on the engine
 // path: user policies register once, at program start, before any world is
 // built. During a run every access is a read (ByName at construction), so
-// shards can never observe a mutation — the event stream is independent of
-// it. Registration mid-run would be a caller bug, not a determinism leak.
+// worlds running concurrently can never observe a mutation — the event
+// stream is independent of it. Registration mid-run would be a caller bug,
+// not a determinism leak.
 var (
 	//lint:invariant write-once before any run; read-only at construction time, never on the event path
 	registryMu sync.RWMutex

@@ -33,20 +33,31 @@ func diffBase() config.Scenario {
 func runScan(t *testing.T, sc config.Scenario, mode string) ([]byte, Result, []network.Contact) {
 	t.Helper()
 	sc.ScanMode = mode
+	trace, res, contacts, err := runScenario(sc)
+	if err != nil {
+		t.Fatalf("%s: %v", mode, err)
+	}
+	return trace, res, contacts
+}
+
+// runScenario builds and runs sc, returning its JSONL event trace, result
+// and contact log. It reports failure as an error rather than through a
+// *testing.T, so it may run on any goroutine.
+func runScenario(sc config.Scenario) ([]byte, Result, []network.Contact, error) {
 	var buf bytes.Buffer
 	jsonl := obs.NewJSONL(&buf)
 	w, err := Build(sc, WithTracer(jsonl))
 	if err != nil {
-		t.Fatalf("build (%s): %v", mode, err)
+		return nil, Result{}, nil, fmt.Errorf("build: %w", err)
 	}
 	res, err := w.Run()
 	if err != nil {
-		t.Fatalf("run (%s): %v", mode, err)
+		return nil, Result{}, nil, fmt.Errorf("run: %w", err)
 	}
 	if err := jsonl.Flush(); err != nil {
-		t.Fatalf("flush (%s): %v", mode, err)
+		return nil, Result{}, nil, fmt.Errorf("flush: %w", err)
 	}
-	return buf.Bytes(), res, w.Manager.ContactLog()
+	return buf.Bytes(), res, w.Manager.ContactLog(), nil
 }
 
 // assertScanModesAgree runs sc under the naive scanner and the given mode
@@ -55,19 +66,8 @@ func assertScanModesAgree(t *testing.T, sc config.Scenario, mode string) {
 	t.Helper()
 	naive, resN, logN := runScan(t, sc, "naive")
 	other, resO, logO := runScan(t, sc, mode)
-	if !bytes.Equal(naive, other) {
-		nl := bytes.Split(naive, []byte("\n"))
-		ol := bytes.Split(other, []byte("\n"))
-		n := len(nl)
-		if len(ol) < n {
-			n = len(ol)
-		}
-		for i := 0; i < n; i++ {
-			if !bytes.Equal(nl[i], ol[i]) {
-				t.Fatalf("scan modes diverge at trace line %d:\n  naive: %s\n  %s: %s", i+1, nl[i], mode, ol[i])
-			}
-		}
-		t.Fatalf("trace length differs: naive %d lines, %s %d", len(nl), mode, len(ol))
+	if line, nl, ol, same := firstDiff(naive, other); !same {
+		t.Fatalf("scan modes diverge at trace line %d:\n  naive: %s\n  %s: %s", line, nl, mode, ol)
 	}
 	if resN.Summary != resO.Summary {
 		t.Fatalf("summaries diverge:\nnaive: %+v\n%s: %+v", resN.Summary, mode, resO.Summary)
@@ -92,9 +92,9 @@ func assertScanModesAgree(t *testing.T, sc config.Scenario, mode string) {
 
 // diffFamilies is the scenario matrix shared by every scanner-equivalence
 // test: all mobility kinds, per-node ranges, churn/flap faults, and energy
-// death. TestLazyScanMatchesNaive runs it lazy-vs-naive;
-// TestWorkerCountsMatchSerial (workers_diff_test.go) runs it across
-// parallel worker counts.
+// death. TestLazyScanMatchesNaive runs it lazy-vs-naive,
+// TestKineticScanMatchesNaive kinetic-vs-naive, and
+// TestWorkerCountsMatchSerial (concurrency_test.go) serial-vs-concurrent.
 func diffFamilies() map[string]func() config.Scenario {
 	return map[string]func() config.Scenario{
 		"rwp": diffBase,

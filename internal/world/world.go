@@ -80,13 +80,11 @@ type Result struct {
 	ExpFitError      float64
 	IntermeetingN    int
 	// Perf is the engine-level performance digest: events dispatched,
-	// events/sec, peak queue depth, wall-clock, the contact scanner's
-	// pairs-checked/skipped/wakeups counters, and — when the sharded
-	// parallel scan is active (Scenario.Workers ≥ 2) — the shard
-	// windows/barriers/handoffs counters from DESIGN.md §13. The strategy
-	// counters describe how the scan did its work and legitimately differ
-	// across scan modes and worker counts; everything the simulation
-	// observes (Events, PeakQueue, the trace, the Summary) is identical.
+	// events/sec, peak queue depth, wall-clock, and the contact scanner's
+	// pairs-checked/skipped/wakeups counters. The strategy counters
+	// describe how the scan did its work and legitimately differ across
+	// scan modes; everything the simulation observes (Events, PeakQueue,
+	// the trace, the Summary) is identical.
 	Perf obs.RunStats
 }
 
@@ -182,7 +180,6 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 		Ranges:         ranges,
 		Scan:           sc.ScanMode,
 		CellSize:       sc.CellSize,
-		Workers:        sc.Workers,
 		RecordContacts: sc.RecordContacts,
 		Tracer:         bo.tracer,
 		Faults:         inj,
@@ -472,10 +469,7 @@ func (w *World) scheduleTraffic(s *rng.Stream) {
 		// The traffic substream deliberately rides inside the scheduled
 		// closure: the generator is the world's own event chain, so every
 		// draw happens at a single global (time, seq) point in the stream.
-		// Under sharding, traffic generation stays a world-level (cross-
-		// shard) event source scheduled at the barrier, never per-shard —
-		// this closure is the documented touchpoint for that cut.
-		//lint:invariant traffic substream is world-owned; draws occur in global event order at scheduling points, so no shard can observe a different sequence
+		//lint:invariant traffic substream is world-owned; draws occur in global event order at scheduling points, so no subsystem can observe a different sequence
 		w.Engine.At(now+delay, func(at float64) {
 			nextID++
 			src := s.IntN(sc.Nodes)
@@ -546,19 +540,15 @@ func (w *World) Run() (Result, error) {
 // RunStats returns the engine-level performance digest of the run so far.
 func (w *World) RunStats() obs.RunStats {
 	checked, skipped, wakeups := w.Manager.ScanStats()
-	windows, barriers, handoffs := w.Manager.ShardStats()
 	return obs.RunStats{
-		SimSeconds:    w.Engine.Now(),
-		Events:        w.Engine.Processed(),
-		PeakQueue:     w.Engine.PeakQueue(),
-		WallSeconds:   w.Engine.Wall().Seconds(),
-		PairsChecked:  checked,
-		PairsSkipped:  skipped,
-		Wakeups:       wakeups,
-		ShardWindows:  windows,
-		ShardBarriers: barriers,
-		ShardHandoffs: handoffs,
-		ScanFallback:  w.Manager.FallbackReason(),
+		SimSeconds:   w.Engine.Now(),
+		Events:       w.Engine.Processed(),
+		PeakQueue:    w.Engine.PeakQueue(),
+		WallSeconds:  w.Engine.Wall().Seconds(),
+		PairsChecked: checked,
+		PairsSkipped: skipped,
+		Wakeups:      wakeups,
+		ScanFallback: w.Manager.FallbackReason(),
 	}
 }
 
