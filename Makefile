@@ -108,20 +108,23 @@ trace-smoke:
 	$$tmp/dtntrace series $$tmp/a.jsonl.gz | head -3 && \
 	rm -rf $$tmp
 
-# Crash-safety gate (~15 s): run a sweep uninterrupted for reference TSVs,
-# rerun it with a run journal and SIGINT it mid-sweep (graceful drain), chop
-# the journal tail to simulate a torn final append, then resume — and
-# require the resumed TSVs byte-identical to the uninterrupted reference.
-# On a machine fast enough to finish before the kill the resume degrades to
-# a pure journal replay, which still gates byte-identity.
-RESUME_SMOKE_FLAGS = -run fig8copies -scale 0.5 -nodes 60 -workers 1 -no-chart -quiet
+# Crash-safety gate (~5 s): run a sweep uninterrupted for reference TSVs,
+# rerun it with a run journal and SIGINT it mid-sweep (graceful drain) once
+# the journal holds 10 runs, chop the journal tail to simulate a torn final
+# append, then resume — and require the resumed TSVs byte-identical to the
+# uninterrupted reference. Two workers run members of the sweep's shared
+# contact group (one recorded schedule, replayed by the rest) concurrently,
+# and the resume restarts that group with its first members journaled.
+RESUME_SMOKE_FLAGS = -run fig8copies -scale 0.5 -nodes 60 -workers 2 -no-chart -quiet
 resume-smoke:
 	@tmp=$$(mktemp -d) && \
 	$(GO) build -o $$tmp/experiments ./cmd/experiments && \
 	$$tmp/experiments $(RESUME_SMOKE_FLAGS) -out $$tmp/ref > $$tmp/ref.txt && \
 	{ $$tmp/experiments $(RESUME_SMOKE_FLAGS) -journal $$tmp/runs.jsonl \
 		-out $$tmp/res > /dev/null 2>&1 & pid=$$!; \
-	  sleep 1; kill -INT $$pid 2>/dev/null; wait $$pid; :; } && \
+	  while kill -0 $$pid 2>/dev/null && \
+		[ "$$(cat $$tmp/runs.jsonl 2>/dev/null | wc -l)" -lt 10 ]; do sleep 0.01; done; \
+	  kill -INT $$pid 2>/dev/null; wait $$pid; :; } && \
 	truncate -s -7 $$tmp/runs.jsonl && \
 	$$tmp/experiments $(RESUME_SMOKE_FLAGS) -journal $$tmp/runs.jsonl -resume \
 		-out $$tmp/res > $$tmp/resumed.txt && \
@@ -141,7 +144,9 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -fuzz=FuzzParseContacts -fuzztime=30s
 	$(GO) test ./internal/config -fuzz=FuzzScenarioJSON -fuzztime=30s
 
-# Regenerate every paper figure + ablations at full scale (~30 min single-core).
+# Regenerate every paper figure + ablations at full scale (91 s of simulation
+# at -workers 1 on a 2-vCPU VM, see EXPERIMENTS.md; SVG and HTML output add
+# to that).
 experiments:
 	$(GO) run ./cmd/experiments -run all -seeds 1,2,3 -out results -svg -html results/report.html
 

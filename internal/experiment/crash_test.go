@@ -49,7 +49,7 @@ func init() {
 func TestPartialResultsOnFailure(t *testing.T) {
 	scs := []config.Scenario{tinyScenario(1), tinyScenario(2), tinyScenario(3)}
 	boom := errors.New("boom")
-	o := Options{Workers: 2, runOne: func(sc config.Scenario) (world.Result, error) {
+	o := Options{Workers: 2, runOne: func(sc config.Scenario, _ ...world.BuildOption) (world.Result, error) {
 		if sc.Seed == 2 {
 			return world.Result{}, boom
 		}
@@ -129,7 +129,7 @@ func TestRetryTransient(t *testing.T) {
 		Retries:       2,
 		Progress:      func(done, total int) {},
 		ProgressStats: func(p ProgressInfo) { last = p },
-		runOne: func(config.Scenario) (world.Result, error) {
+		runOne: func(config.Scenario, ...world.BuildOption) (world.Result, error) {
 			if calls.Add(1) < 3 {
 				return world.Result{}, errors.New("transient")
 			}
@@ -155,7 +155,7 @@ func TestRetryTransient(t *testing.T) {
 // panics) are never re-attempted: retrying can only reproduce them.
 func TestNoRetryOnPermanent(t *testing.T) {
 	var calls atomic.Int64
-	o := Options{Workers: 1, Retries: 5, runOne: func(config.Scenario) (world.Result, error) {
+	o := Options{Workers: 1, Retries: 5, runOne: func(config.Scenario, ...world.BuildOption) (world.Result, error) {
 		calls.Add(1)
 		return world.Result{}, &world.BudgetError{Events: 10, MaxEvents: 10}
 	}}
@@ -174,7 +174,7 @@ func TestInterruptBeforeStart(t *testing.T) {
 	interrupt := make(chan struct{})
 	close(interrupt)
 	var calls atomic.Int64
-	o := Options{Workers: 2, Interrupt: interrupt, runOne: func(config.Scenario) (world.Result, error) {
+	o := Options{Workers: 2, Interrupt: interrupt, runOne: func(config.Scenario, ...world.BuildOption) (world.Result, error) {
 		calls.Add(1)
 		return world.Result{}, nil
 	}}
@@ -225,7 +225,7 @@ func TestResumeSkipsJournaledRuns(t *testing.T) {
 		},
 	}
 	// Instrument execution without changing behavior.
-	o.runOne = func(sc config.Scenario) (world.Result, error) {
+	o.runOne = func(sc config.Scenario, _ ...world.BuildOption) (world.Result, error) {
 		executed.Add(1)
 		w, err := world.Build(sc)
 		if err != nil {
@@ -275,7 +275,7 @@ func TestResumeRerunsOnDigestMismatch(t *testing.T) {
 	changed := tinyScenario(1)
 	changed.TTL *= 2 // any knob: the digest covers every field
 	var executed atomic.Int64
-	o := Options{Workers: 1, Journal: j2, Resume: true, runOne: func(sc config.Scenario) (world.Result, error) {
+	o := Options{Workers: 1, Journal: j2, Resume: true, runOne: func(sc config.Scenario, _ ...world.BuildOption) (world.Result, error) {
 		executed.Add(1)
 		w, err := world.Build(sc)
 		if err != nil {

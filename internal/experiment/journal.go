@@ -137,9 +137,10 @@ type energyWire struct {
 	FirstDeath F64  `json:"first_death"`
 }
 
-// perfWire mirrors obs.RunStats. WallSeconds is the only field of the whole
-// entry that legitimately differs between two executions of the same
-// scenario; a resumed sweep reports the journaled value.
+// perfWire mirrors obs.RunStats. Only WallSeconds and the scan-work fields
+// (the pair counters and Replayed, which depend on whether the run replayed
+// a sweep sibling's contact schedule) may differ between two executions of
+// the same scenario; a resumed sweep reports the journaled values.
 type perfWire struct {
 	SimSeconds   F64    `json:"sim_seconds"`
 	Events       uint64 `json:"events"`
@@ -148,6 +149,9 @@ type perfWire struct {
 	PairsChecked uint64 `json:"pairs_checked"`
 	PairsSkipped uint64 `json:"pairs_skipped"`
 	Wakeups      uint64 `json:"wakeups"`
+	// Replayed is omitted when false, so journals written before the field
+	// existed parse unchanged.
+	Replayed bool `json:"replayed,omitempty"`
 }
 
 // toWire converts a live Result into its journal form.
@@ -178,7 +182,7 @@ func toWire(r world.Result) *JournalResult {
 			SimSeconds: F64(r.Perf.SimSeconds), Events: r.Perf.Events,
 			PeakQueue: r.Perf.PeakQueue, WallSeconds: F64(r.Perf.WallSeconds),
 			PairsChecked: r.Perf.PairsChecked, PairsSkipped: r.Perf.PairsSkipped,
-			Wakeups: r.Perf.Wakeups,
+			Wakeups: r.Perf.Wakeups, Replayed: r.Perf.Replayed,
 		},
 	}
 }
@@ -211,7 +215,7 @@ func (jr *JournalResult) Restore() world.Result {
 			SimSeconds: float64(jr.Perf.SimSeconds), Events: jr.Perf.Events,
 			PeakQueue: jr.Perf.PeakQueue, WallSeconds: float64(jr.Perf.WallSeconds),
 			PairsChecked: jr.Perf.PairsChecked, PairsSkipped: jr.Perf.PairsSkipped,
-			Wakeups: jr.Perf.Wakeups,
+			Wakeups: jr.Perf.Wakeups, Replayed: jr.Perf.Replayed,
 		},
 	}
 }

@@ -63,6 +63,39 @@ func TestJournalResultRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalReplayedMarker checks the contact-replay marker round-trips
+// through the journal, is omitted for scanning runs (so their lines are
+// byte-identical to journals written before the marker existed), and that
+// such older lines restore as scanning runs.
+func TestJournalReplayedMarker(t *testing.T) {
+	var res world.Result
+	res.Perf.Events = 12
+	res.Perf.Replayed = true
+	data, err := json.Marshal(toWire(res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jr JournalResult
+	if err := json.Unmarshal(data, &jr); err != nil {
+		t.Fatal(err)
+	}
+	if got := jr.Restore(); !got.Perf.Replayed || !resultsEqual(got, res) {
+		t.Errorf("replayed result restored as %+v", got.Perf)
+	}
+	res.Perf.Replayed = false
+	if data, _ = json.Marshal(toWire(res)); strings.Contains(string(data), "replayed") {
+		t.Errorf("scanning run journaled with a replay field: %s", data)
+	}
+	old := `{"perf":{"sim_seconds":900,"events":12,"peak_queue":3,"wall_seconds":1,"pairs_checked":40,"pairs_skipped":5,"wakeups":2}}`
+	jr = JournalResult{}
+	if err := json.Unmarshal([]byte(old), &jr); err != nil {
+		t.Fatalf("pre-marker journal line: %v", err)
+	}
+	if got := jr.Restore(); got.Perf.Replayed || got.Perf.PairsChecked != 40 {
+		t.Errorf("pre-marker line restored as %+v", got.Perf)
+	}
+}
+
 // resultsEqual compares two Results for exact equality of every
 // deterministic field (WallSeconds is host-dependent and excluded).
 func resultsEqual(a, b world.Result) bool {

@@ -113,8 +113,9 @@ type Options struct {
 	// ErrInterrupted. Wire it to a signal handler for graceful shutdown.
 	Interrupt <-chan struct{}
 
-	// runOne replaces the build-and-simulate step in tests.
-	runOne func(config.Scenario) (world.Result, error)
+	// runOne replaces the build-and-simulate step in tests. opts carry the
+	// attempt's contact-plan option, if any.
+	runOne func(sc config.Scenario, opts ...world.BuildOption) (world.Result, error)
 }
 
 // ProgressInfo describes batch progress after one run finished.
@@ -248,6 +249,12 @@ func (o Options) runBatch(scs []config.Scenario) ([]world.Result, error) {
 // recording, resume skips, panic isolation, bounded retries, per-run
 // wall-clock timeouts, and graceful interruption.
 //
+// Runs whose contacts provably match (same motion, differing only in
+// traffic-only fields; see contactKey) scan once: the first records the
+// contact schedule and the rest replay it, with identical results. A
+// replayed run's Result.Perf.Replayed is set and its scan counters are
+// zero; which runs replay can vary with Workers, nothing else does.
+//
 // Failure handling is per run, not per batch: a failed (or panicked, or
 // interrupted) run leaves a zero Result in its slot and contributes a
 // *RunError to the joined error; every other run still executes and
@@ -290,6 +297,8 @@ func (o Options) RunScenarios(scs []config.Scenario) ([]world.Result, error) {
 			}
 		}
 	}
+
+	groups := shareGroups(scs, skipped)
 
 	batchStart := time.Now()
 	var done, retried atomic.Int64
@@ -365,7 +374,7 @@ func (o Options) RunScenarios(scs []config.Scenario) ([]world.Result, error) {
 				}
 				claimed[i] = true
 				runStart := time.Now()
-				res, err, attempts := o.execute(scs[i], &retried)
+				res, err, attempts := o.execute(scs[i], groups[i], &retried)
 				if err != nil {
 					errs[i] = err
 					if o.Journal != nil {
@@ -418,11 +427,16 @@ func (o Options) RunScenarios(scs []config.Scenario) ([]world.Result, error) {
 
 // execute runs one scenario with panic isolation and bounded retries,
 // returning the result, the final error, and how many attempts were made.
-func (o Options) execute(sc config.Scenario, retried *atomic.Int64) (world.Result, error, int) {
+// g is the run's contact-sharing group (nil when it shares nothing); each
+// attempt claims its own plan role, so a retry records afresh.
+func (o Options) execute(sc config.Scenario, g *shareGroup, retried *atomic.Int64) (world.Result, error, int) {
+	defer g.finish()
 	attempts := 0
 	for {
 		attempts++
-		res, err := o.attempt(sc)
+		opts, rec := g.claim()
+		res, err := o.attempt(sc, opts)
+		g.release(rec, err == nil)
 		if err == nil {
 			return res, nil, attempts
 		}
@@ -443,16 +457,16 @@ func (o Options) execute(sc config.Scenario, retried *atomic.Int64) (world.Resul
 // attempt builds and runs one scenario, converting a panic anywhere in the
 // build/simulate path into a *PanicError so one poisoned run cannot take
 // down the worker pool.
-func (o Options) attempt(sc config.Scenario) (res world.Result, err error) {
+func (o Options) attempt(sc config.Scenario, opts []world.BuildOption) (res world.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
 	if o.runOne != nil {
-		return o.runOne(sc)
+		return o.runOne(sc, opts...)
 	}
-	w, err := world.Build(sc)
+	w, err := world.Build(sc, opts...)
 	if err != nil {
 		return world.Result{}, err
 	}

@@ -84,6 +84,15 @@ type Config struct {
 	// same-tick link-up order) differs between cell sizes, so traces are
 	// only comparable across runs using the same value.
 	CellSize float64
+	// RecordPlan, when set, receives every link transition the scan makes
+	// (see ContactPlan); it must be empty. The recording is whole once the
+	// run reaches its horizon.
+	RecordPlan *ContactPlan
+	// ReplayPlan, when set, replaces the scan: each tick applies the plan's
+	// recorded transitions instead, and no scan planner is built. The plan
+	// must come from a whole recording of a run with the same motion,
+	// node count, range, cell size, scan mode, scan interval and horizon.
+	ReplayPlan *ContactPlan
 }
 
 // Scan strategy names accepted by Config.Scan.
@@ -207,6 +216,10 @@ type Manager struct {
 	// scan allocates nothing.
 	downsBuf []*link
 	freedBuf []int
+	// scans counts Scan calls; the current tick's index is scans-1.
+	scans int64
+	// cursor is the next unreplayed entry of cfg.ReplayPlan.ticks.
+	cursor int
 	// Scan-strategy counters (see ScanStats).
 	pairsChecked uint64
 	pairsSkipped uint64
@@ -272,9 +285,18 @@ func NewManager(eng *sim.Engine, cfg Config, hosts []*routing.Host, models []mob
 	default:
 		return nil, fmt.Errorf("network: unknown scan strategy %q (want %q, %q, or %q)", cfg.Scan, ScanLazy, ScanNaive, ScanKinetic)
 	}
-	switch cfg.Scan {
-	case ScanNaive:
-	case ScanKinetic:
+	if err := m.checkPlans(); err != nil {
+		return nil, err
+	}
+	if cfg.RecordPlan != nil {
+		cfg.RecordPlan.nodes = n
+	}
+	switch {
+	case cfg.ReplayPlan != nil:
+		// Replay needs no planner; the scan strategy only named the
+		// recording's emission order, which the plan already holds.
+	case cfg.Scan == ScanNaive:
+	case cfg.Scan == ScanKinetic:
 		m.kin = newKinetic(m)
 	default: // "" or ScanLazy
 		if m.sweep = newSweep(m); m.sweep == nil {
@@ -318,6 +340,10 @@ func (m *Manager) FallbackReason() string {
 func (m *Manager) ScanStats() (checked, skipped, wakeups uint64) {
 	return m.pairsChecked, m.pairsSkipped, m.wakeups
 }
+
+// Replaying reports whether the run's contacts come from Config.ReplayPlan
+// instead of a scan; its ScanStats are then zero because no scan ran.
+func (m *Manager) Replaying() bool { return m.cfg.ReplayPlan != nil }
 
 // Start schedules the periodic connectivity scan. Call once before
 // Engine.Run.
@@ -374,6 +400,9 @@ func (m *Manager) collectDowns() []*link {
 	}
 	slices.SortFunc(downs, func(x, y *link) int { return cmpPairKeys(x.key, y.key) })
 	m.downsBuf = downs
+	if m.cfg.RecordPlan != nil {
+		m.cfg.RecordPlan.recordDowns(downs)
+	}
 	return downs
 }
 
@@ -388,8 +417,14 @@ func (m *Manager) ContactLog() []Contact { return m.contactLog }
 // Scan samples positions, diffs the in-range pair set against the active
 // links, and emits link-up/down transitions. Exported for tests; normally
 // driven by Start. Dispatches to the strategy selected by Config.Scan; all
-// three emit byte-identical event streams.
+// three emit byte-identical event streams, and so does the replay of a
+// plan one of them recorded.
 func (m *Manager) Scan(now float64) {
+	m.scans++
+	if m.cfg.ReplayPlan != nil {
+		m.scanReplay(now)
+		return
+	}
 	// Radios beacon continuously: charge the scan drain first so nodes that
 	// die this tick drop out of the pair set immediately.
 	if m.energy != nil {
@@ -473,6 +508,9 @@ func (m *Manager) finishScan(freed []int, now float64) {
 	clear(m.downsBuf) // release the torn-down links
 	m.downsBuf = m.downsBuf[:0]
 	m.freedBuf = freed[:0]
+	if m.cfg.RecordPlan != nil {
+		m.cfg.RecordPlan.closeTick(m.scans - 1)
+	}
 }
 
 // pairInContact is the scan predicate: both radios alive, neither node
@@ -515,6 +553,9 @@ func (m *Manager) linkUp(k pairKey, now float64) {
 	m.adj[k[1]] = insertLink(m.adj[k[1]], l)
 	if m.sweep != nil {
 		m.sweep.onLinkUp(k)
+	}
+	if m.cfg.RecordPlan != nil {
+		m.cfg.RecordPlan.recordUp(k)
 	}
 	m.contacts++
 	if m.tracer != nil {

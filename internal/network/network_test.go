@@ -359,6 +359,16 @@ func TestNewManagerRejectsBadInputs(t *testing.T) {
 		[]*routing.Host{h}, nil, collector, nil); err == nil {
 		t.Fatal("no error on hosts/models mismatch")
 	}
+	for name, cfg := range map[string]Config{
+		"record and replay":     {RecordPlan: &ContactPlan{}, ReplayPlan: &ContactPlan{nodes: 1}},
+		"non-empty recording":   {RecordPlan: &ContactPlan{horizon: 3}},
+		"plan of another fleet": {ReplayPlan: &ContactPlan{nodes: 2}},
+	} {
+		cfg.Area, cfg.Range, cfg.Bandwidth, cfg.ScanInterval = geo.NewRect(10, 10), 1, 1, 1
+		if _, err := NewManager(eng, cfg, []*routing.Host{h}, []mobility.Model{&puppet{}}, collector, nil); err == nil {
+			t.Errorf("no error on a contact plan misuse: %s", name)
+		}
+	}
 }
 
 func TestTransferAbortsWhenMessageExpiresInFlight(t *testing.T) {

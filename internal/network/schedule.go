@@ -45,6 +45,9 @@ func (m *Manager) StartScheduled(contacts []Contact) error {
 	if err := ValidateContacts(contacts, len(m.hosts)); err != nil {
 		return err
 	}
+	if m.cfg.RecordPlan != nil || m.cfg.ReplayPlan != nil {
+		return fmt.Errorf("network: contact plans record and replay scans, and a scheduled run has none")
+	}
 	m.scheduleChurn()
 	sorted := append([]Contact(nil), contacts...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })

@@ -247,6 +247,11 @@ type RunStats struct {
 	// strategy ran to completion. Fallbacks never change the event trace —
 	// every strategy is byte-identical — only the performance profile.
 	ScanFallback string
+	// Replayed marks a run whose contacts came from a schedule recorded by
+	// a motion-identical run (network.ContactPlan) instead of its own scan.
+	// Its scan counters are zero because no scan ran, not because scanning
+	// was free.
+	Replayed bool
 }
 
 // EventsPerSec returns the dispatch throughput (0 when no wall time was
@@ -260,11 +265,14 @@ func (r RunStats) EventsPerSec() float64 {
 
 // String formats the digest as the dtnsim perf summary line. The scan
 // counters are appended only when a scanner ran, keeping the line stable
-// for scheduled (trace-replay) runs.
+// for scheduled (trace-replay) runs; a run that replayed a recorded contact
+// schedule prints scan=replayed in their place.
 func (r RunStats) String() string {
 	s := fmt.Sprintf("events=%d events/sec=%.0f peak-queue=%d wall=%.3fs sim=%.0fs",
 		r.Events, r.EventsPerSec(), r.PeakQueue, r.WallSeconds, r.SimSeconds)
-	if r.PairsChecked > 0 || r.PairsSkipped > 0 {
+	if r.Replayed {
+		s += " scan=replayed"
+	} else if r.PairsChecked > 0 || r.PairsSkipped > 0 {
 		s += fmt.Sprintf(" pairs-checked=%d pairs-skipped=%d wakeups=%d",
 			r.PairsChecked, r.PairsSkipped, r.Wakeups)
 	}

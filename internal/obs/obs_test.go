@@ -258,3 +258,21 @@ func TestRunStatsString(t *testing.T) {
 		t.Errorf("String() = %q missing the fallback segment", s)
 	}
 }
+
+// TestRunStatsStringReplayed checks a run that replayed a recorded contact
+// schedule says so where the scan counters would be, so its zero counters
+// never read as a free scan.
+func TestRunStatsStringReplayed(t *testing.T) {
+	r := RunStats{SimSeconds: 900, Events: 5000, WallSeconds: 1, PairsChecked: 7, Replayed: true}
+	s := r.String()
+	if !strings.Contains(s, " scan=replayed") {
+		t.Errorf("String() = %q missing the replay marker", s)
+	}
+	if strings.Contains(s, "pairs-checked") {
+		t.Errorf("String() = %q prints scan counters for a replayed run", s)
+	}
+	r.Replayed = false
+	if s := r.String(); strings.Contains(s, "replayed") || !strings.Contains(s, "pairs-checked=7") {
+		t.Errorf("String() = %q: a scanning run must print its counters and no marker", s)
+	}
+}

@@ -106,9 +106,6 @@ type Host struct {
 
 	// received marks messages this host has consumed as their destination.
 	received map[msg.ID]bool
-	// lastContact records the latest link-up time per peer (Spray-and-Focus
-	// utility).
-	lastContact map[int]float64
 }
 
 // NewHost builds a host. It panics on an incomplete config — hosts are
@@ -119,23 +116,22 @@ func NewHost(cfg HostConfig) *Host {
 		panic(fmt.Sprintf("routing: incomplete host config for node %d", cfg.ID))
 	}
 	h := &Host{
-		id:          cfg.ID,
-		nodes:       cfg.Nodes,
-		buf:         buffer.New(cfg.Buffer),
-		pol:         cfg.Policy,
-		proto:       cfg.Proto,
-		rate:        cfg.Rate,
-		useDrops:    cfg.UseDropList,
-		preflight:   cfg.PreflightEviction,
-		clock:       cfg.Clock,
-		collector:   cfg.Collector,
-		tracker:     cfg.Tracker,
-		oracle:      cfg.Oracle,
-		tracer:      cfg.Tracer,
-		role:        cfg.Role,
-		seenMemo:    make(map[*msg.Stored]seenEntry),
-		received:    make(map[msg.ID]bool),
-		lastContact: make(map[int]float64),
+		id:        cfg.ID,
+		nodes:     cfg.Nodes,
+		buf:       buffer.New(cfg.Buffer),
+		pol:       cfg.Policy,
+		proto:     cfg.Proto,
+		rate:      cfg.Rate,
+		useDrops:  cfg.UseDropList,
+		preflight: cfg.PreflightEviction,
+		clock:     cfg.Clock,
+		collector: cfg.Collector,
+		tracker:   cfg.Tracker,
+		oracle:    cfg.Oracle,
+		tracer:    cfg.Tracer,
+		role:      cfg.Role,
+		seenMemo:  make(map[*msg.Stored]seenEntry),
+		received:  make(map[msg.ID]bool),
 	}
 	if obs, ok := cfg.Rate.(core.ContactObserver); ok {
 		h.rateObs = obs
@@ -280,8 +276,9 @@ var _ policy.View = (*Host)(nil)
 // --- contact lifecycle ------------------------------------------------------
 
 // OnLinkUp is called by the network layer when a contact with peer starts:
-// it feeds the λ estimator, merges dropped-list gossip both ways, and
-// refreshes the Spray-and-Focus recency table.
+// it feeds the λ estimator, merges dropped-list and ACK gossip, and runs
+// the protocol's ContactHook (PRoPHET predictabilities, Spray-and-Focus
+// recency).
 func (h *Host) OnLinkUp(peer *Host, now float64) {
 	if h.rateObs != nil {
 		h.rateObs.OnContactStart(peer.id, now)
@@ -296,7 +293,6 @@ func (h *Host) OnLinkUp(peer *Host, now float64) {
 	if hook, ok := h.proto.(ContactHook); ok {
 		hook.OnContact(h, peer, now)
 	}
-	h.lastContact[peer.id] = now
 }
 
 // OnLinkDown is called when the contact with peer ends.
@@ -304,13 +300,6 @@ func (h *Host) OnLinkDown(peer *Host, now float64) {
 	if h.rateObs != nil {
 		h.rateObs.OnContactEnd(peer.id, now)
 	}
-}
-
-// LastContactWith returns when this host last started a contact with node,
-// and whether it ever has.
-func (h *Host) LastContactWith(node int) (float64, bool) {
-	t, ok := h.lastContact[node]
-	return t, ok
 }
 
 // --- message lifecycle ------------------------------------------------------

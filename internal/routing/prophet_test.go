@@ -134,4 +134,10 @@ func TestProtocolByNameReturnsFreshInstances(t *testing.T) {
 	if _, ok := ProtocolByName("spray-and-wait-predict"); !ok {
 		t.Fatal("snw-predict unknown")
 	}
+	f1, _ := ProtocolByName("spray-and-focus")
+	f2, _ := ProtocolByName("spray-and-focus")
+	f1.(*SprayAndFocus).OnContact(nil, &Host{id: 3}, 5)
+	if _, ok := lastContactOf(&Host{proto: f2}, 3); ok {
+		t.Fatal("spray-and-focus instances share state")
+	}
 }

@@ -145,18 +145,43 @@ func (DirectDelivery) Eligible(_, b *Host, s *msg.Stored) (Kind, bool) {
 // SprayAndFocus sprays binarily, but instead of waiting with the last
 // token it hands the copy off to a relay that met the destination more
 // recently than the current carrier (Spyropoulos et al. 2007, with
-// last-encounter recency as the utility function).
+// last-encounter recency as the utility function). The recency table is
+// per-node state, so each host needs its own instance; ProtocolByName
+// returns fresh ones.
 type SprayAndFocus struct {
 	// MinGain is the required recency advantage in seconds before a
 	// handoff happens, damping ping-pong handoffs.
 	MinGain float64
+	// last records this node's latest link-up time per peer.
+	last map[int]float64
+}
+
+// NewSprayAndFocus returns an instance with an empty recency table.
+func NewSprayAndFocus(minGain float64) *SprayAndFocus {
+	return &SprayAndFocus{MinGain: minGain, last: make(map[int]float64)}
 }
 
 // Name implements Protocol.
-func (SprayAndFocus) Name() string { return "spray-and-focus" }
+func (*SprayAndFocus) Name() string { return "spray-and-focus" }
+
+// OnContact implements ContactHook: it refreshes the recency table.
+func (p *SprayAndFocus) OnContact(_, peer *Host, now float64) {
+	p.last[peer.id] = now
+}
+
+// lastContactOf returns when h last started a contact with node, and
+// whether it ever has; hosts not running Spray-and-Focus keep no record.
+func lastContactOf(h *Host, node int) (float64, bool) {
+	p, ok := h.proto.(*SprayAndFocus)
+	if !ok {
+		return 0, false
+	}
+	t, ok := p.last[node]
+	return t, ok
+}
 
 // Eligible implements Protocol.
-func (p SprayAndFocus) Eligible(a, b *Host, s *msg.Stored) (Kind, bool) {
+func (p *SprayAndFocus) Eligible(a, b *Host, s *msg.Stored) (Kind, bool) {
 	if deliverable(b, s) {
 		return KindDelivery, true
 	}
@@ -167,11 +192,11 @@ func (p SprayAndFocus) Eligible(a, b *Host, s *msg.Stored) (Kind, bool) {
 		return KindSpray, true
 	}
 	// Focus phase: forward the lone token toward fresher information.
-	bt, bok := b.LastContactWith(s.M.Dest)
+	bt, bok := lastContactOf(b, s.M.Dest)
 	if !bok {
 		return 0, false
 	}
-	at, aok := a.LastContactWith(s.M.Dest)
+	at, aok := lastContactOf(a, s.M.Dest)
 	if !aok || bt-at > p.MinGain {
 		return KindHandoff, true
 	}
@@ -191,7 +216,7 @@ func ProtocolByName(name string) (Protocol, bool) {
 	case "direct":
 		return DirectDelivery{}, true
 	case "spray-and-focus", "snf":
-		return SprayAndFocus{MinGain: 60}, true
+		return NewSprayAndFocus(60), true
 	case "prophet":
 		return NewProphet(), true
 	case "spray-and-wait-predict", "snw-predict":

@@ -382,7 +382,11 @@ func TestDirectDeliveryOnlyDest(t *testing.T) {
 }
 
 func TestSprayAndFocusHandoff(t *testing.T) {
-	tn := newTestNet(4, policy.FIFO{}, SprayAndFocus{MinGain: 10}, 10000, false)
+	tn := newTestNet(4, policy.FIFO{}, NewSprayAndFocus(10), 10000, false)
+	// Each host needs its own instance.
+	for i := range tn.hosts {
+		tn.hosts[i].proto = NewSprayAndFocus(10)
+	}
 	a, b := tn.hosts[0], tn.hosts[1]
 	a.Originate(tn.message(1, 0, 3, 1, 500, 1000), 0) // wait/focus phase
 	// b met the destination recently; a never did.

@@ -40,13 +40,13 @@ func runScan(t *testing.T, sc config.Scenario, mode string) ([]byte, Result, []n
 	return trace, res, contacts
 }
 
-// runScenario builds and runs sc, returning its JSONL event trace, result
-// and contact log. It reports failure as an error rather than through a
-// *testing.T, so it may run on any goroutine.
-func runScenario(sc config.Scenario) ([]byte, Result, []network.Contact, error) {
+// runScenario builds sc with opts and runs it, returning its JSONL event
+// trace, result and contact log. It reports failure as an error rather than
+// through a *testing.T, so it may run on any goroutine.
+func runScenario(sc config.Scenario, opts ...BuildOption) ([]byte, Result, []network.Contact, error) {
 	var buf bytes.Buffer
 	jsonl := obs.NewJSONL(&buf)
-	w, err := Build(sc, WithTracer(jsonl))
+	w, err := Build(sc, append([]BuildOption{WithTracer(jsonl)}, opts...)...)
 	if err != nil {
 		return nil, Result{}, nil, fmt.Errorf("build: %w", err)
 	}

@@ -48,13 +48,33 @@ type World struct {
 type BuildOption func(*buildOptions)
 
 type buildOptions struct {
-	tracer obs.Tracer
+	tracer         obs.Tracer
+	record, replay *network.ContactPlan
 }
 
 // WithTracer routes every lifecycle event of the run (message, contact,
 // transfer, eviction) to tr. A nil tr keeps tracing disabled.
 func WithTracer(tr obs.Tracer) BuildOption {
 	return func(o *buildOptions) { o.tracer = tr }
+}
+
+// RecordContactPlan records every link transition of the run's contact
+// scan into p, which must be empty. Once Run returns without error, p holds
+// the whole schedule, and ReplayContactPlan may hand it to runs whose
+// contacts are provably the same. Scenarios whose links depend on more than
+// motion (a contact trace, a battery, churn or link flapping) fail to
+// build or start with a plan.
+func RecordContactPlan(p *network.ContactPlan) BuildOption {
+	return func(o *buildOptions) { o.record = p }
+}
+
+// ReplayContactPlan replaces the run's contact scan with p, a whole
+// recording of a run that differs from this one in traffic-only fields
+// (buffers, policy, protocol, traffic, transfer faults). Every event, trace
+// byte and result is then the same as a scanning run's; only the scan
+// counters read zero, and Result.Perf.Replayed says why.
+func ReplayContactPlan(p *network.ContactPlan) BuildOption {
+	return func(o *buildOptions) { o.replay = p }
 }
 
 // msgRecord remembers each generated message for fate reporting.
@@ -183,6 +203,8 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 		RecordContacts: sc.RecordContacts,
 		Tracer:         bo.tracer,
 		Faults:         inj,
+		RecordPlan:     bo.record,
+		ReplayPlan:     bo.replay,
 		Energy: network.EnergyConfig{
 			Capacity:   sc.Energy.Capacity,
 			ScanPerSec: sc.Energy.ScanPerSec,
@@ -549,6 +571,7 @@ func (w *World) RunStats() obs.RunStats {
 		PairsSkipped: skipped,
 		Wakeups:      wakeups,
 		ScanFallback: w.Manager.FallbackReason(),
+		Replayed:     w.Manager.Replaying(),
 	}
 }
 
