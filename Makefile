@@ -85,11 +85,14 @@ bench-report:
 # and snapshot sampler, then require (a) dtntrace stats to reproduce the
 # printed summary bit-for-bit from the trace alone, (b) a second same-seed
 # run — executed under the naive scanner (-scan naive) — to be
-# byte-identical under dtntrace diff, and (c) a different-seed run to be
-# flagged divergent. Catches any drift between the live collector and the
-# event vocabulary, any nondeterminism in the emit path, and any divergence
-# between the default lazy scanner and the naive reference at the CLI
-# surface.
+# byte-identical under dtntrace diff, (c) a different-seed run to be
+# flagged divergent, (d) a same-seed -acks run on the full 100-node preset
+# (dense enough to purge copies) to reproduce the drops line exactly,
+# acked=N included, and (e) the series header to end in the counter and
+# fill columns and every paths -jsonl record to carry seen. Catches any
+# drift between the live collector and the event vocabulary, any
+# nondeterminism in the emit path, and any divergence between the default
+# lazy scanner and the naive reference at the CLI surface.
 trace-smoke:
 	@tmp=$$(mktemp -d) && \
 	$(GO) build -o $$tmp/dtnsim ./cmd/dtnsim && \
@@ -100,12 +103,20 @@ trace-smoke:
 		-events $$tmp/b.jsonl -snapshot-interval 300 > /dev/null && \
 	$$tmp/dtnsim -nodes 24 -duration 3600 -seed 4 \
 		-events $$tmp/c.jsonl > /dev/null && \
+	$$tmp/dtnsim -duration 3600 -seed 3 -acks \
+		-events $$tmp/d.jsonl > $$tmp/acks.txt && \
 	$$tmp/dtntrace stats -check $$tmp/sim.txt $$tmp/a.jsonl.gz && \
+	grep -q 'acked=[1-9]' $$tmp/acks.txt && \
+	$$tmp/dtntrace stats -check $$tmp/acks.txt $$tmp/d.jsonl > /dev/null && \
+	echo "ACK purges agree: $$(grep '^drops' $$tmp/acks.txt)" && \
 	$$tmp/dtntrace diff $$tmp/a.jsonl.gz $$tmp/b.jsonl && \
 	if $$tmp/dtntrace diff $$tmp/a.jsonl.gz $$tmp/c.jsonl > /dev/null; then \
 		echo "trace-smoke: different seeds reported identical" && exit 1; \
 	else echo "divergence detected across seeds (expected)"; fi && \
-	$$tmp/dtntrace series $$tmp/a.jsonl.gz | head -3 && \
+	$$tmp/dtntrace series $$tmp/a.jsonl.gz > $$tmp/series.csv && head -3 $$tmp/series.csv && \
+	head -1 $$tmp/series.csv | grep -q ',used_max,created,delivered,delivery_ratio,forwards,policy_drops,fill$$' && \
+	$$tmp/dtntrace paths -jsonl $$tmp/d.jsonl > $$tmp/paths.jsonl && [ -s $$tmp/paths.jsonl ] && \
+	! grep -v '"seen":' $$tmp/paths.jsonl && \
 	rm -rf $$tmp
 
 # Crash-safety gate (~5 s): run a sweep uninterrupted for reference TSVs,

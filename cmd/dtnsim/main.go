@@ -27,37 +27,34 @@ import (
 
 func main() {
 	var (
-		scenario         = flag.String("scenario", "rwp", "preset: rwp (Table II) or epfl (Table III)")
-		policy           = flag.String("policy", "SDSRP", "buffer policy: SprayAndWait, SprayAndWait-O, SprayAndWait-C, SDSRP, SDSRP-Taylor<k>, OracleUtility, Random, MOFO, LIFO")
-		protocol         = flag.String("protocol", "spray-and-wait", "routing protocol: spray-and-wait, spray-and-wait-source, epidemic, direct, spray-and-focus")
-		copies           = flag.Int("copies", 0, "initial copies L (0 = preset)")
-		bufferMB         = flag.Float64("buffer", 0, "buffer size in MB (0 = preset)")
-		gen              = flag.String("gen", "", "generation interval \"lo,hi\" seconds (empty = preset, \"off\" disables)")
-		duration         = flag.Float64("duration", 0, "simulation seconds (0 = preset)")
-		nodes            = flag.Int("nodes", 0, "node count (0 = preset)")
-		seed             = flag.Uint64("seed", 1, "random seed")
-		traceDir         = flag.String("trace-dir", "", "directory of cabspotting files (replaces synthetic mobility)")
-		oneTrace         = flag.String("one-trace", "", "ONE external-movement file (replaces synthetic mobility)")
-		contactTrace     = flag.String("contact-trace", "", "replay a recorded contact trace (\"a b start end\" lines; replaces mobility)")
-		exportContacts   = flag.String("export-contacts", "", "record the run's contacts and write them as a replayable trace")
-		inter            = flag.Bool("intermeeting", false, "record intermeeting times (disables traffic, prints Fig. 3 stats)")
-		ttl              = flag.Float64("ttl", 0, "message TTL seconds (0 = preset)")
-		oracleRate       = flag.Float64("oracle-rate", 0, "fixed mean intermeeting time (0 = distributed estimator)")
-		noDropList       = flag.Bool("no-droplist", false, "disable SDSRP's dropped-list gossip")
-		acks             = flag.Bool("acks", false, "enable the ACK/immunization extension")
-		energyCap        = flag.Float64("energy", 0, "battery capacity in joules (0 = unlimited; drains 0.5 J/s scanning, 15/10 J/s radio)")
-		warmup           = flag.Float64("warmup", 0, "exclude messages created before this time from metrics")
-		configIn         = flag.String("config", "", "load scenario from a JSON file (flags below still override)")
-		configOut        = flag.String("save-config", "", "write the effective scenario as JSON and exit")
-		fatesOut         = flag.String("fates", "", "write per-message outcome CSV to this path")
-		timelineOut      = flag.String("timeline", "", "write periodic run snapshots as CSV to this path")
-		timelineInterval = flag.Float64("timeline-interval", 60, "snapshot period in seconds for -timeline")
-		eventsOut        = flag.String("events", "", "write the structured lifecycle event log (JSONL) to this path (.gz = gzip)")
-		snapInterval     = flag.Float64("snapshot-interval", 0, "emit a snapshot event into the event log every N sim-seconds (0 = off; needs -events)")
-		profileOut       = flag.String("profile", "", "write a CPU profile of the run to this path")
-		scanMode         = flag.String("scan", "", "connectivity scan strategy: lazy (default), kinetic, or naive; all are byte-identical")
-		cellSize         = flag.Float64("cell-size", 0, "scan grid cell edge in metres (0 = radio range; must be >= range)")
-		maxEvents        = flag.Uint64("max-events", 0, "stop the run after this many engine events and report partial metrics (0 = unbounded)")
+		scenario       = flag.String("scenario", "rwp", "preset: rwp (Table II) or epfl (Table III)")
+		policy         = flag.String("policy", "SDSRP", "buffer policy: SprayAndWait, SprayAndWait-O, SprayAndWait-C, SDSRP, SDSRP-Taylor<k>, OracleUtility, Random, MOFO, LIFO")
+		protocol       = flag.String("protocol", "spray-and-wait", "routing protocol: spray-and-wait, spray-and-wait-source, epidemic, direct, spray-and-focus")
+		copies         = flag.Int("copies", 0, "initial copies L (0 = preset)")
+		bufferMB       = flag.Float64("buffer", 0, "buffer size in MB (0 = preset)")
+		gen            = flag.String("gen", "", "generation interval \"lo,hi\" seconds (empty = preset, \"off\" disables)")
+		duration       = flag.Float64("duration", 0, "simulation seconds (0 = preset)")
+		nodes          = flag.Int("nodes", 0, "node count (0 = preset)")
+		seed           = flag.Uint64("seed", 1, "random seed")
+		traceDir       = flag.String("trace-dir", "", "directory of cabspotting files (replaces synthetic mobility)")
+		oneTrace       = flag.String("one-trace", "", "ONE external-movement file (replaces synthetic mobility)")
+		contactTrace   = flag.String("contact-trace", "", "replay a recorded contact trace (\"a b start end\" lines; replaces mobility)")
+		exportContacts = flag.String("export-contacts", "", "record the run's contacts and write them as a replayable trace")
+		inter          = flag.Bool("intermeeting", false, "record intermeeting times (disables traffic, prints Fig. 3 stats)")
+		ttl            = flag.Float64("ttl", 0, "message TTL seconds (0 = preset)")
+		oracleRate     = flag.Float64("oracle-rate", 0, "fixed mean intermeeting time (0 = distributed estimator)")
+		noDropList     = flag.Bool("no-droplist", false, "disable SDSRP's dropped-list gossip")
+		acks           = flag.Bool("acks", false, "enable the ACK/immunization extension")
+		energyCap      = flag.Float64("energy", 0, "battery capacity in joules (0 = unlimited; drains 0.5 J/s scanning, 15/10 J/s radio)")
+		warmup         = flag.Float64("warmup", 0, "exclude messages created before this time from metrics")
+		configIn       = flag.String("config", "", "load scenario from a JSON file (flags below still override)")
+		configOut      = flag.String("save-config", "", "write the effective scenario as JSON and exit")
+		eventsOut      = flag.String("events", "", "write the structured lifecycle event log (JSONL) to this path (.gz = gzip)")
+		snapInterval   = flag.Float64("snapshot-interval", 0, "emit a snapshot event into the event log every N sim-seconds (0 = off; needs -events)")
+		profileOut     = flag.String("profile", "", "write a CPU profile of the run to this path")
+		scanMode       = flag.String("scan", "", "connectivity scan strategy: lazy (default), kinetic, or naive; all are byte-identical")
+		cellSize       = flag.Float64("cell-size", 0, "scan grid cell edge in metres (0 = radio range; must be >= range)")
+		maxEvents      = flag.Uint64("max-events", 0, "stop the run after this many engine events and report partial metrics (0 = unbounded)")
 	)
 	flag.Parse()
 
@@ -122,9 +119,6 @@ func main() {
 	if *contactTrace != "" {
 		sc.ContactTraceFile = *contactTrace
 	}
-	if *exportContacts != "" {
-		sc.RecordContacts = true
-	}
 	switch {
 	case *gen == "off":
 		sc.GenIntervalLo = 0
@@ -167,7 +161,8 @@ func main() {
 
 	var events io.WriteCloser
 	var jsonl *sdsrp.JSONLTracer
-	var buildOpts []sdsrp.BuildOption
+	var recorder *trace.ContactRecorder
+	var sinks []sdsrp.Tracer
 	if *eventsOut != "" {
 		var err error
 		events, err = sdsrp.CreateEventLog(*eventsOut)
@@ -175,19 +170,23 @@ func main() {
 			fatal("%v", err)
 		}
 		jsonl = sdsrp.NewJSONLTracer(events)
-		buildOpts = append(buildOpts, sdsrp.WithTracer(jsonl))
+		sinks = append(sinks, jsonl)
 	}
-	w, err := sdsrp.Build(sc, buildOpts...)
+	if *exportContacts != "" {
+		recorder = trace.NewContactRecorder()
+		sinks = append(sinks, recorder)
+	}
+	w, err := sdsrp.Build(sc, sdsrp.WithTracer(sdsrp.MultiTracer(sinks...)))
 	if err != nil {
 		fatal("%v", err)
 	}
 	if *snapInterval > 0 {
-		if err := w.EnableSnapshots(*snapInterval); err != nil {
-			fatal("%v", err)
+		if jsonl == nil {
+			// The contact recorder alone would accept the snapshots and
+			// drop them.
+			fatal("-snapshot-interval needs -events")
 		}
-	}
-	if *timelineOut != "" {
-		if err := w.EnableTimeline(*timelineInterval); err != nil {
+		if err := w.EnableSnapshots(*snapInterval); err != nil {
 			fatal("%v", err)
 		}
 	}
@@ -229,38 +228,7 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		log := w.Manager.ContactLog()
-		contacts := make([]trace.Contact, len(log))
-		for i, c := range log {
-			contacts[i] = trace.Contact{A: c.A, B: c.B, Start: c.Start, End: c.End}
-		}
-		if err := trace.WriteContacts(f, contacts); err != nil {
-			f.Close()
-			fatal("%v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatal("%v", err)
-		}
-	}
-	if *fatesOut != "" {
-		f, err := os.Create(*fatesOut)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := world.WriteFatesCSV(f, w.MessageFates()); err != nil {
-			f.Close()
-			fatal("%v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatal("%v", err)
-		}
-	}
-	if *timelineOut != "" {
-		f, err := os.Create(*timelineOut)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := world.WriteTimelineCSV(f, w.Timeline()); err != nil {
+		if err := trace.WriteContacts(f, recorder.Contacts()); err != nil {
 			f.Close()
 			fatal("%v", err)
 		}

@@ -5,8 +5,9 @@
 //
 //	dtntrace paths [-msg id] [-jsonl] trace.jsonl
 //	    Reconstruct per-message provenance: custody chain of delivered
-//	    messages, terminal fate (delivered/expired/dropped/stranded), and
-//	    where copies died. -jsonl dumps the full ledger records.
+//	    messages, terminal fate (delivered/expired/dropped/stranded/wiped),
+//	    and where copies died. -jsonl dumps the full ledger records, each
+//	    with its live copies and true m_i (seen) at the horizon.
 //
 //	dtntrace stats [-check sim.txt] trace.jsonl
 //	    Delay/hop/drop-cause breakdowns folded from the trace. With -check,
@@ -14,8 +15,9 @@
 //	    on any disagreement (the trace-smoke differential gate).
 //
 //	dtntrace series [-per-node] trace.jsonl
-//	    Emit the snapshot time-series (buffer occupancy, live copies,
-//	    active contacts, queue depth) as CSV for plotting.
+//	    Emit the snapshot time-series (buffer occupancy and fill, live
+//	    copies, active contacts, queue depth, and the created, delivered,
+//	    forwarded and dropped counts so far) as CSV for plotting.
 //
 //	dtntrace diff [-context n] a.jsonl b.jsonl
 //	    Localize the first divergent event between two traces with
@@ -36,7 +38,7 @@ const usage = `usage: dtntrace <command> [flags] <trace.jsonl[.gz]> ...
 commands:
   paths    reconstruct per-message custody chains and terminal fates
   stats    delay/hop/drop-cause breakdowns (use -check to gate against dtnsim output)
-  series   snapshot time-series as CSV (buffer occupancy, copies, contacts, queue)
+  series   snapshot time-series as CSV (buffer occupancy, copies, contacts, queue, counters)
   diff     first-divergent-event localization between two traces (exit 1 on divergence)
 
 run 'dtntrace <command> -h' for command flags.`

@@ -69,7 +69,7 @@ func formatRecord(r *obs.MessageRecord) string {
 			trimFloat(r.DeliveredAt), trimFloat(r.Latency), r.Hops, joinPath(r.Path))
 	case obs.FateStranded:
 		fmt.Fprintf(&b, " live=%d", r.LiveCopies)
-	case obs.FateExpired, obs.FateDropped:
+	case obs.FateExpired, obs.FateDropped, obs.FateWiped:
 		if n := len(r.Removals); n > 0 {
 			last := r.Removals[n-1]
 			fmt.Fprintf(&b, " last=%s@node%d t=%s", last.Cause, last.Node, trimFloat(last.T))

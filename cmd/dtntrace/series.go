@@ -11,8 +11,12 @@ import (
 )
 
 // runSeries extracts the snapshot time-series as CSV: one row per snapshot
-// event with aggregate occupancy columns, optionally widened to one used_<i>
-// column per node for per-host congestion plots.
+// event with aggregate occupancy columns, then the run's counters at that
+// instant, tallied from the lifecycle events before the snapshot (created,
+// delivered, their ratio, completed transfers counting deliveries, policy
+// drops; the live collector's arithmetic for warmup-free runs) and the
+// snapshot's mean buffer fill, optionally widened to one used_<i> column
+// per node for per-host congestion plots.
 func runSeries(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("series", flag.ContinueOnError)
 	perNode := fs.Bool("per-node", false, "append one used_<i> column per node")
@@ -26,13 +30,26 @@ func runSeries(args []string, out io.Writer) error {
 	cw := csv.NewWriter(out)
 	wroteHeader := false
 	rows := 0
+	var created, delivered, forwards, drops int
 	err = eachEvent(path, func(ev obs.Event) error {
+		switch ev.Type {
+		case obs.MessageCreated:
+			created++
+		case obs.MessageDelivered:
+			delivered++
+			forwards++
+		case obs.MessageForwarded:
+			forwards++
+		case obs.MessageDropped:
+			drops++
+		}
 		if ev.Type != obs.Snapshot {
 			return nil
 		}
 		if !wroteHeader {
 			header := []string{"t", "live_msgs", "live_copies", "contacts",
-				"queue", "used_total", "used_max"}
+				"queue", "used_total", "used_max", "created", "delivered",
+				"delivery_ratio", "forwards", "policy_drops", "fill"}
 			if *perNode {
 				for i := range ev.Used {
 					header = append(header, "used_"+strconv.Itoa(i))
@@ -50,6 +67,10 @@ func runSeries(args []string, out io.Writer) error {
 				max = u
 			}
 		}
+		var ratio float64
+		if created > 0 {
+			ratio = float64(delivered) / float64(created)
+		}
 		rec := []string{
 			strconv.FormatFloat(ev.T, 'g', -1, 64),
 			strconv.Itoa(ev.LiveMsgs),
@@ -58,6 +79,12 @@ func runSeries(args []string, out io.Writer) error {
 			strconv.Itoa(ev.Queue),
 			strconv.FormatInt(total, 10),
 			strconv.FormatInt(max, 10),
+			strconv.Itoa(created),
+			strconv.Itoa(delivered),
+			strconv.FormatFloat(ratio, 'g', -1, 64),
+			strconv.Itoa(forwards),
+			strconv.Itoa(drops),
+			strconv.FormatFloat(ev.Fill, 'g', -1, 64),
 		}
 		if *perNode {
 			for _, u := range ev.Used {

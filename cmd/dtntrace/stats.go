@@ -30,6 +30,7 @@ type traceStats struct {
 	lost      uint64
 	policy    uint64
 	expired   uint64
+	acked     uint64
 
 	ratio     float64
 	avgHops   float64
@@ -85,6 +86,11 @@ func computeStats(l *obs.Ledger, m *obs.Metrics) traceStats {
 		for _, f := range r.Forwards {
 			s.kinds[f.Kind]++
 		}
+		for _, rm := range r.Removals {
+			if rm.Cause == "ack" {
+				s.acked++
+			}
+		}
 	}
 	return s
 }
@@ -94,7 +100,7 @@ func computeStats(l *obs.Ledger, m *obs.Metrics) traceStats {
 var forwardKinds = []string{"spray", "spray-source", "relay", "handoff"}
 
 // fateOrder is the fixed emission order for the fate breakdown.
-var fateOrder = []string{obs.FateDelivered, obs.FateDropped, obs.FateExpired, obs.FateStranded}
+var fateOrder = []string{obs.FateDelivered, obs.FateDropped, obs.FateExpired, obs.FateStranded, obs.FateWiped}
 
 func runStats(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
@@ -125,7 +131,7 @@ func runStats(args []string, out io.Writer) error {
 	if s.lost > 0 {
 		fmt.Fprintf(out, "faults          transfers lost=%d\n", s.lost)
 	}
-	fmt.Fprintf(out, "drops           policy=%d expired=%d\n", s.policy, s.expired)
+	fmt.Fprintf(out, "drops           policy=%d expired=%d acked=%d\n", s.policy, s.expired, s.acked)
 	var kinds []string
 	for _, k := range forwardKinds {
 		if s.kinds[k] > 0 {
@@ -155,9 +161,7 @@ func runStats(args []string, out io.Writer) error {
 }
 
 // checkAgainstSim cross-validates the trace digest against a captured
-// dtnsim stdout: every overlapping line must render identically. The drops
-// line is prefix-matched because ACK purges are invisible to the trace
-// (dtnsim appends acked=N).
+// dtnsim stdout: every overlapping line must render identically.
 func checkAgainstSim(out io.Writer, s traceStats, simPath string) error {
 	f, err := os.Open(simPath)
 	if err != nil {
@@ -180,26 +184,22 @@ func checkAgainstSim(out io.Writer, s traceStats, simPath string) error {
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	type check struct {
-		label  string
-		want   string
-		prefix bool // sim line may continue beyond want
-	}
+	type check struct{ label, want string }
 	checks := []check{
-		{"contacts", fmt.Sprintf("contacts        %d", s.contacts), false},
-		{"created", fmt.Sprintf("created         %d", s.created), false},
-		{"delivered", fmt.Sprintf("delivered       %d (ratio %.4f)", s.delivered, s.ratio), false},
-		{"avg hopcounts", fmt.Sprintf("avg hopcounts   %.3f", s.avgHops), false},
-		{"overhead ratio", fmt.Sprintf("overhead ratio  %.3f", s.overhead), false},
+		{"contacts", fmt.Sprintf("contacts        %d", s.contacts)},
+		{"created", fmt.Sprintf("created         %d", s.created)},
+		{"delivered", fmt.Sprintf("delivered       %d (ratio %.4f)", s.delivered, s.ratio)},
+		{"avg hopcounts", fmt.Sprintf("avg hopcounts   %.3f", s.avgHops)},
+		{"overhead ratio", fmt.Sprintf("overhead ratio  %.3f", s.overhead)},
 		{"latency", fmt.Sprintf("latency         avg=%.1fs median=%.1fs p95=%.1fs",
-			s.avgLat, s.medianLat, s.p95Lat), false},
+			s.avgLat, s.medianLat, s.p95Lat)},
 		{"transfers", fmt.Sprintf("transfers       started=%d completed=%d aborted=%d refused=%d",
-			s.started, s.completed, s.aborted, s.refused), false},
-		{"drops", fmt.Sprintf("drops           policy=%d expired=%d", s.policy, s.expired), true},
+			s.started, s.completed, s.aborted, s.refused)},
+		{"drops", fmt.Sprintf("drops           policy=%d expired=%d acked=%d", s.policy, s.expired, s.acked)},
 	}
 	if s.lost > 0 {
 		checks = append(checks, check{"faults",
-			fmt.Sprintf("faults          transfers lost=%d", s.lost), false})
+			fmt.Sprintf("faults          transfers lost=%d", s.lost)})
 	}
 	var bad []string
 	for _, c := range checks {
@@ -212,11 +212,7 @@ func checkAgainstSim(out io.Writer, s traceStats, simPath string) error {
 			}
 			continue
 		}
-		match := got == c.want
-		if c.prefix {
-			match = strings.HasPrefix(got, c.want)
-		}
-		if !match {
+		if got != c.want {
 			bad = append(bad, fmt.Sprintf("%s:\n  sim:   %s\n  trace: %s", c.label, got, c.want))
 		}
 	}

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -149,9 +151,23 @@ func TestDiffEOFDivergence(t *testing.T) {
 // TestStatsCheckAgainstSim is the trace-smoke invariant in miniature: fold
 // the trace, render dtnsim's stat lines from the run's own Result, and the
 // -check comparison must pass. Warmup-free, so every counter and float must
-// agree bit-for-bit.
+// agree bit-for-bit, ACK purges included.
 func TestStatsCheckAgainstSim(t *testing.T) {
 	dir := t.TempDir()
+	acked := testScenario(3)
+	acked.UseAcks = true
+	ackRes := writeTrace(t, acked, filepath.Join(dir, "acks.jsonl"), 0)
+	if ackRes.AckPurges == 0 {
+		t.Fatal("ACK run purged nothing")
+	}
+	if err := writeFileLines(filepath.Join(dir, "acks.txt"), renderSimStats(ackRes)); err != nil {
+		t.Fatal(err)
+	}
+	var ackOut bytes.Buffer
+	if err := runStats([]string{"-check", filepath.Join(dir, "acks.txt"), filepath.Join(dir, "acks.jsonl")}, &ackOut); err != nil {
+		t.Fatalf("stats -check on the ACK run failed: %v\noutput:\n%s", err, ackOut.String())
+	}
+
 	trace := filepath.Join(dir, "run.jsonl.gz")
 	res := writeTrace(t, testScenario(3), trace, 0)
 	if res.Created == 0 || res.Delivered == 0 {
@@ -215,7 +231,8 @@ func TestSeriesCSVShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if lines[0] != "t,live_msgs,live_copies,contacts,queue,used_total,used_max" {
+	if lines[0] != "t,live_msgs,live_copies,contacts,queue,used_total,used_max,"+
+		"created,delivered,delivery_ratio,forwards,policy_drops,fill" {
 		t.Fatalf("header = %q", lines[0])
 	}
 	wantRows := int(sc.Duration / 300)
@@ -223,8 +240,8 @@ func TestSeriesCSVShape(t *testing.T) {
 		t.Fatalf("got %d rows, want %d", len(lines)-1, wantRows)
 	}
 	for _, l := range lines[1:] {
-		if n := strings.Count(l, ","); n != 6 {
-			t.Fatalf("row %q has %d commas, want 6", l, n)
+		if n := strings.Count(l, ","); n != 12 {
+			t.Fatalf("row %q has %d commas, want 12", l, n)
 		}
 	}
 
@@ -233,7 +250,7 @@ func TestSeriesCSVShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	perHeader := strings.SplitN(per.String(), "\n", 2)[0]
-	wantCols := 7 + sc.Nodes
+	wantCols := 13 + sc.Nodes
 	if got := len(strings.Split(perHeader, ",")); got != wantCols {
 		t.Fatalf("per-node header has %d columns, want %d: %q", got, wantCols, perHeader)
 	}
@@ -246,6 +263,91 @@ func TestSeriesCSVShape(t *testing.T) {
 	writeTrace(t, testScenario(3), bare, 0)
 	if err := runSeries([]string{bare}, &bytes.Buffer{}); err == nil {
 		t.Fatal("snapshot-less trace produced CSV silently")
+	}
+}
+
+// collectorProbe samples, at every snapshot a world emits, the live
+// collector's counters and the mean fill of the buffers that have a byte
+// budget.
+type collectorProbe struct {
+	w    *sdsrp.World
+	rows [][]string
+}
+
+func (p *collectorProbe) Emit(ev obs.Event) {
+	if ev.Type != obs.Snapshot {
+		return
+	}
+	s := p.w.Collector.Summarize()
+	var fill float64
+	n := 0
+	for _, h := range p.w.Hosts {
+		if c := h.Buffer().Capacity(); c > 0 {
+			fill += float64(h.Buffer().Used()) / float64(c)
+			n++
+		}
+	}
+	if n > 0 {
+		fill /= float64(n)
+	}
+	p.rows = append(p.rows, []string{strconv.Itoa(s.Created), strconv.Itoa(s.Delivered),
+		strconv.FormatFloat(s.DeliveryRatio, 'g', -1, 64), strconv.Itoa(s.Forwards),
+		strconv.Itoa(s.PolicyDrops), strconv.FormatFloat(fill, 'g', -1, 64)})
+}
+
+// TestSeriesMatchesCollector checks the series against the live run: in
+// warmup-free runs, with and without ACK purges, every row's counter
+// columns equal the collector's at that snapshot, and its fill equals the
+// mean used/capacity over the buffers with a byte budget.
+func TestSeriesMatchesCollector(t *testing.T) {
+	for _, acks := range []bool{false, true} {
+		sc := testScenario(3)
+		sc.UseAcks = acks
+		path := filepath.Join(t.TempDir(), "run.jsonl")
+		f, err := sdsrp.CreateEventLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jsonl := sdsrp.NewJSONLTracer(f)
+		probe := &collectorProbe{}
+		w, err := sdsrp.Build(sc, sdsrp.WithTracer(sdsrp.MultiTracer(jsonl, probe)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe.w = w
+		if err := w.EnableSnapshots(120); err != nil {
+			t.Fatal(err)
+		}
+		res, err := w.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jsonl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if res.Delivered == 0 || res.PolicyDrops == 0 || acks && res.AckPurges == 0 {
+			t.Fatalf("acks=%v: degenerate run %+v", acks, res.Summary)
+		}
+
+		var out bytes.Buffer
+		if err := runSeries([]string{path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := csv.NewReader(&out).ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows)-1 != len(probe.rows) || len(probe.rows) != int(sc.Duration/120) {
+			t.Fatalf("acks=%v: %d series rows, %d snapshots probed", acks, len(rows)-1, len(probe.rows))
+		}
+		for i, want := range probe.rows {
+			if got := rows[i+1][7:]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("acks=%v: row %d %v, collector and buffers %v", acks, i, got, want)
+			}
+		}
 	}
 }
 
@@ -284,7 +386,7 @@ func TestPathsInvariants(t *testing.T) {
 			if r.LiveCopies == 0 {
 				t.Fatalf("msg %d: stranded with zero live copies", r.ID)
 			}
-		case obs.FateDropped, obs.FateExpired:
+		case obs.FateDropped, obs.FateExpired, obs.FateWiped:
 			if r.LiveCopies != 0 {
 				t.Fatalf("msg %d: %s with %d live copies", r.ID, r.Fate, r.LiveCopies)
 			}

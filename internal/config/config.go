@@ -178,9 +178,6 @@ type Scenario struct {
 
 	// RecordIntermeeting enables the Fig. 3 sample recorder.
 	RecordIntermeeting bool
-	// RecordContacts logs every finished contact so the run can be exported
-	// as a replayable contact trace (see ContactTraceFile).
-	RecordContacts bool
 }
 
 // Energy parameterizes the battery model (joules and joules/second).

@@ -1,79 +1,15 @@
 package experiment
 
 import (
-	"fmt"
-
 	"sdsrp/internal/config"
 	"sdsrp/internal/report"
 )
 
-// ablationSweep runs a buffer-size sweep comparing arbitrary scenario
-// variants (rather than the paper's four policies), producing the usual
-// three metric panels.
-func ablationSweep(id, title string, base config.Scenario, variants []variant, o Options) ([]report.Panel, error) {
-	o = o.withDefaults()
-	base = o.apply(base)
-	bs := BufferSweep()
-	x := make([]float64, len(bs))
-	ticks := make([]string, len(bs))
-	for i, b := range bs {
-		x[i] = float64(b) / float64(config.MB)
-		ticks[i] = fmt.Sprintf("%.1fMB", x[i])
-	}
-
-	type cell struct{ variant, point int }
-	var scs []config.Scenario
-	var cells []cell
-	for vi, v := range variants {
-		for xi, b := range bs {
-			for _, seed := range o.Seeds {
-				sc := base
-				sc.BufferBytes = b
-				sc.Seed = seed
-				v.mutate(&sc)
-				sc.Name = fmt.Sprintf("%s-%s-%s-%d", id, v.label, ticks[xi], seed)
-				scs = append(scs, sc)
-				cells = append(cells, cell{vi, xi})
-			}
-		}
-	}
-	results, err := o.runBatch(scs)
-	if err != nil {
-		return nil, err
-	}
-	metrics := paperMetrics()
-	panels := make([]report.Panel, len(metrics))
-	for mi, m := range metrics {
-		panels[mi] = report.Panel{
-			ID:     fmt.Sprintf("%s-%c", id, 'a'+mi),
-			Title:  title + " — " + m.label,
-			XLabel: "buffer size (MB)",
-			YLabel: m.label,
-			XTicks: ticks,
-			X:      x,
-		}
-		for vi, v := range variants {
-			y := make([]float64, len(x))
-			for xi := range x {
-				var sum float64
-				n := 0
-				for ci, c := range cells {
-					if c.variant == vi && c.point == xi {
-						sum += m.get(results[ci])
-						n++
-					}
-				}
-				y[xi] = sum / float64(n)
-			}
-			panels[mi].Curves = append(panels[mi].Curves, report.Curve{Label: v.label, Y: y})
-		}
-	}
-	return panels, nil
-}
-
-type variant struct {
-	label  string
-	mutate func(*config.Scenario)
+// ablationSweep compares scenario variants (rather than the paper's four
+// policies) across the buffer sweep.
+func ablationSweep(id, title string, base config.Scenario, curves []curve, o Options) ([]report.Panel, error) {
+	return runSweep(base, sweep{id: id, curves: curves, axis: bufferAxis(),
+		panel: letteredPanels(id, title)}, o)
 }
 
 // AblationRate compares SDSRP with the distributed λ estimator against an
@@ -96,7 +32,7 @@ func AblationRate(o Options) ([]report.Panel, error) {
 	if trueMean <= 0 {
 		trueMean = base.PriorMeanIntermeeting
 	}
-	return ablationSweep("ablation-rate", "estimated λ vs oracle λ", base, []variant{
+	return ablationSweep("ablation-rate", "estimated λ vs oracle λ", base, []curve{
 		{"SDSRP estimated", func(*config.Scenario) {}},
 		{"SDSRP oracle-rate", func(sc *config.Scenario) { sc.OracleRateMean = trueMean }},
 	}, o)
@@ -107,7 +43,7 @@ func AblationRate(o Options) ([]report.Panel, error) {
 func AblationDropList(o Options) ([]report.Panel, error) {
 	base := config.RandomWaypoint()
 	base.PolicyName = "SDSRP"
-	return ablationSweep("ablation-droplist", "dropped-list gossip on/off", base, []variant{
+	return ablationSweep("ablation-droplist", "dropped-list gossip on/off", base, []curve{
 		{"SDSRP", func(*config.Scenario) {}},
 		{"SDSRP no-droplist", func(sc *config.Scenario) { sc.DisableDropList = true }},
 	}, o)
@@ -117,7 +53,7 @@ func AblationDropList(o Options) ([]report.Panel, error) {
 // Eq. 13 Taylor truncations the paper proposes for cheaper computation.
 func AblationTaylor(o Options) ([]report.Panel, error) {
 	base := config.RandomWaypoint()
-	return ablationSweep("ablation-taylor", "Eq.13 Taylor depth", base, []variant{
+	return ablationSweep("ablation-taylor", "Eq.13 Taylor depth", base, []curve{
 		{"SDSRP", func(sc *config.Scenario) { sc.PolicyName = "SDSRP" }},
 		{"SDSRP-Taylor1", func(sc *config.Scenario) { sc.PolicyName = "SDSRP-Taylor1" }},
 		{"SDSRP-Taylor3", func(sc *config.Scenario) { sc.PolicyName = "SDSRP-Taylor3" }},
@@ -129,7 +65,7 @@ func AblationTaylor(o Options) ([]report.Panel, error) {
 // truth — the upper bound on what the Eq. 10 utility can achieve.
 func AblationOracleUtility(o Options) ([]report.Panel, error) {
 	base := config.RandomWaypoint()
-	return ablationSweep("ablation-oracle", "estimated vs ground-truth spread", base, []variant{
+	return ablationSweep("ablation-oracle", "estimated vs ground-truth spread", base, []curve{
 		{"SDSRP", func(sc *config.Scenario) { sc.PolicyName = "SDSRP" }},
 		{"OracleUtility", func(sc *config.Scenario) { sc.PolicyName = "OracleUtility" }},
 	}, o)
@@ -141,7 +77,7 @@ func AblationOracleUtility(o Options) ([]report.Panel, error) {
 func AblationLambda(o Options) ([]report.Panel, error) {
 	base := config.RandomWaypoint()
 	base.PolicyName = "SDSRP"
-	return ablationSweep("ablation-lambda", "λ estimator: census vs gap-average", base, []variant{
+	return ablationSweep("ablation-lambda", "λ estimator: census vs gap-average", base, []curve{
 		{"SDSRP census-λ", func(*config.Scenario) {}},
 		{"SDSRP gap-λ", func(sc *config.Scenario) { sc.GapLambdaEstimator = true }},
 	}, o)
@@ -153,7 +89,7 @@ func AblationLambda(o Options) ([]report.Panel, error) {
 // charges to the heuristic policies.
 func AblationPreflight(o Options) ([]report.Panel, error) {
 	base := config.RandomWaypoint()
-	return ablationSweep("ablation-preflight", "receive-then-drop vs preflight refusal", base, []variant{
+	return ablationSweep("ablation-preflight", "receive-then-drop vs preflight refusal", base, []curve{
 		{"SDSRP rtd", func(sc *config.Scenario) { sc.PolicyName = "SDSRP" }},
 		{"SDSRP preflight", func(sc *config.Scenario) { sc.PolicyName = "SDSRP"; sc.PreflightEviction = true }},
 		{"FIFO rtd", func(sc *config.Scenario) { sc.PolicyName = "SprayAndWait" }},
@@ -169,7 +105,7 @@ func AblationPreflight(o Options) ([]report.Panel, error) {
 func ExtraProtocols(o Options) ([]report.Panel, error) {
 	base := config.RandomWaypoint()
 	base.PolicyName = "SprayAndWait"
-	return ablationSweep("extra-protocols", "routing protocols under FIFO buffers", base, []variant{
+	return ablationSweep("extra-protocols", "routing protocols under FIFO buffers", base, []curve{
 		{"spray-and-wait", func(sc *config.Scenario) { sc.ProtocolName = "spray-and-wait" }},
 		{"snw-source", func(sc *config.Scenario) { sc.ProtocolName = "spray-and-wait-source" }},
 		{"spray-and-focus", func(sc *config.Scenario) { sc.ProtocolName = "spray-and-focus" }},
@@ -186,7 +122,7 @@ func ExtraProtocols(o Options) ([]report.Panel, error) {
 // problem immunization alone would solve.
 func ExtraAck(o Options) ([]report.Panel, error) {
 	base := config.RandomWaypoint()
-	return ablationSweep("extra-ack", "ACK immunization on/off", base, []variant{
+	return ablationSweep("extra-ack", "ACK immunization on/off", base, []curve{
 		{"FIFO", func(sc *config.Scenario) { sc.PolicyName = "SprayAndWait" }},
 		{"FIFO+ack", func(sc *config.Scenario) { sc.PolicyName = "SprayAndWait"; sc.UseAcks = true }},
 		{"SDSRP", func(sc *config.Scenario) { sc.PolicyName = "SDSRP" }},
@@ -202,7 +138,7 @@ func ExtraSizes(o Options) ([]report.Panel, error) {
 	base := config.RandomWaypoint()
 	base.MessageSize = config.MB / 4
 	base.MessageSizeHi = config.MB
-	return ablationSweep("extra-sizes", "heterogeneous payloads (0.25-1 MB)", base, []variant{
+	return ablationSweep("extra-sizes", "heterogeneous payloads (0.25-1 MB)", base, []curve{
 		{"FIFO", func(sc *config.Scenario) { sc.PolicyName = "SprayAndWait" }},
 		{"SDSRP", func(sc *config.Scenario) { sc.PolicyName = "SDSRP" }},
 		{"Knapsack", func(sc *config.Scenario) { sc.PolicyName = "Knapsack" }},
@@ -225,7 +161,7 @@ func ExtraEnergy(o Options) ([]report.Panel, error) {
 		TxPerSec:   15,
 		RxPerSec:   10,
 	}
-	return ablationSweep("extra-energy", "finite batteries", base, []variant{
+	return ablationSweep("extra-energy", "finite batteries", base, []curve{
 		{"FIFO", func(sc *config.Scenario) { sc.PolicyName = "SprayAndWait" }},
 		{"SW-C", func(sc *config.Scenario) { sc.PolicyName = "SprayAndWait-C" }},
 		{"SDSRP", func(sc *config.Scenario) { sc.PolicyName = "SDSRP" }},
@@ -246,7 +182,7 @@ func ExtraMap(o Options) ([]report.Panel, error) {
 		MapCols: 12, MapRows: 9, MapSpacing: 400, MapDropProb: 0.1,
 	}
 	base.PriorMeanIntermeeting = 20000
-	return ablationSweep("extra-map", "street-grid mobility (map-based movement)", base, []variant{
+	return ablationSweep("extra-map", "street-grid mobility (map-based movement)", base, []curve{
 		{"SprayAndWait", func(sc *config.Scenario) { sc.PolicyName = "SprayAndWait" }},
 		{"SprayAndWait-O", func(sc *config.Scenario) { sc.PolicyName = "SprayAndWait-O" }},
 		{"SprayAndWait-C", func(sc *config.Scenario) { sc.PolicyName = "SprayAndWait-C" }},

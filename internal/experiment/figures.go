@@ -51,42 +51,70 @@ func paperMetrics() []metric {
 	}
 }
 
-// sweep describes one three-panel column of Fig. 8 / Fig. 9.
+// curve is one line of a sweep's panels: its label and the scenario change
+// that selects it.
+type curve struct {
+	label  string
+	mutate func(*config.Scenario)
+}
+
+// axis is a sweep's x-axis: its points, their tick labels, and the scenario
+// change that applies point i.
+type axis struct {
+	label string
+	x     []float64
+	ticks []string
+	apply func(*config.Scenario, int)
+}
+
+// sweep is one three-panel experiment: every curve at every axis point,
+// once per seed.
 type sweep struct {
-	figure string // "fig8" or "fig9"
-	col    int    // 0: a–c, 1: d–f, 2: g–i
-	title  string
-	xlabel string
-	x      []float64
-	ticks  []string
-	mutate func(*config.Scenario, int) // applies sweep point i
+	id     string  // scenario-name prefix
+	curves []curve // nil: one curve per compared policy (Options.Policies)
+	axis   axis
+	// panel returns the ID and title of the panel plotting metric row mi.
+	panel func(mi int, metric string) (id, title string)
 }
 
-// panelSuffix maps (column, metric) to the paper's panel letter: columns
-// are copies/buffer/rate, rows are delivery/hops/overhead.
-func panelSuffix(col, row int) string {
-	return string(rune('a' + col*3 + row))
+// paperPanels names the panels of one Fig. 8 / Fig. 9 column after the
+// paper's letters: columns are copies/buffer/rate, rows are
+// delivery/hops/overhead.
+func paperPanels(figure string, col int, title string) func(int, string) (string, string) {
+	return func(mi int, metric string) (string, string) {
+		return figure + string(rune('a'+col*3+mi)), metric + " vs " + title
+	}
 }
 
-// runSweep executes policies × sweep points × seeds and reduces to three
-// panels (delivery ratio, hopcounts, overhead), averaging across seeds.
+// letteredPanels names an ablation's or extension's panels id-a to id-c.
+func letteredPanels(id, title string) func(int, string) (string, string) {
+	return func(mi int, metric string) (string, string) {
+		return fmt.Sprintf("%s-%c", id, 'a'+mi), title + " — " + metric
+	}
+}
+
+// runSweep executes curves × axis points × seeds as one batch and reduces
+// the results to three panels (delivery ratio, hopcounts, overhead),
+// averaging across seeds.
 func runSweep(base config.Scenario, sw sweep, o Options) ([]report.Panel, error) {
 	o = o.withDefaults()
 	base = o.apply(base)
-
-	type cell struct{ policy, point, seed int }
+	if sw.curves == nil {
+		for _, pol := range o.Policies {
+			sw.curves = append(sw.curves, curve{pol, func(sc *config.Scenario) { sc.PolicyName = pol }})
+		}
+	}
+	ax := sw.axis
 	var scs []config.Scenario
-	var cells []cell
-	for pi, pol := range o.Policies {
-		for xi := range sw.x {
-			for si, seed := range o.Seeds {
+	for _, c := range sw.curves {
+		for xi := range ax.x {
+			for _, seed := range o.Seeds {
 				sc := base
-				sc.PolicyName = pol
 				sc.Seed = seed
-				sw.mutate(&sc, xi)
-				sc.Name = fmt.Sprintf("%s-%s-%s-%d", sw.figure, pol, sw.ticks[xi], seed)
+				c.mutate(&sc)
+				ax.apply(&sc, xi)
+				sc.Name = fmt.Sprintf("%s-%s-%s-%d", sw.id, c.label, ax.ticks[xi], seed)
 				scs = append(scs, sc)
-				cells = append(cells, cell{pi, xi, si})
 			}
 		}
 	}
@@ -98,28 +126,27 @@ func runSweep(base config.Scenario, sw sweep, o Options) ([]report.Panel, error)
 	metrics := paperMetrics()
 	panels := make([]report.Panel, len(metrics))
 	for mi, m := range metrics {
+		id, title := sw.panel(mi, m.label)
 		panels[mi] = report.Panel{
-			ID:     sw.figure + panelSuffix(sw.col, mi),
-			Title:  m.label + " vs " + sw.title,
-			XLabel: sw.xlabel,
+			ID:     id,
+			Title:  title,
+			XLabel: ax.label,
 			YLabel: m.label,
-			XTicks: sw.ticks,
-			X:      sw.x,
+			XTicks: ax.ticks,
+			X:      ax.x,
 		}
-		for pi, pol := range o.Policies {
-			y := make([]float64, len(sw.x))
-			for xi := range sw.x {
+		for ci, c := range sw.curves {
+			y := make([]float64, len(ax.x))
+			for xi := range ax.x {
+				// The batch is curve-major, then point, then seed.
+				run := results[(ci*len(ax.x)+xi)*len(o.Seeds):][:len(o.Seeds)]
 				var sum float64
-				n := 0
-				for ci, c := range cells {
-					if c.policy == pi && c.point == xi {
-						sum += m.get(results[ci])
-						n++
-					}
+				for _, r := range run {
+					sum += m.get(r)
 				}
-				y[xi] = sum / float64(n)
+				y[xi] = sum / float64(len(run))
 			}
-			panels[mi].Curves = append(panels[mi].Curves, report.Curve{Label: pol, Y: y})
+			panels[mi].Curves = append(panels[mi].Curves, report.Curve{Label: c.label, Y: y})
 		}
 	}
 	return panels, nil
@@ -138,19 +165,14 @@ func Fig9Copies(o Options) ([]report.Panel, error) {
 
 func figCopies(figure string, base config.Scenario, o Options) ([]report.Panel, error) {
 	ls := CopiesSweep()
-	x := make([]float64, len(ls))
-	ticks := make([]string, len(ls))
-	for i, l := range ls {
-		x[i] = float64(l)
-		ticks[i] = fmt.Sprintf("%d", l)
+	ax := axis{label: "initial copies L",
+		apply: func(sc *config.Scenario, i int) { sc.InitialCopies = ls[i] }}
+	for _, l := range ls {
+		ax.x = append(ax.x, float64(l))
+		ax.ticks = append(ax.ticks, fmt.Sprintf("%d", l))
 	}
-	return runSweep(base, sweep{
-		figure: figure, col: 0,
-		title:  "initial number of copies",
-		xlabel: "initial copies L",
-		x:      x, ticks: ticks,
-		mutate: func(sc *config.Scenario, i int) { sc.InitialCopies = ls[i] },
-	}, o)
+	return runSweep(base, sweep{id: figure, axis: ax,
+		panel: paperPanels(figure, 0, "initial number of copies")}, o)
 }
 
 // Fig8Buffer reproduces Fig. 8 (d)–(f): metrics vs buffer size (L = 32,
@@ -165,20 +187,21 @@ func Fig9Buffer(o Options) ([]report.Panel, error) {
 }
 
 func figBuffer(figure string, base config.Scenario, o Options) ([]report.Panel, error) {
+	return runSweep(base, sweep{id: figure, axis: bufferAxis(),
+		panel: paperPanels(figure, 1, "buffer size")}, o)
+}
+
+// bufferAxis is the Table II buffer sweep as an x-axis in megabytes.
+func bufferAxis() axis {
 	bs := BufferSweep()
-	x := make([]float64, len(bs))
-	ticks := make([]string, len(bs))
-	for i, b := range bs {
-		x[i] = float64(b) / float64(config.MB)
-		ticks[i] = fmt.Sprintf("%.1fMB", x[i])
+	ax := axis{label: "buffer size (MB)",
+		apply: func(sc *config.Scenario, i int) { sc.BufferBytes = bs[i] }}
+	for _, b := range bs {
+		x := float64(b) / float64(config.MB)
+		ax.x = append(ax.x, x)
+		ax.ticks = append(ax.ticks, fmt.Sprintf("%.1fMB", x))
 	}
-	return runSweep(base, sweep{
-		figure: figure, col: 1,
-		title:  "buffer size",
-		xlabel: "buffer size (MB)",
-		x:      x, ticks: ticks,
-		mutate: func(sc *config.Scenario, i int) { sc.BufferBytes = bs[i] },
-	}, o)
+	return ax
 }
 
 // Fig8Rate reproduces Fig. 8 (g)–(i): metrics vs message generation rate
@@ -195,21 +218,16 @@ func Fig9Rate(o Options) ([]report.Panel, error) {
 
 func figRate(figure string, base config.Scenario, o Options) ([]report.Panel, error) {
 	rs := RateSweep()
-	x := make([]float64, len(rs))
-	ticks := make([]string, len(rs))
-	for i, r := range rs {
-		x[i] = r[0]
-		ticks[i] = fmt.Sprintf("%.0f-%.0f", r[0], r[1])
-	}
-	return runSweep(base, sweep{
-		figure: figure, col: 2,
-		title:  "message generation interval",
-		xlabel: "generation interval (s)",
-		x:      x, ticks: ticks,
-		mutate: func(sc *config.Scenario, i int) {
+	ax := axis{label: "generation interval (s)",
+		apply: func(sc *config.Scenario, i int) {
 			sc.GenIntervalLo, sc.GenIntervalHi = rs[i][0], rs[i][1]
-		},
-	}, o)
+		}}
+	for _, r := range rs {
+		ax.x = append(ax.x, r[0])
+		ax.ticks = append(ax.ticks, fmt.Sprintf("%.0f-%.0f", r[0], r[1]))
+	}
+	return runSweep(base, sweep{id: figure, axis: ax,
+		panel: paperPanels(figure, 2, "message generation interval")}, o)
 }
 
 // Fig3 reproduces the intermeeting-time distributions: traffic-free runs of

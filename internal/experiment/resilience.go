@@ -9,62 +9,18 @@ import (
 )
 
 // resilienceSweep runs the compared policies across a fault-intensity axis
-// (instead of the usual buffer-size axis) and produces the three paper
-// metric panels. setFault installs the fault config for intensity point xi
-// into a scenario whose Duration has already been scaled.
-func resilienceSweep(id, title, xlabel string, x []float64, ticks []string,
-	setFault func(*config.Scenario, int), o Options) ([]report.Panel, error) {
-	o = o.withDefaults()
-	base := o.apply(config.RandomWaypoint())
-
-	type cell struct{ policy, point int }
-	var scs []config.Scenario
-	var cells []cell
-	for pi, pol := range o.Policies {
-		for xi := range x {
-			for _, seed := range o.Seeds {
-				sc := base
-				sc.PolicyName = pol
-				sc.Seed = seed
-				setFault(&sc, xi)
-				sc.Name = fmt.Sprintf("%s-%s-%s-%d", id, pol, ticks[xi], seed)
-				scs = append(scs, sc)
-				cells = append(cells, cell{pi, xi})
-			}
-		}
+// (instead of the usual buffer-size axis). setFault installs the fault
+// config for intensity xs[i] into a scenario whose Duration has already
+// been scaled.
+func resilienceSweep(id, title, xlabel string, xs []float64,
+	setFault func(*config.Scenario, float64), o Options) ([]report.Panel, error) {
+	ax := axis{label: xlabel, x: xs,
+		apply: func(sc *config.Scenario, i int) { setFault(sc, xs[i]) }}
+	for _, x := range xs {
+		ax.ticks = append(ax.ticks, fmt.Sprintf("%g", x))
 	}
-	results, err := o.runBatch(scs)
-	if err != nil {
-		return nil, err
-	}
-	metrics := paperMetrics()
-	panels := make([]report.Panel, len(metrics))
-	for mi, m := range metrics {
-		panels[mi] = report.Panel{
-			ID:     fmt.Sprintf("%s-%c", id, 'a'+mi),
-			Title:  title + " — " + m.label,
-			XLabel: xlabel,
-			YLabel: m.label,
-			XTicks: ticks,
-			X:      x,
-		}
-		for pi, pol := range o.Policies {
-			y := make([]float64, len(x))
-			for xi := range x {
-				var sum float64
-				n := 0
-				for ci, c := range cells {
-					if c.policy == pi && c.point == xi {
-						sum += m.get(results[ci])
-						n++
-					}
-				}
-				y[xi] = sum / float64(n)
-			}
-			panels[mi].Curves = append(panels[mi].Curves, report.Curve{Label: pol, Y: y})
-		}
-	}
-	return panels, nil
+	return runSweep(config.RandomWaypoint(), sweep{id: id, axis: ax,
+		panel: letteredPanels(id, title)}, o)
 }
 
 // ResilienceLoss sweeps per-transfer loss probability: transfers complete on
@@ -72,14 +28,9 @@ func resilienceSweep(id, title, xlabel string, x []float64, ticks []string,
 // discarded at the receiver. Redundancy-heavy policies shrug it off;
 // token-frugal ones pay more per lost copy.
 func ResilienceLoss(o Options) ([]report.Panel, error) {
-	probs := []float64{0, 0.1, 0.2, 0.3, 0.4}
-	ticks := make([]string, len(probs))
-	for i, p := range probs {
-		ticks[i] = fmt.Sprintf("%g", p)
-	}
 	return resilienceSweep("resilience-loss", "transfer loss", "loss probability",
-		probs, ticks, func(sc *config.Scenario, xi int) {
-			sc.Faults.TransferLossProb = probs[xi]
+		[]float64{0, 0.1, 0.2, 0.3, 0.4}, func(sc *config.Scenario, p float64) {
+			sc.Faults.TransferLossProb = p
 		}, o)
 }
 
@@ -89,18 +40,13 @@ func ResilienceLoss(o Options) ([]report.Panel, error) {
 // Wiping reboots destroy queued copies, so buffer-management quality
 // matters more the less redundancy survives.
 func ResilienceChurn(o Options) ([]report.Panel, error) {
-	outages := []float64{0, 1, 2, 4, 8}
-	ticks := make([]string, len(outages))
-	for i, k := range outages {
-		ticks[i] = fmt.Sprintf("%g", k)
-	}
 	return resilienceSweep("resilience-churn", "node churn (wiping reboots)", "expected outages per node",
-		outages, ticks, func(sc *config.Scenario, xi int) {
-			if outages[xi] == 0 {
+		[]float64{0, 1, 2, 4, 8}, func(sc *config.Scenario, k float64) {
+			if k == 0 {
 				return // no churn at the baseline point
 			}
 			sc.Faults.Churn = fault.Churn{
-				MeanUp:       sc.Duration / outages[xi],
+				MeanUp:       sc.Duration / k,
 				MeanDown:     sc.Duration / 40,
 				WipeOnReboot: true,
 			}
@@ -112,13 +58,8 @@ func ResilienceChurn(o Options) ([]report.Panel, error) {
 // spending spray tokens on attackers, so delivery degrades faster than the
 // removed-node fraction alone would suggest.
 func ResilienceBlackhole(o Options) ([]report.Panel, error) {
-	fracs := []float64{0, 0.1, 0.2, 0.3, 0.4}
-	ticks := make([]string, len(fracs))
-	for i, f := range fracs {
-		ticks[i] = fmt.Sprintf("%g", f)
-	}
 	return resilienceSweep("resilience-blackhole", "black-hole nodes", "black-hole fraction",
-		fracs, ticks, func(sc *config.Scenario, xi int) {
-			sc.Faults.BlackHoleFraction = fracs[xi]
+		[]float64{0, 0.1, 0.2, 0.3, 0.4}, func(sc *config.Scenario, f float64) {
+			sc.Faults.BlackHoleFraction = f
 		}, o)
 }

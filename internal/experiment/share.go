@@ -46,7 +46,7 @@ func contactKey(sc config.Scenario) (string, bool) {
 	sc.GapLambdaEstimator, sc.OracleRateMean = false, 0
 	sc.DisableDropList, sc.UseAcks, sc.PreflightEviction = false, false, false
 	sc.MaxEvents, sc.Warmup = 0, 0
-	sc.RecordIntermeeting, sc.RecordContacts = false, false
+	sc.RecordIntermeeting = false
 	// Fault models that act on transfers and roles. Jitter is drawn inside
 	// linkUp from its own substream, and replay still calls linkUp.
 	sc.Faults.TransferLossProb = 0

@@ -53,7 +53,6 @@ var contactFields = map[string]bool{
 	"Scenario.UseAcks":               false,
 	"Scenario.MaxEvents":             false,
 	"Scenario.RecordIntermeeting":    false,
-	"Scenario.RecordContacts":        false,
 
 	"Mobility.Kind":           true,
 	"Mobility.SpeedLo":        true,

@@ -581,26 +581,12 @@ func (s *kinetic) emitUps(now float64) {
 	}
 }
 
-// replayNaiveUps is the sweep's multi-up fallback: sample everyone, rebuild
-// the grid, and emit ups in grid order. Kept only as emitUps's safety valve.
+// replayNaiveUps is the sweep's multi-up fallback: sample everyone, then
+// emit ups in grid order. Kept only as emitUps's safety valve.
 func (s *kinetic) replayNaiveUps(now float64) {
 	m := s.m
 	for i := range m.models {
 		s.samplePos(i, now)
 	}
-	m.grid.Update(m.positions)
-	m.pairBuf = m.grid.Pairs(m.maxRange, m.pairBuf[:0])
-	m.pairsChecked += uint64(len(m.pairBuf))
-	for _, pr := range m.pairBuf {
-		if !m.pairInContact(int(pr[0]), int(pr[1])) {
-			continue
-		}
-		k := pairKey{pr[0], pr[1]}
-		if m.flapped[k] {
-			continue
-		}
-		if m.linkOf(k) == nil {
-			m.linkUp(k, now)
-		}
-	}
+	m.pairsChecked += uint64(m.gridUps(now))
 }

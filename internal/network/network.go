@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"sdsrp/internal/fault"
@@ -53,9 +52,6 @@ type Config struct {
 	Ranges []float64
 	// Energy enables the per-node battery model when Capacity > 0.
 	Energy EnergyConfig
-	// RecordContacts keeps a log of finished contacts (a, b, start, end)
-	// retrievable from ContactLog — exportable as a replayable trace.
-	RecordContacts bool
 	// Tracer receives contact and transfer events; nil disables tracing.
 	Tracer obs.Tracer
 	// Faults is the run's fault injector; nil disables fault injection at
@@ -187,14 +183,13 @@ type Manager struct {
 	// sampler; nil unless inter is set.
 	lastEnd map[pairKey]float64
 
-	positions  []geo.Point
-	pairBuf    [][2]int32
-	contacts   int
-	durations  stats.Sampler
-	energy     *energyState
-	ranges     []float64 // per-node; nil when uniform
-	maxRange   float64
-	contactLog []Contact
+	positions []geo.Point
+	pairBuf   [][2]int32
+	contacts  int
+	durations stats.Sampler
+	energy    *energyState
+	ranges    []float64 // per-node; nil when uniform
+	maxRange  float64
 
 	faults *fault.Injector
 	// down marks churn-crashed nodes (nil unless churn is enabled).
@@ -410,10 +405,6 @@ func (m *Manager) collectDowns() []*link {
 // seconds (links still up at the horizon are not included).
 func (m *Manager) ContactDurations() *stats.Sampler { return &m.durations }
 
-// ContactLog returns the finished contacts recorded so far (empty unless
-// Config.RecordContacts; links still up at the horizon are not included).
-func (m *Manager) ContactLog() []Contact { return m.contactLog }
-
 // Scan samples positions, diffs the in-range pair set against the active
 // links, and emits link-up/down transitions. Exported for tests; normally
 // driven by Start. Dispatches to the strategy selected by Config.Scan; all
@@ -447,17 +438,15 @@ func (m *Manager) scanNaive(now float64) {
 	for i, model := range m.models {
 		m.positions[i] = model.Pos(now)
 	}
-	m.grid.Update(m.positions)
-	m.pairBuf = m.grid.Pairs(m.maxRange, m.pairBuf[:0])
 
 	// Downs first (frees endpoints), in key order: the teardown order must
 	// never inherit the live table's order, or the abort/kick sequence —
 	// and every event it emits — would depend on which links happened to
 	// be swap-removed earlier. The in-contact predicate is recomputed per
 	// link instead of consulting a freshly built pair set: pairInContact
-	// true implies membership in pairBuf (the grid finds every pair within
-	// maxRange ≥ the pair range), so the diff is exact without a per-tick
-	// set.
+	// true implies membership in the grid's pair list (the grid finds
+	// every pair within maxRange ≥ the pair range), so the diff is exact
+	// without a per-tick set.
 	downs := m.collectDowns()
 	// Kicks are deferred until every down in this tick is processed, so a
 	// freed endpoint never starts a transfer on a sibling link that is
@@ -466,10 +455,27 @@ func (m *Manager) scanNaive(now float64) {
 	for _, l := range downs {
 		freed = m.linkDown(l, now, freed)
 	}
+	pairs := m.gridUps(now)
+	// Separated pairs may flap again on their next genuine contact.
+	for k := range m.flapped {
+		if !m.pairInContact(int(k[0]), int(k[1])) {
+			delete(m.flapped, k)
+		}
+	}
+	m.pairsChecked += uint64(len(m.live)) + uint64(pairs) + uint64(len(m.flapped))
+	m.finishScan(freed, now)
+}
 
-	// Ups in grid order (already deterministic), skipping existing links,
-	// dead endpoints, and flap-suppressed pairs (a flapped contact stays
-	// down until the nodes genuinely separate).
+// gridUps rebuilds the grid from this tick's positions, which the caller
+// must have sampled for every node, and brings up every in-contact pair in
+// the grid's enumeration order, skipping existing links and flap-suppressed
+// pairs (a flapped contact stays down until the nodes genuinely separate).
+// That order is the naive scan's, which every planner's multi-up tick
+// reproduces through this method. It returns the number of grid pairs
+// checked.
+func (m *Manager) gridUps(now float64) int {
+	m.grid.Update(m.positions)
+	m.pairBuf = m.grid.Pairs(m.maxRange, m.pairBuf[:0])
 	for _, p := range m.pairBuf {
 		if !m.pairInContact(int(p[0]), int(p[1])) {
 			continue
@@ -482,29 +488,13 @@ func (m *Manager) scanNaive(now float64) {
 			m.linkUp(k, now)
 		}
 	}
-	// Separated pairs may flap again on their next genuine contact.
-	for k := range m.flapped {
-		if !m.pairInContact(int(k[0]), int(k[1])) {
-			delete(m.flapped, k)
-		}
-	}
-	m.pairsChecked += uint64(len(m.live)) + uint64(len(m.pairBuf)) + uint64(len(m.flapped))
-	m.finishScan(freed, now)
+	return len(m.pairBuf)
 }
 
 // finishScan kicks the endpoints freed by this tick's downs, in sorted
 // deduplicated order, and parks the scratch slices for the next tick.
 func (m *Manager) finishScan(freed []int, now float64) {
-	if len(freed) > 0 {
-		sort.Ints(freed)
-		prev := -1
-		for _, id := range freed {
-			if id != prev {
-				m.kick(id, now)
-				prev = id
-			}
-		}
-	}
+	kickAll(m, freed, now, -1)
 	clear(m.downsBuf) // release the torn-down links
 	m.downsBuf = m.downsBuf[:0]
 	m.freedBuf = freed[:0]
@@ -587,11 +577,6 @@ func (m *Manager) linkDown(l *link, now float64, freed []int) []int {
 	m.adj[k[1]] = removeLink(m.adj[k[1]], l)
 	l.flapTimer.Cancel()
 	m.durations.Add(now - l.upAt)
-	if m.cfg.RecordContacts {
-		m.contactLog = append(m.contactLog, Contact{
-			A: int(k[0]), B: int(k[1]), Start: l.upAt, End: now,
-		})
-	}
 	if m.sweep != nil {
 		// Every teardown — scan separation, flap, churn crash — returns the
 		// pair to the every-tick set; the next tick re-parks it if it is

@@ -362,21 +362,7 @@ func (m *Manager) scanLazy(now float64) {
 		for i := range m.models {
 			s.samplePos(i, now)
 		}
-		m.grid.Update(m.positions)
-		m.pairBuf = m.grid.Pairs(m.maxRange, m.pairBuf[:0])
-		checked += uint64(len(m.pairBuf))
-		for _, pr := range m.pairBuf {
-			if !m.pairInContact(int(pr[0]), int(pr[1])) {
-				continue
-			}
-			k := pairKey{pr[0], pr[1]}
-			if m.flapped[k] {
-				continue
-			}
-			if m.linkOf(k) == nil {
-				m.linkUp(k, now)
-			}
-		}
+		checked += uint64(m.gridUps(now))
 	}
 	s.ups = ups[:0]
 

@@ -70,12 +70,18 @@ const (
 	// LinkFlap: the fault layer cut a live contact short (Node < Peer); a
 	// contact_down for the pair follows immediately.
 	LinkFlap
+	// MessagePurged: a copy left a buffer outside the policy and TTL paths
+	// (Node = holder, Kind = "ack" for an ACK-immunization purge, "wipe"
+	// for a churn reboot that lost the whole buffer).
+	MessagePurged
 	// Snapshot: a periodic whole-network state sample emitted by the
 	// world's sampler (LiveMsgs distinct buffered messages, LiveCopies
 	// total buffered copies, Contacts active links, Queue live engine
-	// events, Used per-node buffer occupancy in bytes). Snapshots ride the
+	// events, Fill mean buffer fill over hosts with a byte budget, Used
+	// per-node buffer occupancy in bytes). Snapshots ride the
 	// same deterministic JSONL stream as lifecycle events, giving offline
-	// tools the congestion signal without a second log.
+	// tools the congestion signal without a second log. Snapshot stays the
+	// last Type: consumers size per-type tables as [Snapshot + 1].
 	Snapshot
 
 	numTypes = int(Snapshot) + 1
@@ -112,6 +118,8 @@ func (t Type) String() string {
 		return "node_up"
 	case LinkFlap:
 		return "link_flap"
+	case MessagePurged:
+		return "purged"
 	case Snapshot:
 		return "snapshot"
 	default:
@@ -133,13 +141,14 @@ type Event struct {
 	Hops     int     // path length (delivered)
 	Latency  float64 // seconds from creation to delivery (delivered)
 	Priority float64 // policy drop score of the victim (dropped)
-	Kind     string  // transfer semantics (forwarded, transfer_start)
+	Kind     string  // transfer semantics (forwarded, transfer_start) or purge cause (purged)
 
 	// Snapshot-only fields (Type == Snapshot); zero otherwise.
 	LiveMsgs   int     // distinct messages with at least one buffered copy
 	LiveCopies int     // buffered copies network-wide
 	Contacts   int     // active links at sample time
 	Queue      int     // live (non-canceled) engine events pending
+	Fill       float64 // mean Used/capacity over hosts with a non-zero capacity (0 when none)
 	Used       []int64 // per-node buffer occupancy in bytes, indexed by node
 }
 
@@ -181,6 +190,10 @@ func (e Event) AppendJSON(b []byte) []byte {
 	case MessageExpired:
 		b = appendIntField(b, "msg", int64(e.Msg))
 		b = appendIntField(b, "node", int64(e.Node))
+	case MessagePurged:
+		b = appendIntField(b, "msg", int64(e.Msg))
+		b = appendIntField(b, "node", int64(e.Node))
+		b = appendStrField(b, "kind", e.Kind)
 	case MessageRefused, TransferAbort, TransferLost:
 		b = appendIntField(b, "msg", int64(e.Msg))
 		b = appendIntField(b, "node", int64(e.Node))
@@ -201,6 +214,7 @@ func (e Event) AppendJSON(b []byte) []byte {
 		b = appendIntField(b, "live_copies", int64(e.LiveCopies))
 		b = appendIntField(b, "contacts", int64(e.Contacts))
 		b = appendIntField(b, "queue", int64(e.Queue))
+		b = appendFloatField(b, "fill", e.Fill)
 		b = append(b, `,"used":[`...)
 		for i, u := range e.Used {
 			if i > 0 {

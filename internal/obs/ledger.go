@@ -20,8 +20,9 @@ type Forward struct {
 }
 
 // Removal is one copy leaving a buffer: a policy eviction (cause "policy",
-// with the policy's drop score at eviction time) or a TTL sweep (cause
-// "expired").
+// with the policy's drop score at eviction time), a TTL sweep (cause
+// "expired"), an ACK-immunization purge (cause "ack") or a churn reboot's
+// buffer wipe (cause "wipe").
 type Removal struct {
 	T        float64 `json:"t"`
 	Node     int     `json:"node"`
@@ -40,6 +41,9 @@ const (
 	FateDropped = "dropped"
 	// FateStranded: undelivered with copies still buffered at the horizon.
 	FateStranded = "stranded"
+	// FateWiped: every copy is gone and the last removal was a churn
+	// reboot's buffer wipe.
+	FateWiped = "wiped"
 )
 
 // MessageRecord is the folded lifecycle of one message: its identity, every
@@ -59,6 +63,7 @@ type MessageRecord struct {
 	Hops          int       `json:"hops,omitempty"`
 	Path          []int     `json:"path,omitempty"`
 	LiveCopies    int       `json:"live_copies,omitempty"`
+	Seen          int       `json:"seen"` // true m_i (Eq. 15): non-source nodes that stored a copy or, as destination, consumed one
 	Refused       int       `json:"refused,omitempty"`
 	Aborted       int       `json:"aborted,omitempty"`
 	Lost          int       `json:"lost,omitempty"`
@@ -72,8 +77,10 @@ type MessageRecord struct {
 	lastRelay  int
 	deliverIdx int
 	// holders tracks which nodes currently buffer a copy, per the event
-	// stream. Internal: callers read LiveCopies after finalize.
-	holders map[int]bool
+	// stream; carriers every node that ever stored one, plus the
+	// destination once served. Internal: callers read LiveCopies and Seen
+	// after finalize.
+	holders, carriers map[int]bool
 }
 
 // Ledger folds a run's event stream into per-message provenance records —
@@ -81,11 +88,11 @@ type MessageRecord struct {
 // it can ride a run directly (via Multi) or replay a JSONL log through
 // LogReader.
 //
-// Known blind spots, inherent to the event vocabulary: ACK-immunization
-// purges and churn buffer wipes remove copies without emitting per-message
-// events, so under Scenario.UseAcks or fault churn with buffer wipe the
-// ledger over-counts live copies (such messages lean toward FateStranded).
-// All counters cross-checked by `dtntrace stats` are exact regardless.
+// Every way a copy enters or leaves a buffer has an event (ACK purges and
+// churn wipes emit purged), so a ledger folded from a whole log ends with
+// each message's LiveCopies and Seen equal to the simulator's ground truth
+// (routing.Tracker's Live and Seen). A log cut short yields records that
+// start at its first event.
 type Ledger struct {
 	recs  map[msg.ID]*MessageRecord
 	order []*MessageRecord
@@ -94,6 +101,14 @@ type Ledger struct {
 	// running sum for bit-identical means.
 	deliveries []*MessageRecord
 	horizon    float64
+	// arrival is the receiver of the last event if it was a forward: the
+	// copy counts as stored unless the next event is that receiver's drop
+	// of it (drop on arrival) or its transfer_lost (a black hole).
+	arrival struct {
+		r     *MessageRecord
+		peer  int
+		fresh bool // the forward made peer a carrier
+	}
 }
 
 // NewLedger returns an empty ledger.
@@ -106,7 +121,8 @@ func NewLedger() *Ledger {
 func (l *Ledger) rec(id msg.ID) *MessageRecord {
 	r, ok := l.recs[id]
 	if !ok {
-		r = &MessageRecord{ID: id, Source: -1, Dest: -1, holders: make(map[int]bool)}
+		r = &MessageRecord{ID: id, Source: -1, Dest: -1,
+			holders: make(map[int]bool), carriers: make(map[int]bool)}
 		l.recs[id] = r
 		l.order = append(l.order, r)
 	}
@@ -117,6 +133,14 @@ func (l *Ledger) rec(id msg.ID) *MessageRecord {
 func (l *Ledger) Emit(ev Event) {
 	if ev.T > l.horizon {
 		l.horizon = ev.T
+	}
+	a := l.arrival
+	l.arrival.r = nil
+	unstored := a.r != nil && ev.Msg == a.r.ID &&
+		(ev.Type == MessageDropped && ev.Node == a.peer ||
+			ev.Type == TransferLost && ev.Peer == a.peer)
+	if unstored && a.fresh {
+		delete(a.r.carriers, a.peer)
 	}
 	switch ev.Type {
 	case MessageCreated:
@@ -132,6 +156,8 @@ func (l *Ledger) Emit(ev Event) {
 		if ev.Kind == "handoff" {
 			delete(r.holders, ev.Node)
 		}
+		l.arrival.r, l.arrival.peer, l.arrival.fresh = r, ev.Peer, !r.carriers[ev.Peer]
+		r.carriers[ev.Peer] = true
 	case MessageDelivered:
 		r := l.rec(ev.Msg)
 		if !r.delivered {
@@ -142,6 +168,7 @@ func (l *Ledger) Emit(ev Event) {
 		}
 		// The delivering node discards its now-useless copy.
 		delete(r.holders, ev.Node)
+		r.carriers[ev.Peer] = true
 	case MessageDropped:
 		r := l.rec(ev.Msg)
 		r.Removals = append(r.Removals, Removal{T: ev.T, Node: ev.Node,
@@ -152,13 +179,19 @@ func (l *Ledger) Emit(ev Event) {
 		r.Removals = append(r.Removals, Removal{T: ev.T, Node: ev.Node,
 			Cause: "expired"})
 		delete(r.holders, ev.Node)
+	case MessagePurged:
+		r := l.rec(ev.Msg)
+		r.Removals = append(r.Removals, Removal{T: ev.T, Node: ev.Node,
+			Cause: ev.Kind})
+		delete(r.holders, ev.Node)
 	case MessageRefused:
 		l.rec(ev.Msg).Refused++
 	case TransferAbort:
 		l.rec(ev.Msg).Aborted++
 	case TransferLost:
-		// The preceding forwarded event credited the receiver with a copy
-		// the black-hole (or lossy radio) never stored.
+		// A black hole's loss follows the forward that credited it with a
+		// copy it never stored; a radio loss has no forward, and its
+		// receiver holds no copy.
 		r := l.rec(ev.Msg)
 		r.Lost++
 		delete(r.holders, ev.Peer)
@@ -197,14 +230,24 @@ func (l *Ledger) Record(id msg.ID) *MessageRecord {
 func (l *Ledger) finalize() {
 	for _, r := range l.order {
 		r.LiveCopies = len(r.holders)
+		r.Seen = len(r.carriers)
+		if r.carriers[r.Source] {
+			r.Seen--
+		}
+		last := ""
+		if n := len(r.Removals); n > 0 {
+			last = r.Removals[n-1].Cause
+		}
 		switch {
 		case r.delivered:
 			r.Fate = FateDelivered
 			r.reconstructPath()
 		case r.LiveCopies > 0:
 			r.Fate = FateStranded
-		case len(r.Removals) > 0 && r.Removals[len(r.Removals)-1].Cause == "expired":
+		case last == "expired":
 			r.Fate = FateExpired
+		case last == "wipe":
+			r.Fate = FateWiped
 		default:
 			// Every copy died by eviction (including drop-on-arrival at the
 			// source: a created event immediately followed by a drop).

@@ -97,6 +97,53 @@ func TestLedgerTransferLostRevokesReceiverCopy(t *testing.T) {
 	}
 }
 
+// TestLedgerSeenAndPurges pins the per-message record a ledger reports in
+// place of the simulator's own fate table: seen counts every node that
+// stored a copy or consumed it as destination, never the source, a drop on
+// arrival or a black hole; purges remove live copies; and a message whose
+// last copy a reboot wiped ends wiped. The JSONL record carries both.
+func TestLedgerSeenAndPurges(t *testing.T) {
+	l := feedLedger([]Event{
+		{T: 0, Type: MessageCreated, Msg: 1, Node: 0, Peer: 9, Copies: 8},
+		{T: 1, Type: MessageForwarded, Msg: 1, Node: 0, Peer: 3, Copies: 4, Kind: "spray"},
+		{T: 2, Type: MessageForwarded, Msg: 1, Node: 0, Peer: 4, Copies: 2, Kind: "spray"},
+		{T: 2, Type: MessageDropped, Msg: 1, Node: 4}, // drop on arrival
+		{T: 3, Type: MessageForwarded, Msg: 1, Node: 3, Peer: 6, Copies: 2, Kind: "spray"},
+		{T: 3, Type: TransferLost, Msg: 1, Node: 3, Peer: 6}, // black hole
+		{T: 4, Type: MessageForwarded, Msg: 1, Node: 3, Peer: 5, Copies: 1, Kind: "spray"},
+		{T: 4, Type: MessageDropped, Msg: 2, Node: 5}, // a victim, not the newcomer
+		{T: 5, Type: MessageDelivered, Msg: 1, Node: 5, Peer: 9, Hops: 3, Latency: 5},
+		{T: 6, Type: MessagePurged, Msg: 1, Node: 0, Kind: "ack"},
+		{T: 7, Type: MessageCreated, Msg: 3, Node: 2, Peer: 8, Copies: 1},
+		{T: 8, Type: MessageForwarded, Msg: 3, Node: 2, Peer: 7, Copies: 1, Kind: "handoff"},
+		{T: 9, Type: MessagePurged, Msg: 3, Node: 7, Kind: "wipe"},
+	})
+	one := l.Record(1)
+	if one.Seen != 3 { // 3, 5 and the destination 9
+		t.Errorf("msg 1: seen = %d, want 3", one.Seen)
+	}
+	if one.LiveCopies != 1 { // node 3; 0 was purged, 5 delivered
+		t.Errorf("msg 1: live copies = %d, want 1", one.LiveCopies)
+	}
+	three := l.Record(3)
+	if three.Fate != FateWiped || three.LiveCopies != 0 || three.Seen != 1 {
+		t.Errorf("msg 3: fate/live/seen = %s/%d/%d, want wiped/0/1",
+			three.Fate, three.LiveCopies, three.Seen)
+	}
+	var buf bytes.Buffer
+	if err := l.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if !strings.Contains(lines[0], `"live_copies":1,"seen":3,`) ||
+		!strings.Contains(lines[0], `{"t":6,"node":0,"cause":"ack","priority":0}`) {
+		t.Errorf("msg 1 record = %s", lines[0])
+	}
+	if !strings.Contains(lines[2], `"fate":"wiped"`) || !strings.Contains(lines[2], `"seen":1,`) {
+		t.Errorf("msg 3 record = %s", lines[2])
+	}
+}
+
 func TestLedgerFates(t *testing.T) {
 	l := feedLedger([]Event{
 		// msg 1: dropped everywhere (policy last).

@@ -46,6 +46,7 @@ type eventWire struct {
 	LiveCopies int     `json:"live_copies"`
 	Contacts   int     `json:"contacts"`
 	Queue      int     `json:"queue"`
+	Fill       float64 `json:"fill"`
 	Used       []int64 `json:"used"`
 }
 
@@ -76,6 +77,7 @@ func ParseEvent(line []byte) (Event, error) {
 		LiveCopies: w.LiveCopies,
 		Contacts:   w.Contacts,
 		Queue:      w.Queue,
+		Fill:       w.Fill,
 		Used:       w.Used,
 	}, nil
 }

@@ -28,8 +28,9 @@ func allTypeEvents() []Event {
 		{T: 110, Type: NodeDown, Node: 3},
 		{T: 120, Type: NodeUp, Node: 3},
 		{T: 130, Type: LinkFlap, Node: 0, Peer: 4},
+		{T: 135, Type: MessagePurged, Msg: 7, Node: 5, Kind: "ack"},
 		{T: 140, Type: Snapshot, LiveMsgs: 3, LiveCopies: 7, Contacts: 2, Queue: 15,
-			Used: []int64{0, 25000, 50000}},
+			Fill: 0.375, Used: []int64{0, 25000, 50000}},
 	}
 }
 

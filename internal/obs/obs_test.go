@@ -41,8 +41,10 @@ func TestAppendJSONPerType(t *testing.T) {
 			`{"t":120,"type":"node_up","node":3}`},
 		{Event{T: 130, Type: LinkFlap, Node: 0, Peer: 4},
 			`{"t":130,"type":"link_flap","node":0,"peer":4}`},
-		{Event{T: 140, Type: Snapshot, LiveMsgs: 3, LiveCopies: 7, Contacts: 2, Queue: 15, Used: []int64{0, 25000, 50000}},
-			`{"t":140,"type":"snapshot","live_msgs":3,"live_copies":7,"contacts":2,"queue":15,"used":[0,25000,50000]}`},
+		{Event{T: 135, Type: MessagePurged, Msg: 7, Node: 5, Kind: "wipe"},
+			`{"t":135,"type":"purged","msg":7,"node":5,"kind":"wipe"}`},
+		{Event{T: 140, Type: Snapshot, LiveMsgs: 3, LiveCopies: 7, Contacts: 2, Queue: 15, Fill: 0.375, Used: []int64{0, 25000, 50000}},
+			`{"t":140,"type":"snapshot","live_msgs":3,"live_copies":7,"contacts":2,"queue":15,"fill":0.375,"used":[0,25000,50000]}`},
 	}
 	for _, c := range cases {
 		got := string(c.ev.AppendJSON(nil))

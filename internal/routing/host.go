@@ -373,12 +373,15 @@ func (h *Host) purgeAcked(now float64) {
 	}
 	for _, s := range dead {
 		h.buf.Remove(s.M.ID)
+		if h.tracer != nil {
+			h.tracer.Emit(obs.Event{T: now, Type: obs.MessagePurged, Msg: s.M.ID,
+				Node: h.id, Kind: "ack"})
+		}
 		if h.tracker != nil {
 			h.tracker.NoteRemoved(s.M.ID, h.id)
 		}
 		h.collector.AckPurged()
 	}
-	_ = now
 }
 
 // WipeState models a cold reboot after a churn outage: every buffered copy
@@ -393,6 +396,10 @@ func (h *Host) WipeState(now float64) int {
 	copy(dead, items) // Remove mutates the buffer's backing slice
 	for _, s := range dead {
 		h.buf.Remove(s.M.ID)
+		if h.tracer != nil {
+			h.tracer.Emit(obs.Event{T: now, Type: obs.MessagePurged, Msg: s.M.ID,
+				Node: h.id, Kind: "wipe"})
+		}
 		if h.tracker != nil {
 			h.tracker.NoteRemoved(s.M.ID, h.id)
 		}
@@ -400,7 +407,6 @@ func (h *Host) WipeState(now float64) int {
 	if h.drops != nil {
 		h.drops.Reset()
 	}
-	_ = now
 	return len(dead)
 }
 

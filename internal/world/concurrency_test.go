@@ -7,7 +7,7 @@ import (
 	"sync"
 	"testing"
 
-	"sdsrp/internal/network"
+	"sdsrp/internal/trace"
 )
 
 // TestWorkerCountsMatchSerial pins the isolation the experiment runner's
@@ -35,7 +35,7 @@ func TestWorkerCountsMatchSerial(t *testing.T) {
 				for _, workers := range []int{2, 4} {
 					traces := make([][]byte, workers)
 					results := make([]Result, workers)
-					logs := make([][]network.Contact, workers)
+					logs := make([][]trace.Contact, workers)
 					errs := make([]error, workers)
 					var wg sync.WaitGroup
 					for i := range workers {

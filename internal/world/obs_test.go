@@ -7,8 +7,12 @@ import (
 	"testing"
 
 	"sdsrp/internal/config"
+	"sdsrp/internal/mobility"
 	"sdsrp/internal/network"
 	"sdsrp/internal/obs"
+	"sdsrp/internal/policy"
+	"sdsrp/internal/rng"
+	"sdsrp/internal/routing"
 	"sdsrp/internal/sim"
 	"sdsrp/internal/stats"
 )
@@ -92,7 +96,7 @@ func TestTracedRunLifecycleConsistency(t *testing.T) {
 		case "created":
 			created[*l.Msg] = true
 		case "delivered", "dropped", "expired", "forwarded", "transfer_start",
-			"transfer_abort", "transfer_lost", "refused":
+			"transfer_abort", "transfer_lost", "refused", "purged":
 			if l.Msg == nil {
 				t.Fatalf("%s event without msg: %q", l.Type, raw)
 			}
@@ -244,29 +248,31 @@ func TestSnapshotCadenceAndShape(t *testing.T) {
 }
 
 // TestSnapshotMatchesResult cross-checks a post-run Snapshot against the
-// world's own end-of-run accounting.
+// world's own end-of-run accounting and the ledger folded from the run.
 func TestSnapshotMatchesResult(t *testing.T) {
 	sc := tinyTracedScenario()
-	ring := obs.NewRing(8)
-	w, err := Build(sc, WithTracer(ring))
+	ledger := obs.NewLedger()
+	w, err := Build(sc, WithTracer(ledger))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, w)
 	snap := w.Snapshot(sc.Duration)
-	var liveCopies int
-	liveIDs := map[int]bool{}
-	for _, f := range w.MessageFates() {
-		liveCopies += f.LiveCopies
-		if f.LiveCopies > 0 {
-			liveIDs[int(f.ID)] = true
+	var liveCopies, liveMsgs int
+	for _, r := range ledger.Records() {
+		if live := w.Tracker.Live(r.ID); r.LiveCopies != live {
+			t.Errorf("msg %d: ledger %d live copies, tracker %d", r.ID, r.LiveCopies, live)
+		}
+		liveCopies += r.LiveCopies
+		if r.LiveCopies > 0 {
+			liveMsgs++
 		}
 	}
 	if snap.LiveCopies != liveCopies {
-		t.Errorf("snapshot copies %d, tracker sum %d", snap.LiveCopies, liveCopies)
+		t.Errorf("snapshot copies %d, ledger sum %d", snap.LiveCopies, liveCopies)
 	}
-	if snap.LiveMsgs != len(liveIDs) {
-		t.Errorf("snapshot live msgs %d, tracker %d", snap.LiveMsgs, len(liveIDs))
+	if snap.LiveMsgs != liveMsgs {
+		t.Errorf("snapshot live msgs %d, ledger %d", snap.LiveMsgs, liveMsgs)
 	}
 	if snap.Contacts != w.Manager.ActiveLinks() {
 		t.Errorf("snapshot contacts %d, manager %d", snap.Contacts, w.Manager.ActiveLinks())
@@ -332,38 +338,44 @@ func TestRunStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestTimelineZeroHostsAndZeroCapacity guards the mean-fill computation
-// against division by zero: no hosts, or hosts reporting zero capacity,
-// must yield BufferFill 0, not NaN.
-func TestTimelineZeroHostsAndZeroCapacity(t *testing.T) {
-	eng := sim.NewEngine()
-	collector := stats.NewCollector()
-	mgr, err := network.NewManager(eng, network.Config{
-		Area: config.RandomWaypoint().Area, Range: 10, Bandwidth: 1, ScanInterval: 1e9,
-	}, nil, nil, collector, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &World{Engine: eng, Manager: mgr, Collector: collector,
-		Scenario: config.Scenario{Duration: 10}}
-	if err := w.EnableTimeline(2); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run(10)
-	pts := w.Timeline()
-	if len(pts) == 0 {
-		t.Fatal("no timeline points")
-	}
-	for _, p := range pts {
-		if p.BufferFill != p.BufferFill || p.BufferFill != 0 { // NaN check + zero
-			t.Fatalf("BufferFill = %v, want 0 for host-less world", p.BufferFill)
+// TestSnapshotFillZeroHostsAndZeroCapacity guards the mean-fill
+// computation against division by zero: no hosts, or hosts reporting zero
+// capacity, must yield fill 0, not NaN, in every snapshot line.
+func TestSnapshotFillZeroHostsAndZeroCapacity(t *testing.T) {
+	for _, nodes := range []int{0, 2} {
+		eng := sim.NewEngine()
+		collector := stats.NewCollector()
+		hosts := make([]*routing.Host, nodes)
+		models := make([]mobility.Model, nodes)
+		for i := range hosts {
+			pol, err := policy.ByName("SprayAndWait", rng.New(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			proto, _ := routing.ProtocolByName("spray-and-wait")
+			hosts[i] = routing.NewHost(routing.HostConfig{ID: i, Nodes: nodes,
+				Policy: pol, Proto: proto, Clock: eng.Now, Collector: collector})
+			models[i] = mobility.Static{}
 		}
-	}
-	var csv bytes.Buffer
-	if err := WriteTimelineCSV(&csv, pts); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(csv.String(), "NaN") {
-		t.Fatal("timeline CSV contains NaN")
+		mgr, err := network.NewManager(eng, network.Config{
+			Area: config.RandomWaypoint().Area, Range: 10, Bandwidth: 1, ScanInterval: 1e9,
+		}, hosts, models, collector, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		jsonl := obs.NewJSONL(&buf)
+		w := &World{Engine: eng, Hosts: hosts, Manager: mgr, Collector: collector,
+			tracer: jsonl, Scenario: config.Scenario{Duration: 10}}
+		if err := w.EnableSnapshots(2); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run(10)
+		if err := jsonl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if n := bytes.Count(buf.Bytes(), []byte(`"fill":0,`)); n != 5 {
+			t.Fatalf("%d nodes: %d of 5 snapshots with fill 0:\n%s", nodes, n, buf.String())
+		}
 	}
 }

@@ -1,76 +1,20 @@
 package world
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
-	"strconv"
 
 	"sdsrp/internal/msg"
 	"sdsrp/internal/obs"
 )
 
-// TimelinePoint is one periodic snapshot of global run state, for
-// delivery-over-time and congestion plots.
-type TimelinePoint struct {
-	T             float64
-	Created       int
-	Delivered     int
-	DeliveryRatio float64
-	Forwards      int
-	PolicyDrops   int
-	ActiveLinks   int
-	// BufferFill is the mean buffer occupancy fraction across hosts.
-	BufferFill float64
-}
-
-// EnableTimeline schedules a snapshot every interval seconds (call before
-// Run). The samples are available from Timeline afterwards. A
-// non-positive interval is rejected.
-func (w *World) EnableTimeline(interval float64) error {
-	if interval <= 0 {
-		return fmt.Errorf("world: timeline interval must be positive, got %v", interval)
-	}
-	w.Engine.Every(interval, func(now float64) {
-		s := w.Collector.Summarize()
-		// Mean fill over hosts with a real byte budget; zero-capacity
-		// buffers (and host-less scenarios) would otherwise inject NaN
-		// into the CSV.
-		var fill float64
-		counted := 0
-		for _, h := range w.Hosts {
-			if capacity := h.Buffer().Capacity(); capacity > 0 {
-				fill += float64(h.Buffer().Used()) / float64(capacity)
-				counted++
-			}
-		}
-		if counted > 0 {
-			fill /= float64(counted)
-		}
-		w.timeline = append(w.timeline, TimelinePoint{
-			T:             now,
-			Created:       s.Created,
-			Delivered:     s.Delivered,
-			DeliveryRatio: s.DeliveryRatio,
-			Forwards:      s.Forwards,
-			PolicyDrops:   s.PolicyDrops,
-			ActiveLinks:   w.Manager.ActiveLinks(),
-			BufferFill:    fill,
-		})
-	})
-	return nil
-}
-
-// Timeline returns the snapshots collected so far.
-func (w *World) Timeline() []TimelinePoint { return w.timeline }
-
 // EnableSnapshots schedules a whole-network state sample every interval
 // seconds of simulation time, emitted as an obs.Snapshot event through the
 // run's tracer (call before Run). The sampler rides the same deterministic
 // event stream as lifecycle events, so `dtntrace series` can plot buffer
-// occupancy, live copies, active contacts, and engine queue depth over time
-// from the one JSONL log. A non-positive interval or a tracer-less world is
-// rejected.
+// occupancy and fill, live copies, active contacts and engine queue depth
+// over time from the one JSONL log, next to the created, delivered,
+// forwarded and dropped counts it tallies from the events before each
+// snapshot. A non-positive interval or a tracer-less world is rejected.
 func (w *World) EnableSnapshots(interval float64) error {
 	if interval <= 0 {
 		return fmt.Errorf("world: snapshot interval must be positive, got %v", interval)
@@ -86,18 +30,29 @@ func (w *World) EnableSnapshots(interval float64) error {
 
 // Snapshot builds the instantaneous network-state event at time now: live
 // message/copy census from the buffers, active link count, live engine
-// queue depth, and per-node buffer occupancy.
+// queue depth, mean buffer fill, and per-node buffer occupancy.
 func (w *World) Snapshot(now float64) obs.Event {
 	used := make([]int64, len(w.Hosts))
 	copies := 0
 	distinct := make(map[msg.ID]struct{})
+	// Mean fill over hosts with a real byte budget: zero-capacity buffers
+	// (and host-less worlds) would otherwise put NaN into the log.
+	var fill float64
+	counted := 0
 	for i, h := range w.Hosts {
 		used[i] = h.Buffer().Used()
+		if capacity := h.Buffer().Capacity(); capacity > 0 {
+			fill += float64(used[i]) / float64(capacity)
+			counted++
+		}
 		items := h.Buffer().Items()
 		copies += len(items)
 		for _, s := range items {
 			distinct[s.M.ID] = struct{}{}
 		}
+	}
+	if counted > 0 {
+		fill /= float64(counted)
 	}
 	return obs.Event{
 		T:          now,
@@ -106,101 +61,7 @@ func (w *World) Snapshot(now float64) obs.Event {
 		LiveCopies: copies,
 		Contacts:   w.Manager.ActiveLinks(),
 		Queue:      w.Engine.Live(),
+		Fill:       fill,
 		Used:       used,
 	}
-}
-
-// WriteTimelineCSV writes the timeline as CSV with a header row.
-func WriteTimelineCSV(out io.Writer, pts []TimelinePoint) error {
-	cw := csv.NewWriter(out)
-	if err := cw.Write([]string{"t", "created", "delivered", "delivery_ratio",
-		"forwards", "policy_drops", "active_links", "buffer_fill"}); err != nil {
-		return err
-	}
-	for _, p := range pts {
-		rec := []string{
-			strconv.FormatFloat(p.T, 'g', -1, 64),
-			strconv.Itoa(p.Created),
-			strconv.Itoa(p.Delivered),
-			strconv.FormatFloat(p.DeliveryRatio, 'g', -1, 64),
-			strconv.Itoa(p.Forwards),
-			strconv.Itoa(p.PolicyDrops),
-			strconv.Itoa(p.ActiveLinks),
-			strconv.FormatFloat(p.BufferFill, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// Fate is the end-of-run outcome of one generated message.
-type Fate struct {
-	ID         msg.ID
-	Source     int
-	Dest       int
-	Created    float64
-	Delivered  bool
-	Latency    float64 // valid when Delivered
-	Hops       int     // valid when Delivered
-	LiveCopies int     // copies still buffered network-wide
-	EverSeen   int     // true m_i: non-source nodes that carried it
-}
-
-// MessageFates returns the per-message outcomes at the current time, in
-// generation order.
-func (w *World) MessageFates() []Fate {
-	out := make([]Fate, 0, len(w.msgLog))
-	for _, rec := range w.msgLog {
-		f := Fate{
-			ID:         rec.id,
-			Source:     rec.src,
-			Dest:       rec.dst,
-			Created:    rec.created,
-			LiveCopies: w.Tracker.Live(rec.id),
-			EverSeen:   w.Tracker.Seen(rec.id),
-		}
-		if dr, ok := w.Collector.DeliveryOf(rec.id); ok {
-			f.Delivered = true
-			f.Latency = dr.Latency
-			f.Hops = dr.Hops
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-// WriteFatesCSV writes message fates as CSV with a header row. Latency and
-// hops are empty for undelivered messages.
-func WriteFatesCSV(out io.Writer, fates []Fate) error {
-	cw := csv.NewWriter(out)
-	if err := cw.Write([]string{"id", "source", "dest", "created",
-		"delivered", "latency", "hops", "live_copies", "ever_seen"}); err != nil {
-		return err
-	}
-	for _, f := range fates {
-		lat, hops := "", ""
-		if f.Delivered {
-			lat = strconv.FormatFloat(f.Latency, 'g', -1, 64)
-			hops = strconv.Itoa(f.Hops)
-		}
-		rec := []string{
-			fmt.Sprint(f.ID),
-			strconv.Itoa(f.Source),
-			strconv.Itoa(f.Dest),
-			strconv.FormatFloat(f.Created, 'g', -1, 64),
-			strconv.FormatBool(f.Delivered),
-			lat,
-			hops,
-			strconv.Itoa(f.LiveCopies),
-			strconv.Itoa(f.EverSeen),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

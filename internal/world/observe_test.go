@@ -1,119 +1,80 @@
 package world
 
 import (
-	"bytes"
-	"strings"
+	"fmt"
 	"testing"
+
+	"sdsrp/internal/config"
+	"sdsrp/internal/fault"
+	"sdsrp/internal/obs"
 )
 
-func TestTimelineSampling(t *testing.T) {
-	sc := smallScenario("SDSRP")
-	w, err := Build(sc)
-	if err != nil {
-		t.Fatal(err)
+// TestLedgerMatchesTracker checks the event log against the simulator's
+// ground truth: for every message, the ledger folded from the run's events
+// must end with routing.Tracker's live-copy count n_i and its m_i. The
+// variants cover every way a copy enters or leaves a buffer without a
+// policy or TTL event of its own: ACK purges, wiping reboots, black holes,
+// radio loss, and the protocols whose forwards differ from binary spray.
+func TestLedgerMatchesTracker(t *testing.T) {
+	variants := []struct {
+		name   string
+		mutate func(*config.Scenario)
+		// removal is a removal cause or forward kind the variant must
+		// produce, so it cannot pass without exercising its path.
+		removal string
+	}{
+		{"sdsrp", func(*config.Scenario) {}, "policy"},
+		{"acks", func(sc *config.Scenario) { sc.UseAcks = true }, "ack"},
+		{"wiping-churn", func(sc *config.Scenario) {
+			sc.Faults = fault.Config{Churn: fault.Churn{MeanUp: 300, MeanDown: 120, WipeOnReboot: true}}
+		}, "wipe"},
+		{"black-holes", func(sc *config.Scenario) { sc.Faults.BlackHoleFraction = 0.2 }, ""},
+		{"transfer-loss", func(sc *config.Scenario) { sc.Faults.TransferLossProb = 0.1 }, ""},
+		{"spray-and-focus", func(sc *config.Scenario) { sc.ProtocolName = "spray-and-focus" }, "handoff"},
+		{"epidemic", func(sc *config.Scenario) { sc.ProtocolName = "epidemic" }, "relay"},
+		{"prophet", func(sc *config.Scenario) { sc.ProtocolName = "prophet" }, "relay"},
+		{"spray-and-wait-source", func(sc *config.Scenario) { sc.ProtocolName = "spray-and-wait-source" }, "spray-source"},
 	}
-	if err := w.EnableTimeline(500); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.EnableTimeline(0); err == nil {
-		t.Fatal("non-positive timeline interval accepted")
-	}
-	mustRun(t, w)
-	pts := w.Timeline()
-	if len(pts) != 8 { // 4000s / 500s
-		t.Fatalf("timeline points = %d, want 8", len(pts))
-	}
-	prevT := 0.0
-	prevCreated := 0
-	for _, p := range pts {
-		if p.T <= prevT {
-			t.Fatal("timeline not strictly increasing in time")
+	for _, v := range variants {
+		for _, seed := range []uint64{1, 2, 3} {
+			sc := diffBase()
+			sc.Seed = seed
+			v.mutate(&sc)
+			t.Run(fmt.Sprintf("%s-%d", v.name, seed), func(t *testing.T) {
+				t.Parallel()
+				ledger := obs.NewLedger()
+				w, err := Build(sc, WithTracer(ledger))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := mustRun(t, w)
+				recs := ledger.Records()
+				if len(recs) != res.Created || res.Created == 0 {
+					t.Fatalf("ledger has %d records, run created %d", len(recs), res.Created)
+				}
+				seen, lost := map[string]bool{}, 0
+				for _, r := range recs {
+					if live := w.Tracker.Live(r.ID); r.LiveCopies != live {
+						t.Errorf("msg %d: ledger %d live copies, tracker %d", r.ID, r.LiveCopies, live)
+					}
+					if m := w.Tracker.Seen(r.ID); r.Seen != m {
+						t.Errorf("msg %d: ledger seen %d, tracker %d", r.ID, r.Seen, m)
+					}
+					for _, rm := range r.Removals {
+						seen[rm.Cause] = true
+					}
+					for _, f := range r.Forwards {
+						seen[f.Kind] = true
+					}
+					lost += r.Lost
+				}
+				if v.removal != "" && !seen[v.removal] {
+					t.Errorf("variant never produced %q", v.removal)
+				}
+				if sc.Faults.BlackHoleFraction+sc.Faults.TransferLossProb > 0 && lost == 0 {
+					t.Error("variant lost no transfers")
+				}
+			})
 		}
-		if p.Created < prevCreated {
-			t.Fatal("created counter decreased")
-		}
-		if p.BufferFill < 0 || p.BufferFill > 1 {
-			t.Fatalf("buffer fill = %v", p.BufferFill)
-		}
-		prevT, prevCreated = p.T, p.Created
-	}
-	last := pts[len(pts)-1]
-	if last.Created == 0 || last.Delivered == 0 {
-		t.Fatalf("final snapshot degenerate: %+v", last)
-	}
-}
-
-func TestTimelineCSV(t *testing.T) {
-	pts := []TimelinePoint{
-		{T: 10, Created: 2, Delivered: 1, DeliveryRatio: 0.5, Forwards: 3, PolicyDrops: 1, ActiveLinks: 4, BufferFill: 0.25},
-	}
-	var buf bytes.Buffer
-	if err := WriteTimelineCSV(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "t,created,delivered") {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if lines[1] != "10,2,1,0.5,3,1,4,0.25" {
-		t.Fatalf("row = %q", lines[1])
-	}
-}
-
-func TestMessageFates(t *testing.T) {
-	sc := smallScenario("SprayAndWait")
-	w, err := Build(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := mustRun(t, w)
-	fates := w.MessageFates()
-	if len(fates) != r.Created {
-		t.Fatalf("fates = %d, created = %d", len(fates), r.Created)
-	}
-	delivered := 0
-	for i, f := range fates {
-		if i > 0 && f.Created < fates[i-1].Created {
-			t.Fatal("fates not in generation order")
-		}
-		if f.Source == f.Dest {
-			t.Fatal("self-addressed message")
-		}
-		if f.Delivered {
-			delivered++
-			if f.Latency <= 0 || f.Hops < 1 {
-				t.Fatalf("delivered fate inconsistent: %+v", f)
-			}
-		}
-		if f.LiveCopies < 0 || f.EverSeen < 0 {
-			t.Fatalf("negative counts: %+v", f)
-		}
-	}
-	if delivered != r.Delivered {
-		t.Fatalf("fate deliveries = %d, summary = %d", delivered, r.Delivered)
-	}
-}
-
-func TestFatesCSV(t *testing.T) {
-	fates := []Fate{
-		{ID: 1, Source: 0, Dest: 5, Created: 30, Delivered: true, Latency: 12.5, Hops: 3, LiveCopies: 2, EverSeen: 7},
-		{ID: 2, Source: 1, Dest: 4, Created: 60},
-	}
-	var buf bytes.Buffer
-	if err := WriteFatesCSV(&buf, fates); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if lines[1] != "1,0,5,30,true,12.5,3,2,7" {
-		t.Fatalf("delivered row = %q", lines[1])
-	}
-	if lines[2] != "2,1,4,60,false,,,0,0" {
-		t.Fatalf("undelivered row = %q", lines[2])
 	}
 }

@@ -6,33 +6,28 @@ import (
 	"path/filepath"
 	"testing"
 
-	"sdsrp/internal/config"
 	"sdsrp/internal/trace"
 )
 
-// The export/replay loop: a mobility-driven run with contact recording,
+// The export/replay loop: a mobility-driven run with a contact recorder,
 // exported as a trace, replayed in contact-trace mode, must see the exact
 // same contact structure and land on closely matching metrics (event
 // ordering within one scan tick may differ, so metrics are compared with a
 // tolerance rather than bit-exactly).
 func TestContactExportReplayLoop(t *testing.T) {
 	sc := smallScenario("SprayAndWait")
-	sc.RecordContacts = true
-	w, err := Build(sc)
+	rec := trace.NewContactRecorder()
+	w, err := Build(sc, WithTracer(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	orig := mustRun(t, w)
-	log := w.Manager.ContactLog()
-	if len(log) == 0 {
+	contacts := rec.Contacts()
+	if len(contacts) == 0 {
 		t.Fatal("no contacts recorded")
 	}
 
 	// Export.
-	contacts := make([]trace.Contact, len(log))
-	for i, c := range log {
-		contacts[i] = trace.Contact{A: c.A, B: c.B, Start: c.Start, End: c.End}
-	}
 	path := filepath.Join(t.TempDir(), "contacts.txt")
 	f, err := os.Create(path)
 	if err != nil {
@@ -45,7 +40,6 @@ func TestContactExportReplayLoop(t *testing.T) {
 
 	// Replay.
 	rep := sc
-	rep.RecordContacts = false
 	rep.ContactTraceFile = path
 	rep.Nodes = 2 // raised to the trace population
 	w2, err := Build(rep)
@@ -68,14 +62,33 @@ func TestContactExportReplayLoop(t *testing.T) {
 	}
 }
 
-func TestContactLogDisabledByDefault(t *testing.T) {
-	w, err := Build(smallScenario("SprayAndWait"))
+// TestContactRecorderMatchesManager checks the recorder against the radio
+// layer's own accounting: one finished contact per link that went down, in
+// the order they ended, with the durations the manager sampled.
+func TestContactRecorderMatchesManager(t *testing.T) {
+	rec := trace.NewContactRecorder()
+	w, err := Build(smallScenario("SprayAndWait"), WithTracer(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustRun(t, w)
-	if len(w.Manager.ContactLog()) != 0 {
-		t.Fatal("contacts recorded without RecordContacts")
+	res := mustRun(t, w)
+	contacts := rec.Contacts()
+	if got := len(contacts) + w.Manager.ActiveLinks(); got != res.Contacts {
+		t.Fatalf("%d finished + %d open contacts, manager counted %d",
+			len(contacts), w.Manager.ActiveLinks(), res.Contacts)
 	}
-	_ = config.MB
+	if n := w.Manager.ContactDurations().Count(); len(contacts) != n {
+		t.Fatalf("%d contacts recorded, manager sampled %d durations", len(contacts), n)
+	}
+	var sum, prevEnd float64
+	for _, c := range contacts {
+		if c.A >= c.B || c.End <= c.Start || c.End < prevEnd {
+			t.Fatalf("malformed or out-of-order contact %+v after end %v", c, prevEnd)
+		}
+		sum += c.End - c.Start
+		prevEnd = c.End
+	}
+	if mean := sum / float64(len(contacts)); mean != res.MeanContactDuration {
+		t.Fatalf("recorded mean duration %v, manager %v", mean, res.MeanContactDuration)
+	}
 }

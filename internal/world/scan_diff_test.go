@@ -10,8 +10,8 @@ import (
 	"sdsrp/internal/fault"
 	"sdsrp/internal/geo"
 	"sdsrp/internal/mobility"
-	"sdsrp/internal/network"
 	"sdsrp/internal/obs"
+	"sdsrp/internal/trace"
 )
 
 // diffBase is a small, fast scenario the differential matrix perturbs.
@@ -22,7 +22,6 @@ func diffBase() config.Scenario {
 	sc.Duration = 1200
 	sc.TTL = 3000
 	sc.BufferBytes = 2 * config.MB
-	sc.RecordContacts = true
 	return sc
 }
 
@@ -30,7 +29,7 @@ func diffBase() config.Scenario {
 // event trace plus the result digest. The trace pins every link-up/down,
 // transfer, drop, and delivery with its timestamp — byte equality between
 // modes is the strongest observable equivalence the simulator offers.
-func runScan(t *testing.T, sc config.Scenario, mode string) ([]byte, Result, []network.Contact) {
+func runScan(t *testing.T, sc config.Scenario, mode string) ([]byte, Result, []trace.Contact) {
 	t.Helper()
 	sc.ScanMode = mode
 	trace, res, contacts, err := runScenario(sc)
@@ -41,12 +40,13 @@ func runScan(t *testing.T, sc config.Scenario, mode string) ([]byte, Result, []n
 }
 
 // runScenario builds sc with opts and runs it, returning its JSONL event
-// trace, result and contact log. It reports failure as an error rather than
-// through a *testing.T, so it may run on any goroutine.
-func runScenario(sc config.Scenario, opts ...BuildOption) ([]byte, Result, []network.Contact, error) {
+// trace, result and finished contacts. It reports failure as an error
+// rather than through a *testing.T, so it may run on any goroutine.
+func runScenario(sc config.Scenario, opts ...BuildOption) ([]byte, Result, []trace.Contact, error) {
 	var buf bytes.Buffer
 	jsonl := obs.NewJSONL(&buf)
-	w, err := Build(sc, append([]BuildOption{WithTracer(jsonl)}, opts...)...)
+	rec := trace.NewContactRecorder()
+	w, err := Build(sc, append([]BuildOption{WithTracer(obs.Multi(jsonl, rec))}, opts...)...)
 	if err != nil {
 		return nil, Result{}, nil, fmt.Errorf("build: %w", err)
 	}
@@ -57,7 +57,7 @@ func runScenario(sc config.Scenario, opts ...BuildOption) ([]byte, Result, []net
 	if err := jsonl.Flush(); err != nil {
 		return nil, Result{}, nil, fmt.Errorf("flush: %w", err)
 	}
-	return buf.Bytes(), res, w.Manager.ContactLog(), nil
+	return buf.Bytes(), res, rec.Contacts(), nil
 }
 
 // assertScanModesAgree runs sc under the naive scanner and the given mode

@@ -37,9 +37,7 @@ type World struct {
 	Tracker      *routing.Tracker
 
 	started   bool
-	tracer    obs.Tracer // nil when tracing is off
-	timeline  []TimelinePoint
-	msgLog    []msgRecord
+	tracer    obs.Tracer        // nil when tracing is off
 	scheduled []network.Contact // non-nil for contact-trace-driven runs
 }
 
@@ -75,13 +73,6 @@ func RecordContactPlan(p *network.ContactPlan) BuildOption {
 // counters read zero, and Result.Perf.Replayed says why.
 func ReplayContactPlan(p *network.ContactPlan) BuildOption {
 	return func(o *buildOptions) { o.replay = p }
-}
-
-// msgRecord remembers each generated message for fate reporting.
-type msgRecord struct {
-	id       msg.ID
-	src, dst int
-	created  float64
 }
 
 // Result is the digest of a finished run.
@@ -193,18 +184,17 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 		inter = &stats.Intermeeting{}
 	}
 	mgr, err := network.NewManager(eng, network.Config{
-		Area:           area,
-		Range:          sc.Range,
-		Bandwidth:      sc.Bandwidth,
-		ScanInterval:   sc.ScanInterval,
-		Ranges:         ranges,
-		Scan:           sc.ScanMode,
-		CellSize:       sc.CellSize,
-		RecordContacts: sc.RecordContacts,
-		Tracer:         bo.tracer,
-		Faults:         inj,
-		RecordPlan:     bo.record,
-		ReplayPlan:     bo.replay,
+		Area:         area,
+		Range:        sc.Range,
+		Bandwidth:    sc.Bandwidth,
+		ScanInterval: sc.ScanInterval,
+		Ranges:       ranges,
+		Scan:         sc.ScanMode,
+		CellSize:     sc.CellSize,
+		Tracer:       bo.tracer,
+		Faults:       inj,
+		RecordPlan:   bo.record,
+		ReplayPlan:   bo.replay,
 		Energy: network.EnergyConfig{
 			Capacity:   sc.Energy.Capacity,
 			ScanPerSec: sc.Energy.ScanPerSec,
@@ -512,7 +502,6 @@ func (w *World) scheduleTraffic(s *rng.Stream) {
 				TTL:           sc.TTL,
 				InitialCopies: sc.InitialCopies,
 			}
-			w.msgLog = append(w.msgLog, msgRecord{id: nextID, src: src, dst: dst, created: at})
 			if w.Hosts[src].Originate(m, at) {
 				w.Manager.Kick(src, at)
 			}

@@ -195,22 +195,6 @@ type (
 	FaultChurn = fault.Churn
 )
 
-// TimelinePoint is one periodic snapshot of global run state.
-type TimelinePoint = world.TimelinePoint
-
-// Fate is the end-of-run outcome of one generated message.
-type Fate = world.Fate
-
-// WriteTimelineCSV writes timeline snapshots as CSV.
-func WriteTimelineCSV(w io.Writer, pts []TimelinePoint) error {
-	return world.WriteTimelineCSV(w, pts)
-}
-
-// WriteFatesCSV writes per-message outcomes as CSV.
-func WriteFatesCSV(w io.Writer, fates []Fate) error {
-	return world.WriteFatesCSV(w, fates)
-}
-
 // RandomWaypointScenario returns the paper's Table II synthetic preset.
 func RandomWaypointScenario() Scenario { return config.RandomWaypoint() }
 
