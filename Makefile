@@ -83,23 +83,24 @@ bench-report:
 
 # Observability round-trip gate (~20 s): run dtnsim with the event log (gzip)
 # and snapshot sampler, then require (a) dtntrace stats to reproduce the
-# printed summary bit-for-bit from the trace alone, (b) a second same-seed
-# run — executed under the naive scanner (-scan naive) — to be
-# byte-identical under dtntrace diff, (c) a different-seed run to be
-# flagged divergent, (d) a same-seed -acks run on the full 100-node preset
-# (dense enough to purge copies) to reproduce the drops line exactly,
-# acked=N included, and (e) the series header to end in the counter and
-# fill columns and every paths -jsonl record to carry seen. Catches any
-# drift between the live collector and the event vocabulary, any
-# nondeterminism in the emit path, and any divergence between the default
-# lazy scanner and the naive reference at the CLI surface.
+# printed summary bit-for-bit from the trace alone, (b) a same-seed rerun
+# in a second process to be byte-identical under dtntrace diff, (c) a
+# different-seed run to be flagged divergent, (d) a same-seed -acks run on
+# the full 100-node preset (dense enough to purge copies) to reproduce the
+# drops line exactly, acked=N included, and (e) the series header to end in
+# the counter and fill columns and every paths -jsonl record to carry seen.
+# Catches any drift between the live collector and the event vocabulary and
+# any nondeterminism in the emit path. The comparison of the lazy and
+# kinetic planners against the naive reference belongs to the Go
+# differential families (TestLazyScanMatchesNaive, TestKineticScanMatchesNaive)
+# that CI's scan-diff race step runs.
 trace-smoke:
 	@tmp=$$(mktemp -d) && \
 	$(GO) build -o $$tmp/dtnsim ./cmd/dtnsim && \
 	$(GO) build -o $$tmp/dtntrace ./cmd/dtntrace && \
 	$$tmp/dtnsim -nodes 24 -duration 3600 -seed 3 \
 		-events $$tmp/a.jsonl.gz -snapshot-interval 300 > $$tmp/sim.txt && \
-	$$tmp/dtnsim -nodes 24 -duration 3600 -seed 3 -scan naive \
+	$$tmp/dtnsim -nodes 24 -duration 3600 -seed 3 \
 		-events $$tmp/b.jsonl -snapshot-interval 300 > /dev/null && \
 	$$tmp/dtnsim -nodes 24 -duration 3600 -seed 4 \
 		-events $$tmp/c.jsonl > /dev/null && \

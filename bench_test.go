@@ -68,49 +68,12 @@ func BenchmarkTable3Scenario(b *testing.B) { benchSuiteCase(b, "table3") }
 
 // BenchmarkDenseScan measures the suite's contact-detection showcase: 400
 // traffic-free nodes spread over 15×12 km, where scanning is the whole cost
-// and the motion-bounded lazy sweep parks almost every pair.
+// and the motion-bounded lazy sweep parks almost every pair. internal/world
+// runs the same workload under the naive and kinetic planners.
 func BenchmarkDenseScan(b *testing.B) { benchSuiteCase(b, "densescan") }
 
-// BenchmarkDenseScanNaive runs the identical workload with the naive
-// per-tick scanner — the denominator of the lazy sweep's speedup. The two
-// runs produce byte-identical event streams (internal/world's differential
-// test), so the delta is pure scanning cost.
-func BenchmarkDenseScanNaive(b *testing.B) {
-	sc := bench.DenseScanScenario()
-	sc.ScanMode = "naive"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w, err := sdsrp.Build(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := w.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDenseScanKinetic runs the densescan workload under the kinetic
-// per-node planner — the same event stream again, measuring where the
-// crossover between per-pair and per-node bookkeeping sits at 400 nodes
-// (PERFORMANCE.md §7 tabulates it).
-func BenchmarkDenseScanKinetic(b *testing.B) {
-	sc := bench.DenseScanScenario()
-	sc.ScanMode = "kinetic"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w, err := sdsrp.Build(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := w.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkScan100k measures the suite's large-fleet case: 100k nodes under
-// the kinetic scanner, the scale the lazy planner cannot represent at all.
+// the kinetic planner, whose per-node state is what makes the scale fit.
 func BenchmarkScan100k(b *testing.B) { benchSuiteCase(b, "scan100k") }
 
 // Fig. 3: intermeeting-time distributions (both mobility scenarios).

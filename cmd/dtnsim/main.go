@@ -52,7 +52,6 @@ func main() {
 		eventsOut      = flag.String("events", "", "write the structured lifecycle event log (JSONL) to this path (.gz = gzip)")
 		snapInterval   = flag.Float64("snapshot-interval", 0, "emit a snapshot event into the event log every N sim-seconds (0 = off; needs -events)")
 		profileOut     = flag.String("profile", "", "write a CPU profile of the run to this path")
-		scanMode       = flag.String("scan", "", "connectivity scan strategy: lazy (default), kinetic, or naive; all are byte-identical")
 		cellSize       = flag.Float64("cell-size", 0, "scan grid cell edge in metres (0 = radio range; must be >= range)")
 		maxEvents      = flag.Uint64("max-events", 0, "stop the run after this many engine events and report partial metrics (0 = unbounded)")
 	)
@@ -138,9 +137,6 @@ func main() {
 	}
 	if *warmup > 0 {
 		sc.Warmup = *warmup
-	}
-	if *scanMode != "" {
-		sc.ScanMode = *scanMode
 	}
 	if *cellSize > 0 {
 		sc.CellSize = *cellSize
@@ -266,8 +262,8 @@ func main() {
 	fmt.Printf("perf            %s\n", res.Perf)
 	if res.Perf.ScanFallback != "" {
 		// Stderr, not stdout: the summary above is parsed by dtntrace
-		// stats -check and must stay strategy-independent.
-		fmt.Fprintf(os.Stderr, "dtnsim: scan strategy fallback: %s\n", res.Perf.ScanFallback)
+		// stats -check and must stay planner-independent.
+		fmt.Fprintf(os.Stderr, "dtnsim: scan planner fallback: %s\n", res.Perf.ScanFallback)
 	}
 	if *eventsOut != "" {
 		fmt.Printf("events          wrote %s\n", *eventsOut)

@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"sdsrp"
+	"sdsrp/internal/network"
 	"sdsrp/internal/obs"
+	"sdsrp/internal/world"
 )
 
 // testScenario is a fast deterministic run exercising sprays, deliveries,
@@ -31,24 +33,24 @@ func testScenario(seed uint64) sdsrp.Scenario {
 }
 
 // writeTrace runs sc with the JSONL tracer (and optional snapshot sampler)
-// into path, returning the run's Result.
-func writeTrace(t *testing.T, sc sdsrp.Scenario, path string, snapInterval float64) sdsrp.Result {
+// into path, returning the run's Result. opts add to the tracer.
+func writeTrace(t *testing.T, sc sdsrp.Scenario, path string, snapInterval float64, opts ...sdsrp.BuildOption) sdsrp.Result {
 	t.Helper()
 	w, err := sdsrp.CreateEventLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	jsonl := sdsrp.NewJSONLTracer(w)
-	world, err := sdsrp.Build(sc, sdsrp.WithTracer(jsonl))
+	wld, err := sdsrp.Build(sc, append([]sdsrp.BuildOption{sdsrp.WithTracer(jsonl)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snapInterval > 0 {
-		if err := world.EnableSnapshots(snapInterval); err != nil {
+		if err := wld.EnableSnapshots(snapInterval); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := world.Run()
+	res, err := wld.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,26 +63,27 @@ func writeTrace(t *testing.T, sc sdsrp.Scenario, path string, snapInterval float
 	return res
 }
 
-// TestDiffIdenticalAcrossScanModes is the acceptance gate: naive and lazy
-// contact scanning must produce byte-identical traces, and diff must say so —
-// with one side gzipped to cover the transparent decompression path.
-func TestDiffIdenticalAcrossScanModes(t *testing.T) {
+// TestDiffIdenticalAcrossPlanReplay is the cross-path acceptance gate: a
+// scanning run and a run that replays the first one's recorded contact
+// plan reach the same link transitions by different paths, so their traces
+// must be byte-identical and diff must say so — with one side gzipped to
+// cover the transparent decompression path.
+func TestDiffIdenticalAcrossPlanReplay(t *testing.T) {
 	dir := t.TempDir()
-	naive, lazy := filepath.Join(dir, "naive.jsonl"), filepath.Join(dir, "lazy.jsonl.gz")
-	scN := testScenario(3)
-	scN.ScanMode = "naive"
-	scL := testScenario(3)
-	scL.ScanMode = "lazy"
-	writeTrace(t, scN, naive, 0)
-	writeTrace(t, scL, lazy, 0)
+	scanned, replayed := filepath.Join(dir, "scan.jsonl"), filepath.Join(dir, "replay.jsonl.gz")
+	var plan network.ContactPlan
+	writeTrace(t, testScenario(3), scanned, 0, world.RecordContactPlan(&plan))
+	if res := writeTrace(t, testScenario(3), replayed, 0, world.ReplayContactPlan(&plan)); !res.Perf.Replayed {
+		t.Fatal("the second run scanned instead of replaying the plan")
+	}
 
 	var out bytes.Buffer
-	identical, err := runDiff([]string{naive, lazy}, &out)
+	identical, err := runDiff([]string{scanned, replayed}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !identical {
-		t.Fatalf("scan modes diverge:\n%s", out.String())
+		t.Fatalf("scan and plan replay diverge:\n%s", out.String())
 	}
 	if !strings.HasPrefix(out.String(), "identical: ") {
 		t.Fatalf("diff output = %q", out.String())

@@ -73,20 +73,20 @@ func DenseScanScenario() config.Scenario {
 }
 
 // Scan100kScenario is the kinetic-scanner scale workload: 100 000 nodes —
-// a fleet the lazy planner's triangular pair index cannot even represent
-// (it refuses at n ≥ 65536) — walking a 250 km square sparse enough that
-// nearly every node is parked nearly all the time. Traffic is disabled so
-// the measurement isolates contact detection, and the cell size is raised
-// to 500 m so cell deadlines span hundreds of ticks. The case doubles as
-// the suite's peak-memory gate (Perf.PeakHeapBytes): the kinetic planner's
-// state is ~45 B/node, so the whole run must fit a budget the per-pair
-// design would blow past by three orders of magnitude. PERFORMANCE.md §7
-// documents the cost model and the path from this case to 1M nodes.
+// far above the fleet size from which the radio layer picks the kinetic
+// planner, and a fleet the lazy sweep's per-pair state could not hold —
+// walking a 250 km square sparse enough that nearly every node is parked
+// nearly all the time. Traffic is disabled so the measurement isolates
+// contact detection, and the cell size is raised to 500 m so cell deadlines
+// span hundreds of ticks. The case doubles as the suite's peak-memory gate
+// (Perf.PeakHeapBytes): the kinetic planner's state is ~53 B/node, so the
+// whole run must fit a budget the per-pair design would blow past by three
+// orders of magnitude. PERFORMANCE.md §7 documents the cost model.
 // Scan100kPeakHeapBudget is the memory ceiling the scan100k case is gated
 // against, both on fresh runs (TestScan100kKineticScalesWithinBudget) and on
 // the committed baseline (TestCommittedScan100kPeakHeapWithinBudget). The
 // observed peak is ~135 MB — hosts, models, and RNG substreams dominate; the
-// planner itself is ~45 B/node — so 256 MB leaves ~1.9× headroom for
+// planner itself is ~53 B/node — so 256 MB leaves ~1.9× headroom for
 // allocator and GC variance without ever admitting a per-pair design (the
 // lazy sweep's arrays would want ~180 GB here).
 const Scan100kPeakHeapBudget = 256 << 20
@@ -98,7 +98,6 @@ func Scan100kScenario() config.Scenario {
 	sc.Area = geo.NewRect(250_000, 250_000)
 	sc.Duration = 300
 	sc.GenIntervalLo = 0 // traffic-free: scanner cost only
-	sc.ScanMode = "kinetic"
 	sc.CellSize = 500
 	return sc
 }

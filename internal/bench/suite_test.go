@@ -11,7 +11,7 @@ import (
 
 // TestScan100kKineticScalesWithinBudget is the live half of the large-fleet
 // gate: the scan100k case must run under the kinetic planner without any
-// strategy fallback, actually park nodes (the whole point at this scale),
+// planner fallback, actually park nodes (the whole point at this scale),
 // and keep its sampled peak heap under Scan100kPeakHeapBudget — the
 // representability claim the kinetic scanner was built for.
 func TestScan100kKineticScalesWithinBudget(t *testing.T) {

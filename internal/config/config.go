@@ -93,15 +93,6 @@ type Scenario struct {
 	Range        float64 // radio range, m
 	Bandwidth    float64 // bytes/s
 	ScanInterval float64 // connectivity scan period, s
-	// ScanMode selects the connectivity-scan strategy: "lazy" (the default
-	// when empty) skips pair checks the mobility speed bounds rule out;
-	// "kinetic" keeps per-node park deadlines in grid buckets, scaling to
-	// fleets the lazy pair index cannot hold (its O(n²) arrays refuse at
-	// 65536 nodes and fall back to kinetic); "naive" re-checks every
-	// candidate pair each tick. All three produce byte-identical event
-	// streams — the knob is an escape hatch for perf comparison and for
-	// custom mobility models whose MaxSpeed bound is not trusted.
-	ScanMode string
 	// CellSize overrides the spatial-hash cell edge (metres) used by the
 	// connectivity scan's grid. 0, the default, uses the largest radio
 	// range in the scenario — the smallest complete cell. Values below
@@ -269,11 +260,6 @@ func (s Scenario) Validate() error {
 	}
 	if s.ScanInterval <= 0 {
 		add("scan interval %v must be positive", s.ScanInterval)
-	}
-	switch s.ScanMode {
-	case "", "lazy", "kinetic", "naive":
-	default:
-		add("scan mode %q unknown (want \"lazy\", \"kinetic\" or \"naive\")", s.ScanMode)
 	}
 	if s.CellSize != 0 && s.CellSize < s.Range {
 		add("cell size %v must be 0 (auto) or >= range %v", s.CellSize, s.Range)

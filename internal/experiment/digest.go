@@ -12,7 +12,9 @@ import (
 // Digest returns the content address of a scenario: a SHA-256 hex digest
 // over its canonical serialization. Two scenarios share a digest iff they
 // would simulate identically, so the digest keys the run journal, result
-// caches, and any future service-layer deduplication.
+// caches, and any future service-layer deduplication. The contact-scan
+// planner is not a field (it follows from the fleet size), so runs that
+// would differ only in how they scan share a digest.
 //
 // Canonicalization rules (the byte-stability discipline of internal/bench):
 //

@@ -1,40 +1,28 @@
 package network
 
 import (
+	"fmt"
 	"math"
 	"sort"
-
-	"sdsrp/internal/geo"
 )
 
-// This file implements the kinetic grid-bucketed scan planner (Config.Scan =
-// ScanKinetic): per-NODE parking state where the lazy sweep (sweep.go) keeps
-// per-PAIR state. The six triangular O(n²) arrays become a handful of O(n)
-// ones (~45 bytes per node), which is what makes 100k–1M node fleets
-// representable at all — the lazy planner's int32 pair index overflows at
-// n = 65536 and its arrays would need ~1.4 GB at n = 10000.
+// This file implements the kinetic planner, the planner for fleets of
+// kineticFrom nodes and more: per-NODE parking where the lazy sweep
+// (sweep.go) parks pairs, on the same parking core (park.go). Its state is
+// O(n), ~53 bytes per node, where the sweep's per-pair arrays would need
+// ~1.6 GB at n = 10000.
 //
-// Every node is in one of two states:
+// A node is awake (sampled and checked against its 3×3 grid-bucket
+// neighbourhood every tick) or parked until a wake tick; a parked node is
+// neither sampled nor enumerated, but its pairs stay reachable because
+// awake nodes see parked neighbours in the buckets. A node parks until the
+// earliest tick anything about its neighbourhood could change, the minimum
+// of:
 //
-//   - awake:  sampled and checked against its 3×3 grid-bucket neighbourhood
-//     every tick.
-//   - parked: physics rules the node irrelevant until a computed wake tick;
-//     it sits in a tick-bucketed wake wheel and is neither sampled nor
-//     enumerated until then (its pairs are still reachable: awake nodes see
-//     parked neighbours in the buckets).
-//
-// A node i parks until the earliest tick anything about its neighbourhood
-// could change, the minimum of:
-//
-//   - the cell deadline floor((d_edge − slack) / (MaxSpeed(i)·interval)):
-//     with d_edge the distance from i's position to its assigned bucket's
-//     boundary, i provably stays inside that bucket (so its membership list
-//     stays truthful) for that many whole ticks;
-//   - for every non-linked node j in i's 3×3 bucket neighbourhood, the pair
-//     deadline floor((d_lo − r) / ((MaxSpeed(i)+MaxSpeed(j))·interval)) —
-//     the sweep's motion bound, applied with the pair's combined closing
-//     speed (d_lo = geo.DistLowerBound of the measured distance, r the
-//     pair's effective range).
+//   - the cell deadline (cellTicks): the node provably stays inside its
+//     assigned bucket, so its membership list stays truthful;
+//   - for every non-linked node j in its 3×3 bucket neighbourhood, the
+//     pair's motion bound (parking.pairTicks).
 //
 // Exactness argument (byte-identity with scanNaive):
 //
@@ -49,11 +37,10 @@ import (
 //     buckets until their wakes (cell deadline), so their distance exceeds
 //     one full cell edge ≥ the maximum radio range — contradiction.
 //   - In-range pairs give a zero pair deadline, so both endpoints stay
-//     awake and the pair is re-checked every tick. This reproduces the
-//     naive per-tick semantics for radio-state transitions exactly: a
-//     churn-crashed or energy-dead endpoint in distance range keeps the
-//     predicate false without parking anything, so the reboot or re-charge
-//     re-ups the link on the same tick the naive scanner would.
+//     awake and the pair is re-checked every tick: a churn-crashed or
+//     energy-dead endpoint in distance range keeps the predicate false
+//     without parking anything, so the reboot or re-charge re-ups the link
+//     on the same tick the naive scanner would.
 //   - Flap suppression clears on the same tick as the naive sweep: a
 //     flapped pair's endpoints are awake from the teardown on (zero pair
 //     deadline while in range), and the suppression is deleted by the
@@ -61,41 +48,20 @@ import (
 //     either endpoint can park (parking requires a positive distance gap,
 //     which implies that same predicate-false check already ran).
 //   - Every linkDown — scan separation, flap, churn crash — wakes both
-//     endpoints (onLinkDown), the same conservative discipline the sweep
-//     applies to pairs; linked pairs are excluded from pair deadlines
-//     because the per-tick down walk over Manager.live owns them.
-//   - Downs derive from Manager.live exactly like the naive path, in key
-//     order. Position sampling is lazy but Model.Pos is
-//     deterministic for a given query time, so sampled values are
-//     bit-identical to the naive schedule.
-//   - Ups: zero or one candidate needs no ordering. Two or more are sorted
-//     into the exact naive grid-pass emission order without rebuilding the
-//     grid (emitUps below): the planner's buckets mirror geo.Grid's cell
-//     mapping (same Grid, same CellIndex arithmetic), so the naive
-//     enumeration order — occupied cells in ascending-min-id order, each
-//     visiting itself then its four forward neighbours — is reconstructable
-//     from candidate cell coordinates alone. This keeps multi-up ticks
-//     O(candidates·log) instead of O(n), which matters at 100k nodes where
-//     some tick almost always has two ups somewhere.
+//     endpoints; linked pairs are excluded from pair deadlines because the
+//     per-tick down walk over Manager.live owns them.
+//   - Ups: two or more are sorted into the exact naive grid-pass emission
+//     order without rebuilding the grid (emitUps below): the planner's
+//     buckets mirror geo.Grid's cell mapping (same Grid, same CellIndex
+//     arithmetic), so the naive enumeration order — occupied cells in
+//     ascending-min-id order, each visiting itself then its four forward
+//     neighbours — is reconstructable from candidate cell coordinates
+//     alone. This keeps multi-up ticks O(candidates·log) instead of O(n),
+//     which matters at 100k nodes where some tick almost always has two
+//     ups somewhere.
 //
-// The wake wheel is the sweep's tick-hashed design, but doubly linked:
-// link-down wakes must unlink a parked node mid-bucket in O(1), and a
-// re-park may carry an earlier deadline than a stale entry would pop at, so
-// lazy deletion is not safe here. Bucket membership lists are doubly linked
-// for the same reason (cell moves unlink in O(1)).
-//
-// Like the sweep, the planner watches its own load (loadWindow): workloads
-// whose awake set sustains more neighbour checks per tick than there are
-// nodes pay more for bookkeeping than naive's flat per-node pass, and the
-// planner retires itself — deterministically, and unobservably in the
-// event stream — for the rest of the run.
-
-// Node-state codes. Awake nodes live in the active slice; parked nodes in
-// the wake wheel.
-const (
-	kinAwake uint8 = iota
-	kinParked
-)
+// Bucket membership lists are doubly linked, like the wake wheel, so cell
+// moves unlink in O(1).
 
 // upCand carries one up candidate's reconstructed grid-pass position: the
 // generating cell's rank (its minimum bucketed node id — exactly the order
@@ -111,93 +77,66 @@ type upCand struct {
 }
 
 type kinetic struct {
-	m *Manager
-	n int
-	// tick counts Scan calls; the first call is tick 1. Wake deadlines are
-	// absolute ticks.
-	tick     int64
-	interval float64
-	// speed[i] is models[i].MaxSpeed(), read once at construction (the
-	// contract requires it to be constant).
-	speed []float64
+	parking
 	// cols/rows mirror Manager.grid's bucket geometry; cell assignment
 	// always goes through grid.CellIndex so the two structures can never
 	// disagree on a float-rounding decision.
 	cols, rows int
-
-	state  []uint8
-	wake   []int64 // absolute wake tick, valid while state == kinParked
-	cellOf []int32 // assigned bucket, -1 until the bootstrap tick assigns it
-
-	// The wake wheel: one doubly-linked intrusive list per tick bucket.
-	wheelHead [wheelBuckets]int32
-	wnext     []int32
-	wprev     []int32
-
+	cellOf     []int32 // assigned bucket, -1 until the bootstrap tick assigns it
 	// Bucket membership: one doubly-linked intrusive list per grid cell,
 	// holding every node (awake or parked) assigned to it.
 	cellHead []int32
 	cnext    []int32
 	cprev    []int32
-
-	// active holds the awake nodes; slot[i] is i's position in it (-1 when
-	// parked). Swap-removal keeps both O(1); iteration order is internal
-	// only — every emission below is canonically ordered.
-	active []int32
-	slot   []int32
-
-	// posTick stamps the tick each node's position was last sampled, so a
-	// node read by several neighbourhoods moves once per tick.
-	posTick []int64
-	parked  int64 // nodes currently parked, for the skip counter
-	ups     []pairKey
-	ord     []upCand
-	// windowChecked accumulates neighbour checks toward the loadWindow
-	// retirement decision.
-	windowChecked uint64
+	ord      []upCand
 }
 
 // newKinetic builds the planner with every node awake: the first tick
 // assigns buckets and runs a full neighbourhood pass (equivalent to the
-// naive bootstrap), parking everything physics allows. Unlike newSweep
-// there is no size ceiling — state is O(n) — and no refusal: a fleet with
-// unbounded MaxSpeed simply never parks and the load monitor hands the run
+// naive bootstrap), parking everything physics allows. A fleet with
+// unbounded MaxSpeed simply never parks, and the load monitor hands the run
 // to scanNaive.
 func newKinetic(m *Manager) *kinetic {
 	n := len(m.hosts)
 	cols, rows := m.grid.Dims()
 	s := &kinetic{
-		m:        m,
-		n:        n,
-		interval: m.cfg.ScanInterval,
-		speed:    make([]float64, n),
+		parking:  newParking(m, n),
 		cols:     cols,
 		rows:     rows,
-		state:    make([]uint8, n),
-		wake:     make([]int64, n),
 		cellOf:   make([]int32, n),
-		wnext:    make([]int32, n),
-		wprev:    make([]int32, n),
 		cellHead: make([]int32, cols*rows),
 		cnext:    make([]int32, n),
 		cprev:    make([]int32, n),
-		active:   make([]int32, 0, n),
-		slot:     make([]int32, n),
-		posTick:  make([]int64, n),
-	}
-	for b := range s.wheelHead {
-		s.wheelHead[b] = -1
 	}
 	for ci := range s.cellHead {
 		s.cellHead[ci] = -1
 	}
-	for i, model := range m.models {
-		s.speed[i] = model.MaxSpeed()
+	for i := range s.cellOf {
 		s.cellOf[i] = -1
-		s.slot[i] = int32(i)
-		s.active = append(s.active, int32(i))
 	}
 	return s
+}
+
+func (s *kinetic) name() string { return "kinetic" }
+
+// onLinkUp needs no bookkeeping: the neighbourhood check skips linked
+// pairs through the Manager's adjacency lists.
+func (s *kinetic) onLinkUp(pairKey) {}
+
+// onLinkDown wakes both endpoints of a torn-down link.
+func (s *kinetic) onLinkDown(k pairKey) {
+	s.wakeNode(k[0])
+	s.wakeNode(k[1])
+}
+
+// wakeNode returns a parked node to the awake set before its deadline. It
+// is a no-op on awake nodes, so every teardown path may call it.
+//
+// Performance contract: O(1) list splices, no allocation.
+func (s *kinetic) wakeNode(i int32) {
+	if s.state[i] == itemParked {
+		s.unpark(i)
+	}
 }
 
 // moveCell reassigns node i to bucket ci, splicing its membership links.
@@ -224,158 +163,27 @@ func (s *kinetic) moveCell(i int, ci int32) {
 	s.cellHead[ci] = int32(i)
 }
 
-// activate moves node i into the awake set.
-func (s *kinetic) activate(i int32) {
-	s.state[i] = kinAwake
-	s.slot[i] = int32(len(s.active))
-	s.active = append(s.active, i)
-}
-
-// deactivate swap-removes node i from the awake set.
-func (s *kinetic) deactivate(i int32) {
-	p := s.slot[i]
-	last := int32(len(s.active) - 1)
-	moved := s.active[last]
-	s.active[p] = moved
-	s.slot[moved] = p
-	s.active = s.active[:last]
-	s.slot[i] = -1
-}
-
-// park moves awake node i into the wheel until the absolute tick wakeAt.
-//
-// Performance contract: O(1) list splices, no allocation.
-func (s *kinetic) park(i int32, wakeAt int64) {
-	s.deactivate(i)
-	s.state[i] = kinParked
-	s.wake[i] = wakeAt
-	b := wakeAt & (wheelBuckets - 1)
-	h := s.wheelHead[b]
-	s.wnext[i] = h
-	s.wprev[i] = -1
-	if h >= 0 {
-		s.wprev[h] = i
-	}
-	s.wheelHead[b] = i
-	s.parked++
-}
-
-// wakeNode returns a parked node to the awake set before its deadline,
-// unlinking it from its wheel bucket in place. No-op on awake nodes, so
-// every teardown path may call it unconditionally.
-//
-// Performance contract: O(1) list splices, no allocation.
-func (s *kinetic) wakeNode(i int32) {
-	if s.state[i] != kinParked {
-		return
-	}
-	b := s.wake[i] & (wheelBuckets - 1)
-	if p := s.wprev[i]; p >= 0 {
-		s.wnext[p] = s.wnext[i]
-	} else {
-		s.wheelHead[b] = s.wnext[i]
-	}
-	if nx := s.wnext[i]; nx >= 0 {
-		s.wprev[nx] = s.wprev[i]
-	}
-	s.parked--
-	s.activate(i)
-}
-
-// onLinkDown conservatively wakes both endpoints of a torn-down link,
-// whatever tore it down (scan separation, flap, churn crash) — the per-node
-// equivalent of the sweep's return-to-near discipline. The woken nodes
-// re-park next tick if their neighbourhoods are genuinely quiet.
-func (s *kinetic) onLinkDown(k pairKey) {
-	s.wakeNode(k[0])
-	s.wakeNode(k[1])
-}
-
 // cellTicks bounds how many whole ticks node i provably stays inside its
 // assigned bucket: the distance to the bucket boundary, minus conservative
-// slack dominating float rounding, over the node's speed bound. Clamped
-// out-of-area positions give a non-positive margin and keep the node awake.
+// slack dominating float rounding, under the node's own speed bound.
+// Clamped out-of-area positions give a non-positive margin and keep the
+// node awake.
 //
 // Performance contract: pure arithmetic, no allocation.
 func (s *kinetic) cellTicks(i int) int64 {
 	d := s.m.grid.BoundaryDist(s.m.positions[i], int(s.cellOf[i]))
-	d -= d*1e-9 + 1e-9
-	if d <= 0 {
-		return 0
-	}
-	c := s.speed[i]
-	if c <= 0 {
-		return maxParkTicks
-	}
-	k := d / (c * s.interval)
-	if !(k < maxParkTicks) { // catches NaN too, though c and d are finite
-		return maxParkTicks
-	}
-	return int64(k)
+	return s.boundTicks(d-(d*1e-9+1e-9), s.speed[i])
 }
 
-// pairTicks is the sweep's motion bound for pair (i,j) at squared distance
-// d2 and effective range r: whole ticks the pair provably stays out of
-// range. 0 means the pair pins both endpoints awake; an out-of-range pair
-// with closing-speed bound zero cannot constrain the deadline at all.
-//
-// Performance contract: pure arithmetic, no allocation.
-func (s *kinetic) pairTicks(i, j int, d2, r float64) int64 {
-	gap := geo.DistLowerBound(d2) - r
-	if gap <= 0 {
-		// In (or at) radio range: both endpoints stay awake regardless of
-		// speeds, preserving naive per-tick semantics for churned or
-		// energy-dead endpoints (see the file comment).
-		return 0
-	}
-	c := s.speed[i] + s.speed[j]
-	if c <= 0 {
-		return maxParkTicks
-	}
-	k := gap / (c * s.interval) // c = +Inf (teleporting model) gives 0
-	if !(k < maxParkTicks) {
-		return maxParkTicks
-	}
-	return int64(k)
-}
-
-// samplePos samples node i's position once per tick.
-func (s *kinetic) samplePos(i int, now float64) {
-	if s.posTick[i] != s.tick {
-		s.m.positions[i] = s.m.models[i].Pos(now)
-		s.posTick[i] = s.tick
-	}
-}
-
-// scanKinetic is the kinetic counterpart of scanNaive; the emitted event
-// stream is byte-identical (see the file comment for the argument).
-func (m *Manager) scanKinetic(now float64) {
-	s := m.kin
-	s.tick++
-
-	// 1. Wake nodes whose deadline arrived. Entries parked a lap or more
-	// ahead stay with one comparison; prev links are patched through the
-	// same head pointer walk the sweep's wheel uses.
-	for pp := &s.wheelHead[s.tick&(wheelBuckets-1)]; *pp != -1; {
-		i := *pp
-		if s.wake[i] <= s.tick {
-			*pp = s.wnext[i]
-			if nx := s.wnext[i]; nx >= 0 {
-				s.wprev[nx] = s.wprev[i]
-			}
-			s.parked--
-			s.activate(i)
-			m.wakeups++
-		} else {
-			pp = &s.wnext[i]
-		}
-	}
-
-	// 2. Reassign every awake node's bucket from its current position,
-	// before any neighbourhood is enumerated: a check must never consult a
-	// stale assignment of an awake node (parked assignments are truthful by
-	// the cell deadline). Assignment goes through the Manager grid's own
-	// CellIndex so the bucket geometry is bit-exact with the naive pass.
+// check reassigns every awake node's bucket, then scans each awake node's
+// 3×3 bucket neighbourhood: it collects up candidates, clears flap
+// suppression exactly where the naive sweep would (predicate false), and
+// parks the node until its deadline.
+func (s *kinetic) check(now float64) uint64 {
+	m := s.m
+	// Reassign before any neighbourhood is enumerated: a check must never
+	// consult a stale assignment of an awake node (parked assignments are
+	// truthful by the cell deadline).
 	for _, ii := range s.active {
 		i := int(ii)
 		s.samplePos(i, now)
@@ -384,13 +192,9 @@ func (m *Manager) scanKinetic(now float64) {
 		}
 	}
 
-	// 3. Each awake node scans its 3×3 bucket neighbourhood: collect up
-	// candidates, clear flap suppression exactly where the naive sweep
-	// would (predicate false), and compute the node's park deadline. The
-	// pair check is deduplicated — the lower-id endpoint owns it when both
-	// are awake — and the loop index only advances when the node stays
+	// The pair check is deduplicated — the lower-id endpoint owns it when
+	// both are awake — and the loop index only advances when the node stays
 	// awake (park swap-removes under it).
-	s.ups = s.ups[:0]
 	checked := uint64(0)
 	for idx := 0; idx < len(s.active); {
 		i := int(s.active[idx])
@@ -421,7 +225,7 @@ func (m *Manager) scanKinetic(now float64) {
 					checked++
 					r := m.pairRange(i, jj)
 					d2 := m.positions[i].Dist2(m.positions[jj])
-					if s.state[j] == kinParked || jj > i {
+					if s.state[j] == itemParked || jj > i {
 						if m.energy.alive(i) && m.energy.alive(jj) &&
 							!m.isDown(i) && !m.isDown(jj) && d2 <= r*r {
 							k := keyOf(i, jj)
@@ -444,52 +248,7 @@ func (m *Manager) scanKinetic(now float64) {
 			idx++
 		}
 	}
-	if s.tick > 1 {
-		s.windowChecked += checked
-	}
-
-	// 4. Downs, exactly like the naive path: recompute the predicate per
-	// live link, canonical sort, teardown with deferred kicks. linkDown
-	// wakes both endpoints via onLinkDown.
-	for _, l := range m.live {
-		s.samplePos(int(l.key[0]), now)
-		s.samplePos(int(l.key[1]), now)
-	}
-	checked += uint64(len(m.live))
-	freed := m.freedBuf[:0]
-	for _, l := range m.collectDowns() {
-		freed = m.linkDown(l, now, freed)
-	}
-
-	// 5. Ups. One candidate needs no ordering; two or more are sorted into
-	// the naive grid-pass order from the bucket structure alone.
-	switch len(s.ups) {
-	case 0:
-	case 1:
-		if m.linkOf(s.ups[0]) == nil {
-			m.linkUp(s.ups[0], now)
-		}
-	default:
-		s.emitUps(now)
-	}
-
-	m.pairsChecked += checked
-	m.pairsSkipped += uint64(s.parked)
-	m.finishScan(freed, now)
-
-	// 6. Self-monitoring retirement, the sweep's loadWindow policy: when
-	// the awake set sustains more neighbour checks per tick than there are
-	// nodes, parking is not paying — hand the run to scanNaive for good.
-	// The trigger reads only simulated state, so it is deterministic, and
-	// byte-identity makes the switch unobservable. The bootstrap tick (a
-	// full neighbourhood pass by design) is excluded from the first window.
-	if s.tick%loadWindow == 0 {
-		if s.windowChecked > loadWindow*uint64(s.n) {
-			m.kin = nil
-			m.noteFallback("kinetic:load-monitor->naive")
-		}
-		s.windowChecked = 0
-	}
+	return checked
 }
 
 // fwdDir maps a cell-coordinate delta to the 1-based index of geo.Grid's
@@ -530,11 +289,10 @@ func (s *kinetic) minID(ci int32) int32 {
 // a phase, lexicographic iteration ids. Candidate cells are identical to a
 // freshly built grid's because every bucket assignment is truthful (awake
 // nodes reassigned this tick, parked nodes pinned by their cell deadline)
-// and computed by the same CellIndex arithmetic.
-func (s *kinetic) emitUps(now float64) {
+// and computed by the same CellIndex arithmetic. It checks no pairs.
+func (s *kinetic) emitUps(now float64) uint64 {
 	m := s.m
 	ord := s.ord[:0]
-	ok := true
 	for _, k := range s.ups {
 		ca, cb := s.cellOf[k[0]], s.cellOf[k[1]]
 		c := upCand{key: k, a: k[0], b: k[1]}
@@ -546,22 +304,14 @@ func (s *kinetic) emitUps(now float64) {
 			} else if d := fwdDir(-dx, -dy); d > 0 {
 				c.dir, c.a, c.b, ca = d, k[1], k[0], cb
 			} else {
-				ok = false
-				break
+				//lint:invariant every up candidate comes from its endpoint's 3×3 bucket neighbourhood, and no bucket moves between check and emitUps, so the two cells are adjacent
+				panic(fmt.Sprintf("network: up candidate %v spans non-adjacent buckets %d and %d", k, ca, cb))
 			}
 		}
 		c.rank = s.minID(ca)
 		ord = append(ord, c)
 	}
 	s.ord = ord
-	if !ok {
-		// Safety valve: an in-range pair spanning non-adjacent buckets
-		// would mean the cell size dropped below the radio range — kept
-		// impossible by NewManager's validation. Replay the naive pass,
-		// which is correct by construction, rather than guessing an order.
-		s.replayNaiveUps(now)
-		return
-	}
 	sort.Slice(ord, func(x, y int) bool {
 		if ord[x].rank != ord[y].rank {
 			return ord[x].rank < ord[y].rank
@@ -579,14 +329,5 @@ func (s *kinetic) emitUps(now float64) {
 			m.linkUp(c.key, now)
 		}
 	}
-}
-
-// replayNaiveUps is the sweep's multi-up fallback: sample everyone, then
-// emit ups in grid order. Kept only as emitUps's safety valve.
-func (s *kinetic) replayNaiveUps(now float64) {
-	m := s.m
-	for i := range m.models {
-		s.samplePos(i, now)
-	}
-	m.pairsChecked += uint64(m.gridUps(now))
+	return 0
 }

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"sdsrp/internal/fault"
 	"sdsrp/internal/geo"
@@ -57,20 +56,11 @@ type Config struct {
 	// Faults is the run's fault injector; nil disables fault injection at
 	// zero cost (every hot-path probe is a nil-guarded branch).
 	Faults *fault.Injector
-	// Scan selects the connectivity-scan strategy. ScanLazy (the default
-	// when empty) parks pairs that physics rules out of radio range —
-	// using each mobility model's MaxSpeed bound — in a wake wheel and
-	// skips their distance checks until the earliest tick they could
-	// close; ScanKinetic keeps the same motion-bounded parking but per
-	// node (kinetic.go): nodes park against their grid-bucket
-	// neighbourhood, so state is O(n) instead of lazy's O(n²) pair
-	// arrays (~29 bytes per unordered pair, ≈1.4 GB at n = 10000);
-	// ScanNaive re-checks every grid-candidate pair each tick. All three
-	// emit byte-identical event streams. Fleets large enough to overflow
-	// lazy's int32 pair index (n ≥ 65536) fall back to ScanKinetic — the
-	// fallback is reported by FallbackReason. Pick ScanKinetic explicitly
-	// for large fleets, ScanNaive when memory is tighter than scan time.
-	Scan string
+	// Planner forces one contact-scan planner; the zero value, which every
+	// production caller uses, lets the manager pick by fleet size (see
+	// kineticFrom). The differential tests and scan benchmarks force the
+	// others. Every planner emits the same event stream byte for byte.
+	Planner Planner
 	// CellSize overrides the scan grid's bucket edge length in metres
 	// (0 uses the largest radio range, the minimum legal value — smaller
 	// buckets would let the 3×3 neighbourhood miss contacts). Larger
@@ -87,16 +77,33 @@ type Config struct {
 	// ReplayPlan, when set, replaces the scan: each tick applies the plan's
 	// recorded transitions instead, and no scan planner is built. The plan
 	// must come from a whole recording of a run with the same motion,
-	// node count, range, cell size, scan mode, scan interval and horizon.
+	// node count, range, cell size, scan interval and horizon.
 	ReplayPlan *ContactPlan
 }
 
-// Scan strategy names accepted by Config.Scan.
+// Planner identifies a contact-scan planner.
+type Planner uint8
+
 const (
-	ScanLazy    = "lazy"
-	ScanNaive   = "naive"
-	ScanKinetic = "kinetic"
+	// AutoPlanner picks LazyPlanner below kineticFrom nodes and
+	// KineticPlanner from there.
+	AutoPlanner Planner = iota
+	// NaivePlanner re-checks every grid-candidate pair each tick: the
+	// reference the others are tested against, and where their load
+	// monitors retire to.
+	NaivePlanner
+	// LazyPlanner parks node pairs (sweep.go).
+	LazyPlanner
+	// KineticPlanner parks nodes (kinetic.go).
+	KineticPlanner
 )
+
+// kineticFrom is the fleet size from which AutoPlanner picks the kinetic
+// planner over the lazy sweep. PERFORMANCE.md §7's crossover table has the
+// measurements: the sweep leads at 100 and 200 nodes and on the 400-node
+// densescan case, and loses from 700 nodes at every density measured, as
+// its O(n²) pair state outgrows its sharper deadlines.
+const kineticFrom = 512
 
 // pairKey identifies an unordered host pair, low id first.
 type pairKey [2]int32
@@ -198,15 +205,13 @@ type Manager struct {
 	// until the nodes genuinely separate (nil unless flapping is enabled).
 	flapped map[pairKey]bool
 
-	// sweep is the lazy scan planner (nil in naive and kinetic modes).
-	sweep *sweep
-	// kin is the kinetic per-node scan planner (nil unless ScanKinetic,
-	// or unless the lazy planner's pair index overflowed and the run fell
-	// back here).
-	kin *kinetic
-	// fallback records, in first-occurrence order, every scan-strategy
-	// fallback the run took (see FallbackReason).
-	fallback []string
+	// plan is the motion-bounded scan planner, built on the first scan tick
+	// (so contact-trace and replayed runs never allocate one); nil runs the
+	// naive scan.
+	plan planner
+	// fallback names the planner retirement the run took, if any (see
+	// FallbackReason).
+	fallback string
 	// downsBuf and freedBuf are per-tick scratch, reused so a steady-state
 	// scan allocates nothing.
 	downsBuf []*link
@@ -275,63 +280,29 @@ func NewManager(eng *sim.Engine, cfg Config, hosts []*routing.Host, models []mob
 	if m.faults.FlapEnabled() {
 		m.flapped = make(map[pairKey]bool)
 	}
-	switch cfg.Scan {
-	case "", ScanLazy, ScanNaive, ScanKinetic:
-	default:
-		return nil, fmt.Errorf("network: unknown scan strategy %q (want %q, %q, or %q)", cfg.Scan, ScanLazy, ScanNaive, ScanKinetic)
-	}
 	if err := m.checkPlans(); err != nil {
 		return nil, err
 	}
 	if cfg.RecordPlan != nil {
 		cfg.RecordPlan.nodes = n
 	}
-	switch {
-	case cfg.ReplayPlan != nil:
-		// Replay needs no planner; the scan strategy only named the
-		// recording's emission order, which the plan already holds.
-	case cfg.Scan == ScanNaive:
-	case cfg.Scan == ScanKinetic:
-		m.kin = newKinetic(m)
-	default: // "" or ScanLazy
-		if m.sweep = newSweep(m); m.sweep == nil {
-			// The triangular pair index would overflow int32
-			// (n ≥ 65536); the kinetic planner's O(n) state is the
-			// right tool there and emits the identical stream.
-			m.noteFallback("lazy:pair-index-overflow->kinetic")
-			m.kin = newKinetic(m)
-		}
-	}
 	return m, nil
 }
 
-// noteFallback records a scan-strategy fallback reason once.
-func (m *Manager) noteFallback(reason string) {
-	for _, r := range m.fallback {
-		if r == reason {
-			return
-		}
-	}
-	m.fallback = append(m.fallback, reason)
-}
+// FallbackReason names the planner retirement this run took, such as
+// "lazy:load-monitor->naive", or returns "" when the planner held. A
+// planner retires at most once: its load monitor hands the rest of the run
+// to the naive scan. Retirement is byte-identity-preserving; this string
+// exists so capacity planning never has to infer the active planner from
+// counters.
+func (m *Manager) FallbackReason() string { return m.fallback }
 
-// FallbackReason returns the comma-joined, first-occurrence-ordered list of
-// scan-strategy fallbacks this run took, or "" when every configured
-// strategy held. Reasons cover the lazy planner's pair-index overflow
-// (n ≥ 65536 → kinetic) and the lazy and kinetic planners' load-monitor
-// retirements to the naive scan. Every fallback is byte-identity-preserving;
-// this string exists so capacity planning never has to infer the active
-// strategy from counters.
-func (m *Manager) FallbackReason() string {
-	return strings.Join(m.fallback, ",")
-}
-
-// ScanStats reports the scan-strategy work counters: distance-predicate
+// ScanStats reports the scan planner's work counters: distance-predicate
 // evaluations performed, ticks of work skipped by parking (pair-ticks under
-// the lazy planner, parked node-ticks under the kinetic planner; always 0
-// in naive mode), and wheel wakeups (pairs for lazy, nodes for kinetic).
-// These describe strategy work, not simulation outcome — they differ across
-// strategies while the event trace stays byte-identical.
+// the lazy sweep, parked node-ticks under the kinetic planner; always 0
+// under the naive scan), and wheel wakeups (pairs for lazy, nodes for
+// kinetic). These describe planner work, not simulation outcome — they
+// differ across planners while the event trace stays byte-identical.
 func (m *Manager) ScanStats() (checked, skipped, wakeups uint64) {
 	return m.pairsChecked, m.pairsSkipped, m.wakeups
 }
@@ -407,14 +378,16 @@ func (m *Manager) ContactDurations() *stats.Sampler { return &m.durations }
 
 // Scan samples positions, diffs the in-range pair set against the active
 // links, and emits link-up/down transitions. Exported for tests; normally
-// driven by Start. Dispatches to the strategy selected by Config.Scan; all
-// three emit byte-identical event streams, and so does the replay of a
-// plan one of them recorded.
+// driven by Start. Every planner emits a byte-identical event stream, and
+// so does the replay of a plan one of them recorded.
 func (m *Manager) Scan(now float64) {
 	m.scans++
 	if m.cfg.ReplayPlan != nil {
 		m.scanReplay(now)
 		return
+	}
+	if m.scans == 1 {
+		m.plan = m.newPlanner()
 	}
 	// Radios beacon continuously: charge the scan drain first so nodes that
 	// die this tick drop out of the pair set immediately.
@@ -423,15 +396,34 @@ func (m *Manager) Scan(now float64) {
 			m.energy.drain(i, m.cfg.Energy.ScanPerSec*m.cfg.ScanInterval, now)
 		}
 	}
-	if m.sweep != nil {
-		m.scanLazy(now)
-		return
-	}
-	if m.kin != nil {
-		m.scanKinetic(now)
+	if m.plan != nil {
+		m.scanParked(now)
 		return
 	}
 	m.scanNaive(now)
+}
+
+// plannerFor resolves p for a fleet of n nodes: AutoPlanner becomes the
+// lazy sweep below kineticFrom nodes and the kinetic planner from there.
+func plannerFor(p Planner, n int) Planner {
+	switch {
+	case p != AutoPlanner:
+		return p
+	case n < kineticFrom:
+		return LazyPlanner
+	}
+	return KineticPlanner
+}
+
+// newPlanner builds the run's planner; nil is the naive scan.
+func (m *Manager) newPlanner() planner {
+	switch plannerFor(m.cfg.Planner, len(m.hosts)) {
+	case LazyPlanner:
+		return newSweep(m)
+	case KineticPlanner:
+		return newKinetic(m)
+	}
+	return nil
 }
 
 func (m *Manager) scanNaive(now float64) {
@@ -541,8 +533,8 @@ func (m *Manager) linkUp(k pairKey, now float64) {
 	m.live = append(m.live, l)
 	m.adj[k[0]] = insertLink(m.adj[k[0]], l)
 	m.adj[k[1]] = insertLink(m.adj[k[1]], l)
-	if m.sweep != nil {
-		m.sweep.onLinkUp(k)
+	if m.plan != nil {
+		m.plan.onLinkUp(k)
 	}
 	if m.cfg.RecordPlan != nil {
 		m.cfg.RecordPlan.recordUp(k)
@@ -577,17 +569,11 @@ func (m *Manager) linkDown(l *link, now float64, freed []int) []int {
 	m.adj[k[1]] = removeLink(m.adj[k[1]], l)
 	l.flapTimer.Cancel()
 	m.durations.Add(now - l.upAt)
-	if m.sweep != nil {
-		// Every teardown — scan separation, flap, churn crash — returns the
-		// pair to the every-tick set; the next tick re-parks it if it is
-		// genuinely far. This conservative wake is what keeps fault
-		// interactions exact.
-		m.sweep.onLinkDown(k)
-	}
-	if m.kin != nil {
-		// Same discipline per node: both endpoints wake and re-park next
-		// tick if their neighbourhoods are genuinely quiet.
-		m.kin.onLinkDown(k)
+	if m.plan != nil {
+		// Every teardown — scan separation, flap, churn crash — wakes what
+		// it touches; the next tick re-parks it if it is genuinely far.
+		// This conservative wake is what keeps fault interactions exact.
+		m.plan.onLinkDown(k)
 	}
 	if m.lastEnd != nil {
 		m.lastEnd[k] = now

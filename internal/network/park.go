@@ -1,0 +1,316 @@
+package network
+
+import (
+	"sdsrp/internal/geo"
+)
+
+// This file holds the parking core that both motion-bounded scan planners
+// run on: the lazy sweep (sweep.go) parks node pairs, the kinetic planner
+// (kinetic.go) parks nodes, and everything else is shared. An item (a pair
+// or a node) is awake, checked every tick, or parked in a tick-bucketed
+// wake wheel until a deadline before which physics rules out any change the
+// scan must see. Each planner adds only how it finds candidates and how it
+// orders two or more ups; the tick itself (Manager.scanParked) is one loop:
+//
+//  1. wake the items whose deadline arrived;
+//  2. the planner's check: evaluate the contact predicate on what is awake,
+//     collect up candidates, clear flap suppression where the predicate is
+//     false, and park what the motion bound allows;
+//  3. downs, exactly like the naive path: recompute the predicate per live
+//     link, canonical sort, teardown with deferred kicks;
+//  4. ups: zero or one candidate needs no ordering, two or more go to the
+//     planner, which emits them in the naive scan's grid order;
+//  5. the load monitor.
+//
+// Byte-identity with the naive scanner rests on three shared facts. The
+// predicate (Manager.pairInContact's comparisons) is the same code, and
+// Model.Pos is deterministic for a given query time regardless of earlier
+// queries, so lazily sampled positions are bit-identical to the naive
+// schedule. Downs derive from Manager.live in key order. And every parking
+// deadline comes from boundTicks: over K skipped ticks a gap closing at
+// most c·interval metres per tick keeps at least one full tick of closing
+// plus geo.DistLowerBound's slack, which dominates every float-rounding step
+// in the chain (position interpolation, the distance square root, and the
+// engine's accumulated tick times). Items park only at K ≥ 2: a one-tick
+// park costs wheel traffic without skipping anything.
+//
+// Workloads where most items wake often (fast movers, short deadlines) can
+// cost more in bookkeeping than naive's flat per-node pass. The load
+// monitor (loadWindow) then retires the planner for the rest of the run;
+// the trigger reads only simulated state, so it is deterministic, and the
+// streams are byte-identical, so the switch is unobservable.
+
+const (
+	// wheelBuckets must be a power of two (bucket index is masked). The
+	// wheel is hashed: an item whose wake tick lies a lap or more ahead is
+	// re-kept with one comparison when its bucket comes around.
+	wheelBuckets = 256
+	// maxParkTicks caps a park so that the accumulated float error of
+	// tick-time addition stays far inside the deadline margin; an item
+	// re-checked once every million ticks is already free.
+	maxParkTicks = 1_000_000
+	// loadWindow is the load monitor's window in ticks: if a window's
+	// planner checks (step 2 only) exceed loadWindow·n — more predicate
+	// evaluations per tick than there are nodes — parking costs more than
+	// naive's per-node sample and grid pass, and the planner retires. The
+	// bootstrap tick (a full pass by design) is excluded from the first
+	// window.
+	loadWindow = 64
+)
+
+// Item states shared by both planners: awake items are in the awake set,
+// parked items in the wake wheel. The lazy sweep adds two pair states of
+// its own (sweep.go).
+const (
+	itemAwake uint8 = iota
+	itemParked
+)
+
+// planner is what a motion-bounded scan planner adds to the parking core.
+type planner interface {
+	core() *parking
+	// check runs step 2 of the tick (see the file comment) and returns the
+	// number of contact-predicate evaluations it made.
+	check(now float64) uint64
+	// emitUps brings up the tick's two or more candidates in the naive
+	// scan's grid order and returns the pairs it checked doing so.
+	emitUps(now float64) uint64
+	// onLinkUp and onLinkDown follow every link transition; a teardown,
+	// whatever caused it (separation, flap, churn crash), wakes what it
+	// touches so the next tick re-parks it only if it is genuinely far.
+	onLinkUp(k pairKey)
+	onLinkDown(k pairKey)
+	// name labels the planner in FallbackReason.
+	name() string
+}
+
+// parking is the state both planners share: the wake wheel, the awake set,
+// the per-tick position sampler and the load monitor's window. Items are
+// dense int32 ids, pairs or nodes depending on the planner; positions and
+// speed bounds are per node.
+type parking struct {
+	m *Manager
+	n int // nodes
+	// tick counts the planner's scans; the first is tick 1. Wake deadlines
+	// are absolute ticks.
+	tick     int64
+	interval float64
+	// speed[i] is models[i].MaxSpeed(), read once at construction (the
+	// contract requires it to be constant).
+	speed []float64
+
+	state []uint8
+	wake  []int64 // absolute wake tick, valid while state == itemParked
+	// The wheel is an intrusive doubly-linked list per bucket: wheelHead[b]
+	// is the first parked item in bucket b (-1 when empty), wnext and wprev
+	// chain them. Parking pushes onto the head and waking unlinks in place,
+	// in O(1) even mid-bucket, so the wheel never allocates after
+	// construction.
+	wheelHead [wheelBuckets]int32
+	wnext     []int32
+	wprev     []int32
+	// active holds the awake items; slot[i] is i's position in it (-1 when
+	// not awake). Swap-removal keeps both O(1); iteration order is internal
+	// only — every emission is canonically ordered.
+	active []int32
+	slot   []int32
+
+	// posTick stamps the tick each node's position was last sampled, so a
+	// node read by several checks moves once per tick.
+	posTick []int64
+	// skipping counts the items whose checks this tick skips (parked, and
+	// for the sweep retired), for the pairs-skipped counter.
+	skipping int64
+	ups      []pairKey
+	// windowChecked accumulates step-2 checks toward the load monitor.
+	windowChecked uint64
+}
+
+// newParking builds the core over items items, every one awake.
+func newParking(m *Manager, items int) parking {
+	n := len(m.hosts)
+	p := parking{
+		m:        m,
+		n:        n,
+		interval: m.cfg.ScanInterval,
+		speed:    make([]float64, n),
+		state:    make([]uint8, items),
+		wake:     make([]int64, items),
+		wnext:    make([]int32, items),
+		wprev:    make([]int32, items),
+		active:   make([]int32, items),
+		slot:     make([]int32, items),
+		posTick:  make([]int64, n),
+	}
+	for b := range p.wheelHead {
+		p.wheelHead[b] = -1
+	}
+	for i := range p.active {
+		p.active[i] = int32(i)
+		p.slot[i] = int32(i)
+	}
+	for i, model := range m.models {
+		p.speed[i] = model.MaxSpeed()
+	}
+	return p
+}
+
+func (p *parking) core() *parking { return p }
+
+// activate moves item i into the awake set.
+func (p *parking) activate(i int32) {
+	p.state[i] = itemAwake
+	p.slot[i] = int32(len(p.active))
+	p.active = append(p.active, i)
+}
+
+// deactivate swap-removes item i from the awake set.
+func (p *parking) deactivate(i int32) {
+	s := p.slot[i]
+	last := int32(len(p.active) - 1)
+	moved := p.active[last]
+	p.active[s] = moved
+	p.slot[moved] = s
+	p.active = p.active[:last]
+	p.slot[i] = -1
+}
+
+// park moves awake item i into the wheel until the absolute tick wakeAt.
+//
+// Performance contract: O(1) list splices, no allocation.
+func (p *parking) park(i int32, wakeAt int64) {
+	p.deactivate(i)
+	p.state[i] = itemParked
+	p.wake[i] = wakeAt
+	b := wakeAt & (wheelBuckets - 1)
+	h := p.wheelHead[b]
+	p.wnext[i] = h
+	p.wprev[i] = -1
+	if h >= 0 {
+		p.wprev[h] = i
+	}
+	p.wheelHead[b] = i
+	p.skipping++
+}
+
+// unpark unlinks item i from its wheel bucket and returns it to the awake
+// set.
+//
+// Performance contract: O(1) list splices, no allocation.
+func (p *parking) unpark(i int32) {
+	if pr := p.wprev[i]; pr >= 0 {
+		p.wnext[pr] = p.wnext[i]
+	} else {
+		p.wheelHead[p.wake[i]&(wheelBuckets-1)] = p.wnext[i]
+	}
+	if nx := p.wnext[i]; nx >= 0 {
+		p.wprev[nx] = p.wprev[i]
+	}
+	p.skipping--
+	p.activate(i)
+}
+
+// wakeDue wakes every item whose deadline is the current tick, in bucket
+// order, and returns how many it woke. Items parked a lap or more ahead
+// stay with one comparison.
+func (p *parking) wakeDue() uint64 {
+	woken := uint64(0)
+	for i := p.wheelHead[p.tick&(wheelBuckets-1)]; i != -1; {
+		next := p.wnext[i]
+		if p.wake[i] <= p.tick {
+			p.unpark(i)
+			woken++
+		}
+		i = next
+	}
+	return woken
+}
+
+// samplePos samples node i's position once per tick.
+func (p *parking) samplePos(i int, now float64) {
+	if p.posTick[i] != p.tick {
+		p.m.positions[i] = p.m.models[i].Pos(now)
+		p.posTick[i] = p.tick
+	}
+}
+
+// boundTicks is the motion bound both planners park on: the whole ticks a
+// gap of gap metres provably stays open when it closes at most c metres per
+// second. It is 0 when the gap is already closed, and maxParkTicks when c
+// is zero or the bound exceeds the cap.
+//
+// Performance contract: pure arithmetic, no allocation.
+func (p *parking) boundTicks(gap, c float64) int64 {
+	if gap <= 0 {
+		return 0
+	}
+	if c <= 0 {
+		return maxParkTicks
+	}
+	k := gap / (c * p.interval) // c = +Inf (teleporting model) gives 0
+	if !(k < maxParkTicks) {    // catches NaN too, though c and gap are finite
+		return maxParkTicks
+	}
+	return int64(k)
+}
+
+// pairTicks applies boundTicks to pair (i,j) at squared distance d2 and
+// effective range r: the gap is the conservative lower bound on the
+// distance minus the range, closing at the pair's combined speed bound. An
+// in-range pair gets 0 regardless of speeds, so a pair whose predicate
+// failed only because an endpoint is churn-downed or energy-dead is
+// re-checked every tick, exactly as the naive scanner does.
+//
+// Performance contract: pure arithmetic, no allocation.
+func (p *parking) pairTicks(i, j int, d2, r float64) int64 {
+	return p.boundTicks(geo.DistLowerBound(d2)-r, p.speed[i]+p.speed[j])
+}
+
+// scanParked runs one tick of the active planner (see the file comment).
+func (m *Manager) scanParked(now float64) {
+	p := m.plan.core()
+	p.tick++
+	m.wakeups += p.wakeDue()
+
+	checked := m.plan.check(now)
+	if p.tick > 1 {
+		p.windowChecked += checked
+	}
+
+	// Downs: sample both endpoints of every live link, then tear down in
+	// key order with deferred kicks, exactly like the naive path.
+	for _, l := range m.live {
+		p.samplePos(int(l.key[0]), now)
+		p.samplePos(int(l.key[1]), now)
+	}
+	checked += uint64(len(m.live))
+	freed := m.freedBuf[:0]
+	for _, l := range m.collectDowns() {
+		freed = m.linkDown(l, now, freed)
+	}
+
+	// Ups: one candidate needs no ordering.
+	switch len(p.ups) {
+	case 0:
+	case 1:
+		if m.linkOf(p.ups[0]) == nil {
+			m.linkUp(p.ups[0], now)
+		}
+	default:
+		checked += m.plan.emitUps(now)
+	}
+	p.ups = p.ups[:0]
+
+	m.pairsChecked += checked
+	m.pairsSkipped += uint64(p.skipping)
+	m.finishScan(freed, now)
+
+	// The load monitor: retire to the naive scan for the rest of the run.
+	if p.tick%loadWindow == 0 {
+		if p.windowChecked > loadWindow*uint64(p.n) {
+			m.fallback = m.plan.name() + ":load-monitor->naive"
+			m.plan = nil
+		}
+		p.windowChecked = 0
+	}
+}

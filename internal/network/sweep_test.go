@@ -38,7 +38,7 @@ func TestParkTicksDeadlines(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := &sweep{interval: tc.interval, speed: []float64{tc.va, tc.vb}}
+			s := &sweep{parking: parking{interval: tc.interval, speed: []float64{tc.va, tc.vb}}}
 			got := s.parkTicks(0, 1, tc.d*tc.d, tc.r)
 			if got != tc.want {
 				t.Fatalf("parkTicks(d=%g, r=%g, v=%g+%g, I=%g) = %d, want %d",
@@ -57,7 +57,7 @@ func TestParkTicksConservative(t *testing.T) {
 			for _, interval := range []float64{0.1, 1, 30} {
 				for _, d := range []float64{51, 60, 200, 4000, 1e7} {
 					const r = 50.0
-					s := &sweep{interval: interval, speed: []float64{va, vb}}
+					s := &sweep{parking: parking{interval: interval, speed: []float64{va, vb}}}
 					k := s.parkTicks(0, 1, d*d, r)
 					if k < 0 {
 						t.Fatalf("finite speeds %g+%g retired", va, vb)
@@ -76,7 +76,8 @@ func TestParkTicksConservative(t *testing.T) {
 	}
 }
 
-// pathManager builds a 1s-scan lazy-mode manager over trace-playback models.
+// pathManager builds a 1s-scan manager over trace-playback models; its two
+// to three nodes get the lazy sweep.
 func pathManager(t *testing.T, eng *sim.Engine, rng float64, paths ...[]mobility.TimedPoint) *Manager {
 	t.Helper()
 	collector := stats.NewCollector()
@@ -215,10 +216,7 @@ func TestSweepStaticPairSurvivesChurnReboot(t *testing.T) {
 // bookkeeping.
 func TestPairIndexRoundTrip(t *testing.T) {
 	r := newRig(9, 10000)
-	s := r.mgr.sweep
-	if s == nil {
-		t.Fatal("default scan mode did not build the sweep planner")
-	}
+	s := newSweep(r.mgr)
 	seen := make(map[int]bool)
 	for a := 0; a < 9; a++ {
 		for b := a + 1; b < 9; b++ {

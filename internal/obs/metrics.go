@@ -232,20 +232,19 @@ type RunStats struct {
 	// WallSeconds is the real time spent inside the engine run loop.
 	WallSeconds float64
 	// PairsChecked counts the contact scanner's distance-predicate
-	// evaluations; PairsSkipped counts work the scan strategy proved
-	// unnecessary — pair-ticks parked in the lazy scanner's wake wheel or
-	// permanently retired, or node-ticks parked by the kinetic scanner
-	// (always 0 in naive mode); Wakeups counts entries woken from the
-	// strategy's wake wheel. All zero in contact-trace-driven runs, which
+	// evaluations; PairsSkipped counts work the scan planner proved
+	// unnecessary — pair-ticks parked in the lazy sweep's wake wheel or
+	// permanently retired, or node-ticks parked by the kinetic planner
+	// (always 0 under the naive scan); Wakeups counts entries woken from the
+	// planner's wake wheel. All zero in contact-trace-driven runs, which
 	// have no scanner.
 	PairsChecked uint64
 	PairsSkipped uint64
 	Wakeups      uint64
-	// ScanFallback records every scan-strategy substitution the run made,
-	// comma-joined in occurrence order (e.g.
-	// "lazy:pair-index-overflow->kinetic"). Empty when the configured
-	// strategy ran to completion. Fallbacks never change the event trace —
-	// every strategy is byte-identical — only the performance profile.
+	// ScanFallback names the scan-planner retirement the run made (e.g.
+	// "lazy:load-monitor->naive"), or is empty when the planner ran to
+	// completion. Retirement never changes the event trace — every planner
+	// is byte-identical — only the performance profile.
 	ScanFallback string
 	// Replayed marks a run whose contacts came from a schedule recorded by
 	// a motion-identical run (network.ContactPlan) instead of its own scan.

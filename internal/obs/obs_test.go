@@ -255,8 +255,8 @@ func TestRunStatsString(t *testing.T) {
 	if strings.Contains(s, "scan-fallback") {
 		t.Errorf("String() = %q mentions scan-fallback without one recorded", s)
 	}
-	r.ScanFallback = "lazy:pair-index-overflow->kinetic"
-	if s := r.String(); !strings.Contains(s, "scan-fallback=lazy:pair-index-overflow->kinetic") {
+	r.ScanFallback = "lazy:load-monitor->naive"
+	if s := r.String(); !strings.Contains(s, "scan-fallback=lazy:load-monitor->naive") {
 		t.Errorf("String() = %q missing the fallback segment", s)
 	}
 }

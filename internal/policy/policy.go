@@ -73,9 +73,8 @@ type Policy interface {
 // results within a single event. The zero value is ready to use. Not safe
 // for concurrent use.
 type Orderer struct {
-	send    ranking
-	evict   ranking
-	victims []*msg.Stored
+	send  ranking
+	evict ranking
 }
 
 // ranking is a sortable (message, score) column pair. Holding it as an
@@ -151,43 +150,48 @@ func SendOrder(p Policy, v View, items []*msg.Stored) []*msg.Stored {
 // generalized to heterogeneous sizes: repeatedly compare the lowest
 // DropScore among the buffered messages against the newcomer's; if the
 // newcomer is the weakest, reject it; otherwise evict the weakest and
-// retry. Victims are returned in eviction order; accept reports whether
-// incoming fits after those evictions. buf is not modified.
+// retry. Victims are returned in eviction order, scores[i] being victims[i]'s
+// DropScore; accept reports whether incoming fits after those evictions.
+// buf is not modified. Whenever it rejects incoming, inScore is the
+// newcomer's DropScore: callers report these scores instead of scoring
+// again, so a stateful policy (Random draws from its stream) sees the same
+// calls whether or not anyone records them. A newcomer larger than the
+// whole buffer is scored too, for the same reason.
 //
-// Performance contract: ranks and collects victims in the Orderer's reused
-// scratch space; warm, PlanEviction allocates nothing.
-func (o *Orderer) PlanEviction(p Policy, v View, buf *buffer.Buffer, incoming *msg.Stored) (victims []*msg.Stored, accept bool) {
+// Performance contract: ranks into the Orderer's reused scratch space;
+// warm, PlanEviction allocates nothing.
+func (o *Orderer) PlanEviction(p Policy, v View, buf *buffer.Buffer, incoming *msg.Stored) (victims []*msg.Stored, scores []float64, inScore float64, accept bool) {
 	if incoming.M.Size > buf.Capacity() {
-		return nil, false
+		return nil, nil, p.DropScore(v, incoming), false
 	}
 	free := buf.Free()
 	if incoming.M.Size <= free {
-		return nil, true
+		return nil, nil, 0, true
 	}
 	// Ascending score: weakest first; ties break on ID for determinism.
 	o.evict.desc = false
 	o.evict.rank(p, v, buf.Items(), dropScore)
-	inScore := p.DropScore(v, incoming)
-	victims = o.victims[:0]
+	inScore = p.DropScore(v, incoming)
+	n := 0
 	for i, s := range o.evict.items {
 		if free >= incoming.M.Size {
 			break
 		}
 		if !weakerThanIncoming(o.evict.scores[i], inScore, s.M.ID, incoming.M.ID) {
 			// The weakest survivor outranks the newcomer: reject.
-			return nil, false
+			return nil, nil, inScore, false
 		}
-		victims = append(victims, s)
+		n++
 		free += s.M.Size
 	}
-	o.victims = victims
-	return victims, free >= incoming.M.Size
+	return o.evict.items[:n], o.evict.scores[:n], inScore, free >= incoming.M.Size
 }
 
 // PlanEviction is the convenience form using a throwaway Orderer.
 func PlanEviction(p Policy, v View, buf *buffer.Buffer, incoming *msg.Stored) ([]*msg.Stored, bool) {
 	var o Orderer
-	return o.PlanEviction(p, v, buf, incoming)
+	victims, _, _, ok := o.PlanEviction(p, v, buf, incoming)
+	return victims, ok
 }
 
 // weakerThanIncoming applies the same ordering as the eviction sort, so the

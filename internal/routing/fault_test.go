@@ -121,7 +121,7 @@ func TestWipeState(t *testing.T) {
 	h := tn.hosts[0]
 	h.Originate(tn.message(1, 0, 3, 8, 500, 100000), 0)
 	h.Originate(tn.message(2, 0, 3, 8, 500, 100000), 0)
-	h.DropMessage(h.Buffer().Get(2), 5) // populate the dropped list
+	h.DropMessage(h.Buffer().Get(2), 0, 5) // populate the dropped list
 	h.received[7] = true
 
 	tn.now = 10

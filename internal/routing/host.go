@@ -318,17 +318,17 @@ func (h *Host) Originate(m *msg.Message, now float64) bool {
 			Node: m.Source, Peer: m.Dest, Size: m.Size, Copies: m.InitialCopies})
 	}
 	s := msg.NewSourceCopy(m)
-	victims, ok := h.ord.PlanEviction(h.pol, h, h.buf, s)
+	victims, scores, inScore, ok := h.ord.PlanEviction(h.pol, h, h.buf, s)
 	if !ok {
 		if h.tracer != nil {
 			h.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped, Msg: m.ID,
-				Node: h.id, Priority: h.pol.DropScore(h, s)})
+				Node: h.id, Priority: inScore})
 		}
 		h.collector.Dropped()
 		return false
 	}
-	for _, v := range victims {
-		h.DropMessage(v, now)
+	for i, v := range victims {
+		h.DropMessage(v, scores[i], now)
 	}
 	if err := h.buf.Add(s); err != nil {
 		//lint:invariant PlanEviction just freed enough bytes for s in this same event; Add cannot overflow
@@ -342,14 +342,15 @@ func (h *Host) Originate(m *msg.Message, now float64) bool {
 
 // DropMessage evicts s under the buffer policy: it leaves the buffer,
 // enters the host's dropped list (when enabled) and counts as a policy
-// drop.
-func (h *Host) DropMessage(s *msg.Stored, now float64) {
+// drop. score is the DropScore the eviction plan ranked s by; the dropped
+// event reports it.
+func (h *Host) DropMessage(s *msg.Stored, score, now float64) {
 	if h.buf.Remove(s.M.ID) == nil {
 		return
 	}
 	if h.tracer != nil {
 		h.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped, Msg: s.M.ID,
-			Node: h.id, Priority: h.pol.DropScore(h, s)})
+			Node: h.id, Priority: score})
 	}
 	if h.drops != nil {
 		h.drops.RecordDrop(s.M.ID, now)

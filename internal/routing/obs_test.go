@@ -50,7 +50,8 @@ func TestNilTracerEmitNoAlloc(t *testing.T) {
 		t.Fatalf("nil-tracer snapshot emit allocated %v times per run, want 0", n)
 	}
 	// The full eviction path with a nil tracer must not allocate for
-	// tracing either: DropMessage's priority computation is guarded.
+	// tracing either: the dropped event only reports the eviction plan's
+	// scores.
 	m := tn.message(1, 0, 1, 8, 100, 3600)
 	if !h.Originate(m, 0) {
 		t.Fatal("originate failed")
@@ -90,7 +91,7 @@ func TestTracerLifecycleEvents(t *testing.T) {
 	if s == nil {
 		t.Fatal("source copy missing")
 	}
-	src.DropMessage(s, tn.now)
+	src.DropMessage(s, 0.25, tn.now)
 
 	var types []obs.Type
 	for _, ev := range ring.Events() {
@@ -120,7 +121,7 @@ func TestTracerLifecycleEvents(t *testing.T) {
 	if evs[2].Hops != 2 || evs[2].Latency != 20 || evs[2].Peer != 2 {
 		t.Errorf("delivered event fields: %+v", evs[2])
 	}
-	if evs[3].Node != 0 {
+	if evs[3].Node != 0 || evs[3].Priority != 0.25 {
 		t.Errorf("dropped event fields: %+v", evs[3])
 	}
 }

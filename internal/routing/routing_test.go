@@ -306,7 +306,7 @@ func TestDropListRejectsReceipt(t *testing.T) {
 	// b dropped message 1 in the past.
 	bCopy := &msg.Stored{M: tn.message(1, 0, 3, 8, 500, 1000), Copies: 1}
 	b.Buffer().Add(bCopy)
-	b.DropMessage(bCopy, 1)
+	b.DropMessage(bCopy, 0, 1)
 	tn.now = 10
 	if _, ok := a.NextOffer(b, nil); ok {
 		t.Fatal("peer offered a message in its dropped list")
@@ -318,7 +318,7 @@ func TestDropListGossipOnLinkUp(t *testing.T) {
 	a, b, c := tn.hosts[0], tn.hosts[1], tn.hosts[2]
 	aCopy := &msg.Stored{M: tn.message(9, 0, 3, 8, 500, 1000), Copies: 1}
 	a.Buffer().Add(aCopy)
-	a.DropMessage(aCopy, 1)
+	a.DropMessage(aCopy, 0, 1)
 	b.OnLinkUp(a, 5)
 	if b.DropTable().DroppedCount(9) != 1 {
 		t.Fatal("gossip did not propagate the drop record")
@@ -550,7 +550,7 @@ func TestHostViewEstimates(t *testing.T) {
 	other := tn.hosts[1]
 	otherCopy := &msg.Stored{M: m, Copies: 1}
 	other.Buffer().Add(otherCopy)
-	other.DropMessage(otherCopy, 60)
+	other.DropMessage(otherCopy, 0, 60)
 	h.OnLinkUp(other, 70)
 	liveAfter := h.LiveEstimate(s)
 	if liveAfter >= liveBefore {

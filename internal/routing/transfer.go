@@ -93,7 +93,7 @@ func (h *Host) PreAccept(o Offer, now float64) bool {
 	if !h.preflight {
 		return true
 	}
-	_, ok := h.ord.PlanEviction(h.pol, h, h.buf, o.Phantom(now))
+	_, _, _, ok := h.ord.PlanEviction(h.pol, h, h.buf, o.Phantom(now))
 	return ok
 }
 
@@ -185,15 +185,14 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 		return false
 	}
 
-	victims, ok := receiver.ord.PlanEviction(receiver.pol, receiver, receiver.buf, incoming)
+	victims, scores, inScore, ok := receiver.ord.PlanEviction(receiver.pol, receiver, receiver.buf, incoming)
 	if !ok {
 		// The newcomer is the weakest: dropped on arrival. It enters the
 		// receiver's dropped list (enabling SDSRP's future pre-rejection)
 		// and counts as a policy drop.
 		if receiver.tracer != nil {
 			receiver.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped,
-				Msg: id, Node: receiver.id,
-				Priority: receiver.pol.DropScore(receiver, incoming)})
+				Msg: id, Node: receiver.id, Priority: inScore})
 		}
 		if receiver.drops != nil {
 			receiver.drops.RecordDrop(id, now)
@@ -201,8 +200,8 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 		c.Dropped()
 		return false
 	}
-	for _, v := range victims {
-		receiver.DropMessage(v, now)
+	for i, v := range victims {
+		receiver.DropMessage(v, scores[i], now)
 	}
 	if err := receiver.buf.Add(incoming); err != nil {
 		//lint:invariant PlanEviction just freed enough bytes for incoming in this same event; Add cannot overflow

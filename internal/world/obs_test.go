@@ -160,6 +160,33 @@ func TestTracedRunMatchesCollector(t *testing.T) {
 	}
 }
 
+// TestTracingLeavesRandomUnchanged: attaching a tracer must not change a
+// run. Random draws one value from its stream per DropScore, so the dropped
+// event has to report the scores the eviction plan already drew instead of
+// scoring the copy again.
+func TestTracingLeavesRandomUnchanged(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3} {
+		sc := diffBase()
+		sc.PolicyName = "Random"
+		sc.Seed = seed
+		w, err := Build(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := mustRun(t, w)
+		_, traced, _, err := runScenario(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.PolicyDrops == 0 {
+			t.Fatalf("seed %d: no policy drops, so no dropped event was scored", seed)
+		}
+		if plain.Summary != traced.Summary {
+			t.Errorf("seed %d: traced run diverges:\nuntraced: %+v\ntraced:   %+v", seed, plain.Summary, traced.Summary)
+		}
+	}
+}
+
 // runTracedSnapshots is runTraced with the windowed sampler enabled.
 func runTracedSnapshots(t *testing.T, sc config.Scenario, interval float64) []byte {
 	t.Helper()

@@ -10,6 +10,7 @@ import (
 	"sdsrp/internal/fault"
 	"sdsrp/internal/geo"
 	"sdsrp/internal/mobility"
+	"sdsrp/internal/network"
 	"sdsrp/internal/obs"
 	"sdsrp/internal/trace"
 )
@@ -25,16 +26,23 @@ func diffBase() config.Scenario {
 	return sc
 }
 
-// runScan executes sc under the given scan mode and returns the full JSONL
-// event trace plus the result digest. The trace pins every link-up/down,
+// plannerNames labels the planners in failure messages.
+var plannerNames = map[network.Planner]string{
+	network.AutoPlanner:    "auto",
+	network.NaivePlanner:   "naive",
+	network.LazyPlanner:    "lazy",
+	network.KineticPlanner: "kinetic",
+}
+
+// runScan executes sc under planner p and returns the full JSONL event
+// trace plus the result digest. The trace pins every link-up/down,
 // transfer, drop, and delivery with its timestamp — byte equality between
-// modes is the strongest observable equivalence the simulator offers.
-func runScan(t *testing.T, sc config.Scenario, mode string) ([]byte, Result, []trace.Contact) {
+// planners is the strongest observable equivalence the simulator offers.
+func runScan(t *testing.T, sc config.Scenario, p network.Planner) ([]byte, Result, []trace.Contact) {
 	t.Helper()
-	sc.ScanMode = mode
-	trace, res, contacts, err := runScenario(sc)
+	trace, res, contacts, err := runScenario(sc, withPlanner(p))
 	if err != nil {
-		t.Fatalf("%s: %v", mode, err)
+		t.Fatalf("%s: %v", plannerNames[p], err)
 	}
 	return trace, res, contacts
 }
@@ -60,14 +68,15 @@ func runScenario(sc config.Scenario, opts ...BuildOption) ([]byte, Result, []tra
 	return buf.Bytes(), res, rec.Contacts(), nil
 }
 
-// assertScanModesAgree runs sc under the naive scanner and the given mode
+// assertPlannerMatchesNaive runs sc under the naive scanner and planner p
 // and fails on the first diverging trace line.
-func assertScanModesAgree(t *testing.T, sc config.Scenario, mode string) {
+func assertPlannerMatchesNaive(t *testing.T, sc config.Scenario, p network.Planner) {
 	t.Helper()
-	naive, resN, logN := runScan(t, sc, "naive")
-	other, resO, logO := runScan(t, sc, mode)
+	mode := plannerNames[p]
+	naive, resN, logN := runScan(t, sc, network.NaivePlanner)
+	other, resO, logO := runScan(t, sc, p)
 	if line, nl, ol, same := firstDiff(naive, other); !same {
-		t.Fatalf("scan modes diverge at trace line %d:\n  naive: %s\n  %s: %s", line, nl, mode, ol)
+		t.Fatalf("planners diverge at trace line %d:\n  naive: %s\n  %s: %s", line, nl, mode, ol)
 	}
 	if resN.Summary != resO.Summary {
 		t.Fatalf("summaries diverge:\nnaive: %+v\n%s: %+v", resN.Summary, mode, resO.Summary)
@@ -82,7 +91,7 @@ func assertScanModesAgree(t *testing.T, sc config.Scenario, mode string) {
 	// The planner under test must actually have skipped work on these
 	// scenarios (otherwise the test only proves naive == naive): pair-ticks
 	// parked for lazy, node-ticks parked for kinetic. The raw checked
-	// counters are NOT comparable across modes — naive's count is already
+	// counters are NOT comparable across planners — naive's count is already
 	// grid-prefiltered while the planners pay different candidate sets —
 	// so the ns/op claim lives in the bench suite, not here.
 	if resO.Perf.PairsSkipped == 0 {
@@ -189,7 +198,7 @@ func TestLazyScanMatchesNaive(t *testing.T) {
 			sc.Name = fmt.Sprintf("diff-%s-%d", name, seed)
 			t.Run(sc.Name, func(t *testing.T) {
 				t.Parallel()
-				assertScanModesAgree(t, sc, "lazy")
+				assertPlannerMatchesNaive(t, sc, network.LazyPlanner)
 			})
 		}
 	}
@@ -206,45 +215,69 @@ func TestKineticScanMatchesNaive(t *testing.T) {
 			sc.Name = fmt.Sprintf("kin-%s-%d", name, seed)
 			t.Run(sc.Name, func(t *testing.T) {
 				t.Parallel()
-				assertScanModesAgree(t, sc, "kinetic")
+				assertPlannerMatchesNaive(t, sc, network.KineticPlanner)
 			})
 		}
 	}
 }
 
-// TestLazyOverflowFallsBackToKinetic pins the large-fleet behaviour: at
-// 65536 nodes the lazy scanner's triangular pair index would cost gigabytes,
-// so newSweep refuses and the Manager substitutes the kinetic planner,
-// recording the fallback reason. The run itself must still be byte-identical
-// to an explicit kinetic run — proving the substitution changes only the
-// perf profile. A naive cross-check at this n is far too slow for the
-// suite; kinetic-vs-naive identity is covered by the matrix above plus the
-// strategy-blind trace machinery.
-func TestLazyOverflowFallsBackToKinetic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("65536-node smoke is a few seconds; skipped in -short")
+// TestAutoPlannerMatchesForced pins the automatic planner choice to the
+// benchmark's workloads: a Table II world runs the lazy sweep and a
+// shortened fleet-10k world the kinetic planner, each with exactly the scan
+// work counters of a run forced onto that planner. The 65536-node fleet,
+// where the lazy sweep's pair index would no longer fit int32, runs the
+// kinetic planner without any fallback (skipped in -short: a few seconds).
+func TestAutoPlannerMatchesForced(t *testing.T) {
+	fleet := func(nodes int, side, duration float64) config.Scenario {
+		sc := config.RandomWaypoint()
+		sc.Nodes = nodes
+		sc.Area = geo.NewRect(side, side)
+		sc.Duration = duration
+		sc.GenIntervalLo = 0 // traffic-free: this pins scanner behaviour only
+		return sc
 	}
-	sc := config.RandomWaypoint()
-	sc.Nodes = 65536
-	sc.Area = geo.NewRect(200000, 200000)
-	sc.Duration = 60
-	sc.GenIntervalLo = 0 // traffic-free: this pins scanner behaviour only
-	sc.Name = "lazy-overflow"
-	lazyTrace, resLazy, _ := runScan(t, sc, "lazy")
-	if want := "lazy:pair-index-overflow->kinetic"; resLazy.Perf.ScanFallback != want {
-		t.Fatalf("fallback reason = %q, want %q", resLazy.Perf.ScanFallback, want)
-	}
-	kinTrace, resKin, _ := runScan(t, sc, "kinetic")
-	if resKin.Perf.ScanFallback != "" {
-		t.Fatalf("explicit kinetic run recorded fallback %q", resKin.Perf.ScanFallback)
-	}
-	if resKin.Perf.PairsSkipped == 0 {
-		t.Fatalf("kinetic planner parked no node-ticks at 65536 nodes")
-	}
-	if !bytes.Equal(lazyTrace, kinTrace) {
-		t.Fatalf("overflow-fallback trace differs from explicit kinetic trace")
-	}
-	if resLazy.Summary != resKin.Summary {
-		t.Fatalf("summaries diverge:\nfallback: %+v\nkinetic:  %+v", resLazy.Summary, resKin.Summary)
+	for _, tc := range []struct {
+		name  string
+		sc    config.Scenario
+		want  network.Planner
+		large bool
+	}{
+		{"table2", config.RandomWaypoint(), network.LazyPlanner, false},
+		// fleet-10k's geometry: bench.Scan100kScenario at a tenth of the
+		// nodes on a tenth of the area, 60 s instead of 300.
+		{"fleet-10k", func() config.Scenario {
+			sc := fleet(10_000, 79_057, 60)
+			sc.CellSize = 500
+			return sc
+		}(), network.KineticPlanner, false},
+		{"fleet-65536", fleet(65536, 200_000, 60), network.KineticPlanner, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.large && testing.Short() {
+				t.Skip("65536-node run is a few seconds; skipped in -short")
+			}
+			autoTrace, auto, _ := runScan(t, tc.sc, network.AutoPlanner)
+			forcedTrace, forced, _ := runScan(t, tc.sc, tc.want)
+			if auto.Perf.ScanFallback != forced.Perf.ScanFallback {
+				t.Fatalf("fallback %q, forced %s run %q", auto.Perf.ScanFallback,
+					plannerNames[tc.want], forced.Perf.ScanFallback)
+			}
+			if tc.large && auto.Perf.ScanFallback != "" {
+				t.Fatalf("fallback %q at 65536 nodes, want none", auto.Perf.ScanFallback)
+			}
+			type counters struct{ checked, skipped, wakeups uint64 }
+			got := counters{auto.Perf.PairsChecked, auto.Perf.PairsSkipped, auto.Perf.Wakeups}
+			want := counters{forced.Perf.PairsChecked, forced.Perf.PairsSkipped, forced.Perf.Wakeups}
+			if got != want {
+				t.Fatalf("automatic run's scan counters %+v, forced %s run's %+v",
+					got, plannerNames[tc.want], want)
+			}
+			if forced.Perf.PairsSkipped == 0 {
+				t.Fatalf("forced %s run parked nothing", plannerNames[tc.want])
+			}
+			if !bytes.Equal(autoTrace, forcedTrace) {
+				t.Fatalf("automatic run's trace differs from the forced %s run's", plannerNames[tc.want])
+			}
+		})
 	}
 }

@@ -48,6 +48,7 @@ type BuildOption func(*buildOptions)
 type buildOptions struct {
 	tracer         obs.Tracer
 	record, replay *network.ContactPlan
+	planner        network.Planner
 }
 
 // WithTracer routes every lifecycle event of the run (message, contact,
@@ -75,6 +76,13 @@ func ReplayContactPlan(p *network.ContactPlan) BuildOption {
 	return func(o *buildOptions) { o.replay = p }
 }
 
+// withPlanner forces the run's contact-scan planner, for the differential
+// tests and scan benchmarks; every other world lets the radio layer pick by
+// fleet size.
+func withPlanner(p network.Planner) BuildOption {
+	return func(o *buildOptions) { o.planner = p }
+}
+
 // Result is the digest of a finished run.
 type Result struct {
 	stats.Summary
@@ -92,9 +100,9 @@ type Result struct {
 	IntermeetingN    int
 	// Perf is the engine-level performance digest: events dispatched,
 	// events/sec, peak queue depth, wall-clock, and the contact scanner's
-	// pairs-checked/skipped/wakeups counters. The strategy counters
+	// pairs-checked/skipped/wakeups counters. The planner counters
 	// describe how the scan did its work and legitimately differ across
-	// scan modes; everything the simulation observes (Events, PeakQueue,
+	// planners; everything the simulation observes (Events, PeakQueue,
 	// the trace, the Summary) is identical.
 	Perf obs.RunStats
 }
@@ -189,7 +197,7 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 		Bandwidth:    sc.Bandwidth,
 		ScanInterval: sc.ScanInterval,
 		Ranges:       ranges,
-		Scan:         sc.ScanMode,
+		Planner:      bo.planner,
 		CellSize:     sc.CellSize,
 		Tracer:       bo.tracer,
 		Faults:       inj,
