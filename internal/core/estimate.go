@@ -1,7 +1,5 @@
 package core
 
-import "math"
-
 // LambdaEstimator maintains a node's running estimate of the mean
 // intermeeting time E(I) from its own contact history (Definition 1). A
 // configurable prior keeps the estimate sane before enough samples arrive;
@@ -278,12 +276,3 @@ var (
 	_ RateSource = (*LambdaEstimator)(nil)
 	_ RateSource = FixedRate{}
 )
-
-// Log2Ceil returns ⌈log2(v)⌉ for v ≥ 1; 0 for v ≤ 1. Helper for spray-tree
-// height computations n = log2(C/C_i).
-func Log2Ceil(v float64) int {
-	if v <= 1 {
-		return 0
-	}
-	return int(math.Ceil(math.Log2(v)))
-}

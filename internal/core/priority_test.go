@@ -258,12 +258,3 @@ func TestFig2Inversion(t *testing.T) {
 		t.Fatalf("expected the roomier message to win early: ui=%v uj=%v", uiEarly, ujEarly)
 	}
 }
-
-func TestLog2Ceil(t *testing.T) {
-	cases := map[float64]int{0.5: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 16: 4, 17: 5}
-	for v, want := range cases {
-		if got := Log2Ceil(v); got != want {
-			t.Fatalf("Log2Ceil(%v) = %d, want %d", v, got, want)
-		}
-	}
-}

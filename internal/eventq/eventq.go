@@ -82,35 +82,6 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	return v, true
 }
 
-// Clear empties the queue, keeping the backing array for reuse.
-func (q *Queue[T]) Clear() {
-	var zero T
-	for i := range q.items {
-		q.items[i] = zero
-	}
-	q.items = q.items[:0]
-}
-
-// Reorder re-establishes the heap invariant after the ordering of items may
-// have changed (for example, after mutating priorities in place). O(n).
-func (q *Queue[T]) Reorder() {
-	for i := len(q.items)/2 - 1; i >= 0; i-- {
-		q.down(i)
-	}
-}
-
-// Drain repeatedly pops items into out until the queue is empty, returning
-// the filled slice. The result is in ascending order.
-func (q *Queue[T]) Drain(out []T) []T {
-	for {
-		v, ok := q.Pop()
-		if !ok {
-			return out
-		}
-		out = append(out, v)
-	}
-}
-
 func (q *Queue[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2

@@ -9,6 +9,16 @@ import (
 
 func intQueue() *Queue[int] { return New(func(a, b int) bool { return a < b }) }
 
+// popAll pops q until it is empty and returns the items in pop order.
+func popAll[T any](q *Queue[T]) []T {
+	var out []T
+	for q.Len() > 0 {
+		v, _ := q.Pop()
+		out = append(out, v)
+	}
+	return out
+}
+
 func TestEmptyQueue(t *testing.T) {
 	q := intQueue()
 	if q.Len() != 0 {
@@ -56,14 +66,14 @@ func TestDuplicates(t *testing.T) {
 		q.Push(7)
 		q.Push(3)
 	}
-	got := q.Drain(nil)
+	got := popAll(q)
 	want := []int{3, 3, 3, 3, 3, 7, 7, 7, 7, 7}
 	if len(got) != len(want) {
-		t.Fatalf("Drain len = %d, want %d", len(got), len(want))
+		t.Fatalf("popped %d items, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Drain[%d] = %d, want %d", i, got[i], want[i])
+			t.Fatalf("pop %d = %d, want %d", i, got[i], want[i])
 		}
 	}
 }
@@ -88,42 +98,6 @@ func TestInterleavedPushPop(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	q := intQueue()
-	for i := 0; i < 100; i++ {
-		q.Push(i)
-	}
-	q.Clear()
-	if q.Len() != 0 {
-		t.Fatalf("Len after Clear = %d, want 0", q.Len())
-	}
-	q.Push(3)
-	if v, _ := q.Pop(); v != 3 {
-		t.Fatalf("queue unusable after Clear: got %d", v)
-	}
-}
-
-func TestReorder(t *testing.T) {
-	type item struct{ pri int }
-	a, b, c := &item{1}, &item{2}, &item{3}
-	q := New(func(x, y *item) bool { return x.pri < y.pri })
-	q.Push(a)
-	q.Push(b)
-	q.Push(c)
-	// Invert priorities in place, then re-heapify.
-	a.pri, c.pri = 9, 0
-	q.Reorder()
-	if v, _ := q.Pop(); v != c {
-		t.Fatal("Reorder did not float the new minimum")
-	}
-	if v, _ := q.Pop(); v != b {
-		t.Fatal("Reorder lost the middle element's position")
-	}
-	if v, _ := q.Pop(); v != a {
-		t.Fatal("Reorder did not sink the new maximum")
-	}
-}
-
 func TestNewWithCapacity(t *testing.T) {
 	q := NewWithCapacity(func(a, b int) bool { return a < b }, 64)
 	for i := 63; i >= 0; i-- {
@@ -143,7 +117,7 @@ func TestPropertyDrainSorts(t *testing.T) {
 		for _, x := range xs {
 			q.Push(x)
 		}
-		got := q.Drain(nil)
+		got := popAll(q)
 		want := append([]int16(nil), xs...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		if len(got) != len(want) {

@@ -6,11 +6,10 @@
 //
 // Grid is the per-tick hot path of the whole simulator: the network scanner
 // calls Update then Pairs once per scan interval for the entire run (see
-// PERFORMANCE.md for the cost model). Both query methods — Pairs and Near —
-// therefore follow the append-to-out idiom: they append results to the
-// caller-supplied slice and return the extended slice, so a caller that
-// passes back last tick's buffer as out[:0] queries with zero allocations
-// at steady state. Passing nil is always valid and yields a fresh slice.
+// PERFORMANCE.md for the cost model). Pairs therefore follows the
+// append-to-out idiom: it appends results to the caller-supplied slice and
+// returns the extended slice, so a caller that passes back last tick's
+// buffer as out[:0] queries with zero allocations at steady state. Passing nil is always valid and yields a fresh slice.
 // Results alias the out buffer: reusing it overwrites the previous call's
 // results in place (internal/geo/reuse_test.go pins these semantics).
 //

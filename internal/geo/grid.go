@@ -256,39 +256,3 @@ func appendPair(out [][2]int32, a, b int32) [][2]int32 {
 	}
 	return append(out, [2]int32{a, b})
 }
-
-// Near appends to out the ids of all items within radius of p (including
-// items at exactly radius), and returns the extended slice. Cells are
-// visited row by row, ids in insertion order within a cell.
-//
-// Performance contract: compares squared distances only and writes through
-// the caller's slice; with a warm out buffer Near allocates nothing.
-func (g *Grid) Near(p Point, radius float64, out []int32) []int32 {
-	r2 := radius * radius
-	cx := int((p.X - g.area.Min.X) / g.cell)
-	cy := int((p.Y - g.area.Min.Y) / g.cell)
-	span := int(radius/g.cell) + 1
-	for dy := -span; dy <= span; dy++ {
-		ny := cy + dy
-		if ny < 0 || ny >= g.rows {
-			continue
-		}
-		for dx := -span; dx <= span; dx++ {
-			nx := cx + dx
-			if nx < 0 || nx >= g.cols {
-				continue
-			}
-			ci := ny*g.cols + nx
-			if !occupied(g.bits, ci) {
-				continue
-			}
-			c := g.occ[g.slot[ci]]
-			for k := c.lo; k < c.hi; k++ {
-				if g.pts[k].Dist2(p) <= r2 {
-					out = append(out, g.ids[k])
-				}
-			}
-		}
-	}
-	return out
-}

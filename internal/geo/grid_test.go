@@ -116,18 +116,6 @@ func TestGridOutOfBoundsClamped(t *testing.T) {
 	}
 }
 
-func TestGridNear(t *testing.T) {
-	area := NewRect(1000, 1000)
-	pos := []Point{{100, 100}, {150, 100}, {400, 400}, {100, 190}}
-	g := NewGrid(area, 100, len(pos))
-	g.Update(pos)
-	got := g.Near(Point{100, 100}, 95, nil)
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
-		t.Fatalf("Near = %v, want [0 1 3]", got)
-	}
-}
-
 func TestGridReuseAcrossUpdates(t *testing.T) {
 	s := rng.New(7)
 	area := NewRect(500, 500)

@@ -108,28 +108,3 @@ func (g *refGrid) Pairs(radius float64, out [][2]int32) [][2]int32 {
 	}
 	return out
 }
-
-func (g *refGrid) Near(p Point, radius float64, out []int32) []int32 {
-	r2 := radius * radius
-	cx := int((p.X - g.area.Min.X) / g.cell)
-	cy := int((p.Y - g.area.Min.Y) / g.cell)
-	span := int(radius/g.cell) + 1
-	for dy := -span; dy <= span; dy++ {
-		ny := cy + dy
-		if ny < 0 || ny >= g.rows {
-			continue
-		}
-		for dx := -span; dx <= span; dx++ {
-			nx := cx + dx
-			if nx < 0 || nx >= g.cols {
-				continue
-			}
-			for _, id := range g.cells[ny*g.cols+nx] {
-				if g.pos[id].Dist2(p) <= r2 {
-					out = append(out, id)
-				}
-			}
-		}
-	}
-	return out
-}

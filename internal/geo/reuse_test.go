@@ -87,36 +87,3 @@ func TestPairsReuseAliasesPriorResult(t *testing.T) {
 		t.Errorf("first and second should alias: %v != %v", first[0], second[0])
 	}
 }
-
-// TestNearReusesBackingArray mirrors the Pairs contract for Near.
-func TestNearReusesBackingArray(t *testing.T) {
-	pos := []Point{{100, 100}, {150, 100}, {400, 400}, {100, 190}}
-	g := gridWith(pos)
-
-	fresh := g.Near(Point{100, 100}, 95, nil)
-	if len(fresh) == 0 {
-		t.Fatal("expected at least one neighbour")
-	}
-
-	scratch := g.Near(Point{100, 100}, 95, nil)
-	allocs := testing.AllocsPerRun(100, func() {
-		scratch = g.Near(Point{100, 100}, 95, scratch[:0])
-	})
-	if allocs != 0 {
-		t.Errorf("Near with warm scratch allocated %.1f times per call, want 0", allocs)
-	}
-	if len(scratch) != len(fresh) {
-		t.Fatalf("reused query returned %d ids, fresh returned %d", len(scratch), len(fresh))
-	}
-	for i := range fresh {
-		if scratch[i] != fresh[i] {
-			t.Errorf("id %d: reused %v != fresh %v", i, scratch[i], fresh[i])
-		}
-	}
-
-	// Appending semantics: a non-empty prefix survives.
-	out := g.Near(Point{100, 100}, 95, []int32{-5})
-	if len(out) == 0 || out[0] != -5 {
-		t.Errorf("prefix not preserved: %v", out)
-	}
-}

@@ -31,10 +31,10 @@ type Model interface {
 	//
 	// This bound is what lets the planning contact scanners
 	// (internal/network) skip distance checks physics rules out: the lazy
-	// sweep (scan=lazy) parks a far-apart pair until the tick at which
-	// the pair could first close to radio range, and the kinetic planner
-	// (scan=kinetic) additionally parks a whole node for as long as the
-	// bound proves it stays inside its grid bucket. The bound must
+	// sweep parks a far-apart pair until the tick at which the pair could
+	// first close to radio range, and the kinetic planner additionally
+	// parks a whole node for as long as the bound proves it stays inside
+	// its grid bucket. The bound must
 	// therefore hold for the model's entire lifetime and must never
 	// under-report: a too-small value silently breaks contact detection
 	// (missed link-ups), while a too-large value only costs earlier

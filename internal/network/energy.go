@@ -1,7 +1,5 @@
 package network
 
-import "sdsrp/internal/stats"
-
 // EnergyConfig models per-node batteries, following the ONE simulator's
 // energy module: scanning and transferring drain a finite budget and a
 // depleted node's radio goes dark (the node keeps its buffer but neither
@@ -24,12 +22,13 @@ func (e EnergyConfig) Enabled() bool { return e.Capacity > 0 }
 
 // energyState tracks the fleet's batteries inside the Manager.
 type energyState struct {
-	cfg     EnergyConfig
-	level   []float64
-	dead    int
-	used    float64
-	deaths  stats.Sampler // death times, for survivability reporting
-	started []float64     // per-transfer bookkeeping is handled by caller
+	cfg   EnergyConfig
+	level []float64
+	dead  int
+	used  float64
+	// firstDeath is when the first battery ran out (0 while none has):
+	// simulation time never decreases, so the first death is the earliest.
+	firstDeath float64
 }
 
 func newEnergyState(cfg EnergyConfig, n int) *energyState {
@@ -47,17 +46,20 @@ func newEnergyState(cfg EnergyConfig, n int) *energyState {
 func (s *energyState) alive(id int) bool { return s == nil || s.level[id] > 0 }
 
 // drain charges amount joules to node id at time now, recording death when
-// the battery crosses zero.
+// the battery crosses zero. A battery holding less than amount gives up
+// only what it holds.
 func (s *energyState) drain(id int, amount, now float64) {
 	if s == nil || amount <= 0 || s.level[id] <= 0 {
 		return
 	}
-	s.used += amount
-	s.level[id] -= amount
+	spent := min(amount, s.level[id])
+	s.used += spent
+	s.level[id] -= spent
 	if s.level[id] <= 0 {
-		s.level[id] = 0
+		if s.dead == 0 {
+			s.firstDeath = now
+		}
 		s.dead++
-		s.deaths.Add(now)
 	}
 }
 
@@ -80,14 +82,11 @@ func (m *Manager) EnergyReport() EnergyReport {
 	for _, v := range s.level {
 		frac += v / s.cfg.Capacity
 	}
-	r := EnergyReport{
-		Enabled:   true,
-		DeadNodes: s.dead,
-		TotalUsed: s.used,
-		MeanLevel: frac / float64(len(s.level)),
+	return EnergyReport{
+		Enabled:    true,
+		DeadNodes:  s.dead,
+		TotalUsed:  s.used,
+		MeanLevel:  frac / float64(len(s.level)),
+		FirstDeath: s.firstDeath,
 	}
-	if s.deaths.Count() > 0 {
-		r.FirstDeath = s.deaths.Min()
-	}
-	return r
 }

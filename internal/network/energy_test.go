@@ -29,7 +29,6 @@ func newEnergyRig(n int, energy EnergyConfig) *rig {
 			Clock:     r.eng.Now,
 			Collector: r.collector,
 			Tracker:   tracker,
-			Oracle:    tracker,
 		}))
 	}
 	r.mgr = mustManager(NewManager(r.eng, Config{
@@ -66,6 +65,20 @@ func TestEnergyScanDrainKillsRadios(t *testing.T) {
 	}
 	if rep.MeanLevel != 0 {
 		t.Fatalf("mean level = %v", rep.MeanLevel)
+	}
+}
+
+func TestEnergyTotalUsedCapsAtCapacity(t *testing.T) {
+	// 3 J per 1 s tick against 10 J batteries: the fourth tick finds 1 J
+	// left, so each node uses its 10 J and no more.
+	r := newEnergyRig(2, EnergyConfig{Capacity: 10, ScanPerSec: 3})
+	r.eng.Run(30)
+	rep := r.mgr.EnergyReport()
+	if rep.DeadNodes != 2 || rep.TotalUsed != 20 {
+		t.Fatalf("dead = %d, used = %v; want 2 nodes, 20 J", rep.DeadNodes, rep.TotalUsed)
+	}
+	if rep.FirstDeath != 4 {
+		t.Fatalf("first death at %v, want 4", rep.FirstDeath)
 	}
 }
 

@@ -33,7 +33,6 @@ func newFaultRig(n int, bufBytes int64, fcfg fault.Config, tr obs.Tracer) *rig {
 			Clock:     r.eng.Now,
 			Collector: r.collector,
 			Tracker:   tracker,
-			Oracle:    tracker,
 			Tracer:    tr,
 			Role:      inj.Role(i),
 		}))

@@ -193,10 +193,14 @@ type Manager struct {
 	positions []geo.Point
 	pairBuf   [][2]int32
 	contacts  int
-	durations stats.Sampler
 	energy    *energyState
 	ranges    []float64 // per-node; nil when uniform
 	maxRange  float64
+
+	// ended and upTime are the count and total length of finished
+	// contacts, summed in teardown order.
+	ended  int
+	upTime float64
 
 	faults *fault.Injector
 	// down marks churn-crashed nodes (nil unless churn is enabled).
@@ -372,9 +376,15 @@ func (m *Manager) collectDowns() []*link {
 	return downs
 }
 
-// ContactDurations returns the sampler of finished contact lengths in
-// seconds (links still up at the horizon are not included).
-func (m *Manager) ContactDurations() *stats.Sampler { return &m.durations }
+// MeanContactDuration returns the mean length in seconds of finished
+// contacts, or 0 before any ends (links still up at the horizon are not
+// included).
+func (m *Manager) MeanContactDuration() float64 {
+	if m.ended == 0 {
+		return 0
+	}
+	return m.upTime / float64(m.ended)
+}
 
 // Scan samples positions, diffs the in-range pair set against the active
 // links, and emits link-up/down transitions. Exported for tests; normally
@@ -568,7 +578,8 @@ func (m *Manager) linkDown(l *link, now float64, freed []int) []int {
 	m.adj[k[0]] = removeLink(m.adj[k[0]], l)
 	m.adj[k[1]] = removeLink(m.adj[k[1]], l)
 	l.flapTimer.Cancel()
-	m.durations.Add(now - l.upAt)
+	m.ended++
+	m.upTime += now - l.upAt
 	if m.plan != nil {
 		// Every teardown — scan separation, flap, churn crash — wakes what
 		// it touches; the next tick re-parks it if it is genuinely far.

@@ -59,7 +59,6 @@ func newRig(n int, bufBytes int64) *rig {
 			Clock:     r.eng.Now,
 			Collector: r.collector,
 			Tracker:   tracker,
-			Oracle:    tracker,
 		}))
 	}
 	r.mgr = mustManager(NewManager(r.eng, Config{
@@ -183,7 +182,7 @@ func TestRefusalNotReofferedWithinContact(t *testing.T) {
 		ID: 1, Nodes: 2, Buffer: 500,
 		Policy: policy.TTLRatio{}, Proto: routing.SprayAndWait{Binary: true},
 		Rate:  core.FixedRate{Mean: 1200},
-		Clock: r.eng.Now, Collector: r.collector, Tracker: tracker, Oracle: tracker,
+		Clock: r.eng.Now, Collector: r.collector, Tracker: tracker,
 	})
 	// Fresh message already at the receiver.
 	fresh := &msg.Message{ID: 5, Source: 1, Dest: 0, Size: 500, Created: 0, TTL: 1e6, InitialCopies: 1}
@@ -216,7 +215,7 @@ func setupCongestedPair(r *rig, preflight bool) {
 			Policy: policy.TTLRatio{}, Proto: routing.SprayAndWait{Binary: true},
 			Rate:              core.FixedRate{Mean: 1200},
 			PreflightEviction: preflight,
-			Clock:             r.eng.Now, Collector: r.collector, Tracker: tracker, Oracle: tracker,
+			Clock:             r.eng.Now, Collector: r.collector, Tracker: tracker,
 		})
 	}
 	// Receiver full with a fresh message destined elsewhere.
@@ -279,7 +278,7 @@ func TestScanIsDeterministic(t *testing.T) {
 				ID: i, Nodes: n, Buffer: 2000,
 				Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 				Rate:  core.FixedRate{Mean: 600},
-				Clock: eng.Now, Collector: collector, Tracker: tracker, Oracle: tracker,
+				Clock: eng.Now, Collector: collector, Tracker: tracker,
 			})
 			models[i] = mobility.NewRandomWaypoint(area, 5, 5, 0, 0, rng.New(uint64(i)))
 		}
@@ -323,7 +322,7 @@ func TestPerNodeRanges(t *testing.T) {
 			ID: i, Nodes: 3, Buffer: 10000,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 			Rate:  core.FixedRate{Mean: 1200},
-			Clock: eng.Now, Collector: collector, Tracker: tracker, Oracle: tracker,
+			Clock: eng.Now, Collector: collector, Tracker: tracker,
 		})
 		models[i] = &puppet{p: pos[i]}
 	}
@@ -401,7 +400,7 @@ func TestTransferAbortsWhenSenderCopyEvictedInFlight(t *testing.T) {
 		ID: 0, Nodes: 2, Buffer: 500,
 		Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 		Rate:  core.FixedRate{Mean: 1200},
-		Clock: r.eng.Now, Collector: r.collector, Tracker: tracker, Oracle: tracker,
+		Clock: r.eng.Now, Collector: r.collector, Tracker: tracker,
 	})
 	r.hosts[0].Originate(&msg.Message{ID: 1, Source: 0, Dest: 1, Size: 500,
 		Created: 0, TTL: 1e6, InitialCopies: 8}, 0)

@@ -60,7 +60,7 @@ func TestScheduledRunBuildsNoPlanner(t *testing.T) {
 				ID: i, Nodes: n, Buffer: 10000,
 				Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 				Rate:  core.FixedRate{Mean: 1200},
-				Clock: eng.Now, Collector: collector, Tracker: tracker, Oracle: tracker,
+				Clock: eng.Now, Collector: collector, Tracker: tracker,
 			})
 			models[i] = mobility.Static{P: geo.Point{X: float64(30 * i)}}
 		}

@@ -90,7 +90,7 @@ func pathManager(t *testing.T, eng *sim.Engine, rng float64, paths ...[]mobility
 			ID: i, Nodes: n, Buffer: 10000,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 			Rate:  core.FixedRate{Mean: 1200},
-			Clock: eng.Now, Collector: collector, Tracker: tracker, Oracle: tracker,
+			Clock: eng.Now, Collector: collector, Tracker: tracker,
 		})
 		p, err := mobility.NewPath(pts)
 		if err != nil {
@@ -150,7 +150,7 @@ func TestSweepRetiresStaticPairs(t *testing.T) {
 			ID: i, Nodes: 2, Buffer: 10000,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 			Rate:  core.FixedRate{Mean: 1200},
-			Clock: eng.Now, Collector: collector, Tracker: tracker, Oracle: tracker,
+			Clock: eng.Now, Collector: collector, Tracker: tracker,
 		})
 	}
 	m := mustManager(NewManager(eng, Config{
@@ -190,7 +190,7 @@ func TestSweepStaticPairSurvivesChurnReboot(t *testing.T) {
 			ID: i, Nodes: 2, Buffer: 10000,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 			Rate:  core.FixedRate{Mean: 1200},
-			Clock: eng.Now, Collector: collector, Tracker: tracker, Oracle: tracker,
+			Clock: eng.Now, Collector: collector, Tracker: tracker,
 		})
 	}
 	m := mustManager(NewManager(eng, Config{

@@ -17,7 +17,7 @@ func newAckNet(n int) *testNet {
 			Rate:      core.FixedRate{Mean: 1200},
 			UseAcks:   true,
 			Clock:     func() float64 { return tn.now },
-			Collector: tn.collector, Tracker: tn.tracker, Oracle: tn.tracker,
+			Collector: tn.collector, Tracker: tn.tracker,
 		}))
 	}
 	return tn

@@ -26,7 +26,6 @@ func roleNet(tr obs.Tracer) *testNet {
 			Clock:     func() float64 { return tn.now },
 			Collector: tn.collector,
 			Tracker:   tn.tracker,
-			Oracle:    tn.tracker,
 			Tracer:    tr,
 			Role:      roles[i],
 		}))

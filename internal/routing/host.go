@@ -22,16 +22,6 @@ import (
 	"sdsrp/internal/stats"
 )
 
-// Oracle supplies ground-truth message spread for oracle policies and for
-// ablation experiments. Implemented by the world's tracker.
-type Oracle interface {
-	// Seen returns the true m_i: nodes other than the source that have
-	// carried message id.
-	Seen(id msg.ID) int
-	// Live returns the true n_i: nodes currently holding a copy.
-	Live(id msg.ID) int
-}
-
 // HostConfig assembles a Host.
 type HostConfig struct {
 	ID     int
@@ -59,10 +49,9 @@ type HostConfig struct {
 	Clock func() float64
 	// Collector receives the run's counters. Required.
 	Collector *stats.Collector
-	// Tracker records ground-truth spread; may be nil.
+	// Tracker records ground-truth spread and backs TrueSeen/TrueLive; may
+	// be nil (both then fall back to the estimates).
 	Tracker *Tracker
-	// Oracle backs TrueSeen/TrueLive; may be nil (falls back to estimates).
-	Oracle Oracle
 	// Tracer receives structured lifecycle events; nil disables tracing at
 	// zero cost.
 	Tracer obs.Tracer
@@ -86,23 +75,14 @@ type Host struct {
 	rate      core.RateSource
 	rateObs   core.ContactObserver // nil when rate is a fixed oracle
 	drops     *core.DropTable
-	useDrops  bool
 	preflight bool
 	acks      *AckTable
 
 	clock     func() float64
 	collector *stats.Collector
 	tracker   *Tracker
-	oracle    Oracle
 	tracer    obs.Tracer
 	role      fault.Role
-
-	// seenMemo caches the Eq. 15 lineage estimate per stored copy. The
-	// estimator walks the whole spray lineage, and a single contact scores
-	// every buffered copy several times (send order, eviction plans, both
-	// Eq. 10 terms) at one instant with unchanged inputs — see seenFor for
-	// the keying argument.
-	seenMemo map[*msg.Stored]seenEntry
 
 	// received marks messages this host has consumed as their destination.
 	received map[msg.ID]bool
@@ -122,15 +102,12 @@ func NewHost(cfg HostConfig) *Host {
 		pol:       cfg.Policy,
 		proto:     cfg.Proto,
 		rate:      cfg.Rate,
-		useDrops:  cfg.UseDropList,
 		preflight: cfg.PreflightEviction,
 		clock:     cfg.Clock,
 		collector: cfg.Collector,
 		tracker:   cfg.Tracker,
-		oracle:    cfg.Oracle,
 		tracer:    cfg.Tracer,
 		role:      cfg.Role,
-		seenMemo:  make(map[*msg.Stored]seenEntry),
 		received:  make(map[msg.ID]bool),
 	}
 	if obs, ok := cfg.Rate.(core.ContactObserver); ok {
@@ -203,46 +180,9 @@ func (h *Host) EIMin() float64 {
 	return h.rate.EIMin(h.nodes)
 }
 
-// seenEntry caches one EstimateSeen result together with the inputs that
-// produced it.
-type seenEntry struct {
-	now, eimin float64
-	copies     int
-	sprayLen   int
-	seen       int
-}
-
-// seenFor returns EstimateSeen(s, now) through the per-host memo.
-//
-// The cache is sound because EstimateSeen is a pure function of
-// (SprayTimes, Copies, now, EIMin, nodes) and the key pins all of them:
-// nodes is constant for the host, SprayTimes is append-only (its length
-// determines its content for a given copy), and Copies plus the clock and
-// rate estimate are compared directly. A hit therefore has bit-identical
-// inputs and returns the bit-identical answer — the memo cannot change
-// simulation behaviour, only skip the lineage walk.
-func (h *Host) seenFor(s *msg.Stored) int {
-	now, eimin := h.clock(), h.EIMin()
-	if e, ok := h.seenMemo[s]; ok &&
-		e.now == now && e.eimin == eimin &&
-		e.copies == s.Copies && e.sprayLen == len(s.SprayTimes) {
-		return e.seen
-	}
-	seen := core.EstimateSeen(s.SprayTimes, s.Copies, now, eimin, h.nodes)
-	// The memo is only a cache: when stale entries (dropped copies,
-	// transient phantoms) accumulate past a small multiple of the buffer
-	// population, discard it wholesale rather than tracking lifetimes.
-	if len(h.seenMemo) > 2*h.buf.Len()+64 {
-		clear(h.seenMemo)
-	}
-	h.seenMemo[s] = seenEntry{now: now, eimin: eimin, copies: s.Copies,
-		sprayLen: len(s.SprayTimes), seen: seen}
-	return seen
-}
-
 // SeenEstimate implements policy.View with the Eq. 15 lineage estimator.
 func (h *Host) SeenEstimate(s *msg.Stored) float64 {
-	return float64(h.seenFor(s))
+	return float64(h.seen(s))
 }
 
 // LiveEstimate implements policy.View with Eq. 14, n̂ = m̂ + 1 − d̂.
@@ -251,24 +191,32 @@ func (h *Host) LiveEstimate(s *msg.Stored) float64 {
 	if h.drops != nil {
 		dropped = h.drops.DroppedCount(s.M.ID)
 	}
-	return float64(core.LiveCopies(h.seenFor(s), dropped, h.nodes))
+	return float64(core.LiveCopies(h.seen(s), dropped, h.nodes))
 }
 
-// TrueSeen implements policy.View via the oracle, falling back to the
-// estimate without one.
+// seen is m̂ for s at the current time: a walk over the copy's split
+// times, at most ⌈log2 L⌉ of them under binary spray (L−1 under source
+// spray).
+func (h *Host) seen(s *msg.Stored) int {
+	return core.EstimateSeen(s.SprayTimes, s.Copies, h.clock(), h.EIMin(), h.nodes)
+}
+
+// TrueSeen implements policy.View via the tracker's ground truth, falling
+// back to the estimate without one.
 func (h *Host) TrueSeen(s *msg.Stored) float64 {
-	if h.oracle == nil {
+	if h.tracker == nil {
 		return h.SeenEstimate(s)
 	}
-	return float64(h.oracle.Seen(s.M.ID))
+	return float64(h.tracker.Seen(s.M.ID))
 }
 
-// TrueLive implements policy.View via the oracle.
+// TrueLive implements policy.View via the tracker's ground truth, falling
+// back to the estimate without one.
 func (h *Host) TrueLive(s *msg.Stored) float64 {
-	if h.oracle == nil {
+	if h.tracker == nil {
 		return h.LiveEstimate(s)
 	}
-	return float64(h.oracle.Live(s.M.ID))
+	return float64(h.tracker.Live(s.M.ID))
 }
 
 var _ policy.View = (*Host)(nil)

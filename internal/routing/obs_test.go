@@ -24,7 +24,6 @@ func tracedNet(n int, tr obs.Tracer, bufBytes int64) (*testNet, []*Host) {
 			Clock:     func() float64 { return tn.now },
 			Collector: tn.collector,
 			Tracker:   tn.tracker,
-			Oracle:    tn.tracker,
 			Tracer:    tr,
 		}))
 	}

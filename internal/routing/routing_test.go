@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math"
 	"testing"
 
 	"sdsrp/internal/core"
@@ -31,7 +32,6 @@ func newTestNet(n int, pol policy.Policy, proto Protocol, bufBytes int64, dropLi
 			Clock:       func() float64 { return tn.now },
 			Collector:   tn.collector,
 			Tracker:     tn.tracker,
-			Oracle:      tn.tracker,
 		}))
 	}
 	return tn
@@ -559,6 +559,117 @@ func TestHostViewEstimates(t *testing.T) {
 	if liveAfter < 1 {
 		t.Fatalf("LiveEstimate below 1: %v", liveAfter)
 	}
+}
+
+// TestHostEstimatesMatchCore pins the host's spread estimates to the core
+// functions bit for bit: SeenEstimate is core.EstimateSeen over the copy's
+// lineage at the host's clock and E(I_min), and LiveEstimate is Eq. 14 over
+// that and the drop table's d̂. The host caches nothing, so a second call
+// in the same event must see a spray commit's new Copies and SprayTimes, a
+// gossip merge's new d̂ and the rate estimator's new E(I_min).
+func TestHostEstimatesMatchCore(t *testing.T) {
+	const nodes = 25 // E(I_min) = 1200 s / 24 = 50 s
+	tn := newTestNet(nodes, policy.SDSRP{}, SprayAndWait{Binary: true}, 1e6, true)
+	h := tn.hosts[0]
+	match := func(t *testing.T, h *Host, s *msg.Stored) (seen, live float64) {
+		t.Helper()
+		wantSeen := core.EstimateSeen(s.SprayTimes, s.Copies, tn.now, h.EIMin(), nodes)
+		wantLive := core.LiveCopies(wantSeen, h.DropTable().DroppedCount(s.M.ID), nodes)
+		seen, live = h.SeenEstimate(s), h.LiveEstimate(s)
+		if seen != float64(wantSeen) || live != float64(wantLive) {
+			t.Fatalf("t=%v copies=%d sprays=%v: SeenEstimate %v, LiveEstimate %v; core %d, %d",
+				tn.now, s.Copies, s.SprayTimes, seen, live, wantSeen, wantLive)
+		}
+		return seen, live
+	}
+
+	lineages := []struct {
+		name   string
+		copies int
+		sprays []float64
+	}{
+		{"source before any split", 32, nil},
+		{"binary source after one split", 16, []float64{100}},
+		{"binary relay copy", 4, []float64{100, 130, 175}},
+		{"binary wait copy", 1, []float64{100, 130, 175, 240, 300}},
+		{"source-spray source", 29, []float64{100, 101, 160}},
+		{"source-spray relay copy", 1, []float64{100, 101, 160}},
+	}
+	eimin := h.EIMin()
+	for i, lc := range lineages {
+		t.Run(lc.name, func(t *testing.T) {
+			// Message i+1 is known dropped by 4i peers, so d̂ runs 0..20
+			// and Eq. 14's clamp at one copy is reached.
+			id := msg.ID(i + 1)
+			for j := 1; j <= 4*i; j++ {
+				tn.hosts[j].DropTable().RecordDrop(id, 50)
+				h.DropTable().MergeFrom(tn.hosts[j].DropTable())
+			}
+			m := tn.message(id, 0, nodes-1, 32, 100, 1e6)
+			s := &msg.Stored{M: m, Copies: lc.copies, SprayTimes: lc.sprays}
+			last := 0.0
+			if len(lc.sprays) > 0 {
+				last = lc.sprays[len(lc.sprays)-1]
+			}
+			// Just before, at and just after the first and third E(I_min)
+			// steps of the latest split, at the split itself, and far past
+			// saturation.
+			times := []float64{last, last + 1e6}
+			for _, k := range []float64{1, 3} {
+				step := last + k*eimin
+				times = append(times, math.Nextafter(step, 0), step, math.Nextafter(step, math.Inf(1)))
+			}
+			for _, now := range times {
+				tn.now = now
+				match(t, h, s)
+			}
+		})
+	}
+
+	t.Run("same event", func(t *testing.T) {
+		tn.now = 0
+		if !h.Originate(tn.message(99, 0, nodes-1, 8, 100, 1e6), 0) {
+			t.Fatal("originate failed")
+		}
+		s := h.Buffer().Get(99)
+		tn.now = 400
+		prevSeen, _ := match(t, h, s)
+		for _, peer := range []*Host{tn.hosts[1], tn.hosts[2]} {
+			offer, ok := h.NextOffer(peer, nil)
+			if !ok || offer.S != s || offer.Kind != KindSpray {
+				t.Fatalf("offer = %+v, %v; want a binary spray of message 99", offer, ok)
+			}
+			if !peer.PreAccept(offer, tn.now) || !CommitTransfer(h, peer, offer, tn.now) {
+				t.Fatal("spray refused")
+			}
+			seen, _ := match(t, h, s)
+			if seen == prevSeen {
+				t.Fatalf("spray to %d left m̂ at %v", peer.ID(), seen)
+			}
+			prevSeen = seen
+		}
+		_, liveBefore := match(t, h, s)
+		tn.hosts[3].DropTable().RecordDrop(99, tn.now)
+		h.OnLinkUp(tn.hosts[3], tn.now)
+		if _, live := match(t, h, s); live != liveBefore-1 {
+			t.Fatalf("gossiped drop moved n̂ from %v to %v, want one less", liveBefore, live)
+		}
+
+		// A learning rate estimator: a re-meeting harvests an intermeeting
+		// sample, which moves E(I_min) within the event.
+		peer := tn.hosts[4]
+		lh := NewHost(HostConfig{ID: 0, Nodes: nodes, Buffer: 1e6,
+			Policy: policy.SDSRP{}, Proto: SprayAndWait{Binary: true},
+			Rate: core.NewLambdaEstimator(1200, 1), UseDropList: true,
+			Clock: func() float64 { return tn.now }, Collector: tn.collector})
+		ls := &msg.Stored{M: s.M, Copies: 16, SprayTimes: []float64{300}}
+		lh.OnLinkDown(peer, 10)
+		before, _ := match(t, lh, ls)
+		lh.OnLinkUp(peer, tn.now)
+		if after, _ := match(t, lh, ls); after == before {
+			t.Fatalf("E(I_min) %v after a new sample left m̂ at %v", lh.EIMin(), after)
+		}
+	})
 }
 
 // Oracle accessors read the tracker's ground truth.

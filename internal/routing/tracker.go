@@ -59,7 +59,7 @@ func (t *Tracker) NoteDelivered(id msg.ID, node int) {
 	set[node] = true
 }
 
-// Seen implements Oracle: carriers excluding the source.
+// Seen returns the true m_i: carriers excluding the source.
 func (t *Tracker) Seen(id msg.ID) int {
 	set := t.carried[id]
 	n := len(set)
@@ -69,7 +69,5 @@ func (t *Tracker) Seen(id msg.ID) int {
 	return n
 }
 
-// Live implements Oracle: current holder count.
+// Live returns the true n_i: current holder count.
 func (t *Tracker) Live(id msg.ID) int { return t.live[id] }
-
-var _ Oracle = (*Tracker)(nil)

@@ -64,7 +64,8 @@ func TestContactExportReplayLoop(t *testing.T) {
 
 // TestContactRecorderMatchesManager checks the recorder against the radio
 // layer's own accounting: one finished contact per link that went down, in
-// the order they ended, with the durations the manager sampled.
+// the order they ended, whose lengths sum in that order to the manager's
+// mean bit for bit.
 func TestContactRecorderMatchesManager(t *testing.T) {
 	rec := trace.NewContactRecorder()
 	w, err := Build(smallScenario("SprayAndWait"), WithTracer(rec))
@@ -76,9 +77,6 @@ func TestContactRecorderMatchesManager(t *testing.T) {
 	if got := len(contacts) + w.Manager.ActiveLinks(); got != res.Contacts {
 		t.Fatalf("%d finished + %d open contacts, manager counted %d",
 			len(contacts), w.Manager.ActiveLinks(), res.Contacts)
-	}
-	if n := w.Manager.ContactDurations().Count(); len(contacts) != n {
-		t.Fatalf("%d contacts recorded, manager sampled %d durations", len(contacts), n)
 	}
 	var sum, prevEnd float64
 	for _, c := range contacts {

@@ -181,7 +181,6 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 			Clock:             eng.Now,
 			Collector:         collector,
 			Tracker:           tracker,
-			Oracle:            tracker,
 			Tracer:            bo.tracer,
 			Role:              inj.Role(i),
 		})
@@ -578,7 +577,7 @@ func (w *World) Result() Result {
 		Summary:             w.Collector.Summarize(),
 		Scenario:            w.Scenario,
 		Contacts:            w.Manager.Contacts(),
-		MeanContactDuration: w.Manager.ContactDurations().Mean(),
+		MeanContactDuration: w.Manager.MeanContactDuration(),
 		Energy:              w.Manager.EnergyReport(),
 		Perf:                w.RunStats(),
 	}
