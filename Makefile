@@ -87,10 +87,15 @@ bench-report:
 # in a second process to be byte-identical under dtntrace diff, (c) a
 # different-seed run to be flagged divergent, (d) a same-seed -acks run on
 # the full 100-node preset (dense enough to purge copies) to reproduce the
-# drops line exactly, acked=N included, and (e) the series header to end in
-# the counter and fill columns and every paths -jsonl record to carry seen.
-# Catches any drift between the live collector and the event vocabulary and
-# any nondeterminism in the emit path. The comparison of the lazy and
+# drops line exactly, acked=N included, (e) a traffic-free -intermeeting
+# run to print a non-empty intermeeting line and pass the same check (the
+# only check that the flag still attaches the stats.Intermeeting sink:
+# cmd/dtnsim has no Go test), and (f) the series header to end in the
+# counter and fill columns and every paths -jsonl record to carry seen.
+# The printed summary is the live stats.Collector, itself a fold of the
+# event vocabulary; stats -check compares it with dtntrace's independent
+# fold of the log, so any drift between the two and any nondeterminism in
+# the emit path fails here. The comparison of the lazy and
 # kinetic planners against the naive reference belongs to the Go
 # differential families (TestLazyScanMatchesNaive, TestKineticScanMatchesNaive)
 # that CI's scan-diff race step runs.
@@ -110,6 +115,11 @@ trace-smoke:
 	grep -q 'acked=[1-9]' $$tmp/acks.txt && \
 	$$tmp/dtntrace stats -check $$tmp/acks.txt $$tmp/d.jsonl > /dev/null && \
 	echo "ACK purges agree: $$(grep '^drops' $$tmp/acks.txt)" && \
+	$$tmp/dtnsim -duration 3600 -seed 3 -intermeeting \
+		-events $$tmp/e.jsonl > $$tmp/inter.txt && \
+	grep -q '^intermeeting    n=[1-9]' $$tmp/inter.txt && \
+	$$tmp/dtntrace stats -check $$tmp/inter.txt $$tmp/e.jsonl > /dev/null && \
+	echo "intermeeting sink: $$(grep '^intermeeting' $$tmp/inter.txt)" && \
 	$$tmp/dtntrace diff $$tmp/a.jsonl.gz $$tmp/b.jsonl && \
 	if $$tmp/dtntrace diff $$tmp/a.jsonl.gz $$tmp/c.jsonl > /dev/null; then \
 		echo "trace-smoke: different seeds reported identical" && exit 1; \

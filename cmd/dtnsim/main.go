@@ -21,6 +21,7 @@ import (
 
 	"sdsrp"
 	"sdsrp/internal/config"
+	"sdsrp/internal/stats"
 	"sdsrp/internal/trace"
 	"sdsrp/internal/world"
 )
@@ -130,7 +131,6 @@ func main() {
 	}
 	if *inter {
 		sc.GenIntervalLo = 0
-		sc.RecordIntermeeting = true
 	}
 	if *acks {
 		sc.UseAcks = true
@@ -158,6 +158,7 @@ func main() {
 	var events io.WriteCloser
 	var jsonl *sdsrp.JSONLTracer
 	var recorder *trace.ContactRecorder
+	var intermeeting *stats.Intermeeting
 	var sinks []sdsrp.Tracer
 	if *eventsOut != "" {
 		var err error
@@ -171,6 +172,10 @@ func main() {
 	if *exportContacts != "" {
 		recorder = trace.NewContactRecorder()
 		sinks = append(sinks, recorder)
+	}
+	if *inter {
+		intermeeting = &stats.Intermeeting{}
+		sinks = append(sinks, intermeeting)
 	}
 	w, err := sdsrp.Build(sc, sdsrp.WithTracer(sdsrp.MultiTracer(sinks...)))
 	if err != nil {
@@ -236,9 +241,9 @@ func main() {
 	fmt.Printf("scenario        %s (seed %d, %d nodes, %.0fs)\n", sc.Name, sc.Seed, res.Scenario.Nodes, sc.Duration)
 	fmt.Printf("policy          %s over %s\n", sc.PolicyName, sc.ProtocolName)
 	fmt.Printf("contacts        %d\n", res.Contacts)
-	if sc.RecordIntermeeting {
+	if intermeeting != nil {
 		fmt.Printf("intermeeting    n=%d mean=%.1fs lambda=%.3g exp-fit-err=%.4f\n",
-			res.IntermeetingN, res.MeanIntermeeting, 1/res.MeanIntermeeting, res.ExpFitError)
+			intermeeting.Count(), intermeeting.Mean(), 1/intermeeting.Mean(), intermeeting.ExpFitError())
 	}
 	if res.Created > 0 {
 		fmt.Printf("created         %d\n", res.Created)

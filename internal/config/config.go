@@ -166,9 +166,6 @@ type Scenario struct {
 	// event. 0 (the default) leaves the run unbounded. This is runaway
 	// protection for sweeps and services, not a modeling knob.
 	MaxEvents uint64
-
-	// RecordIntermeeting enables the Fig. 3 sample recorder.
-	RecordIntermeeting bool
 }
 
 // Energy parameterizes the battery model (joules and joules/second).

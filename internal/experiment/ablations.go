@@ -22,13 +22,12 @@ func AblationRate(o Options) ([]report.Panel, error) {
 	oo := o.withDefaults()
 	probe := oo.apply(config.RandomWaypoint())
 	probe.GenIntervalLo = 0
-	probe.RecordIntermeeting = true
 	probe.Name = "ablation-rate-probe"
-	res, err := Run([]config.Scenario{probe}, oo.Workers, nil)
+	im, err := measureIntermeeting(probe)
 	if err != nil {
 		return nil, err
 	}
-	trueMean := res[0].MeanIntermeeting
+	trueMean := im.Mean()
 	if trueMean <= 0 {
 		trueMean = base.PriorMeanIntermeeting
 	}

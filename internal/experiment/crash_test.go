@@ -127,7 +127,6 @@ func TestRetryTransient(t *testing.T) {
 	o := Options{
 		Workers:       1,
 		Retries:       2,
-		Progress:      func(done, total int) {},
 		ProgressStats: func(p ProgressInfo) { last = p },
 		runOne: func(config.Scenario, ...world.BuildOption) (world.Result, error) {
 			if calls.Add(1) < 3 {

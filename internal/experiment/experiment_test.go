@@ -96,11 +96,11 @@ func TestRunWorkerCountInvariant(t *testing.T) {
 		}
 		return scs
 	}
-	serial, err := Run(mk(), 1, nil)
+	serial, err := Options{Workers: 1}.RunScenarios(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(mk(), 4, nil)
+	parallel, err := Options{Workers: 4}.RunScenarios(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRunWorkerCountInvariant(t *testing.T) {
 func TestRunPropagatesBuildError(t *testing.T) {
 	bad := config.RandomWaypoint()
 	bad.Duration = -1
-	if _, err := Run([]config.Scenario{bad}, 2, nil); err == nil {
+	if _, err := (Options{Workers: 2}).RunScenarios([]config.Scenario{bad}); err == nil {
 		t.Fatal("bad scenario not reported")
 	}
 }
@@ -125,12 +125,12 @@ func TestRunProgressCallback(t *testing.T) {
 	sc := config.RandomWaypoint()
 	sc.Nodes, sc.Duration, sc.TTL = 10, 300, 300
 	sc.Area.Max.X, sc.Area.Max.Y = 500, 400
-	_, err := Run([]config.Scenario{sc, sc}, 2, func(done, total int) {
+	_, err := Options{Workers: 2, ProgressStats: func(p ProgressInfo) {
 		calls.Add(1)
-		if total != 2 {
-			t.Errorf("total = %d", total)
+		if p.Total != 2 {
+			t.Errorf("total = %d", p.Total)
 		}
-	})
+	}}.RunScenarios([]config.Scenario{sc, sc})
 	if err != nil {
 		t.Fatal(err)
 	}

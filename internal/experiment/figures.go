@@ -6,6 +6,7 @@ import (
 	"sdsrp/internal/config"
 	"sdsrp/internal/core"
 	"sdsrp/internal/report"
+	"sdsrp/internal/stats"
 	"sdsrp/internal/world"
 )
 
@@ -118,7 +119,7 @@ func runSweep(base config.Scenario, sw sweep, o Options) ([]report.Panel, error)
 			}
 		}
 	}
-	results, err := o.runBatch(scs)
+	results, err := o.RunScenarios(scs)
 	if err != nil {
 		return nil, err
 	}
@@ -239,27 +240,23 @@ func Fig3(o Options) ([]report.Panel, error) {
 	epfl := o.apply(config.EPFL())
 	for _, sc := range []*config.Scenario{&rwp, &epfl} {
 		sc.GenIntervalLo = 0 // mobility only
-		sc.RecordIntermeeting = true
 		sc.PolicyName = "SprayAndWait"
 	}
 	rwp.Name, epfl.Name = "fig3a-rwp", "fig3b-epfl"
-	// These runs are built directly (not through Run) because the panel
-	// needs the full Intermeeting recorder, not just the Result digest.
+	// These runs are built directly (not through the runner) because the
+	// panel needs the samples of an Intermeeting sink, not just the Result
+	// digest.
 	panels := make([]report.Panel, 0, 2)
 	for i, sc := range []config.Scenario{rwp, epfl} {
-		w, err := world.Build(sc)
-		if err != nil {
-			return nil, err
-		}
-		res, err := w.Run()
+		im, err := measureIntermeeting(sc)
 		if err != nil {
 			return nil, err
 		}
 		const nbins = 20
-		bins := w.Intermeeting.Histogram(nbins)
+		bins := im.Histogram(nbins)
 		p := report.Panel{
 			ID:     []string{"fig3a", "fig3b"}[i],
-			Title:  fmt.Sprintf("Intermeeting distribution, %s (n=%d, mean=%.0fs, fit err=%.3f)", sc.Name, res.IntermeetingN, res.MeanIntermeeting, res.ExpFitError),
+			Title:  fmt.Sprintf("Intermeeting distribution, %s (n=%d, mean=%.0fs, fit err=%.3f)", sc.Name, im.Count(), im.Mean(), im.ExpFitError()),
 			XLabel: "intermeeting time (s)",
 			YLabel: "density",
 		}
@@ -276,6 +273,20 @@ func Fig3(o Options) ([]report.Panel, error) {
 		panels = append(panels, p)
 	}
 	return panels, nil
+}
+
+// measureIntermeeting runs sc with an Intermeeting sink attached and
+// returns its samples.
+func measureIntermeeting(sc config.Scenario) (*stats.Intermeeting, error) {
+	im := &stats.Intermeeting{}
+	w, err := world.Build(sc, world.WithTracer(im))
+	if err != nil {
+		return nil, err
+	}
+	if _, err := w.Run(); err != nil {
+		return nil, err
+	}
+	return im, nil
 }
 
 // Fig4 reproduces the priority-shape figure: U_i as a function of P(R_i)

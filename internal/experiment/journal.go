@@ -101,9 +101,6 @@ type JournalResult struct {
 	Contacts            int             `json:"contacts"`
 	MeanContactDuration F64             `json:"mean_contact_duration"`
 	Energy              energyWire      `json:"energy"`
-	MeanIntermeeting    F64             `json:"mean_intermeeting"`
-	ExpFitError         F64             `json:"exp_fit_error"`
-	IntermeetingN       int             `json:"intermeeting_n"`
 	Perf                perfWire        `json:"perf"`
 }
 
@@ -138,9 +135,10 @@ type energyWire struct {
 }
 
 // perfWire mirrors obs.RunStats. Only WallSeconds and the scan-work fields
-// (the pair counters and Replayed, which depend on whether the run replayed
-// a sweep sibling's contact schedule) may differ between two executions of
-// the same scenario; a resumed sweep reports the journaled values.
+// (the pair counters, ScanFallback and Replayed, which depend on whether the
+// run replayed a sweep sibling's contact schedule) may differ between two
+// executions of the same scenario; a resumed sweep reports the journaled
+// values.
 type perfWire struct {
 	SimSeconds   F64    `json:"sim_seconds"`
 	Events       uint64 `json:"events"`
@@ -149,9 +147,11 @@ type perfWire struct {
 	PairsChecked uint64 `json:"pairs_checked"`
 	PairsSkipped uint64 `json:"pairs_skipped"`
 	Wakeups      uint64 `json:"wakeups"`
-	// Replayed is omitted when false, so journals written before the field
-	// existed parse unchanged.
-	Replayed bool `json:"replayed,omitempty"`
+	// ScanFallback and Replayed are omitted when zero, so the line of a run
+	// that scanned and whose planner held is byte-identical to one written
+	// before either field existed.
+	ScanFallback string `json:"scan_fallback,omitempty"`
+	Replayed     bool   `json:"replayed,omitempty"`
 }
 
 // toWire converts a live Result into its journal form.
@@ -175,14 +175,12 @@ func toWire(r world.Result) *JournalResult {
 			TotalUsed: F64(r.Energy.TotalUsed), MeanLevel: F64(r.Energy.MeanLevel),
 			FirstDeath: F64(r.Energy.FirstDeath),
 		},
-		MeanIntermeeting: F64(r.MeanIntermeeting),
-		ExpFitError:      F64(r.ExpFitError),
-		IntermeetingN:    r.IntermeetingN,
 		Perf: perfWire{
 			SimSeconds: F64(r.Perf.SimSeconds), Events: r.Perf.Events,
 			PeakQueue: r.Perf.PeakQueue, WallSeconds: F64(r.Perf.WallSeconds),
 			PairsChecked: r.Perf.PairsChecked, PairsSkipped: r.Perf.PairsSkipped,
-			Wakeups: r.Perf.Wakeups, Replayed: r.Perf.Replayed,
+			Wakeups: r.Perf.Wakeups, ScanFallback: r.Perf.ScanFallback,
+			Replayed: r.Perf.Replayed,
 		},
 	}
 }
@@ -208,14 +206,12 @@ func (jr *JournalResult) Restore() world.Result {
 			TotalUsed: float64(jr.Energy.TotalUsed), MeanLevel: float64(jr.Energy.MeanLevel),
 			FirstDeath: float64(jr.Energy.FirstDeath),
 		},
-		MeanIntermeeting: float64(jr.MeanIntermeeting),
-		ExpFitError:      float64(jr.ExpFitError),
-		IntermeetingN:    jr.IntermeetingN,
 		Perf: obs.RunStats{
 			SimSeconds: float64(jr.Perf.SimSeconds), Events: jr.Perf.Events,
 			PeakQueue: jr.Perf.PeakQueue, WallSeconds: float64(jr.Perf.WallSeconds),
 			PairsChecked: jr.Perf.PairsChecked, PairsSkipped: jr.Perf.PairsSkipped,
-			Wakeups: jr.Perf.Wakeups, Replayed: jr.Perf.Replayed,
+			Wakeups: jr.Perf.Wakeups, ScanFallback: jr.Perf.ScanFallback,
+			Replayed: jr.Perf.Replayed,
 		},
 	}
 }

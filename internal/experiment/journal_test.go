@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -39,27 +40,40 @@ func TestF64RoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalResultRoundTrip runs a real scenario and checks the journaled
-// Result restores field-for-field equal.
+// TestJournalResultRoundTrip runs real scenarios and checks the journaled
+// Result restores field-for-field equal. The EPFL run's lazy planner
+// retires to the naive scan, so its Perf.ScanFallback must survive too.
 func TestJournalResultRoundTrip(t *testing.T) {
-	w, err := world.Build(tinyScenario(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := w.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(toWire(res))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jr JournalResult
-	if err := json.Unmarshal(data, &jr); err != nil {
-		t.Fatal(err)
-	}
-	if got := jr.Restore(); !resultsEqual(got, res) {
-		t.Errorf("restored result differs:\n got %+v\nwant %+v", got, res)
+	epfl := config.EPFL()
+	epfl.Duration = 600
+	for _, tc := range []struct {
+		name string
+		sc   config.Scenario
+	}{{"rwp", tinyScenario(1)}, {"epfl", epfl}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := world.Build(tc.sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := w.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "epfl" && res.Perf.ScanFallback == "" {
+				t.Fatal("EPFL run's planner held; the case no longer covers ScanFallback")
+			}
+			data, err := json.Marshal(toWire(res))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var jr JournalResult
+			if err := json.Unmarshal(data, &jr); err != nil {
+				t.Fatal(err)
+			}
+			if got := jr.Restore(); !resultsEqual(got, res) {
+				t.Errorf("restored result differs:\n got %+v\nwant %+v", got, res)
+			}
+		})
 	}
 }
 
@@ -96,14 +110,42 @@ func TestJournalReplayedMarker(t *testing.T) {
 	}
 }
 
-// resultsEqual compares two Results for exact equality of every
-// deterministic field (WallSeconds is host-dependent and excluded).
+// resultsEqual compares two Results field for field, NaN equal to NaN,
+// except WallSeconds, which is host-dependent.
 func resultsEqual(a, b world.Result) bool {
 	a.Perf.WallSeconds = 0
 	b.Perf.WallSeconds = 0
-	aj, _ := json.Marshal(toWire(a))
-	bj, _ := json.Marshal(toWire(b))
-	return string(aj) == string(bj)
+	return equalNaN(reflect.ValueOf(a), reflect.ValueOf(b))
+}
+
+// equalNaN reports whether a and b hold the same plain data: structs,
+// slices and arrays element by element (a nil slice equals an empty one, as
+// on the wire), NaN equal to NaN.
+func equalNaN(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		x, y := a.Float(), b.Float()
+		return x == y || math.IsNaN(x) && math.IsNaN(y)
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !equalNaN(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !equalNaN(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return a.Equal(b)
+	}
 }
 
 func entry(digest, status string) Entry {

@@ -18,18 +18,18 @@ func tinyScenario(seed uint64) config.Scenario {
 	return sc
 }
 
-// TestRunTimedProgress checks the timed progress payload: done reaches
-// total, elapsed is monotone per callback, ETA is non-negative and zero on
-// the final run, and every run reports its own wall-clock.
-func TestRunTimedProgress(t *testing.T) {
+// TestProgressStatsPayload checks the timed progress payload: done
+// reaches total, elapsed is monotone per callback, ETA is non-negative and
+// zero on the final run, and every run reports its own wall-clock.
+func TestProgressStatsPayload(t *testing.T) {
 	scs := []config.Scenario{tinyScenario(1), tinyScenario(2), tinyScenario(3)}
 	var mu sync.Mutex
 	var infos []ProgressInfo
-	_, err := RunTimed(scs, 2, func(p ProgressInfo) {
+	_, err := Options{Workers: 2, ProgressStats: func(p ProgressInfo) {
 		mu.Lock()
 		infos = append(infos, p)
 		mu.Unlock()
-	})
+	}}.RunScenarios(scs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,23 +51,5 @@ func TestRunTimedProgress(t *testing.T) {
 		if p.Done == p.Total && p.ETA != 0 {
 			t.Errorf("final callback has nonzero ETA %v", p.ETA)
 		}
-	}
-}
-
-// TestOptionsProgressMerge checks the merged callback drives both the
-// legacy and the stats-rich interfaces.
-func TestOptionsProgressMerge(t *testing.T) {
-	if (Options{}).progress() != nil {
-		t.Fatal("no callbacks should merge to nil")
-	}
-	var legacy, rich int
-	o := Options{
-		Progress:      func(done, total int) { legacy++ },
-		ProgressStats: func(p ProgressInfo) { rich++ },
-	}
-	cb := o.progress()
-	cb(ProgressInfo{Done: 1, Total: 2})
-	if legacy != 1 || rich != 1 {
-		t.Fatalf("legacy=%d rich=%d, want 1/1", legacy, rich)
 	}
 }

@@ -80,11 +80,9 @@ type Options struct {
 	// Policies overrides the compared strategies; empty means the paper's
 	// four.
 	Policies []string
-	// Progress, when set, receives (done, total) after each finished run.
-	Progress func(done, total int)
-	// ProgressStats, when set, receives the richer ProgressInfo payload
-	// (wall-clock elapsed, ETA, per-run timing) after each finished run.
-	// Both callbacks may fire concurrently from worker goroutines.
+	// ProgressStats, when set, receives a ProgressInfo (done and total,
+	// wall-clock elapsed, ETA, per-run timing) after each finished run. It
+	// may fire concurrently from worker goroutines.
 	ProgressStats func(ProgressInfo)
 	// OnResult, when set, receives every finished run's Result (including
 	// its Perf engine counters) — journal-skipped runs included, so
@@ -157,22 +155,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// progress merges the two progress callbacks into one ProgressInfo consumer
-// (nil when neither is set, preserving the no-callback fast path).
-func (o Options) progress() func(ProgressInfo) {
-	if o.Progress == nil && o.ProgressStats == nil {
-		return nil
-	}
-	return func(p ProgressInfo) {
-		if o.Progress != nil {
-			o.Progress(p.Done, p.Total)
-		}
-		if o.ProgressStats != nil {
-			o.ProgressStats(p)
-		}
-	}
-}
-
 // Rescale applies the options' Scale and Nodes reductions to a preset
 // scenario exactly like the experiment sweeps do (duration and TTL scale
 // together; synthetic areas shrink to preserve node density). Exported so
@@ -219,35 +201,11 @@ func shrinkArea(sc *config.Scenario, ratio float64) {
 	}
 }
 
-// Run executes every scenario on a worker pool and returns results in input
-// order. On failure it returns the partial results alongside the joined
-// per-run errors; successful runs keep their slots.
-func Run(scs []config.Scenario, workers int, progress func(done, total int)) ([]world.Result, error) {
-	var cb func(ProgressInfo)
-	if progress != nil {
-		cb = func(p ProgressInfo) { progress(p.Done, p.Total) }
-	}
-	return RunTimed(scs, workers, cb)
-}
-
-// RunTimed is Run with wall-clock accounting: after each finished run the
-// callback receives done/total plus elapsed time, a mean-pace ETA, and the
-// duration of the run that just completed. The callback may fire
-// concurrently from worker goroutines.
-func RunTimed(scs []config.Scenario, workers int, progress func(ProgressInfo)) ([]world.Result, error) {
-	return Options{Workers: workers, ProgressStats: progress}.RunScenarios(scs)
-}
-
-// runBatch executes scs under the options' worker count, progress
-// callbacks, and per-result hook — the entry point every sweep uses.
-func (o Options) runBatch(scs []config.Scenario) ([]world.Result, error) {
-	return o.RunScenarios(scs)
-}
-
 // RunScenarios executes every scenario on a worker pool and returns results
-// in input order, honoring the options' crash-safety machinery: journal
-// recording, resume skips, panic isolation, bounded retries, per-run
-// wall-clock timeouts, and graceful interruption.
+// in input order, honoring the options' progress and per-result callbacks
+// and their crash-safety machinery: journal recording, resume skips, panic
+// isolation, bounded retries, per-run wall-clock timeouts, and graceful
+// interruption. It is the entry point every sweep uses.
 //
 // Runs whose contacts provably match (same motion, differing only in
 // traffic-only fields; see contactKey) scan once: the first records the
@@ -265,7 +223,7 @@ func (o Options) RunScenarios(scs []config.Scenario) ([]world.Result, error) {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	progress := o.progress()
+	progress := o.ProgressStats
 	results := make([]world.Result, len(scs))
 	errs := make([]error, len(scs))
 

@@ -32,8 +32,8 @@ func contactKey(sc config.Scenario) (string, bool) {
 		sc.Faults.Churn.Enabled() || sc.Faults.LinkFlapMeanUp != 0 {
 		return "", false
 	}
-	// Traffic, buffers, routing, estimators and observers act on messages
-	// and transfers, never on which links are up.
+	// Traffic, buffers, routing and estimators act on messages and
+	// transfers, never on which links are up.
 	sc.Name = ""
 	sc.PolicyName, sc.ProtocolName = "", ""
 	sc.BufferBytes = 0
@@ -46,7 +46,6 @@ func contactKey(sc config.Scenario) (string, bool) {
 	sc.GapLambdaEstimator, sc.OracleRateMean = false, 0
 	sc.DisableDropList, sc.UseAcks, sc.PreflightEviction = false, false, false
 	sc.MaxEvents, sc.Warmup = 0, 0
-	sc.RecordIntermeeting = false
 	// Fault models that act on transfers and roles. Jitter is drawn inside
 	// linkUp from its own substream, and replay still calls linkUp.
 	sc.Faults.TransferLossProb = 0

@@ -51,7 +51,6 @@ var contactFields = map[string]bool{
 	"Scenario.PreflightEviction":     false,
 	"Scenario.UseAcks":               false,
 	"Scenario.MaxEvents":             false,
-	"Scenario.RecordIntermeeting":    false,
 
 	"Mobility.Kind":           true,
 	"Mobility.SpeedLo":        true,

@@ -15,7 +15,7 @@ import (
 
 // newEnergyRig is newRig with a battery model attached.
 func newEnergyRig(n int, energy EnergyConfig) *rig {
-	r := &rig{eng: sim.NewEngine(), collector: stats.NewCollector(), inter: &stats.Intermeeting{}}
+	r := &rig{eng: sim.NewEngine(), collector: stats.NewCollector()}
 	tracker := routing.NewTracker()
 	models := make([]mobility.Model, n)
 	for i := 0; i < n; i++ {
@@ -25,16 +25,16 @@ func newEnergyRig(n int, energy EnergyConfig) *rig {
 		r.hosts = append(r.hosts, routing.NewHost(routing.HostConfig{
 			ID: i, Nodes: n, Buffer: 10000,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
-			Rate:      core.FixedRate{Mean: 1200},
-			Clock:     r.eng.Now,
-			Collector: r.collector,
-			Tracker:   tracker,
+			Rate:    core.FixedRate{Mean: 1200},
+			Clock:   r.eng.Now,
+			Tracer:  r.collector,
+			Tracker: tracker,
 		}))
 	}
 	r.mgr = mustManager(NewManager(r.eng, Config{
 		Area: geo.NewRect(50000, 1000), Range: 100, Bandwidth: 100, ScanInterval: 1,
-		Energy: energy,
-	}, r.hosts, models, r.collector, r.inter))
+		Energy: energy, Tracer: r.collector,
+	}, r.hosts, models))
 	r.mgr.Start()
 	return r
 }

@@ -18,7 +18,8 @@ import (
 // newFaultRig mirrors newRig with a fault injector wired in (and an
 // optional tracer).
 func newFaultRig(n int, bufBytes int64, fcfg fault.Config, tr obs.Tracer) *rig {
-	r := &rig{eng: sim.NewEngine(), collector: stats.NewCollector(), inter: &stats.Intermeeting{}}
+	r := &rig{eng: sim.NewEngine(), collector: stats.NewCollector()}
+	tr = obs.Multi(r.collector, tr)
 	tracker := routing.NewTracker()
 	inj := fault.New(fcfg, rng.New(99).Split("fault"), n, nil)
 	models := make([]mobility.Model, n)
@@ -29,18 +30,17 @@ func newFaultRig(n int, bufBytes int64, fcfg fault.Config, tr obs.Tracer) *rig {
 		r.hosts = append(r.hosts, routing.NewHost(routing.HostConfig{
 			ID: i, Nodes: n, Buffer: bufBytes,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
-			Rate:      core.FixedRate{Mean: 1200},
-			Clock:     r.eng.Now,
-			Collector: r.collector,
-			Tracker:   tracker,
-			Tracer:    tr,
-			Role:      inj.Role(i),
+			Rate:    core.FixedRate{Mean: 1200},
+			Clock:   r.eng.Now,
+			Tracer:  tr,
+			Tracker: tracker,
+			Role:    inj.Role(i),
 		}))
 	}
 	r.mgr = mustManager(NewManager(r.eng, Config{
 		Area: geo.NewRect(50000, 1000), Range: 100, Bandwidth: 100, ScanInterval: 1,
 		Tracer: tr, Faults: inj,
-	}, r.hosts, models, r.collector, r.inter))
+	}, r.hosts, models))
 	r.mgr.Start()
 	return r
 }

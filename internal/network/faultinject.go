@@ -20,9 +20,7 @@ func (m *Manager) flapLink(k pairKey, now float64) {
 	if l == nil {
 		return // timer should have been canceled with the link; be safe
 	}
-	if m.tracer != nil {
-		m.tracer.Emit(obs.Event{T: now, Type: obs.LinkFlap, Node: int(k[0]), Peer: int(k[1])})
-	}
+	m.tracer.Emit(obs.Event{T: now, Type: obs.LinkFlap, Node: int(k[0]), Peer: int(k[1])})
 	if m.flapped != nil {
 		m.flapped[k] = true
 	}
@@ -60,9 +58,7 @@ func (m *Manager) nodeDown(id int, now float64) {
 	for len(m.adj[id]) > 0 {
 		freed = m.linkDown(m.adj[id][0], now, freed)
 	}
-	if m.tracer != nil {
-		m.tracer.Emit(obs.Event{T: now, Type: obs.NodeDown, Node: id})
-	}
+	m.tracer.Emit(obs.Event{T: now, Type: obs.NodeDown, Node: id})
 	// Surviving peers may have other live links; the crashed node must not
 	// start anything.
 	kickAll(m, freed, now, id)
@@ -78,9 +74,7 @@ func (m *Manager) nodeUp(id int, now float64) {
 	if m.faults.WipeOnReboot() {
 		m.hosts[id].WipeState(now)
 	}
-	if m.tracer != nil {
-		m.tracer.Emit(obs.Event{T: now, Type: obs.NodeUp, Node: id})
-	}
+	m.tracer.Emit(obs.Event{T: now, Type: obs.NodeUp, Node: id})
 	m.scheduleCrash(id, m.faults.NextUptime())
 }
 

@@ -36,7 +36,6 @@ import (
 	"sdsrp/internal/obs"
 	"sdsrp/internal/routing"
 	"sdsrp/internal/sim"
-	"sdsrp/internal/stats"
 )
 
 // Config parameterizes the radio model.
@@ -51,7 +50,8 @@ type Config struct {
 	Ranges []float64
 	// Energy enables the per-node battery model when Capacity > 0.
 	Energy EnergyConfig
-	// Tracer receives contact and transfer events; nil disables tracing.
+	// Tracer receives contact, transfer and fault events; the run's
+	// counters are folded from it. Required.
 	Tracer obs.Tracer
 	// Faults is the run's fault injector; nil disables fault injection at
 	// zero cost (every hot-path probe is a nil-guarded branch).
@@ -183,12 +183,7 @@ type Manager struct {
 	adj  [][]*link
 	busy []bool
 
-	collector *stats.Collector
-	inter     *stats.Intermeeting // may be nil
-	tracer    obs.Tracer          // may be nil
-	// lastEnd records each pair's last contact end for the intermeeting
-	// sampler; nil unless inter is set.
-	lastEnd map[pairKey]float64
+	tracer obs.Tracer
 
 	positions []geo.Point
 	pairBuf   [][2]int32
@@ -232,10 +227,12 @@ type Manager struct {
 
 // NewManager wires the radio model. hosts[i] moves along models[i]. It
 // returns an error on inconsistent inputs (mismatched hosts/models or
-// per-node range table) — these come from user-assembled configuration, not
-// programmer invariants.
-func NewManager(eng *sim.Engine, cfg Config, hosts []*routing.Host, models []mobility.Model,
-	collector *stats.Collector, inter *stats.Intermeeting) (*Manager, error) {
+// per-node range table, a missing tracer) — these come from user-assembled
+// configuration, not programmer invariants.
+func NewManager(eng *sim.Engine, cfg Config, hosts []*routing.Host, models []mobility.Model) (*Manager, error) {
+	if cfg.Tracer == nil {
+		return nil, fmt.Errorf("network: no tracer")
+	}
 	if len(hosts) != len(models) {
 		return nil, fmt.Errorf("network: %d hosts but %d mobility models", len(hosts), len(models))
 	}
@@ -268,15 +265,10 @@ func NewManager(eng *sim.Engine, cfg Config, hosts []*routing.Host, models []mob
 		grid:      geo.NewGrid(cfg.Area, cell, n),
 		adj:       make([][]*link, n),
 		busy:      make([]bool, n),
-		collector: collector,
-		inter:     inter,
 		tracer:    cfg.Tracer,
 		positions: make([]geo.Point, n),
 		energy:    newEnergyState(cfg.Energy, n),
 		faults:    cfg.Faults,
-	}
-	if inter != nil {
-		m.lastEnd = make(map[pairKey]float64)
 	}
 	if m.faults.ChurnEnabled() {
 		m.down = make([]bool, n)
@@ -550,15 +542,8 @@ func (m *Manager) linkUp(k pairKey, now float64) {
 		m.cfg.RecordPlan.recordUp(k)
 	}
 	m.contacts++
-	if m.tracer != nil {
-		m.tracer.Emit(obs.Event{T: now, Type: obs.ContactUp, Node: int(k[0]), Peer: int(k[1])})
-	}
+	m.tracer.Emit(obs.Event{T: now, Type: obs.ContactUp, Node: int(k[0]), Peer: int(k[1])})
 
-	if m.inter != nil {
-		if end, ok := m.lastEnd[k]; ok {
-			m.inter.Add(now - end)
-		}
-	}
 	a.OnLinkUp(b, now)
 	b.OnLinkUp(a, now)
 	m.tryStart(l, now)
@@ -586,12 +571,7 @@ func (m *Manager) linkDown(l *link, now float64, freed []int) []int {
 		// This conservative wake is what keeps fault interactions exact.
 		m.plan.onLinkDown(k)
 	}
-	if m.lastEnd != nil {
-		m.lastEnd[k] = now
-	}
-	if m.tracer != nil {
-		m.tracer.Emit(obs.Event{T: now, Type: obs.ContactDown, Node: int(k[0]), Peer: int(k[1])})
-	}
+	m.tracer.Emit(obs.Event{T: now, Type: obs.ContactDown, Node: int(k[0]), Peer: int(k[1])})
 
 	l.a.OnLinkDown(l.b, now)
 	l.b.OnLinkDown(l.a, now)
@@ -602,11 +582,8 @@ func (m *Manager) linkDown(l *link, now float64, freed []int) []int {
 		m.busy[t.sender.ID()] = false
 		m.busy[t.receiver.ID()] = false
 		m.chargeTransfer(t, now-t.startedAt, now)
-		m.collector.TransferAborted()
-		if m.tracer != nil {
-			m.tracer.Emit(obs.Event{T: now, Type: obs.TransferAbort, Msg: t.offer.S.M.ID,
-				Node: t.sender.ID(), Peer: t.receiver.ID()})
-		}
+		m.tracer.Emit(obs.Event{T: now, Type: obs.TransferAbort, Msg: t.offer.S.M.ID,
+			Node: t.sender.ID(), Peer: t.receiver.ID()})
 		// The endpoints are free again; they may have other live links.
 		freed = append(freed, t.sender.ID(), t.receiver.ID())
 	}
@@ -654,11 +631,8 @@ func (m *Manager) startDirection(l *link, dir int, now float64) bool {
 		}
 		if !receiver.PreAccept(offer, now) {
 			l.refuse(dir, offer.S.M.ID)
-			m.collector.TransferRefused()
-			if m.tracer != nil {
-				m.tracer.Emit(obs.Event{T: now, Type: obs.MessageRefused, Msg: offer.S.M.ID,
-					Node: sender.ID(), Peer: receiver.ID()})
-			}
+			m.tracer.Emit(obs.Event{T: now, Type: obs.MessageRefused, Msg: offer.S.M.ID,
+				Node: sender.ID(), Peer: receiver.ID()})
 			continue
 		}
 		t := &transfer{link: l, sender: sender, receiver: receiver, offer: offer, startedAt: now}
@@ -668,12 +642,9 @@ func (m *Manager) startDirection(l *link, dir int, now float64) bool {
 		l.flip = !l.flip
 		m.busy[sender.ID()] = true
 		m.busy[receiver.ID()] = true
-		m.collector.TransferStarted()
-		if m.tracer != nil {
-			m.tracer.Emit(obs.Event{T: now, Type: obs.TransferStart, Msg: offer.S.M.ID,
-				Node: sender.ID(), Peer: receiver.ID(), Size: offer.S.M.Size,
-				Kind: offer.Kind.String()})
-		}
+		m.tracer.Emit(obs.Event{T: now, Type: obs.TransferStart, Msg: offer.S.M.ID,
+			Node: sender.ID(), Peer: receiver.ID(), Size: offer.S.M.Size,
+			Kind: offer.Kind.String()})
 		return true
 	}
 }
@@ -688,29 +659,20 @@ func (m *Manager) complete(t *transfer, now float64) {
 	switch {
 	case t.offer.S.M.Expired(now):
 		// Died in flight; receiver discards.
-		m.collector.TransferAborted()
-		if m.tracer != nil {
-			m.tracer.Emit(obs.Event{T: now, Type: obs.TransferAbort, Msg: id,
-				Node: t.sender.ID(), Peer: t.receiver.ID()})
-		}
+		m.tracer.Emit(obs.Event{T: now, Type: obs.TransferAbort, Msg: id,
+			Node: t.sender.ID(), Peer: t.receiver.ID()})
 	case !t.sender.Buffer().Has(id):
 		// The sender's copy vanished mid-flight (evicted by a message it
 		// originated, or expired and swept).
-		m.collector.TransferAborted()
-		if m.tracer != nil {
-			m.tracer.Emit(obs.Event{T: now, Type: obs.TransferAbort, Msg: id,
-				Node: t.sender.ID(), Peer: t.receiver.ID()})
-		}
+		m.tracer.Emit(obs.Event{T: now, Type: obs.TransferAbort, Msg: id,
+			Node: t.sender.ID(), Peer: t.receiver.ID()})
 	case m.faults.LoseTransfer():
 		// Injected radio loss: the bytes crossed the wire but the frame is
 		// unusable. The receiver discards; the sender's tokens are intact
 		// and the message may be re-offered (the retry costs real contact
 		// time, exactly like a real-world retransmission).
-		m.collector.TransferLost()
-		if m.tracer != nil {
-			m.tracer.Emit(obs.Event{T: now, Type: obs.TransferLost, Msg: id,
-				Node: t.sender.ID(), Peer: t.receiver.ID()})
-		}
+		m.tracer.Emit(obs.Event{T: now, Type: obs.TransferLost, Msg: id,
+			Node: t.sender.ID(), Peer: t.receiver.ID()})
 	default:
 		if !routing.CommitTransfer(t.sender, t.receiver, t.offer, now) {
 			// Receiver-side late refusal; don't re-offer this contact.

@@ -8,6 +8,7 @@ import (
 	"sdsrp/internal/geo"
 	"sdsrp/internal/mobility"
 	"sdsrp/internal/msg"
+	"sdsrp/internal/obs"
 	"sdsrp/internal/policy"
 	"sdsrp/internal/rng"
 	"sdsrp/internal/routing"
@@ -46,6 +47,7 @@ func mustManager(m *Manager, err error) *Manager {
 // 100 m range, and 1 s scans.
 func newRig(n int, bufBytes int64) *rig {
 	r := &rig{eng: sim.NewEngine(), collector: stats.NewCollector(), inter: &stats.Intermeeting{}}
+	tr := obs.Multi(r.collector, r.inter)
 	tracker := routing.NewTracker()
 	models := make([]mobility.Model, n)
 	for i := 0; i < n; i++ {
@@ -55,15 +57,16 @@ func newRig(n int, bufBytes int64) *rig {
 		r.hosts = append(r.hosts, routing.NewHost(routing.HostConfig{
 			ID: i, Nodes: n, Buffer: bufBytes,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
-			Rate:      core.FixedRate{Mean: 1200},
-			Clock:     r.eng.Now,
-			Collector: r.collector,
-			Tracker:   tracker,
+			Rate:    core.FixedRate{Mean: 1200},
+			Clock:   r.eng.Now,
+			Tracer:  tr,
+			Tracker: tracker,
 		}))
 	}
 	r.mgr = mustManager(NewManager(r.eng, Config{
 		Area: geo.NewRect(50000, 1000), Range: 100, Bandwidth: 100, ScanInterval: 1,
-	}, r.hosts, models, r.collector, r.inter))
+		Tracer: tr,
+	}, r.hosts, models))
 	r.mgr.Start()
 	return r
 }
@@ -182,7 +185,7 @@ func TestRefusalNotReofferedWithinContact(t *testing.T) {
 		ID: 1, Nodes: 2, Buffer: 500,
 		Policy: policy.TTLRatio{}, Proto: routing.SprayAndWait{Binary: true},
 		Rate:  core.FixedRate{Mean: 1200},
-		Clock: r.eng.Now, Collector: r.collector, Tracker: tracker,
+		Clock: r.eng.Now, Tracer: r.collector, Tracker: tracker,
 	})
 	// Fresh message already at the receiver.
 	fresh := &msg.Message{ID: 5, Source: 1, Dest: 0, Size: 500, Created: 0, TTL: 1e6, InitialCopies: 1}
@@ -215,7 +218,7 @@ func setupCongestedPair(r *rig, preflight bool) {
 			Policy: policy.TTLRatio{}, Proto: routing.SprayAndWait{Binary: true},
 			Rate:              core.FixedRate{Mean: 1200},
 			PreflightEviction: preflight,
-			Clock:             r.eng.Now, Collector: r.collector, Tracker: tracker,
+			Clock:             r.eng.Now, Tracer: r.collector, Tracker: tracker,
 		})
 	}
 	// Receiver full with a fresh message destined elsewhere.
@@ -278,12 +281,12 @@ func TestScanIsDeterministic(t *testing.T) {
 				ID: i, Nodes: n, Buffer: 2000,
 				Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 				Rate:  core.FixedRate{Mean: 600},
-				Clock: eng.Now, Collector: collector, Tracker: tracker,
+				Clock: eng.Now, Tracer: collector, Tracker: tracker,
 			})
 			models[i] = mobility.NewRandomWaypoint(area, 5, 5, 0, 0, rng.New(uint64(i)))
 		}
-		mgr := mustManager(NewManager(eng, Config{Area: area, Range: 60, Bandwidth: 250, ScanInterval: 1},
-			hosts, models, collector, nil))
+		mgr := mustManager(NewManager(eng, Config{Area: area, Range: 60, Bandwidth: 250, ScanInterval: 1,
+			Tracer: collector}, hosts, models))
 		mgr.Start()
 		// Traffic: a message every 40 s between fixed pairs.
 		id := msg.ID(0)
@@ -322,14 +325,14 @@ func TestPerNodeRanges(t *testing.T) {
 			ID: i, Nodes: 3, Buffer: 10000,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 			Rate:  core.FixedRate{Mean: 1200},
-			Clock: eng.Now, Collector: collector, Tracker: tracker,
+			Clock: eng.Now, Tracer: collector, Tracker: tracker,
 		})
 		models[i] = &puppet{p: pos[i]}
 	}
 	mgr := mustManager(NewManager(eng, Config{
 		Area: geo.NewRect(1000, 1000), Range: 100, Bandwidth: 100, ScanInterval: 1,
-		Ranges: []float64{200, 60, 200},
-	}, hosts, models, collector, nil))
+		Ranges: []float64{200, 60, 200}, Tracer: collector,
+	}, hosts, models))
 	mgr.Start()
 	eng.Run(5)
 	if mgr.ActiveLinks() != 1 {
@@ -346,16 +349,20 @@ func TestNewManagerRejectsBadInputs(t *testing.T) {
 	h := routing.NewHost(routing.HostConfig{
 		ID: 0, Nodes: 1, Buffer: 10, Policy: policy.FIFO{},
 		Proto: routing.SprayAndWait{Binary: true}, Rate: core.FixedRate{Mean: 1},
-		Clock: eng.Now, Collector: collector,
+		Clock: eng.Now, Tracer: collector,
 	})
 	if _, err := NewManager(eng, Config{Area: geo.NewRect(10, 10), Range: 1, Bandwidth: 1,
-		ScanInterval: 1, Ranges: []float64{1, 2}},
-		[]*routing.Host{h}, []mobility.Model{&puppet{}}, collector, nil); err == nil {
+		ScanInterval: 1}, []*routing.Host{h}, []mobility.Model{&puppet{}}); err == nil {
+		t.Fatal("no error without a tracer")
+	}
+	if _, err := NewManager(eng, Config{Area: geo.NewRect(10, 10), Range: 1, Bandwidth: 1,
+		ScanInterval: 1, Ranges: []float64{1, 2}, Tracer: collector},
+		[]*routing.Host{h}, []mobility.Model{&puppet{}}); err == nil {
 		t.Fatal("no error on bad Ranges length")
 	}
 	if _, err := NewManager(eng, Config{Area: geo.NewRect(10, 10), Range: 1, Bandwidth: 1,
-		ScanInterval: 1},
-		[]*routing.Host{h}, nil, collector, nil); err == nil {
+		ScanInterval: 1, Tracer: collector},
+		[]*routing.Host{h}, nil); err == nil {
 		t.Fatal("no error on hosts/models mismatch")
 	}
 	for name, cfg := range map[string]Config{
@@ -364,7 +371,8 @@ func TestNewManagerRejectsBadInputs(t *testing.T) {
 		"plan of another fleet": {ReplayPlan: &ContactPlan{nodes: 2}},
 	} {
 		cfg.Area, cfg.Range, cfg.Bandwidth, cfg.ScanInterval = geo.NewRect(10, 10), 1, 1, 1
-		if _, err := NewManager(eng, cfg, []*routing.Host{h}, []mobility.Model{&puppet{}}, collector, nil); err == nil {
+		cfg.Tracer = collector
+		if _, err := NewManager(eng, cfg, []*routing.Host{h}, []mobility.Model{&puppet{}}); err == nil {
 			t.Errorf("no error on a contact plan misuse: %s", name)
 		}
 	}
@@ -400,7 +408,7 @@ func TestTransferAbortsWhenSenderCopyEvictedInFlight(t *testing.T) {
 		ID: 0, Nodes: 2, Buffer: 500,
 		Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 		Rate:  core.FixedRate{Mean: 1200},
-		Clock: r.eng.Now, Collector: r.collector, Tracker: tracker,
+		Clock: r.eng.Now, Tracer: r.collector, Tracker: tracker,
 	})
 	r.hosts[0].Originate(&msg.Message{ID: 1, Source: 0, Dest: 1, Size: 500,
 		Created: 0, TTL: 1e6, InitialCopies: 8}, 0)

@@ -10,6 +10,7 @@ import (
 	"sdsrp/internal/routing"
 	"sdsrp/internal/sim"
 	"sdsrp/internal/stats"
+	"sdsrp/internal/trace"
 )
 
 // TestPlannerForFleetSize pins the automatic planner choice at the fleet
@@ -60,17 +61,18 @@ func TestScheduledRunBuildsNoPlanner(t *testing.T) {
 				ID: i, Nodes: n, Buffer: 10000,
 				Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 				Rate:  core.FixedRate{Mean: 1200},
-				Clock: eng.Now, Collector: collector, Tracker: tracker,
+				Clock: eng.Now, Tracer: collector, Tracker: tracker,
 			})
 			models[i] = mobility.Static{P: geo.Point{X: float64(30 * i)}}
 		}
 		return eng, mustManager(NewManager(eng, Config{
 			Area: geo.NewRect(1000, 1000), Range: 50, Bandwidth: 100, ScanInterval: 1,
-		}, hosts, models, collector, nil))
+			Tracer: collector,
+		}, hosts, models))
 	}
 
 	eng, m := build()
-	if err := m.StartScheduled([]Contact{{A: 0, B: 1, Start: 5, End: 20}, {A: 1, B: 2, Start: 10, End: 30}}); err != nil {
+	if err := m.StartScheduled([]trace.Contact{{A: 0, B: 1, Start: 5, End: 20}, {A: 1, B: 2, Start: 10, End: 30}}); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(40)

@@ -3,20 +3,15 @@ package network
 import (
 	"fmt"
 	"sort"
-)
 
-// Contact is one recorded encounter between two nodes, for contact-trace-
-// driven simulation (Haggle/Infocom-style datasets record exactly this).
-type Contact struct {
-	A, B       int
-	Start, End float64
-}
+	"sdsrp/internal/trace"
+)
 
 // ValidateContacts checks a recorded contact list against a population of n
 // nodes: self-contacts, out-of-range ids, and empty or negative intervals
 // are rejected. Callers that assemble contacts from external traces should
 // validate at build time so later replay cannot fail.
-func ValidateContacts(contacts []Contact, n int) error {
+func ValidateContacts(contacts []trace.Contact, n int) error {
 	for _, c := range contacts {
 		if c.A == c.B {
 			return fmt.Errorf("network: contact with itself: node %d", c.A)
@@ -41,7 +36,7 @@ func ValidateContacts(contacts []Contact, n int) error {
 // model's scan drain does not apply (there is no radio discovery to model);
 // transfer drain still does. A churn-crashed node misses the remainder of
 // any recorded contact that starts or is in progress during its outage.
-func (m *Manager) StartScheduled(contacts []Contact) error {
+func (m *Manager) StartScheduled(contacts []trace.Contact) error {
 	if err := ValidateContacts(contacts, len(m.hosts)); err != nil {
 		return err
 	}
@@ -49,7 +44,7 @@ func (m *Manager) StartScheduled(contacts []Contact) error {
 		return fmt.Errorf("network: contact plans record and replay scans, and a scheduled run has none")
 	}
 	m.scheduleChurn()
-	sorted := append([]Contact(nil), contacts...)
+	sorted := append([]trace.Contact(nil), contacts...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
 
 	// Track how many overlapping recorded contacts keep each pair up, so

@@ -90,7 +90,7 @@ func pathManager(t *testing.T, eng *sim.Engine, rng float64, paths ...[]mobility
 			ID: i, Nodes: n, Buffer: 10000,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 			Rate:  core.FixedRate{Mean: 1200},
-			Clock: eng.Now, Collector: collector, Tracker: tracker,
+			Clock: eng.Now, Tracer: collector, Tracker: tracker,
 		})
 		p, err := mobility.NewPath(pts)
 		if err != nil {
@@ -100,7 +100,8 @@ func pathManager(t *testing.T, eng *sim.Engine, rng float64, paths ...[]mobility
 	}
 	return mustManager(NewManager(eng, Config{
 		Area: geo.NewRect(100000, 1000), Range: rng, Bandwidth: 100, ScanInterval: 1,
-	}, hosts, models, collector, nil))
+		Tracer: collector,
+	}, hosts, models))
 }
 
 // TestSweepParksAndWakesAcrossWheelLaps drives a 1 m/s node 400 m toward a
@@ -150,12 +151,13 @@ func TestSweepRetiresStaticPairs(t *testing.T) {
 			ID: i, Nodes: 2, Buffer: 10000,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 			Rate:  core.FixedRate{Mean: 1200},
-			Clock: eng.Now, Collector: collector, Tracker: tracker,
+			Clock: eng.Now, Tracer: collector, Tracker: tracker,
 		})
 	}
 	m := mustManager(NewManager(eng, Config{
 		Area: geo.NewRect(1000, 1000), Range: 100, Bandwidth: 100, ScanInterval: 1,
-	}, hosts, models, collector, nil))
+		Tracer: collector,
+	}, hosts, models))
 	m.Start()
 	eng.Run(200)
 	checked, skipped, wakeups := m.ScanStats()
@@ -190,12 +192,13 @@ func TestSweepStaticPairSurvivesChurnReboot(t *testing.T) {
 			ID: i, Nodes: 2, Buffer: 10000,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 			Rate:  core.FixedRate{Mean: 1200},
-			Clock: eng.Now, Collector: collector, Tracker: tracker,
+			Clock: eng.Now, Tracer: collector, Tracker: tracker,
 		})
 	}
 	m := mustManager(NewManager(eng, Config{
 		Area: geo.NewRect(1000, 1000), Range: 50, Bandwidth: 100, ScanInterval: 1,
-	}, hosts, models, collector, nil))
+		Tracer: collector,
+	}, hosts, models))
 	// Crash node 1 by hand (churn bookkeeping without an injector), scan
 	// while it is dark, then reboot and scan again.
 	m.down = make([]bool, 2)

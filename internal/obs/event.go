@@ -3,10 +3,13 @@
 //
 // The design follows the ONE simulator's report modules and UDTNSim's event
 // log: every message, contact, and transfer transition is a typed Event that
-// instrumented packages emit through a Tracer. A nil Tracer disables tracing
-// at zero cost — emit sites guard with a nil check and build no Event on the
-// disabled path — so the hot loops of internal/sim and internal/routing pay
-// nothing when observability is off.
+// instrumented packages emit through a Tracer, and the event stream is the
+// only way hosts and the radio report. Every run has a tracer: world.Build
+// hands them Multi(the run's stats.Collector, the caller's sink), so the
+// run's own counters are a fold of the very events the JSONL log records,
+// and emit sites carry no nil guard. An emit costs an Event passed by value
+// and one interface call per sink; PERFORMANCE.md §10 has the measured cost
+// of the always-on collector.
 //
 // Sinks:
 //

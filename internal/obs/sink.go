@@ -7,7 +7,9 @@ import (
 
 // Tracer receives every instrumented event of one simulation run. A run is
 // single-threaded, so implementations need no locking. Instrumented code
-// treats a nil Tracer as "tracing off" and must not call Emit on it.
+// calls Emit unconditionally: hosts and the radio require a tracer, and
+// world.Build always supplies one (the run's stats.Collector, fanned out
+// with any caller sink).
 //
 // Emit order is part of the determinism contract: callers must emit in the
 // engine's deterministic dispatch order (never from a map iteration — see
@@ -17,9 +19,9 @@ type Tracer interface {
 	Emit(Event)
 }
 
-// Multi fans events out to every non-nil sink. It returns nil when no sinks
-// remain (so callers keep the zero-cost disabled path), the sink itself when
-// only one remains, and a fan-out tracer otherwise.
+// Multi fans events out to every non-nil sink, in argument order. It
+// returns nil when no sinks remain, the sink itself when only one remains,
+// and a fan-out tracer otherwise.
 func Multi(sinks ...Tracer) Tracer {
 	live := make([]Tracer, 0, len(sinks))
 	for _, s := range sinks {

@@ -14,10 +14,10 @@ func newAckNet(n int) *testNet {
 		tn.hosts = append(tn.hosts, NewHost(HostConfig{
 			ID: i, Nodes: n, Buffer: 10000,
 			Policy: policy.FIFO{}, Proto: SprayAndWait{Binary: true},
-			Rate:      core.FixedRate{Mean: 1200},
-			UseAcks:   true,
-			Clock:     func() float64 { return tn.now },
-			Collector: tn.collector, Tracker: tn.tracker,
+			Rate:    core.FixedRate{Mean: 1200},
+			UseAcks: true,
+			Clock:   func() float64 { return tn.now },
+			Tracer:  tn.collector, Tracker: tn.tracker,
 		}))
 	}
 	return tn

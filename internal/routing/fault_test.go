@@ -17,17 +17,16 @@ func roleNet(tr obs.Tracer) *testNet {
 	roles := []fault.Role{fault.RoleHonest, fault.RoleBlackHole, fault.RoleSelfish, fault.RoleHonest}
 	for i := 0; i < 4; i++ {
 		tn.hosts = append(tn.hosts, NewHost(HostConfig{
-			ID:        i,
-			Nodes:     4,
-			Buffer:    1 << 20,
-			Policy:    policy.FIFO{},
-			Proto:     SprayAndWait{Binary: true},
-			Rate:      core.FixedRate{Mean: 1200},
-			Clock:     func() float64 { return tn.now },
-			Collector: tn.collector,
-			Tracker:   tn.tracker,
-			Tracer:    tr,
-			Role:      roles[i],
+			ID:      i,
+			Nodes:   4,
+			Buffer:  1 << 20,
+			Policy:  policy.FIFO{},
+			Proto:   SprayAndWait{Binary: true},
+			Rate:    core.FixedRate{Mean: 1200},
+			Clock:   func() float64 { return tn.now },
+			Tracer:  obs.Multi(tn.collector, tr),
+			Tracker: tn.tracker,
+			Role:    roles[i],
 		}))
 	}
 	return tn

@@ -19,7 +19,6 @@ import (
 	"sdsrp/internal/msg"
 	"sdsrp/internal/obs"
 	"sdsrp/internal/policy"
-	"sdsrp/internal/stats"
 )
 
 // HostConfig assembles a Host.
@@ -47,14 +46,13 @@ type HostConfig struct {
 	PreflightEviction bool
 	// Clock returns the current simulation time.
 	Clock func() float64
-	// Collector receives the run's counters. Required.
-	Collector *stats.Collector
+	// Tracer receives every lifecycle event the host emits; the run's
+	// counters are folded from it (world.Build passes the run's
+	// stats.Collector, fanned out with any user sink). Required.
+	Tracer obs.Tracer
 	// Tracker records ground-truth spread and backs TrueSeen/TrueLive; may
 	// be nil (both then fall back to the estimates).
 	Tracker *Tracker
-	// Tracer receives structured lifecycle events; nil disables tracing at
-	// zero cost.
-	Tracer obs.Tracer
 	// Role is the node's behaviour under the fault layer's adversary model:
 	// honest (default), black-hole (accepts copies, silently discards them),
 	// or selfish (refuses to relay for others).
@@ -78,11 +76,10 @@ type Host struct {
 	preflight bool
 	acks      *AckTable
 
-	clock     func() float64
-	collector *stats.Collector
-	tracker   *Tracker
-	tracer    obs.Tracer
-	role      fault.Role
+	clock   func() float64
+	tracker *Tracker
+	tracer  obs.Tracer
+	role    fault.Role
 
 	// received marks messages this host has consumed as their destination.
 	received map[msg.ID]bool
@@ -91,7 +88,7 @@ type Host struct {
 // NewHost builds a host. It panics on an incomplete config — hosts are
 // constructed by the world builder, so a bad config is a programming error.
 func NewHost(cfg HostConfig) *Host {
-	if cfg.Policy == nil || cfg.Proto == nil || cfg.Clock == nil || cfg.Collector == nil {
+	if cfg.Policy == nil || cfg.Proto == nil || cfg.Clock == nil || cfg.Tracer == nil {
 		//lint:invariant hosts are wired by world.Build from a validated scenario; a nil dependency is builder misuse, not input
 		panic(fmt.Sprintf("routing: incomplete host config for node %d", cfg.ID))
 	}
@@ -104,7 +101,6 @@ func NewHost(cfg HostConfig) *Host {
 		rate:      cfg.Rate,
 		preflight: cfg.PreflightEviction,
 		clock:     cfg.Clock,
-		collector: cfg.Collector,
 		tracker:   cfg.Tracker,
 		tracer:    cfg.Tracer,
 		role:      cfg.Role,
@@ -125,20 +121,8 @@ func NewHost(cfg HostConfig) *Host {
 // ID returns the node id.
 func (h *Host) ID() int { return h.id }
 
-// Tracer returns the host's event sink (nil when tracing is off).
-func (h *Host) Tracer() obs.Tracer { return h.tracer }
-
 // Role returns the node's adversarial role (RoleHonest normally).
 func (h *Host) Role() fault.Role { return h.role }
-
-// emit forwards ev to the tracer. The nil check is the entire disabled
-// path: callers build the Event inline in the argument, so a nil tracer
-// costs one branch and zero allocations.
-func (h *Host) emit(ev obs.Event) {
-	if h.tracer != nil {
-		h.tracer.Emit(ev)
-	}
-}
 
 // Buffer exposes the host's store (read-mostly; mutate only through host
 // methods).
@@ -257,22 +241,16 @@ func (h *Host) OnLinkDown(peer *Host, now float64) {
 // whose buffer outranks the new message drops it on arrival. It reports
 // whether the message was stored.
 func (h *Host) Originate(m *msg.Message, now float64) bool {
-	h.collector.MessageCreated(m.ID, m.Created)
 	if h.tracker != nil {
 		h.tracker.NoteCreated(m.ID, m.Source)
 	}
-	if h.tracer != nil {
-		h.tracer.Emit(obs.Event{T: now, Type: obs.MessageCreated, Msg: m.ID,
-			Node: m.Source, Peer: m.Dest, Size: m.Size, Copies: m.InitialCopies})
-	}
+	h.tracer.Emit(obs.Event{T: now, Type: obs.MessageCreated, Msg: m.ID,
+		Node: m.Source, Peer: m.Dest, Size: m.Size, Copies: m.InitialCopies})
 	s := msg.NewSourceCopy(m)
 	victims, scores, inScore, ok := h.ord.PlanEviction(h.pol, h, h.buf, s)
 	if !ok {
-		if h.tracer != nil {
-			h.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped, Msg: m.ID,
-				Node: h.id, Priority: inScore})
-		}
-		h.collector.Dropped()
+		h.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped, Msg: m.ID,
+			Node: h.id, Priority: inScore})
 		return false
 	}
 	for i, v := range victims {
@@ -296,17 +274,14 @@ func (h *Host) DropMessage(s *msg.Stored, score, now float64) {
 	if h.buf.Remove(s.M.ID) == nil {
 		return
 	}
-	if h.tracer != nil {
-		h.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped, Msg: s.M.ID,
-			Node: h.id, Priority: score})
-	}
+	h.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped, Msg: s.M.ID,
+		Node: h.id, Priority: score})
 	if h.drops != nil {
 		h.drops.RecordDrop(s.M.ID, now)
 	}
 	if h.tracker != nil {
 		h.tracker.NoteRemoved(s.M.ID, h.id)
 	}
-	h.collector.Dropped()
 }
 
 // purgeAcked removes buffered copies of delivered messages (immunization).
@@ -322,14 +297,11 @@ func (h *Host) purgeAcked(now float64) {
 	}
 	for _, s := range dead {
 		h.buf.Remove(s.M.ID)
-		if h.tracer != nil {
-			h.tracer.Emit(obs.Event{T: now, Type: obs.MessagePurged, Msg: s.M.ID,
-				Node: h.id, Kind: "ack"})
-		}
+		h.tracer.Emit(obs.Event{T: now, Type: obs.MessagePurged, Msg: s.M.ID,
+			Node: h.id, Kind: "ack"})
 		if h.tracker != nil {
 			h.tracker.NoteRemoved(s.M.ID, h.id)
 		}
-		h.collector.AckPurged()
 	}
 }
 
@@ -345,10 +317,8 @@ func (h *Host) WipeState(now float64) int {
 	copy(dead, items) // Remove mutates the buffer's backing slice
 	for _, s := range dead {
 		h.buf.Remove(s.M.ID)
-		if h.tracer != nil {
-			h.tracer.Emit(obs.Event{T: now, Type: obs.MessagePurged, Msg: s.M.ID,
-				Node: h.id, Kind: "wipe"})
-		}
+		h.tracer.Emit(obs.Event{T: now, Type: obs.MessagePurged, Msg: s.M.ID,
+			Node: h.id, Kind: "wipe"})
 		if h.tracker != nil {
 			h.tracker.NoteRemoved(s.M.ID, h.id)
 		}
@@ -366,9 +336,7 @@ func (h *Host) ExpireMessages(now float64) int {
 	dead := h.buf.Expired(now, nil)
 	for _, s := range dead {
 		h.buf.Remove(s.M.ID)
-		if h.tracer != nil {
-			h.tracer.Emit(obs.Event{T: now, Type: obs.MessageExpired, Msg: s.M.ID, Node: h.id})
-		}
+		h.tracer.Emit(obs.Event{T: now, Type: obs.MessageExpired, Msg: s.M.ID, Node: h.id})
 		if h.tracker != nil {
 			h.tracker.NoteRemoved(s.M.ID, h.id)
 		}
@@ -378,7 +346,6 @@ func (h *Host) ExpireMessages(now float64) int {
 		if h.acks != nil {
 			h.acks.Forget(s.M.ID)
 		}
-		h.collector.Expired()
 	}
 	return len(dead)
 }

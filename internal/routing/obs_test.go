@@ -9,61 +9,24 @@ import (
 	"sdsrp/internal/stats"
 )
 
-// tracedNet mirrors testNet but wires an obs sink into every host.
+// tracedNet mirrors testNet but fans every host's events out to tr too.
 func tracedNet(n int, tr obs.Tracer, bufBytes int64) (*testNet, []*Host) {
 	tn := &testNet{collector: stats.NewCollector(), tracker: NewTracker()}
 	pol := policy.FIFO{}
 	for i := 0; i < n; i++ {
 		tn.hosts = append(tn.hosts, NewHost(HostConfig{
-			ID:        i,
-			Nodes:     n,
-			Buffer:    bufBytes,
-			Policy:    pol,
-			Proto:     SprayAndWait{Binary: true},
-			Rate:      core.FixedRate{Mean: 1200},
-			Clock:     func() float64 { return tn.now },
-			Collector: tn.collector,
-			Tracker:   tn.tracker,
-			Tracer:    tr,
+			ID:      i,
+			Nodes:   n,
+			Buffer:  bufBytes,
+			Policy:  pol,
+			Proto:   SprayAndWait{Binary: true},
+			Rate:    core.FixedRate{Mean: 1200},
+			Clock:   func() float64 { return tn.now },
+			Tracer:  obs.Multi(tn.collector, tr),
+			Tracker: tn.tracker,
 		}))
 	}
 	return tn, tn.hosts
-}
-
-// TestNilTracerEmitNoAlloc pins the zero-cost disabled path: with a nil
-// tracer, the emit guard on the hot sites must not allocate.
-func TestNilTracerEmitNoAlloc(t *testing.T) {
-	tn, hosts := tracedNet(2, nil, 1<<20)
-	h := hosts[0]
-	ev := obs.Event{T: 1, Type: obs.MessageForwarded, Msg: 1, Node: 0, Peer: 1,
-		Copies: 8, Kind: "spray"}
-	if n := testing.AllocsPerRun(1000, func() { h.emit(ev) }); n != 0 {
-		t.Fatalf("nil-tracer emit allocated %v times per run, want 0", n)
-	}
-	// Snapshot events carry a slice field; passing one through the guard
-	// must still be free when the tracer is nil.
-	used := []int64{100, 200}
-	snap := obs.Event{T: 2, Type: obs.Snapshot, LiveMsgs: 1, LiveCopies: 2,
-		Contacts: 1, Queue: 3, Used: used}
-	if n := testing.AllocsPerRun(1000, func() { h.emit(snap) }); n != 0 {
-		t.Fatalf("nil-tracer snapshot emit allocated %v times per run, want 0", n)
-	}
-	// The full eviction path with a nil tracer must not allocate for
-	// tracing either: the dropped event only reports the eviction plan's
-	// scores.
-	m := tn.message(1, 0, 1, 8, 100, 3600)
-	if !h.Originate(m, 0) {
-		t.Fatal("originate failed")
-	}
-	s := h.Buffer().Get(1)
-	if n := testing.AllocsPerRun(100, func() {
-		if h.tracer != nil {
-			t.Fatal("tracer must stay nil")
-		}
-		_ = s
-	}); n != 0 {
-		t.Fatalf("guard check allocated %v times per run", n)
-	}
 }
 
 // TestTracerLifecycleEvents drives one create → spray → deliver → drop

@@ -30,7 +30,7 @@ func newTestNet(n int, pol policy.Policy, proto Protocol, bufBytes int64, dropLi
 			Rate:        core.FixedRate{Mean: 1200},
 			UseDropList: dropList,
 			Clock:       func() float64 { return tn.now },
-			Collector:   tn.collector,
+			Tracer:      tn.collector,
 			Tracker:     tn.tracker,
 		}))
 	}
@@ -494,13 +494,13 @@ func TestLambdaEstimatorWiring(t *testing.T) {
 		ID: 0, Nodes: 4, Buffer: 1000,
 		Policy: policy.SDSRP{}, Proto: SprayAndWait{Binary: true},
 		Rate:  est,
-		Clock: func() float64 { return tn.now }, Collector: tn.collector,
+		Clock: func() float64 { return tn.now }, Tracer: tn.collector,
 	})
 	peer := NewHost(HostConfig{
 		ID: 1, Nodes: 4, Buffer: 1000,
 		Policy: policy.SDSRP{}, Proto: SprayAndWait{Binary: true},
 		Rate:  core.FixedRate{Mean: 1000},
-		Clock: func() float64 { return tn.now }, Collector: tn.collector,
+		Clock: func() float64 { return tn.now }, Tracer: tn.collector,
 	})
 	h.OnLinkUp(peer, 10)
 	h.OnLinkDown(peer, 20)
@@ -661,7 +661,7 @@ func TestHostEstimatesMatchCore(t *testing.T) {
 		lh := NewHost(HostConfig{ID: 0, Nodes: nodes, Buffer: 1e6,
 			Policy: policy.SDSRP{}, Proto: SprayAndWait{Binary: true},
 			Rate: core.NewLambdaEstimator(1200, 1), UseDropList: true,
-			Clock: func() float64 { return tn.now }, Collector: tn.collector})
+			Clock: func() float64 { return tn.now }, Tracer: tn.collector})
 		ls := &msg.Stored{M: s.M, Copies: 16, SprayTimes: []float64{300}}
 		lh.OnLinkDown(peer, 10)
 		before, _ := match(t, lh, ls)

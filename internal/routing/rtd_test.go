@@ -69,7 +69,7 @@ func TestPreflightModeRefusesBeforeBytesMove(t *testing.T) {
 			Rate:              core.FixedRate{Mean: 1200},
 			PreflightEviction: true,
 			Clock:             func() float64 { return tn.now },
-			Collector:         tn.collector, Tracker: tn.tracker,
+			Tracer:            tn.collector, Tracker: tn.tracker,
 		})
 	}
 	a, b := mk(0), mk(1)

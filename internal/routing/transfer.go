@@ -99,29 +99,25 @@ func (h *Host) PreAccept(o Offer, now float64) bool {
 
 // CommitTransfer finalizes a completed transfer between sender and
 // receiver. It performs the sender-side token accounting, the
-// receiver-side eviction + store, and all stats bookkeeping. It returns
-// false when the completed bytes were wasted (the receiver acquired the
-// message through a third party mid-transfer, or its buffer filled with
-// higher-priority traffic).
+// receiver-side eviction + store, and emits the events the run's counters
+// fold. It returns false when the completed bytes were wasted (the
+// receiver acquired the message through a third party mid-transfer, or its
+// buffer filled with higher-priority traffic).
 func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 	id := o.S.M.ID
-	c := sender.collector
 
 	if o.Kind == KindDelivery {
 		if receiver.received[id] {
 			// A second copy arrived through another path mid-transfer.
-			sender.emit(obs.Event{T: now, Type: obs.MessageRefused, Msg: id,
+			sender.tracer.Emit(obs.Event{T: now, Type: obs.MessageRefused, Msg: id,
 				Node: sender.id, Peer: receiver.id})
-			c.TransferRefused()
 			return false
 		}
 		receiver.received[id] = true
 		if receiver.acks != nil {
 			receiver.acks.Add(id)
 		}
-		c.TransferCompleted()
-		c.Delivered(id, now, o.S.M.Created, o.S.Hops+1)
-		sender.emit(obs.Event{T: now, Type: obs.MessageDelivered, Msg: id,
+		sender.tracer.Emit(obs.Event{T: now, Type: obs.MessageDelivered, Msg: id,
 			Node: sender.id, Peer: receiver.id, Hops: o.S.Hops + 1,
 			Latency: now - o.S.M.Created})
 		// The delivering node knows the destination is served: its copy is
@@ -140,9 +136,8 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 	// transfer without touching the sender's tokens (header-level dedup).
 	if receiver.buf.Has(id) || receiver.received[id] ||
 		(receiver.drops != nil && receiver.drops.RejectsIncoming(id)) {
-		sender.emit(obs.Event{T: now, Type: obs.MessageRefused, Msg: id,
+		sender.tracer.Emit(obs.Event{T: now, Type: obs.MessageRefused, Msg: id,
 			Node: sender.id, Peer: receiver.id})
-		c.TransferRefused()
 		return false
 	}
 	incoming := o.Phantom(now)
@@ -170,8 +165,7 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 		}
 	}
 	o.S.Forwarded++
-	c.TransferCompleted()
-	sender.emit(obs.Event{T: now, Type: obs.MessageForwarded, Msg: id,
+	sender.tracer.Emit(obs.Event{T: now, Type: obs.MessageForwarded, Msg: id,
 		Node: sender.id, Peer: receiver.id, Copies: incoming.Copies,
 		Kind: o.Kind.String()})
 
@@ -179,9 +173,8 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 	// tokens and bandwidth are spent, nothing is stored, and — unlike a
 	// policy drop — no dropped-list record betrays the attacker.
 	if receiver.role == fault.RoleBlackHole {
-		receiver.emit(obs.Event{T: now, Type: obs.TransferLost, Msg: id,
+		receiver.tracer.Emit(obs.Event{T: now, Type: obs.TransferLost, Msg: id,
 			Node: sender.id, Peer: receiver.id})
-		c.TransferLost()
 		return false
 	}
 
@@ -190,14 +183,11 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 		// The newcomer is the weakest: dropped on arrival. It enters the
 		// receiver's dropped list (enabling SDSRP's future pre-rejection)
 		// and counts as a policy drop.
-		if receiver.tracer != nil {
-			receiver.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped,
-				Msg: id, Node: receiver.id, Priority: inScore})
-		}
+		receiver.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped,
+			Msg: id, Node: receiver.id, Priority: inScore})
 		if receiver.drops != nil {
 			receiver.drops.RecordDrop(id, now)
 		}
-		c.Dropped()
 		return false
 	}
 	for i, v := range victims {

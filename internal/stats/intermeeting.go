@@ -3,14 +3,37 @@ package stats
 import (
 	"math"
 	"sort"
+
+	"sdsrp/internal/obs"
 )
 
 // Intermeeting records intermeeting-time samples (the gap between the end of
 // one contact and the start of the next for a node pair) and fits an
 // exponential distribution to them, reproducing the paper's Fig. 3 analysis.
+// It is an obs.Tracer: attached to a run (world.WithTracer), it samples the
+// run's contact events. The zero value is ready to use.
 type Intermeeting struct {
 	samples []float64
 	sum     float64
+	// lastEnd holds each pair's last contact_down time.
+	lastEnd map[[2]int]float64
+}
+
+// Emit implements obs.Tracer: a contact_up for a pair that met before adds
+// the gap since that pair's last contact_down. Other events are ignored.
+func (im *Intermeeting) Emit(ev obs.Event) {
+	k := [2]int{ev.Node, ev.Peer}
+	switch ev.Type {
+	case obs.ContactUp:
+		if end, ok := im.lastEnd[k]; ok {
+			im.Add(ev.T - end)
+		}
+	case obs.ContactDown:
+		if im.lastEnd == nil {
+			im.lastEnd = make(map[[2]int]float64)
+		}
+		im.lastEnd[k] = ev.T
+	}
 }
 
 // Add records one intermeeting sample in seconds. Negative samples are

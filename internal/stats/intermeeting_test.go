@@ -4,8 +4,30 @@ import (
 	"math"
 	"testing"
 
+	"sdsrp/internal/obs"
 	"sdsrp/internal/rng"
 )
+
+// TestIntermeetingFoldsContactEvents checks the sink samples per pair: a
+// pair's first contact adds nothing, each later contact_up adds the gap
+// since that pair's last contact_down, and other events are ignored.
+func TestIntermeetingFoldsContactEvents(t *testing.T) {
+	var im Intermeeting
+	for _, ev := range []obs.Event{
+		{T: 1, Type: obs.ContactUp, Node: 0, Peer: 1},
+		{T: 2, Type: obs.ContactUp, Node: 1, Peer: 2},
+		{T: 5, Type: obs.ContactDown, Node: 0, Peer: 1},
+		{T: 6, Type: obs.MessageCreated, Node: 0, Peer: 1},
+		{T: 9, Type: obs.ContactDown, Node: 1, Peer: 2},
+		{T: 15, Type: obs.ContactUp, Node: 0, Peer: 1},
+		{T: 39, Type: obs.ContactUp, Node: 1, Peer: 2},
+	} {
+		im.Emit(ev)
+	}
+	if im.Count() != 2 || im.Mean() != 20 { // gaps 10 and 30
+		t.Fatalf("count=%d mean=%v, want 2 samples of mean 20", im.Count(), im.Mean())
+	}
+}
 
 func TestIntermeetingEmpty(t *testing.T) {
 	var im Intermeeting

@@ -1,4 +1,4 @@
-// Package stats collects simulation metrics.
+// Package stats folds a run's event stream into its metrics.
 //
 // The three headline metrics match the paper's Section IV definitions:
 //
@@ -7,17 +7,21 @@
 //   - overhead ratio: (forwards − deliveries) / deliveries
 //
 // plus auxiliary counters (aborts, refusals, drops) and the intermeeting
-// time recorder used to reproduce Fig. 3.
+// time recorder used to reproduce Fig. 3. Collector and Intermeeting are
+// obs.Tracer sinks: they see exactly the lifecycle events the JSONL log
+// records, so a run's metrics can always be refolded from its log.
 package stats
 
 import (
 	"math"
 
 	"sdsrp/internal/msg"
+	"sdsrp/internal/obs"
 )
 
-// Collector accumulates counters for one simulation run. Not safe for
-// concurrent use; a run is single-threaded.
+// Collector folds one run's lifecycle events into its counters. world.Build
+// attaches one to every run. Not safe for concurrent use; a run is
+// single-threaded.
 type Collector struct {
 	// WarmupUntil excludes messages created before it from the per-message
 	// metrics (created count, deliveries, hops, latency). Transfer- and
@@ -36,7 +40,7 @@ type Collector struct {
 	ExpiredDrops int // TTL removals
 	AckPurges    int // copies purged by the immunization extension
 
-	delivered  map[msg.ID]DeliveryRecord
+	delivered  map[msg.ID]bool
 	excluded   map[msg.ID]bool // warm-up messages, invisible to metrics
 	duplicates int             // deliveries of already-delivered messages
 	latencies  Sampler         // delivery latencies in delivery order
@@ -46,95 +50,64 @@ type Collector struct {
 	latencySum float64
 }
 
-// DeliveryRecord describes the first delivery of a message.
-type DeliveryRecord struct {
-	At      float64
-	Latency float64
-	Hops    int
-}
-
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
-		delivered: make(map[msg.ID]DeliveryRecord),
+		delivered: make(map[msg.ID]bool),
 		excluded:  make(map[msg.ID]bool),
 	}
 }
 
-// MessageCreated counts a generated message; messages born during warm-up
-// are recorded as excluded instead.
-func (c *Collector) MessageCreated(id msg.ID, created float64) {
-	if created < c.WarmupUntil {
-		c.excluded[id] = true
+// Emit implements obs.Tracer. A forward is a committed transfer, a final
+// delivery included; only the first delivery of each message counts, later
+// ones are tallied as duplicates; a message whose created event falls
+// before WarmupUntil is excluded from every per-message metric.
+func (c *Collector) Emit(ev obs.Event) {
+	switch ev.Type {
+	case obs.MessageCreated:
+		if ev.T < c.WarmupUntil {
+			c.excluded[ev.Msg] = true
+			return
+		}
+		c.Created++
+	case obs.MessageForwarded:
+		c.Forwards++
+	case obs.MessageDelivered:
+		c.Forwards++
+		c.deliver(ev)
+	case obs.MessageDropped:
+		c.PolicyDrops++
+	case obs.MessageExpired:
+		c.ExpiredDrops++
+	case obs.MessagePurged:
+		if ev.Kind == "ack" {
+			c.AckPurges++
+		}
+	case obs.MessageRefused:
+		c.Refused++
+	case obs.TransferStart:
+		c.Started++
+	case obs.TransferAbort:
+		c.Aborted++
+	case obs.TransferLost:
+		c.Lost++
+	}
+}
+
+// deliver records a delivered event's message, hops and latency.
+func (c *Collector) deliver(ev obs.Event) {
+	if c.excluded[ev.Msg] {
 		return
 	}
-	c.Created++
-}
-
-// IsExcluded reports whether id was generated during warm-up.
-func (c *Collector) IsExcluded(id msg.ID) bool { return c.excluded[id] }
-
-// TransferStarted counts a transfer beginning.
-func (c *Collector) TransferStarted() { c.Started++ }
-
-// TransferAborted counts a transfer cut mid-flight.
-func (c *Collector) TransferAborted() { c.Aborted++ }
-
-// TransferRefused counts a transfer declined before any bytes moved.
-func (c *Collector) TransferRefused() { c.Refused++ }
-
-// TransferLost counts a transfer whose bytes crossed the wire but were
-// discarded by the receiver (injected loss or a black-hole node).
-func (c *Collector) TransferLost() { c.Lost++ }
-
-// TransferCompleted counts a successful transfer (a "forward" in the
-// paper's overhead metric, whether spray, relay, or final delivery).
-func (c *Collector) TransferCompleted() { c.Forwards++ }
-
-// Dropped counts a policy eviction.
-func (c *Collector) Dropped() { c.PolicyDrops++ }
-
-// Expired counts a TTL removal.
-func (c *Collector) Expired() { c.ExpiredDrops++ }
-
-// AckPurged counts a copy removed by ACK immunization.
-func (c *Collector) AckPurged() { c.AckPurges++ }
-
-// Delivered records a message reaching its destination. Only the first
-// delivery of each message counts; later copies are tallied as duplicates.
-// It reports whether this was the first delivery.
-func (c *Collector) Delivered(id msg.ID, now, created float64, hops int) bool {
-	if c.excluded[id] {
-		return false
-	}
-	if _, ok := c.delivered[id]; ok {
+	if c.delivered[ev.Msg] {
 		c.duplicates++
-		return false
+		return
 	}
-	c.delivered[id] = DeliveryRecord{At: now, Latency: now - created, Hops: hops}
-	c.hopSum += hops
-	c.latencySum += now - created
-	c.latencies.Add(now - created)
-	return true
+	c.delivered[ev.Msg] = true
+	c.hopSum += ev.Hops
+	c.latencySum += ev.Latency
+	c.latencies.Add(ev.Latency)
 }
-
-// DeliveryOf returns the delivery record for id, if delivered.
-func (c *Collector) DeliveryOf(id msg.ID) (DeliveryRecord, bool) {
-	r, ok := c.delivered[id]
-	return r, ok
-}
-
-// WasDelivered reports whether id has reached its destination.
-func (c *Collector) WasDelivered(id msg.ID) bool {
-	_, ok := c.delivered[id]
-	return ok
-}
-
-// DeliveredCount returns the number of distinct messages delivered.
-func (c *Collector) DeliveredCount() int { return len(c.delivered) }
-
-// Duplicates returns the number of redundant deliveries observed.
-func (c *Collector) Duplicates() int { return c.duplicates }
 
 // Summary is the digest of a finished run.
 type Summary struct {

@@ -5,7 +5,22 @@ import (
 	"testing"
 
 	"sdsrp/internal/msg"
+	"sdsrp/internal/obs"
 )
+
+func emitCreated(c *Collector, id msg.ID, at float64) {
+	c.Emit(obs.Event{T: at, Type: obs.MessageCreated, Msg: id})
+}
+
+func emitDelivered(c *Collector, id msg.ID, now, created float64, hops int) {
+	c.Emit(obs.Event{T: now, Type: obs.MessageDelivered, Msg: id, Hops: hops, Latency: now - created})
+}
+
+func emitN(c *Collector, typ obs.Type, n int) {
+	for i := 0; i < n; i++ {
+		c.Emit(obs.Event{Type: typ})
+	}
+}
 
 func TestEmptySummary(t *testing.T) {
 	c := NewCollector()
@@ -18,10 +33,10 @@ func TestEmptySummary(t *testing.T) {
 func TestDeliveryRatio(t *testing.T) {
 	c := NewCollector()
 	for i := 0; i < 10; i++ {
-		c.MessageCreated(msg.ID(100+i), 0)
+		emitCreated(c, msg.ID(100+i), 0)
 	}
-	c.Delivered(1, 100, 0, 3)
-	c.Delivered(2, 200, 50, 5)
+	emitDelivered(c, 1, 100, 0, 3)
+	emitDelivered(c, 2, 200, 50, 5)
 	s := c.Summarize()
 	if s.DeliveryRatio != 0.2 {
 		t.Fatalf("DeliveryRatio = %v, want 0.2", s.DeliveryRatio)
@@ -36,13 +51,9 @@ func TestDeliveryRatio(t *testing.T) {
 
 func TestDuplicateDeliveryNotDoubleCounted(t *testing.T) {
 	c := NewCollector()
-	c.MessageCreated(1, 0)
-	if !c.Delivered(1, 10, 0, 2) {
-		t.Fatal("first delivery not reported as first")
-	}
-	if c.Delivered(1, 20, 0, 7) {
-		t.Fatal("second delivery reported as first")
-	}
+	emitCreated(c, 1, 0)
+	emitDelivered(c, 1, 10, 0, 2)
+	emitDelivered(c, 1, 20, 0, 7)
 	s := c.Summarize()
 	if s.Delivered != 1 || s.Duplicates != 1 {
 		t.Fatalf("delivered=%d dup=%d", s.Delivered, s.Duplicates)
@@ -50,20 +61,18 @@ func TestDuplicateDeliveryNotDoubleCounted(t *testing.T) {
 	if s.AvgHops != 2 {
 		t.Fatalf("AvgHops uses duplicate record: %v", s.AvgHops)
 	}
-	if !c.WasDelivered(1) || c.WasDelivered(2) {
-		t.Fatal("WasDelivered wrong")
+	if s.Forwards != 2 {
+		t.Fatalf("Forwards = %d, want 2 (every delivered event is a committed transfer)", s.Forwards)
 	}
 }
 
 func TestOverheadRatio(t *testing.T) {
 	c := NewCollector()
-	c.MessageCreated(1, 0)
-	c.MessageCreated(2, 0)
-	for i := 0; i < 10; i++ {
-		c.TransferCompleted()
-	}
-	c.Delivered(1, 5, 0, 1)
-	c.Delivered(2, 6, 0, 1)
+	emitCreated(c, 1, 0)
+	emitCreated(c, 2, 0)
+	emitN(c, obs.MessageForwarded, 8)
+	emitDelivered(c, 1, 5, 0, 1)
+	emitDelivered(c, 2, 6, 0, 1)
 	s := c.Summarize()
 	if s.OverheadRatio != 4 { // (10-2)/2
 		t.Fatalf("OverheadRatio = %v, want 4", s.OverheadRatio)
@@ -72,7 +81,7 @@ func TestOverheadRatio(t *testing.T) {
 
 func TestOverheadWithoutDeliveries(t *testing.T) {
 	c := NewCollector()
-	c.TransferCompleted()
+	emitN(c, obs.MessageForwarded, 1)
 	s := c.Summarize()
 	if !math.IsInf(s.OverheadRatio, 1) {
 		t.Fatalf("OverheadRatio = %v, want +Inf", s.OverheadRatio)
@@ -81,36 +90,50 @@ func TestOverheadWithoutDeliveries(t *testing.T) {
 
 func TestCounterPassthrough(t *testing.T) {
 	c := NewCollector()
-	c.TransferStarted()
-	c.TransferStarted()
-	c.TransferAborted()
-	c.TransferRefused()
-	c.Dropped()
-	c.Dropped()
-	c.Dropped()
-	c.Expired()
+	emitN(c, obs.TransferStart, 2)
+	emitN(c, obs.TransferAbort, 1)
+	emitN(c, obs.MessageRefused, 1)
+	emitN(c, obs.TransferLost, 1)
+	emitN(c, obs.MessageDropped, 3)
+	emitN(c, obs.MessageExpired, 1)
+	c.Emit(obs.Event{Type: obs.MessagePurged, Kind: "ack"})
+	c.Emit(obs.Event{Type: obs.MessagePurged, Kind: "wipe"}) // not an ACK purge
+	emitN(c, obs.ContactUp, 1)                               // not a counter
 	s := c.Summarize()
-	if s.Started != 2 || s.Aborted != 1 || s.Refused != 1 || s.PolicyDrops != 3 || s.ExpiredDrops != 1 {
+	if s.Started != 2 || s.Aborted != 1 || s.Refused != 1 || s.Lost != 1 ||
+		s.PolicyDrops != 3 || s.ExpiredDrops != 1 || s.AckPurges != 1 || s.Forwards != 0 {
 		t.Fatalf("counters wrong: %+v", s)
+	}
+}
+
+// TestCounterEventsNoAlloc pins the cost of the always-on collector on the
+// hottest emit sites: folding a counter-only event allocates nothing.
+func TestCounterEventsNoAlloc(t *testing.T) {
+	var tr obs.Tracer = NewCollector()
+	evs := []obs.Event{
+		{T: 1, Type: obs.TransferStart, Msg: 1, Node: 0, Peer: 1, Size: 500, Kind: "spray"},
+		{T: 2, Type: obs.MessageForwarded, Msg: 1, Node: 0, Peer: 1, Copies: 8, Kind: "spray"},
+		{T: 3, Type: obs.MessageDropped, Msg: 1, Node: 1, Priority: 0.25},
+		{T: 4, Type: obs.MessageRefused, Msg: 1, Node: 0, Peer: 1},
+	}
+	for _, ev := range evs {
+		if n := testing.AllocsPerRun(1000, func() { tr.Emit(ev) }); n != 0 {
+			t.Errorf("%v event allocated %v times per emit, want 0", ev.Type, n)
+		}
 	}
 }
 
 func TestWarmupExclusion(t *testing.T) {
 	c := NewCollector()
 	c.WarmupUntil = 100
-	c.MessageCreated(1, 50)  // warm-up: excluded
-	c.MessageCreated(2, 150) // counted
+	emitCreated(c, 1, 50)  // warm-up: excluded
+	emitCreated(c, 2, 150) // counted
 	if c.Created != 1 {
 		t.Fatalf("Created = %d, want 1", c.Created)
 	}
-	if !c.IsExcluded(1) || c.IsExcluded(2) {
-		t.Fatal("exclusion marks wrong")
-	}
 	// Delivering the warm-up message leaves all metrics untouched.
-	if c.Delivered(1, 200, 50, 3) {
-		t.Fatal("warm-up delivery reported as first")
-	}
-	c.Delivered(2, 300, 150, 2)
+	emitDelivered(c, 1, 200, 50, 3)
+	emitDelivered(c, 2, 300, 150, 2)
 	s := c.Summarize()
 	if s.Delivered != 1 || s.DeliveryRatio != 1 || s.AvgHops != 2 {
 		t.Fatalf("summary polluted by warm-up: %+v", s)
@@ -123,8 +146,8 @@ func TestWarmupExclusion(t *testing.T) {
 func TestLatencyPercentiles(t *testing.T) {
 	c := NewCollector()
 	for i := 1; i <= 100; i++ {
-		c.MessageCreated(msg.ID(i), 0)
-		c.Delivered(msg.ID(i), float64(i), 0, 1)
+		emitCreated(c, msg.ID(i), 0)
+		emitDelivered(c, msg.ID(i), float64(i), 0, 1)
 	}
 	s := c.Summarize()
 	if s.MedianLatency != 50 {

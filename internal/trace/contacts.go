@@ -2,14 +2,17 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Contact mirrors network.Contact for trace I/O without an import cycle:
-// one recorded encounter between two nodes.
+// Contact is one recorded encounter between two nodes: the unit of a
+// contact trace, and what a contact-trace-driven run replays
+// (network.Manager.StartScheduled).
 type Contact struct {
 	A, B       int
 	Start, End float64
@@ -70,15 +73,11 @@ func ParseContacts(r io.Reader) ([]Contact, error) {
 	return out, nil
 }
 
-// WriteContacts writes contacts in the ParseContacts format, sorted by
-// start time.
+// WriteContacts writes contacts in the ParseContacts format, stably sorted
+// by start time.
 func WriteContacts(w io.Writer, contacts []Contact) error {
-	sorted := append([]Contact(nil), contacts...)
-	for i := 1; i < len(sorted); i++ { // insertion sort: traces are near-sorted
-		for j := i; j > 0 && sorted[j].Start < sorted[j-1].Start; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := slices.Clone(contacts)
+	slices.SortStableFunc(sorted, func(x, y Contact) int { return cmp.Compare(x.Start, y.Start) })
 	bw := bufio.NewWriter(w)
 	for _, c := range sorted {
 		if _, err := fmt.Fprintf(bw, "%d %d %g %g\n", c.A, c.B, c.Start, c.End); err != nil {

@@ -3,10 +3,13 @@ package world
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
 	"sdsrp/internal/config"
+	"sdsrp/internal/fault"
 	"sdsrp/internal/mobility"
 	"sdsrp/internal/network"
 	"sdsrp/internal/obs"
@@ -157,6 +160,71 @@ func TestTracedRunMatchesCollector(t *testing.T) {
 	}
 	if res.Delivered > 0 && metrics.Latency.Count() == 0 {
 		t.Error("latency histogram empty despite deliveries")
+	}
+}
+
+// TestCollectorRefoldsFromLog checks the run's collector is a pure fold of
+// the event log: feeding a run's JSONL log through a fresh Collector must
+// reproduce Result.Summary bit for bit, with ACK purges and with loss,
+// black holes and wiping churn in the stream.
+func TestCollectorRefoldsFromLog(t *testing.T) {
+	acks := config.EPFL()
+	acks.Seed, acks.Duration, acks.UseAcks = 2, 6000, true
+	faulty := config.RandomWaypoint()
+	faulty.Faults = fault.Config{
+		TransferLossProb:  0.1,
+		BlackHoleFraction: 0.1,
+		Churn:             fault.Churn{MeanUp: 3000, MeanDown: 300, WipeOnReboot: true},
+	}
+	for _, tc := range []struct {
+		name string
+		sc   config.Scenario
+		// covers must be positive: the stream feature the case exists for.
+		covers func(stats.Summary, *obs.Metrics) int
+	}{
+		{"table2", config.RandomWaypoint(), func(s stats.Summary, _ *obs.Metrics) int { return s.Delivered * s.PolicyDrops }},
+		{"epfl", config.EPFL(), func(s stats.Summary, _ *obs.Metrics) int { return s.Delivered * s.Aborted }},
+		{"acks", acks, func(s stats.Summary, _ *obs.Metrics) int { return s.AckPurges }},
+		{"faults", faulty, func(s stats.Summary, m *obs.Metrics) int {
+			return s.Lost * int(m.Count(obs.MessagePurged)-uint64(s.AckPurges))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := tc.sc
+			if testing.Short() {
+				sc.Duration = min(sc.Duration, 6000)
+			}
+			var buf bytes.Buffer
+			jsonl := obs.NewJSONL(&buf)
+			metrics := obs.NewMetrics()
+			w, err := Build(sc, WithTracer(obs.Multi(jsonl, metrics)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := mustRun(t, w)
+			if err := jsonl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.covers(res.Summary, metrics) <= 0 {
+				t.Fatalf("run does not exercise the case: %+v", res.Summary)
+			}
+			refold := stats.NewCollector()
+			refold.WarmupUntil = sc.Warmup
+			r := obs.NewLogReader(&buf)
+			for {
+				ev, err := r.Next()
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				refold.Emit(ev)
+			}
+			if got := refold.Summarize(); got != res.Summary {
+				t.Fatalf("refolded log disagrees with the run:\n  log: %+v\n  run: %+v", got, res.Summary)
+			}
+		})
 	}
 }
 
@@ -381,12 +449,13 @@ func TestSnapshotFillZeroHostsAndZeroCapacity(t *testing.T) {
 			}
 			proto, _ := routing.ProtocolByName("spray-and-wait")
 			hosts[i] = routing.NewHost(routing.HostConfig{ID: i, Nodes: nodes,
-				Policy: pol, Proto: proto, Clock: eng.Now, Collector: collector})
+				Policy: pol, Proto: proto, Clock: eng.Now, Tracer: collector})
 			models[i] = mobility.Static{}
 		}
 		mgr, err := network.NewManager(eng, network.Config{
 			Area: config.RandomWaypoint().Area, Range: 10, Bandwidth: 1, ScanInterval: 1e9,
-		}, hosts, models, collector, nil)
+			Tracer: collector,
+		}, hosts, models)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,17 +28,20 @@ import (
 
 // World is one assembled simulation run.
 type World struct {
-	Scenario     config.Scenario
-	Engine       *sim.Engine
-	Hosts        []*routing.Host
-	Manager      *network.Manager
-	Collector    *stats.Collector
-	Intermeeting *stats.Intermeeting
-	Tracker      *routing.Tracker
+	Scenario config.Scenario
+	Engine   *sim.Engine
+	Hosts    []*routing.Host
+	Manager  *network.Manager
+	// Collector folds the run's event stream into its Summary; it sees
+	// every event the hosts and the radio emit.
+	Collector *stats.Collector
+	Tracker   *routing.Tracker
 
-	started   bool
-	tracer    obs.Tracer        // nil when tracing is off
-	scheduled []network.Contact // non-nil for contact-trace-driven runs
+	started bool
+	// tracer is the WithTracer sink (nil without one): the only receiver
+	// of snapshots, which the collector has no use for.
+	tracer    obs.Tracer
+	scheduled []trace.Contact // non-nil for contact-trace-driven runs
 }
 
 // BuildOption customizes world assembly beyond what a config.Scenario
@@ -52,7 +55,8 @@ type buildOptions struct {
 }
 
 // WithTracer routes every lifecycle event of the run (message, contact,
-// transfer, eviction) to tr. A nil tr keeps tracing disabled.
+// transfer, eviction) to tr, after the run's own collector has folded it.
+// A nil tr attaches nothing.
 func WithTracer(tr obs.Tracer) BuildOption {
 	return func(o *buildOptions) { o.tracer = tr }
 }
@@ -93,11 +97,6 @@ type Result struct {
 	MeanContactDuration float64
 	// Energy summarizes the battery model (Enabled false when off).
 	Energy network.EnergyReport
-	// MeanIntermeeting and ExpFitError are populated only when the
-	// scenario records intermeeting samples (Fig. 3 runs).
-	MeanIntermeeting float64
-	ExpFitError      float64
-	IntermeetingN    int
 	// Perf is the engine-level performance digest: events dispatched,
 	// events/sec, peak queue depth, wall-clock, and the contact scanner's
 	// pairs-checked/skipped/wakeups counters. The planner counters
@@ -121,9 +120,10 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 	eng := sim.NewEngine()
 	collector := stats.NewCollector()
 	collector.WarmupUntil = sc.Warmup
+	tr := obs.Multi(collector, bo.tracer)
 	tracker := routing.NewTracker()
 
-	var scheduled []network.Contact
+	var scheduled []trace.Contact
 	var models []mobility.Model
 	var buffers []int64
 	var ranges []float64
@@ -179,17 +179,12 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 			UseAcks:           sc.UseAcks,
 			PreflightEviction: sc.PreflightEviction,
 			Clock:             eng.Now,
-			Collector:         collector,
+			Tracer:            tr,
 			Tracker:           tracker,
-			Tracer:            bo.tracer,
 			Role:              inj.Role(i),
 		})
 	}
 
-	var inter *stats.Intermeeting
-	if sc.RecordIntermeeting {
-		inter = &stats.Intermeeting{}
-	}
 	mgr, err := network.NewManager(eng, network.Config{
 		Area:         area,
 		Range:        sc.Range,
@@ -198,7 +193,7 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 		Ranges:       ranges,
 		Planner:      bo.planner,
 		CellSize:     sc.CellSize,
-		Tracer:       bo.tracer,
+		Tracer:       tr,
 		Faults:       inj,
 		RecordPlan:   bo.record,
 		ReplayPlan:   bo.replay,
@@ -208,21 +203,20 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 			TxPerSec:   sc.Energy.TxPerSec,
 			RxPerSec:   sc.Energy.RxPerSec,
 		},
-	}, hosts, models, collector, inter)
+	}, hosts, models)
 	if err != nil {
 		return nil, fmt.Errorf("world: %w", err)
 	}
 
 	w := &World{
-		scheduled:    scheduled,
-		tracer:       bo.tracer,
-		Scenario:     sc,
-		Engine:       eng,
-		Hosts:        hosts,
-		Manager:      mgr,
-		Collector:    collector,
-		Intermeeting: inter,
-		Tracker:      tracker,
+		scheduled: scheduled,
+		tracer:    bo.tracer,
+		Scenario:  sc,
+		Engine:    eng,
+		Hosts:     hosts,
+		Manager:   mgr,
+		Collector: collector,
+		Tracker:   tracker,
 	}
 	w.scheduleTraffic(root.Split("traffic"))
 	eng.Every(sc.ExpiryInterval, func(now float64) {
@@ -264,23 +258,19 @@ func churnEligible(sc config.Scenario, nodes int) []bool {
 
 // buildScheduled loads a contact trace and fabricates the static population
 // that replays it (positions are irrelevant in scheduled mode).
-func buildScheduled(sc config.Scenario) ([]network.Contact, []mobility.Model, []int64, []float64, geo.Rect, int, error) {
+func buildScheduled(sc config.Scenario) ([]trace.Contact, []mobility.Model, []int64, []float64, geo.Rect, int, error) {
 	f, err := os.Open(sc.ContactTraceFile)
 	if err != nil {
 		return nil, nil, nil, nil, geo.Rect{}, 0, fmt.Errorf("world: %w", err)
 	}
 	defer f.Close()
-	raw, err := trace.ParseContacts(f)
+	contacts, err := trace.ParseContacts(f)
 	if err != nil {
 		return nil, nil, nil, nil, geo.Rect{}, 0, fmt.Errorf("world: %w", err)
 	}
-	nodes := trace.MaxNode(raw) + 1
+	nodes := trace.MaxNode(contacts) + 1
 	if sc.Nodes > nodes {
 		nodes = sc.Nodes
-	}
-	contacts := make([]network.Contact, len(raw))
-	for i, c := range raw {
-		contacts[i] = network.Contact{A: c.A, B: c.B, Start: c.Start, End: c.End}
 	}
 	// Validate now so replay at Run time cannot fail (Run treats a
 	// StartScheduled error as a programming error).
@@ -573,7 +563,7 @@ func (w *World) RunStats() obs.RunStats {
 
 // Result summarizes the run so far (useful mid-run for progress output).
 func (w *World) Result() Result {
-	r := Result{
+	return Result{
 		Summary:             w.Collector.Summarize(),
 		Scenario:            w.Scenario,
 		Contacts:            w.Manager.Contacts(),
@@ -581,10 +571,4 @@ func (w *World) Result() Result {
 		Energy:              w.Manager.EnergyReport(),
 		Perf:                w.RunStats(),
 	}
-	if w.Intermeeting != nil {
-		r.MeanIntermeeting = w.Intermeeting.Mean()
-		r.ExpFitError = w.Intermeeting.ExpFitError()
-		r.IntermeetingN = w.Intermeeting.Count()
-	}
-	return r
 }

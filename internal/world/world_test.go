@@ -8,6 +8,7 @@ import (
 	"sdsrp/internal/config"
 	"sdsrp/internal/geo"
 	"sdsrp/internal/msg"
+	"sdsrp/internal/stats"
 )
 
 // mustRun executes w to its horizon, failing the test on a run error.
@@ -181,16 +182,16 @@ func TestCongestionCausesDrops(t *testing.T) {
 func TestIntermeetingRecording(t *testing.T) {
 	sc := smallScenario("SDSRP")
 	sc.GenIntervalLo = 0 // no traffic: pure mobility measurement (Fig. 3 mode)
-	sc.RecordIntermeeting = true
-	w, err := Build(sc)
+	im := &stats.Intermeeting{}
+	w, err := Build(sc, WithTracer(im))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := mustRun(t, w)
-	if r.IntermeetingN < 50 {
-		t.Fatalf("intermeeting samples = %d", r.IntermeetingN)
+	if im.Count() < 50 {
+		t.Fatalf("intermeeting samples = %d", im.Count())
 	}
-	if r.MeanIntermeeting <= 0 {
+	if im.Mean() <= 0 {
 		t.Fatal("mean intermeeting not positive")
 	}
 	if r.Created != 0 || r.Forwards != 0 {

@@ -33,6 +33,7 @@ import (
 	"sdsrp/internal/policy"
 	"sdsrp/internal/report"
 	"sdsrp/internal/rng"
+	"sdsrp/internal/stats"
 	"sdsrp/internal/world"
 )
 
@@ -126,6 +127,9 @@ type (
 	MessageLedger = obs.Ledger
 	// MessageRecord is one message's reconstructed lifecycle.
 	MessageRecord = obs.MessageRecord
+	// IntermeetingRecorder samples a run's intermeeting times (Fig. 3)
+	// from its contact events; attach one with WithTracer.
+	IntermeetingRecorder = stats.Intermeeting
 	// BuildOption customizes Build beyond the scenario (e.g. WithTracer).
 	BuildOption = world.BuildOption
 )
@@ -218,7 +222,7 @@ func Run(sc Scenario) (Result, error) {
 // RunAll executes scenarios in parallel over the given worker count
 // (0 = GOMAXPROCS) and returns results in input order.
 func RunAll(scs []Scenario, workers int) ([]Result, error) {
-	return experiment.Run(scs, workers, nil)
+	return experiment.Options{Workers: workers}.RunScenarios(scs)
 }
 
 // Experiments lists every reproducible figure and ablation.
