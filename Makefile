@@ -90,8 +90,10 @@ bench-report:
 # drops line exactly, acked=N included, (e) a traffic-free -intermeeting
 # run to print a non-empty intermeeting line and pass the same check (the
 # only check that the flag still attaches the stats.Intermeeting sink:
-# cmd/dtnsim has no Go test), and (f) the series header to end in the
-# counter and fill columns and every paths -jsonl record to carry seen.
+# cmd/dtnsim has no Go test), (f) an OracleUtility run, whose world alone
+# attaches the ground-truth ledger its hosts score with, to pass the same
+# check, and (g) the series header to end in the counter and fill columns
+# and every paths -jsonl record to carry seen.
 # The printed summary is the live stats.Collector, itself a fold of the
 # event vocabulary; stats -check compares it with dtntrace's independent
 # fold of the log, so any drift between the two and any nondeterminism in
@@ -120,6 +122,10 @@ trace-smoke:
 	grep -q '^intermeeting    n=[1-9]' $$tmp/inter.txt && \
 	$$tmp/dtntrace stats -check $$tmp/inter.txt $$tmp/e.jsonl > /dev/null && \
 	echo "intermeeting sink: $$(grep '^intermeeting' $$tmp/inter.txt)" && \
+	$$tmp/dtnsim -policy OracleUtility -duration 3600 -seed 3 \
+		-events $$tmp/f.jsonl > $$tmp/oracle.txt && \
+	$$tmp/dtntrace stats -check $$tmp/oracle.txt $$tmp/f.jsonl > /dev/null && \
+	echo "truth sink: $$(grep '^policy' $$tmp/oracle.txt), $$(grep '^delivered' $$tmp/oracle.txt)" && \
 	$$tmp/dtntrace diff $$tmp/a.jsonl.gz $$tmp/b.jsonl && \
 	if $$tmp/dtntrace diff $$tmp/a.jsonl.gz $$tmp/c.jsonl > /dev/null; then \
 		echo "trace-smoke: different seeds reported identical" && exit 1; \

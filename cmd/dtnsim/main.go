@@ -29,7 +29,7 @@ import (
 func main() {
 	var (
 		scenario       = flag.String("scenario", "rwp", "preset: rwp (Table II) or epfl (Table III)")
-		policy         = flag.String("policy", "SDSRP", "buffer policy: SprayAndWait, SprayAndWait-O, SprayAndWait-C, SDSRP, SDSRP-Taylor<k>, OracleUtility, Random, MOFO, LIFO")
+		policy         = flag.String("policy", "SDSRP", "buffer policy: SprayAndWait, SprayAndWait-O, SprayAndWait-C, SDSRP, SDSRP-Taylor<k>, OracleUtility, Knapsack, DropLargest")
 		protocol       = flag.String("protocol", "spray-and-wait", "routing protocol: spray-and-wait, spray-and-wait-source, epidemic, direct, spray-and-focus")
 		copies         = flag.Int("copies", 0, "initial copies L (0 = preset)")
 		bufferMB       = flag.Float64("buffer", 0, "buffer size in MB (0 = preset)")

@@ -5,6 +5,9 @@ package config
 import (
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
+	"strings"
 
 	"sdsrp/internal/fault"
 	"sdsrp/internal/geo"
@@ -243,6 +246,7 @@ func EPFL() Scenario {
 func (s Scenario) Validate() error {
 	var errs []error
 	add := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
+	nonFinite(reflect.ValueOf(s), make([]int, 0, 8), add)
 	if s.Duration <= 0 {
 		add("duration %v must be positive", s.Duration)
 	}
@@ -387,4 +391,49 @@ func (s Scenario) Validate() error {
 		add("unknown mobility kind %q", s.Mobility.Kind)
 	}
 	return errors.Join(errs...)
+}
+
+// nonFinite reports every NaN or ±Inf float64 reachable from v through
+// struct fields and slice elements. path holds the field and element
+// indices that lead from the Scenario to v; it is rendered only for an
+// error, so a valid scenario costs no allocation per field. The fault
+// section is left to fault.Config.Validate.
+func nonFinite(v reflect.Value, path []int, add func(string, ...any)) {
+	switch v.Kind() {
+	case reflect.Float64:
+		if f := v.Float(); math.IsNaN(f) || math.IsInf(f, 0) {
+			add("%s %v must be finite", fieldName(path), f)
+		}
+	case reflect.Struct:
+		if v.Type() == reflect.TypeOf(fault.Config{}) {
+			return
+		}
+		for i := 0; i < v.NumField(); i++ {
+			nonFinite(v.Field(i), append(path, i), add)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			nonFinite(v.Index(i), append(path, i), add)
+		}
+	}
+}
+
+// fieldName renders an index path from the Scenario, e.g. Groups[0].Range.
+func fieldName(path []int) string {
+	var b strings.Builder
+	t := reflect.TypeOf(Scenario{})
+	for _, i := range path {
+		if t.Kind() == reflect.Slice {
+			fmt.Fprintf(&b, "[%d]", i)
+			t = t.Elem()
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte('.')
+		}
+		f := t.Field(i)
+		b.WriteString(f.Name)
+		t = f.Type
+	}
+	return b.String()
 }

@@ -1,10 +1,13 @@
 package config
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"sdsrp/internal/fault"
+	"sdsrp/internal/mobility"
 )
 
 func TestRandomWaypointPresetMatchesTableII(t *testing.T) {
@@ -96,6 +99,90 @@ func TestValidateCatchesProblems(t *testing.T) {
 	for name, mut := range cases {
 		if err := break3(mut); err == nil {
 			t.Fatalf("Validate accepted broken %s", name)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite sets one float field at a time to NaN, +Inf
+// and -Inf: Validate must reject each, naming the field. (A NaN generation
+// interval used to schedule traffic at NaN time, and an infinite duration
+// never ended.)
+func TestValidateRejectsNonFinite(t *testing.T) {
+	group := func(s *Scenario) *Group {
+		s.Groups = []Group{{Name: "g", Count: 2, Mobility: s.Mobility}}
+		return &s.Groups[0]
+	}
+	taxi := func(s *Scenario) *mobility.TaxiConfig {
+		s.Mobility.Taxi = mobility.DefaultTaxiConfig()
+		return &s.Mobility.Taxi
+	}
+	rows := []struct {
+		field string // as the error names it
+		at    func(*Scenario) *float64
+	}{
+		{"Duration", func(s *Scenario) *float64 { return &s.Duration }},
+		{"Warmup", func(s *Scenario) *float64 { return &s.Warmup }},
+		{"Area.Min.X", func(s *Scenario) *float64 { return &s.Area.Min.X }},
+		{"Area.Min.Y", func(s *Scenario) *float64 { return &s.Area.Min.Y }},
+		{"Area.Max.X", func(s *Scenario) *float64 { return &s.Area.Max.X }},
+		{"Area.Max.Y", func(s *Scenario) *float64 { return &s.Area.Max.Y }},
+		{"Range", func(s *Scenario) *float64 { return &s.Range }},
+		{"Bandwidth", func(s *Scenario) *float64 { return &s.Bandwidth }},
+		{"ScanInterval", func(s *Scenario) *float64 { return &s.ScanInterval }},
+		{"CellSize", func(s *Scenario) *float64 { return &s.CellSize }},
+		{"TTL", func(s *Scenario) *float64 { return &s.TTL }},
+		{"GenIntervalLo", func(s *Scenario) *float64 { return &s.GenIntervalLo }},
+		{"GenIntervalHi", func(s *Scenario) *float64 { return &s.GenIntervalHi }},
+		{"ExpiryInterval", func(s *Scenario) *float64 { return &s.ExpiryInterval }},
+		{"PriorMeanIntermeeting", func(s *Scenario) *float64 { return &s.PriorMeanIntermeeting }},
+		{"PriorWeight", func(s *Scenario) *float64 { return &s.PriorWeight }},
+		{"OracleRateMean", func(s *Scenario) *float64 { return &s.OracleRateMean }},
+		{"Mobility.SpeedLo", func(s *Scenario) *float64 { return &s.Mobility.SpeedLo }},
+		{"Mobility.SpeedHi", func(s *Scenario) *float64 { return &s.Mobility.SpeedHi }},
+		{"Mobility.PauseLo", func(s *Scenario) *float64 { return &s.Mobility.PauseLo }},
+		{"Mobility.PauseHi", func(s *Scenario) *float64 { return &s.Mobility.PauseHi }},
+		{"Mobility.EpochDist", func(s *Scenario) *float64 { return &s.Mobility.EpochDist }},
+		{"Mobility.SampleInterval", func(s *Scenario) *float64 { return &s.Mobility.SampleInterval }},
+		{"Mobility.MapSpacing", func(s *Scenario) *float64 { return &s.Mobility.MapSpacing }},
+		{"Mobility.MapDropProb", func(s *Scenario) *float64 { return &s.Mobility.MapDropProb }},
+		{"Mobility.MapSnap", func(s *Scenario) *float64 { return &s.Mobility.MapSnap }},
+		{"Mobility.Taxi.Area.Min.X", func(s *Scenario) *float64 { return &taxi(s).Area.Min.X }},
+		{"Mobility.Taxi.Area.Min.Y", func(s *Scenario) *float64 { return &taxi(s).Area.Min.Y }},
+		{"Mobility.Taxi.Area.Max.X", func(s *Scenario) *float64 { return &taxi(s).Area.Max.X }},
+		{"Mobility.Taxi.Area.Max.Y", func(s *Scenario) *float64 { return &taxi(s).Area.Max.Y }},
+		{"Mobility.Taxi.Hotspots[0].Center.X", func(s *Scenario) *float64 { return &taxi(s).Hotspots[0].Center.X }},
+		{"Mobility.Taxi.Hotspots[0].Center.Y", func(s *Scenario) *float64 { return &taxi(s).Hotspots[0].Center.Y }},
+		{"Mobility.Taxi.Hotspots[0].Sigma", func(s *Scenario) *float64 { return &taxi(s).Hotspots[0].Sigma }},
+		{"Mobility.Taxi.Hotspots[0].Weight", func(s *Scenario) *float64 { return &taxi(s).Hotspots[0].Weight }},
+		{"Mobility.Taxi.UniformProb", func(s *Scenario) *float64 { return &taxi(s).UniformProb }},
+		{"Mobility.Taxi.SpeedLo", func(s *Scenario) *float64 { return &taxi(s).SpeedLo }},
+		{"Mobility.Taxi.SpeedHi", func(s *Scenario) *float64 { return &taxi(s).SpeedHi }},
+		{"Mobility.Taxi.PauseLo", func(s *Scenario) *float64 { return &taxi(s).PauseLo }},
+		{"Mobility.Taxi.PauseHi", func(s *Scenario) *float64 { return &taxi(s).PauseHi }},
+		{"Groups[0].Range", func(s *Scenario) *float64 { return &group(s).Range }},
+		{"Groups[0].Mobility.SpeedHi", func(s *Scenario) *float64 { return &group(s).Mobility.SpeedHi }},
+		{"Groups[0].Mobility.PauseHi", func(s *Scenario) *float64 { return &group(s).Mobility.PauseHi }},
+		{"Energy.Capacity", func(s *Scenario) *float64 { return &s.Energy.Capacity }},
+		{"Energy.ScanPerSec", func(s *Scenario) *float64 { return &s.Energy.ScanPerSec }},
+		{"Energy.TxPerSec", func(s *Scenario) *float64 { return &s.Energy.TxPerSec }},
+		{"Energy.RxPerSec", func(s *Scenario) *float64 { return &s.Energy.RxPerSec }},
+		{"faults: TransferLossProb", func(s *Scenario) *float64 { return &s.Faults.TransferLossProb }},
+		{"faults: LinkFlapMeanUp", func(s *Scenario) *float64 { return &s.Faults.LinkFlapMeanUp }},
+		{"faults: BandwidthJitterLo", func(s *Scenario) *float64 { return &s.Faults.BandwidthJitterLo }},
+		{"faults: BandwidthJitterHi", func(s *Scenario) *float64 { return &s.Faults.BandwidthJitterHi }},
+		{"faults: Churn.MeanUp", func(s *Scenario) *float64 { return &s.Faults.Churn.MeanUp }},
+		{"faults: Churn.MeanDown", func(s *Scenario) *float64 { return &s.Faults.Churn.MeanDown }},
+		{"faults: BlackHoleFraction", func(s *Scenario) *float64 { return &s.Faults.BlackHoleFraction }},
+		{"faults: SelfishFraction", func(s *Scenario) *float64 { return &s.Faults.SelfishFraction }},
+	}
+	for _, r := range rows {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			sc := RandomWaypoint()
+			*r.at(&sc) = v
+			err := sc.Validate()
+			if want := fmt.Sprintf("%s %v must be finite", r.field, v); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s = %v: got %v, want an error containing %q", r.field, v, err, want)
+			}
 		}
 	}
 }

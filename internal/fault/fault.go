@@ -32,6 +32,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"sdsrp/internal/rng"
 )
@@ -133,6 +134,23 @@ func (c Config) Enabled() bool {
 func (c Config) Validate(groupNames []string) error {
 	var errs []error
 	add := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"TransferLossProb", c.TransferLossProb},
+		{"LinkFlapMeanUp", c.LinkFlapMeanUp},
+		{"BandwidthJitterLo", c.BandwidthJitterLo},
+		{"BandwidthJitterHi", c.BandwidthJitterHi},
+		{"Churn.MeanUp", c.Churn.MeanUp},
+		{"Churn.MeanDown", c.Churn.MeanDown},
+		{"BlackHoleFraction", c.BlackHoleFraction},
+		{"SelfishFraction", c.SelfishFraction},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			add("faults: %s %v must be finite", f.name, f.v)
+		}
+	}
 	if c.TransferLossProb < 0 || c.TransferLossProb > 1 {
 		add("faults: transfer loss probability %v must be in [0,1]", c.TransferLossProb)
 	}

@@ -51,7 +51,6 @@ type Stored struct {
 	Copies     int     // C_i: spray tokens held by this node
 	ReceivedAt float64 // when this node obtained the copy (creation time at the source)
 	Hops       int     // hops this copy has traveled from the source
-	Forwarded  int     // times this node has forwarded the copy (MOFO policy)
 	// SprayTimes is the ascending list of binary-split times along this
 	// copy's lineage, from the first split at the source to the split that
 	// produced (or last divided) this copy. SDSRP uses it to estimate

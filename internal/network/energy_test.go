@@ -16,7 +16,6 @@ import (
 // newEnergyRig is newRig with a battery model attached.
 func newEnergyRig(n int, energy EnergyConfig) *rig {
 	r := &rig{eng: sim.NewEngine(), collector: stats.NewCollector()}
-	tracker := routing.NewTracker()
 	models := make([]mobility.Model, n)
 	for i := 0; i < n; i++ {
 		pp := &puppet{p: geo.Point{X: float64(10000 + 1000*i), Y: 0}}
@@ -25,10 +24,9 @@ func newEnergyRig(n int, energy EnergyConfig) *rig {
 		r.hosts = append(r.hosts, routing.NewHost(routing.HostConfig{
 			ID: i, Nodes: n, Buffer: 10000,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
-			Rate:    core.FixedRate{Mean: 1200},
-			Clock:   r.eng.Now,
-			Tracer:  r.collector,
-			Tracker: tracker,
+			Rate:   core.FixedRate{Mean: 1200},
+			Clock:  r.eng.Now,
+			Tracer: r.collector,
 		}))
 	}
 	r.mgr = mustManager(NewManager(r.eng, Config{

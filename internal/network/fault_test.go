@@ -20,7 +20,6 @@ import (
 func newFaultRig(n int, bufBytes int64, fcfg fault.Config, tr obs.Tracer) *rig {
 	r := &rig{eng: sim.NewEngine(), collector: stats.NewCollector()}
 	tr = obs.Multi(r.collector, tr)
-	tracker := routing.NewTracker()
 	inj := fault.New(fcfg, rng.New(99).Split("fault"), n, nil)
 	models := make([]mobility.Model, n)
 	for i := 0; i < n; i++ {
@@ -30,11 +29,10 @@ func newFaultRig(n int, bufBytes int64, fcfg fault.Config, tr obs.Tracer) *rig {
 		r.hosts = append(r.hosts, routing.NewHost(routing.HostConfig{
 			ID: i, Nodes: n, Buffer: bufBytes,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
-			Rate:    core.FixedRate{Mean: 1200},
-			Clock:   r.eng.Now,
-			Tracer:  tr,
-			Tracker: tracker,
-			Role:    inj.Role(i),
+			Rate:   core.FixedRate{Mean: 1200},
+			Clock:  r.eng.Now,
+			Tracer: tr,
+			Role:   inj.Role(i),
 		}))
 	}
 	r.mgr = mustManager(NewManager(r.eng, Config{

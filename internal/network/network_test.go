@@ -48,7 +48,6 @@ func mustManager(m *Manager, err error) *Manager {
 func newRig(n int, bufBytes int64) *rig {
 	r := &rig{eng: sim.NewEngine(), collector: stats.NewCollector(), inter: &stats.Intermeeting{}}
 	tr := obs.Multi(r.collector, r.inter)
-	tracker := routing.NewTracker()
 	models := make([]mobility.Model, n)
 	for i := 0; i < n; i++ {
 		pp := &puppet{p: geo.Point{X: float64(10000 + 1000*i), Y: 0}} // far apart
@@ -57,10 +56,9 @@ func newRig(n int, bufBytes int64) *rig {
 		r.hosts = append(r.hosts, routing.NewHost(routing.HostConfig{
 			ID: i, Nodes: n, Buffer: bufBytes,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
-			Rate:    core.FixedRate{Mean: 1200},
-			Clock:   r.eng.Now,
-			Tracer:  tr,
-			Tracker: tracker,
+			Rate:   core.FixedRate{Mean: 1200},
+			Clock:  r.eng.Now,
+			Tracer: tr,
 		}))
 	}
 	r.mgr = mustManager(NewManager(r.eng, Config{
@@ -180,12 +178,11 @@ func TestRefusalNotReofferedWithinContact(t *testing.T) {
 	// stale message is refused once and not retried for the contact.
 	r := newRig(2, 10000)
 	// Swap policies: rebuild host 1 with SW-O and a tiny buffer.
-	tracker := routing.NewTracker()
 	r.hosts[1] = routing.NewHost(routing.HostConfig{
 		ID: 1, Nodes: 2, Buffer: 500,
 		Policy: policy.TTLRatio{}, Proto: routing.SprayAndWait{Binary: true},
 		Rate:  core.FixedRate{Mean: 1200},
-		Clock: r.eng.Now, Tracer: r.collector, Tracker: tracker,
+		Clock: r.eng.Now, Tracer: r.collector,
 	})
 	// Fresh message already at the receiver.
 	fresh := &msg.Message{ID: 5, Source: 1, Dest: 0, Size: 500, Created: 0, TTL: 1e6, InitialCopies: 1}
@@ -211,14 +208,13 @@ func TestRefusalNotReofferedWithinContact(t *testing.T) {
 // holds a fresh message, host 0 a near-expiry one. preflight selects the
 // overflow semantics under test.
 func setupCongestedPair(r *rig, preflight bool) {
-	tracker := routing.NewTracker()
 	for i := 0; i < 2; i++ {
 		r.hosts[i] = routing.NewHost(routing.HostConfig{
 			ID: i, Nodes: 2, Buffer: 500,
 			Policy: policy.TTLRatio{}, Proto: routing.SprayAndWait{Binary: true},
 			Rate:              core.FixedRate{Mean: 1200},
 			PreflightEviction: preflight,
-			Clock:             r.eng.Now, Tracer: r.collector, Tracker: tracker,
+			Clock:             r.eng.Now, Tracer: r.collector,
 		})
 	}
 	// Receiver full with a fresh message destined elsewhere.
@@ -271,7 +267,6 @@ func TestScanIsDeterministic(t *testing.T) {
 	run := func() stats.Summary {
 		eng := sim.NewEngine()
 		collector := stats.NewCollector()
-		tracker := routing.NewTracker()
 		const n = 20
 		hosts := make([]*routing.Host, n)
 		models := make([]mobility.Model, n)
@@ -281,7 +276,7 @@ func TestScanIsDeterministic(t *testing.T) {
 				ID: i, Nodes: n, Buffer: 2000,
 				Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 				Rate:  core.FixedRate{Mean: 600},
-				Clock: eng.Now, Tracer: collector, Tracker: tracker,
+				Clock: eng.Now, Tracer: collector,
 			})
 			models[i] = mobility.NewRandomWaypoint(area, 5, 5, 0, 0, rng.New(uint64(i)))
 		}
@@ -316,7 +311,6 @@ func TestPerNodeRanges(t *testing.T) {
 	// disconnected (1's radio is too short); 0-2 at 150 m connect.
 	eng := sim.NewEngine()
 	collector := stats.NewCollector()
-	tracker := routing.NewTracker()
 	hosts := make([]*routing.Host, 3)
 	models := make([]mobility.Model, 3)
 	pos := []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 0, Y: 150}}
@@ -325,7 +319,7 @@ func TestPerNodeRanges(t *testing.T) {
 			ID: i, Nodes: 3, Buffer: 10000,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 			Rate:  core.FixedRate{Mean: 1200},
-			Clock: eng.Now, Tracer: collector, Tracker: tracker,
+			Clock: eng.Now, Tracer: collector,
 		})
 		models[i] = &puppet{p: pos[i]}
 	}
@@ -401,14 +395,13 @@ func TestTransferAbortsWhenMessageExpiresInFlight(t *testing.T) {
 
 func TestTransferAbortsWhenSenderCopyEvictedInFlight(t *testing.T) {
 	r := newRig(2, 10000)
-	tracker := routing.NewTracker()
 	// Tiny sender buffer: originating a second message mid-transfer evicts
 	// the in-flight one (FIFO evicts oldest).
 	r.hosts[0] = routing.NewHost(routing.HostConfig{
 		ID: 0, Nodes: 2, Buffer: 500,
 		Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 		Rate:  core.FixedRate{Mean: 1200},
-		Clock: r.eng.Now, Tracer: r.collector, Tracker: tracker,
+		Clock: r.eng.Now, Tracer: r.collector,
 	})
 	r.hosts[0].Originate(&msg.Message{ID: 1, Source: 0, Dest: 1, Size: 500,
 		Created: 0, TTL: 1e6, InitialCopies: 8}, 0)

@@ -52,7 +52,6 @@ func TestScheduledRunBuildsNoPlanner(t *testing.T) {
 	build := func() (*sim.Engine, *Manager) {
 		eng := sim.NewEngine()
 		collector := stats.NewCollector()
-		tracker := routing.NewTracker()
 		const n = 3
 		hosts := make([]*routing.Host, n)
 		models := make([]mobility.Model, n)
@@ -61,7 +60,7 @@ func TestScheduledRunBuildsNoPlanner(t *testing.T) {
 				ID: i, Nodes: n, Buffer: 10000,
 				Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 				Rate:  core.FixedRate{Mean: 1200},
-				Clock: eng.Now, Tracer: collector, Tracker: tracker,
+				Clock: eng.Now, Tracer: collector,
 			})
 			models[i] = mobility.Static{P: geo.Point{X: float64(30 * i)}}
 		}

@@ -81,7 +81,6 @@ func TestParkTicksConservative(t *testing.T) {
 func pathManager(t *testing.T, eng *sim.Engine, rng float64, paths ...[]mobility.TimedPoint) *Manager {
 	t.Helper()
 	collector := stats.NewCollector()
-	tracker := routing.NewTracker()
 	n := len(paths)
 	hosts := make([]*routing.Host, n)
 	models := make([]mobility.Model, n)
@@ -90,7 +89,7 @@ func pathManager(t *testing.T, eng *sim.Engine, rng float64, paths ...[]mobility
 			ID: i, Nodes: n, Buffer: 10000,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 			Rate:  core.FixedRate{Mean: 1200},
-			Clock: eng.Now, Tracer: collector, Tracker: tracker,
+			Clock: eng.Now, Tracer: collector,
 		})
 		p, err := mobility.NewPath(pts)
 		if err != nil {
@@ -140,7 +139,6 @@ func TestSweepParksAndWakesAcrossWheelLaps(t *testing.T) {
 func TestSweepRetiresStaticPairs(t *testing.T) {
 	eng := sim.NewEngine()
 	collector := stats.NewCollector()
-	tracker := routing.NewTracker()
 	hosts := make([]*routing.Host, 2)
 	models := []mobility.Model{
 		mobility.Static{P: geo.Point{X: 0, Y: 0}},
@@ -151,7 +149,7 @@ func TestSweepRetiresStaticPairs(t *testing.T) {
 			ID: i, Nodes: 2, Buffer: 10000,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 			Rate:  core.FixedRate{Mean: 1200},
-			Clock: eng.Now, Tracer: collector, Tracker: tracker,
+			Clock: eng.Now, Tracer: collector,
 		})
 	}
 	m := mustManager(NewManager(eng, Config{
@@ -181,7 +179,6 @@ func TestSweepRetiresStaticPairs(t *testing.T) {
 func TestSweepStaticPairSurvivesChurnReboot(t *testing.T) {
 	eng := sim.NewEngine()
 	collector := stats.NewCollector()
-	tracker := routing.NewTracker()
 	hosts := make([]*routing.Host, 2)
 	models := []mobility.Model{
 		mobility.Static{P: geo.Point{X: 0, Y: 0}},
@@ -192,7 +189,7 @@ func TestSweepStaticPairSurvivesChurnReboot(t *testing.T) {
 			ID: i, Nodes: 2, Buffer: 10000,
 			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
 			Rate:  core.FixedRate{Mean: 1200},
-			Clock: eng.Now, Tracer: collector, Tracker: tracker,
+			Clock: eng.Now, Tracer: collector,
 		})
 	}
 	m := mustManager(NewManager(eng, Config{

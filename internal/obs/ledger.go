@@ -79,7 +79,7 @@ type MessageRecord struct {
 	// holders tracks which nodes currently buffer a copy, per the event
 	// stream; carriers every node that ever stored one, plus the
 	// destination once served. Internal: callers read LiveCopies and Seen
-	// after finalize.
+	// after finalize, or Ledger.Live and Ledger.Seen mid-run.
 	holders, carriers map[int]bool
 }
 
@@ -90,9 +90,12 @@ type MessageRecord struct {
 //
 // Every way a copy enters or leaves a buffer has an event (ACK purges and
 // churn wipes emit purged), so a ledger folded from a whole log ends with
-// each message's LiveCopies and Seen equal to the simulator's ground truth
-// (routing.Tracker's Live and Seen). A log cut short yields records that
-// start at its first event.
+// each message's LiveCopies and Seen equal to the hosts' buffers and
+// receipts. A log cut short yields records that start at its first event.
+//
+// It is also the run's ground truth: world.Build attaches one to a run
+// whose policy reads truth (OracleUtility), and the hosts' TrueLive and
+// TrueSeen read it mid-run through Live and Seen.
 type Ledger struct {
 	recs  map[msg.ID]*MessageRecord
 	order []*MessageRecord
@@ -196,6 +199,47 @@ func (l *Ledger) Emit(ev Event) {
 		r.Lost++
 		delete(r.holders, ev.Peer)
 	}
+}
+
+// Live returns message id's true n_i at this point of the stream, as node
+// asks it: the number of nodes holding a copy. holds reports whether node's
+// own buffer holds one; see Seen. It is O(1) and does not finalize.
+func (l *Ledger) Live(id msg.ID, node int, holds bool) int {
+	r, ok := l.recs[id]
+	if !ok {
+		return 0
+	}
+	n := len(r.holders)
+	if !holds && r.holders[node] {
+		n--
+	}
+	return n
+}
+
+// Seen returns message id's true m_i at this point of the stream, as node
+// asks it: the non-source nodes that stored a copy or, as destination,
+// consumed one. It is O(1) and does not finalize.
+//
+// A node scores a newcomer between the event that announces its copy
+// (created, or forwarded to it) and the store, when the stream already
+// counts the node as a holder and, on a first arrival, as a carrier. So a
+// node whose own buffer does not hold the copy (holds false) leaves itself
+// out of n_i, and out of m_i when the pending arrival of that copy is to it
+// and is its first. The next event settles the arrival, and no other node
+// asks in between, so both answers equal the buffers' at every query.
+func (l *Ledger) Seen(id msg.ID, node int, holds bool) int {
+	r, ok := l.recs[id]
+	if !ok {
+		return 0
+	}
+	n := len(r.carriers)
+	if r.carriers[r.Source] {
+		n--
+	}
+	if a := l.arrival; !holds && a.r == r && a.peer == node && a.fresh && node != r.Source {
+		n--
+	}
+	return n
 }
 
 // Horizon returns the timestamp of the last folded event.

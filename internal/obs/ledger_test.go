@@ -198,6 +198,36 @@ func TestLedgerDropOnArrival(t *testing.T) {
 	}
 }
 
+// TestLedgerQueriesLeaveAskerOutOfPendingArrival pins the mid-run truth
+// queries: a node asking about a copy its buffer does not hold yet leaves
+// itself out of n_i, and out of m_i while the pending arrival to it is its
+// first; the source is left out of m_i once either way.
+func TestLedgerQueriesLeaveAskerOutOfPendingArrival(t *testing.T) {
+	l := NewLedger()
+	check := func(step string, node int, holds bool, live, seen int) {
+		t.Helper()
+		if gl, gs := l.Live(1, node, holds), l.Seen(1, node, holds); gl != live || gs != seen {
+			t.Errorf("%s: node %d (holds %v) reads live %d seen %d, want %d and %d", step, node, holds, gl, gs, live, seen)
+		}
+	}
+	check("unknown message", 0, false, 0, 0)
+	l.Emit(Event{T: 0, Type: MessageCreated, Msg: 1, Node: 0, Peer: 9, Copies: 8})
+	check("source scores its newcomer", 0, false, 0, 0)
+	check("source stored it", 0, true, 1, 0)
+	l.Emit(Event{T: 10, Type: MessageForwarded, Msg: 1, Node: 0, Peer: 3, Copies: 4, Kind: "spray"})
+	check("first arrival at 3", 3, false, 1, 0)
+	check("3 stored it", 3, true, 2, 1)
+	check("bystander", 5, false, 2, 1)
+	l.Emit(Event{T: 20, Type: MessageDropped, Msg: 1, Node: 0})
+	l.Emit(Event{T: 30, Type: MessageForwarded, Msg: 1, Node: 3, Peer: 0, Copies: 2, Kind: "spray"})
+	check("source's first arrival", 0, false, 1, 1)
+	l.Emit(Event{T: 40, Type: MessageDropped, Msg: 1, Node: 3})
+	l.Emit(Event{T: 50, Type: MessageForwarded, Msg: 1, Node: 0, Peer: 3, Copies: 1, Kind: "spray"})
+	check("3 arrives again", 3, false, 1, 1)
+	l.Emit(Event{T: 50, Type: MessageDropped, Msg: 1, Node: 3})
+	check("3 dropped it on arrival", 3, false, 1, 1)
+}
+
 func TestLedgerWriteJSONLStable(t *testing.T) {
 	evs := []Event{
 		{T: 0, Type: MessageCreated, Msg: 1, Node: 0, Peer: 9, Size: 100, Copies: 8},

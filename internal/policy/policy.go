@@ -10,8 +10,8 @@
 //   - SW-C ("Spray and Wait-C"): priority = current copies / initial copies.
 //   - SDSRP: priority = Eq. 10 utility from internal/core.
 //
-// Additional strategies (Random, MOFO, LIFO, OracleUtility, SDSRP-Taylor)
-// support the ablations listed in DESIGN.md §8.
+// Additional strategies (OracleUtility, SDSRP-Taylor) support the ablations
+// listed in DESIGN.md §8; Knapsack and DropLargest rank by message size.
 //
 // # Performance contract
 //
@@ -20,9 +20,9 @@
 // PERFORMANCE.md. Hot callers hold an Orderer — a reusable scratch space for
 // the (message, score) ranking — so steady-state ordering is allocation-free.
 // Scores are always computed in input order before sorting, and ties always
-// break on ascending message ID, so the reusable path draws RNG and ranks
-// byte-identically to the throwaway SendOrder/PlanEviction convenience
-// functions.
+// break on ascending message ID, so the reusable path ranks byte-identically
+// to the throwaway SendOrder/PlanEviction convenience functions, and a
+// registered policy that draws from its stream draws in the same order.
 //
 //lint:shard-safe the write-once policy registry is the single annotated package state; runtime state lives in per-run Orderer scratch
 package policy
@@ -51,10 +51,13 @@ type View interface {
 	// LiveEstimate returns n̂_i for the copy (Eq. 14).
 	LiveEstimate(s *msg.Stored) float64
 	// TrueSeen returns the simulator's ground-truth m_i, for oracle
-	// ablation policies. Implementations without oracle access return
-	// SeenEstimate.
+	// ablation policies. The host reads it from a ledger on the event
+	// stream, which world.Build attaches only when the policy's name starts
+	// with "Oracle" (OracleUtility runs); every other policy, registered
+	// ones included, gets SeenEstimate.
 	TrueSeen(s *msg.Stored) float64
-	// TrueLive returns the ground-truth n_i.
+	// TrueLive returns the ground-truth n_i under the same rule, and
+	// LiveEstimate without the ledger.
 	TrueLive(s *msg.Stored) float64
 }
 
@@ -108,7 +111,8 @@ func (r *ranking) Swap(i, j int) {
 }
 
 // rank loads the items and their scores (computed in input order, which
-// matters for stateful policies like Random) and sorts them.
+// matters for registered policies that draw from their stream) and sorts
+// them.
 //
 // Performance contract: copies into reused scratch slices in place and
 // sorts through the pointer receiver (no interface boxing of values);
@@ -154,7 +158,7 @@ func SendOrder(p Policy, v View, items []*msg.Stored) []*msg.Stored {
 // DropScore; accept reports whether incoming fits after those evictions.
 // buf is not modified. Whenever it rejects incoming, inScore is the
 // newcomer's DropScore: callers report these scores instead of scoring
-// again, so a stateful policy (Random draws from its stream) sees the same
+// again, so a registered policy that draws from its stream sees the same
 // calls whether or not anyone records them. A newcomer larger than the
 // whole buffer is scored too, for the same reason.
 //

@@ -247,48 +247,6 @@ func TestPlanEvictionPartialRejection(t *testing.T) {
 	}
 }
 
-func TestMOFODropsMostForwarded(t *testing.T) {
-	v := defaultView()
-	a := stored(1, 10, 4, 16, 0, 18000)
-	a.Forwarded = 5
-	bb := stored(2, 20, 4, 16, 0, 18000)
-	bb.Forwarded = 1
-	b := fillBuffer(t, a, bb)
-	victims, ok := PlanEviction(MOFO{}, v, b, stored(3, 900, 4, 16, 0, 18000))
-	if !ok {
-		t.Fatal("rejected")
-	}
-	wantIDs(t, victims, 1)
-}
-
-func TestLIFOEvictsNewest(t *testing.T) {
-	v := defaultView()
-	b := fillBuffer(t,
-		stored(1, 10, 4, 16, 0, 18000),
-		stored(2, 500, 4, 16, 0, 18000),
-	)
-	// Newcomer received now (newest of all): it is the weakest -> rejected.
-	if _, ok := PlanEviction(LIFO{}, v, b, stored(3, 1000, 4, 16, 0, 18000)); ok {
-		t.Fatal("LIFO accepted the newest message")
-	}
-}
-
-func TestRandomPolicyDeterministicStream(t *testing.T) {
-	v := defaultView()
-	items := []*msg.Stored{
-		stored(1, 0, 4, 16, 0, 18000),
-		stored(2, 0, 4, 16, 0, 18000),
-		stored(3, 0, 4, 16, 0, 18000),
-	}
-	a := SendOrder(NewRandom(rng.New(5)), v, items)
-	b := SendOrder(NewRandom(rng.New(5)), v, items)
-	for i := range a {
-		if a[i].M.ID != b[i].M.ID {
-			t.Fatal("Random policy not reproducible from equal seeds")
-		}
-	}
-}
-
 func TestOracleUtilityUsesTruth(t *testing.T) {
 	v := defaultView()
 	v.seen[1], v.live[1] = 0, 1 // estimates say unspread
@@ -322,7 +280,7 @@ func abs(x float64) float64 {
 func TestByName(t *testing.T) {
 	stream := rng.New(1)
 	for _, name := range []string{"SprayAndWait", "SprayAndWait-O", "SprayAndWait-C",
-		"SDSRP", "OracleUtility", "Random", "MOFO", "LIFO", "SDSRP-Taylor3"} {
+		"SDSRP", "OracleUtility", "Knapsack", "DropLargest", "SDSRP-Taylor3"} {
 		p, err := ByName(name, stream)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)

@@ -47,7 +47,7 @@ func Register(name string, f Factory) error {
 func isBuiltin(name string) bool {
 	switch name {
 	case "SprayAndWait", "FIFO", "SprayAndWait-O", "SWO", "SprayAndWait-C", "SWC",
-		"SDSRP", "OracleUtility", "Random", "MOFO", "LIFO", "Knapsack", "DropLargest":
+		"SDSRP", "OracleUtility", "Knapsack", "DropLargest":
 		return true
 	}
 	var k int

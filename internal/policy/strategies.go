@@ -116,7 +116,8 @@ func (p SDSRPTaylor) DropScore(v View, s *msg.Stored) float64 { return p.score(v
 
 // OracleUtility is the GBSD-style upper bound: the Eq. 10 utility computed
 // from the simulator's ground-truth m_i and n_i instead of the distributed
-// estimates. Only meaningful with a View wired to the oracle.
+// estimates. Only meaningful with a View wired to the oracle, which
+// world.Build gives policies whose name starts with "Oracle".
 type OracleUtility struct{}
 
 // Name implements Policy.
@@ -137,54 +138,10 @@ func (OracleUtility) SendScore(v View, s *msg.Stored) float64 { return oracleSco
 // DropScore implements Policy.
 func (OracleUtility) DropScore(v View, s *msg.Stored) float64 { return oracleScore(v, s) }
 
-// Random schedules and evicts uniformly at random (a common DTN baseline).
-// Scores are drawn from a deterministic stream, so runs remain reproducible.
-type Random struct {
-	S *rng.Stream
-}
-
-// NewRandom returns a Random policy drawing from stream s.
-func NewRandom(s *rng.Stream) Random { return Random{S: s} }
-
-// Name implements Policy.
-func (Random) Name() string { return "Random" }
-
-// SendScore implements Policy.
-func (r Random) SendScore(_ View, _ *msg.Stored) float64 { return r.S.Float64() }
-
-// DropScore implements Policy.
-func (r Random) DropScore(_ View, _ *msg.Stored) float64 { return r.S.Float64() }
-
-// MOFO ("evict most forwarded first", Lindgren & Phanse) transmits in FIFO
-// order but evicts the copy this node has forwarded most often, on the
-// theory that it has already had its share of spreading.
-type MOFO struct{}
-
-// Name implements Policy.
-func (MOFO) Name() string { return "MOFO" }
-
-// SendScore implements Policy.
-func (MOFO) SendScore(_ View, s *msg.Stored) float64 { return -s.ReceivedAt }
-
-// DropScore implements Policy.
-func (MOFO) DropScore(_ View, s *msg.Stored) float64 { return -float64(s.Forwarded) }
-
-// LIFO evicts the newest-received message first (the newcomer loses unless
-// something even newer is buffered) and transmits newest first.
-type LIFO struct{}
-
-// Name implements Policy.
-func (LIFO) Name() string { return "LIFO" }
-
-// SendScore implements Policy.
-func (LIFO) SendScore(_ View, s *msg.Stored) float64 { return s.ReceivedAt }
-
-// DropScore implements Policy.
-func (LIFO) DropScore(_ View, s *msg.Stored) float64 { return -s.ReceivedAt }
-
-// ByName returns the policy with the given name, using stream for policies
-// that need randomness. Recognized names: SprayAndWait (FIFO), SprayAndWait-O,
-// SprayAndWait-C, SDSRP, SDSRP-Taylor<k>, OracleUtility, Random, MOFO, LIFO.
+// ByName returns the policy with the given name. Recognized names:
+// SprayAndWait (FIFO), SprayAndWait-O, SprayAndWait-C, SDSRP,
+// SDSRP-Taylor<k>, OracleUtility, Knapsack, DropLargest, and any registered
+// name, whose factory receives stream.
 func ByName(name string, stream *rng.Stream) (Policy, error) {
 	switch name {
 	case "SprayAndWait", "FIFO":
@@ -197,12 +154,6 @@ func ByName(name string, stream *rng.Stream) (Policy, error) {
 		return SDSRP{}, nil
 	case "OracleUtility":
 		return OracleUtility{}, nil
-	case "Random":
-		return NewRandom(stream), nil
-	case "MOFO":
-		return MOFO{}, nil
-	case "LIFO":
-		return LIFO{}, nil
 	case "Knapsack":
 		return Knapsack{}, nil
 	case "DropLargest":

@@ -5,11 +5,10 @@ import (
 
 	"sdsrp/internal/core"
 	"sdsrp/internal/policy"
-	"sdsrp/internal/stats"
 )
 
 func newAckNet(n int) *testNet {
-	tn := &testNet{collector: stats.NewCollector(), tracker: NewTracker()}
+	tn := emptyNet()
 	for i := 0; i < n; i++ {
 		tn.hosts = append(tn.hosts, NewHost(HostConfig{
 			ID: i, Nodes: n, Buffer: 10000,
@@ -17,7 +16,7 @@ func newAckNet(n int) *testNet {
 			Rate:    core.FixedRate{Mean: 1200},
 			UseAcks: true,
 			Clock:   func() float64 { return tn.now },
-			Tracer:  tn.collector, Tracker: tn.tracker,
+			Tracer:  tn.tracer(nil), Truth: tn.ledger,
 		}))
 	}
 	return tn
@@ -62,9 +61,9 @@ func TestAckGossipPurgesCopies(t *testing.T) {
 	if _, ok := c.NextOffer(b, nil); ok {
 		t.Fatal("immunized node accepted a dead message")
 	}
-	// Tracker stays balanced.
-	if tn.tracker.Live(1) > 2 {
-		t.Fatalf("tracker live = %d after purges", tn.tracker.Live(1))
+	// The ledger stays balanced.
+	if tn.live(1) > 2 {
+		t.Fatalf("ledger live = %d after purges", tn.live(1))
 	}
 }
 

@@ -7,26 +7,25 @@ import (
 	"sdsrp/internal/fault"
 	"sdsrp/internal/obs"
 	"sdsrp/internal/policy"
-	"sdsrp/internal/stats"
 )
 
 // roleNet builds a 4-host net where host 1 is a black hole and host 2 is
 // selfish.
 func roleNet(tr obs.Tracer) *testNet {
-	tn := &testNet{collector: stats.NewCollector(), tracker: NewTracker()}
+	tn := emptyNet()
 	roles := []fault.Role{fault.RoleHonest, fault.RoleBlackHole, fault.RoleSelfish, fault.RoleHonest}
 	for i := 0; i < 4; i++ {
 		tn.hosts = append(tn.hosts, NewHost(HostConfig{
-			ID:      i,
-			Nodes:   4,
-			Buffer:  1 << 20,
-			Policy:  policy.FIFO{},
-			Proto:   SprayAndWait{Binary: true},
-			Rate:    core.FixedRate{Mean: 1200},
-			Clock:   func() float64 { return tn.now },
-			Tracer:  obs.Multi(tn.collector, tr),
-			Tracker: tn.tracker,
-			Role:    roles[i],
+			ID:     i,
+			Nodes:  4,
+			Buffer: 1 << 20,
+			Policy: policy.FIFO{},
+			Proto:  SprayAndWait{Binary: true},
+			Rate:   core.FixedRate{Mean: 1200},
+			Clock:  func() float64 { return tn.now },
+			Tracer: tn.tracer(tr),
+			Truth:  tn.ledger,
+			Role:   roles[i],
 		}))
 	}
 	return tn
@@ -113,7 +112,7 @@ func TestBlackHoleSwallowsCopies(t *testing.T) {
 }
 
 // TestWipeState: a reboot wipe empties the buffer, resets the dropped-list
-// table, keeps the received set, and rebalances the tracker.
+// table, keeps the received set, and rebalances the ledger.
 func TestWipeState(t *testing.T) {
 	tn := newTestNet(4, policy.FIFO{}, SprayAndWait{Binary: true}, 1<<20, true)
 	h := tn.hosts[0]
@@ -135,7 +134,7 @@ func TestWipeState(t *testing.T) {
 	if !h.received[7] {
 		t.Fatal("received set must survive a reboot")
 	}
-	if tn.tracker.Live(1) != 0 {
-		t.Fatalf("tracker live = %d after wipe, want 0", tn.tracker.Live(1))
+	if tn.live(1) != 0 {
+		t.Fatalf("ledger live = %d after wipe, want 0", tn.live(1))
 	}
 }

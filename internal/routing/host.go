@@ -7,7 +7,7 @@
 // (CommitTransfer); the world layer (internal/world) generates traffic and
 // drives TTL expiry.
 //
-//lint:shard-safe host, ack, and tracker state is per-run and per-node; no package-level state
+//lint:shard-safe host and ack state is per-run and per-node, and ground truth is the run's own ledger; no package-level state
 package routing
 
 import (
@@ -50,9 +50,10 @@ type HostConfig struct {
 	// counters are folded from it (world.Build passes the run's
 	// stats.Collector, fanned out with any user sink). Required.
 	Tracer obs.Tracer
-	// Tracker records ground-truth spread and backs TrueSeen/TrueLive; may
-	// be nil (both then fall back to the estimates).
-	Tracker *Tracker
+	// Truth backs TrueSeen/TrueLive with the ground truth of a ledger that
+	// Tracer also feeds (world.Build attaches one only when the policy
+	// reads truth); may be nil (both then fall back to the estimates).
+	Truth *obs.Ledger
 	// Role is the node's behaviour under the fault layer's adversary model:
 	// honest (default), black-hole (accepts copies, silently discards them),
 	// or selfish (refuses to relay for others).
@@ -76,10 +77,10 @@ type Host struct {
 	preflight bool
 	acks      *AckTable
 
-	clock   func() float64
-	tracker *Tracker
-	tracer  obs.Tracer
-	role    fault.Role
+	clock  func() float64
+	truth  *obs.Ledger
+	tracer obs.Tracer
+	role   fault.Role
 
 	// received marks messages this host has consumed as their destination.
 	received map[msg.ID]bool
@@ -101,7 +102,7 @@ func NewHost(cfg HostConfig) *Host {
 		rate:      cfg.Rate,
 		preflight: cfg.PreflightEviction,
 		clock:     cfg.Clock,
-		tracker:   cfg.Tracker,
+		truth:     cfg.Truth,
 		tracer:    cfg.Tracer,
 		role:      cfg.Role,
 		received:  make(map[msg.ID]bool),
@@ -185,22 +186,22 @@ func (h *Host) seen(s *msg.Stored) int {
 	return core.EstimateSeen(s.SprayTimes, s.Copies, h.clock(), h.EIMin(), h.nodes)
 }
 
-// TrueSeen implements policy.View via the tracker's ground truth, falling
-// back to the estimate without one.
+// TrueSeen implements policy.View via the truth ledger, falling back to the
+// estimate without one.
 func (h *Host) TrueSeen(s *msg.Stored) float64 {
-	if h.tracker == nil {
+	if h.truth == nil {
 		return h.SeenEstimate(s)
 	}
-	return float64(h.tracker.Seen(s.M.ID))
+	return float64(h.truth.Seen(s.M.ID, h.id, h.buf.Has(s.M.ID)))
 }
 
-// TrueLive implements policy.View via the tracker's ground truth, falling
-// back to the estimate without one.
+// TrueLive implements policy.View via the truth ledger, falling back to the
+// estimate without one.
 func (h *Host) TrueLive(s *msg.Stored) float64 {
-	if h.tracker == nil {
+	if h.truth == nil {
 		return h.LiveEstimate(s)
 	}
-	return float64(h.tracker.Live(s.M.ID))
+	return float64(h.truth.Live(s.M.ID, h.id, h.buf.Has(s.M.ID)))
 }
 
 var _ policy.View = (*Host)(nil)
@@ -241,9 +242,6 @@ func (h *Host) OnLinkDown(peer *Host, now float64) {
 // whose buffer outranks the new message drops it on arrival. It reports
 // whether the message was stored.
 func (h *Host) Originate(m *msg.Message, now float64) bool {
-	if h.tracker != nil {
-		h.tracker.NoteCreated(m.ID, m.Source)
-	}
 	h.tracer.Emit(obs.Event{T: now, Type: obs.MessageCreated, Msg: m.ID,
 		Node: m.Source, Peer: m.Dest, Size: m.Size, Copies: m.InitialCopies})
 	s := msg.NewSourceCopy(m)
@@ -260,9 +258,6 @@ func (h *Host) Originate(m *msg.Message, now float64) bool {
 		//lint:invariant PlanEviction just freed enough bytes for s in this same event; Add cannot overflow
 		panic(fmt.Sprintf("routing: originate after eviction: %v", err))
 	}
-	if h.tracker != nil {
-		h.tracker.NoteStored(m.ID, h.id)
-	}
 	return true
 }
 
@@ -278,9 +273,6 @@ func (h *Host) DropMessage(s *msg.Stored, score, now float64) {
 		Node: h.id, Priority: score})
 	if h.drops != nil {
 		h.drops.RecordDrop(s.M.ID, now)
-	}
-	if h.tracker != nil {
-		h.tracker.NoteRemoved(s.M.ID, h.id)
 	}
 }
 
@@ -299,9 +291,6 @@ func (h *Host) purgeAcked(now float64) {
 		h.buf.Remove(s.M.ID)
 		h.tracer.Emit(obs.Event{T: now, Type: obs.MessagePurged, Msg: s.M.ID,
 			Node: h.id, Kind: "ack"})
-		if h.tracker != nil {
-			h.tracker.NoteRemoved(s.M.ID, h.id)
-		}
 	}
 }
 
@@ -319,9 +308,6 @@ func (h *Host) WipeState(now float64) int {
 		h.buf.Remove(s.M.ID)
 		h.tracer.Emit(obs.Event{T: now, Type: obs.MessagePurged, Msg: s.M.ID,
 			Node: h.id, Kind: "wipe"})
-		if h.tracker != nil {
-			h.tracker.NoteRemoved(s.M.ID, h.id)
-		}
 	}
 	if h.drops != nil {
 		h.drops.Reset()
@@ -337,9 +323,6 @@ func (h *Host) ExpireMessages(now float64) int {
 	for _, s := range dead {
 		h.buf.Remove(s.M.ID)
 		h.tracer.Emit(obs.Event{T: now, Type: obs.MessageExpired, Msg: s.M.ID, Node: h.id})
-		if h.tracker != nil {
-			h.tracker.NoteRemoved(s.M.ID, h.id)
-		}
 		if h.drops != nil {
 			h.drops.Forget(s.M.ID)
 		}

@@ -6,24 +6,23 @@ import (
 	"sdsrp/internal/core"
 	"sdsrp/internal/obs"
 	"sdsrp/internal/policy"
-	"sdsrp/internal/stats"
 )
 
 // tracedNet mirrors testNet but fans every host's events out to tr too.
 func tracedNet(n int, tr obs.Tracer, bufBytes int64) (*testNet, []*Host) {
-	tn := &testNet{collector: stats.NewCollector(), tracker: NewTracker()}
+	tn := emptyNet()
 	pol := policy.FIFO{}
 	for i := 0; i < n; i++ {
 		tn.hosts = append(tn.hosts, NewHost(HostConfig{
-			ID:      i,
-			Nodes:   n,
-			Buffer:  bufBytes,
-			Policy:  pol,
-			Proto:   SprayAndWait{Binary: true},
-			Rate:    core.FixedRate{Mean: 1200},
-			Clock:   func() float64 { return tn.now },
-			Tracer:  obs.Multi(tn.collector, tr),
-			Tracker: tn.tracker,
+			ID:     i,
+			Nodes:  n,
+			Buffer: bufBytes,
+			Policy: pol,
+			Proto:  SprayAndWait{Binary: true},
+			Rate:   core.FixedRate{Mean: 1200},
+			Clock:  func() float64 { return tn.now },
+			Tracer: tn.tracer(tr),
+			Truth:  tn.ledger,
 		}))
 	}
 	return tn, tn.hosts

@@ -6,20 +6,36 @@ import (
 
 	"sdsrp/internal/core"
 	"sdsrp/internal/msg"
+	"sdsrp/internal/obs"
 	"sdsrp/internal/policy"
 	"sdsrp/internal/stats"
 )
 
-// testNet is a tiny harness: hosts sharing a clock, collector and tracker.
+// testNet is a tiny harness: hosts sharing a clock, a collector and a
+// ledger. The ledger rides the hosts' tracer and backs their ground truth.
 type testNet struct {
 	now       float64
 	collector *stats.Collector
-	tracker   *Tracker
+	ledger    *obs.Ledger
 	hosts     []*Host
 }
 
+func emptyNet() *testNet {
+	return &testNet{collector: stats.NewCollector(), ledger: obs.NewLedger()}
+}
+
+// tracer fans the hosts' events out to the collector, the ledger and extra.
+func (tn *testNet) tracer(extra obs.Tracer) obs.Tracer {
+	return obs.Multi(tn.collector, tn.ledger, extra)
+}
+
+// live and seen are the ledger's n_i and m_i as an outside observer (a node
+// id no host has) reads them.
+func (tn *testNet) live(id msg.ID) int { return tn.ledger.Live(id, -1, false) }
+func (tn *testNet) seen(id msg.ID) int { return tn.ledger.Seen(id, -1, false) }
+
 func newTestNet(n int, pol policy.Policy, proto Protocol, bufBytes int64, dropList bool) *testNet {
-	tn := &testNet{collector: stats.NewCollector(), tracker: NewTracker()}
+	tn := emptyNet()
 	for i := 0; i < n; i++ {
 		tn.hosts = append(tn.hosts, NewHost(HostConfig{
 			ID:          i,
@@ -30,8 +46,8 @@ func newTestNet(n int, pol policy.Policy, proto Protocol, bufBytes int64, dropLi
 			Rate:        core.FixedRate{Mean: 1200},
 			UseDropList: dropList,
 			Clock:       func() float64 { return tn.now },
-			Tracer:      tn.collector,
-			Tracker:     tn.tracker,
+			Tracer:      tn.tracer(nil),
+			Truth:       tn.ledger,
 		}))
 	}
 	return tn
@@ -72,8 +88,8 @@ func TestOriginateStores(t *testing.T) {
 	if tn.collector.Created != 1 {
 		t.Fatalf("created = %d", tn.collector.Created)
 	}
-	if tn.tracker.Live(1) != 1 || tn.tracker.Seen(1) != 0 {
-		t.Fatalf("tracker live=%d seen=%d", tn.tracker.Live(1), tn.tracker.Seen(1))
+	if tn.live(1) != 1 || tn.seen(1) != 0 {
+		t.Fatalf("ledger live=%d seen=%d", tn.live(1), tn.seen(1))
 	}
 }
 
@@ -90,8 +106,8 @@ func TestOriginateOverflowEvictsOldest(t *testing.T) {
 	if tn.collector.PolicyDrops != 1 {
 		t.Fatalf("drops = %d", tn.collector.PolicyDrops)
 	}
-	if tn.tracker.Live(1) != 0 {
-		t.Fatalf("tracker live(1) = %d", tn.tracker.Live(1))
+	if tn.live(1) != 0 {
+		t.Fatalf("ledger live(1) = %d", tn.live(1))
 	}
 }
 
@@ -124,8 +140,8 @@ func TestSprayTransfer(t *testing.T) {
 	if tn.collector.Forwards != 1 {
 		t.Fatalf("forwards = %d", tn.collector.Forwards)
 	}
-	if tn.tracker.Live(1) != 2 || tn.tracker.Seen(1) != 1 {
-		t.Fatalf("tracker live=%d seen=%d", tn.tracker.Live(1), tn.tracker.Seen(1))
+	if tn.live(1) != 2 || tn.seen(1) != 1 {
+		t.Fatalf("ledger live=%d seen=%d", tn.live(1), tn.seen(1))
 	}
 	// b must not be offered the same message again.
 	if _, ok := a.NextOffer(b, nil); ok {
@@ -174,8 +190,8 @@ func TestDeliveryConsumes(t *testing.T) {
 	if s.Delivered != 1 || s.Forwards != 1 {
 		t.Fatalf("delivered=%d forwards=%d", s.Delivered, s.Forwards)
 	}
-	if tn.tracker.Live(1) != 0 || tn.tracker.Seen(1) != 1 {
-		t.Fatalf("tracker live=%d seen=%d", tn.tracker.Live(1), tn.tracker.Seen(1))
+	if tn.live(1) != 0 || tn.seen(1) != 1 {
+		t.Fatalf("ledger live=%d seen=%d", tn.live(1), tn.seen(1))
 	}
 	// Delivering again from another holder is refused.
 	b := tn.hosts[1]
@@ -345,8 +361,8 @@ func TestExpireMessages(t *testing.T) {
 	if tn.collector.ExpiredDrops != 1 {
 		t.Fatalf("expired counter = %d", tn.collector.ExpiredDrops)
 	}
-	if tn.tracker.Live(1) != 0 {
-		t.Fatal("tracker still counts expired copy")
+	if tn.live(1) != 0 {
+		t.Fatal("ledger still counts expired copy")
 	}
 }
 
@@ -464,31 +480,34 @@ func TestFullSprayWaitDeliveryCycle(t *testing.T) {
 	}
 }
 
+// The ledger's m_i leaves out the source and counts each carrier once.
 func TestTrackerSeenExcludesSource(t *testing.T) {
-	tr := NewTracker()
-	tr.NoteCreated(1, 7)
-	tr.NoteStored(1, 7)
-	if tr.Seen(1) != 0 {
-		t.Fatalf("seen = %d, want 0", tr.Seen(1))
+	tn := newTestNet(4, policy.FIFO{}, SprayAndWait{Binary: true}, 10000, false)
+	src, b, c := tn.hosts[0], tn.hosts[1], tn.hosts[2]
+	src.Originate(tn.message(1, 0, 3, 8, 500, 100000), 0)
+	if tn.seen(1) != 0 {
+		t.Fatalf("seen = %d, want 0", tn.seen(1))
 	}
-	tr.NoteStored(1, 8)
-	tr.NoteStored(1, 9)
-	if tr.Seen(1) != 2 || tr.Live(1) != 3 {
-		t.Fatalf("seen=%d live=%d", tr.Seen(1), tr.Live(1))
+	tn.now = 10
+	tn.transferAll(src, b)
+	tn.transferAll(src, c)
+	if tn.seen(1) != 2 || tn.live(1) != 3 {
+		t.Fatalf("seen=%d live=%d", tn.seen(1), tn.live(1))
 	}
-	tr.NoteRemoved(1, 8)
-	if tr.Seen(1) != 2 || tr.Live(1) != 2 {
-		t.Fatalf("after removal: seen=%d live=%d", tr.Seen(1), tr.Live(1))
+	b.DropMessage(b.Buffer().Get(1), 0, tn.now)
+	if tn.seen(1) != 2 || tn.live(1) != 2 {
+		t.Fatalf("after removal: seen=%d live=%d", tn.seen(1), tn.live(1))
 	}
 	// Re-storing at a node that already carried it doesn't inflate seen.
-	tr.NoteStored(1, 8)
-	if tr.Seen(1) != 2 {
-		t.Fatalf("seen inflated to %d", tr.Seen(1))
+	tn.now = 20
+	tn.transferAll(src, b)
+	if !b.Buffer().Has(1) || tn.seen(1) != 2 || tn.live(1) != 3 {
+		t.Fatalf("after re-store: seen=%d live=%d", tn.seen(1), tn.live(1))
 	}
 }
 
 func TestLambdaEstimatorWiring(t *testing.T) {
-	tn := &testNet{collector: stats.NewCollector(), tracker: NewTracker()}
+	tn := emptyNet()
 	est := core.NewLambdaEstimator(1000, 1)
 	h := NewHost(HostConfig{
 		ID: 0, Nodes: 4, Buffer: 1000,
@@ -672,7 +691,7 @@ func TestHostEstimatesMatchCore(t *testing.T) {
 	})
 }
 
-// Oracle accessors read the tracker's ground truth.
+// Oracle accessors read the ledger's ground truth.
 func TestHostOracleAccessors(t *testing.T) {
 	tn := newTestNet(5, policy.OracleUtility{}, SprayAndWait{Binary: true}, 10000, false)
 	a := tn.hosts[0]
@@ -698,7 +717,7 @@ func TestOriginateOversizedMessageDropped(t *testing.T) {
 	if tn.collector.Created != 1 || tn.collector.PolicyDrops != 1 {
 		t.Fatalf("created=%d drops=%d", tn.collector.Created, tn.collector.PolicyDrops)
 	}
-	if tn.tracker.Live(1) != 0 {
-		t.Fatal("tracker counts an unstored message")
+	if tn.live(1) != 0 {
+		t.Fatal("ledger counts an unstored message")
 	}
 }

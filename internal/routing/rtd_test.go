@@ -6,7 +6,6 @@ import (
 	"sdsrp/internal/core"
 	"sdsrp/internal/msg"
 	"sdsrp/internal/policy"
-	"sdsrp/internal/stats"
 )
 
 // Receive-then-drop semantics (Algorithm 1, the default): a completed
@@ -61,7 +60,7 @@ func TestArrivalDropDestroysTokensAndCountsForward(t *testing.T) {
 // In preflight mode the same exchange is refused before any bytes move:
 // sender tokens intact, nothing forwarded.
 func TestPreflightModeRefusesBeforeBytesMove(t *testing.T) {
-	tn := &testNet{collector: stats.NewCollector(), tracker: NewTracker()}
+	tn := emptyNet()
 	mk := func(id int) *Host {
 		return NewHost(HostConfig{
 			ID: id, Nodes: 4, Buffer: 500,
@@ -69,7 +68,7 @@ func TestPreflightModeRefusesBeforeBytesMove(t *testing.T) {
 			Rate:              core.FixedRate{Mean: 1200},
 			PreflightEviction: true,
 			Clock:             func() float64 { return tn.now },
-			Tracer:            tn.collector, Tracker: tn.tracker,
+			Tracer:            tn.tracer(nil), Truth: tn.ledger,
 		})
 	}
 	a, b := mk(0), mk(1)
@@ -91,8 +90,8 @@ func TestPreflightModeRefusesBeforeBytesMove(t *testing.T) {
 	}
 }
 
-// Arrival drops must not corrupt the ground-truth tracker: the copy was
-// never stored, so live counts stay balanced.
+// Arrival drops must not corrupt the ground truth: the copy was never
+// stored, so the ledger's live count stays balanced.
 func TestArrivalDropTrackerBalance(t *testing.T) {
 	tn := newTestNet(4, policy.TTLRatio{}, SprayAndWait{Binary: true}, 500, false)
 	a, b := tn.hosts[0], tn.hosts[1]
@@ -101,7 +100,7 @@ func TestArrivalDropTrackerBalance(t *testing.T) {
 	tn.now = 10
 	offer, _ := a.NextOffer(b, nil)
 	CommitTransfer(a, b, offer, tn.now)
-	if tn.tracker.Live(2) != 1 { // only the sender's copy
-		t.Fatalf("tracker live = %d, want 1", tn.tracker.Live(2))
+	if tn.live(2) != 1 { // only the sender's copy
+		t.Fatalf("ledger live = %d, want 1", tn.live(2))
 	}
 }

@@ -122,12 +122,7 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 			Latency: now - o.S.M.Created})
 		// The delivering node knows the destination is served: its copy is
 		// useless now.
-		if sender.buf.Remove(id) != nil && sender.tracker != nil {
-			sender.tracker.NoteRemoved(id, sender.id)
-		}
-		if receiver.tracker != nil {
-			receiver.tracker.NoteDelivered(id, receiver.id)
-		}
+		sender.buf.Remove(id)
 		return true
 	}
 
@@ -160,11 +155,8 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 	case KindRelay:
 		// No sender-side token change.
 	case KindHandoff:
-		if sender.buf.Remove(id) != nil && sender.tracker != nil {
-			sender.tracker.NoteRemoved(id, sender.id)
-		}
+		sender.buf.Remove(id)
 	}
-	o.S.Forwarded++
 	sender.tracer.Emit(obs.Event{T: now, Type: obs.MessageForwarded, Msg: id,
 		Node: sender.id, Peer: receiver.id, Copies: incoming.Copies,
 		Kind: o.Kind.String()})
@@ -196,9 +188,6 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 	if err := receiver.buf.Add(incoming); err != nil {
 		//lint:invariant PlanEviction just freed enough bytes for incoming in this same event; Add cannot overflow
 		panic(fmt.Sprintf("routing: add after eviction: %v", err))
-	}
-	if receiver.tracker != nil {
-		receiver.tracker.NoteStored(id, receiver.id)
 	}
 	return true
 }

@@ -5,10 +5,11 @@ import (
 
 	"sdsrp/internal/config"
 	"sdsrp/internal/msg"
+	"sdsrp/internal/obs"
 )
 
 // countHolders tallies, for every message, how many buffers currently hold
-// a copy — the ground truth the Tracker claims to maintain incrementally.
+// a copy: the ground truth the ledger's live counts must match.
 func countHolders(w *World) map[msg.ID]int {
 	holders := map[msg.ID]int{}
 	for _, h := range w.Hosts {
@@ -19,14 +20,15 @@ func countHolders(w *World) map[msg.ID]int {
 	return holders
 }
 
-// The tracker's live count must agree exactly with the buffers at any stop
+// The ledger's live count must agree exactly with the buffers at any stop
 // point: every store/remove path (originate, spray, relay, handoff,
-// delivery cleanup, eviction, expiry) is paired with a tracker note.
+// delivery cleanup, eviction, expiry) has an event the ledger folds.
 func TestTrackerMatchesBuffersExactly(t *testing.T) {
 	for _, pol := range []string{"SprayAndWait", "SDSRP", "SprayAndWait-C"} {
 		sc := smallScenario(pol)
 		sc.GenIntervalLo, sc.GenIntervalHi = 10, 15 // congested
-		w, err := Build(sc)
+		ledger := obs.NewLedger()
+		w, err := Build(sc, WithTracer(ledger))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,48 +40,43 @@ func TestTrackerMatchesBuffersExactly(t *testing.T) {
 			}
 			w.Engine.Run(horizon)
 			holders := countHolders(w)
-			for id, n := range holders {
-				if got := w.Tracker.Live(id); got != n {
-					t.Fatalf("%s at t=%v: tracker live(%d)=%d, buffers hold %d",
-						pol, horizon, id, got, n)
+			// Every message the ledger knows, held or not: it must not
+			// believe in copies that do not exist, nor miss any that do.
+			recs := ledger.Records()
+			for _, r := range recs {
+				if r.LiveCopies != holders[r.ID] {
+					t.Fatalf("%s at t=%v: ledger live(%d)=%d, buffers hold %d",
+						pol, horizon, r.ID, r.LiveCopies, holders[r.ID])
 				}
+				delete(holders, r.ID)
 			}
-			// And the tracker must not believe in copies that don't exist,
-			// except for messages currently mid-delivery (none at a scan
-			// boundary with no in-flight state inspection — so allow only
-			// exact zero mismatches).
-			// Holders map covers all ids with n>0; verify a sample of known
-			// ids with zero holders.
-			for id := msg.ID(1); id < 20; id++ {
-				if holders[id] == 0 && w.Tracker.Live(id) != 0 {
-					// In-flight transfers can hold a sender copy; but the
-					// sender copy is still in its buffer until commit, so
-					// live>0 with no holder is a leak.
-					t.Fatalf("%s at t=%v: tracker live(%d)=%d with no holders",
-						pol, horizon, id, w.Tracker.Live(id))
-				}
+			if len(holders) != 0 {
+				t.Fatalf("%s at t=%v: buffers hold %d messages the ledger never saw", pol, horizon, len(holders))
+			}
+			if len(recs) == 0 {
+				t.Fatalf("%s at t=%v: no messages to compare", pol, horizon)
 			}
 		}
 	}
 }
 
-// Seen must be monotone non-decreasing and at least the number of current
-// holders excluding the source.
+// Seen must be at least the number of current holders excluding the
+// source, and at most N-1.
 func TestTrackerSeenBounds(t *testing.T) {
 	sc := smallScenario("SprayAndWait")
-	w, err := Build(sc)
+	ledger := obs.NewLedger()
+	w, err := Build(sc, WithTracer(ledger))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, w)
 	holders := countHolders(w)
-	for id, n := range holders {
-		seen := w.Tracker.Seen(id)
-		if seen < n-1 { // source may be among the holders
-			t.Fatalf("seen(%d)=%d < holders-1=%d", id, seen, n-1)
+	for _, r := range ledger.Records() {
+		if n := holders[r.ID]; r.Seen < n-1 { // source may be among the holders
+			t.Fatalf("seen(%d)=%d < holders-1=%d", r.ID, r.Seen, n-1)
 		}
-		if seen > sc.Nodes-1 {
-			t.Fatalf("seen(%d)=%d exceeds N-1", id, seen)
+		if r.Seen > sc.Nodes-1 {
+			t.Fatalf("seen(%d)=%d exceeds N-1", r.ID, r.Seen)
 		}
 	}
 }

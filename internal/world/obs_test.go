@@ -229,13 +229,13 @@ func TestCollectorRefoldsFromLog(t *testing.T) {
 }
 
 // TestTracingLeavesRandomUnchanged: attaching a tracer must not change a
-// run. Random draws one value from its stream per DropScore, so the dropped
-// event has to report the scores the eviction plan already drew instead of
-// scoring the copy again.
+// run. The test-registered random policy draws one value from its stream
+// per DropScore, so the dropped event has to report the scores the eviction
+// plan already drew instead of scoring the copy again.
 func TestTracingLeavesRandomUnchanged(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		sc := diffBase()
-		sc.PolicyName = "Random"
+		sc.PolicyName = randomPolicyName
 		sc.Seed = seed
 		w, err := Build(sc)
 		if err != nil {
@@ -353,10 +353,11 @@ func TestSnapshotMatchesResult(t *testing.T) {
 	}
 	mustRun(t, w)
 	snap := w.Snapshot(sc.Duration)
+	holders := countHolders(w)
 	var liveCopies, liveMsgs int
 	for _, r := range ledger.Records() {
-		if live := w.Tracker.Live(r.ID); r.LiveCopies != live {
-			t.Errorf("msg %d: ledger %d live copies, tracker %d", r.ID, r.LiveCopies, live)
+		if r.LiveCopies != holders[r.ID] {
+			t.Errorf("msg %d: ledger %d live copies, buffers hold %d", r.ID, r.LiveCopies, holders[r.ID])
 		}
 		liveCopies += r.LiveCopies
 		if r.LiveCopies > 0 {

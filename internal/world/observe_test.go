@@ -6,15 +6,18 @@ import (
 
 	"sdsrp/internal/config"
 	"sdsrp/internal/fault"
+	"sdsrp/internal/msg"
 	"sdsrp/internal/obs"
 )
 
 // TestLedgerMatchesTracker checks the event log against the simulator's
-// ground truth: for every message, the ledger folded from the run's events
-// must end with routing.Tracker's live-copy count n_i and its m_i. The
-// variants cover every way a copy enters or leaves a buffer without a
-// policy or TTL event of its own: ACK purges, wiping reboots, black holes,
-// radio loss, and the protocols whose forwards differ from binary spray.
+// buffers: at every distinct event time of the run, the ledger folded from
+// the events so far must give each message the live-copy count n_i the
+// buffers hold, and the m_i of the carrier set the test accumulates from
+// buffers and destination receipts. The variants cover every way a copy
+// enters or leaves a buffer without a policy or TTL event of its own: ACK
+// purges, wiping reboots, black holes, radio loss, and the protocols whose
+// forwards differ from binary spray.
 func TestLedgerMatchesTracker(t *testing.T) {
 	variants := []struct {
 		name   string
@@ -42,24 +45,34 @@ func TestLedgerMatchesTracker(t *testing.T) {
 			v.mutate(&sc)
 			t.Run(fmt.Sprintf("%s-%d", v.name, seed), func(t *testing.T) {
 				t.Parallel()
-				ledger := obs.NewLedger()
-				w, err := Build(sc, WithTracer(ledger))
+				// A first run lists the distinct event times; a second one
+				// stops at each of them.
+				var times eventTimes
+				w, err := Build(sc, WithTracer(&times))
 				if err != nil {
 					t.Fatal(err)
 				}
 				res := mustRun(t, w)
+				ledger := obs.NewLedger()
+				if w, err = Build(sc, WithTracer(ledger)); err != nil {
+					t.Fatal(err)
+				}
+				w.Manager.Start()
+				w.started = true
+				carriers := map[msg.ID]map[int]bool{}
+				for _, at := range times {
+					w.Engine.Run(at)
+					assertLedgerMatchesBuffers(t, w, ledger, carriers)
+				}
+				if got := w.Result().Summary; got != res.Summary {
+					t.Fatalf("stopping at every event time changed the run:\n got %+v\nwant %+v", got, res.Summary)
+				}
 				recs := ledger.Records()
 				if len(recs) != res.Created || res.Created == 0 {
 					t.Fatalf("ledger has %d records, run created %d", len(recs), res.Created)
 				}
 				seen, lost := map[string]bool{}, 0
 				for _, r := range recs {
-					if live := w.Tracker.Live(r.ID); r.LiveCopies != live {
-						t.Errorf("msg %d: ledger %d live copies, tracker %d", r.ID, r.LiveCopies, live)
-					}
-					if m := w.Tracker.Seen(r.ID); r.Seen != m {
-						t.Errorf("msg %d: ledger seen %d, tracker %d", r.ID, r.Seen, m)
-					}
 					for _, rm := range r.Removals {
 						seen[rm.Cause] = true
 					}
@@ -75,6 +88,55 @@ func TestLedgerMatchesTracker(t *testing.T) {
 					t.Error("variant lost no transfers")
 				}
 			})
+		}
+	}
+}
+
+// eventTimes records the distinct times of a run's events, in order.
+type eventTimes []float64
+
+func (e *eventTimes) Emit(ev obs.Event) {
+	if n := len(*e); n == 0 || ev.T > (*e)[n-1] {
+		*e = append(*e, ev.T)
+	}
+}
+
+// assertLedgerMatchesBuffers compares every message the ledger knows with
+// the hosts' state: n_i with the buffers holding a copy, m_i with carriers,
+// which it first extends by every host that buffers a copy or, as
+// destination, has consumed one. The ledger's mid-run queries, asked by a
+// node outside the run, must give the same answers.
+func assertLedgerMatchesBuffers(t *testing.T, w *World, ledger *obs.Ledger, carriers map[msg.ID]map[int]bool) {
+	t.Helper()
+	carry := func(id msg.ID, node int) {
+		if carriers[id] == nil {
+			carriers[id] = map[int]bool{}
+		}
+		carriers[id][node] = true
+	}
+	for _, h := range w.Hosts {
+		for _, s := range h.Buffer().Items() {
+			carry(s.M.ID, h.ID())
+		}
+	}
+	holders := countHolders(w)
+	for _, r := range ledger.Records() {
+		for _, h := range w.Hosts {
+			if h.Received(r.ID) {
+				carry(r.ID, h.ID())
+			}
+		}
+		seen := len(carriers[r.ID])
+		if carriers[r.ID][r.Source] {
+			seen--
+		}
+		if r.LiveCopies != holders[r.ID] || r.Seen != seen {
+			t.Fatalf("t=%v msg %d: ledger live %d seen %d, buffers hold %d, carriers %d",
+				w.Engine.Now(), r.ID, r.LiveCopies, r.Seen, holders[r.ID], seen)
+		}
+		if live, m := ledger.Live(r.ID, -1, false), ledger.Seen(r.ID, -1, false); live != r.LiveCopies || m != r.Seen {
+			t.Fatalf("t=%v msg %d: queries give live %d seen %d, records %d and %d",
+				w.Engine.Now(), r.ID, live, m, r.LiveCopies, r.Seen)
 		}
 	}
 }

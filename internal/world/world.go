@@ -8,6 +8,7 @@ package world
 import (
 	"fmt"
 	"os"
+	"strings"
 
 	"sdsrp/internal/config"
 	"sdsrp/internal/core"
@@ -35,7 +36,6 @@ type World struct {
 	// Collector folds the run's event stream into its Summary; it sees
 	// every event the hosts and the radio emit.
 	Collector *stats.Collector
-	Tracker   *routing.Tracker
 
 	started bool
 	// tracer is the WithTracer sink (nil without one): the only receiver
@@ -121,7 +121,13 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 	collector := stats.NewCollector()
 	collector.WarmupUntil = sc.Warmup
 	tr := obs.Multi(collector, bo.tracer)
-	tracker := routing.NewTracker()
+	// Ground truth for the hosts' TrueSeen/TrueLive is one more sink on the
+	// stream, kept only by runs whose policy reads it.
+	var truth *obs.Ledger
+	if policyReadsTruth(sc.PolicyName) {
+		truth = obs.NewLedger()
+		tr = obs.Multi(tr, truth)
+	}
 
 	var scheduled []trace.Contact
 	var models []mobility.Model
@@ -180,7 +186,7 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 			PreflightEviction: sc.PreflightEviction,
 			Clock:             eng.Now,
 			Tracer:            tr,
-			Tracker:           tracker,
+			Truth:             truth,
 			Role:              inj.Role(i),
 		})
 	}
@@ -216,7 +222,6 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 		Hosts:     hosts,
 		Manager:   mgr,
 		Collector: collector,
-		Tracker:   tracker,
 	}
 	w.scheduleTraffic(root.Split("traffic"))
 	eng.Every(sc.ExpiryInterval, func(now float64) {
@@ -231,6 +236,13 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 // dropped-list machinery (SDSRP and its Taylor variants).
 func policyUsesDropList(name string) bool {
 	return (len(name) >= 5 && name[:5] == "SDSRP") || name == "Knapsack"
+}
+
+// policyReadsTruth reports whether the named policy scores with ground
+// truth (OracleUtility, or a registered policy whose name starts with
+// "Oracle").
+func policyReadsTruth(name string) bool {
+	return strings.HasPrefix(name, "Oracle")
 }
 
 // churnEligible marks the nodes belonging to the churn-restricted groups.
