@@ -92,8 +92,10 @@ bench-report:
 # only check that the flag still attaches the stats.Intermeeting sink:
 # cmd/dtnsim has no Go test), (f) an OracleUtility run, whose world alone
 # attaches the ground-truth ledger its hosts score with, to pass the same
-# check, and (g) the series header to end in the counter and fill columns
-# and every paths -jsonl record to carry seen.
+# check, (g) the series header to end in the counter and fill columns
+# and every paths -jsonl record to carry seen, and (h) a contact trace
+# with a NaN time to be refused with exit 1 and the parse error, not a
+# panic in the event queue.
 # The printed summary is the live stats.Collector, itself a fold of the
 # event vocabulary; stats -check compares it with dtntrace's independent
 # fold of the log, so any drift between the two and any nondeterminism in
@@ -134,6 +136,11 @@ trace-smoke:
 	head -1 $$tmp/series.csv | grep -q ',used_max,created,delivered,delivery_ratio,forwards,policy_drops,fill$$' && \
 	$$tmp/dtntrace paths -jsonl $$tmp/d.jsonl > $$tmp/paths.jsonl && [ -s $$tmp/paths.jsonl ] && \
 	! grep -v '"seen":' $$tmp/paths.jsonl && \
+	printf '0 1 10 60\n0 1 NaN 5\n' > $$tmp/nan.txt && \
+	{ $$tmp/dtnsim -contact-trace $$tmp/nan.txt > /dev/null 2> $$tmp/nan.err; [ $$? -eq 1 ]; } && \
+	grep -q 'line 2: start: "NaN" is not a finite number' $$tmp/nan.err && \
+	! grep -q panic $$tmp/nan.err && \
+	echo "NaN contact trace refused: $$(cat $$tmp/nan.err)" && \
 	rm -rf $$tmp
 
 # Crash-safety gate (~5 s): run a sweep uninterrupted for reference TSVs,
@@ -160,16 +167,19 @@ resume-smoke:
 	echo "resume-smoke: resumed sweep byte-identical to uninterrupted reference" && \
 	rm -rf $$tmp
 
-# Short fuzzing bursts over the trace parsers.
+# Short fuzzing bursts over the external-input parsers.
 fuzz:
 	$(GO) test ./internal/trace -fuzz=FuzzParseCab -fuzztime=30s
 	$(GO) test ./internal/trace -fuzz=FuzzParseONE -fuzztime=30s
+	$(GO) test ./internal/trace -fuzz=FuzzParseContacts -fuzztime=30s
+	$(GO) test ./internal/graph -fuzz=FuzzParseEdgeList -fuzztime=30s
 
 # CI-sized fuzzing pass: 30 s per fuzzer across every fuzz target.
 fuzz-smoke:
 	$(GO) test ./internal/trace -fuzz=FuzzParseCab -fuzztime=30s
 	$(GO) test ./internal/trace -fuzz=FuzzParseONE -fuzztime=30s
 	$(GO) test ./internal/trace -fuzz=FuzzParseContacts -fuzztime=30s
+	$(GO) test ./internal/graph -fuzz=FuzzParseEdgeList -fuzztime=30s
 	$(GO) test ./internal/config -fuzz=FuzzScenarioJSON -fuzztime=30s
 
 # Regenerate every paper figure + ablations at full scale (91 s of simulation

@@ -61,9 +61,6 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("run panicked: %v\n%s", e.Value, e.Stack)
 }
 
-// maxRetryBackoff caps the exponential retry backoff.
-const maxRetryBackoff = 5 * time.Second
-
 // Options tunes an experiment's cost without changing its structure.
 type Options struct {
 	// Workers bounds run parallelism; 0 means GOMAXPROCS.
@@ -96,13 +93,10 @@ type Options struct {
 	// Resume, with a Journal attached, skips runs whose digest the journal
 	// already records as done, replaying the stored Result instead.
 	Resume bool
-	// Retries is how many times a transiently failed run is re-attempted
-	// (0 means failures are final on the first attempt). Panics and
-	// deterministic budget stops are never retried.
+	// Retries is how many times a transiently failed run is re-attempted,
+	// immediately (0 means failures are final on the first attempt).
+	// Panics and deterministic budget stops are never retried.
 	Retries int
-	// RetryBackoff is the wait before the first re-attempt; it doubles per
-	// retry and is capped at 5s. 0 retries immediately.
-	RetryBackoff time.Duration
 	// RunTimeout bounds each run's wall-clock time (0 means unbounded).
 	// A timed-out run fails with world.ErrRunTimeout.
 	RunTimeout time.Duration
@@ -402,13 +396,6 @@ func (o Options) execute(sc config.Scenario, g *shareGroup, retried *atomic.Int6
 			return res, err, attempts
 		}
 		retried.Add(1)
-		if o.RetryBackoff > 0 {
-			backoff := o.RetryBackoff << (attempts - 1)
-			if backoff > maxRetryBackoff || backoff <= 0 {
-				backoff = maxRetryBackoff
-			}
-			time.Sleep(backoff)
-		}
 	}
 }
 

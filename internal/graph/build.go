@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -90,6 +91,9 @@ func ParseEdgeList(r io.Reader, snap float64) (*Graph, error) {
 		var vals [4]float64
 		for i, f := range fields {
 			v, err := strconv.ParseFloat(f, 64)
+			if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				err = fmt.Errorf("%q is not a finite coordinate", f)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 			}

@@ -192,6 +192,24 @@ func TestParseEdgeListErrors(t *testing.T) {
 	}
 }
 
+// TestParseEdgeListRejectsNonFinite: a NaN vertex used to load and run to
+// the horizon on NaN positions. Each coordinate is checked, by line.
+func TestParseEdgeListRejectsNonFinite(t *testing.T) {
+	for _, c := range []struct{ name, in, want string }{
+		{"x1", "0 0 10 0\nNaN 0 10 0\n", "line 2"},
+		{"y1", "0 +Inf 10 0\n", "line 1"},
+		{"x2", "0 0 -Inf 0\n", "line 1"},
+		{"y2", "# map\n0 0 10 0\n0 0 10 nan\n", "line 3"},
+	} {
+		_, err := ParseEdgeList(strings.NewReader(c.in), 1)
+		if err == nil {
+			t.Errorf("%s: %q accepted", c.name, c.in)
+		} else if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "not a finite coordinate") {
+			t.Errorf("%s: error %q, want %q and the reason", c.name, err, c.want)
+		}
+	}
+}
+
 func TestEdgeListRoundTrip(t *testing.T) {
 	g, _ := GridCity(4, 3, 75, 0, nil)
 	var buf bytes.Buffer

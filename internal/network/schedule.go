@@ -2,15 +2,16 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"sdsrp/internal/trace"
 )
 
 // ValidateContacts checks a recorded contact list against a population of n
-// nodes: self-contacts, out-of-range ids, and empty or negative intervals
-// are rejected. Callers that assemble contacts from external traces should
-// validate at build time so later replay cannot fail.
+// nodes: self-contacts, out-of-range ids, non-finite times, and empty or
+// negative intervals are rejected. Callers that assemble contacts from
+// external traces should validate at build time so replay cannot fail.
 func ValidateContacts(contacts []trace.Contact, n int) error {
 	for _, c := range contacts {
 		if c.A == c.B {
@@ -19,7 +20,7 @@ func ValidateContacts(contacts []trace.Contact, n int) error {
 		if c.A < 0 || c.A >= n || c.B < 0 || c.B >= n {
 			return fmt.Errorf("network: contact %d-%d out of range (N=%d)", c.A, c.B, n)
 		}
-		if c.End <= c.Start || c.Start < 0 {
+		if !(c.Start >= 0 && c.End > c.Start) || math.IsInf(c.End, 1) { // NaN fails both comparisons
 			return fmt.Errorf("network: contact %d-%d has bad interval [%v,%v]", c.A, c.B, c.Start, c.End)
 		}
 	}

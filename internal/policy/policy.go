@@ -15,19 +15,20 @@
 //
 // # Performance contract
 //
-// Ordering happens on every contact (send scheduling) and on every buffer
-// overflow (eviction planning), which makes it a simulator hot path: see
-// PERFORMANCE.md. Hot callers hold an Orderer — a reusable scratch space for
-// the (message, score) ranking — so steady-state ordering is allocation-free.
-// Scores are always computed in input order before sorting, and ties always
-// break on ascending message ID, so the reusable path ranks byte-identically
-// to the throwaway SendOrder/PlanEviction convenience functions, and a
-// registered policy that draws from its stream draws in the same order.
+// Offer selection and eviction run on every transfer start and buffer
+// overflow: see PERFORMANCE.md. A host picks each offer in one pass,
+// calling SendScore once per offerable copy (unexpired, not refused on
+// this contact, Eligible toward the peer) and keeping the copy that
+// SendsBefore the rest. Eviction ranks into an Orderer's reusable scratch,
+// allocation-free once warm. Scores are computed in buffer order, so a
+// registered policy that draws from its stream draws reproducibly, and
+// ties break on ascending message ID.
 //
 //lint:shard-safe the write-once policy registry is the single annotated package state; runtime state lives in per-run Orderer scratch
 package policy
 
 import (
+	"math"
 	"sort"
 
 	"sdsrp/internal/buffer"
@@ -69,40 +70,29 @@ type Policy interface {
 	DropScore(v View, s *msg.Stored) float64
 }
 
-// Orderer computes send and eviction orders using reusable scratch buffers,
-// so a host's per-contact scheduling is allocation-free at steady state.
-// Slices returned by its methods alias the scratch space and are valid only
-// until the next call on the same Orderer; each host owns one and uses the
-// results within a single event. The zero value is ready to use. Not safe
-// for concurrent use.
+// Orderer plans evictions using reusable scratch buffers, so a host's
+// overflow handling is allocation-free at steady state. Slices returned by
+// PlanEviction alias the scratch space and are valid only until the next
+// call on the same Orderer; each host owns one and uses the results within
+// a single event. The zero value is ready to use. Not safe for concurrent
+// use.
 type Orderer struct {
-	send  ranking
 	evict ranking
 }
 
-// ranking is a sortable (message, score) column pair. Holding it as an
-// addressable field lets sort.Stable take an interface value without
-// allocating a closure per call.
+// ranking is a sortable (message, score) column pair in ascending score
+// order, ties broken on ascending message ID. Holding it as an addressable
+// field lets sort.Stable take an interface value without allocating a
+// closure per call.
 type ranking struct {
 	items  []*msg.Stored
 	scores []float64
-	// desc selects descending score order (send ranking); ascending is the
-	// eviction ranking. Ties always break on ascending message ID.
-	desc bool
 }
 
 func (r *ranking) Len() int { return len(r.items) }
 
 func (r *ranking) Less(i, j int) bool {
-	si, sj := r.scores[i], r.scores[j]
-	//lint:ignore float-eq bitwise tie-break: only exactly equal scores fall through to the ID order
-	if si != sj {
-		if r.desc {
-			return si > sj
-		}
-		return si < sj
-	}
-	return r.items[i].M.ID < r.items[j].M.ID
+	return evictsBefore(r.scores[i], r.items[i].M.ID, r.scores[j], r.items[j].M.ID)
 }
 
 func (r *ranking) Swap(i, j int) {
@@ -110,43 +100,20 @@ func (r *ranking) Swap(i, j int) {
 	r.scores[i], r.scores[j] = r.scores[j], r.scores[i]
 }
 
-// rank loads the items and their scores (computed in input order, which
-// matters for registered policies that draw from their stream) and sorts
-// them.
+// rank loads the items and their drop scores (computed in input order,
+// which matters for registered policies that draw from their stream) and
+// sorts them.
 //
 // Performance contract: copies into reused scratch slices in place and
 // sorts through the pointer receiver (no interface boxing of values);
 // warm, rank allocates nothing.
-func (r *ranking) rank(p Policy, v View, items []*msg.Stored, score func(Policy, View, *msg.Stored) float64) {
+func (r *ranking) rank(p Policy, v View, items []*msg.Stored) {
 	r.items = append(r.items[:0], items...)
 	r.scores = r.scores[:0]
 	for _, s := range items {
-		r.scores = append(r.scores, score(p, v, s))
+		r.scores = append(r.scores, p.DropScore(v, s))
 	}
 	sort.Stable(r)
-}
-
-func sendScore(p Policy, v View, s *msg.Stored) float64 { return p.SendScore(v, s) }
-func dropScore(p Policy, v View, s *msg.Stored) float64 { return p.DropScore(v, s) }
-
-// SendOrder returns the buffered copies sorted into transmission order
-// (first element = next to send). The sort is deterministic: ties break on
-// message ID. The input slice is not modified; the returned slice is
-// scratch space valid until the next call.
-//
-// Performance contract: ranks into the Orderer's reused scratch space;
-// warm, SendOrder allocates nothing.
-func (o *Orderer) SendOrder(p Policy, v View, items []*msg.Stored) []*msg.Stored {
-	o.send.desc = true
-	o.send.rank(p, v, items, sendScore)
-	return o.send.items
-}
-
-// SendOrder is the convenience form using a throwaway Orderer. Hot paths
-// hold an Orderer and call its method instead.
-func SendOrder(p Policy, v View, items []*msg.Stored) []*msg.Stored {
-	var o Orderer
-	return o.SendOrder(p, v, items)
 }
 
 // PlanEviction decides whether incoming can be stored in buf, evicting
@@ -173,15 +140,14 @@ func (o *Orderer) PlanEviction(p Policy, v View, buf *buffer.Buffer, incoming *m
 		return nil, nil, 0, true
 	}
 	// Ascending score: weakest first; ties break on ID for determinism.
-	o.evict.desc = false
-	o.evict.rank(p, v, buf.Items(), dropScore)
+	o.evict.rank(p, v, buf.Items())
 	inScore = p.DropScore(v, incoming)
 	n := 0
 	for i, s := range o.evict.items {
 		if free >= incoming.M.Size {
 			break
 		}
-		if !weakerThanIncoming(o.evict.scores[i], inScore, s.M.ID, incoming.M.ID) {
+		if !evictsBefore(o.evict.scores[i], s.M.ID, inScore, incoming.M.ID) {
 			// The weakest survivor outranks the newcomer: reject.
 			return nil, nil, inScore, false
 		}
@@ -191,19 +157,26 @@ func (o *Orderer) PlanEviction(p Policy, v View, buf *buffer.Buffer, incoming *m
 	return o.evict.items[:n], o.evict.scores[:n], inScore, free >= incoming.M.Size
 }
 
-// PlanEviction is the convenience form using a throwaway Orderer.
-func PlanEviction(p Policy, v View, buf *buffer.Buffer, incoming *msg.Stored) ([]*msg.Stored, bool) {
-	var o Orderer
-	victims, _, _, ok := o.PlanEviction(p, v, buf, incoming)
-	return victims, ok
+// evictsBefore is the eviction order: the lower drop score goes first, and
+// equal scores go in ascending message ID order. PlanEviction ranks the
+// newcomer by the same rule, so it takes its place in the ranking rather
+// than winning ties.
+func evictsBefore(score float64, id msg.ID, other float64, otherID msg.ID) bool {
+	//lint:ignore float-eq bitwise tie-break: must rank exactly like the eviction sort or Algorithm 1 loops
+	if score != other {
+		return score < other
+	}
+	return id < otherID
 }
 
-// weakerThanIncoming applies the same ordering as the eviction sort, so the
-// newcomer takes its place in the ranking rather than winning ties.
-func weakerThanIncoming(score, inScore float64, id, inID msg.ID) bool {
-	//lint:ignore float-eq bitwise tie-break: must rank exactly like the eviction sort above or Algorithm 1 loops
-	if score != inScore {
-		return score < inScore
+// SendsBefore reports whether a copy with send score score and message ID
+// id is offered before one with score other and ID otherID: the higher
+// score goes first, a NaN score never outranks a number, and equal scores
+// (or two NaNs) go in ascending message ID order.
+func SendsBefore(score float64, id msg.ID, other float64, otherID msg.ID) bool {
+	//lint:ignore float-eq bitwise tie-break: only exactly equal scores, or two NaNs, fall through to the ID order
+	if score != other && !(math.IsNaN(score) && math.IsNaN(other)) {
+		return score > other || math.IsNaN(other)
 	}
-	return id < inID
+	return id < otherID
 }

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"sdsrp/internal/buffer"
@@ -68,6 +70,21 @@ func wantIDs(t *testing.T, got []*msg.Stored, want ...msg.ID) {
 	}
 }
 
+// sendOrder is the offer order NextOffer's one-pass pick implies: the
+// copies sorted by SendsBefore on their send scores.
+func sendOrder(p Policy, v View, items []*msg.Stored) []*msg.Stored {
+	scores := make(map[msg.ID]float64, len(items))
+	for _, s := range items {
+		scores[s.M.ID] = p.SendScore(v, s)
+	}
+	out := append([]*msg.Stored(nil), items...)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		return SendsBefore(scores[a.M.ID], a.M.ID, scores[b.M.ID], b.M.ID)
+	})
+	return out
+}
+
 func TestFIFOSendOrder(t *testing.T) {
 	v := defaultView()
 	items := []*msg.Stored{
@@ -75,7 +92,7 @@ func TestFIFOSendOrder(t *testing.T) {
 		stored(2, 100, 4, 16, 0, 18000),
 		stored(3, 200, 4, 16, 0, 18000),
 	}
-	wantIDs(t, SendOrder(FIFO{}, v, items), 2, 3, 1)
+	wantIDs(t, sendOrder(FIFO{}, v, items), 2, 3, 1)
 }
 
 func TestTTLRatioSendOrder(t *testing.T) {
@@ -85,7 +102,7 @@ func TestTTLRatioSendOrder(t *testing.T) {
 		stored(2, 0, 4, 16, 900, 2000), // remaining 1900/2000 = 0.95
 		stored(3, 0, 4, 16, 0, 1100),   // remaining 100/1100 ≈ 0.09
 	}
-	wantIDs(t, SendOrder(TTLRatio{}, v, items), 2, 1, 3)
+	wantIDs(t, sendOrder(TTLRatio{}, v, items), 2, 1, 3)
 }
 
 func TestCopiesRatioSendOrder(t *testing.T) {
@@ -95,7 +112,7 @@ func TestCopiesRatioSendOrder(t *testing.T) {
 		stored(2, 0, 16, 16, 0, 18000), // 1
 		stored(3, 0, 4, 8, 0, 18000),   // 0.5
 	}
-	wantIDs(t, SendOrder(CopiesRatio{}, v, items), 2, 3, 1)
+	wantIDs(t, sendOrder(CopiesRatio{}, v, items), 2, 3, 1)
 }
 
 func TestSDSRPSendOrderPrefersUnspread(t *testing.T) {
@@ -107,7 +124,7 @@ func TestSDSRPSendOrderPrefersUnspread(t *testing.T) {
 		stored(1, 0, 8, 16, 0, 18000),
 		stored(2, 0, 8, 16, 0, 18000),
 	}
-	wantIDs(t, SendOrder(SDSRP{}, v, items), 1, 2)
+	wantIDs(t, sendOrder(SDSRP{}, v, items), 1, 2)
 }
 
 func TestSDSRPNoLambdaFallsBackToTTL(t *testing.T) {
@@ -117,7 +134,7 @@ func TestSDSRPNoLambdaFallsBackToTTL(t *testing.T) {
 		stored(1, 0, 8, 16, 0, 2000),  // dies at 2000, now=1000
 		stored(2, 0, 8, 16, 0, 18000), // dies much later
 	}
-	wantIDs(t, SendOrder(SDSRP{}, v, items), 2, 1)
+	wantIDs(t, sendOrder(SDSRP{}, v, items), 2, 1)
 }
 
 func TestSendOrderDeterministicTies(t *testing.T) {
@@ -127,19 +144,37 @@ func TestSendOrderDeterministicTies(t *testing.T) {
 		stored(1, 100, 4, 16, 0, 18000),
 		stored(2, 100, 4, 16, 0, 18000),
 	}
-	wantIDs(t, SendOrder(FIFO{}, v, items), 1, 2, 3)
+	wantIDs(t, sendOrder(FIFO{}, v, items), 1, 2, 3)
 }
 
-func TestSendOrderDoesNotMutateInput(t *testing.T) {
-	v := defaultView()
-	items := []*msg.Stored{
-		stored(1, 300, 4, 16, 0, 18000),
-		stored(2, 100, 4, 16, 0, 18000),
+// SendsBefore is a strict total order on (score, id) pairs with distinct
+// ids: higher scores first, NaN after every number, ties and NaN pairs on
+// ascending id.
+func TestSendsBeforeRanksNaNLast(t *testing.T) {
+	nan := math.NaN()
+	inf := math.Inf(1)
+	// Listed in offer order.
+	order := []struct {
+		score float64
+		id    msg.ID
+	}{
+		{inf, 9}, {2, 1}, {2, 4}, {0, 3}, {math.Copysign(0, -1), 5},
+		{math.Inf(-1), 2}, {nan, 6}, {nan, 7},
 	}
-	SendOrder(FIFO{}, v, items)
-	if items[0].M.ID != 1 || items[1].M.ID != 2 {
-		t.Fatal("SendOrder reordered the caller's slice")
+	for i, a := range order {
+		for j, b := range order {
+			if got, want := SendsBefore(a.score, a.id, b.score, b.id), i < j; got != want {
+				t.Errorf("SendsBefore(%v#%d, %v#%d) = %v, want %v", a.score, a.id, b.score, b.id, got, want)
+			}
+		}
 	}
+}
+
+// planEviction is Orderer.PlanEviction on a throwaway Orderer.
+func planEviction(p Policy, v View, buf *buffer.Buffer, incoming *msg.Stored) ([]*msg.Stored, bool) {
+	var o Orderer
+	victims, _, _, ok := o.PlanEviction(p, v, buf, incoming)
+	return victims, ok
 }
 
 func fillBuffer(t *testing.T, entries ...*msg.Stored) *buffer.Buffer {
@@ -161,7 +196,7 @@ func TestPlanEvictionFitsWithoutVictims(t *testing.T) {
 	v := defaultView()
 	b := buffer.New(1000)
 	b.Add(stored(1, 0, 4, 16, 0, 18000))
-	victims, ok := PlanEviction(FIFO{}, v, b, stored(2, 1000, 4, 16, 0, 18000))
+	victims, ok := planEviction(FIFO{}, v, b, stored(2, 1000, 4, 16, 0, 18000))
 	if !ok || len(victims) != 0 {
 		t.Fatalf("fit case: victims=%v ok=%v", ids(victims), ok)
 	}
@@ -174,7 +209,7 @@ func TestPlanEvictionFIFOEvictsOldest(t *testing.T) {
 		stored(2, 50, 4, 16, 0, 18000),
 		stored(3, 200, 4, 16, 0, 18000),
 	)
-	victims, ok := PlanEviction(FIFO{}, v, b, stored(4, 1000, 4, 16, 0, 18000))
+	victims, ok := planEviction(FIFO{}, v, b, stored(4, 1000, 4, 16, 0, 18000))
 	if !ok {
 		t.Fatal("FIFO rejected a newcomer")
 	}
@@ -189,7 +224,7 @@ func TestPlanEvictionRejectsWeakNewcomer(t *testing.T) {
 		stored(2, 0, 4, 16, 950, 18000),
 	)
 	in := stored(3, 1000, 4, 16, 0, 1001) // remaining 1/1001
-	victims, ok := PlanEviction(TTLRatio{}, v, b, in)
+	victims, ok := planEviction(TTLRatio{}, v, b, in)
 	if ok || victims != nil {
 		t.Fatalf("weak newcomer accepted: victims=%v", ids(victims))
 	}
@@ -201,7 +236,7 @@ func TestPlanEvictionMultipleVictims(t *testing.T) {
 	small2 := stored(2, 20, 4, 16, 0, 18000)
 	big := &msg.Stored{M: &msg.Message{ID: 3, Size: 200, Created: 0, TTL: 18000, InitialCopies: 16}, Copies: 4, ReceivedAt: 900}
 	b := fillBuffer(t, small1, small2) // capacity 200, full
-	victims, ok := PlanEviction(FIFO{}, v, b, big)
+	victims, ok := planEviction(FIFO{}, v, b, big)
 	if !ok {
 		t.Fatal("big newcomer rejected despite evictable victims")
 	}
@@ -213,7 +248,7 @@ func TestPlanEvictionStopsEarly(t *testing.T) {
 	b := buffer.New(250)
 	b.Add(stored(1, 10, 4, 16, 0, 18000))
 	b.Add(stored(2, 20, 4, 16, 0, 18000)) // used 200, free 50
-	victims, ok := PlanEviction(FIFO{}, v, b, stored(3, 900, 4, 16, 0, 18000))
+	victims, ok := planEviction(FIFO{}, v, b, stored(3, 900, 4, 16, 0, 18000))
 	if !ok {
 		t.Fatal("rejected")
 	}
@@ -224,7 +259,7 @@ func TestPlanEvictionOversizedMessage(t *testing.T) {
 	v := defaultView()
 	b := buffer.New(150)
 	in := &msg.Stored{M: &msg.Message{ID: 1, Size: 151, TTL: 10}, Copies: 1}
-	if _, ok := PlanEviction(FIFO{}, v, b, in); ok {
+	if _, ok := planEviction(FIFO{}, v, b, in); ok {
 		t.Fatal("message larger than capacity accepted")
 	}
 }
@@ -238,7 +273,7 @@ func TestPlanEvictionPartialRejection(t *testing.T) {
 		stored(2, 0, 4, 16, 990, 18000), // fresher
 	)
 	in := &msg.Stored{M: &msg.Message{ID: 3, Size: 200, Created: 800, TTL: 18000, InitialCopies: 16}, Copies: 4, ReceivedAt: 1000}
-	victims, ok := PlanEviction(TTLRatio{}, v, b, in)
+	victims, ok := planEviction(TTLRatio{}, v, b, in)
 	if ok {
 		t.Fatal("accepted though the second victim outranks the newcomer")
 	}
@@ -308,24 +343,10 @@ func TestSDSRPDisagreesWithHeuristics(t *testing.T) {
 	scarce := stored(2, 0, 2, 64, 0, 3500)   // few copies, short TTL, barely seen
 	items := []*msg.Stored{spread, scarce}
 
-	wantIDs(t, SendOrder(SDSRP{}, v, items), 2, 1)
-	wantIDs(t, SendOrder(TTLRatio{}, v, items), 1, 2)
-	wantIDs(t, SendOrder(CopiesRatio{}, v, items), 1, 2)
+	wantIDs(t, sendOrder(SDSRP{}, v, items), 2, 1)
+	wantIDs(t, sendOrder(TTLRatio{}, v, items), 1, 2)
+	wantIDs(t, sendOrder(CopiesRatio{}, v, items), 1, 2)
 	_ = core.PeakPR // documents why: the spread message sits past the peak
-}
-
-func BenchmarkSendOrder(b *testing.B) {
-	v := defaultView()
-	var items []*msg.Stored
-	for i := 0; i < 8; i++ {
-		items = append(items, stored(msg.ID(i+1), float64(i*100), 1+i%16, 32, 0, 18000))
-		v.seen[msg.ID(i+1)] = float64(i * 5)
-		v.live[msg.ID(i+1)] = float64(1 + i)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		SendOrder(SDSRP{}, v, items)
-	}
 }
 
 func BenchmarkPlanEviction(b *testing.B) {
@@ -337,6 +358,6 @@ func BenchmarkPlanEviction(b *testing.B) {
 	incoming := stored(99, 1000, 8, 32, 500, 18000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		PlanEviction(SDSRP{}, v, buf, incoming)
+		planEviction(SDSRP{}, v, buf, incoming)
 	}
 }

@@ -21,7 +21,7 @@ func TestDropLargestOrdering(t *testing.T) {
 		sized(3, 500, 0),
 	}
 	// Smallest transmits first.
-	wantIDs(t, SendOrder(DropLargest{}, v, items), 2, 3, 1)
+	wantIDs(t, sendOrder(DropLargest{}, v, items), 2, 3, 1)
 	// Largest evicted first.
 	b := buffer.New(1500)
 	for _, s := range items {
@@ -29,7 +29,7 @@ func TestDropLargestOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	victims, ok := PlanEviction(DropLargest{}, v, b, sized(4, 200, 1000))
+	victims, ok := planEviction(DropLargest{}, v, b, sized(4, 200, 1000))
 	if !ok {
 		t.Fatal("rejected")
 	}
@@ -45,9 +45,9 @@ func TestKnapsackPrefersDenseUtility(t *testing.T) {
 	big := sized(1, 1_000_000, 0)
 	small := sized(2, 250_000, 0)
 	items := []*msg.Stored{big, small}
-	wantIDs(t, SendOrder(Knapsack{}, v, items), 2, 1)
+	wantIDs(t, sendOrder(Knapsack{}, v, items), 2, 1)
 	// SDSRP (size-blind) ties them apart only by ID.
-	wantIDs(t, SendOrder(SDSRP{}, v, items), 1, 2)
+	wantIDs(t, sendOrder(SDSRP{}, v, items), 1, 2)
 }
 
 func TestKnapsackNoLambdaFallback(t *testing.T) {

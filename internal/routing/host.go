@@ -67,8 +67,8 @@ type Host struct {
 	buf   *buffer.Buffer
 	pol   policy.Policy
 	proto Protocol
-	// ord holds the policy-ordering scratch buffers, making per-contact
-	// scheduling and eviction planning allocation-free at steady state.
+	// ord holds the eviction-ranking scratch buffers, making eviction
+	// planning allocation-free at steady state.
 	ord policy.Orderer
 
 	rate      core.RateSource

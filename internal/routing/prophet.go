@@ -32,32 +32,38 @@ func NewPredictTable() *PredictTable {
 	}
 }
 
-// age decays every entry by Gamma^(Δt/AgingUnit).
-func (t *PredictTable) age(now float64) {
-	dt := now - t.lastAge
-	if dt <= 0 {
-		return
+// minP is the predictability below which aging deletes an entry.
+const minP = 1e-6
+
+// P returns the predictability of meeting node x at time now: the value
+// that aging the table to now would leave for x. It writes nothing.
+func (t *PredictTable) P(x int, now float64) float64 {
+	v := t.p[x]
+	if now <= t.lastAge {
+		return v
 	}
-	factor := math.Pow(t.Gamma, dt/t.AgingUnit)
-	for id, v := range t.p {
-		v *= factor
-		if v < 1e-6 {
-			delete(t.p, id)
+	if v *= math.Pow(t.Gamma, (now-t.lastAge)/t.AgingUnit); v < minP {
+		return 0
+	}
+	return v
+}
+
+// age decays every entry to time now in place. Only Encounter calls it, so
+// a table's values depend on its contact history, never on its reads.
+func (t *PredictTable) age(now float64) {
+	for x := range t.p {
+		if v := t.P(x, now); v > 0 {
+			t.p[x] = v
 		} else {
-			t.p[id] = v
+			delete(t.p, x)
 		}
 	}
-	t.lastAge = now
+	t.lastAge = math.Max(t.lastAge, now)
 }
 
-// P returns the aged predictability of meeting node x at time now.
-func (t *PredictTable) P(x int, now float64) float64 {
-	t.age(now)
-	return t.p[x]
-}
-
-// Encounter applies the direct-encounter update for peer and the
-// transitive update through the peer's table.
+// Encounter ages the table (and the peer's) to now, then applies the
+// direct-encounter update for peer and the transitive update through the
+// peer's table.
 func (t *PredictTable) Encounter(peer int, peerTable *PredictTable, now float64) {
 	t.age(now)
 	t.p[peer] += (1 - t.p[peer]) * t.PInit

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sdsrp/internal/policy"
+	"sdsrp/internal/rng"
 )
 
 func TestPredictTableDirectEncounter(t *testing.T) {
@@ -31,11 +32,68 @@ func TestPredictTableAging(t *testing.T) {
 	if p := tb.P(5, 10*tb.AgingUnit); math.Abs(p-want) > 1e-9 {
 		t.Fatalf("aged P = %v, want %v", p, want)
 	}
-	// Tiny values are garbage-collected eventually.
-	_ = tb.P(5, 1e9)
-	if tb.Len() != 0 {
+	// Tiny values read as zero, and the next encounter collects them.
+	if p := tb.P(5, 1e9); p != 0 {
+		t.Fatalf("stale P = %v, want 0", p)
+	}
+	if tb.Len() != 1 {
+		t.Fatalf("a read changed the table: %d entries", tb.Len())
+	}
+	tb.Encounter(6, nil, 1e9)
+	if tb.Len() != 1 || tb.P(5, 1e9) != 0 {
 		t.Fatalf("stale entries survived: %d", tb.Len())
 	}
+}
+
+// Reading P writes nothing: two replicas of a four-node network meet in
+// the same random order, one of them is also read at random times (before,
+// between and after its encounters), and every table stays bit-identical.
+func TestPredictTableReadsArePure(t *testing.T) {
+	r := rng.New(5)
+	for trial := 0; trial < 200; trial++ {
+		var plain, read [4]*PredictTable
+		for i := range plain {
+			plain[i], read[i] = NewPredictTable(), NewPredictTable()
+		}
+		now := 0.0
+		for step := 0; step < 12; step++ {
+			for k := r.IntN(3); k > 0; k-- {
+				read[r.IntN(4)].P(r.IntN(4), now+r.Uniform(-100, 3000))
+			}
+			now += float64(r.IntN(4)) * r.Uniform(0, 400)
+			i := r.IntN(4)
+			j := (i + 1 + r.IntN(3)) % 4
+			for _, tb := range [][4]*PredictTable{plain, read} {
+				tb[i].Encounter(j, tb[j], now)
+				tb[j].Encounter(i, tb[i], now)
+			}
+			for k := range plain {
+				if !sameTable(plain[k], read[k]) {
+					t.Fatalf("trial %d step %d: reads changed node %d's table:\n%+v\n%+v",
+						trial, step, k, plain[k], read[k])
+				}
+				for x := 0; x < 4; x++ {
+					at := now + r.Uniform(0, 3000)
+					if a, b := plain[k].P(x, at), read[k].P(x, at); math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("trial %d step %d: P(%d→%d) = %v after reads, %v without", trial, step, k, x, b, a)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameTable reports whether two tables hold bit-identical state.
+func sameTable(a, b *PredictTable) bool {
+	if len(a.p) != len(b.p) || math.Float64bits(a.lastAge) != math.Float64bits(b.lastAge) {
+		return false
+	}
+	for x, v := range a.p {
+		if w, ok := b.p[x]; !ok || math.Float64bits(v) != math.Float64bits(w) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestPredictTableTransitivity(t *testing.T) {

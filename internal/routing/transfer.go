@@ -6,6 +6,7 @@ import (
 	"sdsrp/internal/fault"
 	"sdsrp/internal/msg"
 	"sdsrp/internal/obs"
+	"sdsrp/internal/policy"
 )
 
 // Offer is a proposed transfer of the sender's copy S with semantics Kind.
@@ -23,19 +24,26 @@ type Offer struct {
 // deliverable copies always rank last). Messages for which skip returns
 // true are ignored (the network layer uses this to avoid re-offering
 // messages refused earlier in the same contact). ok is false when nothing
-// is eligible.
+// is eligible. One pass scores each offerable copy once, in buffer order,
+// and keeps the copy that policy.SendsBefore the rest.
 func (h *Host) NextOffer(peer *Host, skip func(msg.ID) bool) (Offer, bool) {
 	now := h.clock()
-	ordered := h.ord.SendOrder(h.pol, h, h.buf.Items())
-	for _, s := range ordered {
+	var best Offer
+	var bestScore float64
+	for _, s := range h.buf.Items() {
 		if s.M.Expired(now) || (skip != nil && skip(s.M.ID)) {
 			continue
 		}
-		if kind, ok := h.proto.Eligible(h, peer, s); ok {
-			return Offer{S: s, Kind: kind}, true
+		kind, ok := h.proto.Eligible(h, peer, s)
+		if !ok {
+			continue
+		}
+		score := h.pol.SendScore(h, s)
+		if best.S == nil || policy.SendsBefore(score, s.M.ID, bestScore, best.S.M.ID) {
+			best, bestScore = Offer{S: s, Kind: kind}, score
 		}
 	}
-	return Offer{}, false
+	return best, best.S != nil
 }
 
 // Phantom builds the copy the receiver would hold if the offer completed at

@@ -49,11 +49,11 @@ func ParseContacts(r io.Reader) ([]Contact, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: node b: %v", lineNo, err)
 		}
-		start, err := strconv.ParseFloat(fields[2], 64)
+		start, err := parseFinite(fields[2])
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: start: %v", lineNo, err)
 		}
-		end, err := strconv.ParseFloat(fields[3], 64)
+		end, err := parseFinite(fields[3])
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: end: %v", lineNo, err)
 		}

@@ -116,3 +116,35 @@ func TestWriteContactsRoundTrip(t *testing.T) {
 		t.Fatal("MaxNode(nil) != -1")
 	}
 }
+
+// TestParsersRejectNonFinite: strconv reads "NaN" and "Inf", so every
+// numeric field of every trace format must refuse them itself, naming the
+// line. A NaN contact time used to reach the event queue and panic there.
+func TestParsersRejectNonFinite(t *testing.T) {
+	contacts := func(s string) error { _, err := ParseContacts(strings.NewReader(s)); return err }
+	cab := func(s string) error { _, err := ParseCab(strings.NewReader(s)); return err }
+	one := func(s string) error { _, err := ParseONE(strings.NewReader(s)); return err }
+	cases := []struct {
+		name  string
+		parse func(string) error
+		in    string
+		want  string
+	}{
+		{"contacts start", contacts, "0 1 10 60\n1 2 NaN 5\n", "line 2: start"},
+		{"contacts end", contacts, "0 1 10 +Inf\n", "line 1: end"},
+		{"cab latitude", cab, "37.7 -122.4 0 100\nnan -122.4 0 90\n", "line 2: latitude"},
+		{"cab longitude", cab, "37.7 -Inf 0 100\n", "line 1: longitude"},
+		{"one header", one, "0 1 0 NaN 0 10\n5 a 3 4\n", "line 1: ONE header field 3"},
+		{"one time", one, "0 1 0 10 0 10\nInf a 3 4\n", "line 2: time"},
+		{"one x", one, "0 1 0 10 0 10\n5 a 3 4\n6 a NaN 4\n", "line 3: x"},
+		{"one y", one, "0 1 0 10 0 10\n5 a 3 -inf\n", "line 2: y"},
+	}
+	for _, c := range cases {
+		err := c.parse(c.in)
+		if err == nil {
+			t.Errorf("%s: %q accepted", c.name, c.in)
+		} else if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "not a finite number") {
+			t.Errorf("%s: error %q, want %q and the reason", c.name, err, c.want)
+		}
+	}
+}

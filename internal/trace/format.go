@@ -14,6 +14,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,11 +45,11 @@ func ParseCab(r io.Reader) ([]Sample, error) {
 		if len(fields) != 4 {
 			return nil, fmt.Errorf("trace: line %d: want 4 fields, got %d", lineNo, len(fields))
 		}
-		lat, err := strconv.ParseFloat(fields[0], 64)
+		lat, err := parseFinite(fields[0])
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: latitude: %v", lineNo, err)
 		}
-		lon, err := strconv.ParseFloat(fields[1], 64)
+		lon, err := parseFinite(fields[1])
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: longitude: %v", lineNo, err)
 		}
@@ -67,6 +68,16 @@ func ParseCab(r io.Reader) ([]Sample, error) {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
 	return out, nil
+}
+
+// parseFinite parses a decimal number and rejects NaN and ±Inf, which
+// strconv accepts but no coordinate or time in a trace can mean.
+func parseFinite(field string) (float64, error) {
+	v, err := strconv.ParseFloat(field, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%q is not a finite number", field)
+	}
+	return v, err
 }
 
 // WriteCab writes samples in the cabspotting layout (newest first, as the

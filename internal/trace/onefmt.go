@@ -4,8 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"sdsrp/internal/geo"
@@ -39,15 +39,18 @@ func ParseONE(r io.Reader) (*Fleet, error) {
 	}
 	hf := make([]float64, len(header))
 	for i, f := range header {
-		v, err := strconv.ParseFloat(f, 64)
+		v, err := parseFinite(f)
 		if err != nil {
-			return nil, fmt.Errorf("trace: ONE header field %d: %v", i, err)
+			return nil, fmt.Errorf("trace: line 1: ONE header field %d: %v", i, err)
 		}
 		hf[i] = v
 	}
 	minT, minX, maxX, minY, maxY := hf[0], hf[2], hf[3], hf[4], hf[5]
 	if maxX < minX || maxY < minY {
 		return nil, fmt.Errorf("trace: ONE header area inverted")
+	}
+	if math.IsInf(maxX-minX, 0) || math.IsInf(maxY-minY, 0) {
+		return nil, fmt.Errorf("trace: line 1: ONE header area overflows")
 	}
 
 	idx := map[string]int{}
@@ -63,15 +66,15 @@ func ParseONE(r io.Reader) (*Fleet, error) {
 		if len(fields) != 4 {
 			return nil, fmt.Errorf("trace: line %d: want 4 fields, got %d", lineNo, len(fields))
 		}
-		t, err := strconv.ParseFloat(fields[0], 64)
+		t, err := parseFinite(fields[0])
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: time: %v", lineNo, err)
 		}
-		x, err := strconv.ParseFloat(fields[2], 64)
+		x, err := parseFinite(fields[2])
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: x: %v", lineNo, err)
 		}
-		y, err := strconv.ParseFloat(fields[3], 64)
+		y, err := parseFinite(fields[3])
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: y: %v", lineNo, err)
 		}
@@ -81,10 +84,11 @@ func ParseONE(r io.Reader) (*Fleet, error) {
 			idx[fields[1]] = id
 			paths = append(paths, nil)
 		}
-		paths[id] = append(paths[id], mobility.TimedPoint{
-			T: t - minT,
-			P: geo.Point{X: x - minX, Y: y - minY},
-		})
+		p := mobility.TimedPoint{T: t - minT, P: geo.Point{X: x - minX, Y: y - minY}}
+		if math.IsInf(p.T, 0) || math.IsInf(p.P.X, 0) || math.IsInf(p.P.Y, 0) {
+			return nil, fmt.Errorf("trace: line %d: sample overflows once shifted to the origin", lineNo)
+		}
+		paths[id] = append(paths[id], p)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: line %d: %w", lineNo+1, err)

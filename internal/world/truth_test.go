@@ -160,3 +160,51 @@ func TestOracleUtilitySummaryPinned(t *testing.T) {
 		}
 	}
 }
+
+// prophetSummaries are FIFO's results under the PRoPHET family on diffBase
+// seeds 1–3, taken once predictability reads stopped aging the tables. They
+// pin the predictability arithmetic, which no other test runs end to end.
+var prophetSummaries = map[string][]stats.Summary{
+	"prophet": {
+		{Created: 40, Delivered: 6, Forwards: 88, Started: 109, Aborted: 18, PolicyDrops: 34,
+			DeliveryRatio: 0.15, AvgHops: 2.3333333333333335, OverheadRatio: 13.666666666666666,
+			AvgLatency: 472.3088944989304, MedianLatency: 268.23621647943685, P95Latency: 1060.5481614165576},
+		{Created: 40, Delivered: 9, Forwards: 60, Started: 74, Aborted: 11, PolicyDrops: 8,
+			DeliveryRatio: 0.225, AvgHops: 1.6666666666666667, OverheadRatio: 5.666666666666667,
+			AvgLatency: 505.20162740949206, MedianLatency: 402.1781348245712, P95Latency: 872.2559245339567},
+		{Created: 41, Delivered: 11, Forwards: 103, Started: 124, Aborted: 18, PolicyDrops: 36,
+			DeliveryRatio: 0.2682926829268293, AvgHops: 2, OverheadRatio: 8.363636363636363,
+			AvgLatency: 419.04963745203645, MedianLatency: 430.3329426321881, P95Latency: 824.264479062795},
+	},
+	"spray-and-wait-predict": {
+		{Created: 40, Delivered: 11, Forwards: 146, Started: 181, Aborted: 32, PolicyDrops: 74,
+			DeliveryRatio: 0.275, AvgHops: 2.272727272727273, OverheadRatio: 12.272727272727273,
+			AvgLatency: 416.5666313201413, MedianLatency: 332.21053800910994, P95Latency: 761.9911438635085},
+		{Created: 40, Delivered: 8, Forwards: 125, Started: 154, Aborted: 27, PolicyDrops: 59,
+			DeliveryRatio: 0.2, AvgHops: 2.375, OverheadRatio: 14.625,
+			AvgLatency: 485.52943532168626, MedianLatency: 330.6451238532603, P95Latency: 951.5668190648996},
+		{Created: 41, Delivered: 11, Forwards: 162, Started: 207, Aborted: 42, PolicyDrops: 89,
+			DeliveryRatio: 0.2682926829268293, AvgHops: 2.1818181818181817, OverheadRatio: 13.727272727272727,
+			AvgLatency: 384.9219548871373, MedianLatency: 283.28521398036344, P95Latency: 850.9702196345778},
+	},
+}
+
+// TestProphetFamilySummaryPinned pins FIFO under prophet and
+// spray-and-wait-predict on diffBase seeds 1–3.
+func TestProphetFamilySummaryPinned(t *testing.T) {
+	for _, proto := range []string{"prophet", "spray-and-wait-predict"} {
+		for i, seed := range []uint64{1, 2, 3} {
+			sc := diffBase()
+			sc.Seed = seed
+			sc.PolicyName = "SprayAndWait"
+			sc.ProtocolName = proto
+			w, err := Build(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := mustRun(t, w); res.Summary != prophetSummaries[proto][i] {
+				t.Errorf("%s seed %d:\n got %+v\nwant %+v", proto, seed, res.Summary, prophetSummaries[proto][i])
+			}
+		}
+	}
+}
