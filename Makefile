@@ -87,10 +87,12 @@ bench-report:
 # in a second process to be byte-identical under dtntrace diff, (c) a
 # different-seed run to be flagged divergent, (d) a same-seed -acks run on
 # the full 100-node preset (dense enough to purge copies) to reproduce the
-# drops line exactly, acked=N included, (e) a traffic-free -intermeeting
-# run to print a non-empty intermeeting line and pass the same check (the
-# only check that the flag still attaches the stats.Intermeeting sink:
-# cmd/dtnsim has no Go test), (f) an OracleUtility run, whose world alone
+# drops line exactly, acked=N included, and the same at a 600 s TTL, which
+# expires messages over six TTLs so the ACK tables forget them while they
+# gossip, (e) a traffic-free -intermeeting run to print a non-empty
+# intermeeting line and pass the same check (the only check that the flag
+# still attaches the stats.Intermeeting sink: cmd/dtnsim has no Go test),
+# (f) an OracleUtility run, whose world alone
 # attaches the ground-truth ledger its hosts score with, to pass the same
 # check, (g) the series header to end in the counter and fill columns
 # and every paths -jsonl record to carry seen, and (h) a contact trace
@@ -119,6 +121,11 @@ trace-smoke:
 	grep -q 'acked=[1-9]' $$tmp/acks.txt && \
 	$$tmp/dtntrace stats -check $$tmp/acks.txt $$tmp/d.jsonl > /dev/null && \
 	echo "ACK purges agree: $$(grep '^drops' $$tmp/acks.txt)" && \
+	$$tmp/dtnsim -duration 3600 -seed 3 -acks -ttl 600 \
+		-events $$tmp/g.jsonl > $$tmp/acks-ttl.txt && \
+	grep -q 'expired=[1-9]' $$tmp/acks-ttl.txt && \
+	$$tmp/dtntrace stats -check $$tmp/acks-ttl.txt $$tmp/g.jsonl > /dev/null && \
+	echo "ACK purges agree past six TTLs: $$(grep '^drops' $$tmp/acks-ttl.txt)" && \
 	$$tmp/dtnsim -duration 3600 -seed 3 -intermeeting \
 		-events $$tmp/e.jsonl > $$tmp/inter.txt && \
 	grep -q '^intermeeting    n=[1-9]' $$tmp/inter.txt && \

@@ -3,15 +3,18 @@ package core
 import "sdsrp/internal/msg"
 
 // dropLog is one epoch of one node's dropped list (paper Fig. 5): the ids it
-// has evicted, in drop order. Only the owner appends, and nothing below a
-// length the owner has published is ever rewritten, so every table caching
+// has evicted, in drop order. Only the owner appends, and nothing at a
+// position the owner has published is ever rewritten, so every table caching
 // the owner's record shares this one log and stores only a prefix length:
-// the fleet holds each dropped id once, not once per node. A churn Reset
-// starts a new log; peers keep views of the old one until gossip brings them
-// a newer record.
+// the fleet holds each dropped id once, not once per node. Positions are
+// absolute: the owner trims the log's expired prefix (base counts the ids
+// trimmed), and a view's length still counts from the log's first drop. A
+// churn Reset starts a new log; peers keep views of the old one until gossip
+// brings them a newer record.
 type dropLog struct {
-	ids []msg.ID
-	has []bool // message id -> in the owner's list; read only by the owner
+	ids  []msg.ID // drop positions base, base+1, ...
+	base int      // drop positions trimmed from the front
+	has  []bool   // id − owner's floor -> in the owner's list; read only by the owner
 }
 
 // dropView is a table's record for one owner: the first n ids of the
@@ -32,21 +35,24 @@ type dropView struct {
 //     already in their dropped lists").
 //
 // Storage is owner-indexed and id-indexed: views[owner] is the newest known
-// record for that node, and counts[id] the number of owners whose record
-// holds id, kept incrementally because d̂_i is read far more often than
-// records change. All slices grow on demand, so the table still accepts
-// sparse or test-fabricated ids; real runs use the world's dense 1..K
-// numbering. Drop times must not decrease, as simulation time does not.
+// record for that node, and counts[id−floor] the number of owners whose
+// record holds id, kept incrementally because d̂_i is read far more often
+// than records change. Both questions concern live messages only, so the
+// table keeps state for ids at or above its floor, below which every id has
+// expired and been swept from every buffer (see Forget); the id-indexed
+// slices shed their dead prefix as the floor rises, and grow on demand
+// above it. Drop times must not decrease, as simulation time does not.
 type DropTable struct {
-	self   int
+	self   int32
+	nrec   int32      // views with a log (Records)
+	floor  msg.ID     // every id below it is dead; counts[0] is id floor
 	views  []dropView // owner -> newest known record; log nil = none
-	nrec   int        // views with a log (Records)
-	counts []int32    // message id -> #owners whose record contains it
+	counts []int32    // id − floor -> #owners whose record contains it
 }
 
 // NewDropTable returns an empty table for node self.
 func NewDropTable(self int) *DropTable {
-	return &DropTable{self: self}
+	return &DropTable{self: int32(self)}
 }
 
 // extend returns s lengthened with zero values so that index i exists.
@@ -57,47 +63,103 @@ func extend[T any](s []T, i int) []T {
 	return s
 }
 
-// view returns the slot for owner, growing the table as needed. The pointer
-// is valid until the next call.
-func (t *DropTable) view(owner int) *dropView {
-	t.views = extend(t.views, owner)
-	return &t.views[owner]
+// grow lengthens views to exactly n owners. It runs once per RecordDrop or
+// MergeFrom, never per owner, so a table holds one slot per known owner
+// rather than append's doubling.
+func (t *DropTable) grow(n int) {
+	if n > len(t.views) {
+		views := make([]dropView, n)
+		copy(views, t.views)
+		t.views = views
+	}
+}
+
+// advance raises the floor to f. Slicing off the dead prefix of counts and
+// of the owner's membership leaves it in the backing array only until
+// append next regrows the slice; the owner also trims its log's leading
+// dead ids, which no view can need counted again.
+func (t *DropTable) advance(f msg.ID) {
+	if f <= t.floor {
+		return
+	}
+	d := int(f - t.floor)
+	t.floor = f
+	t.counts = t.counts[min(d, len(t.counts)):]
+	if int(t.self) >= len(t.views) || t.views[t.self].log == nil {
+		return
+	}
+	l := t.views[t.self].log
+	l.has = l.has[min(d, len(l.has)):]
+	k := 0
+	for k < len(l.ids) && l.ids[k] < f {
+		k++
+	}
+	l.ids = l.ids[k:]
+	l.base += k
+}
+
+// count adds delta to the count of every id at drop positions [from, to)
+// of l that is at or above the floor. Positions the owner has trimmed held
+// ids below its floor, which are dead, so they are skipped.
+func (t *DropTable) count(l *dropLog, from, to int, delta int32) {
+	from = max(from, l.base)
+	if from >= to {
+		return
+	}
+	for _, id := range l.ids[from-l.base : to-l.base] {
+		if id < t.floor {
+			continue
+		}
+		i := int(id - t.floor)
+		t.counts = extend(t.counts, i)
+		t.counts[i] += delta
+	}
 }
 
 // RecordDrop registers that this node evicted message id at time now,
 // updating its own record's generation time (only the owner may do this).
+// An id below the floor is dead, so there is nothing to record.
 func (t *DropTable) RecordDrop(id msg.ID, now float64) {
-	v := t.view(t.self)
+	if id < t.floor {
+		return
+	}
+	t.grow(int(t.self) + 1)
+	v := &t.views[t.self]
 	if v.log == nil {
 		v.log = &dropLog{}
 		t.nrec++
 	}
 	v.time = now
 	l := v.log
-	if l.has = extend(l.has, int(id)); l.has[id] {
+	i := int(id - t.floor)
+	if l.has = extend(l.has, i); l.has[i] {
 		return
 	}
-	l.has[id] = true
+	l.has[i] = true
 	l.ids = append(l.ids, id)
-	v.n = len(l.ids)
-	t.counts = extend(t.counts, int(id))
-	t.counts[id]++
+	v.n = l.base + len(l.ids)
+	t.counts = extend(t.counts, i)
+	t.counts[i]++
 }
 
-// MergeFrom absorbs every record in the peer's table that is newer than the
-// locally cached copy for the same owner, following the Fig. 5 update rule
-// (keep the record with the latest record time; a node's own record is
-// authoritative and never overwritten by gossip). Adopting a record copies
-// the peer's view and counts only the ids appended since the cached one, so
-// a merge costs O(Δ) and steady-state gossip does not allocate. A different
-// log means the owner was reset in between: the whole old view is
-// uncounted and the whole new one counted.
+// MergeFrom absorbs the peer's knowledge. It first adopts the peer's floor
+// when that is higher: the floor is exact knowledge that every id below it
+// is dead, and gossips like a record. Then it takes every record in the
+// peer's table that is newer than the locally cached copy for the same
+// owner, following the Fig. 5 update rule (keep the record with the latest
+// record time; a node's own record is authoritative and never overwritten
+// by gossip). Adopting a record copies the peer's view and counts only the
+// ids appended since the cached one, so a merge costs O(Δ) and steady-state
+// gossip does not allocate. A different log means the owner was reset in
+// between: the whole old view is uncounted and the whole new one counted.
 func (t *DropTable) MergeFrom(peer *DropTable) {
+	t.advance(peer.floor)
+	t.grow(len(peer.views))
 	for owner, rec := range peer.views {
-		if rec.log == nil || owner == t.self {
+		if rec.log == nil || owner == int(t.self) {
 			continue
 		}
-		cur := t.view(owner)
+		cur := &t.views[owner]
 		if cur.log != nil && cur.time >= rec.time {
 			continue
 		}
@@ -105,15 +167,10 @@ func (t *DropTable) MergeFrom(peer *DropTable) {
 		case cur.log == nil:
 			t.nrec++
 		case cur.log != rec.log:
-			for _, id := range cur.log.ids[:cur.n] {
-				t.counts[id]--
-			}
+			t.count(cur.log, 0, cur.n, -1)
 			cur.n = 0
 		}
-		for _, id := range rec.log.ids[cur.n:rec.n] {
-			t.counts = extend(t.counts, int(id))
-			t.counts[id]++
-		}
+		t.count(rec.log, cur.n, rec.n, 1)
 		*cur = rec
 	}
 }
@@ -121,44 +178,56 @@ func (t *DropTable) MergeFrom(peer *DropTable) {
 // DroppedCount returns d̂_i: the number of distinct nodes known to have
 // dropped message id.
 func (t *DropTable) DroppedCount(id msg.ID) int {
-	if int(id) >= len(t.counts) || id < 0 {
+	i := int(id) - int(t.floor)
+	if i < 0 || i >= len(t.counts) {
 		return 0
 	}
-	return int(t.counts[id])
+	return int(t.counts[i])
 }
 
 // RejectsIncoming reports whether this node previously dropped id itself
 // and therefore refuses to store it again.
 func (t *DropTable) RejectsIncoming(id msg.ID) bool {
-	if t.self >= len(t.views) || id < 0 {
+	if int(t.self) >= len(t.views) {
 		return false
 	}
 	l := t.views[t.self].log
-	return l != nil && int(id) < len(l.has) && l.has[id]
+	i := int(id) - int(t.floor)
+	return l != nil && i >= 0 && i < len(l.has) && l.has[i]
 }
 
-// Forget removes this node's knowledge of id when the message expires: d̂_i
-// drops to zero and the node no longer rejects it. It is O(1) because the
-// id stays in every log, so a later merge may count it again; that is exact
-// for every id still queried, because the world sweeps TTL on all hosts in
-// one event and an expired message is never stored, scored or offered
-// again. Calling Forget for a live message would corrupt d̂_i.
-func (t *DropTable) Forget(id msg.ID) {
-	if int(id) < len(t.counts) && id >= 0 {
-		t.counts[id] = 0
-	}
-	if t.RejectsIncoming(id) {
-		t.views[t.self].log.has[id] = false
-	}
-}
+// Forget is called by the TTL sweep when message id expires here. It
+// declares id and every lower id dead: from then on d̂ reads 0 and nothing
+// is rejected for them, and the table stops storing them. That is exact
+// because every message in a run shares one TTL and ids are assigned in
+// creation order, so when id expires every lower id has expired too, and
+// the world sweeps every host, down ones included, in the same event
+// (Host.ExpireMessages checks the order, TestExpirySweepIsComplete the
+// sweep). Calling Forget for a live message corrupts d̂ for every id up to
+// it.
+func (t *DropTable) Forget(id msg.ID) { t.advance(id + 1) }
 
 // Records returns the number of owner records known (diagnostics).
-func (t *DropTable) Records() int { return t.nrec }
+func (t *DropTable) Records() int { return int(t.nrec) }
 
-// Reset discards every record — the node's own and all gossiped copies.
-// Used by the fault layer's crash/reboot churn when a reboot wipes state;
-// peers still hold (and will re-gossip) this node's old record, and the
-// node's next drop starts a new log.
+// Slots returns the id-indexed entries the table holds: its counts, plus
+// the membership flags and log ids of its own record (diagnostics; peers'
+// logs are counted by their owners).
+func (t *DropTable) Slots() int {
+	n := len(t.counts)
+	if int(t.self) < len(t.views) {
+		if l := t.views[t.self].log; l != nil {
+			n += len(l.has) + len(l.ids)
+		}
+	}
+	return n
+}
+
+// Reset discards every record — the node's own and all gossiped copies —
+// and every count. Used by the fault layer's crash/reboot churn when a
+// reboot wipes state; peers still hold (and will re-gossip) this node's old
+// record, and the node's next drop starts a new log. The floor survives: it
+// only says which ids are dead.
 func (t *DropTable) Reset() {
 	clear(t.views)
 	t.nrec = 0

@@ -198,12 +198,13 @@ func TestPropertyGossipCountConsistency(t *testing.T) {
 // refDropTable is the previous DropTable, kept as the reference the
 // shared-log table is checked against: every node holds a private sorted
 // copy of every owner's record, merges diff consecutive generations, and
-// Forget deletes the id from every copy.
+// nothing is ever forgotten. Its answers for live ids are what the windowed
+// table must reproduce.
 type refDropTable struct {
 	self    int
 	records []*refRecord
 	nrec    int
-	counts  []int32
+	counts  map[msg.ID]int
 }
 
 type refRecord struct {
@@ -211,18 +212,15 @@ type refRecord struct {
 	ids  []msg.ID // sorted
 }
 
+func newRefDropTable(self int) *refDropTable {
+	return &refDropTable{self: self, counts: map[msg.ID]int{}}
+}
+
 func (t *refDropTable) record(owner int) *refRecord {
 	if owner >= len(t.records) {
 		t.records = append(t.records, make([]*refRecord, owner+1-len(t.records))...)
 	}
 	return t.records[owner]
-}
-
-func (t *refDropTable) incCount(id msg.ID) {
-	if int(id) >= len(t.counts) {
-		t.counts = append(t.counts, make([]int32, int(id)+1-len(t.counts))...)
-	}
-	t.counts[id]++
 }
 
 func (t *refDropTable) RecordDrop(id msg.ID, now float64) {
@@ -235,7 +233,7 @@ func (t *refDropTable) RecordDrop(id msg.ID, now float64) {
 	rec.time = now
 	if pos, dup := slices.BinarySearch(rec.ids, id); !dup {
 		rec.ids = slices.Insert(rec.ids, pos, id)
-		t.incCount(id)
+		t.counts[id]++
 	}
 }
 
@@ -263,7 +261,7 @@ func (t *refDropTable) MergeFrom(peer *refDropTable) {
 				t.counts[old[i]]--
 				i++
 			case i >= len(old) || rec.ids[j] < old[i]:
-				t.incCount(rec.ids[j])
+				t.counts[rec.ids[j]]++
 				j++
 			default:
 				i, j = i+1, j+1
@@ -274,13 +272,6 @@ func (t *refDropTable) MergeFrom(peer *refDropTable) {
 	}
 }
 
-func (t *refDropTable) DroppedCount(id msg.ID) int {
-	if int(id) >= len(t.counts) {
-		return 0
-	}
-	return int(t.counts[id])
-}
-
 func (t *refDropTable) RejectsIncoming(id msg.ID) bool {
 	if t.self >= len(t.records) || t.records[t.self] == nil {
 		return false
@@ -289,43 +280,32 @@ func (t *refDropTable) RejectsIncoming(id msg.ID) bool {
 	return ok
 }
 
-func (t *refDropTable) Forget(id msg.ID) {
-	for _, rec := range t.records {
-		if rec == nil {
-			continue
-		}
-		if pos, ok := slices.BinarySearch(rec.ids, id); ok {
-			rec.ids = slices.Delete(rec.ids, pos, pos+1)
-		}
-	}
-	if int(id) < len(t.counts) {
-		t.counts[id] = 0
-	}
-}
-
 func (t *refDropTable) Reset() {
 	clear(t.records)
 	t.nrec = 0
 	clear(t.counts)
 }
 
-// TestDropTableMatchesReference drives the shared-log table and the
-// reference with the same random RecordDrop / MergeFrom / Forget / Reset
-// sequences and requires identical answers. Time advances only on some
+// TestDropTableMatchesReference drives the windowed table and the reference
+// with the same random RecordDrop / MergeFrom / Forget / Reset sequences and
+// requires identical answers for every live id. Time advances only on some
 // steps, so equal-time drops (and equal-time records across a Reset) are
-// common. Forget hits a random subset of nodes, as an expiry sweep hits
-// only the holders; from then on the id is dead and no longer compared,
-// which is the contract Forget documents.
+// common. Messages die in id order, as in a world where ids follow creation
+// order and share one TTL: a dead frontier only advances, drops hit only
+// ids at or above it, and each advance makes a random subset of nodes
+// Forget one of the newly dead ids, as an expiry sweep reaches only the
+// holders and each forgets the highest id it held. Below the frontier the
+// table may answer anything, which is the contract Forget documents.
 func TestDropTableMatchesReference(t *testing.T) {
-	const nodes, maxID = 8, 40
+	const nodes, window = 8, 40
 	for seed := uint64(1); seed <= 40; seed++ {
 		r := rng.New(seed)
 		got := make([]*DropTable, nodes)
 		want := make([]*refDropTable, nodes)
 		for i := range got {
-			got[i], want[i] = NewDropTable(i), &refDropTable{self: i}
+			got[i], want[i] = NewDropTable(i), newRefDropTable(i)
 		}
-		forgotten := make([]bool, maxID)
+		var dead msg.ID // every id below it has expired
 		now := 0.0
 		for step := 0; step < 400; step++ {
 			if r.Bool(0.5) {
@@ -334,19 +314,18 @@ func TestDropTableMatchesReference(t *testing.T) {
 			a, b := r.IntN(nodes), r.IntN(nodes)
 			switch p := r.Float64(); {
 			case p < 0.45:
-				id := msg.ID(r.IntN(maxID))
+				id := dead + msg.ID(r.IntN(window))
 				got[a].RecordDrop(id, now)
 				want[a].RecordDrop(id, now)
 			case p < 0.9:
 				got[a].MergeFrom(got[b])
 				want[a].MergeFrom(want[b])
 			case p < 0.97:
-				id := msg.ID(r.IntN(maxID))
-				forgotten[id] = true
+				prev := dead
+				dead += msg.ID(1 + r.IntN(3))
 				for n := range got {
 					if r.Bool(0.5) {
-						got[n].Forget(id)
-						want[n].Forget(id)
+						got[n].Forget(prev + msg.ID(r.IntN(int(dead-prev))))
 					}
 				}
 			default:
@@ -357,11 +336,8 @@ func TestDropTableMatchesReference(t *testing.T) {
 				if g, w := got[n].Records(), want[n].nrec; g != w {
 					t.Fatalf("seed %d step %d node %d: Records %d, reference %d", seed, step, n, g, w)
 				}
-				for id := msg.ID(0); id < maxID; id++ {
-					if forgotten[id] {
-						continue
-					}
-					if g, w := got[n].DroppedCount(id), want[n].DroppedCount(id); g != w {
+				for id := dead; id < dead+window; id++ {
+					if g, w := got[n].DroppedCount(id), want[n].counts[id]; g != w {
 						t.Fatalf("seed %d step %d node %d msg %d: DroppedCount %d, reference %d",
 							seed, step, n, id, g, w)
 					}

@@ -157,14 +157,15 @@ func (o *Orderer) PlanEviction(p Policy, v View, buf *buffer.Buffer, incoming *m
 	return o.evict.items[:n], o.evict.scores[:n], inScore, free >= incoming.M.Size
 }
 
-// evictsBefore is the eviction order: the lower drop score goes first, and
-// equal scores go in ascending message ID order. PlanEviction ranks the
+// evictsBefore is the eviction order, SendsBefore's mirror: the lower drop
+// score goes first, a NaN score goes before every number, and equal scores
+// (or two NaNs) go in ascending message ID order. PlanEviction ranks the
 // newcomer by the same rule, so it takes its place in the ranking rather
 // than winning ties.
 func evictsBefore(score float64, id msg.ID, other float64, otherID msg.ID) bool {
-	//lint:ignore float-eq bitwise tie-break: must rank exactly like the eviction sort or Algorithm 1 loops
-	if score != other {
-		return score < other
+	//lint:ignore float-eq bitwise tie-break: must rank exactly like the eviction sort or Algorithm 1 loops; only exactly equal scores, or two NaNs, fall through to the ID order
+	if score != other && !(math.IsNaN(score) && math.IsNaN(other)) {
+		return score < other || math.IsNaN(score)
 	}
 	return id < otherID
 }

@@ -170,6 +170,62 @@ func TestSendsBeforeRanksNaNLast(t *testing.T) {
 	}
 }
 
+// evictsBefore is a strict total order on (score, id) pairs with distinct
+// ids: lower scores first, NaN before every number, ties and NaN pairs on
+// ascending id.
+func TestEvictsBeforeRanksNaNFirst(t *testing.T) {
+	nan := math.NaN()
+	inf := math.Inf(1)
+	// Listed in eviction order.
+	order := []struct {
+		score float64
+		id    msg.ID
+	}{
+		{nan, 6}, {nan, 7}, {math.Inf(-1), 2}, {0, 3}, {math.Copysign(0, -1), 5},
+		{2, 1}, {2, 4}, {inf, 9},
+	}
+	for i, a := range order {
+		for j, b := range order {
+			if got, want := evictsBefore(a.score, a.id, b.score, b.id), i < j; got != want {
+				t.Errorf("evictsBefore(%v#%d, %v#%d) = %v, want %v", a.score, a.id, b.score, b.id, got, want)
+			}
+		}
+	}
+}
+
+// dropScores is a policy that reads each message's drop score from the map;
+// every send score is 0.
+type dropScores map[msg.ID]float64
+
+func (dropScores) Name() string                              { return "drop-scores" }
+func (dropScores) SendScore(View, *msg.Stored) float64       { return 0 }
+func (p dropScores) DropScore(_ View, s *msg.Stored) float64 { return p[s.M.ID] }
+
+// A NaN drop score ranks below every number whatever the buffer order: the
+// NaN-scored copy is evicted first, and a NaN-scored newcomer is rejected
+// from a buffer of numbers.
+func TestPlanEvictionRanksNaNFirst(t *testing.T) {
+	nan := math.NaN()
+	v := defaultView()
+	for _, order := range [][]msg.ID{{1, 2, 3}, {2, 1, 3}, {3, 2, 1}} {
+		var entries []*msg.Stored
+		for _, id := range order {
+			entries = append(entries, stored(id, 0, 4, 16, 0, 18000))
+		}
+		b := fillBuffer(t, entries...)
+		victims, ok := planEviction(dropScores{1: 1, 2: nan, 3: 3, 9: 9}, v, b, stored(9, 0, 4, 16, 0, 18000))
+		if !ok {
+			t.Fatalf("buffer order %v: newcomer scoring 9 rejected", order)
+		}
+		wantIDs(t, victims, 2)
+	}
+	b := fillBuffer(t, stored(1, 0, 4, 16, 0, 18000), stored(3, 0, 4, 16, 0, 18000))
+	victims, ok := planEviction(dropScores{1: 1, 3: 3, 9: nan}, v, b, stored(9, 0, 4, 16, 0, 18000))
+	if ok || victims != nil {
+		t.Fatalf("NaN-scored newcomer accepted: victims=%v", ids(victims))
+	}
+}
+
 // planEviction is Orderer.PlanEviction on a throwaway Orderer.
 func planEviction(p Policy, v View, buf *buffer.Buffer, incoming *msg.Stored) ([]*msg.Stored, bool) {
 	var o Orderer

@@ -9,34 +9,66 @@ import "sdsrp/internal/msg"
 // refuse copies of acknowledged messages. The extra-ack experiment
 // quantifies how much of the buffer-management problem immunization would
 // solve on its own.
+//
+// An ACK matters only while copies of its message may exist, so the table
+// is a floor, below which every id has expired and been swept from every
+// buffer (see Forget), and a dense window of flags for the ids above it: a
+// merge costs the window, not the run's delivery history.
 type AckTable struct {
-	acked map[msg.ID]struct{}
+	floor msg.ID // every id below it is dead; acked[0] is id floor
+	acked []bool // id − floor -> delivered
 }
 
 // NewAckTable returns an empty table.
-func NewAckTable() *AckTable {
-	return &AckTable{acked: make(map[msg.ID]struct{})}
-}
+func NewAckTable() *AckTable { return &AckTable{} }
 
 // Add records that id has been delivered.
-func (t *AckTable) Add(id msg.ID) { t.acked[id] = struct{}{} }
-
-// Has reports whether id is known to be delivered.
-func (t *AckTable) Has(id msg.ID) bool {
-	_, ok := t.acked[id]
-	return ok
+func (t *AckTable) Add(id msg.ID) {
+	if id < t.floor {
+		return
+	}
+	i := int(id - t.floor)
+	t.fit(i + 1)
+	t.acked[i] = true
 }
 
-// MergeFrom absorbs the peer's ACKs.
-func (t *AckTable) MergeFrom(peer *AckTable) {
-	for id := range peer.acked {
-		t.acked[id] = struct{}{}
+// fit lengthens the window to at least n ids.
+func (t *AckTable) fit(n int) {
+	if n > len(t.acked) {
+		t.acked = append(t.acked, make([]bool, n-len(t.acked))...)
 	}
 }
 
-// Len returns the number of acknowledged messages known.
-func (t *AckTable) Len() int { return len(t.acked) }
+// Has reports whether id is known to be delivered.
+func (t *AckTable) Has(id msg.ID) bool {
+	i := int(id) - int(t.floor)
+	return i >= 0 && i < len(t.acked) && t.acked[i]
+}
 
-// Forget drops the record for id (TTL expiry: the ACK is moot once the
-// message is globally dead).
-func (t *AckTable) Forget(id msg.ID) { delete(t.acked, id) }
+// MergeFrom absorbs the peer's floor, when higher, and its ACKs above the
+// resulting floor.
+func (t *AckTable) MergeFrom(peer *AckTable) {
+	t.advance(peer.floor)
+	src := peer.acked[min(int(t.floor-peer.floor), len(peer.acked)):]
+	t.fit(len(src))
+	for i, ok := range src {
+		if ok {
+			t.acked[i] = true
+		}
+	}
+}
+
+// Forget is called by the TTL sweep when message id expires here. As with
+// core.DropTable.Forget, that proves every id up to and including id dead,
+// so the table drops them all: an ACK is moot once its message is globally
+// dead.
+func (t *AckTable) Forget(id msg.ID) { t.advance(id + 1) }
+
+// advance raises the floor to f, slicing off the window's dead prefix
+// (append sheds it from the backing array when the window next regrows).
+func (t *AckTable) advance(f msg.ID) {
+	if f > t.floor {
+		t.acked = t.acked[min(int(f-t.floor), len(t.acked)):]
+		t.floor = f
+	}
+}

@@ -1,10 +1,13 @@
 package routing
 
 import (
+	"maps"
 	"testing"
 
 	"sdsrp/internal/core"
+	"sdsrp/internal/msg"
 	"sdsrp/internal/policy"
+	"sdsrp/internal/rng"
 )
 
 func newAckNet(n int) *testNet {
@@ -86,5 +89,52 @@ func TestAcksDisabledByDefault(t *testing.T) {
 	tn := newTestNet(4, policy.FIFO{}, SprayAndWait{Binary: true}, 10000, false)
 	if tn.hosts[0].AckTable() != nil {
 		t.Fatal("ack table present without UseAcks")
+	}
+}
+
+// TestAckTableMatchesReference drives the windowed table and a plain set of
+// acknowledged ids per node with the same random Add / MergeFrom / Forget
+// sequences and requires Has to agree on every live id. Messages die in id
+// order, as in a world: a dead frontier only advances, deliveries hit only
+// ids at or above it, and each advance makes a random subset of nodes
+// Forget one of the newly dead ids. The set never forgets, so it is the
+// delivery history the table must still answer for above the frontier.
+func TestAckTableMatchesReference(t *testing.T) {
+	const nodes, window = 8, 40
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := rng.New(seed)
+		got := make([]*AckTable, nodes)
+		want := make([]map[msg.ID]bool, nodes)
+		for i := range got {
+			got[i], want[i] = NewAckTable(), map[msg.ID]bool{}
+		}
+		var dead msg.ID // every id below it has expired
+		for step := 0; step < 400; step++ {
+			a, b := r.IntN(nodes), r.IntN(nodes)
+			switch p := r.Float64(); {
+			case p < 0.3:
+				id := dead + msg.ID(r.IntN(window))
+				got[a].Add(id)
+				want[a][id] = true
+			case p < 0.9:
+				got[a].MergeFrom(got[b])
+				maps.Copy(want[a], want[b])
+			default:
+				prev := dead
+				dead += msg.ID(1 + r.IntN(3))
+				for n := range got {
+					if r.Bool(0.5) {
+						got[n].Forget(prev + msg.ID(r.IntN(int(dead-prev))))
+					}
+				}
+			}
+			for n := range got {
+				for id := dead; id < dead+window; id++ {
+					if g, w := got[n].Has(id), want[n][id]; g != w {
+						t.Fatalf("seed %d step %d node %d msg %d: Has %v, reference %v", seed, step, n, id, g, w)
+					}
+				}
+			}
+		}
 	}
 }

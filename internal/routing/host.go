@@ -315,20 +315,34 @@ func (h *Host) WipeState(now float64) int {
 	return len(dead)
 }
 
-// ExpireMessages removes every dead message at time now and forgets their
-// dropped-list records (an expired message can no longer influence any
-// decision). It returns the number removed.
+// ExpireMessages removes every dead message at time now and has the gossip
+// tables forget them (an expired message can no longer influence any
+// decision). Forgetting the highest expired id declares every lower id dead
+// too, which holds because ids follow creation order and every message
+// shares one TTL; the sweep checks that no surviving copy contradicts it.
+// It returns the number removed.
 func (h *Host) ExpireMessages(now float64) int {
 	dead := h.buf.Expired(now, nil)
+	if len(dead) == 0 {
+		return 0
+	}
+	var last msg.ID
 	for _, s := range dead {
 		h.buf.Remove(s.M.ID)
 		h.tracer.Emit(obs.Event{T: now, Type: obs.MessageExpired, Msg: s.M.ID, Node: h.id})
-		if h.drops != nil {
-			h.drops.Forget(s.M.ID)
+		last = max(last, s.M.ID)
+	}
+	for _, s := range h.buf.Items() {
+		if s.M.ID < last {
+			//lint:invariant world traffic numbers messages in creation order with one scenario TTL, so an older id cannot outlive a newer one
+			panic(fmt.Sprintf("routing: node %d keeps message %d after message %d expired", h.id, s.M.ID, last))
 		}
-		if h.acks != nil {
-			h.acks.Forget(s.M.ID)
-		}
+	}
+	if h.drops != nil {
+		h.drops.Forget(last)
+	}
+	if h.acks != nil {
+		h.acks.Forget(last)
 	}
 	return len(dead)
 }

@@ -50,12 +50,14 @@ func randomNet(t *testing.T, r *rng.Stream, pol policy.Policy, protoName string)
 
 // drive runs random traffic and contacts on tn at coarse times, so copies
 // tie on score, expire without being swept, and reach peers that hold,
-// dropped or consumed them. Each contact transfers up to a random number
-// of offers each way, refusing some ids up front; probe sees every offer
-// request first.
+// dropped or consumed them. Every message gets the same TTL, as in a
+// world, because the expiry sweep requires ids to expire in order. Each
+// contact transfers up to a random number of offers each way, refusing
+// some ids up front; probe sees every offer request first.
 func drive(tn *testNet, r *rng.Stream, steps int, probe offerProbe) {
 	n := len(tn.hosts)
 	next := msg.ID(0)
+	ttl := []float64{200, 600, 3000}[r.IntN(3)]
 	for step := 0; step < steps; step++ {
 		tn.now += float64(10 * r.IntN(3))
 		switch x := r.Float64(); {
@@ -63,7 +65,7 @@ func drive(tn *testNet, r *rng.Stream, steps int, probe offerProbe) {
 			src := r.IntN(n)
 			dst := (src + 1 + r.IntN(n-1)) % n
 			m := tn.message(next, src, dst, []int{1, 2, 3, 8, 16}[r.IntN(5)],
-				int64(100*(1+r.IntN(3))), []float64{200, 600, 3000}[r.IntN(3)])
+				int64(100*(1+r.IntN(3))), ttl)
 			next++
 			tn.hosts[src].Originate(m, tn.now)
 		case x < 0.4:
