@@ -56,10 +56,12 @@ bench:
 # CI-sized perf sanity pass (~1 min, see PERFORMANCE.md): runs the suite's
 # smoke case, asserts the report round-trips through the schema, that two
 # separate processes simulate byte-identically (second invocation gating on
-# the first's sim digest), and that the digest still matches the newest
-# committed BENCH_<n>.json — any scanner or engine change that perturbs the
-# event stream fails here before the full bench-report would catch it. The
-# huge -max-regress disarms the timing gate (CI machines are noisy); only
+# the first's sim digest), and that the digests of smoke and of the three
+# scan cases (scan100k under the kinetic planner, densescan and table2 under
+# the lazy sweep on 100+ node RWP worlds) still match the newest committed
+# BENCH_<n>.json — any scanner or engine change that perturbs the event
+# stream fails here before the full bench-report would catch it. The huge
+# -max-regress disarms the timing gate (CI machines are noisy); only
 # determinism failures can trip it.
 bench-smoke:
 	@tmp=$$(mktemp -d) && \
@@ -67,7 +69,7 @@ bench-smoke:
 	$(GO) run ./cmd/dtnbench -smoke -iters 2 -baseline $$tmp/smoke.json -max-regress 100000 -quiet && \
 	$(GO) run ./cmd/dtnbench -smoke -iters 2 -max-regress 100000 -quiet \
 		-baseline $$(ls BENCH_*.json | grep -v candidate | sort -t_ -k2 -n | tail -1) && \
-	$(GO) run ./cmd/dtnbench -cases scan100k -iters 2 -max-regress 100000 -quiet \
+	$(GO) run ./cmd/dtnbench -cases scan100k,densescan,table2 -iters 2 -max-regress 100000 -quiet \
 		-baseline $$(ls BENCH_*.json | grep -v candidate | sort -t_ -k2 -n | tail -1) && \
 	$(GO) test -short -run 'TestGoldenTraceByteIdentical|TestReportByteStable|TestSmokeCaseMatchesGoldenCounters' ./internal/bench/ && \
 	$(GO) test -run 'TestScan100kKineticScalesWithinBudget|TestCommittedScan100kPeakHeapWithinBudget' ./internal/bench/ && \

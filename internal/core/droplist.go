@@ -12,9 +12,13 @@ import "sdsrp/internal/msg"
 // churn Reset starts a new log; peers keep views of the old one until gossip
 // brings them a newer record.
 type dropLog struct {
-	ids  []msg.ID // drop positions base, base+1, ...
+	ids  []msg.ID // ids[off:] hold drop positions base, base+1, ...
 	base int      // drop positions trimmed from the front
-	has  []bool   // id − owner's floor -> in the owner's list; read only by the owner
+	off  int32    // ids[:off] are trimmed, awaiting compaction
+	// has[hasOff + id − owner's floor] -> in the owner's list; read only by
+	// the owner.
+	hasOff int32
+	has    []bool
 }
 
 // dropView is a table's record for one owner: the first n ids of the
@@ -35,32 +39,26 @@ type dropView struct {
 //     already in their dropped lists").
 //
 // Storage is owner-indexed and id-indexed: views[owner] is the newest known
-// record for that node, and counts[id−floor] the number of owners whose
+// record for that node, and counts[dead+id−floor] the number of owners whose
 // record holds id, kept incrementally because d̂_i is read far more often
 // than records change. Both questions concern live messages only, so the
 // table keeps state for ids at or above its floor, below which every id has
 // expired and been swept from every buffer (see Forget); the id-indexed
-// slices shed their dead prefix as the floor rises, and grow on demand
-// above it. Drop times must not decrease, as simulation time does not.
+// slices shed their dead prefix as the floor rises (trimFront), and grow on
+// demand above it. Drop times must not decrease, as simulation time does
+// not.
 type DropTable struct {
 	self   int32
 	nrec   int32      // views with a log (Records)
-	floor  msg.ID     // every id below it is dead; counts[0] is id floor
+	floor  msg.ID     // every id below it is dead; counts[dead] is id floor
+	dead   int32      // counts[:dead] are below the floor, awaiting compaction
 	views  []dropView // owner -> newest known record; log nil = none
-	counts []int32    // id − floor -> #owners whose record contains it
+	counts []int32    // dead + id − floor -> #owners whose record contains it
 }
 
 // NewDropTable returns an empty table for node self.
 func NewDropTable(self int) *DropTable {
 	return &DropTable{self: int32(self)}
-}
-
-// extend returns s lengthened with zero values so that index i exists.
-func extend[T any](s []T, i int) []T {
-	if i >= len(s) {
-		s = append(s, make([]T, i+1-len(s))...)
-	}
-	return s
 }
 
 // grow lengthens views to exactly n owners. It runs once per RecordDrop or
@@ -74,27 +72,61 @@ func (t *DropTable) grow(n int) {
 	}
 }
 
-// advance raises the floor to f. Slicing off the dead prefix of counts and
-// of the owner's membership leaves it in the backing array only until
-// append next regrows the slice; the owner also trims its log's leading
-// dead ids, which no view can need counted again.
+// reach makes entry i of the live window (*s)[*off:] exist, zero-filled,
+// and returns its index in *s. Growing past the backing array sheds the dead
+// prefix: the live window moves to a new array with a quarter of headroom
+// (at least 8 entries). append would copy the dead prefix along, and from
+// 256 entries on add 192 entries of slack besides.
+func reach[T any](s *[]T, off *int32, i int) int {
+	j := int(*off) + i
+	if j < len(*s) {
+		return j
+	}
+	if j >= cap(*s) {
+		n := make([]T, len(*s)-int(*off), i+1+max((i+1)/4, 8))
+		copy(n, (*s)[*off:])
+		*s, *off, j = n, 0, i
+	}
+	n := len(*s)
+	*s = (*s)[:j+1]
+	clear((*s)[n:])
+	return j
+}
+
+// trimFront drops the first d entries of the live window (*s)[*off:]. The
+// dead prefix stays in place until it outgrows the live window; then the
+// window is copied down over it and *s shortened to match, so the backing
+// array never holds more dead entries than live ones, at O(1) amortized
+// copies per dropped entry.
+func trimFront[T any](s *[]T, off *int32, d int) {
+	*off += int32(min(d, len(*s)-int(*off)))
+	if live := len(*s) - int(*off); int(*off) > live {
+		copy(*s, (*s)[*off:])
+		*s = (*s)[:live]
+		*off = 0
+	}
+}
+
+// advance raises the floor to f. The dead prefix of counts and of the
+// owner's membership goes through trimFront; the owner also trims its log's
+// leading dead ids, which no view can need counted again.
 func (t *DropTable) advance(f msg.ID) {
 	if f <= t.floor {
 		return
 	}
 	d := int(f - t.floor)
 	t.floor = f
-	t.counts = t.counts[min(d, len(t.counts)):]
+	trimFront(&t.counts, &t.dead, d)
 	if int(t.self) >= len(t.views) || t.views[t.self].log == nil {
 		return
 	}
 	l := t.views[t.self].log
-	l.has = l.has[min(d, len(l.has)):]
-	k := 0
-	for k < len(l.ids) && l.ids[k] < f {
+	trimFront(&l.has, &l.hasOff, d)
+	live, k := l.ids[l.off:], 0
+	for k < len(live) && live[k] < f {
 		k++
 	}
-	l.ids = l.ids[k:]
+	trimFront(&l.ids, &l.off, k)
 	l.base += k
 }
 
@@ -106,12 +138,12 @@ func (t *DropTable) count(l *dropLog, from, to int, delta int32) {
 	if from >= to {
 		return
 	}
-	for _, id := range l.ids[from-l.base : to-l.base] {
+	off := int(l.off) - l.base
+	for _, id := range l.ids[off+from : off+to] {
 		if id < t.floor {
 			continue
 		}
-		i := int(id - t.floor)
-		t.counts = extend(t.counts, i)
+		i := reach(&t.counts, &t.dead, int(id-t.floor))
 		t.counts[i] += delta
 	}
 }
@@ -132,14 +164,17 @@ func (t *DropTable) RecordDrop(id msg.ID, now float64) {
 	v.time = now
 	l := v.log
 	i := int(id - t.floor)
-	if l.has = extend(l.has, i); l.has[i] {
+	h := reach(&l.has, &l.hasOff, i)
+	if l.has[h] {
 		return
 	}
-	l.has[i] = true
-	l.ids = append(l.ids, id)
-	v.n = l.base + len(l.ids)
-	t.counts = extend(t.counts, i)
-	t.counts[i]++
+	l.has[h] = true
+	n := len(l.ids) - int(l.off)
+	j := reach(&l.ids, &l.off, n)
+	l.ids[j] = id
+	v.n = l.base + n + 1
+	c := reach(&t.counts, &t.dead, i)
+	t.counts[c]++
 }
 
 // MergeFrom absorbs the peer's knowledge. It first adopts the peer's floor
@@ -178,8 +213,8 @@ func (t *DropTable) MergeFrom(peer *DropTable) {
 // DroppedCount returns d̂_i: the number of distinct nodes known to have
 // dropped message id.
 func (t *DropTable) DroppedCount(id msg.ID) int {
-	i := int(id) - int(t.floor)
-	if i < 0 || i >= len(t.counts) {
+	i := int(t.dead) + int(id) - int(t.floor)
+	if i < int(t.dead) || i >= len(t.counts) {
 		return 0
 	}
 	return int(t.counts[i])
@@ -192,8 +227,11 @@ func (t *DropTable) RejectsIncoming(id msg.ID) bool {
 		return false
 	}
 	l := t.views[t.self].log
-	i := int(id) - int(t.floor)
-	return l != nil && i >= 0 && i < len(l.has) && l.has[i]
+	if l == nil || id < t.floor {
+		return false
+	}
+	i := int(l.hasOff) + int(id-t.floor)
+	return i < len(l.has) && l.has[i]
 }
 
 // Forget is called by the TTL sweep when message id expires here. It
@@ -210,14 +248,27 @@ func (t *DropTable) Forget(id msg.ID) { t.advance(id + 1) }
 // Records returns the number of owner records known (diagnostics).
 func (t *DropTable) Records() int { return int(t.nrec) }
 
-// Slots returns the id-indexed entries the table holds: its counts, plus
-// the membership flags and log ids of its own record (diagnostics; peers'
-// logs are counted by their owners).
+// Slots returns the live id-indexed entries the table holds: its counts,
+// plus the membership flags and log ids of its own record (diagnostics;
+// peers' logs are counted by their owners).
 func (t *DropTable) Slots() int {
-	n := len(t.counts)
+	n := len(t.counts) - int(t.dead)
 	if int(t.self) < len(t.views) {
 		if l := t.views[t.self].log; l != nil {
-			n += len(l.has) + len(l.ids)
+			n += len(l.has) - int(l.hasOff) + len(l.ids) - int(l.off)
+		}
+	}
+	return n
+}
+
+// Capacity returns the entries the backing arrays behind Slots hold, live,
+// dead and spare (diagnostics): every slice here starts at its array's
+// start, so its capacity is the whole array.
+func (t *DropTable) Capacity() int {
+	n := cap(t.counts)
+	if int(t.self) < len(t.views) {
+		if l := t.views[t.self].log; l != nil {
+			n += cap(l.has) + cap(l.ids)
 		}
 	}
 	return n

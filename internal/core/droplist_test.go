@@ -392,3 +392,30 @@ func TestDropTableSize(t *testing.T) {
 		t.Fatalf("DropTable is %d B, want <= 64", size)
 	}
 }
+
+// TestDropTableCapacityTracksWindow slides a 300-id window over 30 000 ids,
+// each recorded by the owner and gossiped in from a peer, and requires the
+// backing arrays to stay within 1.5× the live slots plus a little: the dead
+// prefix is shed, not carried until the horizon.
+func TestDropTableCapacityTracksWindow(t *testing.T) {
+	const window, ids = 300, 30_000
+	own, peer := NewDropTable(0), NewDropTable(1)
+	for id := msg.ID(0); id < ids; id++ {
+		own.RecordDrop(id, float64(id))
+		peer.RecordDrop(id, float64(id))
+		own.MergeFrom(peer)
+		if id >= window {
+			own.Forget(id - window)
+			peer.Forget(id - window)
+		}
+		if got := own.DroppedCount(id); got != 2 {
+			t.Fatalf("id %d: DroppedCount = %d, want 2", id, got)
+		}
+		if own.DroppedCount(id-window) != 0 || !own.RejectsIncoming(id) {
+			t.Fatalf("id %d: the window's edges read wrong", id)
+		}
+		if slots, c := own.Slots(), own.Capacity(); c > slots*3/2+64 {
+			t.Fatalf("id %d: %d entries of capacity for %d live slots", id, c, slots)
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"sdsrp/internal/rng"
 )
 
 func TestPointDist(t *testing.T) {
@@ -115,5 +117,71 @@ func TestDistLowerBound(t *testing.T) {
 		return DistLowerBound(d2) <= math.Hypot(x, y)
 	}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestApproachTime(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name string
+		p    Point
+		v    Vec
+		q    Point
+		w    Vec
+		r    float64
+		want float64 // within 1e-6
+	}{
+		{"head-on", Point{}, Vec{X: 1}, Point{X: 100}, Vec{X: -1}, 10, 45},
+		{"chase", Point{}, Vec{X: 3}, Point{X: 100}, Vec{X: 1}, 10, 45},
+		{"abeam-miss", Point{}, Vec{X: 1}, Point{X: 100, Y: 20}, Vec{}, 10, inf},
+		{"abeam-graze", Point{}, Vec{X: 1}, Point{X: 100, Y: 6}, Vec{}, 10, 92},
+		{"separating", Point{}, Vec{X: -1}, Point{X: 100}, Vec{}, 10, inf},
+		{"convoy", Point{}, Vec{X: 2}, Point{Y: 50}, Vec{X: 2}, 10, inf},
+		{"in-range", Point{}, Vec{X: 1}, Point{X: 5}, Vec{}, 10, 0},
+		{"at-range", Point{}, Vec{X: -1}, Point{X: 10}, Vec{}, 10, 0},
+		{"nan-velocity", Point{}, Vec{X: nan}, Point{X: 100}, Vec{}, 10, 0},
+		{"nan-position", Point{X: nan}, Vec{}, Point{X: 100}, Vec{}, 10, 0},
+		{"inf-velocity", Point{}, Vec{X: inf}, Point{X: 100}, Vec{}, 10, 0},
+	} {
+		got := ApproachTime(tc.p, tc.v, tc.q, tc.w, tc.r)
+		if math.IsInf(tc.want, 1) {
+			if !math.IsInf(got, 1) {
+				t.Errorf("%s: ApproachTime = %g, want +Inf", tc.name, got)
+			}
+			continue
+		}
+		if got > tc.want || got < tc.want-1e-6 {
+			t.Errorf("%s: ApproachTime = %g, want just under %g", tc.name, got, tc.want)
+		}
+	}
+	// The answer is a tight lower bound: before it the two points are more
+	// than r apart, and a millisecond after a finite answer they are within
+	// r plus a millimetre of each other.
+	s := rng.New(1)
+	for n := 0; n < 2000; n++ {
+		p := Point{s.Uniform(0, 2000), s.Uniform(0, 2000)}
+		q := Point{s.Uniform(0, 2000), s.Uniform(0, 2000)}
+		v := Vec{s.Uniform(-5, 5), s.Uniform(-5, 5)}
+		w := Vec{s.Uniform(-5, 5), s.Uniform(-5, 5)}
+		at := func(tt float64) float64 { return p.Add(v.Scale(tt)).Dist2(q.Add(w.Scale(tt))) }
+		st := ApproachTime(p, v, q, w, 50)
+		if st == 0 {
+			if at(0) > 50.001*50.001 {
+				t.Fatalf("ApproachTime = 0 for points %g m apart", math.Sqrt(at(0)))
+			}
+			continue
+		}
+		horizon := st
+		if math.IsInf(st, 1) {
+			horizon = 1e4
+		}
+		for k := 0; k < 256; k++ {
+			if tt := horizon * float64(k) / 256; at(tt) <= 50*50 {
+				t.Fatalf("ApproachTime = %g, but the points are in range at %g", st, tt)
+			}
+		}
+		if !math.IsInf(st, 1) && at(st+1e-3) > 50.001*50.001 {
+			t.Fatalf("ApproachTime = %g is loose: %g m apart a millisecond later", st, math.Sqrt(at(st+1e-3)))
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package geo
 
+import "math"
+
 // Grid is a uniform spatial hash over a rectangle. Items are identified by a
 // dense integer id in [0, n). The cell size should be at least the query
 // radius so a 3×3 cell neighbourhood covers every candidate pair.
@@ -104,6 +106,41 @@ func (g *Grid) BoundaryDist(p Point, ci int) float64 {
 		d = hi
 	}
 	return d
+}
+
+// ExitTime returns a lower bound on the first time s ≥ 0 at which a point
+// moving linearly from p with velocity v leaves cell ci's box: 0 when p lies
+// on or outside the box (clamped out-of-area points), +Inf when it never
+// does. The box is shrunk on every side by a relative 1e-9 of the cell edge
+// plus 1e-9 m, at least the slack BoundaryDist's callers subtract, so rounding
+// between this extrapolation, the model's interpolation and CellIndex's
+// division can only make the answer earlier. Non-finite input gives 0.
+//
+// Performance contract: pure arithmetic, no allocation.
+func (g *Grid) ExitTime(p Point, v Vec, ci int) float64 {
+	lox := g.area.Min.X + float64(ci%g.cols)*g.cell
+	loy := g.area.Min.Y + float64(ci/g.cols)*g.cell
+	slack := g.cell*1e-9 + 1e-9
+	return min(axisExit(p.X-lox-slack, lox+g.cell-p.X-slack, v.X),
+		axisExit(p.Y-loy-slack, loy+g.cell-p.Y-slack, v.Y))
+}
+
+// axisExit is ExitTime along one axis: the time a coordinate lo above the
+// lower bound and hi below the upper one takes to reach either at velocity
+// v.
+func axisExit(lo, hi, v float64) float64 {
+	if !(lo > 0 && hi > 0) {
+		return 0
+	}
+	switch {
+	case v > 0:
+		return hi / v
+	case v < 0:
+		return lo / -v
+	case v == 0:
+		return math.Inf(1)
+	}
+	return 0 // NaN
 }
 
 // coords returns the column and row of the cell containing p, clamped to

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -150,5 +151,38 @@ func BenchmarkGridPairs100(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.Update(pos)
 		buf = g.Pairs(100, buf[:0])
+	}
+}
+
+func TestExitTime(t *testing.T) {
+	g := NewGrid(NewRect(1000, 1000), 100, 1)
+	ci := g.CellIndex(Point{X: 210, Y: 240}) // box [200,300]×[200,300]
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name string
+		p    Point
+		v    Vec
+		want float64 // within 1e-6
+	}{
+		{"east", Point{X: 210, Y: 240}, Vec{X: 1}, 90},
+		{"west", Point{X: 210, Y: 240}, Vec{X: -2}, 5},
+		{"diagonal-north-first", Point{X: 210, Y: 240}, Vec{X: 1, Y: 1}, 60},
+		{"south", Point{X: 210, Y: 240}, Vec{Y: -0.5}, 80},
+		{"at-rest", Point{X: 210, Y: 240}, Vec{}, inf},
+		{"on-edge", Point{X: 200, Y: 240}, Vec{X: 1}, 0},
+		{"outside", Point{X: 150, Y: 240}, Vec{X: 1}, 0},
+		{"nan-velocity", Point{X: 210, Y: 240}, Vec{X: nan}, 0},
+		{"inf-velocity", Point{X: 210, Y: 240}, Vec{X: inf}, 0},
+	} {
+		got := g.ExitTime(tc.p, tc.v, ci)
+		if math.IsInf(tc.want, 1) {
+			if !math.IsInf(got, 1) {
+				t.Errorf("%s: ExitTime = %g, want +Inf", tc.name, got)
+			}
+			continue
+		}
+		if got > tc.want || got < tc.want-1e-6 {
+			t.Errorf("%s: ExitTime = %g, want just under %g", tc.name, got, tc.want)
+		}
 	}
 }

@@ -22,7 +22,10 @@ import (
 //   - the cell deadline (cellTicks): the node provably stays inside its
 //     assigned bucket, so its membership list stays truthful;
 //   - for every non-linked node j in its 3×3 bucket neighbourhood, the
-//     pair's motion bound (parking.pairTicks).
+//     pair deadline (parking.pairTicks).
+//
+// Both deadlines are the later of the MaxSpeed motion bound and the leg
+// certificate when the models report their legs (park.go).
 //
 // Exactness argument (byte-identity with scanNaive):
 //
@@ -164,15 +167,33 @@ func (s *kinetic) moveCell(i int, ci int32) {
 }
 
 // cellTicks bounds how many whole ticks node i provably stays inside its
-// assigned bucket: the distance to the bucket boundary, minus conservative
-// slack dominating float rounding, under the node's own speed bound.
+// assigned bucket: the later of the motion bound (the distance to the
+// bucket boundary, minus conservative slack dominating float rounding,
+// under the node's own speed bound) and the leg certificate (the time the
+// node's leg leaves the bucket box, geo.Grid.ExitTime, or, if the leg ends
+// first, the leg end plus the motion bound from the leg's end point).
 // Clamped out-of-area positions give a non-positive margin and keep the
 // node awake.
 //
 // Performance contract: pure arithmetic, no allocation.
 func (s *kinetic) cellTicks(i int) int64 {
-	d := s.m.grid.BoundaryDist(s.m.positions[i], int(s.cellOf[i]))
-	return s.boundTicks(d-(d*1e-9+1e-9), s.speed[i])
+	g, pos, ci := s.m.grid, s.m.positions[i], int(s.cellOf[i])
+	d := g.BoundaryDist(pos, ci)
+	k := s.boundTicks(d-(d*1e-9+1e-9), s.speed[i])
+	if k >= maxParkTicks {
+		return k
+	}
+	v, left, ok := s.legOf(i)
+	if !ok {
+		return k
+	}
+	tau := g.ExitTime(pos, v, ci)
+	if tau >= left && left < math.Inf(1) {
+		// Inside through the leg end; from there on only the bound.
+		d := g.BoundaryDist(pos.Add(v.Scale(left)), ci)
+		tau = left + (d-(d*1e-9+1e-9))/s.speed[i]
+	}
+	return max(k, s.ticksFor(tau))
 }
 
 // check reassigns every awake node's bucket, then scans each awake node's

@@ -100,9 +100,10 @@ const (
 
 // kineticFrom is the fleet size from which AutoPlanner picks the kinetic
 // planner over the lazy sweep. PERFORMANCE.md §7's crossover table has the
-// measurements: the sweep leads at 100 and 200 nodes and on the 400-node
-// densescan case, and loses from 700 nodes at every density measured, as
-// its O(n²) pair state outgrows its sharper deadlines.
+// measurements: with leg certificates the sweep leads at 100 nodes, ties
+// at 200 and loses from 400, as its O(n²) pair state outgrows its sharper
+// deadlines. The value predates the certificates and keeps every benchmark
+// workload on the planner it ran before.
 const kineticFrom = 512
 
 // pairKey identifies an unordered host pair, low id first.

@@ -1,7 +1,10 @@
 package network
 
 import (
+	"math"
+
 	"sdsrp/internal/geo"
+	"sdsrp/internal/mobility"
 )
 
 // This file holds the parking core that both motion-bounded scan planners
@@ -27,12 +30,19 @@ import (
 // Model.Pos is deterministic for a given query time regardless of earlier
 // queries, so lazily sampled positions are bit-identical to the naive
 // schedule. Downs derive from Manager.live in key order. And every parking
-// deadline comes from boundTicks: over K skipped ticks a gap closing at
-// most c·interval metres per tick keeps at least one full tick of closing
-// plus geo.DistLowerBound's slack, which dominates every float-rounding step
-// in the chain (position interpolation, the distance square root, and the
-// engine's accumulated tick times). Items park only at K ≥ 2: a one-tick
-// park costs wheel traffic without skipping anything.
+// deadline is ⌊τ/interval⌋ for a τ in seconds through which physics rules
+// out any change the scan must see, so the K−1 skipped ticks keep at least
+// one full tick of margin plus geo.DistLowerBound's slack, which dominates
+// every float-rounding step in the chain (position interpolation, the
+// distance square root, and the engine's accumulated tick times). τ is the
+// later of two proofs. The motion bound (boundTicks) closes a gap at the
+// MaxSpeed bound. The certificate reads the linear leg each node is on
+// (mobility.Legged): a pair stays apart until its relative motion could
+// first bring it within range (geo.ApproachTime), and a node stays in its
+// bucket until its leg leaves the box (geo.Grid.ExitTime); past the earlier
+// leg end the motion bound takes over from the distance there. Models
+// without legs (trace playback) get the motion bound alone. Items park only
+// at K ≥ 2: a one-tick park costs wheel traffic without skipping anything.
 //
 // Workloads where most items wake often (fast movers, short deadlines) can
 // cost more in bookkeeping than naive's flat per-node pass. The load
@@ -95,6 +105,9 @@ type parking struct {
 	// are absolute ticks.
 	tick     int64
 	interval float64
+	// now is the current tick's time, the time of every position sampled
+	// this tick.
+	now float64
 	// speed[i] is models[i].MaxSpeed(), read once at construction (the
 	// contract requires it to be constant).
 	speed []float64
@@ -247,29 +260,90 @@ func (p *parking) boundTicks(gap, c float64) int64 {
 	if c <= 0 {
 		return maxParkTicks
 	}
-	k := gap / (c * p.interval) // c = +Inf (teleporting model) gives 0
-	if !(k < maxParkTicks) {    // catches NaN too, though c and gap are finite
+	return p.ticksFor(gap / c) // c = +Inf (teleporting model) gives 0
+}
+
+// ticksFor converts τ, the seconds through which a proof rules out any
+// change the scan must see, into whole ticks: ⌊τ/interval⌋, so the K−1
+// skipped ticks keep one tick of margin, capped at maxParkTicks. A
+// non-positive or NaN τ gives 0.
+//
+// Performance contract: pure arithmetic, no allocation.
+func (p *parking) ticksFor(tau float64) int64 {
+	k := tau / p.interval
+	if !(k > 0) {
+		return 0
+	}
+	if !(k < maxParkTicks) {
 		return maxParkTicks
 	}
 	return int64(k)
 }
 
-// pairTicks applies boundTicks to pair (i,j) at squared distance d2 and
-// effective range r: the gap is the conservative lower bound on the
-// distance minus the range, closing at the pair's combined speed bound. An
-// in-range pair gets 0 regardless of speeds, so a pair whose predicate
-// failed only because an endpoint is churn-downed or energy-dead is
-// re-checked every tick, exactly as the naive scanner does.
+// legOf returns the linear leg node i is on at the current tick and the
+// seconds it still holds, or ok = false when its model reports none (trace
+// playback) or the core was built without models (test rigs), which then
+// park on the motion bound alone. Call it only after samplePos(i) this
+// tick: models are forward-only and report the leg of their latest query.
+//
+// Performance contract: one interface assertion and the model's stored-leg
+// read, no allocation.
+func (p *parking) legOf(i int) (v geo.Vec, left float64, ok bool) {
+	if p.m == nil {
+		return geo.Vec{}, 0, false
+	}
+	l, ok := p.m.models[i].(mobility.Legged)
+	if !ok {
+		return geo.Vec{}, 0, false
+	}
+	v, until := l.Leg(p.now)
+	left = until - p.now
+	return v, left, left > 0 // a leg that has already ended proves nothing
+}
+
+// pairTicks returns how many whole ticks pair (i,j), sampled this tick at
+// squared distance d2 with effective range r, provably stays out of range:
+// the later of two proofs. The motion bound (boundTicks) closes the gap,
+// the conservative lower bound on the distance minus the range, at the
+// pair's combined speed bound. The certificate follows both nodes' legs: it
+// holds until their relative motion could first bring the pair within range
+// (geo.ApproachTime) or, if the earlier leg ends first, until that leg end
+// plus the motion bound from the distance there. An in-range pair gets 0
+// either way, so a pair whose predicate failed only because an endpoint is
+// churn-downed or energy-dead is re-checked every tick, exactly as the
+// naive scanner does.
 //
 // Performance contract: pure arithmetic, no allocation.
 func (p *parking) pairTicks(i, j int, d2, r float64) int64 {
-	return p.boundTicks(geo.DistLowerBound(d2)-r, p.speed[i]+p.speed[j])
+	c := p.speed[i] + p.speed[j]
+	k := p.boundTicks(geo.DistLowerBound(d2)-r, c)
+	if k >= maxParkTicks {
+		return k
+	}
+	vi, li, ok := p.legOf(i)
+	if !ok {
+		return k
+	}
+	vj, lj, ok := p.legOf(j)
+	if !ok {
+		return k
+	}
+	pi, pj := p.m.positions[i], p.m.positions[j]
+	end := min(li, lj)
+	tau := geo.ApproachTime(pi, vi, pj, vj, r)
+	if tau >= end && end < math.Inf(1) {
+		// Apart through the earlier leg end; from there on only the bound.
+		ei, ej := pi.Add(vi.Scale(end)), pj.Add(vj.Scale(end))
+		tau = end + (geo.DistLowerBound(ei.Dist2(ej))-r)/c
+	}
+	return max(k, p.ticksFor(tau))
 }
 
 // scanParked runs one tick of the active planner (see the file comment).
 func (m *Manager) scanParked(now float64) {
 	p := m.plan.core()
 	p.tick++
+	p.now = now
 	m.wakeups += p.wakeDue()
 
 	checked := m.plan.check(now)

@@ -2,8 +2,9 @@ package network
 
 // This file implements the lazy sweep, the planner for fleets below
 // kineticFrom: the ConnectivityOptimizer idea from the ONE simulator,
-// rebuilt on the mobility.MaxSpeed contract and the parking core (park.go),
-// whose items here are node pairs.
+// rebuilt on the mobility.MaxSpeed contract, the mobility.Legged leg
+// certificates and the parking core (park.go), whose items here are node
+// pairs.
 //
 // Every unordered node pair is in exactly one of four states:
 //

@@ -70,12 +70,14 @@ func TestLongHorizonLogsPinned(t *testing.T) {
 // TTL window can still ask about, so a Table II world at ten TTLs holds
 // about as many id slots (counts, plus each owner's membership flags and
 // log ids) as at one. Tables that remembered every id ever created held
-// 10.7× as many.
+// 10.7× as many. The backing arrays behind those slots are bounded too, at
+// 1.5× the live slots and 1.25× their own size at one TTL: arrays that kept
+// their dead prefix until append regrew them held 1.7–1.9× the live slots.
 func TestDropTableSlotsBoundedByTTL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 180 000 s Table II world")
 	}
-	slots := func(horizon float64) int {
+	slots := func(horizon float64) (live, capacity int) {
 		sc := config.RandomWaypoint()
 		sc.Duration = horizon
 		w, err := Build(sc)
@@ -83,15 +85,20 @@ func TestDropTableSlotsBoundedByTTL(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustRun(t, w)
-		n := 0
 		for _, h := range w.Hosts {
-			n += h.DropTable().Slots()
+			live += h.DropTable().Slots()
+			capacity += h.DropTable().Capacity()
 		}
-		return n
+		return live, capacity
 	}
-	one, ten := slots(18000), slots(180000)
+	one, oneCap := slots(18000)
+	ten, tenCap := slots(180000)
 	t.Logf("id slots: %d at 18 000 s, %d at 180 000 s (%.2f×)", one, ten, float64(ten)/float64(one))
+	t.Logf("capacity: %d at 18 000 s, %d at 180 000 s (%.2f× the live slots)", oneCap, tenCap, float64(tenCap)/float64(ten))
 	if float64(ten) > 1.25*float64(one) {
 		t.Fatalf("drop tables hold %d id slots at 180 000 s, more than 1.25 × the %d at 18 000 s", ten, one)
+	}
+	if float64(tenCap) > 1.5*float64(ten) || float64(tenCap) > 1.25*float64(oneCap) {
+		t.Fatalf("drop tables' arrays hold %d entries at 180 000 s for %d live slots (%d at 18 000 s)", tenCap, ten, oneCap)
 	}
 }

@@ -100,9 +100,9 @@ func assertPlannerMatchesNaive(t *testing.T, sc config.Scenario, p network.Plann
 }
 
 // diffFamilies is the scenario matrix shared by every scanner-equivalence
-// test: all mobility kinds, per-node ranges, churn/flap faults, and energy
-// death. TestLazyScanMatchesNaive runs it lazy-vs-naive,
-// TestKineticScanMatchesNaive kinetic-vs-naive, and
+// test: all mobility kinds, walkers that pause, per-node ranges, churn/flap
+// faults, and energy death. TestLazyScanMatchesNaive runs it
+// lazy-vs-naive, TestKineticScanMatchesNaive kinetic-vs-naive, and
 // TestWorkerCountsMatchSerial (concurrency_test.go) serial-vs-concurrent.
 func diffFamilies() map[string]func() config.Scenario {
 	return map[string]func() config.Scenario{
@@ -152,6 +152,15 @@ func diffFamilies() map[string]func() config.Scenario {
 				{Name: "relays", Count: 6, Range: 250, Mobility: config.Mobility{
 					Kind: config.MobilityStatic}},
 			}
+			return sc
+		},
+		"rwp-pauses": func() config.Scenario {
+			// Walkers that stop for up to two minutes between legs: v = 0
+			// legs and leg ends inside park deadlines, for the segment
+			// certificates both planners park on.
+			sc := diffBase()
+			sc.Mobility = config.Mobility{Kind: config.MobilityRWP,
+				SpeedLo: 0.5, SpeedHi: 3, PauseLo: 0, PauseHi: 120}
 			return sc
 		},
 		"churn": func() config.Scenario {
@@ -224,10 +233,16 @@ func TestKineticScanMatchesNaive(t *testing.T) {
 // TestAutoPlannerMatchesForced pins the automatic planner choice to the
 // benchmark's workloads: a Table II world runs the lazy sweep and a
 // shortened fleet-10k world the kinetic planner, each with exactly the scan
-// work counters of a run forced onto that planner. The 65536-node fleet,
-// where the lazy sweep's pair index would no longer fit int32, runs the
-// kinetic planner without any fallback (skipped in -short: a few seconds).
+// work counters of a run forced onto that planner. Those two worlds' seed-1
+// counters are pinned too, so a model that stops reporting its legs (a
+// wrapper hiding mobility.Legged, say) fails here instead of silently
+// parking on the MaxSpeed bound again: without the leg certificates, table2
+// reads 731 616 / 88 794 407 / 414 250 and fleet-10k 251 635 / 577 332 /
+// 32 105. The 65536-node fleet, where the lazy sweep's pair index would no
+// longer fit int32, runs the kinetic planner without any fallback (skipped
+// in -short: a few seconds).
 func TestAutoPlannerMatchesForced(t *testing.T) {
+	type counters struct{ checked, skipped, wakeups uint64 }
 	fleet := func(nodes int, side, duration float64) config.Scenario {
 		sc := config.RandomWaypoint()
 		sc.Nodes = nodes
@@ -237,20 +252,22 @@ func TestAutoPlannerMatchesForced(t *testing.T) {
 		return sc
 	}
 	for _, tc := range []struct {
-		name  string
-		sc    config.Scenario
-		want  network.Planner
-		large bool
+		name   string
+		sc     config.Scenario
+		want   network.Planner
+		large  bool
+		pinned counters // seed 1; zero is not pinned
 	}{
-		{"table2", config.RandomWaypoint(), network.LazyPlanner, false},
+		{"table2", config.RandomWaypoint(), network.LazyPlanner, false,
+			counters{394_641, 88_827_476, 110_342}},
 		// fleet-10k's geometry: bench.Scan100kScenario at a tenth of the
 		// nodes on a tenth of the area, 60 s instead of 300.
 		{"fleet-10k", func() config.Scenario {
 			sc := fleet(10_000, 79_057, 60)
 			sc.CellSize = 500
 			return sc
-		}(), network.KineticPlanner, false},
-		{"fleet-65536", fleet(65536, 200_000, 60), network.KineticPlanner, true},
+		}(), network.KineticPlanner, false, counters{78_854, 595_376, 3_226}},
+		{"fleet-65536", fleet(65536, 200_000, 60), network.KineticPlanner, true, counters{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.large && testing.Short() {
@@ -265,12 +282,14 @@ func TestAutoPlannerMatchesForced(t *testing.T) {
 			if tc.large && auto.Perf.ScanFallback != "" {
 				t.Fatalf("fallback %q at 65536 nodes, want none", auto.Perf.ScanFallback)
 			}
-			type counters struct{ checked, skipped, wakeups uint64 }
 			got := counters{auto.Perf.PairsChecked, auto.Perf.PairsSkipped, auto.Perf.Wakeups}
 			want := counters{forced.Perf.PairsChecked, forced.Perf.PairsSkipped, forced.Perf.Wakeups}
 			if got != want {
 				t.Fatalf("automatic run's scan counters %+v, forced %s run's %+v",
 					got, plannerNames[tc.want], want)
+			}
+			if tc.pinned != (counters{}) && got != tc.pinned {
+				t.Fatalf("scan counters %+v, pinned %+v", got, tc.pinned)
 			}
 			if forced.Perf.PairsSkipped == 0 {
 				t.Fatalf("forced %s run parked nothing", plannerNames[tc.want])
