@@ -85,10 +85,12 @@ func DenseScanScenario() config.Scenario {
 // Scan100kPeakHeapBudget is the memory ceiling the scan100k case is gated
 // against, both on fresh runs (TestScan100kKineticScalesWithinBudget) and on
 // the committed baseline (TestCommittedScan100kPeakHeapWithinBudget). The
-// observed peak is ~135 MB — hosts, models, and RNG substreams dominate; the
-// planner itself is ~53 B/node — so 256 MB leaves ~1.9× headroom for
-// allocator and GC variance without ever admitting a per-pair design (the
-// lazy sweep's arrays would want ~180 GB here).
+// sampled peak reads ~72 MB: the host slab (hosts with their buffers, drop
+// tables and rate estimators, ~34 MB) and the mobility slab (models and
+// their RNG substreams, ~17 MB) dominate, and the planner itself is
+// ~53 B/node. So 256 MB leaves ~3.5× headroom for allocator and GC
+// variance without ever admitting a per-pair design (the lazy sweep's
+// arrays would want ~180 GB here).
 const Scan100kPeakHeapBudget = 256 << 20
 
 func Scan100kScenario() config.Scenario {

@@ -25,18 +25,27 @@ import (
 	"sdsrp/internal/msg"
 )
 
-// Buffer is a byte-capacity-bounded store of message copies. The zero value
-// is not usable; construct with New.
+// Buffer is a byte-capacity-bounded store of message copies. Construct one
+// with New, or fill one in place with Init; the zero value is an empty
+// buffer of capacity 0.
 type Buffer struct {
 	capacity int64
 	used     int64
 	items    []*msg.Stored  // insertion order
-	index    map[msg.ID]int // id -> position in items
+	index    map[msg.ID]int // id -> position in items; nil until the first Add
 }
 
 // New returns an empty buffer with the given capacity in bytes.
 func New(capacity int64) *Buffer {
-	return &Buffer{capacity: capacity, index: make(map[msg.ID]int)}
+	b := new(Buffer)
+	Init(b, capacity)
+	return b
+}
+
+// Init empties b and sets its capacity in bytes, as New would build it, for
+// callers that embed a buffer or keep many in one slab.
+func Init(b *Buffer, capacity int64) {
+	*b = Buffer{capacity: capacity}
 }
 
 // Capacity returns the byte capacity.
@@ -85,6 +94,9 @@ func (b *Buffer) Add(s *msg.Stored) error {
 	if s.M.Size > b.Free() {
 		return fmt.Errorf("buffer: message %d (%dB) exceeds free space (%dB)",
 			s.M.ID, s.M.Size, b.Free())
+	}
+	if b.index == nil {
+		b.index = make(map[msg.ID]int)
 	}
 	b.index[s.M.ID] = len(b.items)
 	b.items = append(b.items, s)

@@ -58,7 +58,16 @@ type DropTable struct {
 
 // NewDropTable returns an empty table for node self.
 func NewDropTable(self int) *DropTable {
-	return &DropTable{self: int32(self)}
+	t := new(DropTable)
+	InitDropTable(t, self)
+	return t
+}
+
+// InitDropTable fills t in place as an empty table for node self, as
+// NewDropTable would build it, for callers that keep a fleet's tables in one
+// slab.
+func InitDropTable(t *DropTable, self int) {
+	*t = DropTable{self: int32(self)}
 }
 
 // grow lengthens views to exactly n owners. It runs once per RecordDrop or

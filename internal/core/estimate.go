@@ -16,11 +16,16 @@ type LambdaEstimator struct {
 // intermeeting time (seconds) carrying the given pseudo-sample weight.
 // priorMean must be > 0 when priorWeight > 0.
 func NewLambdaEstimator(priorMean, priorWeight float64) *LambdaEstimator {
-	return &LambdaEstimator{
-		priorMean:   priorMean,
-		priorWeight: priorWeight,
-		lastEnd:     make(map[int]float64),
-	}
+	e := new(LambdaEstimator)
+	InitLambdaEstimator(e, priorMean, priorWeight)
+	return e
+}
+
+// InitLambdaEstimator fills e in place as NewLambdaEstimator would build
+// it, for callers that keep a fleet's estimators in one slab. The contact
+// history map is made on the first contact end.
+func InitLambdaEstimator(e *LambdaEstimator, priorMean, priorWeight float64) {
+	*e = LambdaEstimator{priorMean: priorMean, priorWeight: priorWeight}
 }
 
 // OnContactStart records the start of a contact with peer at time now and
@@ -37,6 +42,9 @@ func (e *LambdaEstimator) OnContactStart(peer int, now float64) {
 
 // OnContactEnd records the end of a contact with peer at time now.
 func (e *LambdaEstimator) OnContactEnd(peer int, now float64) {
+	if e.lastEnd == nil {
+		e.lastEnd = make(map[int]float64)
+	}
 	e.lastEnd[peer] = now
 }
 
@@ -97,7 +105,15 @@ type CensusEstimator struct {
 // nodes, seeded with a prior mean intermeeting time carrying priorWeight
 // pseudo-contacts.
 func NewCensusEstimator(priorMean, priorWeight float64, nodes int) *CensusEstimator {
-	return &CensusEstimator{priorMean: priorMean, priorWeight: priorWeight, nodes: nodes}
+	e := new(CensusEstimator)
+	InitCensusEstimator(e, priorMean, priorWeight, nodes)
+	return e
+}
+
+// InitCensusEstimator fills e in place as NewCensusEstimator would build
+// it, for callers that keep a fleet's estimators in one slab.
+func InitCensusEstimator(e *CensusEstimator, priorMean, priorWeight float64, nodes int) {
+	*e = CensusEstimator{priorMean: priorMean, priorWeight: priorWeight, nodes: nodes}
 }
 
 // OnContactStart implements ContactObserver.

@@ -5,6 +5,13 @@
 // lazy: legs are generated on demand from a per-node deterministic stream,
 // so two runs with the same seed trace identical paths.
 //
+// The waypoint-style models share one travel/pause state machine,
+// legMover, which draws each leg by calling its model's dest, speed and
+// pause methods: a model and its parameters are one object, with no
+// closures. Every model has a New constructor and an Init function that
+// fills one in place, so a world can keep its fleet in one slab; the
+// constructor is Init on a fresh allocation.
+//
 // Implemented models: RandomWaypoint (the paper's synthetic scenario),
 // RandomWalk and RandomDirection (used by the intermeeting-tail literature
 // the paper cites), Static, Path (trace playback), and Taxi (hotspot-biased
@@ -79,35 +86,42 @@ type Legged interface {
 	Leg(t float64) (v geo.Vec, until float64)
 }
 
+// legPicker draws a waypoint-style model's legs: the next destination from
+// the current point, the leg's speed, and the pause at its end. Every model
+// built on legMover implements it, and legMover calls it in exactly that
+// order once per leg.
+type legPicker interface {
+	dest(from geo.Point) geo.Point
+	speed() float64
+	pause() float64
+}
+
 // legMover factors the travel/pause state machine shared by waypoint-style
-// models. pickDest chooses the next destination; pickSpeed and pickPause
-// draw per-leg parameters.
+// models. It draws each leg through pick, the model that embeds it, whose
+// methods read the model's own parameters and stream: a model is one
+// object, with no per-model closures.
 type legMover struct {
 	from, to         geo.Point
 	legStart, legEnd float64
 	pauseEnd         float64
 	maxSpeed         float64
 
-	pickDest  func(from geo.Point) geo.Point
-	pickSpeed func() float64
-	pickPause func() float64
+	pick legPicker
 }
 
-// newLegMover wires the state machine. maxSpeed must upper-bound every value
-// pickSpeed can return; advance clamps non-positive draws to 1e-9, so the
-// stored bound is floored there too.
-func newLegMover(start geo.Point, maxSpeed float64, pickDest func(geo.Point) geo.Point, pickSpeed, pickPause func() float64) legMover {
+// initLegMover wires the state machine in place; pick is the embedding
+// model, so a model must not be copied once initialised. maxSpeed must
+// upper-bound every value pick.speed can return; advance clamps
+// non-positive draws to 1e-9, so the stored bound is floored there too.
+func initLegMover(l *legMover, start geo.Point, maxSpeed float64, pick legPicker) {
 	if maxSpeed < 1e-9 {
 		maxSpeed = 1e-9
 	}
-	return legMover{
-		from: start, to: start, maxSpeed: maxSpeed,
-		pickDest: pickDest, pickSpeed: pickSpeed, pickPause: pickPause,
-	}
+	*l = legMover{from: start, to: start, maxSpeed: maxSpeed, pick: pick}
 }
 
 // MaxSpeed implements Model. Per-leg speed is dist/dur with dur only ever
-// clamped upward, so the drawn-speed cap passed to newLegMover is a true
+// clamped upward, so the drawn-speed cap passed to initLegMover is a true
 // displacement bound.
 func (l *legMover) MaxSpeed() float64 { return l.maxSpeed }
 
@@ -143,8 +157,8 @@ func (l *legMover) Leg(t float64) (geo.Vec, float64) {
 func (l *legMover) advance() {
 	l.from = l.to
 	l.legStart = l.pauseEnd
-	l.to = l.pickDest(l.from)
-	speed := l.pickSpeed()
+	l.to = l.pick.dest(l.from)
+	speed := l.pick.speed()
 	if speed <= 0 {
 		speed = 1e-9
 	}
@@ -154,7 +168,7 @@ func (l *legMover) advance() {
 		dur = 1e-9 // zero-length legs must still advance time
 	}
 	l.legEnd = l.legStart + dur
-	pause := l.pickPause()
+	pause := l.pick.pause()
 	if pause < 0 {
 		pause = 0
 	}
@@ -170,21 +184,41 @@ func (l *legMover) advance() {
 // II uses a fixed 2 m/s speed and no pause.
 type RandomWaypoint struct {
 	legMover
+	uniformLegs
 }
 
 // NewRandomWaypoint creates a random-waypoint walker starting at a uniform
 // random position. Speeds are drawn from [speedLo, speedHi], pauses from
 // [pauseLo, pauseHi].
 func NewRandomWaypoint(area geo.Rect, speedLo, speedHi, pauseLo, pauseHi float64, s *rng.Stream) *RandomWaypoint {
-	start := uniformPoint(area, s)
-	m := &RandomWaypoint{}
-	m.legMover = newLegMover(start, speedHi+1e-12,
-		func(geo.Point) geo.Point { return uniformPoint(area, s) },
-		func() float64 { return s.Uniform(speedLo, speedHi+1e-12) },
-		func() float64 { return s.Uniform(pauseLo, pauseHi+1e-12) },
-	)
+	m := new(RandomWaypoint)
+	InitRandomWaypoint(m, area, speedLo, speedHi, pauseLo, pauseHi, s)
 	return m
 }
+
+// InitRandomWaypoint fills m in place as NewRandomWaypoint would build it,
+// for callers that keep a fleet's models in one slab. m must not be copied
+// afterwards.
+func InitRandomWaypoint(m *RandomWaypoint, area geo.Rect, speedLo, speedHi, pauseLo, pauseHi float64, s *rng.Stream) {
+	m.uniformLegs = uniformLegs{area: area, speedLo: speedLo, speedHi: speedHi,
+		pauseLo: pauseLo, pauseHi: pauseHi, s: s}
+	initLegMover(&m.legMover, uniformPoint(area, s), speedHi+1e-12, m)
+}
+
+func (m *RandomWaypoint) dest(geo.Point) geo.Point { return uniformPoint(m.area, m.s) }
+
+// uniformLegs holds what the uniform-range models (RandomWaypoint,
+// RandomWalk, RandomDirection) draw their legs from: the area, the speed and
+// pause ranges, and the node's stream.
+type uniformLegs struct {
+	area                               geo.Rect
+	speedLo, speedHi, pauseLo, pauseHi float64
+	s                                  *rng.Stream
+}
+
+func (u *uniformLegs) speed() float64 { return u.s.Uniform(u.speedLo, u.speedHi+1e-12) }
+
+func (u *uniformLegs) pause() float64 { return u.s.Uniform(u.pauseLo, u.pauseHi+1e-12) }
 
 func uniformPoint(area geo.Rect, s *rng.Stream) geo.Point {
 	return geo.Point{

@@ -3,6 +3,7 @@ package mobility
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"sdsrp/internal/geo"
@@ -31,12 +32,30 @@ type Path struct {
 // NewPath builds a playback model. Waypoints are sorted by time; at least
 // one waypoint is required.
 func NewPath(points []TimedPoint) (*Path, error) {
+	p := new(Path)
+	if err := InitPath(p, points); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// InitPath fills p in place as NewPath would build it, for callers that
+// keep a fleet's paths in one slab. Like NewPath it copies points.
+func InitPath(p *Path, points []TimedPoint) error {
 	if len(points) == 0 {
-		return nil, fmt.Errorf("mobility: empty path")
+		return fmt.Errorf("mobility: empty path")
 	}
 	sorted := append([]TimedPoint(nil), points...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].T < sorted[j].T })
-	p := &Path{points: sorted}
+	slices.SortStableFunc(sorted, func(a, b TimedPoint) int {
+		switch {
+		case a.T < b.T:
+			return -1
+		case b.T < a.T:
+			return 1
+		}
+		return 0
+	})
+	*p = Path{points: sorted}
 	for i := 1; i < len(sorted); i++ {
 		a, b := sorted[i-1], sorted[i]
 		//lint:ignore hot-dist parse-time bound measurement, not a per-tick check
@@ -57,7 +76,7 @@ func NewPath(points []TimedPoint) (*Path, error) {
 	// One part in 2^30 of headroom absorbs the rounding difference between
 	// this measurement and the Lerp arithmetic Pos replays.
 	p.maxSpeed *= 1 + 1e-9
-	return p, nil
+	return nil
 }
 
 // MaxSpeed implements Model.

@@ -61,33 +61,47 @@ func DefaultTaxiConfig() TaxiConfig {
 // aggregation around popular zones.
 type Taxi struct {
 	legMover
+	cfg     TaxiConfig
+	s       *rng.Stream
+	weights []float64 // cfg.Hotspots' weights, in order
 }
 
 // NewTaxi creates one taxi. The start position is drawn like a destination,
 // so the initial fleet distribution already shows the aggregation pattern.
 func NewTaxi(cfg TaxiConfig, s *rng.Stream) *Taxi {
-	pick := func(geo.Point) geo.Point { return pickTaxiDest(cfg, s) }
-	m := &Taxi{}
-	m.legMover = newLegMover(pick(geo.Point{}), cfg.SpeedHi,
-		pick,
-		func() float64 { return s.Uniform(cfg.SpeedLo, cfg.SpeedHi) },
-		func() float64 { return s.Uniform(cfg.PauseLo, cfg.PauseHi) },
-	)
+	m := new(Taxi)
+	InitTaxi(m, cfg, s)
 	return m
 }
 
-func pickTaxiDest(cfg TaxiConfig, s *rng.Stream) geo.Point {
-	if len(cfg.Hotspots) == 0 || s.Bool(cfg.UniformProb) {
-		return uniformPoint(cfg.Area, s)
+// InitTaxi fills m in place as NewTaxi would build it, so that a caller can
+// reuse one Taxi for a whole fleet or keep the fleet in one slab. A reused
+// Taxi keeps its weights array, so a fleet driven through one Taxi
+// allocates it once. m must not be copied afterwards.
+func InitTaxi(m *Taxi, cfg TaxiConfig, s *rng.Stream) {
+	m.cfg, m.s = cfg, s
+	m.weights = m.weights[:0]
+	for _, h := range cfg.Hotspots {
+		m.weights = append(m.weights, h.Weight)
 	}
-	weights := make([]float64, len(cfg.Hotspots))
-	for i, h := range cfg.Hotspots {
-		weights[i] = h.Weight
+	initLegMover(&m.legMover, m.dest(geo.Point{}), cfg.SpeedHi, m)
+}
+
+// dest draws a trip's end: a uniform point with probability UniformProb,
+// otherwise a Gaussian spot around a hotspot chosen by weight.
+func (m *Taxi) dest(geo.Point) geo.Point {
+	cfg := &m.cfg
+	if len(cfg.Hotspots) == 0 || m.s.Bool(cfg.UniformProb) {
+		return uniformPoint(cfg.Area, m.s)
 	}
-	h := cfg.Hotspots[s.WeightedIndex(weights)]
+	h := cfg.Hotspots[m.s.WeightedIndex(m.weights)]
 	p := geo.Point{
-		X: s.Normal(h.Center.X, h.Sigma),
-		Y: s.Normal(h.Center.Y, h.Sigma),
+		X: m.s.Normal(h.Center.X, h.Sigma),
+		Y: m.s.Normal(h.Center.Y, h.Sigma),
 	}
 	return cfg.Area.Clamp(p)
 }
+
+func (m *Taxi) speed() float64 { return m.s.Uniform(m.cfg.SpeedLo, m.cfg.SpeedHi) }
+
+func (m *Taxi) pause() float64 { return m.s.Uniform(m.cfg.PauseLo, m.cfg.PauseHi) }

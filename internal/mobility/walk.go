@@ -13,44 +13,59 @@ import (
 // exponential tails (paper Section III-B, citing Groenevelt et al.).
 type RandomWalk struct {
 	legMover
+	uniformLegs
+	epochDist float64
 }
 
 // NewRandomWalk creates a random walker: each epoch covers epochDist metres
 // at a speed drawn from [speedLo, speedHi] with no pauses.
 func NewRandomWalk(area geo.Rect, speedLo, speedHi, epochDist float64, s *rng.Stream) *RandomWalk {
-	start := uniformPoint(area, s)
-	m := &RandomWalk{}
-	m.legMover = newLegMover(start, speedHi+1e-12,
-		func(from geo.Point) geo.Point {
-			theta := s.Uniform(0, 2*math.Pi)
-			dest := from.Add(geo.Vec{X: epochDist * math.Cos(theta), Y: epochDist * math.Sin(theta)})
-			return reflect(area, dest)
-		},
-		func() float64 { return s.Uniform(speedLo, speedHi+1e-12) },
-		func() float64 { return 0 },
-	)
+	m := new(RandomWalk)
+	InitRandomWalk(m, area, speedLo, speedHi, epochDist, s)
 	return m
 }
+
+// InitRandomWalk fills m in place as NewRandomWalk would build it. m must
+// not be copied afterwards.
+func InitRandomWalk(m *RandomWalk, area geo.Rect, speedLo, speedHi, epochDist float64, s *rng.Stream) {
+	m.uniformLegs = uniformLegs{area: area, speedLo: speedLo, speedHi: speedHi, s: s}
+	m.epochDist = epochDist
+	initLegMover(&m.legMover, uniformPoint(area, s), speedHi+1e-12, m)
+}
+
+func (m *RandomWalk) dest(from geo.Point) geo.Point {
+	theta := m.s.Uniform(0, 2*math.Pi)
+	dest := from.Add(geo.Vec{X: m.epochDist * math.Cos(theta), Y: m.epochDist * math.Sin(theta)})
+	return reflect(m.area, dest)
+}
+
+// pause is always 0 and draws nothing: a walker turns without stopping.
+func (m *RandomWalk) pause() float64 { return 0 }
 
 // RandomDirection picks a direction and travels until it reaches the area
 // border, pauses, then picks a new direction.
 type RandomDirection struct {
 	legMover
+	uniformLegs
 }
 
 // NewRandomDirection creates a random-direction walker.
 func NewRandomDirection(area geo.Rect, speedLo, speedHi, pauseLo, pauseHi float64, s *rng.Stream) *RandomDirection {
-	start := uniformPoint(area, s)
-	m := &RandomDirection{}
-	m.legMover = newLegMover(start, speedHi+1e-12,
-		func(from geo.Point) geo.Point {
-			theta := s.Uniform(0, 2*math.Pi)
-			return borderHit(area, from, theta)
-		},
-		func() float64 { return s.Uniform(speedLo, speedHi+1e-12) },
-		func() float64 { return s.Uniform(pauseLo, pauseHi+1e-12) },
-	)
+	m := new(RandomDirection)
+	InitRandomDirection(m, area, speedLo, speedHi, pauseLo, pauseHi, s)
 	return m
+}
+
+// InitRandomDirection fills m in place as NewRandomDirection would build
+// it. m must not be copied afterwards.
+func InitRandomDirection(m *RandomDirection, area geo.Rect, speedLo, speedHi, pauseLo, pauseHi float64, s *rng.Stream) {
+	m.uniformLegs = uniformLegs{area: area, speedLo: speedLo, speedHi: speedHi,
+		pauseLo: pauseLo, pauseHi: pauseHi, s: s}
+	initLegMover(&m.legMover, uniformPoint(area, s), speedHi+1e-12, m)
+}
+
+func (m *RandomDirection) dest(from geo.Point) geo.Point {
+	return borderHit(m.area, from, m.s.Uniform(0, 2*math.Pi))
 }
 
 // reflect folds a point that left the area back inside by mirroring across

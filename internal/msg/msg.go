@@ -68,19 +68,9 @@ func NewSourceCopy(m *Message) *Stored {
 // Split panics if the sender has fewer than 2 tokens; wait-phase copies must
 // not be sprayed.
 func (s *Stored) Split(now float64) *Stored {
-	if s.Copies < 2 {
-		//lint:invariant the protocol offers KindSpray only for Copies >= 2 (wait-phase copies relay or hand off)
-		panic("msg: Split on a wait-phase copy")
-	}
-	give := s.Copies / 2
-	keep := s.Copies - give
-	history := make([]float64, len(s.SprayTimes)+1)
+	give := s.SplitSender(now)
+	history := make([]float64, len(s.SprayTimes))
 	copy(history, s.SprayTimes)
-	history[len(history)-1] = now
-
-	s.Copies = keep
-	s.SprayTimes = append(s.SprayTimes, now)
-
 	return &Stored{
 		M:          s.M,
 		Copies:     give,
@@ -88,6 +78,21 @@ func (s *Stored) Split(now float64) *Stored {
 		Hops:       s.Hops + 1,
 		SprayTimes: history,
 	}
+}
+
+// SplitSender is the sender's half of Split: s keeps ⌈C/2⌉ tokens and
+// records the split at time now in its lineage. It returns ⌊C/2⌋, the
+// tokens the receiver's copy gets, for callers that build that copy
+// themselves. Like Split it panics on a wait-phase copy.
+func (s *Stored) SplitSender(now float64) int {
+	if s.Copies < 2 {
+		//lint:invariant the protocol offers KindSpray only for Copies >= 2 (wait-phase copies relay or hand off)
+		panic("msg: Split on a wait-phase copy")
+	}
+	give := s.Copies / 2
+	s.Copies -= give
+	s.SprayTimes = append(s.SprayTimes, now)
+	return give
 }
 
 // Relay returns the copy created at a non-spraying forward (Epidemic or

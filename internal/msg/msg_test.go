@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -105,6 +106,32 @@ func TestSplitWaitPhasePanics(t *testing.T) {
 	s := NewSourceCopy(m)
 	s.Copies = 1
 	s.Split(10)
+}
+
+// TestSplitSenderIsSplitsSenderHalf: SplitSender leaves the sender exactly
+// as Split does and returns the receiver's token count, for every count.
+func TestSplitSenderIsSplitsSenderHalf(t *testing.T) {
+	m := newTestMessage()
+	for c := 2; c <= 33; c++ {
+		a, b := NewSourceCopy(m), NewSourceCopy(m)
+		a.Copies, b.Copies = c, c
+		a.SprayTimes = []float64{50, 90}
+		b.SprayTimes = []float64{50, 90}
+		r := a.Split(100)
+		give := b.SplitSender(100)
+		if give != r.Copies || b.Copies != a.Copies || !slices.Equal(b.SprayTimes, a.SprayTimes) {
+			t.Fatalf("C=%d: SplitSender gave %d and left %d %v; Split gave %d and left %d %v",
+				c, give, b.Copies, b.SprayTimes, r.Copies, a.Copies, a.SprayTimes)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SplitSender on 1 token did not panic")
+		}
+	}()
+	s := NewSourceCopy(m)
+	s.Copies = 1
+	s.SplitSender(10)
 }
 
 func TestSplitHistoryIsolation(t *testing.T) {

@@ -1,9 +1,10 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // This file implements the kinetic planner, the planner for fleets of
@@ -77,6 +78,22 @@ type upCand struct {
 	rank int32
 	dir  int8
 	a, b int32
+}
+
+// cmpUpCand orders up candidates by (rank, dir, a, b), the naive grid
+// pass's emission order. No two candidates share all four keys, so the
+// order is total and any sort gives the same result.
+func cmpUpCand(x, y upCand) int {
+	if c := cmp.Compare(x.rank, y.rank); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.dir, y.dir); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.a, y.a); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.b, y.b)
 }
 
 type kinetic struct {
@@ -333,18 +350,7 @@ func (s *kinetic) emitUps(now float64) uint64 {
 		ord = append(ord, c)
 	}
 	s.ord = ord
-	sort.Slice(ord, func(x, y int) bool {
-		if ord[x].rank != ord[y].rank {
-			return ord[x].rank < ord[y].rank
-		}
-		if ord[x].dir != ord[y].dir {
-			return ord[x].dir < ord[y].dir
-		}
-		if ord[x].a != ord[y].a {
-			return ord[x].a < ord[y].a
-		}
-		return ord[x].b < ord[y].b
-	})
+	slices.SortFunc(ord, cmpUpCand)
 	for _, c := range ord {
 		if m.linkOf(c.key) == nil {
 			m.linkUp(c.key, now)

@@ -9,7 +9,9 @@ import (
 )
 
 // Factory builds a policy instance; stream supplies deterministic
-// randomness for policies that need it and may be ignored.
+// randomness for policies that need it and may be ignored. world.Build
+// calls a registered factory once per host, each time with the host's own
+// stream.
 type Factory func(stream *rng.Stream) Policy
 
 // The registry is the one deliberate piece of package state on the engine
@@ -32,7 +34,7 @@ func Register(name string, f Factory) error {
 	if name == "" || f == nil {
 		return fmt.Errorf("policy: Register needs a name and a factory")
 	}
-	if isBuiltin(name) {
+	if IsBuiltin(name) {
 		return fmt.Errorf("policy: %q is a built-in strategy", name)
 	}
 	registryMu.Lock()
@@ -44,7 +46,12 @@ func Register(name string, f Factory) error {
 	return nil
 }
 
-func isBuiltin(name string) bool {
+// IsBuiltin reports whether name names a built-in strategy: one of
+// ByName's fixed names or the SDSRP-Taylor<k> family. Built-in policies are
+// stateless values that never draw from their stream, so one instance may
+// serve every host of a world; only a registered factory needs a stream per
+// host.
+func IsBuiltin(name string) bool {
 	switch name {
 	case "SprayAndWait", "FIFO", "SprayAndWait-O", "SWO", "SprayAndWait-C", "SWC",
 		"SDSRP", "OracleUtility", "Knapsack", "DropLargest":

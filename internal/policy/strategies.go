@@ -141,7 +141,8 @@ func (OracleUtility) DropScore(v View, s *msg.Stored) float64 { return oracleSco
 // ByName returns the policy with the given name. Recognized names:
 // SprayAndWait (FIFO), SprayAndWait-O, SprayAndWait-C, SDSRP,
 // SDSRP-Taylor<k>, OracleUtility, Knapsack, DropLargest, and any registered
-// name, whose factory receives stream.
+// name, whose factory receives stream. Built-in policies ignore stream,
+// which may then be nil.
 func ByName(name string, stream *rng.Stream) (Policy, error) {
 	switch name {
 	case "SprayAndWait", "FIFO":

@@ -119,7 +119,7 @@ func TestWipeState(t *testing.T) {
 	h.Originate(tn.message(1, 0, 3, 8, 500, 100000), 0)
 	h.Originate(tn.message(2, 0, 3, 8, 500, 100000), 0)
 	h.DropMessage(h.Buffer().Get(2), 0, 5) // populate the dropped list
-	h.received[7] = true
+	h.markReceived(7)
 
 	tn.now = 10
 	if n := h.WipeState(tn.now); n != 1 {

@@ -60,11 +60,12 @@ type HostConfig struct {
 	Role fault.Role
 }
 
-// Host is one DTN node's full protocol state.
+// Host is one DTN node's full protocol state. Its buffer and dropped-list
+// table live inside it, so a fleet's hosts can be one slab (InitHost).
 type Host struct {
 	id    int
 	nodes int
-	buf   *buffer.Buffer
+	buf   buffer.Buffer
 	pol   policy.Policy
 	proto Protocol
 	// ord holds the eviction-ranking scratch buffers, making eviction
@@ -73,8 +74,9 @@ type Host struct {
 
 	rate      core.RateSource
 	rateObs   core.ContactObserver // nil when rate is a fixed oracle
-	drops     *core.DropTable
+	useDrops  bool                 // drops is in use (HostConfig.UseDropList)
 	preflight bool
+	drops     core.DropTable
 	acks      *AckTable
 
 	clock  func() float64
@@ -82,41 +84,50 @@ type Host struct {
 	tracer obs.Tracer
 	role   fault.Role
 
-	// received marks messages this host has consumed as their destination.
+	// received marks messages this host has consumed as their destination;
+	// nil until the first delivery.
 	received map[msg.ID]bool
 }
 
 // NewHost builds a host. It panics on an incomplete config — hosts are
 // constructed by the world builder, so a bad config is a programming error.
 func NewHost(cfg HostConfig) *Host {
+	h := new(Host)
+	InitHost(h, cfg)
+	return h
+}
+
+// InitHost fills h in place as NewHost would build it, for callers that
+// keep a fleet's hosts in one slab (world.Build). h must not be copied
+// afterwards.
+func InitHost(h *Host, cfg HostConfig) {
 	if cfg.Policy == nil || cfg.Proto == nil || cfg.Clock == nil || cfg.Tracer == nil {
 		//lint:invariant hosts are wired by world.Build from a validated scenario; a nil dependency is builder misuse, not input
 		panic(fmt.Sprintf("routing: incomplete host config for node %d", cfg.ID))
 	}
-	h := &Host{
+	*h = Host{
 		id:        cfg.ID,
 		nodes:     cfg.Nodes,
-		buf:       buffer.New(cfg.Buffer),
 		pol:       cfg.Policy,
 		proto:     cfg.Proto,
 		rate:      cfg.Rate,
+		useDrops:  cfg.UseDropList,
 		preflight: cfg.PreflightEviction,
 		clock:     cfg.Clock,
 		truth:     cfg.Truth,
 		tracer:    cfg.Tracer,
 		role:      cfg.Role,
-		received:  make(map[msg.ID]bool),
 	}
+	buffer.Init(&h.buf, cfg.Buffer)
 	if obs, ok := cfg.Rate.(core.ContactObserver); ok {
 		h.rateObs = obs
 	}
 	if cfg.UseDropList {
-		h.drops = core.NewDropTable(cfg.ID)
+		core.InitDropTable(&h.drops, cfg.ID)
 	}
 	if cfg.UseAcks {
 		h.acks = NewAckTable()
 	}
-	return h
 }
 
 // ID returns the node id.
@@ -127,7 +138,7 @@ func (h *Host) Role() fault.Role { return h.role }
 
 // Buffer exposes the host's store (read-mostly; mutate only through host
 // methods).
-func (h *Host) Buffer() *buffer.Buffer { return h.buf }
+func (h *Host) Buffer() *buffer.Buffer { return &h.buf }
 
 // Policy returns the buffer-management strategy.
 func (h *Host) Policy() policy.Policy { return h.pol }
@@ -135,8 +146,22 @@ func (h *Host) Policy() policy.Policy { return h.pol }
 // Received reports whether this host, as destination, has consumed id.
 func (h *Host) Received(id msg.ID) bool { return h.received[id] }
 
+// markReceived records that this host consumed id as its destination,
+// making the received set on the first delivery.
+func (h *Host) markReceived(id msg.ID) {
+	if h.received == nil {
+		h.received = make(map[msg.ID]bool)
+	}
+	h.received[id] = true
+}
+
 // DropTable returns the host's gossip table (nil when disabled).
-func (h *Host) DropTable() *core.DropTable { return h.drops }
+func (h *Host) DropTable() *core.DropTable {
+	if !h.useDrops {
+		return nil
+	}
+	return &h.drops
+}
 
 // AckTable returns the host's immunization table (nil when disabled).
 func (h *Host) AckTable() *AckTable { return h.acks }
@@ -173,7 +198,7 @@ func (h *Host) SeenEstimate(s *msg.Stored) float64 {
 // LiveEstimate implements policy.View with Eq. 14, n̂ = m̂ + 1 − d̂.
 func (h *Host) LiveEstimate(s *msg.Stored) float64 {
 	dropped := 0
-	if h.drops != nil {
+	if h.useDrops {
 		dropped = h.drops.DroppedCount(s.M.ID)
 	}
 	return float64(core.LiveCopies(h.seen(s), dropped, h.nodes))
@@ -216,8 +241,8 @@ func (h *Host) OnLinkUp(peer *Host, now float64) {
 	if h.rateObs != nil {
 		h.rateObs.OnContactStart(peer.id, now)
 	}
-	if h.drops != nil && peer.drops != nil {
-		h.drops.MergeFrom(peer.drops)
+	if h.useDrops && peer.useDrops {
+		h.drops.MergeFrom(&peer.drops)
 	}
 	if h.acks != nil && peer.acks != nil {
 		h.acks.MergeFrom(peer.acks)
@@ -245,7 +270,7 @@ func (h *Host) Originate(m *msg.Message, now float64) bool {
 	h.tracer.Emit(obs.Event{T: now, Type: obs.MessageCreated, Msg: m.ID,
 		Node: m.Source, Peer: m.Dest, Size: m.Size, Copies: m.InitialCopies})
 	s := msg.NewSourceCopy(m)
-	victims, scores, inScore, ok := h.ord.PlanEviction(h.pol, h, h.buf, s)
+	victims, scores, inScore, ok := h.ord.PlanEviction(h.pol, h, &h.buf, s)
 	if !ok {
 		h.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped, Msg: m.ID,
 			Node: h.id, Priority: inScore})
@@ -271,7 +296,7 @@ func (h *Host) DropMessage(s *msg.Stored, score, now float64) {
 	}
 	h.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped, Msg: s.M.ID,
 		Node: h.id, Priority: score})
-	if h.drops != nil {
+	if h.useDrops {
 		h.drops.RecordDrop(s.M.ID, now)
 	}
 }
@@ -309,7 +334,7 @@ func (h *Host) WipeState(now float64) int {
 		h.tracer.Emit(obs.Event{T: now, Type: obs.MessagePurged, Msg: s.M.ID,
 			Node: h.id, Kind: "wipe"})
 	}
-	if h.drops != nil {
+	if h.useDrops {
 		h.drops.Reset()
 	}
 	return len(dead)
@@ -338,7 +363,7 @@ func (h *Host) ExpireMessages(now float64) int {
 			panic(fmt.Sprintf("routing: node %d keeps message %d after message %d expired", h.id, s.M.ID, last))
 		}
 	}
-	if h.drops != nil {
+	if h.useDrops {
 		h.drops.Forget(last)
 	}
 	if h.acks != nil {

@@ -69,7 +69,7 @@ func peerWants(b *Host, s *msg.Stored) bool {
 	if b.buf.Has(s.M.ID) || b.received[s.M.ID] || b.id == s.M.Source {
 		return false
 	}
-	if b.drops != nil && b.drops.RejectsIncoming(s.M.ID) {
+	if b.useDrops && b.drops.RejectsIncoming(s.M.ID) {
 		return false
 	}
 	if b.acks != nil && b.acks.Has(s.M.ID) {

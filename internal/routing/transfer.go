@@ -95,13 +95,13 @@ func (h *Host) PreAccept(o Offer, now float64) bool {
 	if h.role == fault.RoleSelfish {
 		return false
 	}
-	if h.drops != nil && h.drops.RejectsIncoming(o.S.M.ID) {
+	if h.useDrops && h.drops.RejectsIncoming(o.S.M.ID) {
 		return false
 	}
 	if !h.preflight {
 		return true
 	}
-	_, _, _, ok := h.ord.PlanEviction(h.pol, h, h.buf, o.Phantom(now))
+	_, _, _, ok := h.ord.PlanEviction(h.pol, h, &h.buf, o.Phantom(now))
 	return ok
 }
 
@@ -121,7 +121,7 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 				Node: sender.id, Peer: receiver.id})
 			return false
 		}
-		receiver.received[id] = true
+		receiver.markReceived(id)
 		if receiver.acks != nil {
 			receiver.acks.Add(id)
 		}
@@ -138,7 +138,7 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 	// during the transfer. A duplicate or dropped-list hit wastes the
 	// transfer without touching the sender's tokens (header-level dedup).
 	if receiver.buf.Has(id) || receiver.received[id] ||
-		(receiver.drops != nil && receiver.drops.RejectsIncoming(id)) {
+		(receiver.useDrops && receiver.drops.RejectsIncoming(id)) {
 		sender.tracer.Emit(obs.Event{T: now, Type: obs.MessageRefused, Msg: id,
 			Node: sender.id, Peer: receiver.id})
 		return false
@@ -151,10 +151,10 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 	// tokens).
 	switch o.Kind {
 	case KindSpray:
-		got := o.S.Split(now)
-		// Split recomputes the same numbers as Phantom; they must agree.
-		if got.Copies != incoming.Copies {
-			//lint:invariant Phantom and Split compute ⌊C/2⌋ from the same copy; divergence means the token ledger is corrupt
+		// incoming is the receiver's half of the split; the sender's half
+		// must hand over the same ⌊C/2⌋ tokens.
+		if give := o.S.SplitSender(now); give != incoming.Copies {
+			//lint:invariant Phantom and SplitSender compute ⌊C/2⌋ from the same copy; divergence means the token ledger is corrupt
 			panic("routing: phantom/split divergence")
 		}
 	case KindSpraySource:
@@ -178,14 +178,14 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 		return false
 	}
 
-	victims, scores, inScore, ok := receiver.ord.PlanEviction(receiver.pol, receiver, receiver.buf, incoming)
+	victims, scores, inScore, ok := receiver.ord.PlanEviction(receiver.pol, receiver, &receiver.buf, incoming)
 	if !ok {
 		// The newcomer is the weakest: dropped on arrival. It enters the
 		// receiver's dropped list (enabling SDSRP's future pre-rejection)
 		// and counts as a policy drop.
 		receiver.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped,
 			Msg: id, Node: receiver.id, Priority: inScore})
-		if receiver.drops != nil {
+		if receiver.useDrops {
 			receiver.drops.RecordDrop(id, now)
 		}
 		return false

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -22,15 +23,16 @@ type Fleet struct {
 // Nodes returns the fleet size.
 func (f *Fleet) Nodes() int { return len(f.Paths) }
 
-// Models instantiates one playback mobility model per trajectory.
+// Models instantiates one playback mobility model per trajectory, all from
+// one slab.
 func (f *Fleet) Models() ([]mobility.Model, error) {
 	out := make([]mobility.Model, len(f.Paths))
+	paths := make([]mobility.Path, len(f.Paths))
 	for i, pts := range f.Paths {
-		p, err := mobility.NewPath(pts)
-		if err != nil {
+		if err := mobility.InitPath(&paths[i], pts); err != nil {
 			return nil, fmt.Errorf("trace: node %d: %w", i, err)
 		}
-		out[i] = p
+		out[i] = &paths[i]
 	}
 	return out, nil
 }
@@ -158,10 +160,19 @@ func DefaultSynthesizeConfig() SynthesizeConfig {
 // approximation a real trace gives.
 func Synthesize(cfg SynthesizeConfig) *Fleet {
 	root := rng.New(cfg.Seed).Split("trace-synth")
-	f := &Fleet{Area: cfg.Taxi.Area}
+	f := &Fleet{Area: cfg.Taxi.Area, Paths: make([][]mobility.TimedPoint, 0, max(cfg.Nodes, 0))}
+	// Taxis are driven one after another, so one model and one stream serve
+	// the whole fleet, re-initialised in place for each taxi.
+	var taxi mobility.Taxi
+	var stream rng.Stream
+	samples := 0
+	if n := cfg.Duration / cfg.SampleInterval; n >= 0 && n < math.MaxInt32 {
+		samples = int(n) + 2 // the fix at 0, and one of slack for rounding
+	}
 	for i := 0; i < cfg.Nodes; i++ {
-		taxi := mobility.NewTaxi(cfg.Taxi, root.SplitIndex("taxi", i))
-		var pts []mobility.TimedPoint
+		root.SplitIndexInto(&stream, "taxi", i)
+		mobility.InitTaxi(&taxi, cfg.Taxi, &stream)
+		pts := make([]mobility.TimedPoint, 0, samples)
 		for t := 0.0; t <= cfg.Duration; t += cfg.SampleInterval {
 			pts = append(pts, mobility.TimedPoint{T: t, P: taxi.Pos(t)})
 		}

@@ -2,6 +2,8 @@ package world
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
@@ -251,6 +253,36 @@ func TestTracingLeavesRandomUnchanged(t *testing.T) {
 		}
 		if plain.Summary != traced.Summary {
 			t.Errorf("seed %d: traced run diverges:\nuntraced: %+v\ntraced:   %+v", seed, plain.Summary, traced.Summary)
+		}
+	}
+}
+
+// TestRegisteredPolicyStreamsPinned: a registered policy gets an instance
+// per host on the host's own substream, root.SplitIndex("policy", i). The
+// test-registered random policy draws every score from that stream, so
+// these event logs, recorded when Build split a policy stream for every
+// host whatever its policy, move if any host's stream does.
+func TestRegisteredPolicyStreamsPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		want string
+	}{
+		{1, "29be8f758f873cff2039abcc4db975108f7b5654df62541cfe8276e58aaf6b74"},
+		{2, "5b37a14f3ad00d7ae95208c9cc5de28e3f6fc42258299d188142d778f7a745cc"},
+	} {
+		sc := diffBase()
+		sc.PolicyName = randomPolicyName
+		sc.Seed = c.seed
+		log, res, _, err := runScenario(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PolicyDrops == 0 {
+			t.Fatalf("seed %d: no policy drops, so the random scores decided nothing", c.seed)
+		}
+		sum := sha256.Sum256(log)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("seed %d: event log SHA-256 = %s, want %s", c.seed, got, c.want)
 		}
 	}
 }

@@ -156,39 +156,9 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 	// runs built before the fault layer existed.
 	inj := fault.New(sc.Faults, root.Split("fault"), nodes, churnEligible(sc, nodes))
 
-	useDrops := policyUsesDropList(sc.PolicyName) && !sc.DisableDropList
-	hosts := make([]*routing.Host, nodes)
-	for i := 0; i < nodes; i++ {
-		pol, perr := policy.ByName(sc.PolicyName, root.SplitIndex("policy", i))
-		if perr != nil {
-			return nil, fmt.Errorf("world: %w", perr)
-		}
-		var rate core.RateSource
-		switch {
-		case sc.OracleRateMean > 0:
-			rate = core.FixedRate{Mean: sc.OracleRateMean}
-		case sc.GapLambdaEstimator:
-			rate = core.NewLambdaEstimator(sc.PriorMeanIntermeeting, sc.PriorWeight)
-		default:
-			rate = core.NewCensusEstimator(sc.PriorMeanIntermeeting, sc.PriorWeight, nodes)
-		}
-		// Stateful protocols carry per-node tables: one instance per host.
-		proto, _ := routing.ProtocolByName(sc.ProtocolName)
-		hosts[i] = routing.NewHost(routing.HostConfig{
-			ID:                i,
-			Nodes:             nodes,
-			Buffer:            buffers[i],
-			Policy:            pol,
-			Proto:             proto,
-			Rate:              rate,
-			UseDropList:       useDrops,
-			UseAcks:           sc.UseAcks,
-			PreflightEviction: sc.PreflightEviction,
-			Clock:             eng.Now,
-			Tracer:            tr,
-			Truth:             truth,
-			Role:              inj.Role(i),
-		})
+	hosts, err := buildHosts(sc, root, eng.Now, buffers, tr, truth, inj)
+	if err != nil {
+		return nil, err
 	}
 
 	mgr, err := network.NewManager(eng, network.Config{
@@ -230,6 +200,76 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 		}
 	})
 	return w, nil
+}
+
+// buildHosts fills one slab of hosts, node i with buffer capacity
+// buffers[i], and one slab of the rate estimators they learn with. Every
+// host reads the one clock. Built-in policies are stateless and never draw,
+// so the fleet shares one instance; a registered policy gets an instance per
+// host on its own substream. Split is pure, so leaving out the streams no
+// policy reads changes no draw.
+func buildHosts(sc config.Scenario, root *rng.Stream, clock func() float64, buffers []int64,
+	tr obs.Tracer, truth *obs.Ledger, inj *fault.Injector) ([]*routing.Host, error) {
+	nodes := len(buffers)
+	var shared policy.Policy
+	if policy.IsBuiltin(sc.PolicyName) {
+		pol, err := policy.ByName(sc.PolicyName, nil)
+		if err != nil {
+			return nil, fmt.Errorf("world: %w", err)
+		}
+		shared = pol
+	}
+	var oracle core.RateSource
+	var gaps []core.LambdaEstimator
+	var census []core.CensusEstimator
+	switch {
+	case sc.OracleRateMean > 0:
+		oracle = core.FixedRate{Mean: sc.OracleRateMean}
+	case sc.GapLambdaEstimator:
+		gaps = make([]core.LambdaEstimator, nodes)
+	default:
+		census = make([]core.CensusEstimator, nodes)
+	}
+	useDrops := policyUsesDropList(sc.PolicyName) && !sc.DisableDropList
+	slab := make([]routing.Host, nodes)
+	hosts := make([]*routing.Host, nodes)
+	for i := range slab {
+		pol := shared
+		if pol == nil {
+			var err error
+			if pol, err = policy.ByName(sc.PolicyName, root.SplitIndex("policy", i)); err != nil {
+				return nil, fmt.Errorf("world: %w", err)
+			}
+		}
+		rate := oracle
+		switch {
+		case gaps != nil:
+			core.InitLambdaEstimator(&gaps[i], sc.PriorMeanIntermeeting, sc.PriorWeight)
+			rate = &gaps[i]
+		case census != nil:
+			core.InitCensusEstimator(&census[i], sc.PriorMeanIntermeeting, sc.PriorWeight, nodes)
+			rate = &census[i]
+		}
+		// Stateful protocols carry per-node tables: one instance per host.
+		proto, _ := routing.ProtocolByName(sc.ProtocolName)
+		routing.InitHost(&slab[i], routing.HostConfig{
+			ID:                i,
+			Nodes:             nodes,
+			Buffer:            buffers[i],
+			Policy:            pol,
+			Proto:             proto,
+			Rate:              rate,
+			UseDropList:       useDrops,
+			UseAcks:           sc.UseAcks,
+			PreflightEviction: sc.PreflightEviction,
+			Clock:             clock,
+			Tracer:            tr,
+			Truth:             truth,
+			Role:              inj.Role(i),
+		})
+		hosts[i] = &slab[i]
+	}
+	return hosts, nil
 }
 
 // policyUsesDropList reports whether the named policy relies on the Fig. 5
@@ -319,9 +359,14 @@ func buildPopulation(sc config.Scenario, root *rng.Stream) ([]mobility.Model, []
 // scenario area; node ids are assigned group by group in declaration order.
 func buildGroups(sc config.Scenario, root *rng.Stream) ([]mobility.Model, []int64, []float64, geo.Rect, int, error) {
 	mroot := root.Split("mobility")
-	var models []mobility.Model
-	var buffers []int64
-	var ranges []float64
+	nodes := 0
+	for _, g := range sc.Groups {
+		nodes += g.Count
+	}
+	models := make([]mobility.Model, nodes)
+	buffers := make([]int64, nodes)
+	ranges := make([]float64, nodes)
+	first := 0
 	for gi, g := range sc.Groups {
 		buf := g.BufferBytes
 		if buf <= 0 {
@@ -331,67 +376,71 @@ func buildGroups(sc config.Scenario, root *rng.Stream) ([]mobility.Model, []int6
 		if radioRange <= 0 {
 			radioRange = sc.Range
 		}
-		for k := 0; k < g.Count; k++ {
-			i := len(models)
-			stream := mroot.SplitIndex("node", i)
-			var m mobility.Model
-			switch g.Mobility.Kind {
-			case config.MobilityRWP:
-				m = mobility.NewRandomWaypoint(sc.Area,
-					g.Mobility.SpeedLo, g.Mobility.SpeedHi,
-					g.Mobility.PauseLo, g.Mobility.PauseHi, stream)
-			case config.MobilityRandomWalk:
-				m = mobility.NewRandomWalk(sc.Area,
-					g.Mobility.SpeedLo, g.Mobility.SpeedHi,
-					g.Mobility.EpochDist, stream)
-			case config.MobilityRandomDirection:
-				m = mobility.NewRandomDirection(sc.Area,
-					g.Mobility.SpeedLo, g.Mobility.SpeedHi,
-					g.Mobility.PauseLo, g.Mobility.PauseHi, stream)
-			case config.MobilityStatic:
-				m = mobility.Static{P: geo.Point{
-					X: stream.Uniform(sc.Area.Min.X, sc.Area.Max.X),
-					Y: stream.Uniform(sc.Area.Min.Y, sc.Area.Max.Y),
-				}}
-			default:
-				return nil, nil, nil, geo.Rect{}, 0, fmt.Errorf("world: group %d: unsupported mobility %q", gi, g.Mobility.Kind)
-			}
-			models = append(models, m)
-			buffers = append(buffers, buf)
-			ranges = append(ranges, radioRange)
+		group := models[first : first+g.Count]
+		if g.Mobility.Kind == config.MobilityStatic {
+			fillModels(group, mroot, first, func(m *mobility.Static, s *rng.Stream) {
+				m.P = geo.Point{
+					X: s.Uniform(sc.Area.Min.X, sc.Area.Max.X),
+					Y: s.Uniform(sc.Area.Min.Y, sc.Area.Max.Y),
+				}
+			})
+		} else if !fillUniform(group, mroot, first, g.Mobility, sc.Area) {
+			return nil, nil, nil, geo.Rect{}, 0, fmt.Errorf("world: group %d: unsupported mobility %q", gi, g.Mobility.Kind)
 		}
+		for i := first; i < first+g.Count; i++ {
+			buffers[i] = buf
+			ranges[i] = radioRange
+		}
+		first += g.Count
 	}
-	return models, buffers, ranges, sc.Area, len(models), nil
+	return models, buffers, ranges, sc.Area, nodes, nil
+}
+
+// fillModels points models[k] at the model of node first+k. The models are
+// one slab of T, and their streams, the "node" substreams of mroot, one
+// slab of streams; init fills a model in place on its stream.
+func fillModels[T any, P interface {
+	*T
+	mobility.Model
+}](models []mobility.Model, mroot *rng.Stream, first int, init func(P, *rng.Stream)) {
+	streams := make([]rng.Stream, len(models))
+	slab := make([]T, len(models))
+	for k := range slab {
+		mroot.SplitIndexInto(&streams[k], "node", first+k)
+		init(&slab[k], &streams[k])
+		models[k] = P(&slab[k])
+	}
+}
+
+// fillUniform fills models with the walkers of nodes first, first+1, … for
+// the uniform-range kinds (random waypoint, random walk, random direction)
+// over area, and reports false, filling nothing, for any other kind.
+func fillUniform(models []mobility.Model, mroot *rng.Stream, first int, mob config.Mobility, area geo.Rect) bool {
+	switch mob.Kind {
+	case config.MobilityRWP:
+		fillModels(models, mroot, first, func(m *mobility.RandomWaypoint, s *rng.Stream) {
+			mobility.InitRandomWaypoint(m, area, mob.SpeedLo, mob.SpeedHi, mob.PauseLo, mob.PauseHi, s)
+		})
+	case config.MobilityRandomWalk:
+		fillModels(models, mroot, first, func(m *mobility.RandomWalk, s *rng.Stream) {
+			mobility.InitRandomWalk(m, area, mob.SpeedLo, mob.SpeedHi, mob.EpochDist, s)
+		})
+	case config.MobilityRandomDirection:
+		fillModels(models, mroot, first, func(m *mobility.RandomDirection, s *rng.Stream) {
+			mobility.InitRandomDirection(m, area, mob.SpeedLo, mob.SpeedHi, mob.PauseLo, mob.PauseHi, s)
+		})
+	default:
+		return false
+	}
+	return true
 }
 
 func buildMobility(sc config.Scenario, root *rng.Stream) ([]mobility.Model, geo.Rect, int, error) {
 	mroot := root.Split("mobility")
 	switch sc.Mobility.Kind {
-	case config.MobilityRWP:
+	case config.MobilityRWP, config.MobilityRandomWalk, config.MobilityRandomDirection:
 		models := make([]mobility.Model, sc.Nodes)
-		for i := range models {
-			models[i] = mobility.NewRandomWaypoint(sc.Area,
-				sc.Mobility.SpeedLo, sc.Mobility.SpeedHi,
-				sc.Mobility.PauseLo, sc.Mobility.PauseHi,
-				mroot.SplitIndex("node", i))
-		}
-		return models, sc.Area, sc.Nodes, nil
-	case config.MobilityRandomWalk:
-		models := make([]mobility.Model, sc.Nodes)
-		for i := range models {
-			models[i] = mobility.NewRandomWalk(sc.Area,
-				sc.Mobility.SpeedLo, sc.Mobility.SpeedHi,
-				sc.Mobility.EpochDist, mroot.SplitIndex("node", i))
-		}
-		return models, sc.Area, sc.Nodes, nil
-	case config.MobilityRandomDirection:
-		models := make([]mobility.Model, sc.Nodes)
-		for i := range models {
-			models[i] = mobility.NewRandomDirection(sc.Area,
-				sc.Mobility.SpeedLo, sc.Mobility.SpeedHi,
-				sc.Mobility.PauseLo, sc.Mobility.PauseHi,
-				mroot.SplitIndex("node", i))
-		}
+		fillUniform(models, mroot, 0, sc.Mobility, sc.Area)
 		return models, sc.Area, sc.Nodes, nil
 	case config.MobilityTaxi:
 		fleet := trace.Synthesize(trace.SynthesizeConfig{
@@ -435,20 +484,18 @@ func buildMobility(sc config.Scenario, root *rng.Stream) ([]mobility.Model, geo.
 			g, err = graph.ParseEdgeList(f, snap)
 			f.Close()
 		}
+		if err == nil {
+			err = mobility.CheckRoadGraph(g)
+		}
 		if err != nil {
 			return nil, geo.Rect{}, 0, fmt.Errorf("world: %w", err)
 		}
 		models := make([]mobility.Model, sc.Nodes)
-		for i := range models {
-			m, merr := mobility.NewMapRoute(g,
+		fillModels(models, mroot, 0, func(m *mobility.MapRoute, s *rng.Stream) {
+			mobility.InitMapRoute(m, g,
 				sc.Mobility.SpeedLo, sc.Mobility.SpeedHi,
-				sc.Mobility.PauseLo, sc.Mobility.PauseHi,
-				mroot.SplitIndex("node", i))
-			if merr != nil {
-				return nil, geo.Rect{}, 0, fmt.Errorf("world: %w", merr)
-			}
-			models[i] = m
-		}
+				sc.Mobility.PauseLo, sc.Mobility.PauseHi, s)
+		})
 		// Pad the radio area slightly so border vertices sit inside it.
 		area := g.Bounds()
 		area.Max.X += sc.Range
