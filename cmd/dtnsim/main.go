@@ -240,25 +240,16 @@ func main() {
 
 	fmt.Printf("scenario        %s (seed %d, %d nodes, %.0fs)\n", sc.Name, sc.Seed, res.Scenario.Nodes, sc.Duration)
 	fmt.Printf("policy          %s over %s\n", sc.PolicyName, sc.ProtocolName)
-	fmt.Printf("contacts        %d\n", res.Contacts)
+	lines := stats.Lines(res.Contacts, res.Summary)
+	fmt.Println(lines[0])
 	if intermeeting != nil {
 		fmt.Printf("intermeeting    n=%d mean=%.1fs lambda=%.3g exp-fit-err=%.4f\n",
 			intermeeting.Count(), intermeeting.Mean(), 1/intermeeting.Mean(), intermeeting.ExpFitError())
 	}
 	if res.Created > 0 {
-		fmt.Printf("created         %d\n", res.Created)
-		fmt.Printf("delivered       %d (ratio %.4f)\n", res.Delivered, res.DeliveryRatio)
-		fmt.Printf("avg hopcounts   %.3f\n", res.AvgHops)
-		fmt.Printf("overhead ratio  %.3f\n", res.OverheadRatio)
-		fmt.Printf("latency         avg=%.1fs median=%.1fs p95=%.1fs\n",
-			res.AvgLatency, res.MedianLatency, res.P95Latency)
-		fmt.Printf("transfers       started=%d completed=%d aborted=%d refused=%d\n",
-			res.Started, res.Forwards, res.Aborted, res.Refused)
-		if res.Lost > 0 {
-			fmt.Printf("faults          transfers lost=%d\n", res.Lost)
+		for _, l := range lines[1:] {
+			fmt.Println(l)
 		}
-		fmt.Printf("drops           policy=%d expired=%d acked=%d\n",
-			res.PolicyDrops, res.ExpiredDrops, res.AckPurges)
 	}
 	if res.Energy.Enabled {
 		fmt.Printf("energy          used=%.0fJ dead=%d meanLevel=%.2f firstDeath=%.0fs\n",

@@ -75,18 +75,18 @@ func main() {
 	}
 }
 
-// foldFile replays one event log into a ledger plus the count registry.
-func foldFile(path string) (*obs.Ledger, *obs.Metrics, error) {
+// foldFile replays one event log into a ledger.
+func foldFile(path string) (*obs.Ledger, error) {
 	f, err := obs.OpenLog(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer f.Close()
-	l, m, err := obs.FoldLog(f)
+	l, err := obs.FoldLog(f)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return l, m, nil
+	return l, nil
 }
 
 // onePath extracts the single positional trace argument.

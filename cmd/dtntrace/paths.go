@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -23,7 +22,7 @@ func runPaths(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ledger, _, err := foldFile(path)
+	ledger, err := foldFile(path)
 	if err != nil {
 		return err
 	}
@@ -38,16 +37,7 @@ func runPaths(args []string, out io.Writer) error {
 		recs = ledger.Records()
 	}
 	if *jsonl {
-		for _, r := range recs {
-			b, err := json.Marshal(r)
-			if err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(out, "%s\n", b); err != nil {
-				return err
-			}
-		}
-		return nil
+		return obs.WriteRecords(out, recs)
 	}
 	for _, r := range recs {
 		if _, err := fmt.Fprintln(out, formatRecord(r)); err != nil {

@@ -13,55 +13,42 @@ import (
 	"sdsrp/internal/stats"
 )
 
-// traceStats is the digest folded from one event log. The derived metrics
-// replicate the collector's arithmetic exactly (integer hop sums, latency
-// sums accumulated in delivery order, nearest-rank percentiles), so a
-// warmup-free dtnsim run prints byte-identical numbers.
+// traceStats is the digest folded from one event log. Its summary replicates
+// the collector's arithmetic exactly (integer hop sums, latency sums
+// accumulated in delivery order, nearest-rank percentiles) from the
+// ledger's counts and deliveries, so a warmup-free dtnsim run prints
+// byte-identical lines.
 type traceStats struct {
-	events    uint64
-	snapshots uint64
-	contacts  uint64
-	created   uint64
-	delivered uint64
-	completed uint64
-	started   uint64
-	aborted   uint64
-	refused   uint64
-	lost      uint64
-	policy    uint64
-	expired   uint64
-	acked     uint64
-
-	ratio     float64
-	avgHops   float64
-	overhead  float64
-	avgLat    float64
-	medianLat float64
-	p95Lat    float64
+	contacts int
+	summary  stats.Summary
 
 	kinds map[string]uint64
 	fates map[string]int
+	// scores are the drop scores of the log's policy evictions.
+	scores []float64
 }
 
-func computeStats(l *obs.Ledger, m *obs.Metrics) traceStats {
+func computeStats(l *obs.Ledger) traceStats {
+	count := func(t obs.Type) int { return int(l.Count(t)) }
 	s := traceStats{
-		snapshots: m.Count(obs.Snapshot),
-		contacts:  m.Count(obs.ContactUp),
-		created:   m.Count(obs.MessageCreated),
-		delivered: m.Count(obs.MessageDelivered),
-		completed: m.Count(obs.MessageForwarded) + m.Count(obs.MessageDelivered),
-		started:   m.Count(obs.TransferStart),
-		aborted:   m.Count(obs.TransferAbort),
-		refused:   m.Count(obs.MessageRefused),
-		lost:      m.Count(obs.TransferLost),
-		policy:    m.Count(obs.MessageDropped),
-		expired:   m.Count(obs.MessageExpired),
-		kinds:     make(map[string]uint64),
-		fates:     make(map[string]int),
+		contacts: count(obs.ContactUp),
+		summary: stats.Summary{
+			Created:      count(obs.MessageCreated),
+			Delivered:    count(obs.MessageDelivered),
+			Forwards:     count(obs.MessageForwarded) + count(obs.MessageDelivered),
+			Started:      count(obs.TransferStart),
+			Aborted:      count(obs.TransferAbort),
+			Refused:      count(obs.MessageRefused),
+			Lost:         count(obs.TransferLost),
+			PolicyDrops:  count(obs.MessageDropped),
+			ExpiredDrops: count(obs.MessageExpired),
+		},
+		kinds: make(map[string]uint64),
+		fates: make(map[string]int),
 	}
-	s.events = m.Total()
-	if s.created > 0 {
-		s.ratio = float64(s.delivered) / float64(s.created)
+	sum := &s.summary
+	if sum.Created > 0 {
+		sum.DeliveryRatio = float64(sum.Delivered) / float64(sum.Created)
 	}
 	var hopSum int
 	var latSum float64
@@ -71,24 +58,29 @@ func computeStats(l *obs.Ledger, m *obs.Metrics) traceStats {
 		latSum += r.Latency
 		lat.Add(r.Latency)
 	}
-	if s.delivered > 0 {
-		n := float64(s.delivered)
-		s.avgHops = float64(hopSum) / n
-		s.avgLat = latSum / n
-		s.medianLat = lat.Percentile(0.5)
-		s.p95Lat = lat.Percentile(0.95)
-		s.overhead = float64(s.completed-s.delivered) / n
-	} else if s.completed > 0 {
-		s.overhead = math.Inf(1)
+	if sum.Delivered > 0 {
+		n := float64(sum.Delivered)
+		sum.AvgHops = float64(hopSum) / n
+		sum.AvgLatency = latSum / n
+		sum.MedianLatency = lat.Percentile(0.5)
+		sum.P95Latency = lat.Percentile(0.95)
+		sum.OverheadRatio = float64(sum.Forwards-sum.Delivered) / n
+	} else if sum.Forwards > 0 {
+		sum.OverheadRatio = math.Inf(1)
 	}
 	for _, r := range l.Records() {
 		s.fates[r.Fate]++
 		for _, f := range r.Forwards {
 			s.kinds[f.Kind]++
 		}
+		// purged events also cover churn wipes, so ACK purges are counted
+		// by removal cause.
 		for _, rm := range r.Removals {
-			if rm.Cause == "ack" {
-				s.acked++
+			switch rm.Cause {
+			case "ack":
+				sum.AckPurges++
+			case "policy":
+				s.scores = append(s.scores, rm.Priority)
 			}
 		}
 	}
@@ -112,26 +104,17 @@ func runStats(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ledger, metrics, err := foldFile(path)
+	ledger, err := foldFile(path)
 	if err != nil {
 		return err
 	}
-	s := computeStats(ledger, metrics)
+	s := computeStats(ledger)
+	lines := stats.Lines(s.contacts, s.summary)
 
-	fmt.Fprintf(out, "events          %d (%d snapshots)\n", s.events, s.snapshots)
-	fmt.Fprintf(out, "contacts        %d\n", s.contacts)
-	fmt.Fprintf(out, "created         %d\n", s.created)
-	fmt.Fprintf(out, "delivered       %d (ratio %.4f)\n", s.delivered, s.ratio)
-	fmt.Fprintf(out, "avg hopcounts   %.3f\n", s.avgHops)
-	fmt.Fprintf(out, "overhead ratio  %.3f\n", s.overhead)
-	fmt.Fprintf(out, "latency         avg=%.1fs median=%.1fs p95=%.1fs\n",
-		s.avgLat, s.medianLat, s.p95Lat)
-	fmt.Fprintf(out, "transfers       started=%d completed=%d aborted=%d refused=%d\n",
-		s.started, s.completed, s.aborted, s.refused)
-	if s.lost > 0 {
-		fmt.Fprintf(out, "faults          transfers lost=%d\n", s.lost)
+	fmt.Fprintf(out, "events          %d (%d snapshots)\n", ledger.Total(), ledger.Count(obs.Snapshot))
+	for _, l := range lines {
+		fmt.Fprintln(out, l)
 	}
-	fmt.Fprintf(out, "drops           policy=%d expired=%d acked=%d\n", s.policy, s.expired, s.acked)
 	var kinds []string
 	for _, k := range forwardKinds {
 		if s.kinds[k] > 0 {
@@ -146,13 +129,16 @@ func runStats(args []string, out io.Writer) error {
 		fates = append(fates, fmt.Sprintf("%s=%d", f, s.fates[f]))
 	}
 	fmt.Fprintf(out, "fates           %s\n", strings.Join(fates, " "))
-	if p := metrics.EvictPriority; p.Count() > 0 {
-		fmt.Fprintf(out, "drop scores     n=%d min=%.3g mean=%.3g max=%.3g\n",
-			p.Count(), p.Min(), p.Mean(), p.Max())
+	if n := len(s.scores); n > 0 {
+		lo, hi, sum := s.scores[0], s.scores[0], 0.0
+		for _, v := range s.scores {
+			lo, hi, sum = min(lo, v), max(hi, v), sum+v
+		}
+		fmt.Fprintf(out, "drop scores     n=%d min=%.3g mean=%.3g max=%.3g\n", n, lo, sum/float64(n), hi)
 	}
 
 	if *check != "" {
-		if err := checkAgainstSim(out, s, *check); err != nil {
+		if err := checkAgainstSim(out, lines, s.summary.Created, *check); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "check           ok: trace agrees with %s\n", *check)
@@ -160,60 +146,34 @@ func runStats(args []string, out io.Writer) error {
 	return nil
 }
 
-// checkAgainstSim cross-validates the trace digest against a captured
-// dtnsim stdout: every overlapping line must render identically.
-func checkAgainstSim(out io.Writer, s traceStats, simPath string) error {
+// checkAgainstSim cross-validates the trace's summary lines against a
+// captured dtnsim stdout: the line with each label must read identically.
+// dtnsim omits every line after contacts when no traffic ran, so a missing
+// line is an error only when the trace created messages.
+func checkAgainstSim(out io.Writer, want []string, created int, simPath string) error {
 	f, err := os.Open(simPath)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	simLines := make(map[string]string) // label prefix -> full line
-	labels := []string{"contacts", "created", "delivered", "avg hopcounts",
-		"overhead ratio", "latency", "transfers", "drops", "faults"}
+	simLines := make(map[string]string) // label -> full line
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		line := strings.TrimRight(sc.Text(), " \t")
-		for _, lb := range labels {
-			if strings.HasPrefix(line, lb+" ") {
-				simLines[lb] = line
-				break
-			}
-		}
+		simLines[label(line)] = line
 	}
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	type check struct{ label, want string }
-	checks := []check{
-		{"contacts", fmt.Sprintf("contacts        %d", s.contacts)},
-		{"created", fmt.Sprintf("created         %d", s.created)},
-		{"delivered", fmt.Sprintf("delivered       %d (ratio %.4f)", s.delivered, s.ratio)},
-		{"avg hopcounts", fmt.Sprintf("avg hopcounts   %.3f", s.avgHops)},
-		{"overhead ratio", fmt.Sprintf("overhead ratio  %.3f", s.overhead)},
-		{"latency", fmt.Sprintf("latency         avg=%.1fs median=%.1fs p95=%.1fs",
-			s.avgLat, s.medianLat, s.p95Lat)},
-		{"transfers", fmt.Sprintf("transfers       started=%d completed=%d aborted=%d refused=%d",
-			s.started, s.completed, s.aborted, s.refused)},
-		{"drops", fmt.Sprintf("drops           policy=%d expired=%d acked=%d", s.policy, s.expired, s.acked)},
-	}
-	if s.lost > 0 {
-		checks = append(checks, check{"faults",
-			fmt.Sprintf("faults          transfers lost=%d", s.lost)})
-	}
 	var bad []string
-	for _, c := range checks {
-		got, ok := simLines[c.label]
-		if !ok {
-			// dtnsim omits the created-block when no traffic ran; only a
-			// non-trivial trace expectation makes the absence an error.
-			if c.want != "" && s.created > 0 {
-				bad = append(bad, fmt.Sprintf("%s: missing from %s (trace says %q)", c.label, simPath, c.want))
-			}
-			continue
-		}
-		if got != c.want {
-			bad = append(bad, fmt.Sprintf("%s:\n  sim:   %s\n  trace: %s", c.label, got, c.want))
+	for _, w := range want {
+		lb := label(w)
+		got, ok := simLines[lb]
+		switch {
+		case !ok && created > 0:
+			bad = append(bad, fmt.Sprintf("%s: missing from %s (trace says %q)", lb, simPath, w))
+		case ok && got != w:
+			bad = append(bad, fmt.Sprintf("%s:\n  sim:   %s\n  trace: %s", lb, got, w))
 		}
 	}
 	if len(bad) > 0 {
@@ -221,4 +181,11 @@ func checkAgainstSim(out io.Writer, s traceStats, simPath string) error {
 		return fmt.Errorf("trace disagrees with %s:\n%s", simPath, strings.Join(bad, "\n"))
 	}
 	return nil
+}
+
+// label is a summary line's label: the text before the padding that aligns
+// its value.
+func label(line string) string {
+	lb, _, _ := strings.Cut(line, "  ")
+	return lb
 }

@@ -13,6 +13,7 @@ import (
 	"sdsrp"
 	"sdsrp/internal/network"
 	"sdsrp/internal/obs"
+	"sdsrp/internal/stats"
 	"sdsrp/internal/world"
 )
 
@@ -152,9 +153,9 @@ func TestDiffEOFDivergence(t *testing.T) {
 }
 
 // TestStatsCheckAgainstSim is the trace-smoke invariant in miniature: fold
-// the trace, render dtnsim's stat lines from the run's own Result, and the
-// -check comparison must pass. Warmup-free, so every counter and float must
-// agree bit-for-bit, ACK purges included.
+// the trace, render dtnsim's summary lines from the run's own Result, and
+// the -check comparison must pass. Warmup-free, so every counter and float
+// must agree bit-for-bit, ACK purges included.
 func TestStatsCheckAgainstSim(t *testing.T) {
 	dir := t.TempDir()
 	acked := testScenario(3)
@@ -163,7 +164,7 @@ func TestStatsCheckAgainstSim(t *testing.T) {
 	if ackRes.AckPurges == 0 {
 		t.Fatal("ACK run purged nothing")
 	}
-	if err := writeFileLines(filepath.Join(dir, "acks.txt"), renderSimStats(ackRes)); err != nil {
+	if err := writeFileLines(filepath.Join(dir, "acks.txt"), stats.Lines(ackRes.Contacts, ackRes.Summary)); err != nil {
 		t.Fatal(err)
 	}
 	var ackOut bytes.Buffer
@@ -177,7 +178,7 @@ func TestStatsCheckAgainstSim(t *testing.T) {
 		t.Fatalf("degenerate run: created=%d delivered=%d", res.Created, res.Delivered)
 	}
 	simOut := filepath.Join(dir, "sim.txt")
-	if err := writeFileLines(simOut, renderSimStats(res)); err != nil {
+	if err := writeFileLines(simOut, stats.Lines(res.Contacts, res.Summary)); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
@@ -189,7 +190,7 @@ func TestStatsCheckAgainstSim(t *testing.T) {
 	}
 	// And a deliberately corrupted sim capture must be rejected.
 	bad := filepath.Join(dir, "bad.txt")
-	lines := renderSimStats(res)
+	lines := stats.Lines(res.Contacts, res.Summary)
 	lines[1] = "created         99999"
 	if err := writeFileLines(bad, lines); err != nil {
 		t.Fatal(err)
@@ -199,26 +200,41 @@ func TestStatsCheckAgainstSim(t *testing.T) {
 	}
 }
 
-// renderSimStats formats a Result exactly as dtnsim's summary printf block
-// does.
-func renderSimStats(res sdsrp.Result) []string {
-	lines := []string{
-		fmt.Sprintf("contacts        %d", res.Contacts),
-		fmt.Sprintf("created         %d", res.Created),
-		fmt.Sprintf("delivered       %d (ratio %.4f)", res.Delivered, res.DeliveryRatio),
-		fmt.Sprintf("avg hopcounts   %.3f", res.AvgHops),
-		fmt.Sprintf("overhead ratio  %.3f", res.OverheadRatio),
-		fmt.Sprintf("latency         avg=%.1fs median=%.1fs p95=%.1fs",
-			res.AvgLatency, res.MedianLatency, res.P95Latency),
-		fmt.Sprintf("transfers       started=%d completed=%d aborted=%d refused=%d",
-			res.Started, res.Forwards, res.Aborted, res.Refused),
+// TestStatsOutputPinned pins dtntrace stats on a fixed-seed log with
+// snapshots, ACK purges, transfer loss and policy drops: every line it
+// prints, byte for byte, and -check against the run's own summary passes
+// with the faults line compared.
+func TestStatsOutputPinned(t *testing.T) {
+	sc := testScenario(3)
+	sc.UseAcks = true
+	sc.Faults.TransferLossProb = 0.1
+	dir := t.TempDir()
+	path, sim := filepath.Join(dir, "pin.jsonl"), filepath.Join(dir, "sim.txt")
+	res := writeTrace(t, sc, path, 300)
+	if err := writeFileLines(sim, stats.Lines(res.Contacts, res.Summary)); err != nil {
+		t.Fatal(err)
 	}
-	if res.Lost > 0 {
-		lines = append(lines, fmt.Sprintf("faults          transfers lost=%d", res.Lost))
+	var out bytes.Buffer
+	if err := runStats([]string{"-check", sim, path}, &out); err != nil {
+		t.Fatalf("stats -check failed: %v\noutput:\n%s", err, out.String())
 	}
-	lines = append(lines, fmt.Sprintf("drops           policy=%d expired=%d acked=%d",
-		res.PolicyDrops, res.ExpiredDrops, res.AckPurges))
-	return lines
+	want := `events          1739 (6 snapshots)
+contacts        196
+created         61
+delivered       49 (ratio 0.8033)
+avg hopcounts   2.286
+overhead ratio  7.184
+latency         avg=132.2s median=121.3s p95=314.7s
+transfers       started=477 completed=401 aborted=18 refused=0
+faults          transfers lost=57
+drops           policy=194 expired=2 acked=135
+forwards        spray=352
+fates           delivered=49 dropped=5 expired=1 stranded=6 wiped=0
+drop scores     n=194 min=0 mean=0.0155 max=0.1
+check           ok: trace agrees with ` + sim + "\n"
+	if got := out.String(); got != want {
+		t.Errorf("dtntrace stats output changed:\n got:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 // TestSeriesCSVShape checks the snapshot CSV: header, row cadence, per-node
@@ -360,7 +376,7 @@ func TestPathsInvariants(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "run.jsonl")
 	res := writeTrace(t, testScenario(3), trace, 0)
-	ledger, _, err := foldFile(trace)
+	ledger, err := foldFile(trace)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,3 +74,33 @@ func ExampleRunExperiment() {
 	// Output:
 	// fig4 5 curves
 }
+
+// Folding a run's event stream into a provenance ledger: it counts the
+// events and keeps every message's fate and custody chain. The same ledger
+// folds a saved log through FoldEventLog.
+func ExampleMessageLedger() {
+	sc := sdsrp.RandomWaypointScenario()
+	sc.Nodes = 24
+	sc.Area.Max.X, sc.Area.Max.Y = 1200, 900
+	sc.Duration, sc.TTL = 2500, 2500
+	sc.Seed = 1
+
+	ledger := sdsrp.NewMessageLedger()
+	w, err := sdsrp.Build(sc, sdsrp.WithTracer(ledger))
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	res, err := w.Run()
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Printf("events=%d delivered=%d (collector %d)\n",
+		ledger.Total(), len(ledger.Deliveries()), res.Delivered)
+	first := ledger.Deliveries()[0]
+	fmt.Printf("msg %d: %s after %.0fs via %v\n", first.ID, first.Fate, first.Latency, first.Path)
+	// Output:
+	// events=3153 delivered=34 (collector 34)
+	// msg 4: delivered after 235s via [23 12]
+}

@@ -9,6 +9,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -90,130 +92,112 @@ func (f *F64) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// JournalResult is the wire form of a world.Result. Float fields use F64 so
-// the stored metrics round-trip bit-exactly; the scenario is stored in its
-// resolved form (world.Build fills Nodes and Area for trace-driven and
-// group scenarios), so a reloaded Result equals the live one field for
-// field.
+// JournalResult is the wire form of a world.Result. The result structs
+// travel as fields, float64s spelled by F64's rules, so the stored metrics
+// round-trip bit-exactly; the scenario is stored in its resolved form
+// (world.Build fills Nodes and Area for trace-driven and group scenarios),
+// so a reloaded Result equals the live one field for field.
+//
+// Only WallSeconds and the scan-work fields of Perf (the pair counters,
+// ScanFallback and Replayed, which depend on whether the run replayed a
+// sweep sibling's contact schedule) may differ between two executions of
+// the same scenario; a resumed sweep reports the journaled values.
 type JournalResult struct {
-	Scenario            config.Scenario `json:"scenario"`
-	Summary             summaryWire     `json:"summary"`
-	Contacts            int             `json:"contacts"`
-	MeanContactDuration F64             `json:"mean_contact_duration"`
-	Energy              energyWire      `json:"energy"`
-	Perf                perfWire        `json:"perf"`
+	Scenario            config.Scenario              `json:"scenario"`
+	Summary             fields[stats.Summary]        `json:"summary"`
+	Contacts            int                          `json:"contacts"`
+	MeanContactDuration F64                          `json:"mean_contact_duration"`
+	Energy              fields[network.EnergyReport] `json:"energy"`
+	Perf                fields[obs.RunStats]         `json:"perf"`
 }
 
-// summaryWire mirrors stats.Summary with journal-safe floats.
-type summaryWire struct {
-	Created       int `json:"created"`
-	Delivered     int `json:"delivered"`
-	Forwards      int `json:"forwards"`
-	Started       int `json:"started"`
-	Aborted       int `json:"aborted"`
-	Refused       int `json:"refused"`
-	Lost          int `json:"lost"`
-	PolicyDrops   int `json:"policy_drops"`
-	ExpiredDrops  int `json:"expired_drops"`
-	AckPurges     int `json:"ack_purges"`
-	Duplicates    int `json:"duplicates"`
-	DeliveryRatio F64 `json:"delivery_ratio"`
-	AvgHops       F64 `json:"avg_hops"`
-	OverheadRatio F64 `json:"overhead_ratio"`
-	AvgLatency    F64 `json:"avg_latency"`
-	MedianLatency F64 `json:"median_latency"`
-	P95Latency    F64 `json:"p95_latency"`
-}
-
-// energyWire mirrors network.EnergyReport.
-type energyWire struct {
-	Enabled    bool `json:"enabled"`
-	DeadNodes  int  `json:"dead_nodes"`
-	TotalUsed  F64  `json:"total_used"`
-	MeanLevel  F64  `json:"mean_level"`
-	FirstDeath F64  `json:"first_death"`
-}
-
-// perfWire mirrors obs.RunStats. Only WallSeconds and the scan-work fields
-// (the pair counters, ScanFallback and Replayed, which depend on whether the
-// run replayed a sweep sibling's contact schedule) may differ between two
-// executions of the same scenario; a resumed sweep reports the journaled
-// values.
-type perfWire struct {
-	SimSeconds   F64    `json:"sim_seconds"`
-	Events       uint64 `json:"events"`
-	PeakQueue    int    `json:"peak_queue"`
-	WallSeconds  F64    `json:"wall_seconds"`
-	PairsChecked uint64 `json:"pairs_checked"`
-	PairsSkipped uint64 `json:"pairs_skipped"`
-	Wakeups      uint64 `json:"wakeups"`
-	// ScanFallback and Replayed are omitted when zero, so the line of a run
-	// that scanned and whose planner held is byte-identical to one written
-	// before either field existed.
-	ScanFallback string `json:"scan_fallback,omitempty"`
-	Replayed     bool   `json:"replayed,omitempty"`
-}
-
-// toWire converts a live Result into its journal form.
-func toWire(r world.Result) *JournalResult {
-	s := r.Summary
+func newJournalResult(r world.Result) *JournalResult {
 	return &JournalResult{
-		Scenario: r.Scenario,
-		Summary: summaryWire{
-			Created: s.Created, Delivered: s.Delivered, Forwards: s.Forwards,
-			Started: s.Started, Aborted: s.Aborted, Refused: s.Refused,
-			Lost: s.Lost, PolicyDrops: s.PolicyDrops, ExpiredDrops: s.ExpiredDrops,
-			AckPurges: s.AckPurges, Duplicates: s.Duplicates,
-			DeliveryRatio: F64(s.DeliveryRatio), AvgHops: F64(s.AvgHops),
-			OverheadRatio: F64(s.OverheadRatio), AvgLatency: F64(s.AvgLatency),
-			MedianLatency: F64(s.MedianLatency), P95Latency: F64(s.P95Latency),
-		},
+		Scenario:            r.Scenario,
+		Summary:             fields[stats.Summary]{r.Summary},
 		Contacts:            r.Contacts,
 		MeanContactDuration: F64(r.MeanContactDuration),
-		Energy: energyWire{
-			Enabled: r.Energy.Enabled, DeadNodes: r.Energy.DeadNodes,
-			TotalUsed: F64(r.Energy.TotalUsed), MeanLevel: F64(r.Energy.MeanLevel),
-			FirstDeath: F64(r.Energy.FirstDeath),
-		},
-		Perf: perfWire{
-			SimSeconds: F64(r.Perf.SimSeconds), Events: r.Perf.Events,
-			PeakQueue: r.Perf.PeakQueue, WallSeconds: F64(r.Perf.WallSeconds),
-			PairsChecked: r.Perf.PairsChecked, PairsSkipped: r.Perf.PairsSkipped,
-			Wakeups: r.Perf.Wakeups, ScanFallback: r.Perf.ScanFallback,
-			Replayed: r.Perf.Replayed,
-		},
+		Energy:              fields[network.EnergyReport]{r.Energy},
+		Perf:                fields[obs.RunStats]{r.Perf},
 	}
 }
 
 // Restore reconstructs the live world.Result the entry was recorded from.
 func (jr *JournalResult) Restore() world.Result {
-	s := jr.Summary
 	return world.Result{
-		Summary: stats.Summary{
-			Created: s.Created, Delivered: s.Delivered, Forwards: s.Forwards,
-			Started: s.Started, Aborted: s.Aborted, Refused: s.Refused,
-			Lost: s.Lost, PolicyDrops: s.PolicyDrops, ExpiredDrops: s.ExpiredDrops,
-			AckPurges: s.AckPurges, Duplicates: s.Duplicates,
-			DeliveryRatio: float64(s.DeliveryRatio), AvgHops: float64(s.AvgHops),
-			OverheadRatio: float64(s.OverheadRatio), AvgLatency: float64(s.AvgLatency),
-			MedianLatency: float64(s.MedianLatency), P95Latency: float64(s.P95Latency),
-		},
+		Summary:             jr.Summary.v,
 		Scenario:            jr.Scenario,
 		Contacts:            jr.Contacts,
 		MeanContactDuration: float64(jr.MeanContactDuration),
-		Energy: network.EnergyReport{
-			Enabled: jr.Energy.Enabled, DeadNodes: jr.Energy.DeadNodes,
-			TotalUsed: float64(jr.Energy.TotalUsed), MeanLevel: float64(jr.Energy.MeanLevel),
-			FirstDeath: float64(jr.Energy.FirstDeath),
-		},
-		Perf: obs.RunStats{
-			SimSeconds: float64(jr.Perf.SimSeconds), Events: jr.Perf.Events,
-			PeakQueue: jr.Perf.PeakQueue, WallSeconds: float64(jr.Perf.WallSeconds),
-			PairsChecked: jr.Perf.PairsChecked, PairsSkipped: jr.Perf.PairsSkipped,
-			Wakeups: jr.Perf.Wakeups, ScanFallback: jr.Perf.ScanFallback,
-			Replayed: jr.Perf.Replayed,
-		},
+		Energy:              jr.Energy.v,
+		Perf:                jr.Perf.v,
 	}
+}
+
+// fields is a flat result struct in its journal form: one JSON object with
+// the struct's fields in declaration order under their json tags, omitempty
+// honoured, every float64 spelled by F64's rules. Decoding looks each
+// field's key up, so absent keys leave zeros and unknown keys are ignored.
+type fields[T any] struct{ v T }
+
+// MarshalJSON implements json.Marshaler.
+func (f fields[T]) MarshalJSON() ([]byte, error) {
+	v := reflect.ValueOf(f.v)
+	b := []byte{'{'}
+	for i := 0; i < v.NumField(); i++ {
+		key, omitEmpty := jsonKey(v.Type().Field(i))
+		if key == "" {
+			return nil, fmt.Errorf("experiment: %s.%s has no json key", v.Type(), v.Type().Field(i).Name)
+		}
+		fv := v.Field(i)
+		if omitEmpty && fv.IsZero() {
+			continue
+		}
+		val := fv.Interface()
+		if x, ok := val.(float64); ok {
+			val = F64(x)
+		}
+		enc, err := json.Marshal(val)
+		if err != nil {
+			return nil, err
+		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = append(append(strconv.AppendQuote(b, key), ':'), enc...)
+	}
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (f *fields[T]) UnmarshalJSON(data []byte) error {
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	v := reflect.ValueOf(&f.v).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		key, _ := jsonKey(v.Type().Field(i))
+		enc, ok := raw[key]
+		if !ok {
+			continue
+		}
+		dst := v.Field(i).Addr().Interface()
+		if p, ok := dst.(*float64); ok {
+			dst = (*F64)(p)
+		}
+		if err := json.Unmarshal(enc, dst); err != nil {
+			return fmt.Errorf("%s: %w", key, err)
+		}
+	}
+	return nil
+}
+
+// jsonKey returns a field's key from its json tag and whether the tag says
+// omitempty.
+func jsonKey(sf reflect.StructField) (key string, omitEmpty bool) {
+	key, opts, _ := strings.Cut(sf.Tag.Get("json"), ",")
+	return key, opts == "omitempty"
 }
 
 // Journal is a crash-safe, append-only JSONL manifest of finished runs,
@@ -233,9 +217,11 @@ func (jr *JournalResult) Restore() world.Result {
 //     reloads (later lines shadow earlier ones; compaction keeps only the
 //     winner).
 //
-// The journal contains no timestamps and no map-ordered emission, so
-// journaling the same runs always produces the same bytes — the property
-// the kill-and-resume gate (make resume-smoke) checks end to end.
+// The journal contains no timestamps and no map-ordered emission, but its
+// lines follow the order in which runs finish, which varies with several
+// workers, and each line carries its run's wall time. What a resumed sweep
+// reproduces byte for byte is its output, the property the kill-and-resume
+// gate (make resume-smoke) checks end to end.
 type Journal struct {
 	//lint:invariant the mutex serializes appends from sweep workers AFTER their runs complete; journal writes happen outside every engine's dispatch loop and feed nothing back into it
 	mu      sync.Mutex
@@ -396,7 +382,7 @@ func (j *Journal) RecordResult(digest string, sc config.Scenario, res world.Resu
 		Policy:   sc.PolicyName,
 		Status:   StatusDone,
 		Attempts: attempts,
-		Result:   toWire(res),
+		Result:   newJournalResult(res),
 	})
 }
 

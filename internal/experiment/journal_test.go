@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +11,9 @@ import (
 	"testing"
 
 	"sdsrp/internal/config"
+	"sdsrp/internal/network"
+	"sdsrp/internal/obs"
+	"sdsrp/internal/stats"
 	"sdsrp/internal/world"
 )
 
@@ -62,7 +66,7 @@ func TestJournalResultRoundTrip(t *testing.T) {
 			if tc.name == "epfl" && res.Perf.ScanFallback == "" {
 				t.Fatal("EPFL run's planner held; the case no longer covers ScanFallback")
 			}
-			data, err := json.Marshal(toWire(res))
+			data, err := json.Marshal(newJournalResult(res))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +89,7 @@ func TestJournalReplayedMarker(t *testing.T) {
 	var res world.Result
 	res.Perf.Events = 12
 	res.Perf.Replayed = true
-	data, err := json.Marshal(toWire(res))
+	data, err := json.Marshal(newJournalResult(res))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +101,7 @@ func TestJournalReplayedMarker(t *testing.T) {
 		t.Errorf("replayed result restored as %+v", got.Perf)
 	}
 	res.Perf.Replayed = false
-	if data, _ = json.Marshal(toWire(res)); strings.Contains(string(data), "replayed") {
+	if data, _ = json.Marshal(newJournalResult(res)); strings.Contains(string(data), "replayed") {
 		t.Errorf("scanning run journaled with a replay field: %s", data)
 	}
 	old := `{"perf":{"sim_seconds":900,"events":12,"peak_queue":3,"wall_seconds":1,"pairs_checked":40,"pairs_skipped":5,"wakeups":2}}`
@@ -107,6 +111,112 @@ func TestJournalReplayedMarker(t *testing.T) {
 	}
 	if got := jr.Restore(); got.Perf.Replayed || got.Perf.PairsChecked != 40 {
 		t.Errorf("pre-marker line restored as %+v", got.Perf)
+	}
+}
+
+// TestJournalLinePinned pins the journal line of a fixed Result, with
+// OverheadRatio = +Inf, energy enabled, a scan fallback, the replay marker
+// and a fixed wall time, to the bytes journals have always held, and
+// checks the line restores field for field.
+func TestJournalLinePinned(t *testing.T) {
+	res := world.Result{
+		Summary: stats.Summary{Created: 40, Forwards: 17, Started: 21, Aborted: 3, Refused: 1,
+			Lost: 2, PolicyDrops: 9, ExpiredDrops: 4, AckPurges: 5, Duplicates: 6,
+			OverheadRatio: math.Inf(1)},
+		Scenario:            config.Scenario{Name: "pinned", Seed: 7, Nodes: 3},
+		Contacts:            11,
+		MeanContactDuration: 123.456789,
+		Energy: network.EnergyReport{Enabled: true, DeadNodes: 2, TotalUsed: 1999.5,
+			MeanLevel: 0.125, FirstDeath: 568.25},
+		Perf: obs.RunStats{SimSeconds: 3600, Events: 4071, PeakQueue: 12, WallSeconds: 0.0625,
+			PairsChecked: 86916, PairsSkipped: 17757979, Wakeups: 19375,
+			ScanFallback: "lazy:load-monitor->naive", Replayed: true},
+	}
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Record(Entry{Digest: "d", Name: "pinned", Seed: 7, Policy: "SDSRP",
+		Status: StatusDone, Attempts: 1, Result: newJournalResult(res)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	scenario, err := json.Marshal(res.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"digest":"d","name":"pinned","seed":7,"policy":"SDSRP","status":"done","attempts":1,` +
+		`"result":{"scenario":` + string(scenario) +
+		`,"summary":{"created":40,"delivered":0,"forwards":17,"started":21,"aborted":3,"refused":1,` +
+		`"lost":2,"policy_drops":9,"expired_drops":4,"ack_purges":5,"duplicates":6,"delivery_ratio":0,` +
+		`"avg_hops":0,"overhead_ratio":"+Inf","avg_latency":0,"median_latency":0,"p95_latency":0},` +
+		`"contacts":11,"mean_contact_duration":123.456789,` +
+		`"energy":{"enabled":true,"dead_nodes":2,"total_used":1999.5,"mean_level":0.125,"first_death":568.25},` +
+		`"perf":{"sim_seconds":3600,"events":4071,"peak_queue":12,"wall_seconds":0.0625,` +
+		`"pairs_checked":86916,"pairs_skipped":17757979,"wakeups":19375,` +
+		`"scan_fallback":"lazy:load-monitor-\u003enaive","replayed":true}}}` + "\n"
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != want {
+		t.Fatalf("journal line changed:\n got %s\nwant %s", data, want)
+	}
+	j, err = OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	e, ok := j.Lookup("d")
+	if !ok || e.Result == nil {
+		t.Fatalf("reloaded journal lost the entry: %+v", e)
+	}
+	if got := e.Result.Restore(); !reflect.DeepEqual(got, res) {
+		t.Errorf("restored result differs:\n got %+v\nwant %+v", got, res)
+	}
+}
+
+// TestJournalCoversEveryField sets every field of the journaled result
+// structs to a distinct non-zero value and round-trips them, so a field the
+// encoder skips, or one added without a json tag, fails here. Real runs
+// leave many of them zero (energy is off in most scenarios).
+func TestJournalCoversEveryField(t *testing.T) {
+	var res world.Result
+	n := 0
+	for _, v := range []reflect.Value{reflect.ValueOf(&res.Summary).Elem(),
+		reflect.ValueOf(&res.Energy).Elem(), reflect.ValueOf(&res.Perf).Elem()} {
+		for i := 0; i < v.NumField(); i++ {
+			n++
+			f := v.Field(i)
+			switch f.Kind() {
+			case reflect.Int:
+				f.SetInt(int64(n))
+			case reflect.Uint64:
+				f.SetUint(uint64(n))
+			case reflect.Float64:
+				f.SetFloat(float64(n) + 0.25)
+			case reflect.String:
+				f.SetString(fmt.Sprintf("s%d", n))
+			case reflect.Bool:
+				f.SetBool(true)
+			default:
+				t.Fatalf("%s.%s: no distinct value for kind %s", v.Type(), v.Type().Field(i).Name, f.Kind())
+			}
+		}
+	}
+	data, err := json.Marshal(newJournalResult(res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jr JournalResult
+	if err := json.Unmarshal(data, &jr); err != nil {
+		t.Fatal(err)
+	}
+	if got := jr.Restore(); !reflect.DeepEqual(got, res) {
+		t.Errorf("restored result differs:\n got %+v\nwant %+v\nwire %s", got, res, data)
 	}
 }
 

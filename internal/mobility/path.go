@@ -30,23 +30,25 @@ type Path struct {
 }
 
 // NewPath builds a playback model. Waypoints are sorted by time; at least
-// one waypoint is required.
+// one waypoint is required. NewPath copies points, so the caller keeps its
+// slice.
 func NewPath(points []TimedPoint) (*Path, error) {
 	p := new(Path)
-	if err := InitPath(p, points); err != nil {
+	if err := InitPath(p, append([]TimedPoint(nil), points...)); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
 // InitPath fills p in place as NewPath would build it, for callers that
-// keep a fleet's paths in one slab. Like NewPath it copies points.
+// keep a fleet's paths in one slab. Unlike NewPath it takes ownership of
+// points: it sorts them in place and plays them back, so the caller must
+// not modify the slice afterwards.
 func InitPath(p *Path, points []TimedPoint) error {
 	if len(points) == 0 {
 		return fmt.Errorf("mobility: empty path")
 	}
-	sorted := append([]TimedPoint(nil), points...)
-	slices.SortStableFunc(sorted, func(a, b TimedPoint) int {
+	slices.SortStableFunc(points, func(a, b TimedPoint) int {
 		switch {
 		case a.T < b.T:
 			return -1
@@ -55,9 +57,9 @@ func InitPath(p *Path, points []TimedPoint) error {
 		}
 		return 0
 	})
-	*p = Path{points: sorted}
-	for i := 1; i < len(sorted); i++ {
-		a, b := sorted[i-1], sorted[i]
+	*p = Path{points: points}
+	for i := 1; i < len(points); i++ {
+		a, b := points[i-1], points[i]
 		//lint:ignore hot-dist parse-time bound measurement, not a per-tick check
 		d := a.P.Dist(b.P)
 		if d == 0 {

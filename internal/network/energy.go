@@ -63,13 +63,14 @@ func (s *energyState) drain(id int, amount, now float64) {
 	}
 }
 
-// EnergyReport summarizes battery state at a point in time.
+// EnergyReport summarizes battery state at a point in time. The json tags
+// are its keys in the run journal (internal/experiment).
 type EnergyReport struct {
-	Enabled    bool
-	DeadNodes  int
-	TotalUsed  float64
-	MeanLevel  float64 // mean remaining fraction across nodes
-	FirstDeath float64 // time of the first depletion (0 when none)
+	Enabled    bool    `json:"enabled"`
+	DeadNodes  int     `json:"dead_nodes"`
+	TotalUsed  float64 `json:"total_used"`
+	MeanLevel  float64 `json:"mean_level"`  // mean remaining fraction across nodes
+	FirstDeath float64 `json:"first_death"` // time of the first depletion (0 when none)
 }
 
 // EnergyReport returns the manager's battery summary.

@@ -72,7 +72,7 @@ func TestTransferLossDiscardsEverything(t *testing.T) {
 // TestLinkFlapCutsContacts: a tiny mean up-time chops the standing contact
 // into flaps, and the pair stays down until the nodes separate.
 func TestLinkFlapCutsContacts(t *testing.T) {
-	metrics := obs.NewMetrics()
+	metrics := obs.NewLedger()
 	r := newFaultRig(2, 10000, fault.Config{LinkFlapMeanUp: 2}, metrics)
 	r.puppets[0].p = geo.Point{X: 0, Y: 0}
 	r.puppets[1].p = geo.Point{X: 50, Y: 0}
@@ -102,7 +102,7 @@ func TestLinkFlapCutsContacts(t *testing.T) {
 // TestChurnCrashReboot: a churned node goes dark (links torn, no re-up
 // while down), reboots, and — with WipeOnReboot — loses its buffer.
 func TestChurnCrashReboot(t *testing.T) {
-	metrics := obs.NewMetrics()
+	metrics := obs.NewLedger()
 	r := newFaultRig(2, 10000, fault.Config{
 		Churn: fault.Churn{MeanUp: 5, MeanDown: 5, WipeOnReboot: true},
 	}, metrics)

@@ -16,8 +16,8 @@
 //   - JSONL writes one deterministic JSON object per line (same seed ⇒
 //     byte-identical log), for offline lifecycle reconstruction.
 //   - Ring keeps the last N events in memory, for tests and debugging.
-//   - Metrics folds events into counters and histograms (per-host drops,
-//     transfer sizes, delivery latencies).
+//   - Ledger folds events into per-message provenance records and per-type
+//     event counts; it is the one offline fold of a log.
 //   - Multi fans an event out to several sinks.
 package obs
 

@@ -83,10 +83,11 @@ type MessageRecord struct {
 	holders, carriers map[int]bool
 }
 
-// Ledger folds a run's event stream into per-message provenance records —
-// the offline complement of the live Metrics sink. It implements Tracer, so
-// it can ride a run directly (via Multi) or replay a JSONL log through
-// LogReader.
+// Ledger folds a run's event stream into per-message provenance records and
+// counts every event by type, snapshots and contact events included. It is
+// the one offline fold of a log: dtntrace reads its counts, records and
+// deliveries. It implements Tracer, so it can ride a run directly (via
+// Multi) or replay a JSONL log through LogReader.
 //
 // Every way a copy enters or leaves a buffer has an event (ACK purges and
 // churn wipes emit purged), so a ledger folded from a whole log ends with
@@ -97,8 +98,9 @@ type MessageRecord struct {
 // whose policy reads truth (OracleUtility), and the hosts' TrueLive and
 // TrueSeen read it mid-run through Live and Seen.
 type Ledger struct {
-	recs  map[msg.ID]*MessageRecord
-	order []*MessageRecord
+	counts [numTypes]uint64
+	recs   map[msg.ID]*MessageRecord
+	order  []*MessageRecord
 	// deliveries keeps delivered records in delivery order: latency
 	// aggregation must accumulate in the same order as the collector's
 	// running sum for bit-identical means.
@@ -134,6 +136,9 @@ func (l *Ledger) rec(id msg.ID) *MessageRecord {
 
 // Emit implements Tracer, folding one event into the ledger.
 func (l *Ledger) Emit(ev Event) {
+	if int(ev.Type) < numTypes {
+		l.counts[ev.Type]++
+	}
 	if ev.T > l.horizon {
 		l.horizon = ev.T
 	}
@@ -242,6 +247,23 @@ func (l *Ledger) Seen(id msg.ID, node int, holds bool) int {
 	return n
 }
 
+// Count returns how many events of type t were folded.
+func (l *Ledger) Count(t Type) uint64 {
+	if int(t) >= numTypes {
+		return 0
+	}
+	return l.counts[t]
+}
+
+// Total returns the number of events folded, of every type.
+func (l *Ledger) Total() uint64 {
+	var n uint64
+	for _, c := range l.counts {
+		n += c
+	}
+	return n
+}
+
 // Horizon returns the timestamp of the last folded event.
 func (l *Ledger) Horizon() float64 { return l.horizon }
 
@@ -330,29 +352,27 @@ func (r *MessageRecord) reconstructPath() {
 }
 
 // FoldLog replays a JSONL event log (any io.Reader; use OpenLog for files)
-// into a fresh ledger and the event-count registry.
-func FoldLog(r io.Reader) (*Ledger, *Metrics, error) {
+// into a fresh ledger.
+func FoldLog(r io.Reader) (*Ledger, error) {
 	l := NewLedger()
-	m := NewMetrics()
 	lr := NewLogReader(r)
 	for {
 		ev, err := lr.Next()
 		if err == io.EOF {
-			return l, m, nil
+			return l, nil
 		}
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		l.Emit(ev)
-		m.Emit(ev)
 	}
 }
 
-// WriteJSONL writes every finalized record as one JSON object per line, in
-// creation order. Same seed ⇒ byte-identical output: records are emitted
-// from the deterministic order slice, never from map iteration.
-func (l *Ledger) WriteJSONL(w io.Writer) error {
-	for _, r := range l.Records() {
+// WriteRecords writes records as one JSON object per line, in the order
+// given. Field order is MessageRecord's declaration order, so a ledger's
+// Records of a same-seed run encode byte-identically.
+func WriteRecords(w io.Writer, recs []*MessageRecord) error {
+	for _, r := range recs {
 		b, err := json.Marshal(r)
 		if err != nil {
 			return fmt.Errorf("obs: encoding ledger record %d: %w", r.ID, err)

@@ -131,7 +131,7 @@ func TestLedgerSeenAndPurges(t *testing.T) {
 			three.Fate, three.LiveCopies, three.Seen)
 	}
 	var buf bytes.Buffer
-	if err := l.WriteJSONL(&buf); err != nil {
+	if err := WriteRecords(&buf, l.Records()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -236,10 +236,10 @@ func TestLedgerWriteJSONLStable(t *testing.T) {
 		{T: 1, Type: MessageCreated, Msg: 2, Node: 5, Peer: 4, Size: 100, Copies: 8},
 	}
 	var a, b bytes.Buffer
-	if err := feedLedger(evs).WriteJSONL(&a); err != nil {
+	if err := WriteRecords(&a, feedLedger(evs).Records()); err != nil {
 		t.Fatal(err)
 	}
-	if err := feedLedger(evs).WriteJSONL(&b); err != nil {
+	if err := WriteRecords(&b, feedLedger(evs).Records()); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -276,15 +276,15 @@ func TestFoldLogRoundTrip(t *testing.T) {
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	l, m, err := FoldLog(&buf)
+	l, err := FoldLog(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Total() != uint64(len(evs)) {
-		t.Errorf("Total = %d, want %d", m.Total(), len(evs))
+	if l.Total() != uint64(len(evs)) {
+		t.Errorf("Total = %d, want %d", l.Total(), len(evs))
 	}
-	if m.Count(Snapshot) != 1 || m.Count(ContactUp) != 1 {
-		t.Errorf("counts: snapshot=%d contact_up=%d", m.Count(Snapshot), m.Count(ContactUp))
+	if l.Count(Snapshot) != 1 || l.Count(ContactUp) != 1 {
+		t.Errorf("counts: snapshot=%d contact_up=%d", l.Count(Snapshot), l.Count(ContactUp))
 	}
 	r := l.Record(1)
 	if r == nil || r.Fate != FateDelivered || r.Latency != 30 {
@@ -298,7 +298,7 @@ func TestFoldLogRoundTrip(t *testing.T) {
 func TestFoldLogBadLine(t *testing.T) {
 	in := strings.NewReader(`{"t":1,"type":"contact_up","node":0,"peer":1}` + "\n" +
 		"not json\n")
-	_, _, err := FoldLog(in)
+	_, err := FoldLog(in)
 	if err == nil {
 		t.Fatal("want parse error on malformed line")
 	}

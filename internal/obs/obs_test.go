@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"strings"
 	"testing"
 )
@@ -114,127 +113,36 @@ func TestMultiFiltersNils(t *testing.T) {
 	}
 }
 
-func TestMetricsRegistry(t *testing.T) {
-	m := NewMetrics()
-	m.Emit(Event{Type: MessageDropped, Node: 3, Priority: 2})
-	m.Emit(Event{Type: MessageDropped, Node: 3, Priority: 4})
-	m.Emit(Event{Type: MessageDropped, Node: 1, Priority: 6})
-	m.Emit(Event{Type: TransferStart, Size: 1 << 10})
-	m.Emit(Event{Type: MessageDelivered, Latency: 120})
-
-	if got := m.Count(MessageDropped); got != 3 {
-		t.Errorf("Count(dropped) = %d, want 3", got)
+// TestLedgerCountsByType checks the ledger counts every event by type, the
+// ones it keeps no record for (contacts, snapshots, node events) included.
+func TestLedgerCountsByType(t *testing.T) {
+	l := NewLedger()
+	evs := []Event{
+		{T: 0, Type: MessageCreated, Msg: 1, Node: 0, Peer: 9, Copies: 8},
+		{T: 1, Type: ContactUp, Node: 0, Peer: 3},
+		{T: 2, Type: TransferStart, Msg: 1, Node: 0, Peer: 3, Size: 1 << 10},
+		{T: 3, Type: MessageDropped, Msg: 1, Node: 0, Priority: 2},
+		{T: 4, Type: Snapshot, Used: []int64{0, 0}},
+		{T: 5, Type: NodeDown, Node: 3},
+		{T: 6, Type: Snapshot, Used: []int64{0, 0}},
 	}
-	if got := m.DropsAt(3); got != 2 {
-		t.Errorf("DropsAt(3) = %d, want 2", got)
+	for _, ev := range evs {
+		l.Emit(ev)
 	}
-	byNode := m.DropsByNode()
-	if len(byNode) != 2 || byNode[0].Node != 1 || byNode[1].Node != 3 {
-		t.Errorf("DropsByNode = %v", byNode)
-	}
-	if m.TransferBytes.Count() != 1 || m.TransferBytes.Mean() != 1024 {
-		t.Errorf("TransferBytes = %v/%v", m.TransferBytes.Count(), m.TransferBytes.Mean())
-	}
-	if m.Latency.Mean() != 120 {
-		t.Errorf("Latency mean = %v", m.Latency.Mean())
-	}
-	if m.EvictPriority.Mean() != 4 {
-		t.Errorf("EvictPriority mean = %v", m.EvictPriority.Mean())
-	}
-	if s := m.String(); !strings.Contains(s, "dropped=3") {
-		t.Errorf("String() = %q", s)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	var h Histogram
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile should be 0")
-	}
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
-	}
-	if h.Count() != 100 || h.Min() != 1 || h.Max() != 100 {
-		t.Fatalf("count/min/max = %v/%v/%v", h.Count(), h.Min(), h.Max())
-	}
-	med := h.Quantile(0.5)
-	// Log2 buckets: the median (50) lands in the [32,64) bucket, whose upper
-	// edge is 64.
-	if med < 50 || med > 64 {
-		t.Errorf("median estimate %v outside [50,64]", med)
-	}
-	if q := h.Quantile(1); q != 100 {
-		t.Errorf("q100 = %v, want clamped max 100", q)
-	}
-}
-
-func TestHistogramQuantileEdges(t *testing.T) {
-	var empty Histogram
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := empty.Quantile(q); got != 0 {
-			t.Errorf("empty Quantile(%v) = %v, want 0", q, got)
+	for _, c := range []struct {
+		typ  Type
+		want uint64
+	}{{MessageCreated, 1}, {ContactUp, 1}, {TransferStart, 1}, {MessageDropped, 1},
+		{Snapshot, 2}, {NodeDown, 1}, {MessageDelivered, 0}} {
+		if got := l.Count(c.typ); got != c.want {
+			t.Errorf("Count(%s) = %d, want %d", c.typ, got, c.want)
 		}
 	}
-
-	var one Histogram
-	one.Observe(7)
-	// A single observation occupies one bucket; every quantile clamps to it.
-	for _, q := range []float64{-1, 0, 0.5, 1, 2} {
-		if got := one.Quantile(q); got != 7 {
-			t.Errorf("single-value Quantile(%v) = %v, want 7", q, got)
-		}
+	if got := l.Total(); got != uint64(len(evs)) {
+		t.Errorf("Total = %d, want %d", got, len(evs))
 	}
-
-	var h Histogram
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
-	}
-	if got := h.Quantile(0); got < 1 || got > 2 {
-		t.Errorf("Quantile(0) = %v, want within first occupied bucket [1,2]", got)
-	}
-	if got := h.Quantile(1); got != 100 {
-		t.Errorf("Quantile(1) = %v, want clamped max 100", got)
-	}
-
-	// Values beyond the largest bucket edge clamp into the top bucket and
-	// quantile-estimate as the observed max.
-	var big Histogram
-	big.Observe(math.MaxFloat64)
-	if got := big.Quantile(0.5); got != math.MaxFloat64 {
-		t.Errorf("overflow Quantile = %v, want MaxFloat64", got)
-	}
-}
-
-func TestHistogramSubUnitResolution(t *testing.T) {
-	// The old uint64-truncating bucketer collapsed everything in [0,1) into
-	// one bucket, so distributions of drop scores or sub-second latencies
-	// quantized to zero. Fractional values must now keep factor-of-two
-	// resolution.
-	var h Histogram
-	for i := 0; i < 90; i++ {
-		h.Observe(0.01)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(0.9)
-	}
-	med := h.Quantile(0.5)
-	if med <= 0 || med > 0.02 {
-		t.Errorf("sub-unit median = %v, want in (0, 0.02]", med)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 < 0.5 || p99 > 1 {
-		t.Errorf("sub-unit p99 = %v, want in [0.5, 1]", p99)
-	}
-
-	// Below the 2^-20 resolution floor the estimate degrades to 0 — by
-	// contract, not by accident.
-	var tiny Histogram
-	tiny.Observe(1e-9)
-	if got := tiny.Quantile(0.5); got != 0 {
-		t.Errorf("sub-floor Quantile = %v, want 0", got)
-	}
-	if tiny.Max() != 1e-9 {
-		t.Errorf("Max = %v, want exact 1e-9", tiny.Max())
+	if got := l.Count(Type(numTypes)); got != 0 {
+		t.Errorf("Count(out of range) = %d, want 0", got)
 	}
 }
 

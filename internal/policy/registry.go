@@ -2,6 +2,8 @@ package policy
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	//lint:invariant the mutex only serializes Register calls made before any run starts; no lock is taken on the sim path once factories are frozen
 	"sync"
 
@@ -46,20 +48,72 @@ func Register(name string, f Factory) error {
 	return nil
 }
 
-// IsBuiltin reports whether name names a built-in strategy: one of
-// ByName's fixed names or the SDSRP-Taylor<k> family. Built-in policies are
+// builtin is the table of built-in strategy names: the fixed names and the
+// SDSRP-Taylor<k> family, whose k must be written as strconv.Itoa writes it
+// and be at least 1 ("SDSRP-Taylor2x", "SDSRP-Taylor02" and "SDSRP-Taylor0"
+// name nothing built in). ByName and IsBuiltin both read it.
+func builtin(name string) (Policy, bool) {
+	switch name {
+	case "SprayAndWait", "FIFO":
+		return FIFO{}, true
+	case "SprayAndWait-O", "SWO":
+		return TTLRatio{}, true
+	case "SprayAndWait-C", "SWC":
+		return CopiesRatio{}, true
+	case "SDSRP":
+		return SDSRP{}, true
+	case "OracleUtility":
+		return OracleUtility{}, true
+	case "Knapsack":
+		return Knapsack{}, true
+	case "DropLargest":
+		return DropLargest{}, true
+	}
+	if suffix, ok := strings.CutPrefix(name, "SDSRP-Taylor"); ok {
+		if k, err := strconv.Atoi(suffix); err == nil && k >= 1 && strconv.Itoa(k) == suffix {
+			return SDSRPTaylor{K: k}, true
+		}
+	}
+	return nil, false
+}
+
+// ByName returns the policy with the given name. Recognized names:
+// SprayAndWait (FIFO), SprayAndWait-O, SprayAndWait-C, SDSRP,
+// SDSRP-Taylor<k>, OracleUtility, Knapsack, DropLargest, and any registered
+// name, whose factory receives stream. Built-in policies ignore stream,
+// which may then be nil.
+func ByName(name string, stream *rng.Stream) (Policy, error) {
+	if p, ok := builtin(name); ok {
+		return p, nil
+	}
+	if p, ok := fromRegistry(name, stream); ok {
+		return p, nil
+	}
+	return nil, fmt.Errorf("policy: unknown strategy %q", name)
+}
+
+// IsBuiltin reports whether name names a built-in strategy: exactly the
+// names ByName resolves without the registry. Built-in policies are
 // stateless values that never draw from their stream, so one instance may
 // serve every host of a world; only a registered factory needs a stream per
 // host.
 func IsBuiltin(name string) bool {
-	switch name {
-	case "SprayAndWait", "FIFO", "SprayAndWait-O", "SWO", "SprayAndWait-C", "SWC",
-		"SDSRP", "OracleUtility", "Knapsack", "DropLargest":
-		return true
-	}
-	var k int
-	n, _ := fmt.Sscanf(name, "SDSRP-Taylor%d", &k)
-	return n == 1
+	_, ok := builtin(name)
+	return ok
+}
+
+// UsesDropList reports whether the named policy relies on the Fig. 5
+// dropped-list machinery (SDSRP and its Taylor variants). It goes by the
+// name's prefix, so a registered policy named "SDSRP…" gossips too.
+func UsesDropList(name string) bool {
+	return (len(name) >= 5 && name[:5] == "SDSRP") || name == "Knapsack"
+}
+
+// ReadsTruth reports whether the named policy scores with ground
+// truth (OracleUtility, or a registered policy whose name starts with
+// "Oracle").
+func ReadsTruth(name string) bool {
+	return strings.HasPrefix(name, "Oracle")
 }
 
 func fromRegistry(name string, stream *rng.Stream) (Policy, bool) {

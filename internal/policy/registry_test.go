@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"strings"
 	"testing"
 
 	"sdsrp/internal/msg"
@@ -41,5 +42,32 @@ func TestRegisterRejectsBuiltinsAndDuplicates(t *testing.T) {
 	}
 	if err := Register("TestDup", func(*rng.Stream) Policy { return constPolicy{} }); err == nil {
 		t.Fatal("duplicate registration accepted")
+	}
+}
+
+// TestBuiltinNames checks the one name table: IsBuiltin holds exactly when
+// ByName resolves a name without the registry, for every built-in name and
+// for Taylor suffixes that are not canonical positive integers.
+func TestBuiltinNames(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		builtin bool
+	}{
+		{"SprayAndWait", true}, {"FIFO", true}, {"SprayAndWait-O", true}, {"SWO", true},
+		{"SprayAndWait-C", true}, {"SWC", true}, {"SDSRP", true}, {"OracleUtility", true},
+		{"Knapsack", true}, {"DropLargest", true}, {"SDSRP-Taylor1", true},
+		{"SDSRP-Taylor2", true}, {"SDSRP-Taylor64", true},
+		{"SDSRP-Taylor2x", false}, {"SDSRP-Taylor 2", false}, {"SDSRP-Taylor0", false},
+		{"SDSRP-Taylor-3", false}, {"SDSRP-Taylor02", false}, {"SDSRP-Taylor+2", false},
+		{"SDSRP-Taylor", false}, {"Bogus", false},
+	} {
+		p, err := ByName(c.name, nil)
+		if got := IsBuiltin(c.name); got != c.builtin || (err == nil) != c.builtin {
+			t.Errorf("%q: IsBuiltin %v, ByName error %v; want built-in %v", c.name, got, err, c.builtin)
+			continue
+		}
+		if c.builtin && strings.HasPrefix(c.name, "SDSRP-Taylor") && p.Name() != c.name {
+			t.Errorf("%q resolved to %s", c.name, p.Name())
+		}
 	}
 }

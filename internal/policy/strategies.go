@@ -5,7 +5,6 @@ import (
 
 	"sdsrp/internal/core"
 	"sdsrp/internal/msg"
-	"sdsrp/internal/rng"
 )
 
 // FIFO is the paper's plain "Spray and Wait" buffer management: transmit the
@@ -137,35 +136,3 @@ func (OracleUtility) SendScore(v View, s *msg.Stored) float64 { return oracleSco
 
 // DropScore implements Policy.
 func (OracleUtility) DropScore(v View, s *msg.Stored) float64 { return oracleScore(v, s) }
-
-// ByName returns the policy with the given name. Recognized names:
-// SprayAndWait (FIFO), SprayAndWait-O, SprayAndWait-C, SDSRP,
-// SDSRP-Taylor<k>, OracleUtility, Knapsack, DropLargest, and any registered
-// name, whose factory receives stream. Built-in policies ignore stream,
-// which may then be nil.
-func ByName(name string, stream *rng.Stream) (Policy, error) {
-	switch name {
-	case "SprayAndWait", "FIFO":
-		return FIFO{}, nil
-	case "SprayAndWait-O", "SWO":
-		return TTLRatio{}, nil
-	case "SprayAndWait-C", "SWC":
-		return CopiesRatio{}, nil
-	case "SDSRP":
-		return SDSRP{}, nil
-	case "OracleUtility":
-		return OracleUtility{}, nil
-	case "Knapsack":
-		return Knapsack{}, nil
-	case "DropLargest":
-		return DropLargest{}, nil
-	}
-	var k int
-	if n, _ := fmt.Sscanf(name, "SDSRP-Taylor%d", &k); n == 1 && k >= 1 {
-		return SDSRPTaylor{K: k}, nil
-	}
-	if p, ok := fromRegistry(name, stream); ok {
-		return p, nil
-	}
-	return nil, fmt.Errorf("policy: unknown strategy %q", name)
-}

@@ -13,6 +13,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 
 	"sdsrp/internal/msg"
@@ -109,27 +110,28 @@ func (c *Collector) deliver(ev obs.Event) {
 	c.latencies.Add(ev.Latency)
 }
 
-// Summary is the digest of a finished run.
+// Summary is the digest of a finished run. The json tags are its keys in
+// the run journal (internal/experiment).
 type Summary struct {
-	Created       int
-	Delivered     int
-	Forwards      int
-	Started       int
-	Aborted       int
-	Refused       int
-	Lost          int
-	PolicyDrops   int
-	ExpiredDrops  int
-	AckPurges     int
-	Duplicates    int
-	DeliveryRatio float64
-	AvgHops       float64
-	OverheadRatio float64
-	AvgLatency    float64
+	Created       int     `json:"created"`
+	Delivered     int     `json:"delivered"`
+	Forwards      int     `json:"forwards"`
+	Started       int     `json:"started"`
+	Aborted       int     `json:"aborted"`
+	Refused       int     `json:"refused"`
+	Lost          int     `json:"lost"`
+	PolicyDrops   int     `json:"policy_drops"`
+	ExpiredDrops  int     `json:"expired_drops"`
+	AckPurges     int     `json:"ack_purges"`
+	Duplicates    int     `json:"duplicates"`
+	DeliveryRatio float64 `json:"delivery_ratio"`
+	AvgHops       float64 `json:"avg_hops"`
+	OverheadRatio float64 `json:"overhead_ratio"`
+	AvgLatency    float64 `json:"avg_latency"`
 	// MedianLatency and P95Latency summarize the delivery-delay
 	// distribution (0 with no deliveries).
-	MedianLatency float64
-	P95Latency    float64
+	MedianLatency float64 `json:"median_latency"`
+	P95Latency    float64 `json:"p95_latency"`
 }
 
 // Summarize computes the derived metrics. Ratios involving zero deliveries
@@ -162,4 +164,29 @@ func (c *Collector) Summarize() Summary {
 		s.OverheadRatio = math.Inf(1)
 	}
 	return s
+}
+
+// Lines renders a run's summary as dtnsim prints it: the contacts line, then
+// created, delivered, average hopcounts, overhead ratio, latency, transfers,
+// the faults line when transfers were lost, and drops. Each line starts
+// with its label padded to 16 columns. dtnsim prints its intermeeting line
+// after the first and the rest only when traffic ran; dtntrace stats -check
+// renders a log's own fold with Lines and compares line by line.
+func Lines(contacts int, s Summary) []string {
+	lines := []string{
+		fmt.Sprintf("contacts        %d", contacts),
+		fmt.Sprintf("created         %d", s.Created),
+		fmt.Sprintf("delivered       %d (ratio %.4f)", s.Delivered, s.DeliveryRatio),
+		fmt.Sprintf("avg hopcounts   %.3f", s.AvgHops),
+		fmt.Sprintf("overhead ratio  %.3f", s.OverheadRatio),
+		fmt.Sprintf("latency         avg=%.1fs median=%.1fs p95=%.1fs",
+			s.AvgLatency, s.MedianLatency, s.P95Latency),
+		fmt.Sprintf("transfers       started=%d completed=%d aborted=%d refused=%d",
+			s.Started, s.Forwards, s.Aborted, s.Refused),
+	}
+	if s.Lost > 0 {
+		lines = append(lines, fmt.Sprintf("faults          transfers lost=%d", s.Lost))
+	}
+	return append(lines, fmt.Sprintf("drops           policy=%d expired=%d acked=%d",
+		s.PolicyDrops, s.ExpiredDrops, s.AckPurges))
 }

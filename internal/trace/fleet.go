@@ -24,7 +24,9 @@ type Fleet struct {
 func (f *Fleet) Nodes() int { return len(f.Paths) }
 
 // Models instantiates one playback mobility model per trajectory, all from
-// one slab.
+// one slab. The models take ownership of the fleet's paths: each is sorted
+// by time in place and played back without a copy, so f.Paths must not be
+// modified afterwards.
 func (f *Fleet) Models() ([]mobility.Model, error) {
 	out := make([]mobility.Model, len(f.Paths))
 	paths := make([]mobility.Path, len(f.Paths))

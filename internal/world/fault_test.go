@@ -68,7 +68,7 @@ func TestFaultEventsObservable(t *testing.T) {
 	sc := tinyTracedScenario()
 	sc.Duration = 3600
 	sc.Faults = heavyFaults()
-	metrics := obs.NewMetrics()
+	metrics := obs.NewLedger()
 	w, err := Build(sc, WithTracer(metrics))
 	if err != nil {
 		t.Fatal(err)

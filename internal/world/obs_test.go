@@ -128,12 +128,12 @@ func TestTracedRunLifecycleConsistency(t *testing.T) {
 	}
 }
 
-// TestTracedRunMatchesCollector cross-checks the metrics sink against the
-// stats collector: both observe the same run, so headline counters must
-// agree.
+// TestTracedRunMatchesCollector cross-checks the ledger's event counts
+// against the stats collector: both observe the same run, so headline
+// counters must agree.
 func TestTracedRunMatchesCollector(t *testing.T) {
 	sc := tinyTracedScenario()
-	metrics := obs.NewMetrics()
+	metrics := obs.NewLedger()
 	w, err := Build(sc, WithTracer(metrics))
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +160,45 @@ func TestTracedRunMatchesCollector(t *testing.T) {
 	if got, want := int(metrics.Count(obs.ContactUp)), res.Contacts; got != want {
 		t.Errorf("contacts: tracer %d, collector %d", got, want)
 	}
-	if res.Delivered > 0 && metrics.Latency.Count() == 0 {
-		t.Error("latency histogram empty despite deliveries")
+	if got := len(metrics.Deliveries()); got != res.Delivered {
+		t.Errorf("deliveries: ledger %d, collector %d", got, res.Delivered)
+	}
+}
+
+// typeCounter is a capturing sink: it counts every event it is handed, by
+// type.
+type typeCounter map[obs.Type]uint64
+
+func (c typeCounter) Emit(ev obs.Event) { c[ev.Type]++ }
+
+// TestLedgerCountsMatchStream checks the ledger's per-type counts and total
+// on a traced run with snapshots against a sink that counts what the run
+// emits: every type, the ones the ledger keeps no record for included.
+func TestLedgerCountsMatchStream(t *testing.T) {
+	sc := tinyTracedScenario()
+	sc.Faults = heavyFaults()
+	ledger, seen := obs.NewLedger(), typeCounter{}
+	w, err := Build(sc, WithTracer(obs.Multi(ledger, seen)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.EnableSnapshots(300); err != nil {
+		t.Fatal(err)
+	}
+	mustRun(t, w)
+	if seen[obs.Snapshot] == 0 || seen[obs.ContactUp] == 0 || seen[obs.NodeDown] == 0 {
+		t.Fatalf("run does not exercise the case: %v", seen)
+	}
+	var total uint64
+	for typ := 0; typ <= 255; typ++ {
+		want := seen[obs.Type(typ)]
+		total += want
+		if got := ledger.Count(obs.Type(typ)); got != want {
+			t.Errorf("Count(%s) = %d, sink saw %d", obs.Type(typ), got, want)
+		}
+	}
+	if got := ledger.Total(); got != total {
+		t.Errorf("Total = %d, sink saw %d", got, total)
 	}
 }
 
@@ -182,12 +219,12 @@ func TestCollectorRefoldsFromLog(t *testing.T) {
 		name string
 		sc   config.Scenario
 		// covers must be positive: the stream feature the case exists for.
-		covers func(stats.Summary, *obs.Metrics) int
+		covers func(stats.Summary, *obs.Ledger) int
 	}{
-		{"table2", config.RandomWaypoint(), func(s stats.Summary, _ *obs.Metrics) int { return s.Delivered * s.PolicyDrops }},
-		{"epfl", config.EPFL(), func(s stats.Summary, _ *obs.Metrics) int { return s.Delivered * s.Aborted }},
-		{"acks", acks, func(s stats.Summary, _ *obs.Metrics) int { return s.AckPurges }},
-		{"faults", faulty, func(s stats.Summary, m *obs.Metrics) int {
+		{"table2", config.RandomWaypoint(), func(s stats.Summary, _ *obs.Ledger) int { return s.Delivered * s.PolicyDrops }},
+		{"epfl", config.EPFL(), func(s stats.Summary, _ *obs.Ledger) int { return s.Delivered * s.Aborted }},
+		{"acks", acks, func(s stats.Summary, _ *obs.Ledger) int { return s.AckPurges }},
+		{"faults", faulty, func(s stats.Summary, m *obs.Ledger) int {
 			return s.Lost * int(m.Count(obs.MessagePurged)-uint64(s.AckPurges))
 		}},
 	} {
@@ -198,7 +235,7 @@ func TestCollectorRefoldsFromLog(t *testing.T) {
 			}
 			var buf bytes.Buffer
 			jsonl := obs.NewJSONL(&buf)
-			metrics := obs.NewMetrics()
+			metrics := obs.NewLedger()
 			w, err := Build(sc, WithTracer(obs.Multi(jsonl, metrics)))
 			if err != nil {
 				t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 
 // Test-registered policies. randomPolicyName scores every copy with a fresh
 // draw from its stream. oracleProbeName is OracleUtility under a name the
-// truth rule (policyReadsTruth) attaches the ledger to; it checks every
+// truth rule (policy.ReadsTruth) attaches the ledger to; it checks every
 // truth read against the run's buffers.
 const (
 	randomPolicyName = "test-random"

@@ -8,7 +8,6 @@ package world
 import (
 	"fmt"
 	"os"
-	"strings"
 
 	"sdsrp/internal/config"
 	"sdsrp/internal/core"
@@ -124,7 +123,7 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 	// Ground truth for the hosts' TrueSeen/TrueLive is one more sink on the
 	// stream, kept only by runs whose policy reads it.
 	var truth *obs.Ledger
-	if policyReadsTruth(sc.PolicyName) {
+	if policy.ReadsTruth(sc.PolicyName) {
 		truth = obs.NewLedger()
 		tr = obs.Multi(tr, truth)
 	}
@@ -230,7 +229,7 @@ func buildHosts(sc config.Scenario, root *rng.Stream, clock func() float64, buff
 	default:
 		census = make([]core.CensusEstimator, nodes)
 	}
-	useDrops := policyUsesDropList(sc.PolicyName) && !sc.DisableDropList
+	useDrops := policy.UsesDropList(sc.PolicyName) && !sc.DisableDropList
 	slab := make([]routing.Host, nodes)
 	hosts := make([]*routing.Host, nodes)
 	for i := range slab {
@@ -270,19 +269,6 @@ func buildHosts(sc config.Scenario, root *rng.Stream, clock func() float64, buff
 		hosts[i] = &slab[i]
 	}
 	return hosts, nil
-}
-
-// policyUsesDropList reports whether the named policy relies on the Fig. 5
-// dropped-list machinery (SDSRP and its Taylor variants).
-func policyUsesDropList(name string) bool {
-	return (len(name) >= 5 && name[:5] == "SDSRP") || name == "Knapsack"
-}
-
-// policyReadsTruth reports whether the named policy scores with ground
-// truth (OracleUtility, or a registered policy whose name starts with
-// "Oracle").
-func policyReadsTruth(name string) bool {
-	return strings.HasPrefix(name, "Oracle")
 }
 
 // churnEligible marks the nodes belonging to the churn-restricted groups.

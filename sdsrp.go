@@ -114,8 +114,6 @@ type (
 	TraceEvent = obs.Event
 	// TraceEventType classifies a TraceEvent.
 	TraceEventType = obs.Type
-	// TraceMetrics folds events into counters and histograms.
-	TraceMetrics = obs.Metrics
 	// JSONLTracer writes one JSON object per event per line.
 	JSONLTracer = obs.JSONL
 	// RingTracer keeps the most recent events in memory.
@@ -123,7 +121,8 @@ type (
 	// RunStats is the engine-level performance digest of one run.
 	RunStats = obs.RunStats
 	// MessageLedger folds an event stream into per-message provenance
-	// records (lifecycle, custody chain, terminal fate).
+	// records (lifecycle, custody chain, terminal fate) and counts its
+	// events by type.
 	MessageLedger = obs.Ledger
 	// MessageRecord is one message's reconstructed lifecycle.
 	MessageRecord = obs.MessageRecord
@@ -144,20 +143,14 @@ func NewJSONLTracer(w io.Writer) *obs.JSONL { return obs.NewJSONL(w) }
 // NewRingTracer returns an in-memory sink keeping the last n events.
 func NewRingTracer(n int) *obs.Ring { return obs.NewRing(n) }
 
-// NewTraceMetrics returns an empty counters/histogram registry sink.
-func NewTraceMetrics() *obs.Metrics { return obs.NewMetrics() }
-
 // MultiTracer fans events out to every non-nil sink (nil when none).
 func MultiTracer(sinks ...Tracer) Tracer { return obs.Multi(sinks...) }
 
 // NewMessageLedger returns an empty provenance ledger sink.
 func NewMessageLedger() *obs.Ledger { return obs.NewLedger() }
 
-// FoldEventLog replays a JSONL event stream into a provenance ledger and a
-// metrics registry.
-func FoldEventLog(r io.Reader) (*MessageLedger, *TraceMetrics, error) {
-	return obs.FoldLog(r)
-}
+// FoldEventLog replays a JSONL event stream into a provenance ledger.
+func FoldEventLog(r io.Reader) (*MessageLedger, error) { return obs.FoldLog(r) }
 
 // OpenEventLog opens a JSONL event log for reading, transparently
 // decompressing paths ending in .gz.
