@@ -57,8 +57,8 @@ bench:
 # smoke case, asserts the report round-trips through the schema, that two
 # separate processes simulate byte-identically (second invocation gating on
 # the first's sim digest), and that the digests of smoke and of the three
-# scan cases (scan100k under the kinetic planner, densescan and table2 under
-# the lazy sweep on 100+ node RWP worlds) still match the newest committed
+# scan cases (scan100k and the 400-node densescan under the kinetic planner,
+# table2 under the lazy sweep) still match the newest committed
 # BENCH_<n>.json — any scanner or engine change that perturbs the event
 # stream fails here before the full bench-report would catch it. The huge
 # -max-regress disarms the timing gate (CI machines are noisy); only
@@ -206,12 +206,15 @@ check:
 resilience:
 	$(GO) run ./cmd/experiments -run resilience-loss,resilience-churn,resilience-blackhole -scale 0.05 -nodes 24 -out results/resilience -no-chart
 
+# The five example programs, then the root package's Example functions
+# (the README's facade snippets), compiled and checked against their output.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/taxifleet
 	$(GO) run ./examples/disaster
 	$(GO) run ./examples/custompolicy
 	$(GO) run ./examples/figures
+	$(GO) test -count=1 -run '^Example' .
 
 clean:
 	rm -rf results figures-out

@@ -68,8 +68,9 @@ func BenchmarkTable3Scenario(b *testing.B) { benchSuiteCase(b, "table3") }
 
 // BenchmarkDenseScan measures the suite's contact-detection showcase: 400
 // traffic-free nodes spread over 15×12 km, where scanning is the whole cost
-// and the motion-bounded lazy sweep parks almost every pair. internal/world
-// runs the same workload under the naive and kinetic planners.
+// and the kinetic planner, the automatic choice from 400 nodes, parks
+// almost every node. internal/world runs the same workload under each
+// planner forced.
 func BenchmarkDenseScan(b *testing.B) { benchSuiteCase(b, "densescan") }
 
 // BenchmarkScan100k measures the suite's large-fleet case: 100k nodes under

@@ -98,9 +98,11 @@ func ExampleMessageLedger() {
 	}
 	fmt.Printf("events=%d delivered=%d (collector %d)\n",
 		ledger.Total(), len(ledger.Deliveries()), res.Delivered)
+	fmt.Printf("%s=%d\n", sdsrp.ContactUp, ledger.Count(sdsrp.ContactUp))
 	first := ledger.Deliveries()[0]
 	fmt.Printf("msg %d: %s after %.0fs via %v\n", first.ID, first.Fate, first.Latency, first.Path)
 	// Output:
 	// events=3153 delivered=34 (collector 34)
+	// contact_up=439
 	// msg 4: delivered after 235s via [23 12]
 }

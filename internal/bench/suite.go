@@ -56,11 +56,13 @@ func SmokeScenario() config.Scenario {
 	return sc
 }
 
-// DenseScanScenario is the lazy-scanner showcase workload: a node count
-// high enough that pair bookkeeping dominates (400 nodes, ~80k pairs)
-// spread over an area sparse enough that almost every pair is provably out
-// of range almost all the time. Traffic is disabled so the measurement
-// isolates contact detection — the cost the motion-bounded sweep attacks.
+// DenseScanScenario is the motion-bounded planners' showcase workload: a
+// node count high enough that pair bookkeeping dominates (400 nodes, ~80k
+// pairs) spread over an area sparse enough that almost every pair is
+// provably out of range almost all the time. Traffic is disabled so the
+// measurement isolates contact detection, the cost parking attacks. From
+// 400 nodes the automatic choice is the kinetic planner, which parks nodes
+// where the lazy sweep would hold all ~80k pairs.
 func DenseScanScenario() config.Scenario {
 	sc := config.RandomWaypoint()
 	sc.Name = "bench-densescan"

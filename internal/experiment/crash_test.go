@@ -3,12 +3,18 @@ package experiment
 import (
 	"errors"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sdsrp/internal/config"
+	"sdsrp/internal/geo"
+	"sdsrp/internal/mobility"
 	"sdsrp/internal/msg"
+	"sdsrp/internal/network"
 	"sdsrp/internal/policy"
 	"sdsrp/internal/rng"
 	"sdsrp/internal/world"
@@ -348,5 +354,65 @@ func TestKillAndResumeByteIdentity(t *testing.T) {
 		if !ok || e.Status != StatusDone {
 			t.Errorf("run %d (digest %s) missing from resumed journal", i, d[:12])
 		}
+	}
+}
+
+// faultyModel is a mobility model whose position samples panic from 120 s
+// of simulated time on.
+type faultyModel struct{ mobility.Static }
+
+func (faultyModel) Pos(t float64) geo.Point {
+	if t >= 120 {
+		panic("injected mobility panic")
+	}
+	return geo.Point{}
+}
+
+// TestScanPanicIsolation: a mobility model that panics on the run-ahead
+// scanner's goroutine must fail its run with a *PanicError, like a panic on
+// the engine's goroutine, not crash the process; the other runs still
+// return their results, and no scanner goroutine outlives the sweep.
+func TestScanPanicIsolation(t *testing.T) {
+	before := runtime.NumGoroutine()
+	scs := []config.Scenario{tinyScenario(1), tinyScenario(2), tinyScenario(3)}
+	o := Options{Workers: 2, runOne: func(sc config.Scenario, opts ...world.BuildOption) (world.Result, error) {
+		w, err := world.Build(sc, opts...)
+		if err != nil {
+			return world.Result{}, err
+		}
+		if sc.Seed == 2 {
+			// Rewire the radio over models that fail mid-run.
+			models := make([]mobility.Model, len(w.Hosts))
+			for i := range models {
+				models[i] = faultyModel{}
+			}
+			w.Manager, err = network.NewManager(w.Engine, network.Config{
+				Area: sc.Area, Range: sc.Range, Bandwidth: sc.Bandwidth,
+				ScanInterval: sc.ScanInterval, Tracer: w.Collector,
+			}, w.Hosts, models)
+			if err != nil {
+				return world.Result{}, err
+			}
+		}
+		return w.Run()
+	}}
+	res, err := o.RunScenarios(scs)
+	var pe *PanicError
+	if !errors.As(err, &pe) || !strings.Contains(pe.Error(), "injected mobility panic") {
+		t.Fatalf("want the scanner's panic as a *PanicError, got %v", err)
+	}
+	var re *RunError
+	if !errors.As(err, &re) || re.Index != 1 {
+		t.Fatalf("want the failure attributed to run 1, got %v", err)
+	}
+	if res[0].Created == 0 || res[2].Created == 0 {
+		t.Fatalf("sibling results lost: %+v / %+v", res[0].Summary, res[2].Summary)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Fatalf("%d goroutines after the sweep, %d before", n, before)
 	}
 }

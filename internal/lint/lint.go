@@ -41,9 +41,13 @@
 //     shape.
 //   - no-conc-sim: go statements, channel operations, select, channel
 //     types, and sync / sync/atomic imports anywhere in the deterministic
-//     sim path. A world runs on one goroutine; the experiment fan-out
-//     (whole worlds in parallel), bench harness, obs sinks, and CLIs are
-//     allowlisted.
+//     sim path. A world's event loop runs on one goroutine; the experiment
+//     fan-out (whole worlds in parallel), bench harness, obs sinks, and
+//     CLIs are allowlisted. The one sanctioned in-run concurrency is the
+//     run-ahead contact scan (internal/network/ahead.go): a motion-only
+//     world's scanner runs ahead of the event loop on a second goroutine
+//     and hands it whole ticks one way, and its sync import and go
+//     statement carry //lint:invariant annotations.
 //   - rng-escape: an *rng.Stream / *rng.Source substream must not be
 //     captured by a closure that outlives the statement (stored in a
 //     struct field, returned, or handed to a non-constructor call) and

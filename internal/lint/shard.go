@@ -75,9 +75,13 @@ func checkSharedMutable(p *Pass) {
 
 // checkNoConcSim flags concurrency primitives in the deterministic sim
 // path: go statements, channel sends/receives, select, channel types, and
-// imports of sync or sync/atomic. A simulation run is single-threaded by
-// design. The experiment fan-out, bench harness, obs sinks, and CLIs
-// (Config.ConcAllow) parallelize across whole runs, never inside one.
+// imports of sync or sync/atomic. A simulation run's event loop is
+// single-threaded by design. The experiment fan-out, bench harness, obs
+// sinks, and CLIs (Config.ConcAllow) parallelize across whole runs. Inside
+// one, the only sanctioned concurrency is the run-ahead contact scan in
+// internal/network, whose sites are annotated //lint:invariant: the
+// scanner goroutine owns motion, the event loop everything else, and
+// ticks pass one way.
 func checkNoConcSim(p *Pass) {
 	if inScope(p.Pkg.Rel, p.Cfg.ConcAllow) {
 		return

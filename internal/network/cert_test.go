@@ -38,16 +38,16 @@ func certKinetic(t *testing.T, models []mobility.Model, area geo.Rect, cell, rad
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newKinetic(m)
+	return newKinetic(m.scan)
 }
 
 // sampleAt makes tick the planner's current tick at time now, samples
 // every node and assigns its bucket, as kinetic.check does for awake nodes.
 func (s *kinetic) sampleAt(tick int64, now float64) {
 	s.tick, s.now = tick, now
-	for i := range s.m.models {
+	for i := range s.sc.models {
 		s.samplePos(i, now)
-		if ci := int32(s.m.grid.CellIndex(s.m.positions[i])); ci != s.cellOf[i] {
+		if ci := int32(s.sc.grid.CellIndex(s.sc.positions[i])); ci != s.cellOf[i] {
 			s.moveCell(i, ci)
 		}
 	}
@@ -112,7 +112,7 @@ func TestPairCertificateTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := certKinetic(t, []mobility.Model{tc.a, tc.b}, geo.NewRect(3000, 3000), 100, 50, 1)
 			s.sampleAt(1, 0)
-			d2 := s.m.positions[0].Dist2(s.m.positions[1])
+			d2 := s.sc.positions[0].Dist2(s.sc.positions[1])
 			bound := s.boundTicks(geo.DistLowerBound(d2)-50, s.speed[0]+s.speed[1])
 			if bound != tc.bound {
 				t.Fatalf("motion bound = %d ticks, want %d", bound, tc.bound)
@@ -145,7 +145,7 @@ func TestCellCertificateTable(t *testing.T) {
 			m := &scripted{p: geo.Point{X: 210, Y: 240}, v: tc.v, until: tc.until, max: 2}
 			s := certKinetic(t, []mobility.Model{m}, geo.NewRect(3000, 3000), 100, 50, 1)
 			s.sampleAt(1, 0)
-			d := s.m.grid.BoundaryDist(s.m.positions[0], int(s.cellOf[0]))
+			d := s.sc.grid.BoundaryDist(s.sc.positions[0], int(s.cellOf[0]))
 			if bound := s.boundTicks(d-(d*1e-9+1e-9), s.speed[0]); bound != tc.bound {
 				t.Fatalf("motion bound = %d ticks, want %d", bound, tc.bound)
 			}
@@ -256,7 +256,7 @@ func TestCertificatesNeverSkipAContact(t *testing.T) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			twin := w.models(t, rng.New(seed))
 			s := certKinetic(t, w.models(t, rng.New(seed)), w.area, w.cell, w.radio, w.interval)
-			n, g, r2 := len(twin), s.m.grid, w.radio*w.radio
+			n, g, r2 := len(twin), s.sc.grid, w.radio*w.radio
 			// Walk the twin forward once; nextCell[m][i] is the first tick
 			// after m at which node i's bucket differs from its bucket at m,
 			// nextIn[m][p] the first tick after m at which pair p is in range
@@ -299,7 +299,7 @@ func TestCertificatesNeverSkipAContact(t *testing.T) {
 				now := float64(m) * w.interval
 				s.sampleAt(int64(m+1), now)
 				for i := 0; i < n; i++ {
-					pos := s.m.positions[i]
+					pos := s.sc.positions[i]
 					if pos != traj[m][i] {
 						t.Fatalf("%s seed %d: twin models diverge at tick %d", w.name, seed, m)
 					}
@@ -323,7 +323,7 @@ func TestCertificatesNeverSkipAContact(t *testing.T) {
 				p := 0
 				for i := 0; i < n; i++ {
 					for j := i + 1; j < n; j++ {
-						d2 := s.m.positions[i].Dist2(s.m.positions[j])
+						d2 := s.sc.positions[i].Dist2(s.sc.positions[j])
 						k := s.pairTicks(i, j, d2, w.radio)
 						if int64(m)+k >= int64(nextIn[m][p]) {
 							t.Fatalf("%s seed %d tick %d: pair (%d,%d) parks %d ticks but is in range at tick %d",

@@ -21,8 +21,8 @@ func (m *Manager) flapLink(k pairKey, now float64) {
 		return // timer should have been canceled with the link; be safe
 	}
 	m.tracer.Emit(obs.Event{T: now, Type: obs.LinkFlap, Node: int(k[0]), Peer: int(k[1])})
-	if m.flapped != nil {
-		m.flapped[k] = true
+	if m.scan != nil {
+		m.scan.flap(k)
 	}
 	freed := m.linkDown(l, now, nil)
 	kickAll(m, freed, now, -1)
@@ -53,10 +53,16 @@ func (m *Manager) scheduleCrash(id int, after float64) {
 func (m *Manager) nodeDown(id int, now float64) {
 	m.down[id] = true
 	// Tear the links down in key order, which is the adjacency list's
-	// own order; each teardown removes the list's head.
+	// own order; each teardown removes the list's head. The scanner forgets
+	// each pair first, as it forgets its own downs (churn worlds scan in
+	// lockstep, on this goroutine).
 	var freed []int
 	for len(m.adj[id]) > 0 {
-		freed = m.linkDown(m.adj[id][0], now, freed)
+		l := m.adj[id][0]
+		if m.scan != nil {
+			m.scan.forget(l.key)
+		}
+		freed = m.linkDown(l, now, freed)
 	}
 	m.tracer.Emit(obs.Event{T: now, Type: obs.NodeDown, Node: id})
 	// Surviving peers may have other live links; the crashed node must not

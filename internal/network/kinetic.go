@@ -10,7 +10,7 @@ import (
 // This file implements the kinetic planner, the planner for fleets of
 // kineticFrom nodes and more: per-NODE parking where the lazy sweep
 // (sweep.go) parks pairs, on the same parking core (park.go). Its state is
-// O(n), ~53 bytes per node, where the sweep's per-pair arrays would need
+// O(n), ~57 bytes per node, where the sweep's per-pair arrays would need
 // ~1.6 GB at n = 10000.
 //
 // A node is awake (sampled and checked against its 3×3 grid-bucket
@@ -28,7 +28,7 @@ import (
 // Both deadlines are the later of the MaxSpeed motion bound and the leg
 // certificate when the models report their legs (park.go).
 //
-// Exactness argument (byte-identity with scanNaive):
+// Exactness argument (byte-identity with the naive scan):
 //
 //   - Claim: every in-contact non-linked pair has at least one awake
 //     endpoint on every tick where the contact predicate holds — so it is
@@ -51,9 +51,9 @@ import (
 //     awake-side check on the first tick the predicate goes false — before
 //     either endpoint can park (parking requires a positive distance gap,
 //     which implies that same predicate-false check already ran).
-//   - Every linkDown — scan separation, flap, churn crash — wakes both
+//   - Every teardown — scan separation, flap, churn crash — wakes both
 //     endpoints; linked pairs are excluded from pair deadlines because the
-//     per-tick down walk over Manager.live owns them.
+//     per-tick down walk over the scanner's up record owns them.
 //   - Ups: two or more are sorted into the exact naive grid-pass emission
 //     order without rebuilding the grid (emitUps below): the planner's
 //     buckets mirror geo.Grid's cell mapping (same Grid, same CellIndex
@@ -98,7 +98,7 @@ func cmpUpCand(x, y upCand) int {
 
 type kinetic struct {
 	parking
-	// cols/rows mirror Manager.grid's bucket geometry; cell assignment
+	// cols/rows mirror the scanner's grid geometry; cell assignment
 	// always goes through grid.CellIndex so the two structures can never
 	// disagree on a float-rounding decision.
 	cols, rows int
@@ -109,24 +109,28 @@ type kinetic struct {
 	cnext    []int32
 	cprev    []int32
 	ord      []upCand
+	// linked counts each node's up pairs, so the neighbourhood check asks
+	// the up record only about nodes that have any.
+	linked []int32
 }
 
 // newKinetic builds the planner with every node awake: the first tick
 // assigns buckets and runs a full neighbourhood pass (equivalent to the
 // naive bootstrap), parking everything physics allows. A fleet with
 // unbounded MaxSpeed simply never parks, and the load monitor hands the run
-// to scanNaive.
-func newKinetic(m *Manager) *kinetic {
-	n := len(m.hosts)
-	cols, rows := m.grid.Dims()
+// to the naive scan.
+func newKinetic(sc *scanner) *kinetic {
+	n := len(sc.models)
+	cols, rows := sc.grid.Dims()
 	s := &kinetic{
-		parking:  newParking(m, n),
+		parking:  newParking(sc, n),
 		cols:     cols,
 		rows:     rows,
 		cellOf:   make([]int32, n),
 		cellHead: make([]int32, cols*rows),
 		cnext:    make([]int32, n),
 		cprev:    make([]int32, n),
+		linked:   make([]int32, n),
 	}
 	for ci := range s.cellHead {
 		s.cellHead[ci] = -1
@@ -139,12 +143,17 @@ func newKinetic(m *Manager) *kinetic {
 
 func (s *kinetic) name() string { return "kinetic" }
 
-// onLinkUp needs no bookkeeping: the neighbourhood check skips linked
-// pairs through the Manager's adjacency lists.
-func (s *kinetic) onLinkUp(pairKey) {}
+// onLinkUp counts the pair at both endpoints; the neighbourhood check
+// skips up pairs.
+func (s *kinetic) onLinkUp(k pairKey) {
+	s.linked[k[0]]++
+	s.linked[k[1]]++
+}
 
-// onLinkDown wakes both endpoints of a torn-down link.
+// onLinkDown uncounts the pair and wakes both endpoints.
 func (s *kinetic) onLinkDown(k pairKey) {
+	s.linked[k[0]]--
+	s.linked[k[1]]--
 	s.wakeNode(k[0])
 	s.wakeNode(k[1])
 }
@@ -194,7 +203,7 @@ func (s *kinetic) moveCell(i int, ci int32) {
 //
 // Performance contract: pure arithmetic, no allocation.
 func (s *kinetic) cellTicks(i int) int64 {
-	g, pos, ci := s.m.grid, s.m.positions[i], int(s.cellOf[i])
+	g, pos, ci := s.sc.grid, s.sc.positions[i], int(s.cellOf[i])
 	d := g.BoundaryDist(pos, ci)
 	k := s.boundTicks(d-(d*1e-9+1e-9), s.speed[i])
 	if k >= maxParkTicks {
@@ -218,14 +227,14 @@ func (s *kinetic) cellTicks(i int) int64 {
 // suppression exactly where the naive sweep would (predicate false), and
 // parks the node until its deadline.
 func (s *kinetic) check(now float64) uint64 {
-	m := s.m
+	sc := s.sc
 	// Reassign before any neighbourhood is enumerated: a check must never
 	// consult a stale assignment of an awake node (parked assignments are
 	// truthful by the cell deadline).
 	for _, ii := range s.active {
 		i := int(ii)
 		s.samplePos(i, now)
-		if ci := int32(m.grid.CellIndex(m.positions[i])); ci != s.cellOf[i] {
+		if ci := int32(sc.grid.CellIndex(sc.positions[i])); ci != s.cellOf[i] {
 			s.moveCell(i, ci)
 		}
 	}
@@ -254,24 +263,23 @@ func (s *kinetic) check(now float64) uint64 {
 					if jj == i {
 						continue
 					}
-					if len(m.adj[i]) > 0 && m.linkOf(keyOf(i, jj)) != nil {
-						// The per-tick down walk over Manager.live owns
+					if s.linked[i] > 0 && sc.isUp(keyOf(i, jj)) {
+						// The per-tick down walk over the up record owns
 						// linked pairs; they never constrain a deadline.
 						continue
 					}
 					s.samplePos(jj, now)
 					checked++
-					r := m.pairRange(i, jj)
-					d2 := m.positions[i].Dist2(m.positions[jj])
+					r := sc.pairRange(i, jj)
+					d2 := sc.positions[i].Dist2(sc.positions[jj])
 					if s.state[j] == itemParked || jj > i {
-						if m.energy.alive(i) && m.energy.alive(jj) &&
-							!m.isDown(i) && !m.isDown(jj) && d2 <= r*r {
+						if sc.radioOn(i) && sc.radioOn(jj) && d2 <= r*r {
 							k := keyOf(i, jj)
-							if !m.flapped[k] {
+							if !sc.flapped[k] {
 								s.ups = append(s.ups, k)
 							}
-						} else if m.flapped != nil {
-							delete(m.flapped, keyOf(i, jj))
+						} else if sc.flapped != nil {
+							delete(sc.flapped, keyOf(i, jj))
 						}
 					}
 					if K := s.pairTicks(i, jj, d2, r); K < minK {
@@ -328,8 +336,7 @@ func (s *kinetic) minID(ci int32) int32 {
 // freshly built grid's because every bucket assignment is truthful (awake
 // nodes reassigned this tick, parked nodes pinned by their cell deadline)
 // and computed by the same CellIndex arithmetic. It checks no pairs.
-func (s *kinetic) emitUps(now float64) uint64 {
-	m := s.m
+func (s *kinetic) emitUps(float64) uint64 {
 	ord := s.ord[:0]
 	for _, k := range s.ups {
 		ca, cb := s.cellOf[k[0]], s.cellOf[k[1]]
@@ -352,9 +359,7 @@ func (s *kinetic) emitUps(now float64) uint64 {
 	s.ord = ord
 	slices.SortFunc(ord, cmpUpCand)
 	for _, c := range ord {
-		if m.linkOf(c.key) == nil {
-			m.linkUp(c.key, now)
-		}
+		s.sc.bringUp(c.key)
 	}
 	return 0
 }

@@ -9,25 +9,13 @@ import (
 )
 
 // checkLinkTable asserts the link table's invariants against want, the set
-// of pairs the test believes are up: live and the per-node lists hold the
-// same links, every link sits in both endpoints' lists, each list is
-// strictly sorted by peer, slots index live, linkOf agrees with want, and
-// churn-crashed nodes hold no links.
+// of pairs the test believes are up: the count matches, every link sits in
+// both endpoints' lists, each list is strictly sorted by peer, linkOf agrees
+// with want, and churn-crashed nodes hold no links.
 func checkLinkTable(t *testing.T, step int, m *Manager, want map[pairKey]bool) {
 	t.Helper()
-	if m.ActiveLinks() != len(want) || len(m.live) != len(want) {
-		t.Fatalf("step %d: ActiveLinks %d, live %d, want %d", step, m.ActiveLinks(), len(m.live), len(want))
-	}
-	for s, l := range m.live {
-		if int(l.slot) != s {
-			t.Fatalf("step %d: link %v at live[%d] has slot %d", step, l.key, s, l.slot)
-		}
-		if !want[l.key] || l.key[0] >= l.key[1] {
-			t.Fatalf("step %d: live holds unexpected link %v", step, l.key)
-		}
-		if l.a.ID() != int(l.key[0]) || l.b.ID() != int(l.key[1]) {
-			t.Fatalf("step %d: link %v joins hosts %d-%d", step, l.key, l.a.ID(), l.b.ID())
-		}
+	if m.ActiveLinks() != len(want) {
+		t.Fatalf("step %d: ActiveLinks %d, want %d", step, m.ActiveLinks(), len(want))
 	}
 	entries := 0
 	for i, ls := range m.adj {
@@ -50,13 +38,16 @@ func checkLinkTable(t *testing.T, step int, m *Manager, want map[pairKey]bool) {
 				t.Fatalf("step %d: node %d's links not sorted by peer: %d after %d", step, i, peer, prev)
 			}
 			prev = peer
-			if int(l.slot) >= len(m.live) || m.live[l.slot] != l {
-				t.Fatalf("step %d: node %d lists link %v that is not live", step, i, l.key)
+			if !want[l.key] || l.key[0] >= l.key[1] {
+				t.Fatalf("step %d: node %d lists unexpected link %v", step, i, l.key)
+			}
+			if l.a.ID() != int(l.key[0]) || l.b.ID() != int(l.key[1]) {
+				t.Fatalf("step %d: link %v joins hosts %d-%d", step, l.key, l.a.ID(), l.b.ID())
 			}
 		}
 	}
-	if entries != 2*len(m.live) {
-		t.Fatalf("step %d: %d adjacency entries for %d live links (asymmetric)", step, entries, len(m.live))
+	if entries != 2*len(want) {
+		t.Fatalf("step %d: %d adjacency entries for %d up links (asymmetric)", step, entries, len(want))
 	}
 	n := len(m.adj)
 	for a := 0; a < n; a++ {
@@ -67,6 +58,22 @@ func checkLinkTable(t *testing.T, step int, m *Manager, want map[pairKey]bool) {
 			}
 		}
 	}
+}
+
+// anyLink returns an up link drawn by s, or nil when none is up.
+func anyLink(m *Manager, s *rng.Stream) *link {
+	var all []*link
+	for i, ls := range m.adj {
+		for _, l := range ls {
+			if int(l.key[0]) == i {
+				all = append(all, l)
+			}
+		}
+	}
+	if len(all) == 0 {
+		return nil
+	}
+	return all[s.IntN(len(all))]
 }
 
 // TestLinkTableInvariants drives random link-ups, scan-style teardowns,
@@ -98,17 +105,17 @@ func TestLinkTableInvariants(t *testing.T) {
 				m.linkUp(k, now)
 				want[k] = true
 			case op < 7: // scan separation
-				if len(m.live) == 0 {
+				l := anyLink(m, s)
+				if l == nil {
 					continue
 				}
-				l := m.live[s.IntN(len(m.live))]
 				delete(want, l.key)
 				kickAll(m, m.linkDown(l, now, nil), now, -1)
 			case op < 8: // flap
-				if len(m.live) == 0 {
+				l := anyLink(m, s)
+				if l == nil {
 					continue
 				}
-				l := m.live[s.IntN(len(m.live))]
 				delete(want, l.key)
 				m.flapLink(l.key, now)
 			case op < 9: // crash

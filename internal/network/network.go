@@ -1,6 +1,10 @@
 // Package network implements the radio model: grid-accelerated contact
 // detection and half-duplex, bandwidth-limited transfers that abort when
-// nodes move out of range.
+// nodes move out of range. It has two parts: the scanner (scan.go), which
+// turns motion into link transitions, and the link layer (this file), which
+// applies them and runs the transfers on top. Worlds whose links depend on
+// motion alone run the scanner ahead of the engine on a goroutine of its own
+// (ahead.go).
 //
 // Semantics (matching what the paper's ONE setup exercises):
 //
@@ -26,7 +30,6 @@ package network
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"sdsrp/internal/fault"
@@ -71,8 +74,9 @@ type Config struct {
 	// only comparable across runs using the same value.
 	CellSize float64
 	// RecordPlan, when set, receives every link transition the scan makes
-	// (see ContactPlan); it must be empty. The recording is whole once the
-	// run reaches its horizon.
+	// (see ContactPlan); it must be empty. The scanner writes it, ahead of
+	// the engine in a run-ahead world, and the recording is whole once the
+	// run reaches its horizon and Run has returned.
 	RecordPlan *ContactPlan
 	// ReplayPlan, when set, replaces the scan: each tick applies the plan's
 	// recorded transitions instead, and no scan planner is built. The plan
@@ -102,9 +106,9 @@ const (
 // planner over the lazy sweep. PERFORMANCE.md §7's crossover table has the
 // measurements: with leg certificates the sweep leads at 100 nodes, ties
 // at 200 and loses from 400, as its O(n²) pair state outgrows its sharper
-// deadlines. The value predates the certificates and keeps every benchmark
-// workload on the planner it ran before.
-const kineticFrom = 512
+// deadlines. So 400 nodes, densescan's fleet, is the first size that runs
+// kinetic; the 100- and 200-node worlds stay on the sweep.
+const kineticFrom = 400
 
 // pairKey identifies an unordered host pair, low id first.
 type pairKey [2]int32
@@ -117,8 +121,8 @@ func keyOf(a, b int) pairKey {
 }
 
 // cmpPairKeys orders pair keys lexicographically: the canonical order for
-// links collected from the live-link table before any teardown or event
-// emission, so the table's internal order never reaches observable output.
+// pairs collected from the scanner's up record before any teardown or event
+// emission, so the record's internal order never reaches observable output.
 func cmpPairKeys(x, y pairKey) int {
 	if x[0] != y[0] {
 		return int(x[0]) - int(y[0])
@@ -140,8 +144,6 @@ type link struct {
 	a, b   *routing.Host // a.ID() < b.ID()
 	upAt   float64
 	active *transfer
-	// slot is the link's index in Manager.live.
-	slot int32
 	// refusedTo[0] holds ids refused by b (direction a→b); refusedTo[1]
 	// ids refused by a (direction b→a). Each map is allocated on the
 	// direction's first refusal and dies with the contact.
@@ -165,33 +167,26 @@ func (l *link) refuse(dir int, id msg.ID) {
 	l.refusedTo[dir][id] = true
 }
 
-// Manager owns the links and transfer scheduling for one simulation run.
+// Manager is the link layer of one simulation run: it owns the links and
+// transfer scheduling, and applies the scanner's transitions.
 type Manager struct {
-	eng    *sim.Engine
-	cfg    Config
-	hosts  []*routing.Host
-	models []mobility.Model
-	grid   *geo.Grid
+	eng   *sim.Engine
+	cfg   Config
+	hosts []*routing.Host
 
-	// live holds every up link, in no meaningful order: links join at the
-	// end and leave by swap-removal through link.slot. Walks that reach
-	// the event stream sort what they collect from it.
-	live []*link
 	// adj[i] holds node i's up links in key order, which is ascending peer
 	// order too: peers below i carry keys (peer, i) and sort first, by
 	// peer; peers above i carry keys (i, peer), whose low id i exceeds
 	// every earlier one.
 	adj  [][]*link
 	busy []bool
+	// links counts the up links.
+	links int
 
 	tracer obs.Tracer
 
-	positions []geo.Point
-	pairBuf   [][2]int32
-	contacts  int
-	energy    *energyState
-	ranges    []float64 // per-node; nil when uniform
-	maxRange  float64
+	contacts int
+	energy   *energyState
 
 	// ended and upTime are the count and total length of finished
 	// contacts, summed in teardown order.
@@ -201,26 +196,27 @@ type Manager struct {
 	faults *fault.Injector
 	// down marks churn-crashed nodes (nil unless churn is enabled).
 	down []bool
-	// flapped suppresses re-up of pairs whose contact the flap model cut,
-	// until the nodes genuinely separate (nil unless flapping is enabled).
-	flapped map[pairKey]bool
 
-	// plan is the motion-bounded scan planner, built on the first scan tick
-	// (so contact-trace and replayed runs never allocate one); nil runs the
-	// naive scan.
-	plan planner
-	// fallback names the planner retirement the run took, if any (see
-	// FallbackReason).
+	// scan is the scanner; nil in replaying and contact-trace runs, which
+	// build none.
+	scan *scanner
+	// ahead streams the scanner's ticks from its own goroutine while a
+	// run-ahead world runs (nil otherwise, and once a run has applied every
+	// tick of the stream).
+	ahead *runAhead
+	// next is the scan ticker's next firing, where a fresh stream starts.
+	next sim.Ticker
+	// fallback names the planner retirement the applied ticks took, if any
+	// (see FallbackReason).
 	fallback string
-	// downsBuf and freedBuf are per-tick scratch, reused so a steady-state
-	// scan allocates nothing.
-	downsBuf []*link
+	// freedBuf is per-tick scratch, reused so a steady-state scan tick
+	// allocates nothing.
 	freedBuf []int
 	// scans counts Scan calls; the current tick's index is scans-1.
 	scans int64
 	// cursor is the next unreplayed entry of cfg.ReplayPlan.ticks.
 	cursor int
-	// Scan-strategy counters (see ScanStats).
+	// Scan-strategy counters of the applied ticks (see ScanStats).
 	pairsChecked uint64
 	pairsSkipped uint64
 	wakeups      uint64
@@ -257,25 +253,17 @@ func NewManager(eng *sim.Engine, cfg Config, hosts []*routing.Host, models []mob
 		cell = cfg.CellSize
 	}
 	m := &Manager{
-		eng:       eng,
-		cfg:       cfg,
-		hosts:     hosts,
-		models:    models,
-		ranges:    cfg.Ranges,
-		maxRange:  maxRange,
-		grid:      geo.NewGrid(cfg.Area, cell, n),
-		adj:       make([][]*link, n),
-		busy:      make([]bool, n),
-		tracer:    cfg.Tracer,
-		positions: make([]geo.Point, n),
-		energy:    newEnergyState(cfg.Energy, n),
-		faults:    cfg.Faults,
+		eng:    eng,
+		cfg:    cfg,
+		hosts:  hosts,
+		adj:    make([][]*link, n),
+		busy:   make([]bool, n),
+		tracer: cfg.Tracer,
+		energy: newEnergyState(cfg.Energy, n),
+		faults: cfg.Faults,
 	}
 	if m.faults.ChurnEnabled() {
 		m.down = make([]bool, n)
-	}
-	if m.faults.FlapEnabled() {
-		m.flapped = make(map[pairKey]bool)
 	}
 	if err := m.checkPlans(); err != nil {
 		return nil, err
@@ -283,7 +271,18 @@ func NewManager(eng *sim.Engine, cfg Config, hosts []*routing.Host, models []mob
 	if cfg.RecordPlan != nil {
 		cfg.RecordPlan.nodes = n
 	}
+	if cfg.ReplayPlan == nil {
+		m.scan = newScanner(m, models, cell, maxRange)
+	}
 	return m, nil
+}
+
+// coupled reports whether links can depend on more than motion: the battery
+// model (transfers drain radios dead), churn or link flapping (both cut links
+// outside the scan). Such a world scans in lockstep and shares no contact
+// plan.
+func (m *Manager) coupled() bool {
+	return m.energy != nil || m.faults.ChurnEnabled() || m.faults.FlapEnabled()
 }
 
 // FallbackReason names the planner retirement this run took, such as
@@ -309,9 +308,11 @@ func (m *Manager) ScanStats() (checked, skipped, wakeups uint64) {
 func (m *Manager) Replaying() bool { return m.cfg.ReplayPlan != nil }
 
 // Start schedules the periodic connectivity scan. Call once before
-// Engine.Run.
+// Engine.Run. The scan then runs in lockstep with the engine unless
+// RunAhead moves it to a goroutine of its own.
 func (m *Manager) Start() {
 	m.scheduleChurn()
+	m.next = sim.Ticker{At: m.eng.Now(), Period: m.cfg.ScanInterval}.Next()
 	m.eng.Every(m.cfg.ScanInterval, m.Scan)
 }
 
@@ -319,7 +320,7 @@ func (m *Manager) Start() {
 func (m *Manager) Contacts() int { return m.contacts }
 
 // ActiveLinks returns the number of links currently up.
-func (m *Manager) ActiveLinks() int { return len(m.live) }
+func (m *Manager) ActiveLinks() int { return m.links }
 
 // linkOf returns the up link for pair k, or nil, searching the shorter of
 // the two endpoints' key-ordered adjacency lists.
@@ -350,25 +351,6 @@ func removeLink(ls []*link, l *link) []*link {
 	return slices.Delete(ls, i, i+1)
 }
 
-// collectDowns appends every live link whose pair fails the contact
-// predicate to the downs scratch and returns it in key order, ready for
-// teardown. The predicate reads m.positions, so the caller must have
-// sampled both endpoints of every live link for this tick.
-func (m *Manager) collectDowns() []*link {
-	downs := m.downsBuf[:0]
-	for _, l := range m.live {
-		if !m.pairInContact(int(l.key[0]), int(l.key[1])) {
-			downs = append(downs, l)
-		}
-	}
-	slices.SortFunc(downs, func(x, y *link) int { return cmpPairKeys(x.key, y.key) })
-	m.downsBuf = downs
-	if m.cfg.RecordPlan != nil {
-		m.cfg.RecordPlan.recordDowns(downs)
-	}
-	return downs
-}
-
 // MeanContactDuration returns the mean length in seconds of finished
 // contacts, or 0 before any ends (links still up at the horizon are not
 // included).
@@ -379,19 +361,33 @@ func (m *Manager) MeanContactDuration() float64 {
 	return m.upTime / float64(m.ended)
 }
 
-// Scan samples positions, diffs the in-range pair set against the active
-// links, and emits link-up/down transitions. Exported for tests; normally
-// driven by Start. Every planner emits a byte-identical event stream, and
-// so does the replay of a plan one of them recorded.
+// Scan makes one scan tick at time now: it takes the tick's transitions
+// from the run-ahead stream, the replayed plan or an inline scan, and
+// applies them. Exported for tests; normally driven by Start. Every planner
+// emits a byte-identical event stream, and so does the replay of a plan one
+// of them recorded, wherever the scanner ran.
 func (m *Manager) Scan(now float64) {
 	m.scans++
-	if m.cfg.ReplayPlan != nil {
-		m.scanReplay(now)
-		return
+	m.next = sim.Ticker{At: now, Period: m.cfg.ScanInterval}.Next()
+	tick := m.scans - 1
+	switch c := m.ahead.take(tick); {
+	case m.cfg.ReplayPlan != nil:
+		m.scanReplay(tick, now)
+	case c != nil:
+		m.applyPlanned(&c.plan, &c.cursor, tick, now)
+		m.account(c.work[tick-c.first])
+	default:
+		// No stream, or one drained whose goroutine ended: the scanner is
+		// at this tick, and a later RunAhead starts afresh from the next.
+		m.ahead = nil
+		m.scanInline(now)
 	}
-	if m.scans == 1 {
-		m.plan = m.newPlanner()
-	}
+}
+
+// scanInline makes the tick in lockstep: the scanner's two halves with the
+// downs applied in between, so a battery an abort drained dead is already
+// dark when the ups are found.
+func (m *Manager) scanInline(now float64) {
 	// Radios beacon continuously: charge the scan drain first so nodes that
 	// die this tick drop out of the pair set immediately.
 	if m.energy != nil {
@@ -399,132 +395,61 @@ func (m *Manager) Scan(now float64) {
 			m.energy.drain(i, m.cfg.Energy.ScanPerSec*m.cfg.ScanInterval, now)
 		}
 	}
-	if m.plan != nil {
-		m.scanParked(now)
-		return
-	}
-	m.scanNaive(now)
-}
-
-// plannerFor resolves p for a fleet of n nodes: AutoPlanner becomes the
-// lazy sweep below kineticFrom nodes and the kinetic planner from there.
-func plannerFor(p Planner, n int) Planner {
-	switch {
-	case p != AutoPlanner:
-		return p
-	case n < kineticFrom:
-		return LazyPlanner
-	}
-	return KineticPlanner
-}
-
-// newPlanner builds the run's planner; nil is the naive scan.
-func (m *Manager) newPlanner() planner {
-	switch plannerFor(m.cfg.Planner, len(m.hosts)) {
-	case LazyPlanner:
-		return newSweep(m)
-	case KineticPlanner:
-		return newKinetic(m)
-	}
-	return nil
-}
-
-func (m *Manager) scanNaive(now float64) {
-	for i, model := range m.models {
-		m.positions[i] = model.Pos(now)
-	}
-
-	// Downs first (frees endpoints), in key order: the teardown order must
-	// never inherit the live table's order, or the abort/kick sequence —
-	// and every event it emits — would depend on which links happened to
-	// be swap-removed earlier. The in-contact predicate is recomputed per
-	// link instead of consulting a freshly built pair set: pairInContact
-	// true implies membership in the grid's pair list (the grid finds
-	// every pair within maxRange ≥ the pair range), so the diff is exact
-	// without a per-tick set.
-	downs := m.collectDowns()
-	// Kicks are deferred until every down in this tick is processed, so a
-	// freed endpoint never starts a transfer on a sibling link that is
-	// itself about to drop in the same tick.
-	freed := m.freedBuf[:0]
-	for _, l := range downs {
-		freed = m.linkDown(l, now, freed)
-	}
-	pairs := m.gridUps(now)
-	// Separated pairs may flap again on their next genuine contact.
-	for k := range m.flapped {
-		if !m.pairInContact(int(k[0]), int(k[1])) {
-			delete(m.flapped, k)
-		}
-	}
-	m.pairsChecked += uint64(len(m.live)) + uint64(pairs) + uint64(len(m.flapped))
+	freed := m.applyDowns(m.scan.scanDowns(now), now)
+	m.applyUps(m.scan.scanUps(now), now)
+	m.account(m.scan.work)
 	m.finishScan(freed, now)
 }
 
-// gridUps rebuilds the grid from this tick's positions, which the caller
-// must have sampled for every node, and brings up every in-contact pair in
-// the grid's enumeration order, skipping existing links and flap-suppressed
-// pairs (a flapped contact stays down until the nodes genuinely separate).
-// That order is the naive scan's, which every planner's multi-up tick
-// reproduces through this method. It returns the number of grid pairs
-// checked.
-func (m *Manager) gridUps(now float64) int {
-	m.grid.Update(m.positions)
-	m.pairBuf = m.grid.Pairs(m.maxRange, m.pairBuf[:0])
-	for _, p := range m.pairBuf {
-		if !m.pairInContact(int(p[0]), int(p[1])) {
-			continue
-		}
-		k := pairKey{p[0], p[1]}
-		if m.flapped[k] {
-			continue
-		}
-		if m.linkOf(k) == nil {
-			m.linkUp(k, now)
-		}
+// account adds one applied tick's scan work to the run's counters.
+func (m *Manager) account(w tickWork) {
+	m.pairsChecked += w.checked
+	m.pairsSkipped += w.skipped
+	m.wakeups += w.wakeups
+	if w.fallback != "" {
+		m.fallback = w.fallback
 	}
-	return len(m.pairBuf)
+}
+
+// applyDowns tears down the links of pairs, a tick's downs in key order, and
+// returns the endpoints their aborts freed. Kicks are deferred until every
+// down in the tick is processed (finishScan), so a freed endpoint never
+// starts a transfer on a sibling link that is itself about to drop in the
+// same tick.
+func (m *Manager) applyDowns(pairs []pairKey, now float64) []int {
+	freed := m.freedBuf[:0]
+	for _, k := range pairs {
+		l := m.linkOf(k)
+		if l == nil {
+			//lint:invariant the applied link set equals the scanner's up record tick by tick, so every down finds its link
+			panic(fmt.Sprintf("network: tick %d tears down link %v, which is not up", m.scans-1, k))
+		}
+		freed = m.linkDown(l, now, freed)
+	}
+	return freed
+}
+
+// applyUps brings up the links of pairs, a tick's ups in emission order.
+func (m *Manager) applyUps(pairs []pairKey, now float64) {
+	for _, k := range pairs {
+		if m.linkOf(k) != nil {
+			//lint:invariant the applied link set equals the scanner's up record tick by tick, so no up finds its link live
+			panic(fmt.Sprintf("network: tick %d brings up link %v, which is already up", m.scans-1, k))
+		}
+		m.linkUp(k, now)
+	}
 }
 
 // finishScan kicks the endpoints freed by this tick's downs, in sorted
-// deduplicated order, and parks the scratch slices for the next tick.
+// deduplicated order, and parks the scratch for the next tick.
 func (m *Manager) finishScan(freed []int, now float64) {
 	kickAll(m, freed, now, -1)
-	clear(m.downsBuf) // release the torn-down links
-	m.downsBuf = m.downsBuf[:0]
 	m.freedBuf = freed[:0]
-	if m.cfg.RecordPlan != nil {
-		m.cfg.RecordPlan.closeTick(m.scans - 1)
-	}
-}
-
-// pairInContact is the scan predicate: both radios alive, neither node
-// churn-crashed, and the distance within the pair's effective range (the
-// smaller of the two radios; both must reach). Callers must have sampled
-// both positions for the current tick.
-func (m *Manager) pairInContact(a, b int) bool {
-	if !m.energy.alive(a) || !m.energy.alive(b) {
-		return false
-	}
-	if m.isDown(a) || m.isDown(b) {
-		return false
-	}
-	r := m.pairRange(a, b)
-	return m.positions[a].Dist2(m.positions[b]) <= r*r
-}
-
-// pairRange returns the effective radio range of the pair: a link needs
-// both radios to reach.
-func (m *Manager) pairRange(a, b int) float64 {
-	if m.ranges == nil {
-		return m.cfg.Range
-	}
-	return math.Min(m.ranges[a], m.ranges[b])
 }
 
 func (m *Manager) linkUp(k pairKey, now float64) {
 	a, b := m.hosts[k[0]], m.hosts[k[1]]
-	l := &link{key: k, a: a, b: b, upAt: now, bw: 1, slot: int32(len(m.live))}
+	l := &link{key: k, a: a, b: b, upAt: now, bw: 1}
 	if m.faults != nil {
 		// Fixed draw order (jitter, then flap), each from its own
 		// substream, so enabling one model never shifts the other.
@@ -533,15 +458,9 @@ func (m *Manager) linkUp(k pairKey, now float64) {
 			l.flapTimer = m.eng.After(d, func(flapAt float64) { m.flapLink(k, flapAt) })
 		}
 	}
-	m.live = append(m.live, l)
+	m.links++
 	m.adj[k[0]] = insertLink(m.adj[k[0]], l)
 	m.adj[k[1]] = insertLink(m.adj[k[1]], l)
-	if m.plan != nil {
-		m.plan.onLinkUp(k)
-	}
-	if m.cfg.RecordPlan != nil {
-		m.cfg.RecordPlan.recordUp(k)
-	}
 	m.contacts++
 	m.tracer.Emit(obs.Event{T: now, Type: obs.ContactUp, Node: int(k[0]), Peer: int(k[1])})
 
@@ -556,22 +475,12 @@ func (m *Manager) linkUp(k pairKey, now float64) {
 // batch of topology changes; the updated slice is returned.
 func (m *Manager) linkDown(l *link, now float64, freed []int) []int {
 	k := l.key
-	last := m.live[len(m.live)-1]
-	m.live[l.slot] = last
-	last.slot = l.slot
-	m.live[len(m.live)-1] = nil
-	m.live = m.live[:len(m.live)-1]
+	m.links--
 	m.adj[k[0]] = removeLink(m.adj[k[0]], l)
 	m.adj[k[1]] = removeLink(m.adj[k[1]], l)
 	l.flapTimer.Cancel()
 	m.ended++
 	m.upTime += now - l.upAt
-	if m.plan != nil {
-		// Every teardown — scan separation, flap, churn crash — wakes what
-		// it touches; the next tick re-parks it if it is genuinely far.
-		// This conservative wake is what keeps fault interactions exact.
-		m.plan.onLinkDown(k)
-	}
 	m.tracer.Emit(obs.Event{T: now, Type: obs.ContactDown, Node: int(k[0]), Peer: int(k[1])})
 
 	l.a.OnLinkDown(l.b, now)

@@ -13,23 +13,24 @@ import (
 // or a node) is awake, checked every tick, or parked in a tick-bucketed
 // wake wheel until a deadline before which physics rules out any change the
 // scan must see. Each planner adds only how it finds candidates and how it
-// orders two or more ups; the tick itself (Manager.scanParked) is one loop:
+// orders two or more ups; the tick itself (scanner.parkedDowns, then
+// scanner.parkedUps) is one loop:
 //
 //  1. wake the items whose deadline arrived;
 //  2. the planner's check: evaluate the contact predicate on what is awake,
 //     collect up candidates, clear flap suppression where the predicate is
 //     false, and park what the motion bound allows;
-//  3. downs, exactly like the naive path: recompute the predicate per live
-//     link, canonical sort, teardown with deferred kicks;
+//  3. downs, exactly like the naive path: recompute the predicate per up
+//     pair, canonical sort;
 //  4. ups: zero or one candidate needs no ordering, two or more go to the
 //     planner, which emits them in the naive scan's grid order;
 //  5. the load monitor.
 //
 // Byte-identity with the naive scanner rests on three shared facts. The
-// predicate (Manager.pairInContact's comparisons) is the same code, and
+// predicate (scanner.pairInContact's comparisons) is the same code, and
 // Model.Pos is deterministic for a given query time regardless of earlier
 // queries, so lazily sampled positions are bit-identical to the naive
-// schedule. Downs derive from Manager.live in key order. And every parking
+// schedule. Downs derive from the up record in key order. And every parking
 // deadline is ⌊τ/interval⌋ for a τ in seconds through which physics rules
 // out any change the scan must see, so the K−1 skipped ticks keep at least
 // one full tick of margin plus geo.DistLowerBound's slack, which dominates
@@ -85,9 +86,10 @@ type planner interface {
 	// emitUps brings up the tick's two or more candidates in the naive
 	// scan's grid order and returns the pairs it checked doing so.
 	emitUps(now float64) uint64
-	// onLinkUp and onLinkDown follow every link transition; a teardown,
-	// whatever caused it (separation, flap, churn crash), wakes what it
-	// touches so the next tick re-parks it only if it is genuinely far.
+	// onLinkUp and onLinkDown follow every change to the scanner's up
+	// record; a teardown, whatever caused it (separation, flap, churn
+	// crash), wakes what it touches so the next tick re-parks it only if it
+	// is genuinely far.
 	onLinkUp(k pairKey)
 	onLinkDown(k pairKey)
 	// name labels the planner in FallbackReason.
@@ -99,8 +101,8 @@ type planner interface {
 // dense int32 ids, pairs or nodes depending on the planner; positions and
 // speed bounds are per node.
 type parking struct {
-	m *Manager
-	n int // nodes
+	sc *scanner
+	n  int // nodes
 	// tick counts the planner's scans; the first is tick 1. Wake deadlines
 	// are absolute ticks.
 	tick     int64
@@ -140,12 +142,12 @@ type parking struct {
 }
 
 // newParking builds the core over items items, every one awake.
-func newParking(m *Manager, items int) parking {
-	n := len(m.hosts)
+func newParking(sc *scanner, items int) parking {
+	n := len(sc.models)
 	p := parking{
-		m:        m,
+		sc:       sc,
 		n:        n,
-		interval: m.cfg.ScanInterval,
+		interval: sc.interval,
 		speed:    make([]float64, n),
 		state:    make([]uint8, items),
 		wake:     make([]int64, items),
@@ -162,7 +164,7 @@ func newParking(m *Manager, items int) parking {
 		p.active[i] = int32(i)
 		p.slot[i] = int32(i)
 	}
-	for i, model := range m.models {
+	for i, model := range sc.models {
 		p.speed[i] = model.MaxSpeed()
 	}
 	return p
@@ -242,7 +244,7 @@ func (p *parking) wakeDue() uint64 {
 // samplePos samples node i's position once per tick.
 func (p *parking) samplePos(i int, now float64) {
 	if p.posTick[i] != p.tick {
-		p.m.positions[i] = p.m.models[i].Pos(now)
+		p.sc.positions[i] = p.sc.models[i].Pos(now)
 		p.posTick[i] = p.tick
 	}
 }
@@ -289,10 +291,10 @@ func (p *parking) ticksFor(tau float64) int64 {
 // Performance contract: one interface assertion and the model's stored-leg
 // read, no allocation.
 func (p *parking) legOf(i int) (v geo.Vec, left float64, ok bool) {
-	if p.m == nil {
+	if p.sc == nil {
 		return geo.Vec{}, 0, false
 	}
-	l, ok := p.m.models[i].(mobility.Legged)
+	l, ok := p.sc.models[i].(mobility.Legged)
 	if !ok {
 		return geo.Vec{}, 0, false
 	}
@@ -328,7 +330,7 @@ func (p *parking) pairTicks(i, j int, d2, r float64) int64 {
 	if !ok {
 		return k
 	}
-	pi, pj := p.m.positions[i], p.m.positions[j]
+	pi, pj := p.sc.positions[i], p.sc.positions[j]
 	end := min(li, lj)
 	tau := geo.ApproachTime(pi, vi, pj, vj, r)
 	if tau >= end && end < math.Inf(1) {
@@ -339,51 +341,49 @@ func (p *parking) pairTicks(i, j int, d2, r float64) int64 {
 	return max(k, p.ticksFor(tau))
 }
 
-// scanParked runs one tick of the active planner (see the file comment).
-func (m *Manager) scanParked(now float64) {
-	p := m.plan.core()
+// parkedDowns makes the first half of a planner tick (see the file
+// comment): wakes, the planner's check, and the downs.
+func (s *scanner) parkedDowns(now float64) {
+	p := s.plan.core()
 	p.tick++
 	p.now = now
-	m.wakeups += p.wakeDue()
+	s.work.wakeups += p.wakeDue()
 
-	checked := m.plan.check(now)
+	checked := s.plan.check(now)
 	if p.tick > 1 {
 		p.windowChecked += checked
 	}
 
-	// Downs: sample both endpoints of every live link, then tear down in
-	// key order with deferred kicks, exactly like the naive path.
-	for _, l := range m.live {
-		p.samplePos(int(l.key[0]), now)
-		p.samplePos(int(l.key[1]), now)
+	// Downs: sample both endpoints of every up pair, then collect in key
+	// order, exactly like the naive path.
+	for _, k := range s.up {
+		p.samplePos(int(k[0]), now)
+		p.samplePos(int(k[1]), now)
 	}
-	checked += uint64(len(m.live))
-	freed := m.freedBuf[:0]
-	for _, l := range m.collectDowns() {
-		freed = m.linkDown(l, now, freed)
-	}
+	s.work.checked += checked + uint64(len(s.up))
+	s.collectDowns()
+}
 
+// parkedUps makes the second half of a planner tick: the ups and the load
+// monitor.
+func (s *scanner) parkedUps(now float64) {
+	p := s.plan.core()
 	// Ups: one candidate needs no ordering.
 	switch len(p.ups) {
 	case 0:
 	case 1:
-		if m.linkOf(p.ups[0]) == nil {
-			m.linkUp(p.ups[0], now)
-		}
+		s.bringUp(p.ups[0])
 	default:
-		checked += m.plan.emitUps(now)
+		s.work.checked += s.plan.emitUps(now)
 	}
 	p.ups = p.ups[:0]
-
-	m.pairsChecked += checked
-	m.pairsSkipped += uint64(p.skipping)
-	m.finishScan(freed, now)
+	s.work.skipped += uint64(p.skipping)
 
 	// The load monitor: retire to the naive scan for the rest of the run.
 	if p.tick%loadWindow == 0 {
 		if p.windowChecked > loadWindow*uint64(p.n) {
-			m.fallback = m.plan.name() + ":load-monitor->naive"
-			m.plan = nil
+			s.work.fallback = s.plan.name() + ":load-monitor->naive"
+			s.plan = nil
 		}
 		p.windowChecked = 0
 	}

@@ -25,7 +25,7 @@ func TestPlannerForFleetSize(t *testing.T) {
 	}{
 		{"table2", 100, LazyPlanner},
 		{"table3", 200, LazyPlanner},
-		{"densescan", 400, LazyPlanner},
+		{"densescan", 400, KineticPlanner},
 		{"below-crossover", kineticFrom - 1, LazyPlanner},
 		{"at-crossover", kineticFrom, KineticPlanner},
 		{"fleet-10k", 10_000, KineticPlanner},
@@ -45,9 +45,9 @@ func TestPlannerForFleetSize(t *testing.T) {
 }
 
 // TestScheduledRunBuildsNoPlanner: a manager driven by a recorded contact
-// list never scans, so it must never allocate a scan planner (the lazy
-// sweep's pair arrays are O(n²)). A scanning manager builds one on its
-// first tick.
+// list never scans, so it must drop its scanner and never allocate a scan
+// planner (the lazy sweep's pair arrays are O(n²)). A scanning manager
+// builds one on its first tick.
 func TestScheduledRunBuildsNoPlanner(t *testing.T) {
 	build := func() (*sim.Engine, *Manager) {
 		eng := sim.NewEngine()
@@ -78,14 +78,14 @@ func TestScheduledRunBuildsNoPlanner(t *testing.T) {
 	if m.Contacts() != 2 {
 		t.Fatalf("scheduled run made %d contacts, want 2", m.Contacts())
 	}
-	if m.plan != nil {
-		t.Fatalf("scheduled run holds a %s planner it never used", m.plan.name())
+	if m.scan != nil {
+		t.Fatal("scheduled run holds a scanner it never used")
 	}
 
 	eng, m = build()
 	m.Start()
 	eng.Run(3)
-	if m.plan == nil || m.plan.name() != "lazy" {
+	if m.scan.plan == nil || m.scan.plan.name() != "lazy" {
 		t.Fatal("a scanning 3-node run did not build the lazy sweep")
 	}
 }

@@ -7,18 +7,21 @@ import "fmt"
 // apply the same transitions without scanning (Config.RecordPlan,
 // Config.ReplayPlan).
 //
-// Replay is exact because every scanner applies a tick in one fixed order:
-// the downs collectDowns returns, in key order; then the ups, in emission
-// order; then finishScan's kicks. The plan stores exactly those calls,
-// tagged with their scan tick, and a replaying Manager makes the same
-// linkDown, linkUp and finishScan calls on the same tick, so everything the
-// transfer layer does on top (and every event it emits) is unchanged. That
-// holds only while the link set depends on positions alone, so NewManager
-// refuses a plan under the battery model, churn or link flapping, which
-// couple links to transfers or to fault draws outside the scan.
+// Replay is exact because every run applies a tick through the same calls
+// in one fixed order (applyDowns, applyUps, finishScan): the downs in key
+// order, then the ups in emission order, then the kicks. The plan stores
+// exactly those transitions, tagged with their scan tick, and a replaying
+// Manager makes the same calls on the same tick, so everything the transfer
+// layer does on top (and every event it emits) is unchanged. That holds
+// only while the link set depends on positions alone, so NewManager refuses
+// a plan under the battery model, churn or link flapping, which couple links
+// to transfers or to fault draws outside the scan.
 //
-// A plan is written by one recording run and read-only afterwards, so any
-// number of replaying runs may share it, concurrently too.
+// The same form carries the run-ahead scan (ahead.go): each chunk of the
+// stream is a ContactPlan of its ticks, written by the scanner's goroutine
+// and applied by the engine's. A recording is written the same way, ahead of
+// the engine, and is read-only once its run has returned, so any number of
+// replaying runs may share it, concurrently too.
 type ContactPlan struct {
 	nodes int
 	// keys holds each recorded tick's transitions back to back: its downs
@@ -28,8 +31,6 @@ type ContactPlan struct {
 	ticks []planTick
 	// horizon is the number of scan ticks the recording run completed.
 	horizon int64
-	// downs counts the open tick's downs while recording.
-	downs int32
 }
 
 // planTick locates one scan tick's transitions in ContactPlan.keys: they
@@ -40,29 +41,23 @@ type planTick struct {
 	end   int32
 }
 
-// recordDowns appends the open tick's downs, in the key order collectDowns
-// returns them.
-func (p *ContactPlan) recordDowns(downs []*link) {
-	for _, l := range downs {
-		p.keys = append(p.keys, l.key)
+// add records scan tick tick: its downs, in key order, and its ups, in
+// emission order. Ticks come in order, every one of them, transitions or
+// not.
+func (p *ContactPlan) add(tick int64, downs, ups []pairKey) {
+	if len(downs)+len(ups) > 0 {
+		p.keys = append(p.keys, downs...)
+		p.keys = append(p.keys, ups...)
+		p.ticks = append(p.ticks, planTick{tick: tick, downs: int32(len(downs)), end: int32(len(p.keys))})
 	}
-	p.downs = int32(len(downs))
+	p.horizon = tick + 1
 }
 
-// recordUp appends one of the open tick's ups, in emission order.
-func (p *ContactPlan) recordUp(k pairKey) { p.keys = append(p.keys, k) }
-
-// closeTick ends scan tick tick, indexing its transitions if it had any.
-func (p *ContactPlan) closeTick(tick int64) {
-	var start int32
-	if n := len(p.ticks); n > 0 {
-		start = p.ticks[n-1].end
-	}
-	if end := int32(len(p.keys)); end > start {
-		p.ticks = append(p.ticks, planTick{tick: tick, downs: p.downs, end: end})
-	}
-	p.downs = 0
-	p.horizon = tick + 1
+// reset empties p for reuse, keeping its arrays.
+func (p *ContactPlan) reset() {
+	p.keys = p.keys[:0]
+	p.ticks = p.ticks[:0]
+	p.horizon = 0
 }
 
 // checkPlans validates the contact-plan fields of a manager's config.
@@ -73,7 +68,7 @@ func (m *Manager) checkPlans() error {
 		return nil
 	case rec != nil && rep != nil:
 		return fmt.Errorf("network: a run cannot both record and replay a contact plan")
-	case m.energy != nil || m.faults.ChurnEnabled() || m.faults.FlapEnabled():
+	case m.coupled():
 		return fmt.Errorf("network: contact plans need links that depend on motion alone (no battery model, churn or link flapping)")
 	case rec != nil && (rec.horizon != 0 || len(rec.keys) != 0):
 		return fmt.Errorf("network: recording into a non-empty contact plan")
@@ -83,39 +78,30 @@ func (m *Manager) checkPlans() error {
 	return nil
 }
 
-// scanReplay applies the current tick's recorded transitions through the
-// calls the recording scanner made, in its order.
-func (m *Manager) scanReplay(now float64) {
-	p := m.cfg.ReplayPlan
-	tick := m.scans - 1
-	if tick >= p.horizon {
+// scanReplay applies the recorded transitions of scan tick tick.
+func (m *Manager) scanReplay(tick int64, now float64) {
+	if p := m.cfg.ReplayPlan; tick >= p.horizon {
 		//lint:invariant plans are shared only between runs of equal Duration and ScanInterval, so a replaying run's scan ticks end where the recording run's did
 		panic(fmt.Sprintf("network: contact plan replayed past its horizon (tick %d of %d)", tick, p.horizon))
 	}
-	if m.cursor == len(p.ticks) || p.ticks[m.cursor].tick != tick {
+	m.applyPlanned(m.cfg.ReplayPlan, &m.cursor, tick, now)
+}
+
+// applyPlanned applies p's transitions of scan tick tick, if it has any;
+// *cursor is the index of p's first entry not applied yet, and advances past
+// the tick's.
+func (m *Manager) applyPlanned(p *ContactPlan, cursor *int, tick int64, now float64) {
+	i := *cursor
+	if i == len(p.ticks) || p.ticks[i].tick != tick {
 		return // no transition this tick
 	}
 	var start int32
-	if m.cursor > 0 {
-		start = p.ticks[m.cursor-1].end
+	if i > 0 {
+		start = p.ticks[i-1].end
 	}
-	t := p.ticks[m.cursor]
-	m.cursor++
-	freed := m.freedBuf[:0]
-	for _, k := range p.keys[start : start+t.downs] {
-		l := m.linkOf(k)
-		if l == nil {
-			//lint:invariant the replayed link set equals the recorded one tick by tick, so every recorded down finds its link
-			panic(fmt.Sprintf("network: contact plan tears down link %v, which is not up at tick %d", k, tick))
-		}
-		freed = m.linkDown(l, now, freed)
-	}
-	for _, k := range p.keys[start+t.downs : t.end] {
-		if m.linkOf(k) != nil {
-			//lint:invariant the replayed link set equals the recorded one tick by tick, so no recorded up finds its link live
-			panic(fmt.Sprintf("network: contact plan brings up link %v, which is already up at tick %d", k, tick))
-		}
-		m.linkUp(k, now)
-	}
+	t := p.ticks[i]
+	*cursor = i + 1
+	freed := m.applyDowns(p.keys[start:start+t.downs], now)
+	m.applyUps(p.keys[start+t.downs:t.end], now)
 	m.finishScan(freed, now)
 }

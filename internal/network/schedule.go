@@ -44,6 +44,7 @@ func (m *Manager) StartScheduled(contacts []trace.Contact) error {
 	if m.cfg.RecordPlan != nil || m.cfg.ReplayPlan != nil {
 		return fmt.Errorf("network: contact plans record and replay scans, and a scheduled run has none")
 	}
+	m.scan = nil // a scheduled run never scans
 	m.scheduleChurn()
 	sorted := append([]trace.Contact(nil), contacts...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })

@@ -9,7 +9,8 @@ package network
 // Every unordered node pair is in exactly one of four states:
 //
 //   - near (itemAwake): checked every tick (it could plausibly transition).
-//   - linked: a live link; the per-tick down check walks Manager.live.
+//   - linked: an up pair; the per-tick down check walks the scanner's up
+//     record.
 //   - parked (itemParked): physics rules the pair out of radio range until
 //     its wake tick (parking.pairTicks); it is neither distance-checked nor
 //     grid-compared until then.
@@ -17,7 +18,7 @@ package network
 //     is out of range — the distance never changes, so it is never
 //     re-checked.
 //
-// Faults wake conservatively: every linkDown (scan, flap, churn) returns
+// Faults wake conservatively: every teardown (scan, flap, churn) returns
 // its pair to near; churned or energy-dead nodes make the predicate false
 // but never justify parking on their own, so their pairs keep exact
 // per-tick semantics while in distance range. A tick with two or more up
@@ -43,11 +44,11 @@ type sweep struct {
 
 // newSweep builds the planner with every pair near: the first tick is a
 // full O(n²) pass that parks everything physics allows.
-func newSweep(m *Manager) *sweep {
-	n := len(m.hosts)
+func newSweep(sc *scanner) *sweep {
+	n := len(sc.models)
 	pairs := n * (n - 1) / 2
 	s := &sweep{
-		parking: newParking(m, pairs),
+		parking: newParking(sc, pairs),
 		pairA:   make([]int32, pairs),
 		pairB:   make([]int32, pairs),
 	}
@@ -72,7 +73,7 @@ func (s *sweep) pairNodes(p int32) (int, int) {
 	return int(s.pairA[p]), int(s.pairB[p])
 }
 
-// onLinkUp marks the pair linked; the down check walks Manager.live, so
+// onLinkUp marks the pair linked; the down check walks the up record, so
 // the pair leaves the near set.
 func (s *sweep) onLinkUp(k pairKey) {
 	p := int32(s.pairIndex(int(k[0]), int(k[1])))
@@ -107,7 +108,7 @@ func (s *sweep) parkTicks(a, b int, d2, r float64) int64 {
 // naive scan would (predicate false). The loop index only advances when
 // the pair stays near — park and retire swap-remove under it.
 func (s *sweep) check(now float64) uint64 {
-	m := s.m
+	sc := s.sc
 	checked := uint64(0)
 	for i := 0; i < len(s.active); {
 		p := s.active[i]
@@ -115,20 +116,18 @@ func (s *sweep) check(now float64) uint64 {
 		s.samplePos(a, now)
 		s.samplePos(b, now)
 		checked++
-		r := m.pairRange(a, b)
-		d2 := m.positions[a].Dist2(m.positions[b])
-		alive := m.energy.alive(a) && m.energy.alive(b) &&
-			!m.isDown(a) && !m.isDown(b)
-		if alive && d2 <= r*r {
+		r := sc.pairRange(a, b)
+		d2 := sc.positions[a].Dist2(sc.positions[b])
+		if sc.radioOn(a) && sc.radioOn(b) && d2 <= r*r {
 			k := keyOf(a, b)
-			if !m.flapped[k] {
+			if !sc.flapped[k] {
 				s.ups = append(s.ups, k)
 			}
 			i++
 			continue
 		}
-		if m.flapped != nil {
-			delete(m.flapped, keyOf(a, b))
+		if sc.flapped != nil {
+			delete(sc.flapped, keyOf(a, b))
 		}
 		// Parking (and retiring) is justified by distance alone: a dead or
 		// churned node at parking distance cannot reach range before the
@@ -150,8 +149,8 @@ func (s *sweep) check(now float64) uint64 {
 // emitUps replays the naive up loop: sample everyone, then bring up every
 // in-contact pair in grid order.
 func (s *sweep) emitUps(now float64) uint64 {
-	for i := range s.m.models {
+	for i := range s.sc.models {
 		s.samplePos(i, now)
 	}
-	return uint64(s.m.gridUps(now))
+	return uint64(s.sc.gridUps())
 }

@@ -216,7 +216,7 @@ func TestSweepStaticPairSurvivesChurnReboot(t *testing.T) {
 // bookkeeping.
 func TestPairIndexRoundTrip(t *testing.T) {
 	r := newRig(9, 10000)
-	s := newSweep(r.mgr)
+	s := newSweep(r.mgr.scan)
 	seen := make(map[int]bool)
 	for a := 0; a < 9; a++ {
 		for b := a + 1; b < 9; b++ {

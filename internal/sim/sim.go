@@ -167,9 +167,30 @@ func (e *Engine) After(d float64, fn Handler) EventID {
 	return e.At(e.now+d, fn)
 }
 
+// Ticker is the firing schedule of Every: At is one firing and Period the
+// ticker's period. Every steps through it, and so does a caller that needs a
+// ticker's firings ahead of the engine (the radio's run-ahead contact scan),
+// which then sees exactly the times, and the number of firings, that Run
+// dispatches.
+type Ticker struct {
+	At, Period float64
+}
+
+// Next returns the firing after t: Period later, as a float sum, so the k-th
+// firing of a ticker scheduled at s lands at s+Period+…+Period, not at
+// s+k·Period.
+func (t Ticker) Next() Ticker {
+	t.At += t.Period
+	return t
+}
+
+// Due reports whether Run(horizon) dispatches the firing: Run leaves every
+// event later than its horizon for a later Run.
+func (t Ticker) Due(horizon float64) bool { return !(t.At > horizon) }
+
 // Every schedules fn to run now+d, now+2d, ... until the engine stops or the
-// returned EventID is canceled. Each firing passes the current time.
-// d must be > 0.
+// returned EventID is canceled. Each firing passes the current time. The
+// firing times follow Ticker. d must be > 0.
 func (e *Engine) Every(d float64, fn Handler) EventID {
 	if d <= 0 {
 		//lint:invariant documented Every contract: a non-positive period would loop the clock forever at one instant
@@ -179,6 +200,7 @@ func (e *Engine) Every(d float64, fn Handler) EventID {
 	// so it is never recycled and its generation stays 0 — the returned
 	// EventID remains valid for the ticker's whole lifetime.
 	ctl := &event{}
+	next := Ticker{At: e.now, Period: d}.Next()
 	var tick Handler
 	tick = func(now float64) {
 		if ctl.canceled || e.stopped {
@@ -188,9 +210,10 @@ func (e *Engine) Every(d float64, fn Handler) EventID {
 		if ctl.canceled || e.stopped {
 			return
 		}
-		e.At(now+d, tick)
+		next = next.Next()
+		e.At(next.At, tick)
 	}
-	e.At(e.now+d, tick)
+	e.At(next.At, tick)
 	return EventID{ctl, ctl.gen}
 }
 

@@ -26,11 +26,15 @@ func benchDenseScan(b *testing.B, p network.Planner) {
 }
 
 // BenchmarkDenseScanNaive runs densescan under the naive per-tick scanner:
-// the denominator of the lazy sweep's speedup (BenchmarkDenseScan in the
-// root package runs the automatic choice, the lazy sweep at 400 nodes).
+// the denominator of the planners' speedup (BenchmarkDenseScan in the root
+// package runs the automatic choice, the kinetic planner at 400 nodes).
 func BenchmarkDenseScanNaive(b *testing.B) { benchDenseScan(b, network.NaivePlanner) }
 
+// BenchmarkDenseScanLazy runs densescan under the lazy per-pair sweep, the
+// automatic choice below 400 nodes: one side of the crossover the automatic
+// choice sits on (PERFORMANCE.md §7 tabulates it).
+func BenchmarkDenseScanLazy(b *testing.B) { benchDenseScan(b, network.LazyPlanner) }
+
 // BenchmarkDenseScanKinetic runs densescan under the kinetic per-node
-// planner, measuring the per-pair against per-node bookkeeping at 400 nodes
-// (PERFORMANCE.md §7 tabulates the crossover).
+// planner, the automatic choice from 400 nodes: the other side.
 func BenchmarkDenseScanKinetic(b *testing.B) { benchDenseScan(b, network.KineticPlanner) }

@@ -51,6 +51,12 @@ func runScan(t *testing.T, sc config.Scenario, p network.Planner) ([]byte, Resul
 // trace, result and finished contacts. It reports failure as an error
 // rather than through a *testing.T, so it may run on any goroutine.
 func runScenario(sc config.Scenario, opts ...BuildOption) ([]byte, Result, []trace.Contact, error) {
+	return runScenarioMode(sc, true, opts...)
+}
+
+// runScenarioMode is runScenario with the scan run ahead of the engine
+// where the world allows it (ahead), or in lockstep.
+func runScenarioMode(sc config.Scenario, ahead bool, opts ...BuildOption) ([]byte, Result, []trace.Contact, error) {
 	var buf bytes.Buffer
 	jsonl := obs.NewJSONL(&buf)
 	rec := trace.NewContactRecorder()
@@ -58,7 +64,7 @@ func runScenario(sc config.Scenario, opts ...BuildOption) ([]byte, Result, []tra
 	if err != nil {
 		return nil, Result{}, nil, fmt.Errorf("build: %w", err)
 	}
-	res, err := w.Run()
+	res, err := w.run(ahead)
 	if err != nil {
 		return nil, Result{}, nil, fmt.Errorf("run: %w", err)
 	}

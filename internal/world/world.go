@@ -559,7 +559,16 @@ func (w *World) scheduleTraffic(s *rng.Stream) {
 // wall-clock watchdog stop (*TimeoutError) when a deadline was armed on the
 // engine. Budget and timeout stops return the partial Result alongside the
 // error so callers can report how far the run got.
-func (w *World) Run() (Result, error) {
+//
+// A world whose links depend on motion alone scans ahead of the engine on a
+// second goroutine (network.Manager.RunAhead), which ends before Run
+// returns, on every path. Every event and result is what a lockstep scan
+// gives.
+func (w *World) Run() (Result, error) { return w.run(true) }
+
+// run is Run; ahead false keeps the scan in lockstep with the engine even
+// where it could run ahead, the reference the run-ahead tests compare with.
+func (w *World) run(ahead bool) (Result, error) {
 	if !w.started {
 		if w.Scenario.MaxEvents > 0 {
 			w.Engine.SetMaxEvents(w.Scenario.MaxEvents)
@@ -572,6 +581,10 @@ func (w *World) Run() (Result, error) {
 			w.Manager.Start()
 		}
 		w.started = true
+	}
+	if ahead {
+		stop := w.Manager.RunAhead(w.Scenario.Duration)
+		defer stop()
 	}
 	w.Engine.Run(w.Scenario.Duration)
 	if w.Engine.BudgetExceeded() {

@@ -133,6 +133,28 @@ type (
 	BuildOption = world.BuildOption
 )
 
+// The values of TraceEventType, under the names internal/obs gives them;
+// each prints as its wire name in the JSONL log ("created", "contact_up",
+// …), and MessageLedger.Count takes them.
+const (
+	MessageCreated   = obs.MessageCreated
+	MessageForwarded = obs.MessageForwarded
+	MessageDelivered = obs.MessageDelivered
+	MessageDropped   = obs.MessageDropped
+	MessageExpired   = obs.MessageExpired
+	MessageRefused   = obs.MessageRefused
+	ContactUp        = obs.ContactUp
+	ContactDown      = obs.ContactDown
+	TransferStart    = obs.TransferStart
+	TransferAbort    = obs.TransferAbort
+	TransferLost     = obs.TransferLost
+	NodeDown         = obs.NodeDown
+	NodeUp           = obs.NodeUp
+	LinkFlap         = obs.LinkFlap
+	MessagePurged    = obs.MessagePurged
+	Snapshot         = obs.Snapshot
+)
+
 // WithTracer makes Build route every lifecycle event of the run to tr.
 func WithTracer(tr Tracer) BuildOption { return world.WithTracer(tr) }
 
