@@ -56,11 +56,13 @@ bench:
 # CI-sized perf sanity pass (~1 min, see PERFORMANCE.md): runs the suite's
 # smoke case, asserts the report round-trips through the schema, that two
 # separate processes simulate byte-identically (second invocation gating on
-# the first's sim digest), and that the digests of smoke and of the three
+# the first's sim digest), and that the digests of smoke and of the four
 # scan cases (scan100k and the 400-node densescan under the kinetic planner,
-# table2 under the lazy sweep) still match the newest committed
-# BENCH_<n>.json — any scanner or engine change that perturbs the event
-# stream fails here before the full bench-report would catch it. The huge
+# table2 under the lazy sweep, and table3, whose lazy sweep retires to the
+# naive scan's neighbour list: the one suite case that reaches the naive
+# scan) still match the newest committed BENCH_<n>.json — any scanner or
+# engine change that perturbs the event stream fails here before the full
+# bench-report would catch it. The huge
 # -max-regress disarms the timing gate (CI machines are noisy); only
 # determinism failures can trip it.
 bench-smoke:
@@ -69,7 +71,7 @@ bench-smoke:
 	$(GO) run ./cmd/dtnbench -smoke -iters 2 -baseline $$tmp/smoke.json -max-regress 100000 -quiet && \
 	$(GO) run ./cmd/dtnbench -smoke -iters 2 -max-regress 100000 -quiet \
 		-baseline $$(ls BENCH_*.json | grep -v candidate | sort -t_ -k2 -n | tail -1) && \
-	$(GO) run ./cmd/dtnbench -cases scan100k,densescan,table2 -iters 2 -max-regress 100000 -quiet \
+	$(GO) run ./cmd/dtnbench -cases scan100k,densescan,table2,table3 -iters 2 -max-regress 100000 -quiet \
 		-baseline $$(ls BENCH_*.json | grep -v candidate | sort -t_ -k2 -n | tail -1) && \
 	$(GO) test -short -run 'TestGoldenTraceByteIdentical|TestReportByteStable|TestSmokeCaseMatchesGoldenCounters' ./internal/bench/ && \
 	$(GO) test -run 'TestScan100kKineticScalesWithinBudget|TestCommittedScan100kPeakHeapWithinBudget' ./internal/bench/ && \

@@ -4,20 +4,24 @@
 //
 // # Performance contract
 //
-// Grid is the per-tick hot path of the whole simulator: the network scanner
-// calls Update then Pairs once per scan interval for the entire run (see
-// PERFORMANCE.md for the cost model). Pairs therefore follows the
-// append-to-out idiom: it appends results to the caller-supplied slice and
-// returns the extended slice, so a caller that passes back last tick's
-// buffer as out[:0] queries with zero allocations at steady state. Passing nil is always valid and yields a fresh slice.
-// Results alias the out buffer: reusing it overwrites the previous call's
-// results in place (internal/geo/reuse_test.go pins these semantics).
+// Grid is the hot path of the naive contact scan: the network scanner's
+// neighbour list calls Update then Pairs once per rebuild, every K scan
+// ticks, where K is the motion bound on the list's distance margin (every
+// tick when the fleet moves too fast for a margin; see PERFORMANCE.md for
+// the cost model). Pairs therefore follows the append-to-out idiom: it
+// appends results to the caller-supplied slice and returns the extended
+// slice, so a caller that passes back the previous build's buffer as
+// out[:0] queries with zero allocations at steady state. Passing nil is
+// always valid and yields a fresh slice. Results alias the out buffer:
+// reusing it overwrites the previous call's results in place
+// (internal/geo/reuse_test.go pins these semantics).
 //
-// Grid.Update rebuilds the index every scan tick as a counting sort into
-// flat arrays sized once by NewGrid: item ids and positions grouped by
-// occupied cell, an occupancy bitmap, and a dense cell→slot table. A
-// rebuild touches only the items and the previous build's occupied cells
-// and allocates nothing.
+// Grid.Update rebuilds the index as a counting sort into flat arrays sized
+// once by NewGrid: item ids and positions grouped by occupied cell, an
+// occupancy bitmap, and a dense cell→slot table. A rebuild touches only the
+// items and the previous build's occupied cells and allocates nothing.
+// Cells is the cell mapping alone, with no index: what the scan planners
+// bucket by and the scanner's up order ranks.
 //
 //lint:shard-safe pure geometry plus per-instance grid state; nothing shared
 package geo

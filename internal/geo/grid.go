@@ -2,25 +2,138 @@ package geo
 
 import "math"
 
-// Grid is a uniform spatial hash over a rectangle. Items are identified by a
-// dense integer id in [0, n). The cell size should be at least the query
-// radius so a 3×3 cell neighbourhood covers every candidate pair.
-//
-// The grid is rebuilt (Update) every scan tick rather than maintained
-// incrementally, and a rebuild is a counting sort into flat arrays: the
-// items' ids and positions are grouped by occupied cell, cells in
-// first-occurrence order and ids in insertion order within a cell. An
-// occupancy bitmap answers "is this neighbour cell occupied" with one bit
-// test, and a dense cell→slot table says where an occupied cell's items
-// are, so an empty cell costs one bit and one int32, and queries read only
-// the occupied cells' contiguous runs.
-// Sparse fleets, where most items sit alone in their cell and most
-// neighbour lookups find nothing, are the case this layout is built for.
-type Grid struct {
+// Cells is a uniform tiling of a rectangle into square cells: the cell
+// mapping a Grid indexes by, without the index. Points outside the area
+// clamp to the border cells. Structures that bucket by the CellIndex of the
+// same Cells agree exactly, every float-rounding decision included: the
+// kinetic scan planner (internal/network) keeps incremental buckets on the
+// scanner's Cells, and the scanner's up order ranks those same cells, so
+// both stay byte-compatible with a Grid's Pairs enumeration at that cell
+// size.
+type Cells struct {
 	area Rect
 	cell float64
 	cols int
 	rows int
+}
+
+// NewCells tiles area with cells of edge cell. cell must be > 0.
+func NewCells(area Rect, cell float64) Cells {
+	cols := int(area.W()/cell) + 1
+	rows := int(area.H()/cell) + 1
+	if cols < 1 {
+		cols = 1
+	}
+	if rows < 1 {
+		rows = 1
+	}
+	return Cells{area: area, cell: cell, cols: cols, rows: rows}
+}
+
+// Dims returns the tiling's column and row counts.
+func (c *Cells) Dims() (cols, rows int) { return c.cols, c.rows }
+
+// CellIndex returns the dense index of the cell containing p, with
+// out-of-area points clamped to the border cells.
+//
+// Performance contract: pure arithmetic, no allocation.
+func (c *Cells) CellIndex(p Point) int {
+	cx, cy := c.coords(p)
+	return cy*c.cols + cx
+}
+
+// BoundaryDist returns the distance from p to the nearest edge of cell ci's
+// box (≤ 0 when p lies on the boundary or outside the box, which happens
+// for clamped out-of-area points). Callers using it as a containment margin
+// must subtract their own conservative slack.
+//
+// Performance contract: pure arithmetic (axis minima, no square roots), no
+// allocation.
+func (c *Cells) BoundaryDist(p Point, ci int) float64 {
+	lox := c.area.Min.X + float64(ci%c.cols)*c.cell
+	loy := c.area.Min.Y + float64(ci/c.cols)*c.cell
+	d := p.X - lox
+	if hi := lox + c.cell - p.X; hi < d {
+		d = hi
+	}
+	if dy := p.Y - loy; dy < d {
+		d = dy
+	}
+	if hi := loy + c.cell - p.Y; hi < d {
+		d = hi
+	}
+	return d
+}
+
+// ExitTime returns a lower bound on the first time s ≥ 0 at which a point
+// moving linearly from p with velocity v leaves cell ci's box: 0 when p lies
+// on or outside the box (clamped out-of-area points), +Inf when it never
+// does. The box is shrunk on every side by a relative 1e-9 of the cell edge
+// plus 1e-9 m, at least the slack BoundaryDist's callers subtract, so rounding
+// between this extrapolation, the model's interpolation and CellIndex's
+// division can only make the answer earlier. Non-finite input gives 0.
+//
+// Performance contract: pure arithmetic, no allocation.
+func (c *Cells) ExitTime(p Point, v Vec, ci int) float64 {
+	lox := c.area.Min.X + float64(ci%c.cols)*c.cell
+	loy := c.area.Min.Y + float64(ci/c.cols)*c.cell
+	slack := c.cell*1e-9 + 1e-9
+	return min(axisExit(p.X-lox-slack, lox+c.cell-p.X-slack, v.X),
+		axisExit(p.Y-loy-slack, loy+c.cell-p.Y-slack, v.Y))
+}
+
+// axisExit is ExitTime along one axis: the time a coordinate lo above the
+// lower bound and hi below the upper one takes to reach either at velocity
+// v.
+func axisExit(lo, hi, v float64) float64 {
+	if !(lo > 0 && hi > 0) {
+		return 0
+	}
+	switch {
+	case v > 0:
+		return hi / v
+	case v < 0:
+		return lo / -v
+	case v == 0:
+		return math.Inf(1)
+	}
+	return 0 // NaN
+}
+
+// coords returns the column and row of the cell containing p, clamped to
+// the border cells.
+func (c *Cells) coords(p Point) (cx, cy int) {
+	cx = int((p.X - c.area.Min.X) / c.cell)
+	cy = int((p.Y - c.area.Min.Y) / c.cell)
+	if cx < 0 {
+		cx = 0
+	} else if cx >= c.cols {
+		cx = c.cols - 1
+	}
+	if cy < 0 {
+		cy = 0
+	} else if cy >= c.rows {
+		cy = c.rows - 1
+	}
+	return cx, cy
+}
+
+// Grid is a uniform spatial hash over a rectangle: an index of items on
+// Cells. Items are identified by a dense integer id in [0, n). The cell
+// size should be at least the query radius so a 3×3 cell neighbourhood
+// covers every candidate pair.
+//
+// The index is rebuilt (Update) rather than maintained incrementally, and a
+// rebuild is a counting sort into flat arrays: the items' ids and positions
+// are grouped by occupied cell, cells in first-occurrence order and ids in
+// insertion order within a cell. An occupancy bitmap answers "is this
+// neighbour cell occupied" with one bit test, and a dense cell→slot table
+// says where an occupied cell's items are, so an empty cell costs one bit
+// and one int32, and queries read only the occupied cells' contiguous runs.
+// Sparse fleets, where most items sit alone in their cell and most
+// neighbour lookups find nothing, are the case this layout is built for.
+type Grid struct {
+	Cells
 
 	// bits marks the cells occupied by the current build, one bit per
 	// cell; slot[ci] is cell ci's index in occ and is meaningful only
@@ -47,118 +160,16 @@ type occCell struct {
 // NewGrid creates a grid over area with the given cell size for n items.
 // cell must be > 0.
 func NewGrid(area Rect, cell float64, n int) *Grid {
-	cols := int(area.W()/cell) + 1
-	rows := int(area.H()/cell) + 1
-	if cols < 1 {
-		cols = 1
-	}
-	if rows < 1 {
-		rows = 1
-	}
+	c := NewCells(area, cell)
 	return &Grid{
-		area: area,
-		cell: cell,
-		cols: cols,
-		rows: rows,
-		bits: make([]uint64, (cols*rows+63)/64),
-		slot: make([]int32, cols*rows),
-		occ:  make([]occCell, 0, n),
-		ids:  make([]int32, n),
-		pts:  make([]Point, n),
-		into: make([]int32, n),
+		Cells: c,
+		bits:  make([]uint64, (c.cols*c.rows+63)/64),
+		slot:  make([]int32, c.cols*c.rows),
+		occ:   make([]occCell, 0, n),
+		ids:   make([]int32, n),
+		pts:   make([]Point, n),
+		into:  make([]int32, n),
 	}
-}
-
-// Dims returns the grid's column and row counts.
-func (g *Grid) Dims() (cols, rows int) { return g.cols, g.rows }
-
-// CellIndex exposes the grid's cell mapping: the dense index of the cell
-// containing p, with out-of-area points clamped to the border cells. Two
-// structures that bucket by CellIndex of the same Grid agree exactly —
-// including every float-rounding decision — which is what lets the kinetic
-// scanner (internal/network) keep its own incremental buckets while staying
-// byte-compatible with this grid's Pairs enumeration.
-//
-// Performance contract: pure arithmetic, no allocation.
-func (g *Grid) CellIndex(p Point) int {
-	cx, cy := g.coords(p)
-	return cy*g.cols + cx
-}
-
-// BoundaryDist returns the distance from p to the nearest edge of cell ci's
-// box (≤ 0 when p lies on the boundary or outside the box, which happens
-// for clamped out-of-area points). Callers using it as a containment margin
-// must subtract their own conservative slack.
-//
-// Performance contract: pure arithmetic (axis minima, no square roots), no
-// allocation.
-func (g *Grid) BoundaryDist(p Point, ci int) float64 {
-	lox := g.area.Min.X + float64(ci%g.cols)*g.cell
-	loy := g.area.Min.Y + float64(ci/g.cols)*g.cell
-	d := p.X - lox
-	if hi := lox + g.cell - p.X; hi < d {
-		d = hi
-	}
-	if dy := p.Y - loy; dy < d {
-		d = dy
-	}
-	if hi := loy + g.cell - p.Y; hi < d {
-		d = hi
-	}
-	return d
-}
-
-// ExitTime returns a lower bound on the first time s ≥ 0 at which a point
-// moving linearly from p with velocity v leaves cell ci's box: 0 when p lies
-// on or outside the box (clamped out-of-area points), +Inf when it never
-// does. The box is shrunk on every side by a relative 1e-9 of the cell edge
-// plus 1e-9 m, at least the slack BoundaryDist's callers subtract, so rounding
-// between this extrapolation, the model's interpolation and CellIndex's
-// division can only make the answer earlier. Non-finite input gives 0.
-//
-// Performance contract: pure arithmetic, no allocation.
-func (g *Grid) ExitTime(p Point, v Vec, ci int) float64 {
-	lox := g.area.Min.X + float64(ci%g.cols)*g.cell
-	loy := g.area.Min.Y + float64(ci/g.cols)*g.cell
-	slack := g.cell*1e-9 + 1e-9
-	return min(axisExit(p.X-lox-slack, lox+g.cell-p.X-slack, v.X),
-		axisExit(p.Y-loy-slack, loy+g.cell-p.Y-slack, v.Y))
-}
-
-// axisExit is ExitTime along one axis: the time a coordinate lo above the
-// lower bound and hi below the upper one takes to reach either at velocity
-// v.
-func axisExit(lo, hi, v float64) float64 {
-	if !(lo > 0 && hi > 0) {
-		return 0
-	}
-	switch {
-	case v > 0:
-		return hi / v
-	case v < 0:
-		return lo / -v
-	case v == 0:
-		return math.Inf(1)
-	}
-	return 0 // NaN
-}
-
-// coords returns the column and row of the cell containing p, clamped to
-// the border cells.
-func (g *Grid) coords(p Point) (cx, cy int) {
-	cx = int((p.X - g.area.Min.X) / g.cell)
-	cy = int((p.Y - g.area.Min.Y) / g.cell)
-	if cx < 0 {
-		cx = 0
-	} else if cx >= g.cols {
-		cx = g.cols - 1
-	}
-	if cy < 0 {
-		cy = 0
-	} else if cy >= g.rows {
-		cy = g.rows - 1
-	}
-	return cx, cy
 }
 
 // occupied reports whether cell ci's bit is set in an occupancy bitmap.
@@ -233,8 +244,10 @@ func (g *Grid) place(s, id int32, p Point) {
 // most radius, and returns the extended slice. radius must be ≤ the cell
 // size for completeness. Occupied cells are visited in first-occurrence
 // order, each pairing its own items and then those of its forward
-// neighbours E, SW, S, SE (so each cell pair is visited exactly once); the
-// kinetic scanner reconstructs this order, so it is part of the contract.
+// neighbours E, SW, S, SE (so each cell pair is visited exactly once). The
+// contact scanner (internal/network) emits a tick's link-ups in this order,
+// reconstructed from cell coordinates without building a grid, so the order
+// is part of the contract and Pairs is its reference.
 //
 // Performance contract: compares squared distances only and writes through
 // the caller's slice; with a warm out buffer Pairs allocates nothing.

@@ -43,7 +43,8 @@ type Model interface {
 	// sweep parks a far-apart pair until the tick at which the pair could
 	// first close to radio range, and the kinetic planner additionally
 	// parks a whole node for as long as the bound proves it stays inside
-	// its grid bucket. The bound must
+	// its grid bucket; the naive scan rebuilds its neighbour list only as
+	// often as the fleet's largest bound requires. The bound must
 	// therefore hold for the model's entire lifetime and must never
 	// under-report: a too-small value silently breaks contact detection
 	// (missed link-ups), while a too-large value only costs earlier

@@ -13,12 +13,21 @@ import (
 	"sdsrp/internal/routing"
 	"sdsrp/internal/sim"
 	"sdsrp/internal/stats"
+	"sdsrp/internal/trace"
 )
 
 // certKinetic builds a kinetic planner over models on a grid of the given
 // area and cell edge, radio range and scan interval, with no scan driven:
 // the tests set the tick and sample positions themselves.
 func certKinetic(t *testing.T, models []mobility.Model, area geo.Rect, cell, radio, interval float64) *kinetic {
+	t.Helper()
+	return newKinetic(certScanner(t, models, area, cell, radio, interval, nil))
+}
+
+// certScanner builds the scanner of a fleet of models on fine cells of the
+// given area and edge, with radio range radio (or the per-node ranges, when
+// not nil) and scan interval, with no scan driven.
+func certScanner(t *testing.T, models []mobility.Model, area geo.Rect, cell, radio, interval float64, ranges []float64) *scanner {
 	t.Helper()
 	eng := sim.NewEngine()
 	collector := stats.NewCollector()
@@ -32,13 +41,13 @@ func certKinetic(t *testing.T, models []mobility.Model, area geo.Rect, cell, rad
 		})
 	}
 	m, err := NewManager(eng, Config{
-		Area: area, Range: radio, Bandwidth: 100, ScanInterval: interval,
+		Area: area, Range: radio, Ranges: ranges, Bandwidth: 100, ScanInterval: interval,
 		CellSize: cell, Tracer: collector,
 	}, hosts, models)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newKinetic(m.scan)
+	return m.scan
 }
 
 // sampleAt makes tick the planner's current tick at time now, samples
@@ -47,7 +56,7 @@ func (s *kinetic) sampleAt(tick int64, now float64) {
 	s.tick, s.now = tick, now
 	for i := range s.sc.models {
 		s.samplePos(i, now)
-		if ci := int32(s.sc.grid.CellIndex(s.sc.positions[i])); ci != s.cellOf[i] {
+		if ci := int32(s.sc.cells.CellIndex(s.sc.positions[i])); ci != s.cellOf[i] {
 			s.moveCell(i, ci)
 		}
 	}
@@ -113,7 +122,7 @@ func TestPairCertificateTable(t *testing.T) {
 			s := certKinetic(t, []mobility.Model{tc.a, tc.b}, geo.NewRect(3000, 3000), 100, 50, 1)
 			s.sampleAt(1, 0)
 			d2 := s.sc.positions[0].Dist2(s.sc.positions[1])
-			bound := s.boundTicks(geo.DistLowerBound(d2)-50, s.speed[0]+s.speed[1])
+			bound := boundTicks(geo.DistLowerBound(d2)-50, s.speed[0]+s.speed[1], s.interval)
 			if bound != tc.bound {
 				t.Fatalf("motion bound = %d ticks, want %d", bound, tc.bound)
 			}
@@ -145,8 +154,8 @@ func TestCellCertificateTable(t *testing.T) {
 			m := &scripted{p: geo.Point{X: 210, Y: 240}, v: tc.v, until: tc.until, max: 2}
 			s := certKinetic(t, []mobility.Model{m}, geo.NewRect(3000, 3000), 100, 50, 1)
 			s.sampleAt(1, 0)
-			d := s.sc.grid.BoundaryDist(s.sc.positions[0], int(s.cellOf[0]))
-			if bound := s.boundTicks(d-(d*1e-9+1e-9), s.speed[0]); bound != tc.bound {
+			d := s.sc.cells.BoundaryDist(s.sc.positions[0], int(s.cellOf[0]))
+			if bound := boundTicks(d-(d*1e-9+1e-9), s.speed[0], s.interval); bound != tc.bound {
 				t.Fatalf("motion bound = %d ticks, want %d", bound, tc.bound)
 			}
 			if got := s.cellTicks(0); got != tc.certified {
@@ -240,6 +249,19 @@ func certWorlds() []certWorld {
 	}
 }
 
+// trajectory walks models through ticks 0 … ticks of interval seconds and
+// returns every position, tick by tick.
+func trajectory(models []mobility.Model, ticks int, interval float64) [][]geo.Point {
+	traj := make([][]geo.Point, ticks+1)
+	for m := range traj {
+		traj[m] = make([]geo.Point, len(models))
+		for i, model := range models {
+			traj[m][i] = model.Pos(float64(m) * interval)
+		}
+	}
+	return traj
+}
+
 // TestCertificatesNeverSkipAContact is the certificates' safety property.
 // At every tick of every family and seed it computes each pair's deadline K
 // (pairTicks) and each node's cell deadline (cellTicks), and steps a twin
@@ -256,18 +278,12 @@ func TestCertificatesNeverSkipAContact(t *testing.T) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			twin := w.models(t, rng.New(seed))
 			s := certKinetic(t, w.models(t, rng.New(seed)), w.area, w.cell, w.radio, w.interval)
-			n, g, r2 := len(twin), s.sc.grid, w.radio*w.radio
+			n, g, r2 := len(twin), &s.sc.cells, w.radio*w.radio
 			// Walk the twin forward once; nextCell[m][i] is the first tick
 			// after m at which node i's bucket differs from its bucket at m,
 			// nextIn[m][p] the first tick after m at which pair p is in range
 			// (never when neither happens within the run).
-			traj := make([][]geo.Point, ticks+1)
-			for m := range traj {
-				traj[m] = make([]geo.Point, n)
-				for i, model := range twin {
-					traj[m][i] = model.Pos(float64(m) * w.interval)
-				}
-			}
+			traj := trajectory(twin, ticks, w.interval)
 			nextCell := make([][]int32, ticks+1)
 			nextIn := make([][]int32, ticks+1)
 			for m := ticks; m >= 0; m-- {
@@ -310,7 +326,7 @@ func TestCertificatesNeverSkipAContact(t *testing.T) {
 					}
 					cells++
 					d := g.BoundaryDist(pos, int(s.cellOf[i]))
-					if k > s.boundTicks(d-(d*1e-9+1e-9), s.speed[i]) {
+					if k > boundTicks(d-(d*1e-9+1e-9), s.speed[i], s.interval) {
 						cellWins++
 					}
 					if d <= 0 {
@@ -334,7 +350,7 @@ func TestCertificatesNeverSkipAContact(t *testing.T) {
 							continue
 						}
 						pairs++
-						if k > s.boundTicks(geo.DistLowerBound(d2)-w.radio, s.speed[i]+s.speed[j]) {
+						if k > boundTicks(geo.DistLowerBound(d2)-w.radio, s.speed[i]+s.speed[j], s.interval) {
 							pairWins++
 						}
 						_, li, _ := s.legOf(i)
@@ -359,5 +375,139 @@ func TestCertificatesNeverSkipAContact(t *testing.T) {
 	}
 	if paused == 0 || legEnds == 0 || clamped == 0 || statics == 0 {
 		t.Errorf("a family lost its coverage: %d paused, %d leg ends, %d clamped, %d static", paused, legEnds, clamped, statics)
+	}
+}
+
+// teleporter jumps to a fresh point of its area every second: a model with
+// no speed bound at all.
+type teleporter struct {
+	area geo.Rect
+	seed uint64
+}
+
+func (m teleporter) Pos(t float64) geo.Point {
+	s := rng.New(m.seed).SplitIndex("second", int(t))
+	return geo.Point{X: s.Uniform(0, m.area.W()), Y: s.Uniform(0, m.area.H())}
+}
+
+func (teleporter) MaxSpeed() float64 { return math.Inf(1) }
+
+// listWorlds adds three families for the neighbour list to the certificate
+// families: a synthesized taxi fleet played back as paths, which report no
+// legs; walkers meeting head-on at their speed bound, 1.5 m/s each, so that
+// an unlisted pair closes as fast as the bound allows and comes within
+// range one tick after the list's margin; and a teleporting fleet, whose
+// list must fall back to a per-tick build at the radio range.
+func listWorlds() []certWorld {
+	small := geo.NewRect(800, 600)
+	return []certWorld{
+		{"taxi-path", small, 60, 60, 1, func(t *testing.T, s *rng.Stream) []mobility.Model {
+			f := trace.Synthesize(trace.SynthesizeConfig{
+				Taxi: mobility.TaxiConfig{
+					Area:        small,
+					Hotspots:    []mobility.Hotspot{{Center: geo.Point{X: 400, Y: 300}, Sigma: 150, Weight: 1}},
+					UniformProb: 0.3,
+					SpeedLo:     6, SpeedHi: 14,
+					PauseLo: 5, PauseHi: 60,
+				},
+				Nodes: 14, Duration: 1300, SampleInterval: 30, Seed: uint64(s.IntN(1 << 30)),
+			})
+			ms, err := f.Models()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ms
+		}},
+		{"head-on", small, 75, 50, 1, func(_ *testing.T, s *rng.Stream) []mobility.Model {
+			// Pair k starts 451 + 0.5k m apart on its own row, so at tick 100
+			// it is 151 + 0.5k m apart, just beyond the 150 m list radius,
+			// and at tick 134, after 34 ticks at the 3 m/s closing bound,
+			// within the 50 m range for k ≤ 2. The list's period is 33.
+			var ms []mobility.Model
+			x0 := s.Uniform(0, 100)
+			for k := 0; k < 5; k++ {
+				y := 50 + 110*float64(k)
+				ms = append(ms,
+					&scripted{p: geo.Point{X: x0, Y: y}, v: geo.Vec{X: 1.5}, until: math.Inf(1), max: 1.5},
+					&scripted{p: geo.Point{X: x0 + 451 + 0.5*float64(k), Y: y}, v: geo.Vec{X: -1.5}, until: math.Inf(1), max: 1.5})
+			}
+			return ms
+		}},
+		{"teleport", small, 60, 60, 1, func(_ *testing.T, s *rng.Stream) []mobility.Model {
+			ms := make([]mobility.Model, 14)
+			for i := range ms {
+				ms[i] = teleporter{area: small, seed: uint64(s.IntN(1 << 30))}
+			}
+			return ms
+		}},
+	}
+}
+
+// TestListNeverMissesAContact is the neighbour list's safety property, beside
+// the parking certificates'. On every family, the certificate families and
+// listWorlds, it builds the naive scan's list at every tick m from a twin
+// fleet's positions and requires every pair within range on the ticks the
+// list serves, m … m+K−1, to be listed. A list with a period (K ≥ 2) must
+// also hold through the rebuild tick m+K, the one-tick margin every parking
+// deadline keeps, so a period one tick longer fails here: the head-on
+// family brings an unlisted pair within range on tick m+K+1. The list's
+// radius and period are pinned too: 3 × the range with a period of at least
+// two ticks, or, for the teleporting fleet, the range itself with a period
+// of one.
+func TestListNeverMissesAContact(t *testing.T) {
+	const ticks = 1200
+	var checks, tight int
+	for _, w := range append(certWorlds(), listWorlds()...) {
+		for seed := uint64(1); seed <= 3; seed++ {
+			twin := w.models(t, rng.New(seed))
+			sc := certScanner(t, w.models(t, rng.New(seed)), w.area, w.cell, w.radio, w.interval, nil)
+			l := &sc.list
+			switch {
+			case w.name == "teleport" && (l.period != 1 || l.radius != w.radio):
+				t.Fatalf("%s: period %d at radius %v, want 1 at the %v m range", w.name, l.period, l.radius, w.radio)
+			case w.name != "teleport" && (l.period < 2 || l.radius != 3*w.radio):
+				t.Fatalf("%s: period %d at radius %v, want 2 or more at %v m", w.name, l.period, l.radius, 3*w.radio)
+			}
+			// The ticks served plus the margin, and one more, to find a
+			// contact a period one tick longer would miss. A list with no
+			// certificate serves its own tick only.
+			last, past := int(l.period), int(l.period)+1
+			if l.period < 2 {
+				last, past = 0, 0
+			}
+			n, r2 := len(twin), w.radio*w.radio
+			traj := trajectory(twin, ticks, w.interval)
+			listed := make([]bool, n*n)
+			for m := 0; m <= ticks; m++ {
+				copy(sc.positions, traj[m])
+				sc.ticks, l.due = int64(m+1), 0
+				sc.listCands()
+				sc.cands = sc.cands[:0]
+				clear(listed)
+				for _, p := range l.pairs {
+					listed[int(p[0])*n+int(p[1])] = true
+				}
+				for j := 0; j <= past && m+j <= ticks; j++ {
+					for a := 0; a < n; a++ {
+						for b := a + 1; b < n; b++ {
+							if listed[a*n+b] || traj[m+j][a].Dist2(traj[m+j][b]) > r2 {
+								continue
+							}
+							if j > last {
+								tight++ // a period one tick longer would miss this contact
+								continue
+							}
+							t.Fatalf("%s seed %d: pair (%d,%d) is in range at tick %d but missing from the list built at tick %d (period %d, radius %v)",
+								w.name, seed, a, b, m+j, m, l.period, l.radius)
+						}
+					}
+					checks++
+				}
+			}
+		}
+	}
+	t.Logf("%d list-tick checks; %d contacts one tick past the margin", checks, tight)
+	if tight == 0 {
+		t.Errorf("no unlisted pair came within range one tick past the margin: a longer period would pass")
 	}
 }

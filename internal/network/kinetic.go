@@ -1,11 +1,6 @@
 package network
 
-import (
-	"cmp"
-	"fmt"
-	"math"
-	"slices"
-)
+import "math"
 
 // This file implements the kinetic planner, the planner for fleets of
 // kineticFrom nodes and more: per-NODE parking where the lazy sweep
@@ -54,53 +49,25 @@ import (
 //   - Every teardown — scan separation, flap, churn crash — wakes both
 //     endpoints; linked pairs are excluded from pair deadlines because the
 //     per-tick down walk over the scanner's up record owns them.
-//   - Ups: two or more are sorted into the exact naive grid-pass emission
-//     order without rebuilding the grid (emitUps below): the planner's
-//     buckets mirror geo.Grid's cell mapping (same Grid, same CellIndex
-//     arithmetic), so the naive enumeration order — occupied cells in
-//     ascending-min-id order, each visiting itself then its four forward
-//     neighbours — is reconstructable from candidate cell coordinates
-//     alone. This keeps multi-up ticks O(candidates·log) instead of O(n),
-//     which matters at 100k nodes where some tick almost always has two
-//     ups somewhere.
+//   - Ups: two or more go through the scanner's one ordering routine
+//     (scanner.emitOrdered, scan.go), which alone knows the naive emission
+//     order: geo.Grid.Pairs' enumeration on the fine cells, reconstructed
+//     from the candidates' cells and each cell's smallest id. The buckets
+//     are those cells (same geo.Cells, same CellIndex arithmetic), so a
+//     walk of one bucket gives its cell's rank, where the naive scan and
+//     the lazy sweep rank every cell in one pass over the nodes. This
+//     keeps multi-up ticks O(candidates·log) instead of O(n), which
+//     matters at 100k nodes where some tick almost always has two ups
+//     somewhere.
 //
 // Bucket membership lists are doubly linked, like the wake wheel, so cell
 // moves unlink in O(1).
 
-// upCand carries one up candidate's reconstructed grid-pass position: the
-// generating cell's rank (its minimum bucketed node id — exactly the order
-// geo.Grid.Update appends cells to its occupied list, since ids are
-// inserted ascending), the enumeration phase (0 = within-cell, 1..4 = the
-// forward neighbour directions E, SW, S, SE), and the iteration ids (a from
-// the generating cell, b from the neighbour cell).
-type upCand struct {
-	key  pairKey
-	rank int32
-	dir  int8
-	a, b int32
-}
-
-// cmpUpCand orders up candidates by (rank, dir, a, b), the naive grid
-// pass's emission order. No two candidates share all four keys, so the
-// order is total and any sort gives the same result.
-func cmpUpCand(x, y upCand) int {
-	if c := cmp.Compare(x.rank, y.rank); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(x.dir, y.dir); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(x.a, y.a); c != 0 {
-		return c
-	}
-	return cmp.Compare(x.b, y.b)
-}
-
 type kinetic struct {
 	parking
-	// cols/rows mirror the scanner's grid geometry; cell assignment
-	// always goes through grid.CellIndex so the two structures can never
-	// disagree on a float-rounding decision.
+	// cols/rows mirror the scanner's fine cells; cell assignment always
+	// goes through their CellIndex, so the buckets and the up order can
+	// never disagree on a float-rounding decision.
 	cols, rows int
 	cellOf     []int32 // assigned bucket, -1 until the bootstrap tick assigns it
 	// Bucket membership: one doubly-linked intrusive list per grid cell,
@@ -108,7 +75,6 @@ type kinetic struct {
 	cellHead []int32
 	cnext    []int32
 	cprev    []int32
-	ord      []upCand
 	// linked counts each node's up pairs, so the neighbourhood check asks
 	// the up record only about nodes that have any.
 	linked []int32
@@ -121,7 +87,7 @@ type kinetic struct {
 // to the naive scan.
 func newKinetic(sc *scanner) *kinetic {
 	n := len(sc.models)
-	cols, rows := sc.grid.Dims()
+	cols, rows := sc.cells.Dims()
 	s := &kinetic{
 		parking:  newParking(sc, n),
 		cols:     cols,
@@ -196,16 +162,16 @@ func (s *kinetic) moveCell(i int, ci int32) {
 // assigned bucket: the later of the motion bound (the distance to the
 // bucket boundary, minus conservative slack dominating float rounding,
 // under the node's own speed bound) and the leg certificate (the time the
-// node's leg leaves the bucket box, geo.Grid.ExitTime, or, if the leg ends
+// node's leg leaves the bucket box, geo.Cells.ExitTime, or, if the leg ends
 // first, the leg end plus the motion bound from the leg's end point).
 // Clamped out-of-area positions give a non-positive margin and keep the
 // node awake.
 //
 // Performance contract: pure arithmetic, no allocation.
 func (s *kinetic) cellTicks(i int) int64 {
-	g, pos, ci := s.sc.grid, s.sc.positions[i], int(s.cellOf[i])
+	g, pos, ci := &s.sc.cells, s.sc.positions[i], int(s.cellOf[i])
 	d := g.BoundaryDist(pos, ci)
-	k := s.boundTicks(d-(d*1e-9+1e-9), s.speed[i])
+	k := boundTicks(d-(d*1e-9+1e-9), s.speed[i], s.interval)
 	if k >= maxParkTicks {
 		return k
 	}
@@ -219,7 +185,7 @@ func (s *kinetic) cellTicks(i int) int64 {
 		d := g.BoundaryDist(pos.Add(v.Scale(left)), ci)
 		tau = left + (d-(d*1e-9+1e-9))/s.speed[i]
 	}
-	return max(k, s.ticksFor(tau))
+	return max(k, ticksFor(tau, s.interval))
 }
 
 // check reassigns every awake node's bucket, then scans each awake node's
@@ -234,7 +200,7 @@ func (s *kinetic) check(now float64) uint64 {
 	for _, ii := range s.active {
 		i := int(ii)
 		s.samplePos(i, now)
-		if ci := int32(sc.grid.CellIndex(sc.positions[i])); ci != s.cellOf[i] {
+		if ci := int32(sc.cells.CellIndex(sc.positions[i])); ci != s.cellOf[i] {
 			s.moveCell(i, ci)
 		}
 	}
@@ -276,7 +242,7 @@ func (s *kinetic) check(now float64) uint64 {
 						if sc.radioOn(i) && sc.radioOn(jj) && d2 <= r*r {
 							k := keyOf(i, jj)
 							if !sc.flapped[k] {
-								s.ups = append(s.ups, k)
+								sc.cands = append(sc.cands, k)
 							}
 						} else if sc.flapped != nil {
 							delete(sc.flapped, keyOf(i, jj))
@@ -297,28 +263,8 @@ func (s *kinetic) check(now float64) uint64 {
 	return checked
 }
 
-// fwdDir maps a cell-coordinate delta to the 1-based index of geo.Grid's
-// forward-neighbour enumeration order (E, SW, S, SE), or 0 when the delta
-// is not a forward direction.
-func fwdDir(dx, dy int) int8 {
-	switch {
-	case dx == 1 && dy == 0:
-		return 1
-	case dx == -1 && dy == 1:
-		return 2
-	case dx == 0 && dy == 1:
-		return 3
-	case dx == 1 && dy == 1:
-		return 4
-	}
-	return 0
-}
-
-// minID returns the smallest node id bucketed in cell ci. Because
-// geo.Grid.Update inserts ids in ascending order and appends a cell to its
-// occupied list the first time an id lands in it, ascending min-id order IS
-// the grid's cell visit order — which makes the rank reconstructable
-// without building the grid.
+// minID returns the smallest node id bucketed in cell ci, the cell's rank
+// in the naive emission order.
 func (s *kinetic) minID(ci int32) int32 {
 	min := int32(math.MaxInt32)
 	for j := s.cellHead[ci]; j != -1; j = s.cnext[j] {
@@ -329,37 +275,13 @@ func (s *kinetic) minID(ci int32) int32 {
 	return min
 }
 
-// emitUps emits two-or-more up candidates in the exact order the naive grid
-// pass would: cells in ascending-min-id (= occupied-list) order; within a
-// cell, the within-cell phase then the four forward-neighbour phases; within
-// a phase, lexicographic iteration ids. Candidate cells are identical to a
-// freshly built grid's because every bucket assignment is truthful (awake
-// nodes reassigned this tick, parked nodes pinned by their cell deadline)
-// and computed by the same CellIndex arithmetic. It checks no pairs.
+// emitUps brings up two or more up candidates in the naive emission order
+// (scanner.emitOrdered), ranking each cell by a walk of its bucket. The
+// buckets hold exactly the nodes a freshly built grid would put in each
+// cell, because every assignment is truthful (awake nodes reassigned this
+// tick, parked nodes pinned by their cell deadline) and computed by the
+// same CellIndex arithmetic. It checks no pairs.
 func (s *kinetic) emitUps(float64) uint64 {
-	ord := s.ord[:0]
-	for _, k := range s.ups {
-		ca, cb := s.cellOf[k[0]], s.cellOf[k[1]]
-		c := upCand{key: k, a: k[0], b: k[1]}
-		if ca != cb {
-			dx := int(cb)%s.cols - int(ca)%s.cols
-			dy := int(cb)/s.cols - int(ca)/s.cols
-			if d := fwdDir(dx, dy); d > 0 {
-				c.dir = d
-			} else if d := fwdDir(-dx, -dy); d > 0 {
-				c.dir, c.a, c.b, ca = d, k[1], k[0], cb
-			} else {
-				//lint:invariant every up candidate comes from its endpoint's 3×3 bucket neighbourhood, and no bucket moves between check and emitUps, so the two cells are adjacent
-				panic(fmt.Sprintf("network: up candidate %v spans non-adjacent buckets %d and %d", k, ca, cb))
-			}
-		}
-		c.rank = s.minID(ca)
-		ord = append(ord, c)
-	}
-	s.ord = ord
-	slices.SortFunc(ord, cmpUpCand)
-	for _, c := range ord {
-		s.sc.bringUp(c.key)
-	}
+	s.sc.emitOrdered(s.minID)
 	return 0
 }

@@ -92,14 +92,19 @@ const (
 	// AutoPlanner picks LazyPlanner below kineticFrom nodes and
 	// KineticPlanner from there.
 	AutoPlanner Planner = iota
-	// NaivePlanner re-checks every grid-candidate pair each tick: the
-	// reference the others are tested against, and where their load
+	// NaivePlanner re-checks every pair on its neighbour list each tick,
+	// rebuilding the list every K ticks (nlist.go): where the others' load
 	// monitors retire to.
 	NaivePlanner
 	// LazyPlanner parks node pairs (sweep.go).
 	LazyPlanner
 	// KineticPlanner parks nodes (kinetic.go).
 	KineticPlanner
+	// ReferencePlanner is the naive scan with no certificate: its list is
+	// rebuilt every tick at the largest range, a plain per-tick grid pass.
+	// It is the reference the differential tests hold every planner to, and
+	// only tests force it.
+	ReferencePlanner
 )
 
 // kineticFrom is the fleet size from which AutoPlanner picks the kinetic

@@ -23,7 +23,8 @@ import (
 //  3. downs, exactly like the naive path: recompute the predicate per up
 //     pair, canonical sort;
 //  4. ups: zero or one candidate needs no ordering, two or more go to the
-//     planner, which emits them in the naive scan's grid order;
+//     planner, which emits them through the scanner's one ordering routine
+//     (scanner.emitOrdered) in the naive emission order;
 //  5. the load monitor.
 //
 // Byte-identity with the naive scanner rests on three shared facts. The
@@ -40,7 +41,7 @@ import (
 // MaxSpeed bound. The certificate reads the linear leg each node is on
 // (mobility.Legged): a pair stays apart until its relative motion could
 // first bring it within range (geo.ApproachTime), and a node stays in its
-// bucket until its leg leaves the box (geo.Grid.ExitTime); past the earlier
+// bucket until its leg leaves the box (geo.Cells.ExitTime); past the earlier
 // leg end the motion bound takes over from the distance there. Models
 // without legs (trace playback) get the motion bound alone. Items park only
 // at K ≥ 2: a one-tick park costs wheel traffic without skipping anything.
@@ -63,7 +64,7 @@ const (
 	// loadWindow is the load monitor's window in ticks: if a window's
 	// planner checks (step 2 only) exceed loadWindow·n — more predicate
 	// evaluations per tick than there are nodes — parking costs more than
-	// naive's per-node sample and grid pass, and the planner retires. The
+	// naive's per-node sample and list pass, and the planner retires. The
 	// bootstrap tick (a full pass by design) is excluded from the first
 	// window.
 	loadWindow = 64
@@ -84,7 +85,8 @@ type planner interface {
 	// number of contact-predicate evaluations it made.
 	check(now float64) uint64
 	// emitUps brings up the tick's two or more candidates in the naive
-	// scan's grid order and returns the pairs it checked doing so.
+	// emission order, through scanner.emitOrdered, and returns the pairs
+	// it counts as checked doing so.
 	emitUps(now float64) uint64
 	// onLinkUp and onLinkDown follow every change to the scanner's up
 	// record; a teardown, whatever caused it (separation, flap, churn
@@ -136,7 +138,6 @@ type parking struct {
 	// skipping counts the items whose checks this tick skips (parked, and
 	// for the sweep retired), for the pairs-skipped counter.
 	skipping int64
-	ups      []pairKey
 	// windowChecked accumulates step-2 checks toward the load monitor.
 	windowChecked uint64
 }
@@ -249,30 +250,31 @@ func (p *parking) samplePos(i int, now float64) {
 	}
 }
 
-// boundTicks is the motion bound both planners park on: the whole ticks a
-// gap of gap metres provably stays open when it closes at most c metres per
-// second. It is 0 when the gap is already closed, and maxParkTicks when c
-// is zero or the bound exceeds the cap.
+// boundTicks is the motion bound both planners park on, and the neighbour
+// list's period (nlist.go): the whole ticks of interval seconds a gap of gap
+// metres provably stays open when it closes at most c metres per second. It
+// is 0 when the gap is already closed, and maxParkTicks when c is zero or
+// the bound exceeds the cap.
 //
 // Performance contract: pure arithmetic, no allocation.
-func (p *parking) boundTicks(gap, c float64) int64 {
+func boundTicks(gap, c, interval float64) int64 {
 	if gap <= 0 {
 		return 0
 	}
 	if c <= 0 {
 		return maxParkTicks
 	}
-	return p.ticksFor(gap / c) // c = +Inf (teleporting model) gives 0
+	return ticksFor(gap/c, interval) // c = +Inf (teleporting model) gives 0
 }
 
 // ticksFor converts τ, the seconds through which a proof rules out any
-// change the scan must see, into whole ticks: ⌊τ/interval⌋, so the K−1
-// skipped ticks keep one tick of margin, capped at maxParkTicks. A
-// non-positive or NaN τ gives 0.
+// change the scan must see, into whole ticks of interval seconds:
+// ⌊τ/interval⌋, so the K−1 skipped ticks keep one tick of margin, capped at
+// maxParkTicks. A non-positive or NaN τ gives 0.
 //
 // Performance contract: pure arithmetic, no allocation.
-func (p *parking) ticksFor(tau float64) int64 {
-	k := tau / p.interval
+func ticksFor(tau, interval float64) int64 {
+	k := tau / interval
 	if !(k > 0) {
 		return 0
 	}
@@ -318,7 +320,7 @@ func (p *parking) legOf(i int) (v geo.Vec, left float64, ok bool) {
 // Performance contract: pure arithmetic, no allocation.
 func (p *parking) pairTicks(i, j int, d2, r float64) int64 {
 	c := p.speed[i] + p.speed[j]
-	k := p.boundTicks(geo.DistLowerBound(d2)-r, c)
+	k := boundTicks(geo.DistLowerBound(d2)-r, c, p.interval)
 	if k >= maxParkTicks {
 		return k
 	}
@@ -338,7 +340,7 @@ func (p *parking) pairTicks(i, j int, d2, r float64) int64 {
 		ei, ej := pi.Add(vi.Scale(end)), pj.Add(vj.Scale(end))
 		tau = end + (geo.DistLowerBound(ei.Dist2(ej))-r)/c
 	}
-	return max(k, p.ticksFor(tau))
+	return max(k, ticksFor(tau, p.interval))
 }
 
 // parkedDowns makes the first half of a planner tick (see the file
@@ -369,14 +371,14 @@ func (s *scanner) parkedDowns(now float64) {
 func (s *scanner) parkedUps(now float64) {
 	p := s.plan.core()
 	// Ups: one candidate needs no ordering.
-	switch len(p.ups) {
+	switch len(s.cands) {
 	case 0:
 	case 1:
-		s.bringUp(p.ups[0])
+		s.bringUp(s.cands[0])
 	default:
 		s.work.checked += s.plan.emitUps(now)
 	}
-	p.ups = p.ups[:0]
+	s.cands = s.cands[:0]
 	s.work.skipped += uint64(p.skipping)
 
 	// The load monitor: retire to the naive scan for the rest of the run.

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"slices"
 
@@ -10,10 +12,11 @@ import (
 
 // This file holds the scanner, the half of the radio model that turns
 // motion into link transitions. It owns the mobility models, the sampled
-// positions, the bucket grid, the planners (park.go), the scan counters and
-// its own record of which pairs are up, and makes each scan tick in two
-// halves: scanDowns returns the tick's downs in key order, scanUps its ups
-// in emission order. The link layer (network.go) applies them, always
+// positions, the fine cells, the planners (park.go), the naive scan's
+// neighbour list (nlist.go), the scan counters and its own record of which
+// pairs are up, and makes each scan tick in two halves: scanDowns returns
+// the tick's downs in key order, scanUps its ups in emission order, which
+// emitOrdered alone knows. The link layer (network.go) applies them, always
 // through applyDowns, applyUps and finishScan, whoever scanned:
 //
 //   - a run-ahead world (links that depend on motion alone) runs the
@@ -30,9 +33,11 @@ import (
 type scanner struct {
 	models    []mobility.Model
 	positions []geo.Point
-	grid      *geo.Grid
-	pairBuf   [][2]int32
-	interval  float64
+	// cells is the fine tiling, of edge the largest radio range or
+	// Config.CellSize: the kinetic planner's buckets and the cells the up
+	// order ranks.
+	cells    geo.Cells
+	interval float64
 	// radio is the uniform range; ranges, when non-nil, gives each node
 	// its own, and maxRange is the largest of all.
 	radio    float64
@@ -49,8 +54,9 @@ type scanner struct {
 	links *Manager
 
 	// plan is the motion-bounded planner, built on the first tick; nil
-	// runs the naive scan.
+	// runs the naive scan, which tests the pairs on list (nlist.go).
 	plan planner
+	list nlist
 	// flapped suppresses re-up of pairs whose contact the flap model cut,
 	// until the nodes genuinely separate (nil unless flapping is enabled).
 	flapped map[pairKey]bool
@@ -69,6 +75,12 @@ type scanner struct {
 	work  tickWork
 	downs []pairKey
 	ups   []pairKey
+	// cands collects the tick's up candidates in no meaningful order, for
+	// emitOrdered; ord and first are its scratch, first allocated on the
+	// first naive or lazy tick with two or more candidates.
+	cands []pairKey
+	ord   []upCand
+	first []int32
 	// record, when set, receives every tick (Config.RecordPlan).
 	record *ContactPlan
 }
@@ -80,14 +92,15 @@ type tickWork struct {
 	fallback                  string
 }
 
-// newScanner builds the scanner of m's config over models, with buckets of
-// edge cell.
+// newScanner builds the scanner of m's config over models, with fine cells
+// of edge cell.
 func newScanner(m *Manager, models []mobility.Model, cell, maxRange float64) *scanner {
 	n := len(models)
 	s := &scanner{
 		models:    models,
 		positions: make([]geo.Point, n),
-		grid:      geo.NewGrid(m.cfg.Area, cell, n),
+		cells:     geo.NewCells(m.cfg.Area, cell),
+		list:      newList(models, m.cfg.Area, cell, maxRange, m.cfg.ScanInterval, m.cfg.Planner == ReferencePlanner),
 		interval:  m.cfg.ScanInterval,
 		radio:     m.cfg.Range,
 		ranges:    m.cfg.Ranges,
@@ -134,8 +147,16 @@ func (s *scanner) scanUps(now float64) []pairKey {
 		s.parkedUps(now)
 	} else {
 		// Downs came first and freed endpoints; the naive ups are every
-		// in-contact grid pair that is not up yet, in grid order.
-		pairs := s.gridUps()
+		// in-contact listed pair that is not up yet.
+		pairs := s.listCands()
+		switch len(s.cands) {
+		case 0:
+		case 1:
+			s.bringUp(s.cands[0])
+		default:
+			s.emitRanked()
+		}
+		s.cands = s.cands[:0]
 		// Separated pairs may flap again on their next genuine contact.
 		for k := range s.flapped {
 			if !s.pairInContact(int(k[0]), int(k[1])) {
@@ -224,9 +245,9 @@ func (s *scanner) flap(k pairKey) {
 // never inherit the up record's order, or the abort/kick sequence, and
 // every event it emits, would depend on which pairs happened to be
 // swap-removed earlier. The predicate is recomputed per pair instead of
-// consulting a freshly built pair set: pairInContact true implies
-// membership in the grid's pair list (the grid finds every pair within
-// maxRange ≥ the pair range), so the diff is exact without a per-tick set.
+// consulting a freshly built pair set: pairInContact true implies the pair
+// is within maxRange ≥ the pair range, where every scan finds it, so the
+// diff is exact without a per-tick set.
 // The predicate reads positions, so the caller must have sampled both
 // endpoints of every up pair for this tick.
 func (s *scanner) collectDowns() {
@@ -241,27 +262,110 @@ func (s *scanner) collectDowns() {
 	}
 }
 
-// gridUps rebuilds the grid from this tick's positions, which the caller
-// must have sampled for every node, and brings up every in-contact pair in
-// the grid's enumeration order, skipping up pairs and flap-suppressed pairs
-// (a flapped contact stays down until the nodes genuinely separate). That
-// order is the naive scan's, which every planner's multi-up tick reproduces
-// through this method. It returns the number of grid pairs checked.
-func (s *scanner) gridUps() int {
-	s.grid.Update(s.positions)
-	s.pairBuf = s.grid.Pairs(s.maxRange, s.pairBuf[:0])
-	for _, p := range s.pairBuf {
-		if !s.pairInContact(int(p[0]), int(p[1])) {
-			continue
-		}
-		k := pairKey{p[0], p[1]}
-		if s.flapped[k] {
-			continue
-		}
-		s.bringUp(k)
-	}
-	return len(s.pairBuf)
+// upCand carries one up candidate's position in the naive emission order:
+// the generating cell's rank, the enumeration phase (0 = within the cell,
+// 1..4 = the forward neighbours E, SW, S, SE), and the iteration ids (a from
+// the generating cell, b from the neighbour).
+type upCand struct {
+	key  pairKey
+	rank int32
+	dir  int8
+	a, b int32
 }
+
+// cmpUpCand orders up candidates by (rank, dir, a, b), the naive emission
+// order. No two candidates share all four keys, so the order is total and
+// any sort gives the same result.
+func cmpUpCand(x, y upCand) int {
+	if c := cmp.Compare(x.rank, y.rank); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.dir, y.dir); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.a, y.a); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.b, y.b)
+}
+
+// fwdDir maps a cell-coordinate delta to the 1-based index of geo.Grid's
+// forward-neighbour enumeration order (E, SW, S, SE), or 0 when the delta
+// is not a forward direction.
+func fwdDir(dx, dy int) int8 {
+	switch {
+	case dx == 1 && dy == 0:
+		return 1
+	case dx == -1 && dy == 1:
+		return 2
+	case dx == 0 && dy == 1:
+		return 3
+	case dx == 1 && dy == 1:
+		return 4
+	}
+	return 0
+}
+
+// emitOrdered brings up s.cands, two or more candidates of one tick, in the
+// naive emission order, the one place that order is known: geo.Grid.Pairs'
+// enumeration over a grid of the fine cells built from this tick's
+// positions, filtered to the candidates. Pairs visits occupied cells in
+// first-occurrence order, and since a build inserts ids ascending, that is
+// ascending order of each cell's smallest id; within a cell it takes the
+// cell's own pairs, then those with its forward neighbours E, SW, S, SE;
+// within a phase, ascending (a, b), a from the generating cell. So a
+// candidate's place follows from its endpoints' cells alone, and no grid is
+// built. rank(ci) must return the smallest id of the nodes in fine cell ci
+// this tick, and both endpoints of every candidate must be sampled this
+// tick. Every candidate is within range, and range is at most the cell
+// edge, so its cells are the same or adjacent.
+func (s *scanner) emitOrdered(rank func(ci int32) int32) {
+	cols, _ := s.cells.Dims()
+	ord := s.ord[:0]
+	for _, k := range s.cands {
+		ca := int32(s.cells.CellIndex(s.positions[k[0]]))
+		cb := int32(s.cells.CellIndex(s.positions[k[1]]))
+		c := upCand{key: k, a: k[0], b: k[1]}
+		if ca != cb {
+			dx := int(cb)%cols - int(ca)%cols
+			dy := int(cb)/cols - int(ca)/cols
+			if d := fwdDir(dx, dy); d > 0 {
+				c.dir = d
+			} else if d := fwdDir(-dx, -dy); d > 0 {
+				c.dir, c.a, c.b, ca = d, k[1], k[0], cb
+			} else {
+				//lint:invariant an up candidate is within range, at most one cell edge, so its endpoints' cells are adjacent
+				panic(fmt.Sprintf("network: up candidate %v spans non-adjacent cells %d and %d", k, ca, cb))
+			}
+		}
+		c.rank = rank(ca)
+		ord = append(ord, c)
+	}
+	s.ord = ord
+	slices.SortFunc(ord, cmpUpCand)
+	for _, c := range ord {
+		s.bringUp(c.key)
+	}
+}
+
+// emitRanked is emitOrdered for the naive scan and the lazy sweep, which
+// keep no buckets: one pass over every node's fine cell ranks the cells.
+// The caller must have sampled every position this tick. Descending ids
+// leave each occupied cell's smallest in first; cells empty this tick keep
+// stale entries, which emitOrdered never reads.
+func (s *scanner) emitRanked() {
+	if s.first == nil {
+		cols, rows := s.cells.Dims()
+		s.first = make([]int32, cols*rows)
+	}
+	for i := len(s.positions) - 1; i >= 0; i-- {
+		s.first[s.cells.CellIndex(s.positions[i])] = int32(i)
+	}
+	s.emitOrdered(s.firstID)
+}
+
+// firstID ranks fine cell ci by the smallest id emitRanked found in it.
+func (s *scanner) firstID(ci int32) int32 { return s.first[ci] }
 
 // radioOn reports whether node i's radio may link: its battery holds charge
 // and churn has not crashed it.

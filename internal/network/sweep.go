@@ -22,9 +22,9 @@ package network
 // its pair to near; churned or energy-dead nodes make the predicate false
 // but never justify parking on their own, so their pairs keep exact
 // per-tick semantics while in distance range. A tick with two or more up
-// candidates replays the naive up loop itself (full sample, grid rebuild,
-// enumeration in grid order): the candidate sets provably coincide, so the
-// emitted stream is the naive one by construction.
+// candidates samples every node and emits them through the scanner's one
+// ordering routine, ranking cells in one pass over the nodes
+// (scanner.emitRanked), as the naive scan does.
 //
 // Its state is O(n²), ~33 bytes per unordered pair, which is why larger
 // fleets use the kinetic planner.
@@ -40,6 +40,9 @@ type sweep struct {
 	// pairA/pairB invert pairIndex (built once; O(1) hot-path decode).
 	pairA []int32
 	pairB []int32
+	// near counts the tick's checked pairs within the largest range, for
+	// emitUps.
+	near uint64
 }
 
 // newSweep builds the planner with every pair near: the first tick is a
@@ -110,6 +113,8 @@ func (s *sweep) parkTicks(a, b int, d2, r float64) int64 {
 func (s *sweep) check(now float64) uint64 {
 	sc := s.sc
 	checked := uint64(0)
+	s.near = 0
+	reach2 := sc.maxRange * sc.maxRange
 	for i := 0; i < len(s.active); {
 		p := s.active[i]
 		a, b := s.pairNodes(p)
@@ -118,10 +123,13 @@ func (s *sweep) check(now float64) uint64 {
 		checked++
 		r := sc.pairRange(a, b)
 		d2 := sc.positions[a].Dist2(sc.positions[b])
+		if d2 <= reach2 {
+			s.near++
+		}
 		if sc.radioOn(a) && sc.radioOn(b) && d2 <= r*r {
 			k := keyOf(a, b)
 			if !sc.flapped[k] {
-				s.ups = append(s.ups, k)
+				sc.cands = append(sc.cands, k)
 			}
 			i++
 			continue
@@ -146,11 +154,24 @@ func (s *sweep) check(now float64) uint64 {
 	return checked
 }
 
-// emitUps replays the naive up loop: sample everyone, then bring up every
-// in-contact pair in grid order.
+// emitUps samples every node and brings the candidates up in the naive
+// emission order. It counts as checked what the naive scan checks on this
+// tick, every pair within the largest range: the near pairs check counted,
+// the up pairs and this tick's downs within it. Parked and retired pairs
+// are out of their own range, which is the largest unless ranges differ
+// per node; there, those between their own range and the largest are not
+// counted.
 func (s *sweep) emitUps(now float64) uint64 {
-	for i := range s.sc.models {
+	sc := s.sc
+	for i := range sc.models {
 		s.samplePos(i, now)
 	}
-	return uint64(s.sc.gridUps())
+	checked := s.near + uint64(len(sc.up))
+	for _, k := range sc.downs {
+		if sc.positions[k[0]].Dist2(sc.positions[k[1]]) <= sc.maxRange*sc.maxRange {
+			checked++
+		}
+	}
+	sc.emitRanked()
+	return checked
 }

@@ -28,10 +28,11 @@ func diffBase() config.Scenario {
 
 // plannerNames labels the planners in failure messages.
 var plannerNames = map[network.Planner]string{
-	network.AutoPlanner:    "auto",
-	network.NaivePlanner:   "naive",
-	network.LazyPlanner:    "lazy",
-	network.KineticPlanner: "kinetic",
+	network.AutoPlanner:      "auto",
+	network.NaivePlanner:     "naive",
+	network.LazyPlanner:      "lazy",
+	network.KineticPlanner:   "kinetic",
+	network.ReferencePlanner: "reference",
 }
 
 // runScan executes sc under planner p and returns the full JSONL event
@@ -74,42 +75,54 @@ func runScenarioMode(sc config.Scenario, ahead bool, opts ...BuildOption) ([]byt
 	return buf.Bytes(), res, rec.Contacts(), nil
 }
 
-// assertPlannerMatchesNaive runs sc under the naive scanner and planner p
-// and fails on the first diverging trace line.
-func assertPlannerMatchesNaive(t *testing.T, sc config.Scenario, p network.Planner) {
+// assertPlannerMatchesReference runs sc under the reference scan (the naive
+// scan's list rebuilt every tick at the largest range, a plain per-tick
+// grid pass with no certificate) and under planner p, and fails on the
+// first diverging trace line.
+func assertPlannerMatchesReference(t *testing.T, sc config.Scenario, p network.Planner) {
 	t.Helper()
 	mode := plannerNames[p]
-	naive, resN, logN := runScan(t, sc, network.NaivePlanner)
+	ref, resR, logR := runScan(t, sc, network.ReferencePlanner)
 	other, resO, logO := runScan(t, sc, p)
-	if line, nl, ol, same := firstDiff(naive, other); !same {
-		t.Fatalf("planners diverge at trace line %d:\n  naive: %s\n  %s: %s", line, nl, mode, ol)
+	if line, rl, ol, same := firstDiff(ref, other); !same {
+		t.Fatalf("planners diverge at trace line %d:\n  reference: %s\n  %s: %s", line, rl, mode, ol)
 	}
-	if resN.Summary != resO.Summary {
-		t.Fatalf("summaries diverge:\nnaive: %+v\n%s: %+v", resN.Summary, mode, resO.Summary)
+	if resR.Summary != resO.Summary {
+		t.Fatalf("summaries diverge:\nreference: %+v\n%s: %+v", resR.Summary, mode, resO.Summary)
 	}
-	if resN.Contacts != resO.Contacts || resN.MeanContactDuration != resO.MeanContactDuration {
-		t.Fatalf("contact digests diverge: naive (%d, %v) %s (%d, %v)",
-			resN.Contacts, resN.MeanContactDuration, mode, resO.Contacts, resO.MeanContactDuration)
+	if resR.Contacts != resO.Contacts || resR.MeanContactDuration != resO.MeanContactDuration {
+		t.Fatalf("contact digests diverge: reference (%d, %v) %s (%d, %v)",
+			resR.Contacts, resR.MeanContactDuration, mode, resO.Contacts, resO.MeanContactDuration)
 	}
-	if !reflect.DeepEqual(logN, logO) {
-		t.Fatalf("recorded contact logs diverge: naive %d entries, %s %d", len(logN), mode, len(logO))
+	if !reflect.DeepEqual(logR, logO) {
+		t.Fatalf("recorded contact logs diverge: reference %d entries, %s %d", len(logR), mode, len(logO))
 	}
 	// The planner under test must actually have skipped work on these
-	// scenarios (otherwise the test only proves naive == naive): pair-ticks
-	// parked for lazy, node-ticks parked for kinetic. The raw checked
-	// counters are NOT comparable across planners — naive's count is already
-	// grid-prefiltered while the planners pay different candidate sets —
-	// so the ns/op claim lives in the bench suite, not here.
-	if resO.Perf.PairsSkipped == 0 {
+	// scenarios (otherwise the test only proves the reference equals
+	// itself): pair-ticks parked for lazy, node-ticks parked for kinetic.
+	// The naive scan parks nothing; its list's period is pinned by
+	// TestListNeverMissesAContact (internal/network), and it must check
+	// exactly the pairs the reference checks. The raw checked counters are
+	// NOT comparable across planners — the naive count is grid-prefiltered
+	// while the planners pay different candidate sets — so the ns/op claim
+	// lives in the bench suite, not here.
+	switch {
+	case p == network.NaivePlanner:
+		if resO.Perf.PairsChecked != resR.Perf.PairsChecked {
+			t.Errorf("naive scan checked %d pairs, the reference %d", resO.Perf.PairsChecked, resR.Perf.PairsChecked)
+		}
+	case resO.Perf.PairsSkipped == 0:
 		t.Errorf("%s run skipped no pair checks — planner inert?", mode)
 	}
 }
 
 // diffFamilies is the scenario matrix shared by every scanner-equivalence
 // test: all mobility kinds, walkers that pause, per-node ranges, churn/flap
-// faults, and energy death. TestLazyScanMatchesNaive runs it
-// lazy-vs-naive, TestKineticScanMatchesNaive kinetic-vs-naive, and
-// TestWorkerCountsMatchSerial (concurrency_test.go) serial-vs-concurrent.
+// faults, and energy death. TestNaiveScanMatchesReference,
+// TestLazyScanMatchesNaive and TestKineticScanMatchesNaive hold the naive
+// scan, the lazy sweep and the kinetic planner to the reference scan, and
+// TestWorkerCountsMatchSerial (concurrency_test.go) runs it
+// serial-vs-concurrent.
 func diffFamilies() map[string]func() config.Scenario {
 	return map[string]func() config.Scenario{
 		"rwp": diffBase,
@@ -202,9 +215,28 @@ func diffFamilies() map[string]func() config.Scenario {
 	}
 }
 
+// TestNaiveScanMatchesReference is the neighbour list's differential test:
+// on every family and seed, the naive scan, which rebuilds its list every K
+// ticks, must emit the reference scan's event stream byte for byte and
+// check the same pairs.
+func TestNaiveScanMatchesReference(t *testing.T) {
+	for name, mk := range diffFamilies() {
+		for _, seed := range []uint64{1, 2, 3} {
+			sc := mk()
+			sc.Seed = seed
+			sc.Name = fmt.Sprintf("list-%s-%d", name, seed)
+			t.Run(sc.Name, func(t *testing.T) {
+				t.Parallel()
+				assertPlannerMatchesReference(t, sc, network.NaivePlanner)
+			})
+		}
+	}
+}
+
 // TestLazyScanMatchesNaive is the differential property test: across seeds,
 // every mobility kind, per-node ranges, and churn/flap faults, the lazy
-// scanner's event stream must be byte-identical to the naive scanner's.
+// scanner's event stream must be byte-identical to the naive scan's
+// reference (a per-tick grid pass).
 func TestLazyScanMatchesNaive(t *testing.T) {
 	for name, mk := range diffFamilies() {
 		for _, seed := range []uint64{1, 2, 3} {
@@ -213,15 +245,15 @@ func TestLazyScanMatchesNaive(t *testing.T) {
 			sc.Name = fmt.Sprintf("diff-%s-%d", name, seed)
 			t.Run(sc.Name, func(t *testing.T) {
 				t.Parallel()
-				assertPlannerMatchesNaive(t, sc, network.LazyPlanner)
+				assertPlannerMatchesReference(t, sc, network.LazyPlanner)
 			})
 		}
 	}
 }
 
 // TestKineticScanMatchesNaive runs the same differential matrix against the
-// kinetic scanner: the grid-bucketed per-node planner must emit the naive
-// scanner's event stream byte for byte on every family and seed.
+// kinetic scanner: the grid-bucketed per-node planner must emit the
+// reference scan's event stream byte for byte on every family and seed.
 func TestKineticScanMatchesNaive(t *testing.T) {
 	for name, mk := range diffFamilies() {
 		for _, seed := range []uint64{1, 2, 3} {
@@ -230,21 +262,24 @@ func TestKineticScanMatchesNaive(t *testing.T) {
 			sc.Name = fmt.Sprintf("kin-%s-%d", name, seed)
 			t.Run(sc.Name, func(t *testing.T) {
 				t.Parallel()
-				assertPlannerMatchesNaive(t, sc, network.KineticPlanner)
+				assertPlannerMatchesReference(t, sc, network.KineticPlanner)
 			})
 		}
 	}
 }
 
 // TestAutoPlannerMatchesForced pins the automatic planner choice to the
-// benchmark's workloads: a Table II world runs the lazy sweep and a
-// shortened fleet-10k world the kinetic planner, each with exactly the scan
-// work counters of a run forced onto that planner. Those two worlds' seed-1
-// counters are pinned too, so a model that stops reporting its legs (a
-// wrapper hiding mobility.Legged, say) fails here instead of silently
+// benchmark's workloads: a Table II world runs the lazy sweep, a Table III
+// world the lazy sweep until its load monitor retires it to the naive scan,
+// and a shortened fleet-10k world the kinetic planner, each with exactly the
+// scan work counters of a run forced onto that planner. Those worlds'
+// seed-1 counters are pinned too, so a model that stops reporting its legs
+// (a wrapper hiding mobility.Legged, say) fails here instead of silently
 // parking on the MaxSpeed bound again: without the leg certificates, table2
 // reads 731 616 / 88 794 407 / 414 250 and fleet-10k 251 635 / 577 332 /
-// 32 105. The 65536-node fleet, where the lazy sweep's pair index would no
+// 32 105. Table III's counters equal a per-tick grid pass's (the reference
+// scan's), so its neighbour list must check exactly the pairs such a pass
+// checks. The 65536-node fleet, where the lazy sweep's pair index would no
 // longer fit int32, runs the kinetic planner without any fallback (skipped
 // in -short: a few seconds).
 func TestAutoPlannerMatchesForced(t *testing.T) {
@@ -258,22 +293,28 @@ func TestAutoPlannerMatchesForced(t *testing.T) {
 		return sc
 	}
 	for _, tc := range []struct {
-		name   string
-		sc     config.Scenario
-		want   network.Planner
-		large  bool
-		pinned counters // seed 1; zero is not pinned
+		name     string
+		sc       config.Scenario
+		want     network.Planner
+		large    bool
+		pinned   counters // seed 1; zero is not pinned
+		fallback string   // the retirement the run takes
 	}{
 		{"table2", config.RandomWaypoint(), network.LazyPlanner, false,
-			counters{394_641, 88_827_476, 110_342}},
+			counters{394_641, 88_827_476, 110_342}, ""},
+		// Table III's taxis have no legs: the lazy sweep retires to the
+		// naive scan, whose neighbour list counts the pairs a per-tick grid
+		// pass would.
+		{"table3", config.EPFL(), network.LazyPlanner, false,
+			counters{410_525, 2_542_114, 19_543}, "lazy:load-monitor->naive"},
 		// fleet-10k's geometry: bench.Scan100kScenario at a tenth of the
 		// nodes on a tenth of the area, 60 s instead of 300.
 		{"fleet-10k", func() config.Scenario {
 			sc := fleet(10_000, 79_057, 60)
 			sc.CellSize = 500
 			return sc
-		}(), network.KineticPlanner, false, counters{78_854, 595_376, 3_226}},
-		{"fleet-65536", fleet(65536, 200_000, 60), network.KineticPlanner, true, counters{}},
+		}(), network.KineticPlanner, false, counters{78_854, 595_376, 3_226}, ""},
+		{"fleet-65536", fleet(65536, 200_000, 60), network.KineticPlanner, true, counters{}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.large && testing.Short() {
@@ -285,8 +326,8 @@ func TestAutoPlannerMatchesForced(t *testing.T) {
 				t.Fatalf("fallback %q, forced %s run %q", auto.Perf.ScanFallback,
 					plannerNames[tc.want], forced.Perf.ScanFallback)
 			}
-			if tc.large && auto.Perf.ScanFallback != "" {
-				t.Fatalf("fallback %q at 65536 nodes, want none", auto.Perf.ScanFallback)
+			if auto.Perf.ScanFallback != tc.fallback {
+				t.Fatalf("fallback %q, want %q", auto.Perf.ScanFallback, tc.fallback)
 			}
 			got := counters{auto.Perf.PairsChecked, auto.Perf.PairsSkipped, auto.Perf.Wakeups}
 			want := counters{forced.Perf.PairsChecked, forced.Perf.PairsSkipped, forced.Perf.Wakeups}
