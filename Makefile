@@ -58,9 +58,8 @@ bench:
 # separate processes simulate byte-identically (second invocation gating on
 # the first's sim digest), and that the digests of smoke and of the four
 # scan cases (scan100k and the 400-node densescan under the kinetic planner,
-# table2 under the lazy sweep, and table3, whose lazy sweep retires to the
-# naive scan's neighbour list: the one suite case that reaches the naive
-# scan) still match the newest committed BENCH_<n>.json — any scanner or
+# table2's 100 walkers and table3's 200 taxis on the naive scan's neighbour
+# list) still match the newest committed BENCH_<n>.json — any scanner or
 # engine change that perturbs the event stream fails here before the full
 # bench-report would catch it. The huge
 # -max-regress disarms the timing gate (CI machines are noisy); only
@@ -105,10 +104,10 @@ bench-report:
 # The printed summary is the live stats.Collector, itself a fold of the
 # event vocabulary; stats -check compares it with dtntrace's independent
 # fold of the log, so any drift between the two and any nondeterminism in
-# the emit path fails here. The comparison of the lazy and
-# kinetic planners against the naive reference belongs to the Go
-# differential families (TestLazyScanMatchesNaive, TestKineticScanMatchesNaive)
-# that CI's scan-diff race step runs.
+# the emit path fails here. The comparison of the naive scan and the
+# kinetic planner against the reference scan belongs to the Go differential
+# families (TestNaiveScanMatchesReference, TestKineticScanMatchesNaive) that
+# CI's scan-diff race step runs.
 trace-smoke:
 	@tmp=$$(mktemp -d) && \
 	$(GO) build -o $$tmp/dtnsim ./cmd/dtnsim && \

@@ -56,13 +56,12 @@ func SmokeScenario() config.Scenario {
 	return sc
 }
 
-// DenseScanScenario is the motion-bounded planners' showcase workload: a
-// node count high enough that pair bookkeeping dominates (400 nodes, ~80k
-// pairs) spread over an area sparse enough that almost every pair is
-// provably out of range almost all the time. Traffic is disabled so the
-// measurement isolates contact detection, the cost parking attacks. From
-// 400 nodes the automatic choice is the kinetic planner, which parks nodes
-// where the lazy sweep would hold all ~80k pairs.
+// DenseScanScenario is the kinetic planner's showcase workload: a node
+// count high enough that pair bookkeeping dominates (400 nodes, ~80k pairs)
+// spread over an area sparse enough that almost every pair is provably out
+// of range almost all the time. Traffic is disabled so the measurement
+// isolates contact detection, the cost parking attacks. 400 nodes is the
+// smallest fleet the automatic choice runs on the kinetic planner.
 func DenseScanScenario() config.Scenario {
 	sc := config.RandomWaypoint()
 	sc.Name = "bench-densescan"
@@ -76,8 +75,8 @@ func DenseScanScenario() config.Scenario {
 
 // Scan100kScenario is the kinetic-scanner scale workload: 100 000 nodes —
 // far above the fleet size from which the radio layer picks the kinetic
-// planner, and a fleet the lazy sweep's per-pair state could not hold —
-// walking a 250 km square sparse enough that nearly every node is parked
+// planner, and a fleet no per-pair planner state could hold — walking a
+// 250 km square sparse enough that nearly every node is parked
 // nearly all the time. Traffic is disabled so the measurement isolates
 // contact detection, and the cell size is raised to 500 m so cell deadlines
 // span hundreds of ticks. The case doubles as the suite's peak-memory gate
@@ -91,8 +90,8 @@ func DenseScanScenario() config.Scenario {
 // tables and rate estimators, ~34 MB) and the mobility slab (models and
 // their RNG substreams, ~17 MB) dominate, and the planner itself is
 // ~53 B/node. So 256 MB leaves ~3.5× headroom for allocator and GC
-// variance without ever admitting a per-pair design (the lazy sweep's
-// arrays would want ~180 GB here).
+// variance without ever admitting a per-pair design (arrays of ~36 bytes
+// per pair would want ~180 GB here).
 const Scan100kPeakHeapBudget = 256 << 20
 
 func Scan100kScenario() config.Scenario {

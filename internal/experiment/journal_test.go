@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sdsrp/internal/config"
+	"sdsrp/internal/geo"
 	"sdsrp/internal/network"
 	"sdsrp/internal/obs"
 	"sdsrp/internal/stats"
@@ -45,15 +46,15 @@ func TestF64RoundTrip(t *testing.T) {
 }
 
 // TestJournalResultRoundTrip runs real scenarios and checks the journaled
-// Result restores field-for-field equal. The EPFL run's lazy planner
+// Result restores field-for-field equal. The dense run's kinetic planner
 // retires to the naive scan, so its Perf.ScanFallback must survive too.
 func TestJournalResultRoundTrip(t *testing.T) {
-	epfl := config.EPFL()
-	epfl.Duration = 600
+	dense := config.RandomWaypoint()
+	dense.Nodes, dense.Area, dense.Duration = 400, geo.NewRect(1000, 1000), 600
 	for _, tc := range []struct {
 		name string
 		sc   config.Scenario
-	}{{"rwp", tinyScenario(1)}, {"epfl", epfl}} {
+	}{{"rwp", tinyScenario(1)}, {"dense", dense}} {
 		t.Run(tc.name, func(t *testing.T) {
 			w, err := world.Build(tc.sc)
 			if err != nil {
@@ -63,8 +64,8 @@ func TestJournalResultRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.name == "epfl" && res.Perf.ScanFallback == "" {
-				t.Fatal("EPFL run's planner held; the case no longer covers ScanFallback")
+			if tc.name == "dense" && res.Perf.ScanFallback == "" {
+				t.Fatal("dense run's planner held; the case no longer covers ScanFallback")
 			}
 			data, err := json.Marshal(newJournalResult(res))
 			if err != nil {
@@ -130,7 +131,7 @@ func TestJournalLinePinned(t *testing.T) {
 			MeanLevel: 0.125, FirstDeath: 568.25},
 		Perf: obs.RunStats{SimSeconds: 3600, Events: 4071, PeakQueue: 12, WallSeconds: 0.0625,
 			PairsChecked: 86916, PairsSkipped: 17757979, Wakeups: 19375,
-			ScanFallback: "lazy:load-monitor->naive", Replayed: true},
+			ScanFallback: "kinetic:load-monitor->naive", Replayed: true},
 	}
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
 	j, err := OpenJournal(path)
@@ -157,7 +158,7 @@ func TestJournalLinePinned(t *testing.T) {
 		`"energy":{"enabled":true,"dead_nodes":2,"total_used":1999.5,"mean_level":0.125,"first_death":568.25},` +
 		`"perf":{"sim_seconds":3600,"events":4071,"peak_queue":12,"wall_seconds":0.0625,` +
 		`"pairs_checked":86916,"pairs_skipped":17757979,"wakeups":19375,` +
-		`"scan_fallback":"lazy:load-monitor-\u003enaive","replayed":true}}}` + "\n"
+		`"scan_fallback":"kinetic:load-monitor-\u003enaive","replayed":true}}}` + "\n"
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -59,8 +59,9 @@ func (p Point) Dist2(q Point) float64 {
 // conservative lower bound on the true distance: the result is guaranteed
 // not to exceed the exact Euclidean distance, shaving a relative 1e-9 plus
 // an absolute 1e-9 m to absorb every rounding step between the coordinates
-// and the square root. The lazy contact scanner derives park deadlines from
-// it, where an over-estimate would skip a tick a contact could start on.
+// and the square root. The kinetic contact planner derives park deadlines
+// from it, where an over-estimate would skip a tick a contact could start
+// on.
 func DistLowerBound(d2 float64) float64 {
 	d := math.Sqrt(d2)
 	return d - (d*1e-9 + 1e-9)

@@ -25,9 +25,9 @@
 //   - hot-dist: scalar Euclidean distances (a Dist method call or
 //     math.Hypot) in the per-tick hot-path packages; radius comparisons
 //     there must use squared distances (geo.Point.Dist2 against r·r) — a
-//     square root per pair per tick dominated the scanner profile before
-//     the lazy sweep. Legitimate scalar uses (canonical definitions,
-//     parse-time bounds) carry a //lint:ignore hot-dist annotation.
+//     square root per pair per tick once dominated the scanner profile.
+//     Legitimate scalar uses (canonical definitions, parse-time bounds)
+//     carry a //lint:ignore hot-dist annotation.
 //
 // Five shard-safety checks certify that the engine-path packages keep every
 // world's state its own, so worlds the experiment runner runs concurrently

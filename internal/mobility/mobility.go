@@ -38,13 +38,12 @@ type Model interface {
 	//
 	// # Performance contract
 	//
-	// This bound is what lets the planning contact scanners
-	// (internal/network) skip distance checks physics rules out: the lazy
-	// sweep parks a far-apart pair until the tick at which the pair could
-	// first close to radio range, and the kinetic planner additionally
-	// parks a whole node for as long as the bound proves it stays inside
-	// its grid bucket; the naive scan rebuilds its neighbour list only as
-	// often as the fleet's largest bound requires. The bound must
+	// This bound is what lets the contact scanners (internal/network) skip
+	// distance checks physics rules out: the kinetic planner parks a node
+	// until the tick at which any pair it is in could first close to radio
+	// range, and no longer than the bound proves it stays inside its grid
+	// bucket; the naive scan rebuilds its neighbour list only as often as
+	// the fleet's largest bound requires. The bound must
 	// therefore hold for the model's entire lifetime and must never
 	// under-report: a too-small value silently breaks contact detection
 	// (missed link-ups), while a too-large value only costs earlier

@@ -3,10 +3,8 @@ package network
 import "math"
 
 // This file implements the kinetic planner, the planner for fleets of
-// kineticFrom nodes and more: per-NODE parking where the lazy sweep
-// (sweep.go) parks pairs, on the same parking core (park.go). Its state is
-// O(n), ~57 bytes per node, where the sweep's per-pair arrays would need
-// ~1.6 GB at n = 10000.
+// kineticFrom nodes and more: it parks nodes on the parking core (park.go).
+// Its state is O(n), ~57 bytes per node.
 //
 // A node is awake (sampled and checked against its 3×3 grid-bucket
 // neighbourhood every tick) or parked until a wake tick; a parked node is
@@ -40,7 +38,7 @@ import "math"
 //     energy-dead endpoint in distance range keeps the predicate false
 //     without parking anything, so the reboot or re-charge re-ups the link
 //     on the same tick the naive scanner would.
-//   - Flap suppression clears on the same tick as the naive sweep: a
+//   - Flap suppression clears on the same tick as the naive scan: a
 //     flapped pair's endpoints are awake from the teardown on (zero pair
 //     deadline while in range), and the suppression is deleted by the
 //     awake-side check on the first tick the predicate goes false — before
@@ -54,11 +52,10 @@ import "math"
 //     order: geo.Grid.Pairs' enumeration on the fine cells, reconstructed
 //     from the candidates' cells and each cell's smallest id. The buckets
 //     are those cells (same geo.Cells, same CellIndex arithmetic), so a
-//     walk of one bucket gives its cell's rank, where the naive scan and
-//     the lazy sweep rank every cell in one pass over the nodes. This
-//     keeps multi-up ticks O(candidates·log) instead of O(n), which
-//     matters at 100k nodes where some tick almost always has two ups
-//     somewhere.
+//     walk of one bucket gives its cell's rank, where the naive scan ranks
+//     every cell in one pass over the nodes. This keeps multi-up ticks
+//     O(candidates·log) instead of O(n), which matters at 100k nodes where
+//     some tick almost always has two ups somewhere.
 //
 // Bucket membership lists are doubly linked, like the wake wheel, so cell
 // moves unlink in O(1).
@@ -89,7 +86,7 @@ func newKinetic(sc *scanner) *kinetic {
 	n := len(sc.models)
 	cols, rows := sc.cells.Dims()
 	s := &kinetic{
-		parking:  newParking(sc, n),
+		parking:  newParking(sc),
 		cols:     cols,
 		rows:     rows,
 		cellOf:   make([]int32, n),
@@ -106,8 +103,6 @@ func newKinetic(sc *scanner) *kinetic {
 	}
 	return s
 }
-
-func (s *kinetic) name() string { return "kinetic" }
 
 // onLinkUp counts the pair at both endpoints; the neighbourhood check
 // skips up pairs.
@@ -129,7 +124,7 @@ func (s *kinetic) onLinkDown(k pairKey) {
 //
 // Performance contract: O(1) list splices, no allocation.
 func (s *kinetic) wakeNode(i int32) {
-	if s.state[i] == itemParked {
+	if s.state[i] == nodeParked {
 		s.unpark(i)
 	}
 }
@@ -190,7 +185,7 @@ func (s *kinetic) cellTicks(i int) int64 {
 
 // check reassigns every awake node's bucket, then scans each awake node's
 // 3×3 bucket neighbourhood: it collects up candidates, clears flap
-// suppression exactly where the naive sweep would (predicate false), and
+// suppression exactly where the naive scan would (predicate false), and
 // parks the node until its deadline.
 func (s *kinetic) check(now float64) uint64 {
 	sc := s.sc
@@ -238,7 +233,7 @@ func (s *kinetic) check(now float64) uint64 {
 					checked++
 					r := sc.pairRange(i, jj)
 					d2 := sc.positions[i].Dist2(sc.positions[jj])
-					if s.state[j] == itemParked || jj > i {
+					if s.state[j] == nodeParked || jj > i {
 						if sc.radioOn(i) && sc.radioOn(jj) && d2 <= r*r {
 							k := keyOf(i, jj)
 							if !sc.flapped[k] {
@@ -281,7 +276,6 @@ func (s *kinetic) minID(ci int32) int32 {
 // cell, because every assignment is truthful (awake nodes reassigned this
 // tick, parked nodes pinned by their cell deadline) and computed by the
 // same CellIndex arithmetic. It checks no pairs.
-func (s *kinetic) emitUps(float64) uint64 {
+func (s *kinetic) emitUps() {
 	s.sc.emitOrdered(s.minID)
-	return 0
 }

@@ -89,15 +89,13 @@ type Config struct {
 type Planner uint8
 
 const (
-	// AutoPlanner picks LazyPlanner below kineticFrom nodes and
+	// AutoPlanner picks NaivePlanner below kineticFrom nodes and
 	// KineticPlanner from there.
 	AutoPlanner Planner = iota
 	// NaivePlanner re-checks every pair on its neighbour list each tick,
-	// rebuilding the list every K ticks (nlist.go): where the others' load
-	// monitors retire to.
+	// rebuilding the list every K ticks (nlist.go): where the kinetic
+	// planner's load monitor retires to.
 	NaivePlanner
-	// LazyPlanner parks node pairs (sweep.go).
-	LazyPlanner
 	// KineticPlanner parks nodes (kinetic.go).
 	KineticPlanner
 	// ReferencePlanner is the naive scan with no certificate: its list is
@@ -108,11 +106,12 @@ const (
 )
 
 // kineticFrom is the fleet size from which AutoPlanner picks the kinetic
-// planner over the lazy sweep. PERFORMANCE.md §7's crossover table has the
-// measurements: with leg certificates the sweep leads at 100 nodes, ties
-// at 200 and loses from 400, as its O(n²) pair state outgrows its sharper
-// deadlines. So 400 nodes, densescan's fleet, is the first size that runs
-// kinetic; the 100- and 200-node worlds stay on the sweep.
+// planner over the naive scan. PERFORMANCE.md §19 re-measures §7's
+// crossover rows with the naive scan on its neighbour list: naive leads or
+// ties kinetic from 100 to 1 000 nodes and on densescan, and kinetic leads
+// the 10 000-node fleet-10k workload end to end. 400 keeps densescan and
+// every larger fleet on the kinetic planner; where between 1 000 and
+// 10 000 nodes the crossover now lies is not measured.
 const kineticFrom = 400
 
 // pairKey identifies an unordered host pair, low id first.
@@ -290,20 +289,20 @@ func (m *Manager) coupled() bool {
 	return m.energy != nil || m.faults.ChurnEnabled() || m.faults.FlapEnabled()
 }
 
-// FallbackReason names the planner retirement this run took, such as
-// "lazy:load-monitor->naive", or returns "" when the planner held. A
-// planner retires at most once: its load monitor hands the rest of the run
-// to the naive scan. Retirement is byte-identity-preserving; this string
-// exists so capacity planning never has to infer the active planner from
-// counters.
+// FallbackReason names the planner retirement this run took,
+// "kinetic:load-monitor->naive", or returns "" when the planner held. The
+// kinetic planner retires at most once: its load monitor hands the rest of
+// the run to the naive scan. Retirement is byte-identity-preserving; this
+// string exists so capacity planning never has to infer the active planner
+// from counters.
 func (m *Manager) FallbackReason() string { return m.fallback }
 
 // ScanStats reports the scan planner's work counters: distance-predicate
-// evaluations performed, ticks of work skipped by parking (pair-ticks under
-// the lazy sweep, parked node-ticks under the kinetic planner; always 0
-// under the naive scan), and wheel wakeups (pairs for lazy, nodes for
-// kinetic). These describe planner work, not simulation outcome — they
-// differ across planners while the event trace stays byte-identical.
+// evaluations performed, ticks of work skipped by parking (parked
+// node-ticks under the kinetic planner; always 0 under the naive scan), and
+// wheel wakeups (nodes). These describe planner work, not simulation
+// outcome — they differ across planners while the event trace stays
+// byte-identical.
 func (m *Manager) ScanStats() (checked, skipped, wakeups uint64) {
 	return m.pairsChecked, m.pairsSkipped, m.wakeups
 }

@@ -22,7 +22,7 @@ type puppet struct{ p geo.Point }
 func (m *puppet) Pos(float64) geo.Point { return m.p }
 
 // MaxSpeed implements mobility.Model: puppets teleport, so no finite bound
-// exists and the lazy scanner checks them every tick.
+// exists and the naive scan rebuilds its neighbour list every tick.
 func (m *puppet) MaxSpeed() float64 { return math.Inf(1) }
 
 type rig struct {

@@ -18,8 +18,8 @@ import (
 // border cells, and the fleets cover per-node ranges and cells larger than
 // the range. Candidates arrive shuffled, all of them or a random subset (a
 // real tick leaves out pairs already up), and are ranked both ways: from
-// one pass over the nodes (emitRanked, the naive scan and the lazy sweep)
-// and from the kinetic planner's buckets.
+// one pass over the nodes (emitRanked, the naive scan's) and from the
+// kinetic planner's buckets.
 func TestEmitOrderMatchesGridPairs(t *testing.T) {
 	area := geo.NewRect(600, 450)
 	for _, tc := range []struct {
@@ -103,7 +103,7 @@ func emitBothWays(t *testing.T, models []mobility.Model, area geo.Rect, cell, ra
 		} else {
 			k := newKinetic(sc)
 			k.sampleAt(1, 0)
-			k.emitUps(0)
+			k.emitUps()
 		}
 		got[way] = sc.ups
 	}

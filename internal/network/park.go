@@ -7,24 +7,21 @@ import (
 	"sdsrp/internal/mobility"
 )
 
-// This file holds the parking core that both motion-bounded scan planners
-// run on: the lazy sweep (sweep.go) parks node pairs, the kinetic planner
-// (kinetic.go) parks nodes, and everything else is shared. An item (a pair
-// or a node) is awake, checked every tick, or parked in a tick-bucketed
-// wake wheel until a deadline before which physics rules out any change the
-// scan must see. Each planner adds only how it finds candidates and how it
-// orders two or more ups; the tick itself (scanner.parkedDowns, then
-// scanner.parkedUps) is one loop:
+// This file holds the kinetic planner's parking core (kinetic.go): the wake
+// wheel, the park deadlines and the load monitor. A node is awake, checked
+// every tick, or parked in a tick-bucketed wake wheel until a deadline
+// before which physics rules out any change the scan must see. The planner
+// tick (scanner.parkedDowns, then scanner.parkedUps) is one loop:
 //
-//  1. wake the items whose deadline arrived;
+//  1. wake the nodes whose deadline arrived;
 //  2. the planner's check: evaluate the contact predicate on what is awake,
 //     collect up candidates, clear flap suppression where the predicate is
 //     false, and park what the motion bound allows;
 //  3. downs, exactly like the naive path: recompute the predicate per up
 //     pair, canonical sort;
-//  4. ups: zero or one candidate needs no ordering, two or more go to the
-//     planner, which emits them through the scanner's one ordering routine
-//     (scanner.emitOrdered) in the naive emission order;
+//  4. ups: zero or one candidate needs no ordering, two or more go through
+//     the scanner's one ordering routine (scanner.emitOrdered) in the naive
+//     emission order;
 //  5. the load monitor.
 //
 // Byte-identity with the naive scanner rests on three shared facts. The
@@ -43,10 +40,10 @@ import (
 // first bring it within range (geo.ApproachTime), and a node stays in its
 // bucket until its leg leaves the box (geo.Cells.ExitTime); past the earlier
 // leg end the motion bound takes over from the distance there. Models
-// without legs (trace playback) get the motion bound alone. Items park only
+// without legs (trace playback) get the motion bound alone. Nodes park only
 // at K ≥ 2: a one-tick park costs wheel traffic without skipping anything.
 //
-// Workloads where most items wake often (fast movers, short deadlines) can
+// Workloads where most nodes wake often (fast movers, short deadlines) can
 // cost more in bookkeeping than naive's flat per-node pass. The load
 // monitor (loadWindow) then retires the planner for the rest of the run;
 // the trigger reads only simulated state, so it is deterministic, and the
@@ -54,11 +51,11 @@ import (
 
 const (
 	// wheelBuckets must be a power of two (bucket index is masked). The
-	// wheel is hashed: an item whose wake tick lies a lap or more ahead is
+	// wheel is hashed: a node whose wake tick lies a lap or more ahead is
 	// re-kept with one comparison when its bucket comes around.
 	wheelBuckets = 256
 	// maxParkTicks caps a park so that the accumulated float error of
-	// tick-time addition stays far inside the deadline margin; an item
+	// tick-time addition stays far inside the deadline margin; a node
 	// re-checked once every million ticks is already free.
 	maxParkTicks = 1_000_000
 	// loadWindow is the load monitor's window in ticks: if a window's
@@ -68,40 +65,20 @@ const (
 	// bootstrap tick (a full pass by design) is excluded from the first
 	// window.
 	loadWindow = 64
+	// retireReason is the FallbackReason of a run whose load monitor fired.
+	retireReason = "kinetic:load-monitor->naive"
 )
 
-// Item states shared by both planners: awake items are in the awake set,
-// parked items in the wake wheel. The lazy sweep adds two pair states of
-// its own (sweep.go).
+// Node states: awake nodes are in the awake set, parked nodes in the wake
+// wheel.
 const (
-	itemAwake uint8 = iota
-	itemParked
+	nodeAwake uint8 = iota
+	nodeParked
 )
 
-// planner is what a motion-bounded scan planner adds to the parking core.
-type planner interface {
-	core() *parking
-	// check runs step 2 of the tick (see the file comment) and returns the
-	// number of contact-predicate evaluations it made.
-	check(now float64) uint64
-	// emitUps brings up the tick's two or more candidates in the naive
-	// emission order, through scanner.emitOrdered, and returns the pairs
-	// it counts as checked doing so.
-	emitUps(now float64) uint64
-	// onLinkUp and onLinkDown follow every change to the scanner's up
-	// record; a teardown, whatever caused it (separation, flap, churn
-	// crash), wakes what it touches so the next tick re-parks it only if it
-	// is genuinely far.
-	onLinkUp(k pairKey)
-	onLinkDown(k pairKey)
-	// name labels the planner in FallbackReason.
-	name() string
-}
-
-// parking is the state both planners share: the wake wheel, the awake set,
-// the per-tick position sampler and the load monitor's window. Items are
-// dense int32 ids, pairs or nodes depending on the planner; positions and
-// speed bounds are per node.
+// parking is the kinetic planner's per-node core: the wake wheel, the awake
+// set, the per-tick position sampler and the load monitor's window. Nodes
+// are dense int32 ids.
 type parking struct {
 	sc *scanner
 	n  int // nodes
@@ -117,16 +94,16 @@ type parking struct {
 	speed []float64
 
 	state []uint8
-	wake  []int64 // absolute wake tick, valid while state == itemParked
+	wake  []int64 // absolute wake tick, valid while state == nodeParked
 	// The wheel is an intrusive doubly-linked list per bucket: wheelHead[b]
-	// is the first parked item in bucket b (-1 when empty), wnext and wprev
+	// is the first parked node in bucket b (-1 when empty), wnext and wprev
 	// chain them. Parking pushes onto the head and waking unlinks in place,
 	// in O(1) even mid-bucket, so the wheel never allocates after
 	// construction.
 	wheelHead [wheelBuckets]int32
 	wnext     []int32
 	wprev     []int32
-	// active holds the awake items; slot[i] is i's position in it (-1 when
+	// active holds the awake nodes; slot[i] is i's position in it (-1 when
 	// not awake). Swap-removal keeps both O(1); iteration order is internal
 	// only — every emission is canonically ordered.
 	active []int32
@@ -135,27 +112,27 @@ type parking struct {
 	// posTick stamps the tick each node's position was last sampled, so a
 	// node read by several checks moves once per tick.
 	posTick []int64
-	// skipping counts the items whose checks this tick skips (parked, and
-	// for the sweep retired), for the pairs-skipped counter.
+	// skipping counts the parked nodes, whose checks this tick skips, for
+	// the pairs-skipped counter.
 	skipping int64
 	// windowChecked accumulates step-2 checks toward the load monitor.
 	windowChecked uint64
 }
 
-// newParking builds the core over items items, every one awake.
-func newParking(sc *scanner, items int) parking {
+// newParking builds the core with every node awake.
+func newParking(sc *scanner) parking {
 	n := len(sc.models)
 	p := parking{
 		sc:       sc,
 		n:        n,
 		interval: sc.interval,
 		speed:    make([]float64, n),
-		state:    make([]uint8, items),
-		wake:     make([]int64, items),
-		wnext:    make([]int32, items),
-		wprev:    make([]int32, items),
-		active:   make([]int32, items),
-		slot:     make([]int32, items),
+		state:    make([]uint8, n),
+		wake:     make([]int64, n),
+		wnext:    make([]int32, n),
+		wprev:    make([]int32, n),
+		active:   make([]int32, n),
+		slot:     make([]int32, n),
 		posTick:  make([]int64, n),
 	}
 	for b := range p.wheelHead {
@@ -171,16 +148,14 @@ func newParking(sc *scanner, items int) parking {
 	return p
 }
 
-func (p *parking) core() *parking { return p }
-
-// activate moves item i into the awake set.
+// activate moves node i into the awake set.
 func (p *parking) activate(i int32) {
-	p.state[i] = itemAwake
+	p.state[i] = nodeAwake
 	p.slot[i] = int32(len(p.active))
 	p.active = append(p.active, i)
 }
 
-// deactivate swap-removes item i from the awake set.
+// deactivate swap-removes node i from the awake set.
 func (p *parking) deactivate(i int32) {
 	s := p.slot[i]
 	last := int32(len(p.active) - 1)
@@ -191,12 +166,12 @@ func (p *parking) deactivate(i int32) {
 	p.slot[i] = -1
 }
 
-// park moves awake item i into the wheel until the absolute tick wakeAt.
+// park moves awake node i into the wheel until the absolute tick wakeAt.
 //
 // Performance contract: O(1) list splices, no allocation.
 func (p *parking) park(i int32, wakeAt int64) {
 	p.deactivate(i)
-	p.state[i] = itemParked
+	p.state[i] = nodeParked
 	p.wake[i] = wakeAt
 	b := wakeAt & (wheelBuckets - 1)
 	h := p.wheelHead[b]
@@ -209,7 +184,7 @@ func (p *parking) park(i int32, wakeAt int64) {
 	p.skipping++
 }
 
-// unpark unlinks item i from its wheel bucket and returns it to the awake
+// unpark unlinks node i from its wheel bucket and returns it to the awake
 // set.
 //
 // Performance contract: O(1) list splices, no allocation.
@@ -226,8 +201,8 @@ func (p *parking) unpark(i int32) {
 	p.activate(i)
 }
 
-// wakeDue wakes every item whose deadline is the current tick, in bucket
-// order, and returns how many it woke. Items parked a lap or more ahead
+// wakeDue wakes every node whose deadline is the current tick, in bucket
+// order, and returns how many it woke. Nodes parked a lap or more ahead
 // stay with one comparison.
 func (p *parking) wakeDue() uint64 {
 	woken := uint64(0)
@@ -250,11 +225,11 @@ func (p *parking) samplePos(i int, now float64) {
 	}
 }
 
-// boundTicks is the motion bound both planners park on, and the neighbour
-// list's period (nlist.go): the whole ticks of interval seconds a gap of gap
-// metres provably stays open when it closes at most c metres per second. It
-// is 0 when the gap is already closed, and maxParkTicks when c is zero or
-// the bound exceeds the cap.
+// boundTicks is the motion bound the kinetic planner parks on, and the
+// neighbour list's period (nlist.go): the whole ticks of interval seconds a
+// gap of gap metres provably stays open when it closes at most c metres per
+// second. It is 0 when the gap is already closed, and maxParkTicks when c
+// is zero or the bound exceeds the cap.
 //
 // Performance contract: pure arithmetic, no allocation.
 func boundTicks(gap, c, interval float64) int64 {
@@ -346,12 +321,12 @@ func (p *parking) pairTicks(i, j int, d2, r float64) int64 {
 // parkedDowns makes the first half of a planner tick (see the file
 // comment): wakes, the planner's check, and the downs.
 func (s *scanner) parkedDowns(now float64) {
-	p := s.plan.core()
+	p := s.plan
 	p.tick++
 	p.now = now
 	s.work.wakeups += p.wakeDue()
 
-	checked := s.plan.check(now)
+	checked := p.check(now)
 	if p.tick > 1 {
 		p.windowChecked += checked
 	}
@@ -368,15 +343,15 @@ func (s *scanner) parkedDowns(now float64) {
 
 // parkedUps makes the second half of a planner tick: the ups and the load
 // monitor.
-func (s *scanner) parkedUps(now float64) {
-	p := s.plan.core()
+func (s *scanner) parkedUps() {
+	p := s.plan
 	// Ups: one candidate needs no ordering.
 	switch len(s.cands) {
 	case 0:
 	case 1:
 		s.bringUp(s.cands[0])
 	default:
-		s.work.checked += s.plan.emitUps(now)
+		p.emitUps()
 	}
 	s.cands = s.cands[:0]
 	s.work.skipped += uint64(p.skipping)
@@ -384,7 +359,7 @@ func (s *scanner) parkedUps(now float64) {
 	// The load monitor: retire to the naive scan for the rest of the run.
 	if p.tick%loadWindow == 0 {
 		if p.windowChecked > loadWindow*uint64(p.n) {
-			s.work.fallback = s.plan.name() + ":load-monitor->naive"
+			s.work.fallback = retireReason
 			s.plan = nil
 		}
 		p.windowChecked = 0

@@ -12,12 +12,12 @@ import (
 
 // This file holds the scanner, the half of the radio model that turns
 // motion into link transitions. It owns the mobility models, the sampled
-// positions, the fine cells, the planners (park.go), the naive scan's
-// neighbour list (nlist.go), the scan counters and its own record of which
-// pairs are up, and makes each scan tick in two halves: scanDowns returns
-// the tick's downs in key order, scanUps its ups in emission order, which
-// emitOrdered alone knows. The link layer (network.go) applies them, always
-// through applyDowns, applyUps and finishScan, whoever scanned:
+// positions, the fine cells, the kinetic planner (kinetic.go), the naive
+// scan's neighbour list (nlist.go), the scan counters and its own record of
+// which pairs are up, and makes each scan tick in two halves: scanDowns
+// returns the tick's downs in key order, scanUps its ups in emission order,
+// which emitOrdered alone knows. The link layer (network.go) applies them,
+// always through applyDowns, applyUps and finishScan, whoever scanned:
 //
 //   - a run-ahead world (links that depend on motion alone) runs the
 //     scanner on its own goroutine, ahead of the engine (ahead.go);
@@ -53,9 +53,9 @@ type scanner struct {
 	// writes.
 	links *Manager
 
-	// plan is the motion-bounded planner, built on the first tick; nil
-	// runs the naive scan, which tests the pairs on list (nlist.go).
-	plan planner
+	// plan is the kinetic planner, built on the first tick; nil runs the
+	// naive scan, which tests the pairs on list (nlist.go).
+	plan *kinetic
 	list nlist
 	// flapped suppresses re-up of pairs whose contact the flap model cut,
 	// until the nodes genuinely separate (nil unless flapping is enabled).
@@ -77,7 +77,7 @@ type scanner struct {
 	ups   []pairKey
 	// cands collects the tick's up candidates in no meaningful order, for
 	// emitOrdered; ord and first are its scratch, first allocated on the
-	// first naive or lazy tick with two or more candidates.
+	// first naive tick with two or more candidates.
 	cands []pairKey
 	ord   []upCand
 	first []int32
@@ -144,7 +144,7 @@ func (s *scanner) scanDowns(now float64) []pairKey {
 // whole tick's work. The slice is reused by the next tick.
 func (s *scanner) scanUps(now float64) []pairKey {
 	if s.plan != nil {
-		s.parkedUps(now)
+		s.parkedUps()
 	} else {
 		// Downs came first and freed endpoints; the naive ups are every
 		// in-contact listed pair that is not up yet.
@@ -172,23 +172,20 @@ func (s *scanner) scanUps(now float64) []pairKey {
 }
 
 // plannerFor resolves p for a fleet of n nodes: AutoPlanner becomes the
-// lazy sweep below kineticFrom nodes and the kinetic planner from there.
+// naive scan below kineticFrom nodes and the kinetic planner from there.
 func plannerFor(p Planner, n int) Planner {
 	switch {
 	case p != AutoPlanner:
 		return p
 	case n < kineticFrom:
-		return LazyPlanner
+		return NaivePlanner
 	}
 	return KineticPlanner
 }
 
-// newPlanner builds the run's planner; nil is the naive scan.
-func (s *scanner) newPlanner() planner {
-	switch plannerFor(s.force, len(s.models)) {
-	case LazyPlanner:
-		return newSweep(s)
-	case KineticPlanner:
+// newPlanner builds the run's kinetic planner, or nil for the naive scan.
+func (s *scanner) newPlanner() *kinetic {
+	if plannerFor(s.force, len(s.models)) == KineticPlanner {
 		return newKinetic(s)
 	}
 	return nil
@@ -348,8 +345,8 @@ func (s *scanner) emitOrdered(rank func(ci int32) int32) {
 	}
 }
 
-// emitRanked is emitOrdered for the naive scan and the lazy sweep, which
-// keep no buckets: one pass over every node's fine cell ranks the cells.
+// emitRanked is emitOrdered for the naive scan, which keeps no buckets:
+// one pass over every node's fine cell ranks the cells.
 // The caller must have sampled every position this tick. Descending ids
 // leave each occupied cell's smallest in first; cells empty this tick keep
 // stale entries, which emitOrdered never reads.

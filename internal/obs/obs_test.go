@@ -163,8 +163,8 @@ func TestRunStatsString(t *testing.T) {
 	if strings.Contains(s, "scan-fallback") {
 		t.Errorf("String() = %q mentions scan-fallback without one recorded", s)
 	}
-	r.ScanFallback = "lazy:load-monitor->naive"
-	if s := r.String(); !strings.Contains(s, "scan-fallback=lazy:load-monitor->naive") {
+	r.ScanFallback = "kinetic:load-monitor->naive"
+	if s := r.String(); !strings.Contains(s, "scan-fallback=kinetic:load-monitor->naive") {
 		t.Errorf("String() = %q missing the fallback segment", s)
 	}
 }

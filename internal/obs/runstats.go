@@ -18,16 +18,15 @@ type RunStats struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	// PairsChecked counts the contact scanner's distance-predicate
 	// evaluations; PairsSkipped counts work the scan planner proved
-	// unnecessary — pair-ticks parked in the lazy sweep's wake wheel or
-	// permanently retired, or node-ticks parked by the kinetic planner
-	// (always 0 under the naive scan); Wakeups counts entries woken from the
-	// planner's wake wheel. All zero in contact-trace-driven runs, which
-	// have no scanner.
+	// unnecessary — node-ticks parked by the kinetic planner (always 0
+	// under the naive scan); Wakeups counts nodes woken from the planner's
+	// wake wheel. All zero in contact-trace-driven runs, which have no
+	// scanner.
 	PairsChecked uint64 `json:"pairs_checked"`
 	PairsSkipped uint64 `json:"pairs_skipped"`
 	Wakeups      uint64 `json:"wakeups"`
-	// ScanFallback names the scan-planner retirement the run made (e.g.
-	// "lazy:load-monitor->naive"), or is empty when the planner ran to
+	// ScanFallback names the scan-planner retirement the run made
+	// ("kinetic:load-monitor->naive"), or is empty when the planner ran to
 	// completion. Retirement never changes the event trace — every planner
 	// is byte-identical — only the performance profile.
 	ScanFallback string `json:"scan_fallback,omitempty"`

@@ -1,10 +1,12 @@
 package world_test
 
 import (
+	"math"
 	"testing"
 
 	"sdsrp/internal/bench"
 	"sdsrp/internal/config"
+	"sdsrp/internal/geo"
 	"sdsrp/internal/network"
 	"sdsrp/internal/world"
 )
@@ -30,18 +32,14 @@ func benchScan(b *testing.B, sc config.Scenario, p network.Planner) {
 	}
 }
 
-// BenchmarkDenseScanNaive runs densescan under the naive per-tick scanner:
-// the denominator of the planners' speedup (BenchmarkDenseScan in the root
-// package runs the automatic choice, the kinetic planner at 400 nodes).
+// BenchmarkDenseScanNaive runs densescan under the naive scan's neighbour
+// list, the automatic choice below 400 nodes: one side of the crossover the
+// automatic choice sits on (PERFORMANCE.md §7 and §19 tabulate it).
 func BenchmarkDenseScanNaive(b *testing.B) { benchDenseScan(b, network.NaivePlanner) }
 
-// BenchmarkDenseScanLazy runs densescan under the lazy per-pair sweep, the
-// automatic choice below 400 nodes: one side of the crossover the automatic
-// choice sits on (PERFORMANCE.md §7 tabulates it).
-func BenchmarkDenseScanLazy(b *testing.B) { benchDenseScan(b, network.LazyPlanner) }
-
 // BenchmarkDenseScanKinetic runs densescan under the kinetic per-node
-// planner, the automatic choice from 400 nodes: the other side.
+// planner, the automatic choice from 400 nodes: the other side
+// (BenchmarkDenseScan in the root package runs the automatic choice).
 func BenchmarkDenseScanKinetic(b *testing.B) { benchDenseScan(b, network.KineticPlanner) }
 
 // benchTaxiScan runs a traffic-free Table III world, 200 taxis played back
@@ -53,15 +51,41 @@ func benchTaxiScan(b *testing.B, p network.Planner) {
 	benchScan(b, sc, p)
 }
 
-// BenchmarkTaxiScanNaive runs the taxis under the naive scan, whose
-// neighbour list is rebuilt every 7 ticks at 14 m/s.
+// BenchmarkTaxiScanNaive runs the taxis under the naive scan, the automatic
+// choice at 200 nodes, whose neighbour list is rebuilt every 7 ticks at
+// 14 m/s.
 func BenchmarkTaxiScanNaive(b *testing.B) { benchTaxiScan(b, network.NaivePlanner) }
-
-// BenchmarkTaxiScanLazy runs the taxis under the lazy sweep, the automatic
-// choice at 200 nodes, which retires to the naive scan after a few load
-// windows.
-func BenchmarkTaxiScanLazy(b *testing.B) { benchTaxiScan(b, network.LazyPlanner) }
 
 // BenchmarkTaxiScanKinetic runs the taxis under the kinetic planner, which
 // parks nodes on the MaxSpeed bound alone here.
 func BenchmarkTaxiScanKinetic(b *testing.B) { benchTaxiScan(b, network.KineticPlanner) }
+
+// BenchmarkPlannerCrossover runs traffic-free Table II walkers under each
+// planner the automatic choice picks between, at fleet sizes on both sides
+// of its crossover (400 nodes): PERFORMANCE.md §7's rows at 6.5 nodes/km²
+// over 3600 ticks, and the fleet-10k workload's world, bench.Scan100kScenario
+// at a tenth of the nodes on a tenth of the area.
+func BenchmarkPlannerCrossover(b *testing.B) {
+	fleet := func(n int) config.Scenario {
+		sc := config.RandomWaypoint()
+		sc.Nodes = n
+		side := 1000 * math.Sqrt(float64(n)/6.5)
+		sc.Area = geo.NewRect(side, side)
+		sc.Duration = 3600
+		sc.GenIntervalLo = 0 // traffic-free: scanner cost only
+		return sc
+	}
+	fleet10k := bench.Scan100kScenario()
+	fleet10k.Nodes = 10_000
+	fleet10k.Area = geo.NewRect(79_057, 79_057)
+	for _, tc := range []struct {
+		name string
+		sc   config.Scenario
+	}{
+		{"n=100", fleet(100)}, {"n=200", fleet(200)}, {"n=400", fleet(400)},
+		{"n=1000", fleet(1000)}, {"fleet-10k", fleet10k},
+	} {
+		b.Run(tc.name+"/naive", func(b *testing.B) { benchScan(b, tc.sc, network.NaivePlanner) })
+		b.Run(tc.name+"/kinetic", func(b *testing.B) { benchScan(b, tc.sc, network.KineticPlanner) })
+	}
+}

@@ -30,7 +30,6 @@ func diffBase() config.Scenario {
 var plannerNames = map[network.Planner]string{
 	network.AutoPlanner:      "auto",
 	network.NaivePlanner:     "naive",
-	network.LazyPlanner:      "lazy",
 	network.KineticPlanner:   "kinetic",
 	network.ReferencePlanner: "reference",
 }
@@ -97,15 +96,14 @@ func assertPlannerMatchesReference(t *testing.T, sc config.Scenario, p network.P
 	if !reflect.DeepEqual(logR, logO) {
 		t.Fatalf("recorded contact logs diverge: reference %d entries, %s %d", len(logR), mode, len(logO))
 	}
-	// The planner under test must actually have skipped work on these
+	// The kinetic planner must actually have parked nodes on these
 	// scenarios (otherwise the test only proves the reference equals
-	// itself): pair-ticks parked for lazy, node-ticks parked for kinetic.
-	// The naive scan parks nothing; its list's period is pinned by
+	// itself). The naive scan parks nothing; its list's period is pinned by
 	// TestListNeverMissesAContact (internal/network), and it must check
 	// exactly the pairs the reference checks. The raw checked counters are
 	// NOT comparable across planners — the naive count is grid-prefiltered
-	// while the planners pay different candidate sets — so the ns/op claim
-	// lives in the bench suite, not here.
+	// while the kinetic planner pays a different candidate set — so the
+	// ns/op claim lives in the bench suite, not here.
 	switch {
 	case p == network.NaivePlanner:
 		if resO.Perf.PairsChecked != resR.Perf.PairsChecked {
@@ -118,11 +116,10 @@ func assertPlannerMatchesReference(t *testing.T, sc config.Scenario, p network.P
 
 // diffFamilies is the scenario matrix shared by every scanner-equivalence
 // test: all mobility kinds, walkers that pause, per-node ranges, churn/flap
-// faults, and energy death. TestNaiveScanMatchesReference,
-// TestLazyScanMatchesNaive and TestKineticScanMatchesNaive hold the naive
-// scan, the lazy sweep and the kinetic planner to the reference scan, and
-// TestWorkerCountsMatchSerial (concurrency_test.go) runs it
-// serial-vs-concurrent.
+// faults, and energy death. TestNaiveScanMatchesReference and
+// TestKineticScanMatchesNaive hold the naive scan and the kinetic planner to
+// the reference scan, and TestWorkerCountsMatchSerial (concurrency_test.go)
+// runs it serial-vs-concurrent.
 func diffFamilies() map[string]func() config.Scenario {
 	return map[string]func() config.Scenario{
 		"rwp": diffBase,
@@ -161,9 +158,9 @@ func diffFamilies() map[string]func() config.Scenario {
 			return sc
 		},
 		"groups-static-relays-per-node-ranges": func() config.Scenario {
-			// Static relays (MaxSpeed 0 → retired pairs) with longer
-			// radios among RWP walkers: covers per-node ranges and the
-			// zero-closing-speed path.
+			// Static relays (MaxSpeed 0 → nodes parked at the cap) with
+			// longer radios among RWP walkers: covers per-node ranges and
+			// the zero-closing-speed path.
 			sc := diffBase()
 			sc.Groups = []config.Group{
 				{Name: "walkers", Count: 18, Mobility: config.Mobility{
@@ -189,9 +186,10 @@ func diffFamilies() map[string]func() config.Scenario {
 		},
 		"static-relays-churn": func() config.Scenario {
 			// In-range static-static pairs (closing speed 0) whose endpoints
-			// churn-crash and reboot: the lazy planner must keep them near —
-			// retiring them would lose every post-reboot re-up the naive
-			// scanner emits. Dense relays guarantee in-range static pairs.
+			// churn-crash and reboot: a planner must keep them awake —
+			// parking them for good would lose every post-reboot re-up the
+			// naive scanner emits. Dense relays guarantee in-range static
+			// pairs.
 			sc := diffBase()
 			sc.Groups = []config.Group{
 				{Name: "walkers", Count: 12, Mobility: config.Mobility{
@@ -233,24 +231,6 @@ func TestNaiveScanMatchesReference(t *testing.T) {
 	}
 }
 
-// TestLazyScanMatchesNaive is the differential property test: across seeds,
-// every mobility kind, per-node ranges, and churn/flap faults, the lazy
-// scanner's event stream must be byte-identical to the naive scan's
-// reference (a per-tick grid pass).
-func TestLazyScanMatchesNaive(t *testing.T) {
-	for name, mk := range diffFamilies() {
-		for _, seed := range []uint64{1, 2, 3} {
-			sc := mk()
-			sc.Seed = seed
-			sc.Name = fmt.Sprintf("diff-%s-%d", name, seed)
-			t.Run(sc.Name, func(t *testing.T) {
-				t.Parallel()
-				assertPlannerMatchesReference(t, sc, network.LazyPlanner)
-			})
-		}
-	}
-}
-
 // TestKineticScanMatchesNaive runs the same differential matrix against the
 // kinetic scanner: the grid-bucketed per-node planner must emit the
 // reference scan's event stream byte for byte on every family and seed.
@@ -269,19 +249,18 @@ func TestKineticScanMatchesNaive(t *testing.T) {
 }
 
 // TestAutoPlannerMatchesForced pins the automatic planner choice to the
-// benchmark's workloads: a Table II world runs the lazy sweep, a Table III
-// world the lazy sweep until its load monitor retires it to the naive scan,
+// benchmark's workloads: Table II and Table III worlds run the naive scan
 // and a shortened fleet-10k world the kinetic planner, each with exactly the
-// scan work counters of a run forced onto that planner. Those worlds'
-// seed-1 counters are pinned too, so a model that stops reporting its legs
-// (a wrapper hiding mobility.Legged, say) fails here instead of silently
-// parking on the MaxSpeed bound again: without the leg certificates, table2
-// reads 731 616 / 88 794 407 / 414 250 and fleet-10k 251 635 / 577 332 /
-// 32 105. Table III's counters equal a per-tick grid pass's (the reference
-// scan's), so its neighbour list must check exactly the pairs such a pass
-// checks. The 65536-node fleet, where the lazy sweep's pair index would no
-// longer fit int32, runs the kinetic planner without any fallback (skipped
-// in -short: a few seconds).
+// scan work counters of a run forced onto that planner. A dense world, 400
+// nodes on 1 km², runs the kinetic planner until its load monitor retires it
+// to the naive scan, the one retirement a planner can take. Those worlds'
+// seed-1 counters are pinned too. The naive worlds' equal a per-tick grid
+// pass's (the reference scan's), so their neighbour lists must check exactly
+// the pairs such a pass checks. The kinetic worlds' fail if a model stops
+// reporting its legs (a wrapper hiding mobility.Legged, say) and the planner
+// silently parks on the MaxSpeed bound again: without the leg certificates,
+// fleet-10k reads 251 635 / 577 332 / 32 105. The 65536-node fleet runs the
+// kinetic planner without any fallback (skipped in -short: a few seconds).
 func TestAutoPlannerMatchesForced(t *testing.T) {
 	type counters struct{ checked, skipped, wakeups uint64 }
 	fleet := func(nodes int, side, duration float64) config.Scenario {
@@ -300,13 +279,14 @@ func TestAutoPlannerMatchesForced(t *testing.T) {
 		pinned   counters // seed 1; zero is not pinned
 		fallback string   // the retirement the run takes
 	}{
-		{"table2", config.RandomWaypoint(), network.LazyPlanner, false,
-			counters{394_641, 88_827_476, 110_342}, ""},
-		// Table III's taxis have no legs: the lazy sweep retires to the
-		// naive scan, whose neighbour list counts the pairs a per-tick grid
-		// pass would.
-		{"table3", config.EPFL(), network.LazyPlanner, false,
-			counters{410_525, 2_542_114, 19_543}, "lazy:load-monitor->naive"},
+		{"table2", config.RandomWaypoint(), network.NaivePlanner, false,
+			counters{528_148, 0, 0}, ""},
+		{"table3", config.EPFL(), network.NaivePlanner, false,
+			counters{369_362, 0, 0}, ""},
+		// So many nodes wake so often that the planner's checks outgrow the
+		// naive scan's per-node pass, and its load monitor fires.
+		{"dense", fleet(400, 1000, 600), network.KineticPlanner, false,
+			counters{4_593_728, 13_164, 1_863}, "kinetic:load-monitor->naive"},
 		// fleet-10k's geometry: bench.Scan100kScenario at a tenth of the
 		// nodes on a tenth of the area, 60 s instead of 300.
 		{"fleet-10k", func() config.Scenario {
@@ -338,7 +318,7 @@ func TestAutoPlannerMatchesForced(t *testing.T) {
 			if tc.pinned != (counters{}) && got != tc.pinned {
 				t.Fatalf("scan counters %+v, pinned %+v", got, tc.pinned)
 			}
-			if forced.Perf.PairsSkipped == 0 {
+			if tc.want == network.KineticPlanner && forced.Perf.PairsSkipped == 0 {
 				t.Fatalf("forced %s run parked nothing", plannerNames[tc.want])
 			}
 			if !bytes.Equal(autoTrace, forcedTrace) {
