@@ -57,9 +57,9 @@ bench:
 # smoke case, asserts the report round-trips through the schema, that two
 # separate processes simulate byte-identically (second invocation gating on
 # the first's sim digest), and that the digests of smoke and of the four
-# scan cases (scan100k and the 400-node densescan under the kinetic planner,
-# table2's 100 walkers and table3's 200 taxis on the naive scan's neighbour
-# list) still match the newest committed BENCH_<n>.json — any scanner or
+# scan cases (scan100k's 100 000 and densescan's 400 walkers, table2's 100
+# walkers and table3's 200 taxis, all on the naive scan's neighbour list)
+# still match the newest committed BENCH_<n>.json — any scanner or
 # engine change that perturbs the event stream fails here before the full
 # bench-report would catch it. The huge
 # -max-regress disarms the timing gate (CI machines are noisy); only
@@ -73,7 +73,7 @@ bench-smoke:
 	$(GO) run ./cmd/dtnbench -cases scan100k,densescan,table2,table3 -iters 2 -max-regress 100000 -quiet \
 		-baseline $$(ls BENCH_*.json | grep -v candidate | sort -t_ -k2 -n | tail -1) && \
 	$(GO) test -short -run 'TestGoldenTraceByteIdentical|TestReportByteStable|TestSmokeCaseMatchesGoldenCounters' ./internal/bench/ && \
-	$(GO) test -run 'TestScan100kKineticScalesWithinBudget|TestCommittedScan100kPeakHeapWithinBudget' ./internal/bench/ && \
+	$(GO) test -run 'TestScan100kScalesWithinBudget|TestCommittedScan100kPeakHeapWithinBudget' ./internal/bench/ && \
 	rm -rf $$tmp
 
 # Full regression suite (~15 s at -iters 3 on a 2-vCPU host): write a

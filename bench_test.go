@@ -68,13 +68,12 @@ func BenchmarkTable3Scenario(b *testing.B) { benchSuiteCase(b, "table3") }
 
 // BenchmarkDenseScan measures the suite's contact-detection showcase: 400
 // traffic-free nodes spread over 15×12 km, where scanning is the whole cost
-// and the kinetic planner, the automatic choice from 400 nodes, parks
-// almost every node. internal/world runs the same workload under each
-// planner forced.
+// and the neighbour list holds few pairs. internal/world's
+// BenchmarkScanFleetSizes runs the same workload beside other fleet sizes.
 func BenchmarkDenseScan(b *testing.B) { benchSuiteCase(b, "densescan") }
 
-// BenchmarkScan100k measures the suite's large-fleet case: 100k nodes under
-// the kinetic planner, whose per-node state is what makes the scale fit.
+// BenchmarkScan100k measures the suite's large-fleet case: 100k nodes, whose
+// scan samples only the nodes on its neighbour list between rebuilds.
 func BenchmarkScan100k(b *testing.B) { benchSuiteCase(b, "scan100k") }
 
 // Fig. 3: intermeeting-time distributions (both mobility scenarios).

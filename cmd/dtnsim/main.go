@@ -256,11 +256,6 @@ func main() {
 			res.Energy.TotalUsed, res.Energy.DeadNodes, res.Energy.MeanLevel, res.Energy.FirstDeath)
 	}
 	fmt.Printf("perf            %s\n", res.Perf)
-	if res.Perf.ScanFallback != "" {
-		// Stderr, not stdout: the summary above is parsed by dtntrace
-		// stats -check and must stay planner-independent.
-		fmt.Fprintf(os.Stderr, "dtnsim: scan planner fallback: %s\n", res.Perf.ScanFallback)
-	}
 	if *eventsOut != "" {
 		fmt.Printf("events          wrote %s\n", *eventsOut)
 	}

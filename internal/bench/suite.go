@@ -56,12 +56,12 @@ func SmokeScenario() config.Scenario {
 	return sc
 }
 
-// DenseScanScenario is the kinetic planner's showcase workload: a node
-// count high enough that pair bookkeeping dominates (400 nodes, ~80k pairs)
+// DenseScanScenario is the contact scan's showcase workload: a node count
+// high enough that pair bookkeeping would dominate (400 nodes, ~80k pairs)
 // spread over an area sparse enough that almost every pair is provably out
-// of range almost all the time. Traffic is disabled so the measurement
-// isolates contact detection, the cost parking attacks. 400 nodes is the
-// smallest fleet the automatic choice runs on the kinetic planner.
+// of range almost all the time, so the neighbour list holds few pairs and
+// its served ticks sample few nodes. Traffic is disabled so the measurement
+// isolates contact detection.
 func DenseScanScenario() config.Scenario {
 	sc := config.RandomWaypoint()
 	sc.Name = "bench-densescan"
@@ -73,25 +73,25 @@ func DenseScanScenario() config.Scenario {
 	return sc
 }
 
-// Scan100kScenario is the kinetic-scanner scale workload: 100 000 nodes —
-// far above the fleet size from which the radio layer picks the kinetic
-// planner, and a fleet no per-pair planner state could hold — walking a
-// 250 km square sparse enough that nearly every node is parked
-// nearly all the time. Traffic is disabled so the measurement isolates
-// contact detection, and the cell size is raised to 500 m so cell deadlines
-// span hundreds of ticks. The case doubles as the suite's peak-memory gate
-// (Perf.PeakHeapBytes): the kinetic planner's state is ~53 B/node, so the
-// whole run must fit a budget the per-pair design would blow past by three
-// orders of magnitude. PERFORMANCE.md §7 documents the cost model.
+// Scan100kScenario is the contact scan's scale workload: 100 000 nodes — a
+// fleet no per-pair scan state could hold — walking a 250 km square sparse
+// enough that most nodes are on no listed pair, so the list's served ticks
+// sample a fraction of the fleet. Traffic is disabled so the measurement
+// isolates contact detection, and the cell size is raised to 500 m, which
+// sets both the fine cells and the list's build cells. The case doubles as
+// the suite's peak-memory gate (Perf.PeakHeapBytes): the scan's state is a
+// few dozen bytes per node, so the whole run must fit a budget the
+// per-pair design would blow past by three orders of magnitude.
+// PERFORMANCE.md §7 and §20 document the cost model.
 // Scan100kPeakHeapBudget is the memory ceiling the scan100k case is gated
-// against, both on fresh runs (TestScan100kKineticScalesWithinBudget) and on
-// the committed baseline (TestCommittedScan100kPeakHeapWithinBudget). The
-// sampled peak reads ~72 MB: the host slab (hosts with their buffers, drop
-// tables and rate estimators, ~34 MB) and the mobility slab (models and
-// their RNG substreams, ~17 MB) dominate, and the planner itself is
-// ~53 B/node. So 256 MB leaves ~3.5× headroom for allocator and GC
-// variance without ever admitting a per-pair design (arrays of ~36 bytes
-// per pair would want ~180 GB here).
+// against, both on fresh runs (TestScan100kScalesWithinBudget) and on the
+// committed baseline (TestCommittedScan100kPeakHeapWithinBudget). The
+// sampled peak read ~72 MB under the kinetic planner, which ran scan100k
+// until the list replaced it: the host slab (hosts with their buffers,
+// drop tables and rate estimators, ~34 MB) and the mobility slab (models
+// and their RNG substreams, ~17 MB) dominate. So 256 MB leaves ~3.5× headroom for
+// allocator and GC variance without ever admitting a per-pair design
+// (arrays of ~36 bytes per pair would want ~180 GB here).
 const Scan100kPeakHeapBudget = 256 << 20
 
 func Scan100kScenario() config.Scenario {
@@ -113,7 +113,7 @@ func Suite() []Case {
 		scenarioCase("table2", "full Table II baseline: 100-node RWP, 18000 s, SDSRP", config.RandomWaypoint),
 		scenarioCase("table3", "full Table III: 200-taxi EPFL substitute, 18000 s, SDSRP", config.EPFL),
 		scenarioCase("densescan", "400-node traffic-free RWP over 15×12 km: contact-scan cost in isolation", DenseScanScenario),
-		scenarioCase("scan100k", "100k-node traffic-free RWP over 250×250 km under the kinetic scanner (peak-memory gate)", Scan100kScenario),
+		scenarioCase("scan100k", "100k-node traffic-free RWP over 250×250 km: contact-scan scale (peak-memory gate)", Scan100kScenario),
 		experimentCase("fig8copies", "Fig. 8 a-c sweep: metrics vs initial copies (reduced scale)"),
 		experimentCase("fig8buffer", "Fig. 8 d-f sweep: metrics vs buffer size (reduced scale)"),
 		experimentCase("fig8rate", "Fig. 8 g-i sweep: metrics vs generation rate (reduced scale)"),

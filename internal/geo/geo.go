@@ -20,8 +20,8 @@
 // once by NewGrid: item ids and positions grouped by occupied cell, an
 // occupancy bitmap, and a dense cell→slot table. A rebuild touches only the
 // items and the previous build's occupied cells and allocates nothing.
-// Cells is the cell mapping alone, with no index: what the scan planners
-// bucket by and the scanner's up order ranks.
+// Cells is the cell mapping alone, with no index: the cells the contact
+// scanner's up order ranks and the kinetic scan planner buckets by.
 //
 //lint:shard-safe pure geometry plus per-instance grid state; nothing shared
 package geo
@@ -59,9 +59,10 @@ func (p Point) Dist2(q Point) float64 {
 // conservative lower bound on the true distance: the result is guaranteed
 // not to exceed the exact Euclidean distance, shaving a relative 1e-9 plus
 // an absolute 1e-9 m to absorb every rounding step between the coordinates
-// and the square root. The kinetic contact planner derives park deadlines
-// from it, where an over-estimate would skip a tick a contact could start
-// on.
+// and the square root. The contact scanner's neighbour list derives its
+// rebuild period from it, and the kinetic scan planner its park deadlines,
+// where an over-estimate would let a pair left off the list, or a parked
+// pair, come within range unseen.
 func DistLowerBound(d2 float64) float64 {
 	d := math.Sqrt(d2)
 	return d - (d*1e-9 + 1e-9)
@@ -74,8 +75,8 @@ func DistLowerBound(d2 float64) float64 {
 // DistLowerBound's slack at the current distance (a relative 1e-9 plus
 // 1e-9 m), which dominates the rounding between this extrapolation and the
 // interpolation a mobility model replays, so rounding can only make the
-// answer earlier. Non-finite input gives 0. The contact scan planners
-// (internal/network) park a pair on it for as long as both legs hold.
+// answer earlier. Non-finite input gives 0. The kinetic scan planner
+// (internal/network) parks a pair on it for as long as both legs hold.
 //
 // Performance contract: pure arithmetic (two square roots), no allocation.
 func ApproachTime(p Point, v Vec, q Point, w Vec, r float64) float64 {

@@ -6,10 +6,9 @@ import "math"
 // mapping a Grid indexes by, without the index. Points outside the area
 // clamp to the border cells. Structures that bucket by the CellIndex of the
 // same Cells agree exactly, every float-rounding decision included: the
-// kinetic scan planner (internal/network) keeps incremental buckets on the
-// scanner's Cells, and the scanner's up order ranks those same cells, so
-// both stay byte-compatible with a Grid's Pairs enumeration at that cell
-// size.
+// contact scanner (internal/network) ranks its up order on Cells, and the
+// kinetic scan planner keeps incremental buckets on the same Cells, so both
+// stay byte-compatible with a Grid's Pairs enumeration at that cell size.
 type Cells struct {
 	area Rect
 	cell float64
@@ -170,6 +169,20 @@ func NewGrid(area Rect, cell float64, n int) *Grid {
 		pts:   make([]Point, n),
 		into:  make([]int32, n),
 	}
+}
+
+// CellIDs returns the ids the last Update put in cell ci, ascending (Update
+// inserts ids in order), or nil when the cell was empty. The slice aliases
+// the grid and is valid until the next Update.
+//
+// Performance contract: one bit test and a slice of the build, no
+// allocation.
+func (g *Grid) CellIDs(ci int) []int32 {
+	if !occupied(g.bits, ci) {
+		return nil
+	}
+	c := g.occ[g.slot[ci]]
+	return g.ids[c.lo:c.hi]
 }
 
 // occupied reports whether cell ci's bit is set in an occupancy bitmap.

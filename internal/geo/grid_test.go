@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -133,6 +134,37 @@ func TestGridReuseAcrossUpdates(t *testing.T) {
 		want := bruteForcePairs(pos, 100)
 		if len(buf) != len(want) {
 			t.Fatalf("tick %d: %d pairs, want %d", tick, len(buf), len(want))
+		}
+	}
+}
+
+// TestCellIDsListsEachCellAscending checks the per-cell accessor against the
+// cell mapping: after each build, CellIDs(ci) holds exactly the ids whose
+// CellIndex is ci, in ascending order, and nothing for an empty cell. A
+// fifth of the items sit outside the area and clamp to the border cells,
+// and the grid is rebuilt so that stale cells of an earlier build would
+// show.
+func TestCellIDsListsEachCellAscending(t *testing.T) {
+	s := rng.New(5)
+	area := NewRect(500, 400)
+	const n = 60
+	g := NewGrid(area, 90, n)
+	pos := make([]Point, n)
+	for build := 0; build < 20; build++ {
+		want := make([][]int32, g.cols*g.rows)
+		for i := range pos {
+			pos[i] = Point{s.Uniform(0, 500), s.Uniform(0, 400)}
+			if i%5 == 0 {
+				pos[i] = Point{s.Uniform(-200, 700), s.Uniform(-200, 600)}
+			}
+			ci := g.CellIndex(pos[i])
+			want[ci] = append(want[ci], int32(i))
+		}
+		g.Update(pos)
+		for ci, ids := range want {
+			if got := g.CellIDs(ci); !slices.Equal(got, ids) {
+				t.Fatalf("build %d: CellIDs(%d) = %v, want %v", build, ci, got, ids)
+			}
 		}
 	}
 }

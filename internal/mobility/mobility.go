@@ -1,7 +1,7 @@
 // Package mobility implements node movement models.
 //
 // A Model yields a node's position at monotonically non-decreasing query
-// times; the contact scanner samples every node each scan tick. Models are
+// times; the contact scanner samples them on its scan ticks. Models are
 // lazy: legs are generated on demand from a per-node deterministic stream,
 // so two runs with the same seed trace identical paths.
 //
@@ -38,23 +38,26 @@ type Model interface {
 	//
 	// # Performance contract
 	//
-	// This bound is what lets the contact scanners (internal/network) skip
-	// distance checks physics rules out: the kinetic planner parks a node
-	// until the tick at which any pair it is in could first close to radio
-	// range, and no longer than the bound proves it stays inside its grid
-	// bucket; the naive scan rebuilds its neighbour list only as often as
-	// the fleet's largest bound requires. The bound must
-	// therefore hold for the model's entire lifetime and must never
-	// under-report: a too-small value silently breaks contact detection
-	// (missed link-ups), while a too-large value only costs earlier
-	// wake-ups. Models with a configured speed range return the range's
-	// upper cap; Static returns 0 (never checked against a moving peer
-	// beyond the one parked deadline); trace playback (Path) returns the
-	// steepest segment speed measured once at construction. A model free
-	// to teleport may return +Inf, which disables parking for its pairs
-	// and nodes. The value must be constant across the model's lifetime —
-	// the scanners read it once at startup. A model that moves in straight
-	// legs also implements Legged, whose certificate the scanners use
+	// This bound is what lets the contact scan (internal/network) test only
+	// the pairs its neighbour list holds: the list keeps every pair within
+	// three radio ranges, and is rebuilt only as often as the fleet's
+	// largest bound requires, so that no pair left off it can close to
+	// radio range before the next build. Between builds the scan samples
+	// only the nodes on a listed pair. The kinetic planner, which only
+	// tests force, parks a node until the tick at which any pair it is in
+	// could first close to radio range, and no longer than the bound
+	// proves it stays inside its grid bucket. The bound must therefore
+	// hold for the model's entire lifetime and must never under-report: a
+	// too-small value silently breaks contact detection (missed link-ups),
+	// while a too-large value only costs more frequent rebuilds and
+	// earlier wake-ups. Models with a configured speed range return the
+	// range's upper cap; Static returns 0; trace playback (Path) returns
+	// the steepest segment speed measured once at construction. A model
+	// free to teleport may return +Inf, which makes the scan rebuild its
+	// list on every tick and disables parking for its pairs and nodes. The
+	// value must be constant across the model's lifetime — the scanners
+	// read it once at startup. A model that moves in straight legs also
+	// implements Legged, whose certificate the kinetic planner uses
 	// wherever it proves a longer park than this bound.
 	MaxSpeed() float64
 }
@@ -75,7 +78,7 @@ type Legged interface {
 	// # Performance contract
 	//
 	// This is the certificate MaxSpeed's bound is extended with: the
-	// planning scanners (internal/network) park a pair until its relative
+	// kinetic scan planner (internal/network) parks a pair until its relative
 	// linear motion could first bring it within radio range, or until the
 	// earlier leg end plus the MaxSpeed bound from the distance there, and a
 	// kinetic node until its leg leaves its grid bucket. The same rules as

@@ -166,7 +166,7 @@ func (a *runAhead) produce(horizon float64) {
 			a.filling = c
 		}
 		downs := a.sc.scanDowns(a.at.At)
-		ups := a.sc.scanUps(a.at.At)
+		ups := a.sc.scanUps()
 		c.plan.add(a.next, downs, ups)
 		c.work = append(c.work, a.sc.work)
 		a.next++

@@ -4,16 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"sdsrp/internal/core"
 	"sdsrp/internal/geo"
-	"sdsrp/internal/graph"
 	"sdsrp/internal/mobility"
-	"sdsrp/internal/policy"
 	"sdsrp/internal/rng"
-	"sdsrp/internal/routing"
-	"sdsrp/internal/sim"
-	"sdsrp/internal/stats"
-	"sdsrp/internal/trace"
 )
 
 // certKinetic builds a kinetic planner over models on a grid of the given
@@ -21,33 +14,7 @@ import (
 // the tests set the tick and sample positions themselves.
 func certKinetic(t *testing.T, models []mobility.Model, area geo.Rect, cell, radio, interval float64) *kinetic {
 	t.Helper()
-	return newKinetic(certScanner(t, models, area, cell, radio, interval, nil))
-}
-
-// certScanner builds the scanner of a fleet of models on fine cells of the
-// given area and edge, with radio range radio (or the per-node ranges, when
-// not nil) and scan interval, with no scan driven.
-func certScanner(t *testing.T, models []mobility.Model, area geo.Rect, cell, radio, interval float64, ranges []float64) *scanner {
-	t.Helper()
-	eng := sim.NewEngine()
-	collector := stats.NewCollector()
-	hosts := make([]*routing.Host, len(models))
-	for i := range hosts {
-		hosts[i] = routing.NewHost(routing.HostConfig{
-			ID: i, Nodes: len(models), Buffer: 10000,
-			Policy: policy.FIFO{}, Proto: routing.SprayAndWait{Binary: true},
-			Rate:  core.FixedRate{Mean: 1200},
-			Clock: eng.Now, Tracer: collector,
-		})
-	}
-	m, err := NewManager(eng, Config{
-		Area: area, Range: radio, Ranges: ranges, Bandwidth: 100, ScanInterval: interval,
-		CellSize: cell, Tracer: collector,
-	}, hosts, models)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m.scan
+	return newKinetic(testScanner(t, models, area, cell, radio, interval, nil))
 }
 
 // sampleAt makes tick the planner's current tick at time now, samples
@@ -62,17 +29,8 @@ func (s *kinetic) sampleAt(tick int64, now float64) {
 	}
 }
 
-// scripted is a Legged test model on one linear leg: it moves from p at
-// velocity v until until, then rests at the leg's end. max is its MaxSpeed.
-type scripted struct {
-	p     geo.Point
-	v     geo.Vec
-	until float64
-	max   float64
-}
-
-func (m *scripted) Pos(t float64) geo.Point { return m.p.Add(m.v.Scale(math.Min(t, m.until))) }
-func (m *scripted) MaxSpeed() float64       { return m.max }
+// Leg makes scripted (nlist_test.go) a Legged model: one linear leg, then
+// rest at its end.
 func (m *scripted) Leg(t float64) (geo.Vec, float64) {
 	if t >= m.until {
 		return geo.Vec{}, math.Inf(1)
@@ -112,7 +70,7 @@ func TestPairCertificateTable(t *testing.T) {
 		// 700 m apart when the walker's leg ends at 500 s.
 		{"static-peer", walker(0, 0, -1, 0, 500), mobility.Static{P: geo.Point{X: 200}}, 74, 500 + 324},
 		// Two static nodes out of range: the bound caps them already.
-		{"static-pair", mobility.Static{}, mobility.Static{P: geo.Point{X: 200}}, maxParkTicks, maxParkTicks},
+		{"static-pair", mobility.Static{}, mobility.Static{P: geo.Point{X: 200}}, maxPeriod, maxPeriod},
 		// In range: 0 whatever the legs say.
 		{"in-range", walker(0, 0, 2, 0, 1000), walker(40, 0, 2, 0, 1000), 0, 0},
 		// A leg with no end in sight still closes head-on at the bound.
@@ -148,7 +106,7 @@ func TestCellCertificateTable(t *testing.T) {
 		{"north", geo.Vec{Y: 0.5}, 1000, 4, 119},     // leaves by the north edge at 120 s
 		{"short-leg", geo.Vec{X: 1}, 20, 4, 20 + 14}, // 30 m inside when the leg ends, then the bound at 2 m/s
 		{"paused", geo.Vec{}, 300, 4, 300 + 4},
-		{"endless-rest", geo.Vec{}, math.Inf(1), 4, maxParkTicks},
+		{"endless-rest", geo.Vec{}, math.Inf(1), 4, maxPeriod},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := &scripted{p: geo.Point{X: 210, Y: 240}, v: tc.v, until: tc.until, max: 2}
@@ -165,101 +123,20 @@ func TestCellCertificateTable(t *testing.T) {
 	}
 }
 
-// certWorld is one family of the certificate property test: a fleet of
-// real models on a grid whose area may be smaller than the area they roam.
-type certWorld struct {
-	name     string
-	area     geo.Rect // the grid's
-	cell     float64
-	radio    float64
-	interval float64
-	models   func(t *testing.T, s *rng.Stream) []mobility.Model
-}
-
-func certWorlds() []certWorld {
-	rwp := func(area geo.Rect, n int, lo, hi, pauseLo, pauseHi float64) func(*testing.T, *rng.Stream) []mobility.Model {
-		return func(_ *testing.T, s *rng.Stream) []mobility.Model {
-			ms := make([]mobility.Model, n)
-			for i := range ms {
-				ms[i] = mobility.NewRandomWaypoint(area, lo, hi, pauseLo, pauseHi, s.SplitIndex("node", i))
-			}
-			return ms
+// certWorlds returns the neighbour list's families (listWorlds) whose
+// fleets report their legs: all but the trace playback, whose paths report
+// none, and the two the list alone needs, head-on walkers at the speed
+// bound and a teleporting fleet.
+func certWorlds() []listWorld {
+	var ws []listWorld
+	for _, w := range listWorlds() {
+		switch w.name {
+		case "taxi-path", "head-on", "teleport":
+			continue
 		}
+		ws = append(ws, w)
 	}
-	small := geo.NewRect(800, 600)
-	return []certWorld{
-		{"rwp-pauses", small, 60, 60, 1, rwp(small, 14, 0.5, 3, 0, 120)},
-		{"rwp-table2-speed", small, 75, 50, 1, rwp(small, 14, 2, 2, 0, 0)},
-		{"rwp-long-ticks", small, 60, 60, 2.5, rwp(small, 14, 0.5, 3, 0, 30)},
-		// The walkers roam 1200 m squares, the grid covers 800 m: positions
-		// beyond it clamp to the border buckets.
-		{"out-of-area", small, 60, 60, 1, rwp(geo.NewRect(1200, 1200), 14, 0.5, 3, 0, 60)},
-		{"static-peers", small, 60, 60, 1, func(t *testing.T, s *rng.Stream) []mobility.Model {
-			ms := rwp(small, 8, 0.5, 3, 0, 60)(t, s)
-			for i := 0; i < 6; i++ {
-				p := s.SplitIndex("relay", i)
-				ms = append(ms, mobility.Static{P: geo.Point{X: p.Uniform(0, 800), Y: p.Uniform(0, 600)}})
-			}
-			return ms
-		}},
-		// Half the fares end at a hotspot far outside the area, which clamps
-		// to the corner: consecutive corner fares are zero-length legs, and
-		// a taxi that starts there begins on a zero-duration one.
-		{"taxi-zero-legs", small, 60, 60, 1, func(_ *testing.T, s *rng.Stream) []mobility.Model {
-			cfg := mobility.TaxiConfig{
-				Area:        small,
-				Hotspots:    []mobility.Hotspot{{Center: geo.Point{X: -1e5, Y: -1e5}, Sigma: 1, Weight: 1}},
-				UniformProb: 0.5,
-				SpeedLo:     6, SpeedHi: 14,
-				PauseLo: 5, PauseHi: 60,
-			}
-			ms := make([]mobility.Model, 14)
-			for i := range ms {
-				ms[i] = mobility.NewTaxi(cfg, s.SplitIndex("node", i))
-			}
-			return ms
-		}},
-		{"random-direction", small, 60, 60, 1, func(_ *testing.T, s *rng.Stream) []mobility.Model {
-			ms := make([]mobility.Model, 14)
-			for i := range ms {
-				ms[i] = mobility.NewRandomDirection(small, 0.5, 3, 0, 30, s.SplitIndex("node", i))
-			}
-			return ms
-		}},
-		{"random-walk", small, 60, 60, 1, func(_ *testing.T, s *rng.Stream) []mobility.Model {
-			ms := make([]mobility.Model, 14)
-			for i := range ms {
-				ms[i] = mobility.NewRandomWalk(small, 1, 4, 150, s.SplitIndex("node", i))
-			}
-			return ms
-		}},
-		{"map-route", small, 70, 60, 1, func(t *testing.T, s *rng.Stream) []mobility.Model {
-			g, err := graph.GridCity(4, 3, 250, 0, s.Split("map"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ms := make([]mobility.Model, 14)
-			for i := range ms {
-				if ms[i], err = mobility.NewMapRoute(g, 1, 4, 0, 60, s.SplitIndex("node", i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return ms
-		}},
-	}
-}
-
-// trajectory walks models through ticks 0 … ticks of interval seconds and
-// returns every position, tick by tick.
-func trajectory(models []mobility.Model, ticks int, interval float64) [][]geo.Point {
-	traj := make([][]geo.Point, ticks+1)
-	for m := range traj {
-		traj[m] = make([]geo.Point, len(models))
-		for i, model := range models {
-			traj[m][i] = model.Pos(float64(m) * interval)
-		}
-	}
-	return traj
+	return ws
 }
 
 // TestCertificatesNeverSkipAContact is the certificates' safety property.
@@ -375,139 +252,5 @@ func TestCertificatesNeverSkipAContact(t *testing.T) {
 	}
 	if paused == 0 || legEnds == 0 || clamped == 0 || statics == 0 {
 		t.Errorf("a family lost its coverage: %d paused, %d leg ends, %d clamped, %d static", paused, legEnds, clamped, statics)
-	}
-}
-
-// teleporter jumps to a fresh point of its area every second: a model with
-// no speed bound at all.
-type teleporter struct {
-	area geo.Rect
-	seed uint64
-}
-
-func (m teleporter) Pos(t float64) geo.Point {
-	s := rng.New(m.seed).SplitIndex("second", int(t))
-	return geo.Point{X: s.Uniform(0, m.area.W()), Y: s.Uniform(0, m.area.H())}
-}
-
-func (teleporter) MaxSpeed() float64 { return math.Inf(1) }
-
-// listWorlds adds three families for the neighbour list to the certificate
-// families: a synthesized taxi fleet played back as paths, which report no
-// legs; walkers meeting head-on at their speed bound, 1.5 m/s each, so that
-// an unlisted pair closes as fast as the bound allows and comes within
-// range one tick after the list's margin; and a teleporting fleet, whose
-// list must fall back to a per-tick build at the radio range.
-func listWorlds() []certWorld {
-	small := geo.NewRect(800, 600)
-	return []certWorld{
-		{"taxi-path", small, 60, 60, 1, func(t *testing.T, s *rng.Stream) []mobility.Model {
-			f := trace.Synthesize(trace.SynthesizeConfig{
-				Taxi: mobility.TaxiConfig{
-					Area:        small,
-					Hotspots:    []mobility.Hotspot{{Center: geo.Point{X: 400, Y: 300}, Sigma: 150, Weight: 1}},
-					UniformProb: 0.3,
-					SpeedLo:     6, SpeedHi: 14,
-					PauseLo: 5, PauseHi: 60,
-				},
-				Nodes: 14, Duration: 1300, SampleInterval: 30, Seed: uint64(s.IntN(1 << 30)),
-			})
-			ms, err := f.Models()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ms
-		}},
-		{"head-on", small, 75, 50, 1, func(_ *testing.T, s *rng.Stream) []mobility.Model {
-			// Pair k starts 451 + 0.5k m apart on its own row, so at tick 100
-			// it is 151 + 0.5k m apart, just beyond the 150 m list radius,
-			// and at tick 134, after 34 ticks at the 3 m/s closing bound,
-			// within the 50 m range for k ≤ 2. The list's period is 33.
-			var ms []mobility.Model
-			x0 := s.Uniform(0, 100)
-			for k := 0; k < 5; k++ {
-				y := 50 + 110*float64(k)
-				ms = append(ms,
-					&scripted{p: geo.Point{X: x0, Y: y}, v: geo.Vec{X: 1.5}, until: math.Inf(1), max: 1.5},
-					&scripted{p: geo.Point{X: x0 + 451 + 0.5*float64(k), Y: y}, v: geo.Vec{X: -1.5}, until: math.Inf(1), max: 1.5})
-			}
-			return ms
-		}},
-		{"teleport", small, 60, 60, 1, func(_ *testing.T, s *rng.Stream) []mobility.Model {
-			ms := make([]mobility.Model, 14)
-			for i := range ms {
-				ms[i] = teleporter{area: small, seed: uint64(s.IntN(1 << 30))}
-			}
-			return ms
-		}},
-	}
-}
-
-// TestListNeverMissesAContact is the neighbour list's safety property, beside
-// the parking certificates'. On every family, the certificate families and
-// listWorlds, it builds the naive scan's list at every tick m from a twin
-// fleet's positions and requires every pair within range on the ticks the
-// list serves, m … m+K−1, to be listed. A list with a period (K ≥ 2) must
-// also hold through the rebuild tick m+K, the one-tick margin every parking
-// deadline keeps, so a period one tick longer fails here: the head-on
-// family brings an unlisted pair within range on tick m+K+1. The list's
-// radius and period are pinned too: 3 × the range with a period of at least
-// two ticks, or, for the teleporting fleet, the range itself with a period
-// of one.
-func TestListNeverMissesAContact(t *testing.T) {
-	const ticks = 1200
-	var checks, tight int
-	for _, w := range append(certWorlds(), listWorlds()...) {
-		for seed := uint64(1); seed <= 3; seed++ {
-			twin := w.models(t, rng.New(seed))
-			sc := certScanner(t, w.models(t, rng.New(seed)), w.area, w.cell, w.radio, w.interval, nil)
-			l := &sc.list
-			switch {
-			case w.name == "teleport" && (l.period != 1 || l.radius != w.radio):
-				t.Fatalf("%s: period %d at radius %v, want 1 at the %v m range", w.name, l.period, l.radius, w.radio)
-			case w.name != "teleport" && (l.period < 2 || l.radius != 3*w.radio):
-				t.Fatalf("%s: period %d at radius %v, want 2 or more at %v m", w.name, l.period, l.radius, 3*w.radio)
-			}
-			// The ticks served plus the margin, and one more, to find a
-			// contact a period one tick longer would miss. A list with no
-			// certificate serves its own tick only.
-			last, past := int(l.period), int(l.period)+1
-			if l.period < 2 {
-				last, past = 0, 0
-			}
-			n, r2 := len(twin), w.radio*w.radio
-			traj := trajectory(twin, ticks, w.interval)
-			listed := make([]bool, n*n)
-			for m := 0; m <= ticks; m++ {
-				copy(sc.positions, traj[m])
-				sc.ticks, l.due = int64(m+1), 0
-				sc.listCands()
-				sc.cands = sc.cands[:0]
-				clear(listed)
-				for _, p := range l.pairs {
-					listed[int(p[0])*n+int(p[1])] = true
-				}
-				for j := 0; j <= past && m+j <= ticks; j++ {
-					for a := 0; a < n; a++ {
-						for b := a + 1; b < n; b++ {
-							if listed[a*n+b] || traj[m+j][a].Dist2(traj[m+j][b]) > r2 {
-								continue
-							}
-							if j > last {
-								tight++ // a period one tick longer would miss this contact
-								continue
-							}
-							t.Fatalf("%s seed %d: pair (%d,%d) is in range at tick %d but missing from the list built at tick %d (period %d, radius %v)",
-								w.name, seed, a, b, m+j, m, l.period, l.radius)
-						}
-					}
-					checks++
-				}
-			}
-		}
-	}
-	t.Logf("%d list-tick checks; %d contacts one tick past the margin", checks, tight)
-	if tight == 0 {
-		t.Errorf("no unlisted pair came within range one tick past the margin: a longer period would pass")
 	}
 }

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"math"
+
 	"sdsrp/internal/geo"
 	"sdsrp/internal/mobility"
 )
@@ -9,41 +11,68 @@ import (
 // Phys. Rev. 159, 98, 1967). Rather than build a grid and enumerate its
 // pairs on every tick, the naive scan lists, every period ticks, every node
 // pair within radius = 3 × the largest radio range, from one geo.Grid pass;
-// on the ticks in between only listed pairs are tested. It is the parking
-// core's MaxSpeed bound applied to the whole fleet at once.
+// on the ticks in between only listed pairs are tested, and only the list's
+// members, the nodes on at least one listed pair, are sampled.
 //
 // Exactness: the period is boundTicks of the gap DistLowerBound(radius²) −
-// maxRange at closing speed 2 × the fleet's largest MaxSpeed, the motion
-// bound the parking core parks a pair on (park.go). An unlisted pair was
-// farther than radius at the build, so its own parking deadline would be at
-// least the period: it cannot come within the largest range on any tick the
-// list serves, nor on the rebuild tick, the one tick of margin every
-// deadline keeps. The list filters on distance only; the contact predicate
-// (radios, per-node ranges, flap suppression) still runs on every listed
-// pair within the largest range on every tick, so battery, churn and
-// flapping worlds stay exact. Those listed pairs are exactly the pairs a
-// grid pass at the largest range would find, so the scan counters do not
-// change either.
+// maxRange at closing speed 2 × the fleet's largest MaxSpeed. An unlisted
+// pair was farther than radius at the build, so it cannot come within the
+// largest range on any tick the list serves, nor on the rebuild tick, the
+// one tick of margin the bound keeps. The list filters on distance only;
+// the contact predicate (radios, per-node ranges, flap suppression) still
+// runs on every listed pair within the largest range on every tick, so
+// battery, churn and flapping worlds stay exact. Those listed pairs are
+// exactly the pairs a grid pass at the largest range would find, so the
+// scan counter does not change either.
+//
+// Members: every pair a served tick reads is listed, so its endpoints are
+// members and a served tick samples nothing else; a build tick samples
+// every node. An up candidate is a listed pair by construction. An up or
+// flap-suppressed pair came up from the list since the build, or it held
+// through the build, where the predicate keeps it only within range: the
+// downs drop every up pair out of contact before the build, and the flap
+// sweep drops every suppressed one after it.
+//
+// Rank: a tick with two or more up candidates orders them by the smallest
+// id in each endpoint's fine cell (scanner.emitOrdered), which may be a
+// node the tick did not sample. The build grid finds it: until the next
+// build a node moves less than half the gap, under maxRange = radius/3 and
+// so under a third of a build cell, whose edge is at least radius. A node
+// in fine cell ci now therefore sat, at the build, in a build cell that
+// overlaps ci's box grown by one build cell on every side; rank walks those
+// cells, sampling the non-members it reads.
 //
 // When the bound gives fewer than two ticks (a teleporting model, or a
 // fleet that can close two ranges within two ticks), the list is rebuilt
 // every tick at radius = the largest range through the same code: the
 // per-tick grid pass. The ReferencePlanner forces that everywhere.
 
+// maxPeriod caps the list's period and the kinetic planner's parks, so
+// that the accumulated float error of tick-time addition stays far inside
+// the one tick of margin; a list rebuilt, or a node re-checked, once every
+// million ticks is already free.
+const maxPeriod = 1_000_000
+
 // nlist is the naive scan's neighbour list.
 type nlist struct {
 	area geo.Rect
-	// cell is the edge of the build grid's cells: radius, or the fine
-	// cells' edge where that is larger.
+	// fine is the edge of the scanner's fine cells; cell is the edge of the
+	// build grid's, radius or fine where that is larger.
+	fine   float64
 	cell   float64
 	radius float64
 	period int64
-	// due is the scanner tick (scanner.ticks) of the next build.
+	// due is the scanner tick (scanner.ticks) of the next build; all
+	// reports whether the current tick sampled every node.
 	due int64
-	// grid is built on the first build, so worlds that never scan naive
-	// allocate no index.
+	all bool
+	// grid, built on the first build, holds the last build's buckets.
 	grid  *geo.Grid
 	pairs [][2]int32
+	// member marks the nodes on a listed pair, which members lists in
+	// ascending order.
+	member  []bool
+	members []int32
 }
 
 // newList sizes the neighbour list of models, scanned every interval
@@ -59,24 +88,94 @@ func newList(models []mobility.Model, area geo.Rect, cell, maxRange, interval fl
 	if period < 2 || reference {
 		radius, period = maxRange, 1
 	}
-	return nlist{area: area, cell: max(cell, radius), radius: radius, period: period}
+	return nlist{area: area, fine: cell, cell: max(cell, radius), radius: radius, period: period}
 }
 
-// listCands makes the naive tick's up candidates: it rebuilds the list when
-// due, from this tick's positions, which the caller must have sampled for
-// every node, and appends to s.cands every listed pair within the largest
-// range that is in contact, not up and not flap-suppressed (a flapped
-// contact stays down until the nodes genuinely separate). It returns the
-// number of listed pairs within the largest range, the pairs it checked.
+// boundTicks is the list's motion bound, and the kinetic planner's
+// (park.go): the whole ticks of interval seconds a gap of gap metres
+// provably stays open when it closes at most c metres per second,
+// ⌊gap/(c·interval)⌋, so that the ticks before the last keep one tick of
+// margin. It is 0 when the gap is already closed or c is +Inf (a
+// teleporting model), and maxPeriod when c is zero or the bound exceeds
+// the cap.
+//
+// Performance contract: pure arithmetic, no allocation.
+func boundTicks(gap, c, interval float64) int64 {
+	if gap <= 0 {
+		return 0
+	}
+	if c <= 0 {
+		return maxPeriod
+	}
+	return ticksFor(gap/c, interval) // c = +Inf (teleporting model) gives 0
+}
+
+// ticksFor converts τ, the seconds through which a proof rules out any
+// change the scan must see, into whole ticks of interval seconds:
+// ⌊τ/interval⌋, so the K−1 skipped ticks keep one tick of margin, capped at
+// maxPeriod. A non-positive or NaN τ gives 0.
+//
+// Performance contract: pure arithmetic, no allocation.
+func ticksFor(tau, interval float64) int64 {
+	k := tau / interval
+	if !(k > 0) {
+		return 0
+	}
+	if !(k < maxPeriod) {
+		return maxPeriod
+	}
+	return int64(k)
+}
+
+// sample samples the positions of the tick at time now: every node's on a
+// build tick, the members' alone on a tick the list serves.
+func (s *scanner) sample(now float64) {
+	l := &s.list
+	s.now = now
+	l.all = s.ticks >= l.due
+	if l.all {
+		for i, model := range s.models {
+			s.positions[i] = model.Pos(now)
+		}
+		return
+	}
+	for _, i := range l.members {
+		s.positions[i] = s.models[i].Pos(now)
+	}
+}
+
+// build lists every pair within the radius of this tick's positions, which
+// the caller must have sampled for every node, and the members.
+func (s *scanner) build() {
+	l := &s.list
+	if l.grid == nil {
+		l.grid = geo.NewGrid(l.area, l.cell, len(s.positions))
+		l.member = make([]bool, len(s.positions))
+	}
+	l.grid.Update(s.positions)
+	l.pairs = l.grid.Pairs(l.radius, l.pairs[:0])
+	clear(l.member)
+	for _, p := range l.pairs {
+		l.member[p[0]], l.member[p[1]] = true, true
+	}
+	l.members = l.members[:0]
+	for i, in := range l.member {
+		if in {
+			l.members = append(l.members, int32(i))
+		}
+	}
+	l.due = s.ticks + l.period
+}
+
+// listCands makes the tick's up candidates: it rebuilds the list when due
+// and appends to s.cands every listed pair within the largest range that
+// is in contact, not up and not flap-suppressed (a flapped contact stays
+// down until the nodes genuinely separate). It returns the number of
+// listed pairs within the largest range, the pairs it checked.
 func (s *scanner) listCands() int {
 	l := &s.list
 	if s.ticks >= l.due {
-		if l.grid == nil {
-			l.grid = geo.NewGrid(l.area, l.cell, len(s.positions))
-		}
-		l.grid.Update(s.positions)
-		l.pairs = l.grid.Pairs(l.radius, l.pairs[:0])
-		l.due = s.ticks + l.period
+		s.build()
 	}
 	r2 := s.maxRange * s.maxRange
 	checked := 0
@@ -96,4 +195,45 @@ func (s *scanner) listCands() int {
 		s.cands = append(s.cands, k)
 	}
 	return checked
+}
+
+// rank returns the smallest id of the nodes in fine cell ci at this tick,
+// ci's place in the naive emission order (emitOrdered), from the build
+// grid (see the file comment). ci must hold a node this tick. Each build
+// cell lists its ids ascending, so its walk stops at its first id in ci,
+// or at the best id so far.
+func (s *scanner) rank(ci int32) int32 {
+	l := &s.list
+	cols, _ := s.cells.Dims()
+	x := l.area.Min.X + float64(int(ci)%cols)*l.fine
+	y := l.area.Min.Y + float64(int(ci)/cols)*l.fine
+	// The build cells of the grown box's corners; CellIndex clamps, so a
+	// fine cell on the area's border reaches the build grid's border too.
+	lo := l.grid.CellIndex(geo.Point{X: x - l.cell, Y: y - l.cell})
+	hi := l.grid.CellIndex(geo.Point{X: x + l.fine + l.cell, Y: y + l.fine + l.cell})
+	gcols, _ := l.grid.Dims()
+	best := int32(math.MaxInt32)
+	for row := lo / gcols; row <= hi/gcols; row++ {
+		for c := row*gcols + lo%gcols; c <= row*gcols+hi%gcols; c++ {
+			for _, j := range l.grid.CellIDs(c) {
+				if j >= best {
+					break
+				}
+				if s.cells.CellIndex(s.current(j)) == int(ci) {
+					best = j
+					break
+				}
+			}
+		}
+	}
+	return best
+}
+
+// current returns node j's position at this tick, sampling it first when
+// the tick sampled only the members and j is not one.
+func (s *scanner) current(j int32) geo.Point {
+	if !s.list.all && !s.list.member[j] {
+		s.positions[j] = s.models[j].Pos(s.now)
+	}
+	return s.positions[j]
 }

@@ -2,6 +2,8 @@ package network
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"sdsrp/internal/geo"
@@ -16,55 +18,75 @@ import (
 // so that cells hold several nodes and every phase of the enumeration
 // occurs, a fifth of the nodes stray outside the area and clamp to the
 // border cells, and the fleets cover per-node ranges and cells larger than
-// the range. Candidates arrive shuffled, all of them or a random subset (a
-// real tick leaves out pairs already up), and are ranked both ways: from
-// one pass over the nodes (emitRanked, the naive scan's) and from the
-// kinetic planner's buckets.
+// the range, up to five times it. The nodes drift in straight lines at up
+// to 5 m/s, and each fleet is checked on the list's build tick and on the
+// last tick the list serves, where the cells are ranked from buckets the
+// nodes have moved up to 90 m away from. Candidates arrive shuffled, all of
+// them or a random subset (a real tick leaves out pairs already up). On the
+// build tick the candidates are also ranked from the kinetic planner's
+// buckets.
 func TestEmitOrderMatchesGridPairs(t *testing.T) {
-	area := geo.NewRect(600, 450)
 	for _, tc := range []struct {
-		name   string
-		cell   float64
-		radio  float64
-		ranges bool
+		name    string
+		scale   float64 // of the area and the fleet's layout
+		cluster float64 // the cluster's edge
+		cell    float64
+		radio   float64
+		ranges  bool
 	}{
-		{"uniform", 100, 100, false},
-		{"per-node-ranges", 120, 60, true},
-		{"cell-above-range", 170, 100, false},
+		{"uniform", 1, 150, 100, 100, false},
+		{"per-node-ranges", 1, 150, 120, 60, true},
+		{"cell-above-range", 1, 150, 170, 100, false},
+		{"wide-cells", 5, 300, 500, 100, false},
 	} {
 		for seed := uint64(1); seed <= 20; seed++ {
 			t.Run(fmt.Sprintf("%s-%d", tc.name, seed), func(t *testing.T) {
 				s := rng.New(seed)
 				const n = 70
+				k := tc.scale
+				area := geo.NewRect(600*k, 450*k)
 				models := make([]mobility.Model, n)
 				var ranges []float64
 				if tc.ranges {
 					ranges = make([]float64, n)
 				}
 				for i := range models {
-					p := geo.Point{X: s.Uniform(0, 600), Y: s.Uniform(0, 450)}
+					p := geo.Point{X: s.Uniform(0, 600*k), Y: s.Uniform(0, 450*k)}
 					switch {
 					case i%5 == 0: // out of the area
-						p = geo.Point{X: s.Uniform(-300, 900), Y: s.Uniform(-300, 750)}
+						p = geo.Point{X: s.Uniform(-300*k, 900*k), Y: s.Uniform(-300*k, 750*k)}
 					case i%2 == 0: // a cluster, so cells are shared
-						p = geo.Point{X: s.Uniform(250, 400), Y: s.Uniform(150, 300)}
+						p = geo.Point{X: s.Uniform(250*k, 250*k+tc.cluster), Y: s.Uniform(150*k, 150*k+tc.cluster)}
 					}
-					models[i] = mobility.Static{P: p}
+					heading, speed := s.Uniform(0, 2*math.Pi), s.Uniform(0, 5)
+					v := geo.Vec{X: speed * math.Cos(heading), Y: speed * math.Sin(heading)}
+					models[i] = &scripted{p: p, v: v, until: math.Inf(1), max: 5}
 					if ranges != nil {
 						ranges[i] = s.Uniform(20, 120)
 					}
 				}
-				want, got := emitBothWays(t, models, area, tc.cell, tc.radio, ranges, s)
-				if len(want) < 10 {
-					t.Fatalf("only %d in-range pairs: the fleet is too sparse to test an order", len(want))
+				sc := testScanner(t, models, area, tc.cell, tc.radio, 1, ranges)
+				if sc.list.period < 2 {
+					t.Fatalf("the list is rebuilt every tick: nothing to serve")
 				}
-				for way, g := range got {
-					if len(g) != len(want) {
-						t.Fatalf("%s: emitted %d pairs, Pairs gives %d", way, len(g), len(want))
+				for _, tick := range []int{0, int(sc.list.period) - 1} {
+					want, got := emitAt(t, models, area, tc.cell, tc.radio, ranges, tick, s)
+					if len(want) < 10 {
+						t.Fatalf("tick %d: only %d in-range pairs: the fleet is too sparse to test an order", tick, len(want))
+					}
+					if len(got) != len(want) {
+						t.Fatalf("tick %d: emitted %d pairs, Pairs gives %d", tick, len(got), len(want))
 					}
 					for i := range want {
-						if g[i] != want[i] {
-							t.Fatalf("%s: emission %d is %v, Pairs gives %v", way, i, g[i], want[i])
+						if got[i] != want[i] {
+							t.Fatalf("tick %d: emission %d is %v, Pairs gives %v", tick, i, got[i], want[i])
+						}
+					}
+					if tick == 0 {
+						cands := slices.Clone(want)
+						s.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+						if got := emitKinetic(t, models, area, tc.cell, tc.radio, ranges, cands); !slices.Equal(got, want) {
+							t.Fatalf("kinetic buckets: emitted %v, Pairs gives %v", got, want)
 						}
 					}
 				}
@@ -73,39 +95,52 @@ func TestEmitOrderMatchesGridPairs(t *testing.T) {
 	}
 }
 
-// emitBothWays builds a scanner over models and returns the in-range pairs
-// of a random subset, in the order geo.Grid.Pairs enumerates them, and the
-// order emitOrdered brings the subset up in under each ranking.
-func emitBothWays(t *testing.T, models []mobility.Model, area geo.Rect, cell, radio float64, ranges []float64, s *rng.Stream) (want []pairKey, got map[string][]pairKey) {
+// emitAt builds a scanner over models, scans its first tick at time 0, the
+// list's build, and, when tick is later, scans that tick, which the list
+// serves, sampling the members alone. It returns the in-range pairs of a
+// random subset at tick, in the order geo.Grid.Pairs enumerates them from
+// the fleet's true positions, and the order emitOrdered brings the subset
+// up in.
+func emitAt(t *testing.T, models []mobility.Model, area geo.Rect, cell, radio float64, ranges []float64, tick int, s *rng.Stream) (want, got []pairKey) {
 	t.Helper()
-	sc := certScanner(t, models, area, cell, radio, 1, ranges)
+	sc := testScanner(t, models, area, cell, radio, 1, ranges)
+	sc.scanDowns(0)
+	sc.build()
+	if tick > 0 {
+		sc.ticks = int64(tick)
+		sc.scanDowns(float64(tick))
+		if sc.list.all {
+			t.Fatalf("tick %d sampled every node", tick)
+		}
+	}
+	truth := make([]geo.Point, len(models))
 	for i, m := range models {
-		sc.positions[i] = m.Pos(0)
+		truth[i] = m.Pos(float64(tick))
 	}
 	g := geo.NewGrid(area, cell, len(models))
-	g.Update(sc.positions)
+	g.Update(truth)
 	all := s.Float64() < 0.5
 	for _, p := range g.Pairs(sc.maxRange, nil) {
-		if sc.pairInContact(int(p[0]), int(p[1])) && (all || s.Float64() < 0.6) {
+		r := sc.pairRange(int(p[0]), int(p[1]))
+		if truth[p[0]].Dist2(truth[p[1]]) <= r*r && (all || s.Float64() < 0.6) {
 			want = append(want, pairKey(p))
 		}
 	}
-	got = make(map[string][]pairKey)
-	for _, way := range []string{"one pass", "kinetic buckets"} {
-		sc := certScanner(t, models, area, cell, radio, 1, ranges)
-		for i, m := range models {
-			sc.positions[i] = m.Pos(0)
-		}
-		sc.cands = append(sc.cands, want...)
-		s.Shuffle(len(sc.cands), func(i, j int) { sc.cands[i], sc.cands[j] = sc.cands[j], sc.cands[i] })
-		if way == "one pass" {
-			sc.emitRanked()
-		} else {
-			k := newKinetic(sc)
-			k.sampleAt(1, 0)
-			k.emitUps()
-		}
-		got[way] = sc.ups
-	}
-	return want, got
+	sc.cands = append(sc.cands, want...)
+	s.Shuffle(len(sc.cands), func(i, j int) { sc.cands[i], sc.cands[j] = sc.cands[j], sc.cands[i] })
+	sc.emitOrdered(sc.rank)
+	return want, sc.ups
+}
+
+// emitKinetic returns the order emitOrdered brings cands, candidates at
+// time 0, up in under the kinetic planner, which ranks each cell by a walk
+// of its bucket.
+func emitKinetic(t *testing.T, models []mobility.Model, area geo.Rect, cell, radio float64, ranges []float64, cands []pairKey) []pairKey {
+	t.Helper()
+	sc := testScanner(t, models, area, cell, radio, 1, ranges)
+	sc.plan = newKinetic(sc)
+	sc.plan.sampleAt(1, 0)
+	sc.cands = append(sc.cands, cands...)
+	sc.emitOrdered(sc.plan.minID)
+	return sc.ups
 }
