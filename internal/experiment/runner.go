@@ -149,17 +149,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Rescale applies the options' Scale and Nodes reductions to a preset
-// scenario exactly like the experiment sweeps do (duration and TTL scale
-// together; synthetic areas shrink to preserve node density). Exported so
-// external harnesses — internal/bench and the root `go test -bench`
-// targets — derive reduced-scale scenarios from the same rule and cannot
-// drift from the sweeps.
-func (o Options) Rescale(sc config.Scenario) config.Scenario {
-	return o.withDefaults().apply(sc)
-}
-
-// apply rescales a preset scenario per the options.
+// apply rescales a preset scenario per the options: duration and TTL scale
+// together, and synthetic areas shrink to preserve node density.
 func (o Options) apply(sc config.Scenario) config.Scenario {
 	if o.Scale != 1 {
 		sc.Duration *= o.Scale

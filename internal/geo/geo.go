@@ -36,9 +36,6 @@ type Point struct {
 // Add returns p + v.
 func (p Point) Add(v Vec) Point { return Point{p.X + v.X, p.Y + v.Y} }
 
-// Sub returns the vector from q to p.
-func (p Point) Sub(q Point) Vec { return Vec{p.X - q.X, p.Y - q.Y} }
-
 // Dist returns the Euclidean distance between p and q. On hot paths that
 // only compare against a radius, prefer Dist2 (the dtnlint hot-dist check
 // enforces this in the scanner/routing packages).
@@ -66,48 +63,6 @@ func (p Point) Dist2(q Point) float64 {
 func DistLowerBound(d2 float64) float64 {
 	d := math.Sqrt(d2)
 	return d - (d*1e-9 + 1e-9)
-}
-
-// ApproachTime returns a lower bound on the first time s ≥ 0 at which two
-// points moving linearly, p with velocity v and q with velocity w, come
-// within distance r of each other: 0 when they already are, +Inf when their
-// relative motion never brings them that close. The radius is inflated by
-// DistLowerBound's slack at the current distance (a relative 1e-9 plus
-// 1e-9 m), which dominates the rounding between this extrapolation and the
-// interpolation a mobility model replays, so rounding can only make the
-// answer earlier. Non-finite input gives 0. The kinetic scan planner
-// (internal/network) parks a pair on it for as long as both legs hold.
-//
-// Performance contract: pure arithmetic (two square roots), no allocation.
-func ApproachTime(p Point, v Vec, q Point, w Vec, r float64) float64 {
-	dx, dy := q.X-p.X, q.Y-p.Y
-	wx, wy := w.X-v.X, w.Y-v.Y
-	d2 := dx*dx + dy*dy
-	d := math.Sqrt(d2)
-	rr := r + (d*1e-9 + 1e-9)
-	c := d2 - rr*rr
-	if !(c > 0) {
-		return 0 // within range already, or NaN
-	}
-	a := wx*wx + wy*wy
-	if !(a < math.Inf(1)) {
-		return 0 // unbounded or NaN relative velocity
-	}
-	b := dx*wx + dy*wy // half the linear coefficient of |D + W·s|²
-	if b >= 0 {
-		return math.Inf(1) // separating, or holding the distance
-	}
-	disc := b*b - a*c
-	if disc < 0 {
-		return math.Inf(1) // the closest approach stays outside rr
-	}
-	// The smaller root of a·s² + 2b·s + c, in the form that does not
-	// cancel: b < 0 and c > 0 make both terms of the denominator positive.
-	s := c / (math.Sqrt(disc) - b)
-	if !(s >= 0) {
-		return 0
-	}
-	return s
 }
 
 // Lerp linearly interpolates from p to q; t=0 yields p, t=1 yields q.

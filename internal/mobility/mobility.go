@@ -21,8 +21,6 @@
 package mobility
 
 import (
-	"math"
-
 	"sdsrp/internal/geo"
 	"sdsrp/internal/rng"
 )
@@ -56,37 +54,8 @@ type Model interface {
 	// free to teleport may return +Inf, which makes the scan rebuild its
 	// list on every tick and disables parking for its pairs and nodes. The
 	// value must be constant across the model's lifetime — the scanners
-	// read it once at startup. A model that moves in straight legs also
-	// implements Legged, whose certificate the kinetic planner uses
-	// wherever it proves a longer park than this bound.
+	// read it once at startup.
 	MaxSpeed() float64
-}
-
-// Legged is a Model that moves in straight legs and reports the one it is
-// on: every model built on legMover (RandomWaypoint, RandomWalk,
-// RandomDirection, MapRoute, Taxi) and Static. Trace playback (Path) does
-// not implement it.
-type Legged interface {
-	Model
-
-	// Leg reports the linear piece in force at t, which must be the time of
-	// the latest Pos query: the velocity v and the time until through which
-	// it holds, so that Pos(t′) = Pos(t) + v·(t′−t) up to float rounding for
-	// every t ≤ t′ ≤ until. until > t, and a node that never moves again
-	// returns v = 0 and until = +Inf.
-	//
-	// # Performance contract
-	//
-	// This is the certificate MaxSpeed's bound is extended with: the
-	// kinetic scan planner (internal/network) parks a pair until its relative
-	// linear motion could first bring it within radio range, or until the
-	// earlier leg end plus the MaxSpeed bound from the distance there, and a
-	// kinetic node until its leg leaves its grid bucket. The same rules as
-	// MaxSpeed apply: a piece that ends later than reported, or a velocity
-	// that differs from the motion Pos replays, silently breaks contact
-	// detection, while an early until only costs an earlier wake-up.
-	// Implementations read stored leg state and allocate nothing.
-	Leg(t float64) (v geo.Vec, until float64)
 }
 
 // legPicker draws a waypoint-style model's legs: the next destination from
@@ -142,19 +111,6 @@ func (l *legMover) Pos(t float64) geo.Point {
 		frac := (t - l.legStart) / (l.legEnd - l.legStart)
 		return l.from.Lerp(l.to, frac)
 	}
-}
-
-// Leg implements Legged. After Pos(t) the mover is either travelling (t
-// before legEnd) at the leg's constant velocity, or pausing at the
-// destination until pauseEnd, where Pos starts the next leg from the same
-// point.
-//
-// Performance contract: reads the stored leg, no allocation.
-func (l *legMover) Leg(t float64) (geo.Vec, float64) {
-	if t >= l.legEnd {
-		return geo.Vec{}, l.pauseEnd
-	}
-	return l.to.Sub(l.from).Scale(1 / (l.legEnd - l.legStart)), l.legEnd
 }
 
 func (l *legMover) advance() {
@@ -240,6 +196,3 @@ func (m Static) Pos(float64) geo.Point { return m.P }
 
 // MaxSpeed implements Model: a static node never moves.
 func (m Static) MaxSpeed() float64 { return 0 }
-
-// Leg implements Legged: one leg at rest, forever.
-func (m Static) Leg(float64) (geo.Vec, float64) { return geo.Vec{}, math.Inf(1) }

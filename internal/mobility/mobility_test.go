@@ -267,75 +267,3 @@ func TestTaxiDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestLegMatchesPos checks the Legged contract on every model that
-// implements it: after Pos(t), a twin built from the same seed and queried
-// at any t′ in [t, until] (the leg end itself included) sits at
-// Pos(t) + v·(t′−t), up to rounding, and |v| respects MaxSpeed. Pauses,
-// leg ends and zero-length legs (taxi fares clamped to one corner) all
-// occur within the sampled horizon.
-func TestLegMatchesPos(t *testing.T) {
-	area := geo.NewRect(800, 600)
-	corner := TaxiConfig{
-		Area:        area,
-		Hotspots:    []Hotspot{{Center: geo.Point{X: -1e5, Y: -1e5}, Sigma: 1, Weight: 1}},
-		UniformProb: 0.5,
-		SpeedLo:     6, SpeedHi: 14, PauseLo: 5, PauseHi: 60,
-	}
-	for name, build := range map[string]func(seed uint64) Legged{
-		"rwp-pauses":       func(seed uint64) Legged { return NewRandomWaypoint(area, 0.5, 3, 0, 120, rng.New(seed)) },
-		"rwp-no-pause":     func(seed uint64) Legged { return NewRandomWaypoint(area, 2, 2, 0, 0, rng.New(seed)) },
-		"random-walk":      func(seed uint64) Legged { return NewRandomWalk(area, 1, 4, 150, rng.New(seed)) },
-		"random-direction": func(seed uint64) Legged { return NewRandomDirection(area, 0.5, 3, 0, 30, rng.New(seed)) },
-		"taxi-corner":      func(seed uint64) Legged { return NewTaxi(corner, rng.New(seed)) },
-		"map-route": func(seed uint64) Legged {
-			m, err := NewMapRoute(testGrid(t), 1, 4, 0, 60, rng.New(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
-		},
-		"static": func(uint64) Legged { return Static{P: geo.Point{X: 3, Y: 4}} },
-	} {
-		t.Run(name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 3; seed++ {
-				m, twin, pick := build(seed), build(seed), rng.New(seed+100)
-				paused, ends := 0, 0
-				for k := 0; k < 2000; k++ {
-					now := float64(k) * 10
-					p := m.Pos(now)
-					v, until := m.Leg(now)
-					if !(until > now) {
-						t.Fatalf("seed %d: Leg(%g) until %g is not after the query", seed, now, until)
-					}
-					if v.Len() > m.MaxSpeed()*(1+1e-9) {
-						t.Fatalf("seed %d: |v| = %g exceeds MaxSpeed %g", seed, v.Len(), m.MaxSpeed())
-					}
-					if v == (geo.Vec{}) && until < math.Inf(1) {
-						paused++
-					}
-					// The twin's next query stays below the next sample time.
-					dt := pick.Uniform(0, 9.999)
-					if until-now <= 9.999 {
-						ends++
-						if pick.Bool(0.5) {
-							dt = until - now
-						} else {
-							dt = math.Min(dt, until-now)
-						}
-					}
-					want := p.Add(v.Scale(dt))
-					if got := twin.Pos(now + dt); got.Dist2(want) > 1e-12 {
-						t.Fatalf("seed %d: Pos(%g) = %v, the leg from %v at %g says %v", seed, now+dt, got, p, now, want)
-					}
-				}
-				if name != "static" && name != "random-walk" && name != "rwp-no-pause" && paused == 0 {
-					t.Fatalf("seed %d: no pause sampled", seed)
-				}
-				if name != "static" && ends == 0 {
-					t.Fatalf("seed %d: no leg end sampled", seed)
-				}
-			}
-		})
-	}
-}

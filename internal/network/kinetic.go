@@ -20,8 +20,7 @@ import "math"
 //   - for every non-linked node j in its 3×3 bucket neighbourhood, the
 //     pair deadline (parking.pairTicks).
 //
-// Both deadlines are the later of the MaxSpeed motion bound and the leg
-// certificate when the models report their legs (park.go).
+// Both deadlines are the MaxSpeed motion bound (boundTicks).
 //
 // Exactness argument (byte-identity with the naive scan):
 //
@@ -155,33 +154,15 @@ func (s *kinetic) moveCell(i int, ci int32) {
 }
 
 // cellTicks bounds how many whole ticks node i provably stays inside its
-// assigned bucket: the later of the motion bound (the distance to the
+// assigned bucket: the motion bound (boundTicks) on the distance to the
 // bucket boundary, minus conservative slack dominating float rounding,
-// under the node's own speed bound) and the leg certificate (the time the
-// node's leg leaves the bucket box, geo.Cells.ExitTime, or, if the leg ends
-// first, the leg end plus the motion bound from the leg's end point).
-// Clamped out-of-area positions give a non-positive margin and keep the
-// node awake.
+// under the node's own speed bound. Clamped out-of-area positions give a
+// non-positive margin and keep the node awake.
 //
 // Performance contract: pure arithmetic, no allocation.
 func (s *kinetic) cellTicks(i int) int64 {
-	g, pos, ci := &s.sc.cells, s.sc.positions[i], int(s.cellOf[i])
-	d := g.BoundaryDist(pos, ci)
-	k := boundTicks(d-(d*1e-9+1e-9), s.speed[i], s.interval)
-	if k >= maxPeriod {
-		return k
-	}
-	v, left, ok := s.legOf(i)
-	if !ok {
-		return k
-	}
-	tau := g.ExitTime(pos, v, ci)
-	if tau >= left && left < math.Inf(1) {
-		// Inside through the leg end; from there on only the bound.
-		d := g.BoundaryDist(pos.Add(v.Scale(left)), ci)
-		tau = left + (d-(d*1e-9+1e-9))/s.speed[i]
-	}
-	return max(k, ticksFor(tau, s.interval))
+	d := s.sc.cells.BoundaryDist(s.sc.positions[i], int(s.cellOf[i]))
+	return boundTicks(d-(d*1e-9+1e-9), s.speed[i], s.interval)
 }
 
 // check reassigns every awake node's bucket, then scans each awake node's

@@ -107,19 +107,9 @@ func boundTicks(gap, c, interval float64) int64 {
 	if c <= 0 {
 		return maxPeriod
 	}
-	return ticksFor(gap/c, interval) // c = +Inf (teleporting model) gives 0
-}
-
-// ticksFor converts τ, the seconds through which a proof rules out any
-// change the scan must see, into whole ticks of interval seconds:
-// ⌊τ/interval⌋, so the K−1 skipped ticks keep one tick of margin, capped at
-// maxPeriod. A non-positive or NaN τ gives 0.
-//
-// Performance contract: pure arithmetic, no allocation.
-func ticksFor(tau, interval float64) int64 {
-	k := tau / interval
+	k := gap / c / interval
 	if !(k > 0) {
-		return 0
+		return 0 // c = +Inf (teleporting model), or NaN
 	}
 	if !(k < maxPeriod) {
 		return maxPeriod

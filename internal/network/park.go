@@ -1,11 +1,6 @@
 package network
 
-import (
-	"math"
-
-	"sdsrp/internal/geo"
-	"sdsrp/internal/mobility"
-)
+import "sdsrp/internal/geo"
 
 // This file holds the kinetic planner's parking core (kinetic.go): the wake
 // wheel and the park deadlines. A node is awake, checked
@@ -33,14 +28,9 @@ import (
 // one full tick of margin plus geo.DistLowerBound's slack, which dominates
 // every float-rounding step in the chain (position interpolation, the
 // distance square root, and the engine's accumulated tick times). τ is the
-// later of two proofs. The motion bound (boundTicks) closes a gap at the
-// MaxSpeed bound. The certificate reads the linear leg each node is on
-// (mobility.Legged): a pair stays apart until its relative motion could
-// first bring it within range (geo.ApproachTime), and a node stays in its
-// bucket until its leg leaves the box (geo.Cells.ExitTime); past the earlier
-// leg end the motion bound takes over from the distance there. Models
-// without legs (trace playback) get the motion bound alone. Nodes park only
-// at K ≥ 2: a one-tick park costs wheel traffic without skipping anything.
+// motion bound (boundTicks): the time a gap takes to close at the MaxSpeed
+// bound. Nodes park only at K ≥ 2: a one-tick park costs wheel traffic
+// without skipping anything.
 
 // wheelBuckets must be a power of two (bucket index is masked). The wheel is
 // hashed: a node whose wake tick lies a lap or more ahead is re-kept with
@@ -63,9 +53,6 @@ type parking struct {
 	// are absolute ticks.
 	tick     int64
 	interval float64
-	// now is the current tick's time, the time of every position sampled
-	// this tick.
-	now float64
 	// speed[i] is models[i].MaxSpeed(), read once at construction (the
 	// contract requires it to be constant).
 	speed []float64
@@ -199,63 +186,17 @@ func (p *parking) samplePos(i int, now float64) {
 	}
 }
 
-// legOf returns the linear leg node i is on at the current tick and the
-// seconds it still holds, or ok = false when its model reports none (trace
-// playback) or the core was built without models (test rigs), which then
-// park on the motion bound alone. Call it only after samplePos(i) this
-// tick: models are forward-only and report the leg of their latest query.
-//
-// Performance contract: one interface assertion and the model's stored-leg
-// read, no allocation.
-func (p *parking) legOf(i int) (v geo.Vec, left float64, ok bool) {
-	if p.sc == nil {
-		return geo.Vec{}, 0, false
-	}
-	l, ok := p.sc.models[i].(mobility.Legged)
-	if !ok {
-		return geo.Vec{}, 0, false
-	}
-	v, until := l.Leg(p.now)
-	left = until - p.now
-	return v, left, left > 0 // a leg that has already ended proves nothing
-}
-
 // pairTicks returns how many whole ticks pair (i,j), sampled this tick at
 // squared distance d2 with effective range r, provably stays out of range:
-// the later of two proofs. The motion bound (boundTicks) closes the gap,
-// the conservative lower bound on the distance minus the range, at the
-// pair's combined speed bound. The certificate follows both nodes' legs: it
-// holds until their relative motion could first bring the pair within range
-// (geo.ApproachTime) or, if the earlier leg ends first, until that leg end
-// plus the motion bound from the distance there. An in-range pair gets 0
-// either way, so a pair whose predicate failed only because an endpoint is
-// churn-downed or energy-dead is re-checked every tick, exactly as the
-// naive scanner does.
+// the motion bound (boundTicks) on the gap, the conservative lower bound on
+// the distance minus the range, at the pair's combined speed bound. An
+// in-range pair gets 0, so a pair whose predicate failed only because an
+// endpoint is churn-downed or energy-dead is re-checked every tick, exactly
+// as the naive scanner does.
 //
 // Performance contract: pure arithmetic, no allocation.
 func (p *parking) pairTicks(i, j int, d2, r float64) int64 {
-	c := p.speed[i] + p.speed[j]
-	k := boundTicks(geo.DistLowerBound(d2)-r, c, p.interval)
-	if k >= maxPeriod {
-		return k
-	}
-	vi, li, ok := p.legOf(i)
-	if !ok {
-		return k
-	}
-	vj, lj, ok := p.legOf(j)
-	if !ok {
-		return k
-	}
-	pi, pj := p.sc.positions[i], p.sc.positions[j]
-	end := min(li, lj)
-	tau := geo.ApproachTime(pi, vi, pj, vj, r)
-	if tau >= end && end < math.Inf(1) {
-		// Apart through the earlier leg end; from there on only the bound.
-		ei, ej := pi.Add(vi.Scale(end)), pj.Add(vj.Scale(end))
-		tau = end + (geo.DistLowerBound(ei.Dist2(ej))-r)/c
-	}
-	return max(k, ticksFor(tau, p.interval))
+	return boundTicks(geo.DistLowerBound(d2)-r, p.speed[i]+p.speed[j], p.interval)
 }
 
 // parkedDowns makes the first half of a planner tick (see the file
@@ -263,7 +204,6 @@ func (p *parking) pairTicks(i, j int, d2, r float64) int64 {
 func (s *scanner) parkedDowns(now float64) {
 	p := s.plan
 	p.tick++
-	p.now = now
 	s.work.wakeups += p.wakeDue()
 
 	checked := p.check(now)

@@ -14,12 +14,11 @@ import (
 )
 
 // TestKineticParksAndWakesAcrossWheelLaps drives a 1 m/s node 400 m toward
-// a fixed one, ending 30 m away (range 50), under the kinetic planner. Trace
-// playback reports no legs, so both nodes park on the motion bound, and the
+// a fixed one, ending 30 m away (range 50), under the kinetic planner. The
 // 2 km cells keep the mover's cell deadline (570 ticks) beyond the pair's:
-// both park once for ~379 ticks — more than one full wheel lap, so their
-// bucket entries are re-kept at least once — wake within a tick or two of
-// the true earliest approach, and still produce the contact.
+// both nodes park once for ~379 ticks — more than one full wheel lap, so
+// their bucket entries are re-kept at least once — wake within a tick or
+// two of the true earliest approach, and still produce the contact.
 func TestKineticParksAndWakesAcrossWheelLaps(t *testing.T) {
 	eng := sim.NewEngine()
 	collector := stats.NewCollector()

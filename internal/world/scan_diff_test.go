@@ -173,9 +173,9 @@ func diffFamilies() map[string]func() config.Scenario {
 			return sc
 		},
 		"rwp-pauses": func() config.Scenario {
-			// Walkers that stop for up to two minutes between legs: v = 0
-			// legs and leg ends inside park deadlines, for the segment
-			// certificates both planners park on.
+			// Walkers that stop for up to two minutes between legs, so
+			// that nodes rest through list periods and park deadlines
+			// sized for their top speed.
 			sc := diffBase()
 			sc.Mobility = config.Mobility{Kind: config.MobilityRWP,
 				SpeedLo: 0.5, SpeedHi: 3, PauseLo: 0, PauseHi: 120}
