@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-report test test-short workload-test race bench bench-smoke bench-report trace-smoke resume-smoke fuzz fuzz-smoke experiments check resilience examples clean
+.PHONY: all build vet fmt-check lint lint-report test test-short workload-test dropped-tests race bench bench-smoke bench-report trace-smoke resume-smoke fuzz fuzz-smoke experiments check resilience examples clean
 
 all: build vet fmt-check lint test
 
@@ -45,6 +45,29 @@ test-short:
 # table, and the pinned seed-1 fingerprints.
 workload-test:
 	cd cmd/dtnworkload && GOWORK=off $(GO) test .
+
+# Test names, subtests included, that ran at BASE and no longer run in the
+# working tree, one package:name a line, then their count:
+# `make dropped-tests BASE=<rev>`. Both suites run whole (~20 s each, less
+# from the test cache), the root module's and the workload module's; a
+# test that now skips counts as dropped. BASE is checked out into a
+# temporary git worktree under $TMPDIR (never .bench_build/, which
+# cmd/dtnworkload/run.sh owns), removed on every exit, interrupts included.
+dropped-tests:
+	@[ -n "$(BASE)" ] || { echo "usage: make dropped-tests BASE=<rev>" >&2; exit 2; }; \
+	export LC_ALL=C; tmp=$$(mktemp -d) || exit 1; \
+	trap 'git worktree remove --force "$$tmp/base" 2>/dev/null; git worktree prune; rm -rf "$$tmp"' EXIT; \
+	trap 'exit 130' HUP INT TERM; \
+	names() { \
+		{ (cd "$$1" && $(GO) test -json ./...); \
+		  (cd "$$1/cmd/dtnworkload" && GOWORK=off $(GO) test -json .); } | \
+		sed -nE 's/.*"Action":"(pass|fail)","Package":"([^"]*)","Test":"([^"]*)".*/\2:\3/p' | sort -u; \
+	}; \
+	git worktree add --quiet --detach "$$tmp/base" "$(BASE)" && \
+	names "$$tmp/base" > "$$tmp/base.txt" && names "$(CURDIR)" > "$$tmp/tree.txt" && \
+	comm -23 "$$tmp/base.txt" "$$tmp/tree.txt" > "$$tmp/dropped.txt" && \
+	cat "$$tmp/dropped.txt" && \
+	echo "$$(wc -l < "$$tmp/dropped.txt" | tr -d ' ') test names dropped since $(BASE)"
 
 # Race-detector pass; exercises the concurrent experiment runner.
 race:

@@ -78,21 +78,6 @@ type Vec struct {
 // Scale returns v scaled by s.
 func (v Vec) Scale(s float64) Vec { return Vec{v.X * s, v.Y * s} }
 
-// Len returns the Euclidean length of v.
-func (v Vec) Len() float64 {
-	//lint:ignore hot-dist canonical length definition; used off the scan path
-	return math.Hypot(v.X, v.Y)
-}
-
-// Norm returns v scaled to unit length; the zero vector is returned as-is.
-func (v Vec) Norm() Vec {
-	l := v.Len()
-	if l == 0 {
-		return v
-	}
-	return Vec{v.X / l, v.Y / l}
-}
-
 // Rect is an axis-aligned rectangle with Min at the lower-left corner.
 type Rect struct {
 	Min, Max Point

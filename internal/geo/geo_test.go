@@ -31,18 +31,6 @@ func TestLerp(t *testing.T) {
 	}
 }
 
-func TestVecNorm(t *testing.T) {
-	v := Vec{3, 4}
-	n := v.Norm()
-	if math.Abs(n.Len()-1) > 1e-12 {
-		t.Fatalf("Norm length = %v", n.Len())
-	}
-	zero := Vec{}
-	if zero.Norm() != zero {
-		t.Fatal("Norm of zero vector changed it")
-	}
-}
-
 func TestVecScaleAdd(t *testing.T) {
 	p := Point{1, 1}.Add(Vec{2, 3}.Scale(2))
 	if p != (Point{5, 7}) {

@@ -59,10 +59,10 @@ type Config struct {
 	// Faults is the run's fault injector; nil disables fault injection at
 	// zero cost (every hot-path probe is a nil-guarded branch).
 	Faults *fault.Injector
-	// Planner forces one contact-scan planner; the zero value, which every
-	// production caller uses, runs the naive scan at every fleet size. The
-	// differential tests force the others. Every planner emits the same
-	// event stream byte for byte.
+	// Planner picks the contact-scan planner. Its zero value, AutoPlanner,
+	// which every production caller passes, is the naive scan; only tests
+	// force the kinetic planner or the reference scan. Every planner emits
+	// the same event stream byte for byte.
 	Planner Planner
 	// CellSize overrides the edge in metres of the fine cells whose grid
 	// order a tick's link-ups follow, which are also the kinetic planner's
@@ -91,13 +91,11 @@ type Config struct {
 type Planner uint8
 
 const (
-	// AutoPlanner is the production scan: NaivePlanner at every fleet
-	// size.
-	AutoPlanner Planner = iota
-	// NaivePlanner re-checks every pair on its neighbour list each tick,
+	// AutoPlanner is the production scan, the naive scan at every fleet
+	// size: it re-checks every pair on its neighbour list each tick,
 	// rebuilding the list every K ticks and sampling only the nodes on it
 	// in between (nlist.go).
-	NaivePlanner
+	AutoPlanner Planner = iota
 	// KineticPlanner parks nodes (kinetic.go). Since the neighbour list
 	// samples only its members it beats parking at every fleet size
 	// measured (PERFORMANCE.md §20), so only tests force it.

@@ -65,37 +65,6 @@ func TestKineticParksAndWakesAcrossWheelLaps(t *testing.T) {
 	}
 }
 
-// TestPlannerForFleetSize pins the automatic planner choice at the fleet
-// sizes the benchmarks run — Table II (100), Table III (200), densescan
-// (400), fleet-10k (10 000) and scan100k (100 000) — and at two nodes: the
-// naive scan at every one. A forced planner is kept.
-func TestPlannerForFleetSize(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		n    int
-	}{
-		{"two", 2},
-		{"table2", 100},
-		{"table3", 200},
-		{"densescan", 400},
-		{"fleet-10k", 10_000},
-		{"scan100k", 100_000},
-	} {
-		s := &scanner{models: make([]mobility.Model, tc.n), force: AutoPlanner}
-		if s.newPlanner() != nil {
-			t.Errorf("%s: the automatic choice built the kinetic planner for %d nodes", tc.name, tc.n)
-		}
-	}
-	if got := plannerFor(AutoPlanner); got != NaivePlanner {
-		t.Errorf("plannerFor(auto) = %d, want the naive scan", got)
-	}
-	for _, p := range []Planner{NaivePlanner, KineticPlanner, ReferencePlanner} {
-		if got := plannerFor(p); got != p {
-			t.Errorf("plannerFor(%d) = %d, want the forced planner", p, got)
-		}
-	}
-}
-
 // TestScheduledRunBuildsNoPlanner: a manager driven by a recorded contact
 // list never scans, so it must drop its scanner and never allocate a scan
 // planner, even a forced one. A scanning manager forced onto the kinetic

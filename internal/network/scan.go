@@ -169,18 +169,9 @@ func (s *scanner) scanUps() []pairKey {
 	return s.ups
 }
 
-// plannerFor resolves p: AutoPlanner becomes the naive scan at every fleet
-// size, and a forced planner stays itself.
-func plannerFor(p Planner) Planner {
-	if p == AutoPlanner {
-		return NaivePlanner
-	}
-	return p
-}
-
 // newPlanner builds the run's kinetic planner, or nil for the naive scan.
 func (s *scanner) newPlanner() *kinetic {
-	if plannerFor(s.force) == KineticPlanner {
+	if s.force == KineticPlanner {
 		return newKinetic(s)
 	}
 	return nil
