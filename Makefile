@@ -86,9 +86,10 @@ bench:
 # engine change that perturbs the event stream fails here before the full
 # bench-report would catch it. The huge
 # -max-regress disarms the timing gate (CI machines are noisy); only
-# determinism failures can trip it.
+# determinism failures can trip it. The temporary directory is removed on
+# every exit, failures and interrupts included.
 bench-smoke:
-	@tmp=$$(mktemp -d) && \
+	@tmp=$$(mktemp -d) || exit 1; trap 'rm -rf "$$tmp"' EXIT; trap 'exit 130' HUP INT TERM; \
 	$(GO) run ./cmd/dtnbench -smoke -iters 3 -out $$tmp/smoke.json -quiet && \
 	$(GO) run ./cmd/dtnbench -smoke -iters 2 -baseline $$tmp/smoke.json -max-regress 100000 -quiet && \
 	$(GO) run ./cmd/dtnbench -smoke -iters 2 -max-regress 100000 -quiet \
@@ -96,8 +97,7 @@ bench-smoke:
 	$(GO) run ./cmd/dtnbench -cases scan100k,densescan,table2,table3 -iters 2 -max-regress 100000 -quiet \
 		-baseline $$(ls BENCH_*.json | grep -v candidate | sort -t_ -k2 -n | tail -1) && \
 	$(GO) test -short -run 'TestGoldenTraceByteIdentical|TestReportByteStable|TestSmokeCaseMatchesGoldenCounters' ./internal/bench/ && \
-	$(GO) test -run 'TestScan100kScalesWithinBudget|TestCommittedScan100kPeakHeapWithinBudget' ./internal/bench/ && \
-	rm -rf $$tmp
+	$(GO) test -run 'TestScan100kScalesWithinBudget|TestCommittedScan100kPeakHeapWithinBudget' ./internal/bench/
 
 # Full regression suite (~15 s at -iters 3 on a 2-vCPU host): write a
 # candidate report and gate it against the newest committed BENCH_<n>.json.
@@ -127,12 +127,13 @@ bench-report:
 # The printed summary is the live stats.Collector, itself a fold of the
 # event vocabulary; stats -check compares it with dtntrace's independent
 # fold of the log, so any drift between the two and any nondeterminism in
-# the emit path fails here. The comparison of the naive scan and the
-# kinetic planner against the reference scan belongs to the Go differential
-# families (TestNaiveScanMatchesReference, TestKineticScanMatchesNaive) that
-# CI's scan-diff race step runs.
+# the emit path fails here. The comparison of the naive scan against the
+# reference scan belongs to the Go differential families
+# (TestNaiveScanMatchesReference) that CI's scan-diff race step runs. The
+# temporary directory, binaries and event logs included, is removed on
+# every exit, failures and interrupts included.
 trace-smoke:
-	@tmp=$$(mktemp -d) && \
+	@tmp=$$(mktemp -d) || exit 1; trap 'rm -rf "$$tmp"' EXIT; trap 'exit 130' HUP INT TERM; \
 	$(GO) build -o $$tmp/dtnsim ./cmd/dtnsim && \
 	$(GO) build -o $$tmp/dtntrace ./cmd/dtntrace && \
 	$$tmp/dtnsim -nodes 24 -duration 3600 -seed 3 \
@@ -173,8 +174,7 @@ trace-smoke:
 	{ $$tmp/dtnsim -contact-trace $$tmp/nan.txt > /dev/null 2> $$tmp/nan.err; [ $$? -eq 1 ]; } && \
 	grep -q 'line 2: start: "NaN" is not a finite number' $$tmp/nan.err && \
 	! grep -q panic $$tmp/nan.err && \
-	echo "NaN contact trace refused: $$(cat $$tmp/nan.err)" && \
-	rm -rf $$tmp
+	echo "NaN contact trace refused: $$(cat $$tmp/nan.err)"
 
 # Crash-safety gate (~5 s): run a sweep uninterrupted for reference TSVs,
 # rerun it with a run journal and SIGINT it mid-sweep (graceful drain) once
@@ -182,10 +182,12 @@ trace-smoke:
 # append, then resume — and require the resumed TSVs byte-identical to the
 # uninterrupted reference. Two workers run members of the sweep's shared
 # contact group (one recorded schedule, replayed by the rest) concurrently,
-# and the resume restarts that group with its first members journaled.
+# and the resume restarts that group with its first members journaled. The
+# temporary directory is removed on every exit, failures and interrupts
+# included.
 RESUME_SMOKE_FLAGS = -run fig8copies -scale 0.5 -nodes 60 -workers 2 -no-chart -quiet
 resume-smoke:
-	@tmp=$$(mktemp -d) && \
+	@tmp=$$(mktemp -d) || exit 1; trap 'rm -rf "$$tmp"' EXIT; trap 'exit 130' HUP INT TERM; \
 	$(GO) build -o $$tmp/experiments ./cmd/experiments && \
 	$$tmp/experiments $(RESUME_SMOKE_FLAGS) -out $$tmp/ref > $$tmp/ref.txt && \
 	{ $$tmp/experiments $(RESUME_SMOKE_FLAGS) -journal $$tmp/runs.jsonl \
@@ -197,8 +199,7 @@ resume-smoke:
 	$$tmp/experiments $(RESUME_SMOKE_FLAGS) -journal $$tmp/runs.jsonl -resume \
 		-out $$tmp/res > $$tmp/resumed.txt && \
 	diff -r $$tmp/ref $$tmp/res && diff $$tmp/ref.txt $$tmp/resumed.txt && \
-	echo "resume-smoke: resumed sweep byte-identical to uninterrupted reference" && \
-	rm -rf $$tmp
+	echo "resume-smoke: resumed sweep byte-identical to uninterrupted reference"
 
 # Short fuzzing bursts over the external-input parsers.
 fuzz:

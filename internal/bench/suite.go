@@ -73,6 +73,17 @@ func DenseScanScenario() config.Scenario {
 	return sc
 }
 
+// Scan100kPeakHeapBudget is the memory ceiling the scan100k case is gated
+// against, both on fresh runs (TestScan100kScalesWithinBudget) and on the
+// committed baseline (TestCommittedScan100kPeakHeapWithinBudget). On the
+// neighbour list the sampled peak reads ~69 MB (dtnbench -cases scan100k,
+// go1.24 on 2 vCPUs): the host slab (hosts with their buffers, drop tables
+// and rate estimators, ~34 MB) and the mobility slab (models and their RNG
+// substreams, ~17 MB) dominate. So 256 MB leaves ~3.9× headroom for
+// allocator and GC variance without ever admitting a per-pair design
+// (arrays of ~36 bytes per pair would want ~180 GB here).
+const Scan100kPeakHeapBudget = 256 << 20
+
 // Scan100kScenario is the contact scan's scale workload: 100 000 nodes — a
 // fleet no per-pair scan state could hold — walking a 250 km square sparse
 // enough that most nodes are on no listed pair, so the list's served ticks
@@ -83,17 +94,6 @@ func DenseScanScenario() config.Scenario {
 // few dozen bytes per node, so the whole run must fit a budget the
 // per-pair design would blow past by three orders of magnitude.
 // PERFORMANCE.md §7 and §20 document the cost model.
-// Scan100kPeakHeapBudget is the memory ceiling the scan100k case is gated
-// against, both on fresh runs (TestScan100kScalesWithinBudget) and on the
-// committed baseline (TestCommittedScan100kPeakHeapWithinBudget). The
-// sampled peak read ~72 MB under the kinetic planner, which ran scan100k
-// until the list replaced it: the host slab (hosts with their buffers,
-// drop tables and rate estimators, ~34 MB) and the mobility slab (models
-// and their RNG substreams, ~17 MB) dominate. So 256 MB leaves ~3.5× headroom for
-// allocator and GC variance without ever admitting a per-pair design
-// (arrays of ~36 bytes per pair would want ~180 GB here).
-const Scan100kPeakHeapBudget = 256 << 20
-
 func Scan100kScenario() config.Scenario {
 	sc := config.RandomWaypoint()
 	sc.Name = "bench-scan100k"

@@ -47,10 +47,9 @@ func TestF64RoundTrip(t *testing.T) {
 
 // TestJournalResultRoundTrip checks a journaled Result restores
 // field-for-field equal: a real run's, and the dense fixture, the Result of
-// a 400-node world on 1 km² as journals hold it from the kinetic scan
-// planner, which the automatic choice no longer picks and which no longer
-// retires. No production run sets its parked-work counters, and no run
-// its ScanFallback, any more, but a resumed sweep must restore them.
+// a 400-node world on 1 km² as journals hold it from a kinetic scan planner
+// that has since been deleted. No run sets its parked-work counters or its
+// ScanFallback any more, but a resumed sweep must restore them.
 func TestJournalResultRoundTrip(t *testing.T) {
 	dense := config.RandomWaypoint()
 	dense.Nodes, dense.Area, dense.Duration = 400, geo.NewRect(1000, 1000), 600

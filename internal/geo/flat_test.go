@@ -54,8 +54,8 @@ var gridLayouts = map[string]gridLayout{
 
 // TestGridMatchesReference is the flat layout's differential test: over
 // many seeds, layouts and cell sizes, Pairs must return the reference
-// grid's exact sequence (order, not just the set — kinetic's emitUps and
-// every trace depend on it). One grid instance is reused across every
+// grid's exact sequence (order, not just the set — the scanner's up order
+// and every trace depend on it). One grid instance is reused across every
 // tick, so stale state from a previous build would show. Every eighth seed
 // uses an area smaller than one cell, where every forward neighbour is out
 // of bounds.

@@ -21,7 +21,7 @@
 // occupancy bitmap, and a dense cell→slot table. A rebuild touches only the
 // items and the previous build's occupied cells and allocates nothing.
 // Cells is the cell mapping alone, with no index: the cells the contact
-// scanner's up order ranks and the kinetic scan planner buckets by.
+// scanner's up order ranks.
 //
 //lint:shard-safe pure geometry plus per-instance grid state; nothing shared
 package geo
@@ -57,9 +57,8 @@ func (p Point) Dist2(q Point) float64 {
 // not to exceed the exact Euclidean distance, shaving a relative 1e-9 plus
 // an absolute 1e-9 m to absorb every rounding step between the coordinates
 // and the square root. The contact scanner's neighbour list derives its
-// rebuild period from it, and the kinetic scan planner its park deadlines,
-// where an over-estimate would let a pair left off the list, or a parked
-// pair, come within range unseen.
+// rebuild period from it, where an over-estimate would let a pair left off
+// the list come within range unseen.
 func DistLowerBound(d2 float64) float64 {
 	d := math.Sqrt(d2)
 	return d - (d*1e-9 + 1e-9)

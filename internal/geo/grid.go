@@ -4,9 +4,8 @@ package geo
 // mapping a Grid indexes by, without the index. Points outside the area
 // clamp to the border cells. Structures that bucket by the CellIndex of the
 // same Cells agree exactly, every float-rounding decision included: the
-// contact scanner (internal/network) ranks its up order on Cells, and the
-// kinetic scan planner keeps incremental buckets on the same Cells, so both
-// stay byte-compatible with a Grid's Pairs enumeration at that cell size.
+// contact scanner (internal/network) ranks its up order on Cells, so it
+// stays byte-compatible with a Grid's Pairs enumeration at that cell size.
 type Cells struct {
 	area Rect
 	cell float64
@@ -37,29 +36,6 @@ func (c *Cells) Dims() (cols, rows int) { return c.cols, c.rows }
 func (c *Cells) CellIndex(p Point) int {
 	cx, cy := c.coords(p)
 	return cy*c.cols + cx
-}
-
-// BoundaryDist returns the distance from p to the nearest edge of cell ci's
-// box (≤ 0 when p lies on the boundary or outside the box, which happens
-// for clamped out-of-area points). Callers using it as a containment margin
-// must subtract their own conservative slack.
-//
-// Performance contract: pure arithmetic (axis minima, no square roots), no
-// allocation.
-func (c *Cells) BoundaryDist(p Point, ci int) float64 {
-	lox := c.area.Min.X + float64(ci%c.cols)*c.cell
-	loy := c.area.Min.Y + float64(ci/c.cols)*c.cell
-	d := p.X - lox
-	if hi := lox + c.cell - p.X; hi < d {
-		d = hi
-	}
-	if dy := p.Y - loy; dy < d {
-		d = dy
-	}
-	if hi := loy + c.cell - p.Y; hi < d {
-		d = hi
-	}
-	return d
 }
 
 // coords returns the column and row of the cell containing p, clamped to

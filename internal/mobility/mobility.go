@@ -41,20 +41,16 @@ type Model interface {
 	// three radio ranges, and is rebuilt only as often as the fleet's
 	// largest bound requires, so that no pair left off it can close to
 	// radio range before the next build. Between builds the scan samples
-	// only the nodes on a listed pair. The kinetic planner, which only
-	// tests force, parks a node until the tick at which any pair it is in
-	// could first close to radio range, and no longer than the bound
-	// proves it stays inside its grid bucket. The bound must therefore
-	// hold for the model's entire lifetime and must never under-report: a
+	// only the nodes on a listed pair. The bound must therefore hold for
+	// the model's entire lifetime and must never under-report: a
 	// too-small value silently breaks contact detection (missed link-ups),
-	// while a too-large value only costs more frequent rebuilds and
-	// earlier wake-ups. Models with a configured speed range return the
-	// range's upper cap; Static returns 0; trace playback (Path) returns
-	// the steepest segment speed measured once at construction. A model
-	// free to teleport may return +Inf, which makes the scan rebuild its
-	// list on every tick and disables parking for its pairs and nodes. The
-	// value must be constant across the model's lifetime — the scanners
-	// read it once at startup.
+	// while a too-large value only costs more frequent rebuilds. Models
+	// with a configured speed range return the range's upper cap; Static
+	// returns 0; trace playback (Path) returns the steepest segment speed
+	// measured once at construction. A model free to teleport may return
+	// +Inf, which makes the scan rebuild its list on every tick. The value
+	// must be constant across the model's lifetime — the scanner reads it
+	// once at startup.
 	MaxSpeed() float64
 }
 

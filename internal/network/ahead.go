@@ -26,8 +26,9 @@ import (
 // does on them, are what a lockstep scan produces. The two sides meet only
 // when one catches up with the other: the engine waits for a chunk the
 // scanner has not finished, the scanner for a chunk the engine has not
-// used up. Counters travel with their tick, so ScanStats counts exactly the
-// ticks the engine applied, however far ahead the scanner ran.
+// used up. Each tick's pairs-checked count travels with it, so ScanStats
+// counts exactly the ticks the engine applied, however far ahead the
+// scanner ran.
 
 const (
 	// lookahead bounds how far, in scan ticks, the scanner may run past the
@@ -43,13 +44,13 @@ const (
 )
 
 // chunk carries consecutive scan ticks from the scanner to the link layer:
-// their transitions, as a ContactPlan, and each tick's work.
+// their transitions, as a ContactPlan, and each tick's pairs checked.
 type chunk struct {
 	plan ContactPlan
-	// first is the tick work[0] describes; the chunk covers the ticks
-	// first … first+len(work)-1.
-	first int64
-	work  []tickWork
+	// first is the tick checked[0] describes; the chunk covers the ticks
+	// first … first+len(checked)-1.
+	first   int64
+	checked []uint64
 	// cursor is the link layer's first entry of plan.ticks not applied
 	// yet.
 	cursor int
@@ -59,7 +60,7 @@ type chunk struct {
 func (c *chunk) reset(first int64) {
 	c.plan.reset()
 	c.first = first
-	c.work = c.work[:0]
+	c.checked = c.checked[:0]
 	c.cursor = 0
 }
 
@@ -97,7 +98,7 @@ func newRunAhead(sc *scanner, next int64, at sim.Ticker) *runAhead {
 	a := &runAhead{sc: sc, next: next, at: at}
 	a.cond.L = &a.mu
 	for range streamChunks {
-		a.spare = append(a.spare, &chunk{work: make([]tickWork, 0, chunkTicks)})
+		a.spare = append(a.spare, &chunk{checked: make([]uint64, 0, chunkTicks)})
 	}
 	return a
 }
@@ -168,10 +169,10 @@ func (a *runAhead) produce(horizon float64) {
 		downs := a.sc.scanDowns(a.at.At)
 		ups := a.sc.scanUps()
 		c.plan.add(a.next, downs, ups)
-		c.work = append(c.work, a.sc.work)
+		c.checked = append(c.checked, a.sc.checked)
 		a.next++
 		a.at = a.at.Next()
-		if len(c.work) == chunkTicks || !a.at.Due(horizon) {
+		if len(c.checked) == chunkTicks || !a.at.Due(horizon) {
 			a.filling = nil
 			a.publish(c)
 		}
@@ -210,7 +211,7 @@ func (a *runAhead) end() {
 	defer a.mu.Unlock()
 	if r != nil {
 		a.failure = &scanPanic{value: r, stack: debug.Stack()}
-		if c := a.filling; c != nil && len(c.work) > 0 {
+		if c := a.filling; c != nil && len(c.checked) > 0 {
 			a.ready = append(a.ready, c)
 		}
 		a.filling = nil
@@ -227,7 +228,7 @@ func (a *runAhead) take(tick int64) *chunk {
 		return nil
 	}
 	c := a.cur
-	if c != nil && tick < c.first+int64(len(c.work)) {
+	if c != nil && tick < c.first+int64(len(c.checked)) {
 		return c
 	}
 	a.mu.Lock()

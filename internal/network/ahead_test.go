@@ -60,17 +60,15 @@ func walkers(n int, wrap func(mobility.Model) mobility.Model) (*sim.Engine, *Man
 }
 
 // outcome is what a walkers run must reproduce: its events, contacts and
-// scan counters.
+// pairs checked.
 type outcome struct {
-	events                    uint64
-	contacts                  int
-	checked, skipped, wakeups uint64
+	events   uint64
+	contacts int
+	checked  uint64
 }
 
 func outcomeOf(m *Manager, tr *eventHash) outcome {
-	o := outcome{events: tr.h, contacts: m.Contacts()}
-	o.checked, o.skipped, o.wakeups = m.ScanStats()
-	return o
+	return outcome{events: tr.h, contacts: m.Contacts(), checked: m.ScanStats()}
 }
 
 // lockstepWalkers runs walkers(n, wrap) to horizon with the scan in
@@ -88,10 +86,10 @@ func (a *runAhead) inFlight(applied int64) (ticks int64, ready int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, c := range a.ready {
-		ticks += int64(len(c.work))
+		ticks += int64(len(c.checked))
 	}
 	if c := a.cur; c != nil {
-		ticks += c.first + int64(len(c.work)) - applied
+		ticks += c.first + int64(len(c.checked)) - applied
 	}
 	return ticks, len(a.ready) + len(a.spare)
 }

@@ -59,21 +59,19 @@ type Config struct {
 	// Faults is the run's fault injector; nil disables fault injection at
 	// zero cost (every hot-path probe is a nil-guarded branch).
 	Faults *fault.Injector
-	// Planner picks the contact-scan planner. Its zero value, AutoPlanner,
-	// which every production caller passes, is the naive scan; only tests
-	// force the kinetic planner or the reference scan. Every planner emits
-	// the same event stream byte for byte.
+	// Planner picks the contact scan. Its zero value, AutoPlanner, which
+	// every production caller passes, is the naive scan; only tests force
+	// the reference scan, which emits the same event stream byte for byte.
 	Planner Planner
 	// CellSize overrides the edge in metres of the fine cells whose grid
-	// order a tick's link-ups follow, which are also the kinetic planner's
-	// buckets (0 uses the largest radio range, the minimum legal value — in
-	// smaller cells an in-range pair could span cells that are not
-	// neighbours). The neighbour list's build grid uses max(CellSize, its
-	// radius), so larger cells also mean fewer, fuller build cells over
-	// sparse areas. Contact semantics are unchanged, but the grid's
-	// enumeration order (and therefore same-tick link-up order) differs
-	// between cell sizes, so traces are only comparable across runs using
-	// the same value.
+	// order a tick's link-ups follow (0 uses the largest radio range, the
+	// minimum legal value — in smaller cells an in-range pair could span
+	// cells that are not neighbours). The neighbour list's build grid uses
+	// max(CellSize, its radius), so larger cells also mean fewer, fuller
+	// build cells over sparse areas. Contact semantics are unchanged, but
+	// the grid's enumeration order (and therefore same-tick link-up order)
+	// differs between cell sizes, so traces are only comparable across runs
+	// using the same value.
 	CellSize float64
 	// RecordPlan, when set, receives every link transition the scan makes
 	// (see ContactPlan); it must be empty. The scanner writes it, ahead of
@@ -81,13 +79,13 @@ type Config struct {
 	// run reaches its horizon and Run has returned.
 	RecordPlan *ContactPlan
 	// ReplayPlan, when set, replaces the scan: each tick applies the plan's
-	// recorded transitions instead, and no scan planner is built. The plan
-	// must come from a whole recording of a run with the same motion,
-	// node count, range, cell size, scan interval and horizon.
+	// recorded transitions instead, and no scanner is built. The plan must
+	// come from a whole recording of a run with the same motion, node
+	// count, range, cell size, scan interval and horizon.
 	ReplayPlan *ContactPlan
 }
 
-// Planner identifies a contact-scan planner.
+// Planner identifies a contact scan.
 type Planner uint8
 
 const (
@@ -96,13 +94,9 @@ const (
 	// rebuilding the list every K ticks and sampling only the nodes on it
 	// in between (nlist.go).
 	AutoPlanner Planner = iota
-	// KineticPlanner parks nodes (kinetic.go). Since the neighbour list
-	// samples only its members it beats parking at every fleet size
-	// measured (PERFORMANCE.md §20), so only tests force it.
-	KineticPlanner
 	// ReferencePlanner is the naive scan with no certificate: its list is
 	// rebuilt every tick at the largest range, a plain per-tick grid pass.
-	// It is the reference the differential tests hold every planner to, and
+	// It is the reference the differential tests hold the list to, and
 	// only tests force it.
 	ReferencePlanner
 )
@@ -210,10 +204,9 @@ type Manager struct {
 	scans int64
 	// cursor is the next unreplayed entry of cfg.ReplayPlan.ticks.
 	cursor int
-	// Scan-strategy counters of the applied ticks (see ScanStats).
+	// pairsChecked counts the pairs the applied ticks checked (see
+	// ScanStats).
 	pairsChecked uint64
-	pairsSkipped uint64
-	wakeups      uint64
 }
 
 // NewManager wires the radio model. hosts[i] moves along models[i]. It
@@ -279,14 +272,11 @@ func (m *Manager) coupled() bool {
 	return m.energy != nil || m.faults.ChurnEnabled() || m.faults.FlapEnabled()
 }
 
-// ScanStats reports the scan planner's work counters: distance-predicate
-// evaluations performed, ticks of work skipped by parking (parked
-// node-ticks under the kinetic planner; always 0 under the naive scan), and
-// wheel wakeups (nodes). These describe planner work, not simulation
-// outcome — they differ across planners while the event trace stays
-// byte-identical.
-func (m *Manager) ScanStats() (checked, skipped, wakeups uint64) {
-	return m.pairsChecked, m.pairsSkipped, m.wakeups
+// ScanStats reports the scan's work: the distance-predicate evaluations of
+// the ticks applied so far. It describes how the scan did its work, not
+// the simulation's outcome.
+func (m *Manager) ScanStats() (checked uint64) {
+	return m.pairsChecked
 }
 
 // Replaying reports whether the run's contacts come from Config.ReplayPlan
@@ -349,9 +339,9 @@ func (m *Manager) MeanContactDuration() float64 {
 
 // Scan makes one scan tick at time now: it takes the tick's transitions
 // from the run-ahead stream, the replayed plan or an inline scan, and
-// applies them. Exported for tests; normally driven by Start. Every planner
-// emits a byte-identical event stream, and so does the replay of a plan one
-// of them recorded, wherever the scanner ran.
+// applies them. Exported for tests; normally driven by Start. The scan emits
+// the reference scan's event stream byte for byte, and so does the replay
+// of a plan it recorded, wherever the scanner ran.
 func (m *Manager) Scan(now float64) {
 	m.scans++
 	m.next = sim.Ticker{At: now, Period: m.cfg.ScanInterval}.Next()
@@ -361,7 +351,7 @@ func (m *Manager) Scan(now float64) {
 		m.scanReplay(tick, now)
 	case c != nil:
 		m.applyPlanned(&c.plan, &c.cursor, tick, now)
-		m.account(c.work[tick-c.first])
+		m.pairsChecked += c.checked[tick-c.first]
 	default:
 		// No stream, or one drained whose goroutine ended: the scanner is
 		// at this tick, and a later RunAhead starts afresh from the next.
@@ -383,15 +373,8 @@ func (m *Manager) scanInline(now float64) {
 	}
 	freed := m.applyDowns(m.scan.scanDowns(now), now)
 	m.applyUps(m.scan.scanUps(), now)
-	m.account(m.scan.work)
+	m.pairsChecked += m.scan.checked
 	m.finishScan(freed, now)
-}
-
-// account adds one applied tick's scan work to the run's counters.
-func (m *Manager) account(w tickWork) {
-	m.pairsChecked += w.checked
-	m.pairsSkipped += w.skipped
-	m.wakeups += w.wakeups
 }
 
 // applyDowns tears down the links of pairs, a tick's downs in key order, and

@@ -47,10 +47,9 @@ import (
 // every tick at radius = the largest range through the same code: the
 // per-tick grid pass. The ReferencePlanner forces that everywhere.
 
-// maxPeriod caps the list's period and the kinetic planner's parks, so
-// that the accumulated float error of tick-time addition stays far inside
-// the one tick of margin; a list rebuilt, or a node re-checked, once every
-// million ticks is already free.
+// maxPeriod caps the list's period, so that the accumulated float error of
+// tick-time addition stays far inside the one tick of margin; a list
+// rebuilt once every million ticks is already free.
 const maxPeriod = 1_000_000
 
 // nlist is the naive scan's neighbour list.
@@ -91,13 +90,12 @@ func newList(models []mobility.Model, area geo.Rect, cell, maxRange, interval fl
 	return nlist{area: area, fine: cell, cell: max(cell, radius), radius: radius, period: period}
 }
 
-// boundTicks is the list's motion bound, and the kinetic planner's
-// (park.go): the whole ticks of interval seconds a gap of gap metres
-// provably stays open when it closes at most c metres per second,
-// ⌊gap/(c·interval)⌋, so that the ticks before the last keep one tick of
-// margin. It is 0 when the gap is already closed or c is +Inf (a
-// teleporting model), and maxPeriod when c is zero or the bound exceeds
-// the cap.
+// boundTicks is the list's motion bound: the whole ticks of interval
+// seconds a gap of gap metres provably stays open when it closes at most c
+// metres per second, ⌊gap/(c·interval)⌋, so that the ticks before the last
+// keep one tick of margin. It is 0 when the gap is already closed or c is
+// +Inf (a teleporting model), and maxPeriod when c is zero or the bound
+// exceeds the cap.
 //
 // Performance contract: pure arithmetic, no allocation.
 func boundTicks(gap, c, interval float64) int64 {

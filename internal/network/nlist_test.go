@@ -281,10 +281,10 @@ func TestListNeverMissesAContact(t *testing.T) {
 	}
 }
 
-// TestParkTicksDeadlines pins boundTicks on a pair's gap: the whole ticks a
-// pair d metres apart with range r provably stays out of range while it
-// closes at its two speed bounds, the deadline the list's period is built
-// on.
+// TestParkTicksDeadlines pins the neighbour list's boundTicks on a pair's
+// gap: the whole ticks a pair d metres apart with range r provably stays
+// out of range while it closes at its two speed bounds, the bound the
+// list's period is built on.
 func TestParkTicksDeadlines(t *testing.T) {
 	inf := math.Inf(1)
 	cases := []struct {
@@ -319,9 +319,10 @@ func TestParkTicksDeadlines(t *testing.T) {
 	}
 }
 
-// TestParkTicksConservative pins the safety property the list's exactness
-// rests on: over K ticks the pair can close at most K·c·I metres, which
-// never reaches the (conservatively lower-bounded) gap.
+// TestParkTicksConservative pins the safety property of the neighbour
+// list's boundTicks that the list's exactness rests on: over K ticks the
+// pair can close at most K·c·I metres, which never reaches the
+// (conservatively lower-bounded) gap.
 func TestParkTicksConservative(t *testing.T) {
 	for _, va := range []float64{0, 0.5, 2, 13.9} {
 		for _, vb := range []float64{0.01, 1, 7} {

@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 
 	"sdsrp/internal/geo"
@@ -22,9 +21,7 @@ import (
 // to 5 m/s, and each fleet is checked on the list's build tick and on the
 // last tick the list serves, where the cells are ranked from buckets the
 // nodes have moved up to 90 m away from. Candidates arrive shuffled, all of
-// them or a random subset (a real tick leaves out pairs already up). On the
-// build tick the candidates are also ranked from the kinetic planner's
-// buckets.
+// them or a random subset (a real tick leaves out pairs already up).
 func TestEmitOrderMatchesGridPairs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -82,13 +79,6 @@ func TestEmitOrderMatchesGridPairs(t *testing.T) {
 							t.Fatalf("tick %d: emission %d is %v, Pairs gives %v", tick, i, got[i], want[i])
 						}
 					}
-					if tick == 0 {
-						cands := slices.Clone(want)
-						s.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-						if got := emitKinetic(t, models, area, tc.cell, tc.radio, ranges, cands); !slices.Equal(got, want) {
-							t.Fatalf("kinetic buckets: emitted %v, Pairs gives %v", got, want)
-						}
-					}
 				}
 			})
 		}
@@ -128,19 +118,6 @@ func emitAt(t *testing.T, models []mobility.Model, area geo.Rect, cell, radio fl
 	}
 	sc.cands = append(sc.cands, want...)
 	s.Shuffle(len(sc.cands), func(i, j int) { sc.cands[i], sc.cands[j] = sc.cands[j], sc.cands[i] })
-	sc.emitOrdered(sc.rank)
+	sc.emitOrdered()
 	return want, sc.ups
-}
-
-// emitKinetic returns the order emitOrdered brings cands, candidates at
-// time 0, up in under the kinetic planner, which ranks each cell by a walk
-// of its bucket.
-func emitKinetic(t *testing.T, models []mobility.Model, area geo.Rect, cell, radio float64, ranges []float64, cands []pairKey) []pairKey {
-	t.Helper()
-	sc := testScanner(t, models, area, cell, radio, 1, ranges)
-	sc.plan = newKinetic(sc)
-	sc.plan.sampleAt(1, 0)
-	sc.cands = append(sc.cands, cands...)
-	sc.emitOrdered(sc.plan.minID)
-	return sc.ups
 }

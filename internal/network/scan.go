@@ -12,13 +12,12 @@ import (
 
 // This file holds the scanner, the half of the radio model that turns
 // motion into link transitions. It owns the mobility models, the sampled
-// positions, the fine cells, the neighbour list (nlist.go), the kinetic
-// planner (kinetic.go) when a test forces it, the scan counters and its own
-// record of which pairs are up, and makes each scan tick in two halves:
-// scanDowns returns the tick's downs in key order, scanUps its ups in
-// emission order, which emitOrdered alone knows. The link layer
-// (network.go) applies them, always through applyDowns, applyUps and
-// finishScan, whoever scanned:
+// positions, the fine cells, the neighbour list (nlist.go), the scan
+// counter and its own record of which pairs are up, and makes each scan
+// tick in two halves: scanDowns returns the tick's downs in key order,
+// scanUps its ups in emission order, which emitOrdered alone knows. The
+// link layer (network.go) applies them, always through applyDowns,
+// applyUps and finishScan, whoever scanned:
 //
 //   - a run-ahead world (links that depend on motion alone) runs the
 //     scanner on its own goroutine, ahead of the engine (ahead.go);
@@ -38,18 +37,13 @@ type scanner struct {
 	positions []geo.Point
 	now       float64
 	// cells is the fine tiling, of edge the largest radio range or
-	// Config.CellSize: the cells the up order ranks, and the kinetic
-	// planner's buckets.
-	cells    geo.Cells
-	interval float64
+	// Config.CellSize: the cells the up order ranks.
+	cells geo.Cells
 	// radio is the uniform range; ranges, when non-nil, gives each node
 	// its own, and maxRange is the largest of all.
 	radio    float64
 	ranges   []float64
 	maxRange float64
-	// force is the Config.Planner the planner is built from on the first
-	// tick.
-	force Planner
 
 	// links is the link layer whose battery and churn state gate the
 	// contact predicate. A run-ahead world has neither (both fields stay
@@ -57,9 +51,7 @@ type scanner struct {
 	// writes.
 	links *Manager
 
-	// plan is the kinetic planner, built on the first tick; nil runs the
-	// naive scan, which tests the pairs on list (nlist.go).
-	plan *kinetic
+	// list is the neighbour list whose pairs each tick tests.
 	list nlist
 	// flapped suppresses re-up of pairs whose contact the flap model cut,
 	// until the nodes genuinely separate (nil unless flapping is enabled).
@@ -74,22 +66,18 @@ type scanner struct {
 	// ticks counts the scan ticks made; the current tick's index is
 	// ticks-1.
 	ticks int64
-	// work is the current tick's scan work; downs and ups its transitions,
-	// reused from tick to tick.
-	work  tickWork
-	downs []pairKey
-	ups   []pairKey
+	// checked counts the pairs the current tick checked, its share of
+	// ScanStats; downs and ups are its transitions, reused from tick to
+	// tick.
+	checked uint64
+	downs   []pairKey
+	ups     []pairKey
 	// cands collects the tick's up candidates in no meaningful order, for
 	// emitOrdered; ord is its scratch.
 	cands []pairKey
 	ord   []upCand
 	// record, when set, receives every tick (Config.RecordPlan).
 	record *ContactPlan
-}
-
-// tickWork is one scan tick's planner work, its share of ScanStats.
-type tickWork struct {
-	checked, skipped, wakeups uint64
 }
 
 // newScanner builds the scanner of m's config over models, with fine cells
@@ -101,11 +89,9 @@ func newScanner(m *Manager, models []mobility.Model, cell, maxRange float64) *sc
 		positions: make([]geo.Point, n),
 		cells:     geo.NewCells(m.cfg.Area, cell),
 		list:      newList(models, m.cfg.Area, cell, maxRange, m.cfg.ScanInterval, m.cfg.Planner == ReferencePlanner),
-		interval:  m.cfg.ScanInterval,
 		radio:     m.cfg.Range,
 		ranges:    m.cfg.Ranges,
 		maxRange:  maxRange,
-		force:     m.cfg.Planner,
 		links:     m,
 		upAt:      make(map[pairKey]int32),
 		record:    m.cfg.RecordPlan,
@@ -117,64 +103,43 @@ func newScanner(m *Manager, models []mobility.Model, cell, maxRange float64) *sc
 }
 
 // scanDowns makes the first half of the next scan tick, at time now: it
-// samples positions, lets the planner check what is awake, and returns the
-// tick's downs in key order, already gone from the up record. The slice is
-// reused by the next tick.
+// samples positions and returns the tick's downs in key order, already gone
+// from the up record. The slice is reused by the next tick.
 func (s *scanner) scanDowns(now float64) []pairKey {
 	s.ticks++
-	if s.ticks == 1 {
-		s.plan = s.newPlanner()
-	}
-	s.work = tickWork{}
 	s.downs = s.downs[:0]
 	s.ups = s.ups[:0]
-	if s.plan != nil {
-		s.parkedDowns(now)
-	} else {
-		s.sample(now)
-		s.collectDowns()
-	}
+	s.sample(now)
+	s.collectDowns()
 	return s.downs
 }
 
 // scanUps makes the second half of the tick scanDowns began and returns its
-// ups in emission order, already in the up record; s.work then holds the
-// whole tick's work. The slice is reused by the next tick.
+// ups in emission order, already in the up record; s.checked then counts
+// the whole tick's pairs. The slice is reused by the next tick.
 func (s *scanner) scanUps() []pairKey {
-	if s.plan != nil {
-		s.parkedUps()
-	} else {
-		// Downs came first and freed endpoints; the naive ups are every
-		// in-contact listed pair that is not up yet.
-		pairs := s.listCands()
-		switch len(s.cands) {
-		case 0:
-		case 1:
-			s.bringUp(s.cands[0])
-		default:
-			s.emitOrdered(s.rank)
-		}
-		s.cands = s.cands[:0]
-		// Separated pairs may flap again on their next genuine contact.
-		for k := range s.flapped {
-			if !s.pairInContact(int(k[0]), int(k[1])) {
-				delete(s.flapped, k)
-			}
-		}
-		s.work.checked += uint64(len(s.up)) + uint64(pairs) + uint64(len(s.flapped))
+	// Downs came first and freed endpoints; the ups are every in-contact
+	// listed pair that is not up yet.
+	pairs := s.listCands()
+	switch len(s.cands) {
+	case 0:
+	case 1:
+		s.bringUp(s.cands[0])
+	default:
+		s.emitOrdered()
 	}
+	s.cands = s.cands[:0]
+	// Separated pairs may flap again on their next genuine contact.
+	for k := range s.flapped {
+		if !s.pairInContact(int(k[0]), int(k[1])) {
+			delete(s.flapped, k)
+		}
+	}
+	s.checked = uint64(len(s.up)) + uint64(pairs) + uint64(len(s.flapped))
 	if s.record != nil {
 		s.record.add(s.ticks-1, s.downs, s.ups)
 	}
 	return s.ups
-}
-
-// newPlanner builds the run's kinetic planner, or nil for the naive scan.
-func (s *scanner) newPlanner() *kinetic {
-	if s.force == KineticPlanner {
-		return newKinetic(s)
-	}
-	return nil
 }
 
 // isUp reports whether pair k is in the up record.
@@ -191,16 +156,10 @@ func (s *scanner) bringUp(k pairKey) {
 	s.upAt[k] = int32(len(s.up))
 	s.up = append(s.up, k)
 	s.ups = append(s.ups, k)
-	if s.plan != nil {
-		s.plan.onLinkUp(k)
-	}
 }
 
-// forget takes pair k out of the up record, if it is there, and wakes what
-// the kinetic planner parked around it: every teardown, the scan's own or a
-// flap or churn cut, goes through here, and the next tick re-parks what is
-// genuinely far. This conservative wake is what keeps fault interactions
-// exact.
+// forget takes pair k out of the up record, if it is there: every teardown,
+// the scan's own or a flap or churn cut, goes through here.
 func (s *scanner) forget(k pairKey) {
 	i, ok := s.upAt[k]
 	if !ok {
@@ -211,9 +170,6 @@ func (s *scanner) forget(k pairKey) {
 	s.upAt[last] = i
 	s.up = s.up[:len(s.up)-1]
 	delete(s.upAt, k)
-	if s.plan != nil {
-		s.plan.onLinkDown(k)
-	}
 }
 
 // flap cuts up pair k outside the scan and keeps it down until the nodes
@@ -298,13 +254,12 @@ func fwdDir(dx, dy int) int8 {
 // cell's own pairs, then those with its forward neighbours E, SW, S, SE;
 // within a phase, ascending (a, b), a from the generating cell. So a
 // candidate's place follows from its endpoints' cells alone, and no grid is
-// built. rank(ci) must return the smallest id of the nodes in fine cell ci
-// this tick: the naive scan finds it in the neighbour list's build grid
-// (scanner.rank, nlist.go), the kinetic planner by a walk of the cell's
-// bucket (kinetic.minID). Both endpoints of every candidate must be
-// sampled this tick. Every candidate is within range, and range is at most
-// the cell edge, so its cells are the same or adjacent.
-func (s *scanner) emitOrdered(rank func(ci int32) int32) {
+// built. A cell's rank, the smallest id of the nodes in it this tick, comes
+// from the neighbour list's build grid (scanner.rank, nlist.go). Both
+// endpoints of every candidate must be sampled this tick. Every candidate
+// is within range, and range is at most the cell edge, so its cells are the
+// same or adjacent.
+func (s *scanner) emitOrdered() {
 	cols, _ := s.cells.Dims()
 	ord := s.ord[:0]
 	for _, k := range s.cands {
@@ -323,7 +278,7 @@ func (s *scanner) emitOrdered(rank func(ci int32) int32) {
 				panic(fmt.Sprintf("network: up candidate %v spans non-adjacent cells %d and %d", k, ca, cb))
 			}
 		}
-		c.rank = rank(ca)
+		c.rank = s.rank(ca)
 		ord = append(ord, c)
 	}
 	s.ord = ord

@@ -18,27 +18,20 @@ import (
 // byte for byte and return the same Result, Perf included (scan counters,
 // events, peak queue; only the wall time differs). Coupled
 // families (battery, churn, flapping) scan in lockstep either way. Seeds
-// 1–3 run the automatic planner, the naive scan at every fleet size, and
-// seed 1 also the kinetic planner, forced.
+// 1–3 run AutoPlanner, the naive scan every production caller runs.
 func TestRunAheadMatchesLockstep(t *testing.T) {
 	for name, mk := range diffFamilies() {
-		for _, tc := range []struct {
-			seed    uint64
-			planner network.Planner
-		}{
-			{1, network.AutoPlanner}, {2, network.AutoPlanner}, {3, network.AutoPlanner},
-			{1, network.KineticPlanner},
-		} {
+		for _, seed := range []uint64{1, 2, 3} {
 			sc := mk()
-			sc.Seed = tc.seed
-			sc.Name = fmt.Sprintf("ahead-%s-%s-%d", name, plannerNames[tc.planner], tc.seed)
+			sc.Seed = seed
+			sc.Name = fmt.Sprintf("ahead-%s-auto-%d", name, seed)
 			t.Run(sc.Name, func(t *testing.T) {
 				t.Parallel()
-				stepped, resS, logS, err := runScenarioMode(sc, false, withPlanner(tc.planner))
+				stepped, resS, logS, err := runScenarioMode(sc, false)
 				if err != nil {
 					t.Fatalf("lockstep: %v", err)
 				}
-				ahead, resA, logA, err := runScenarioMode(sc, true, withPlanner(tc.planner))
+				ahead, resA, logA, err := runScenarioMode(sc, true)
 				if err != nil {
 					t.Fatalf("run-ahead: %v", err)
 				}

@@ -29,7 +29,6 @@ func diffBase() config.Scenario {
 // plannerNames labels the planners in failure messages.
 var plannerNames = map[network.Planner]string{
 	network.AutoPlanner:      "auto",
-	network.KineticPlanner:   "kinetic",
 	network.ReferencePlanner: "reference",
 }
 
@@ -76,7 +75,7 @@ func runScenarioMode(sc config.Scenario, ahead bool, opts ...BuildOption) ([]byt
 // assertPlannerMatchesReference runs sc under the reference scan (the naive
 // scan's list rebuilt every tick at the largest range, a plain per-tick
 // grid pass with no certificate) and under planner p, and fails on the
-// first diverging trace line.
+// first diverging trace line or on a different count of pairs checked.
 func assertPlannerMatchesReference(t *testing.T, sc config.Scenario, p network.Planner) {
 	t.Helper()
 	mode := plannerNames[p]
@@ -95,29 +94,18 @@ func assertPlannerMatchesReference(t *testing.T, sc config.Scenario, p network.P
 	if !reflect.DeepEqual(logR, logO) {
 		t.Fatalf("recorded contact logs diverge: reference %d entries, %s %d", len(logR), mode, len(logO))
 	}
-	// The kinetic planner must actually have parked nodes on these
-	// scenarios (otherwise the test only proves the reference equals
-	// itself). The naive scan parks nothing; its list's period is pinned by
-	// TestListNeverMissesAContact (internal/network), and it must check
-	// exactly the pairs the reference checks. The raw checked counters are
-	// NOT comparable across planners — the naive count is grid-prefiltered
-	// while the kinetic planner pays a different candidate set — so the
-	// ns/op claim lives in the bench suite, not here.
-	switch {
-	case p == network.AutoPlanner:
-		if resO.Perf.PairsChecked != resR.Perf.PairsChecked {
-			t.Errorf("naive scan checked %d pairs, the reference %d", resO.Perf.PairsChecked, resR.Perf.PairsChecked)
-		}
-	case resO.Perf.PairsSkipped == 0:
-		t.Errorf("%s run skipped no pair checks — planner inert?", mode)
+	// The list's period is pinned by TestListNeverMissesAContact
+	// (internal/network); whatever it is, the list must check exactly the
+	// pairs the reference's per-tick grid pass checks.
+	if resO.Perf.PairsChecked != resR.Perf.PairsChecked {
+		t.Errorf("%s scan checked %d pairs, the reference %d", mode, resO.Perf.PairsChecked, resR.Perf.PairsChecked)
 	}
 }
 
 // diffFamilies is the scenario matrix shared by every scanner-equivalence
 // test: all mobility kinds, walkers that pause, per-node ranges, cells
 // wider than the range, churn/flap faults, and energy death.
-// TestNaiveScanMatchesReference and TestKineticScanMatchesNaive hold the
-// naive scan and the kinetic planner to the reference scan,
+// TestNaiveScanMatchesReference holds the naive scan to the reference scan,
 // TestRunAheadMatchesLockstep (ahead_test.go) the run-ahead scan to the
 // lockstep one, and TestWorkerCountsMatchSerial (concurrency_test.go) runs
 // it serial-vs-concurrent.
@@ -150,18 +138,15 @@ func diffFamilies() map[string]func() config.Scenario {
 			sc := diffBase()
 			sc.Mobility = config.Mobility{Kind: config.MobilityMapGrid,
 				SpeedLo: 1, SpeedHi: 4, MapCols: 5, MapRows: 4, MapSpacing: 300}
-			// Non-default cell size, for two reasons: it runs the whole
-			// scanner matrix at an overridden CellSize, and it breaks the
-			// degenerate alignment where the 300 m road pitch is a multiple
-			// of the 100 m default cell — roads sitting exactly on bucket
-			// boundaries pin every kinetic cell deadline at zero.
+			// Non-default cell size, so that the whole scanner matrix runs
+			// at an overridden CellSize.
 			sc.CellSize = 130
 			return sc
 		},
 		"groups-static-relays-per-node-ranges": func() config.Scenario {
-			// Static relays (MaxSpeed 0 → nodes parked at the cap) with
-			// longer radios among RWP walkers: covers per-node ranges and
-			// the zero-closing-speed path.
+			// Static relays (MaxSpeed 0) with longer radios among RWP
+			// walkers: covers per-node ranges and relays that never close
+			// a gap on their own.
 			sc := diffBase()
 			sc.Groups = []config.Group{
 				{Name: "walkers", Count: 18, Mobility: config.Mobility{
@@ -173,8 +158,8 @@ func diffFamilies() map[string]func() config.Scenario {
 		},
 		"rwp-pauses": func() config.Scenario {
 			// Walkers that stop for up to two minutes between legs, so
-			// that nodes rest through list periods and park deadlines
-			// sized for their top speed.
+			// that nodes rest through list periods sized for their top
+			// speed.
 			sc := diffBase()
 			sc.Mobility = config.Mobility{Kind: config.MobilityRWP,
 				SpeedLo: 0.5, SpeedHi: 3, PauseLo: 0, PauseHi: 120}
@@ -187,10 +172,9 @@ func diffFamilies() map[string]func() config.Scenario {
 		},
 		"static-relays-churn": func() config.Scenario {
 			// In-range static-static pairs (closing speed 0) whose endpoints
-			// churn-crash and reboot: a planner must keep them awake —
-			// parking them for good would lose every post-reboot re-up the
-			// naive scanner emits. Dense relays guarantee in-range static
-			// pairs.
+			// churn-crash and reboot: the scan must keep checking them, or
+			// it would lose every post-reboot re-up the reference scan
+			// emits. Dense relays guarantee in-range static pairs.
 			sc := diffBase()
 			sc.Groups = []config.Group{
 				{Name: "walkers", Count: 12, Mobility: config.Mobility{
@@ -243,37 +227,16 @@ func TestNaiveScanMatchesReference(t *testing.T) {
 	}
 }
 
-// TestKineticScanMatchesNaive runs the same differential matrix against the
-// kinetic scanner: the grid-bucketed per-node planner must emit the
-// reference scan's event stream byte for byte on every family. It runs
-// seed 1 alone, since no production run builds the planner.
-func TestKineticScanMatchesNaive(t *testing.T) {
-	for name, mk := range diffFamilies() {
-		sc := mk()
-		sc.Seed = 1
-		sc.Name = fmt.Sprintf("kin-%s-1", name)
-		t.Run(sc.Name, func(t *testing.T) {
-			t.Parallel()
-			assertPlannerMatchesReference(t, sc, network.KineticPlanner)
-		})
-	}
-}
-
 // TestAutoPlannerMatchesForced pins the production scan's work on the
 // benchmark's worlds: Table II and Table III worlds, a shortened fleet-10k
 // world, a dense one, 400 nodes on 1 km², and a 65536-node fleet each run
-// once under AutoPlanner, the naive scan. Their seed-1 counters are pinned.
-// They equal a per-tick grid pass's (the reference scan's), so the
-// neighbour lists must check exactly the pairs such a pass checks, and the
-// parked-work counters read zero: the naive scan parks nothing. So an
-// automatic choice that built the kinetic planner for any of these fleet
-// sizes, 100 to 65 536 nodes, fails here, and TestNaiveScanMatchesReference
-// catches one built for its 16- to 24-node families. The dense world also
-// runs the kinetic planner forced, where so many nodes wake so often that
-// it checks more pairs than the list: it must park work and still emit the
-// same trace.
+// once under AutoPlanner, the naive scan, and their seed-1 pairs-checked
+// counts are pinned. They equal a per-tick grid pass's (the reference
+// scan's), so the neighbour lists must check exactly the pairs such a pass
+// checks at every fleet size from 100 to 65 536 nodes;
+// TestNaiveScanMatchesReference holds the list to the reference itself on
+// its 16- to 24-node families.
 func TestAutoPlannerMatchesForced(t *testing.T) {
-	type counters struct{ checked, skipped, wakeups uint64 }
 	fleet := func(nodes int, side, duration float64) config.Scenario {
 		sc := config.RandomWaypoint()
 		sc.Nodes = nodes
@@ -283,40 +246,26 @@ func TestAutoPlannerMatchesForced(t *testing.T) {
 		return sc
 	}
 	for _, tc := range []struct {
-		name    string
-		sc      config.Scenario
-		pinned  counters // seed 1
-		kinetic bool     // also run the kinetic planner, forced
+		name   string
+		sc     config.Scenario
+		pinned uint64 // pairs checked, seed 1
 	}{
-		{"table2", config.RandomWaypoint(), counters{528_148, 0, 0}, false},
-		{"table3", config.EPFL(), counters{369_362, 0, 0}, false},
-		{"dense", fleet(400, 1000, 600), counters{4_398_738, 0, 0}, true},
+		{"table2", config.RandomWaypoint(), 528_148},
+		{"table3", config.EPFL(), 369_362},
+		{"dense", fleet(400, 1000, 600), 4_398_738},
 		// fleet-10k's geometry: bench.Scan100kScenario at a tenth of the
 		// nodes on a tenth of the area, 60 s instead of 300.
 		{"fleet-10k", func() config.Scenario {
 			sc := fleet(10_000, 79_057, 60)
 			sc.CellSize = 500
 			return sc
-		}(), counters{31_352, 0, 0}, false},
-		{"fleet-65536", fleet(65536, 200_000, 60), counters{203_810, 0, 0}, false},
+		}(), 31_352},
+		{"fleet-65536", fleet(65536, 200_000, 60), 203_810},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			autoTrace, auto, _ := runScan(t, tc.sc, network.AutoPlanner)
-			if got := (counters{auto.Perf.PairsChecked, auto.Perf.PairsSkipped, auto.Perf.Wakeups}); got != tc.pinned {
-				t.Fatalf("scan counters %+v, pinned %+v", got, tc.pinned)
-			}
-			if !tc.kinetic {
-				return
-			}
-			kinTrace, kin, _ := runScan(t, tc.sc, network.KineticPlanner)
-			if kin.Perf.PairsSkipped == 0 {
-				t.Fatal("forced kinetic run parked nothing")
-			}
-			if kin.Perf.PairsChecked <= auto.Perf.PairsChecked {
-				t.Fatalf("forced kinetic run checked %d pairs, no more than the list's %d", kin.Perf.PairsChecked, auto.Perf.PairsChecked)
-			}
-			if !bytes.Equal(autoTrace, kinTrace) {
-				t.Fatal("forced kinetic run's trace differs from the automatic run's")
+			_, auto, _ := runScan(t, tc.sc, network.AutoPlanner)
+			if got := auto.Perf.PairsChecked; got != tc.pinned {
+				t.Fatalf("pairs checked %d, pinned %d", got, tc.pinned)
 			}
 		})
 	}

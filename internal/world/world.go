@@ -79,9 +79,9 @@ func ReplayContactPlan(p *network.ContactPlan) BuildOption {
 	return func(o *buildOptions) { o.replay = p }
 }
 
-// withPlanner forces the run's contact-scan planner, for the differential
-// tests; every other world runs the automatic choice, the naive scan at
-// every fleet size.
+// withPlanner forces the run's contact scan, for the differential tests,
+// which hold the naive scan to the reference scan; every other world runs
+// AutoPlanner, the naive scan.
 func withPlanner(p network.Planner) BuildOption {
 	return func(o *buildOptions) { o.planner = p }
 }
@@ -98,10 +98,8 @@ type Result struct {
 	Energy network.EnergyReport
 	// Perf is the engine-level performance digest: events dispatched,
 	// events/sec, peak queue depth, wall-clock, and the contact scanner's
-	// pairs-checked/skipped/wakeups counters. The planner counters
-	// describe how the scan did its work and legitimately differ across
-	// planners; everything the simulation observes (Events, PeakQueue,
-	// the trace, the Summary) is identical.
+	// pairs-checked counter, which describes how the scan did its work
+	// rather than what the simulation observed.
 	Perf obs.RunStats
 }
 
@@ -605,15 +603,12 @@ func (w *World) run(ahead bool) (Result, error) {
 
 // RunStats returns the engine-level performance digest of the run so far.
 func (w *World) RunStats() obs.RunStats {
-	checked, skipped, wakeups := w.Manager.ScanStats()
 	return obs.RunStats{
 		SimSeconds:   w.Engine.Now(),
 		Events:       w.Engine.Processed(),
 		PeakQueue:    w.Engine.PeakQueue(),
 		WallSeconds:  w.Engine.Wall().Seconds(),
-		PairsChecked: checked,
-		PairsSkipped: skipped,
-		Wakeups:      wakeups,
+		PairsChecked: w.Manager.ScanStats(),
 		Replayed:     w.Manager.Replaying(),
 	}
 }
