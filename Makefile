@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-report test test-short workload-test dropped-tests race bench bench-smoke bench-report trace-smoke resume-smoke fuzz fuzz-smoke experiments check resilience examples clean
+.PHONY: all build vet fmt-check lint lint-report test test-short workload-test dropped-tests same-output race bench bench-smoke bench-report trace-smoke resume-smoke fuzz fuzz-smoke experiments check resilience examples clean
 
 all: build vet fmt-check lint test
 
@@ -68,6 +68,37 @@ dropped-tests:
 	comm -23 "$$tmp/base.txt" "$$tmp/tree.txt" > "$$tmp/dropped.txt" && \
 	cat "$$tmp/dropped.txt" && \
 	echo "$$(wc -l < "$$tmp/dropped.txt" | tr -d ' ') test names dropped since $(BASE)"
+
+# Byte-identity gate for changes that must not move any output:
+# `make same-output BASE=<rev>` builds dtnsim and experiments at BASE,
+# checked out in a temporary git worktree under $TMPDIR, and in the working
+# tree. In one directory per side it runs a Table II run (seed 1) and a
+# 6 000 s Table III run (seed 2), each writing its event log, and every
+# experiment at seed 1 and a tenth of its scale, writing its TSVs. It then
+# diffs the two directories: event logs, stdout (less the perf line, whose
+# wall-clock readings vary) and TSVs. On any difference it lists the files
+# that differ and the diff's first lines, and fails. It takes ~5 s with
+# both builds cached. The worktree and both directories are removed on
+# every exit, interrupts included.
+same-output:
+	@[ -n "$(BASE)" ] || { echo "usage: make same-output BASE=<rev>" >&2; exit 2; }; \
+	tmp=$$(mktemp -d) || exit 1; \
+	trap 'git worktree remove --force "$$tmp/src" 2>/dev/null; git worktree prune; rm -rf "$$tmp"' EXIT; \
+	trap 'exit 130' HUP INT TERM; \
+	outputs() { \
+		bin="$$tmp/bin-$$1"; \
+		(cd "$$2" && $(GO) build -o "$$bin/" ./cmd/dtnsim ./cmd/experiments) && \
+		mkdir "$$tmp/$$1" && (cd "$$tmp/$$1" && \
+		"$$bin/dtnsim" -seed 1 -events rwp.jsonl > rwp.txt && \
+		"$$bin/dtnsim" -scenario epfl -seed 2 -duration 6000 -events epfl.jsonl > epfl.txt && \
+		"$$bin/experiments" -run all -seeds 1 -scale 0.1 -out tsv -no-chart -quiet > experiments.txt); \
+	}; \
+	git worktree add --quiet --detach "$$tmp/src" "$(BASE)" && \
+	outputs base "$$tmp/src" && outputs tree "$(CURDIR)" && \
+	if ! diff -r -I '^perf ' "$$tmp/base" "$$tmp/tree" > "$$tmp/diff.txt"; then \
+		grep -E '^(diff|Only in) ' "$$tmp/diff.txt"; head -20 "$$tmp/diff.txt"; \
+		echo "same-output: the outputs above differ from $(BASE)"; exit 1; fi && \
+	echo "same-output: event logs, stdout and $$(ls "$$tmp/tree/tsv" | wc -l | tr -d ' ') TSVs match $(BASE)"
 
 # Race-detector pass; exercises the concurrent experiment runner.
 race:

@@ -30,7 +30,7 @@ func main() {
 	var (
 		scenario       = flag.String("scenario", "rwp", "preset: rwp (Table II) or epfl (Table III)")
 		policy         = flag.String("policy", "SDSRP", "buffer policy: SprayAndWait, SprayAndWait-O, SprayAndWait-C, SDSRP, SDSRP-Taylor<k>, OracleUtility, Knapsack, DropLargest")
-		protocol       = flag.String("protocol", "spray-and-wait", "routing protocol: spray-and-wait, spray-and-wait-source, epidemic, direct, spray-and-focus")
+		protocol       = flag.String("protocol", "spray-and-wait", "routing protocol: spray-and-wait, spray-and-wait-source, epidemic, direct, spray-and-focus, prophet, spray-and-wait-predict")
 		copies         = flag.Int("copies", 0, "initial copies L (0 = preset)")
 		bufferMB       = flag.Float64("buffer", 0, "buffer size in MB (0 = preset)")
 		gen            = flag.String("gen", "", "generation interval \"lo,hi\" seconds (empty = preset, \"off\" disables)")
@@ -53,7 +53,6 @@ func main() {
 		eventsOut      = flag.String("events", "", "write the structured lifecycle event log (JSONL) to this path (.gz = gzip)")
 		snapInterval   = flag.Float64("snapshot-interval", 0, "emit a snapshot event into the event log every N sim-seconds (0 = off; needs -events)")
 		profileOut     = flag.String("profile", "", "write a CPU profile of the run to this path")
-		cellSize       = flag.Float64("cell-size", 0, "scan grid cell edge in metres (0 = radio range; must be >= range)")
 		maxEvents      = flag.Uint64("max-events", 0, "stop the run after this many engine events and report partial metrics (0 = unbounded)")
 	)
 	flag.Parse()
@@ -137,9 +136,6 @@ func main() {
 	}
 	if *warmup > 0 {
 		sc.Warmup = *warmup
-	}
-	if *cellSize > 0 {
-		sc.CellSize = *cellSize
 	}
 	if *energyCap > 0 {
 		sc.Energy = config.Energy{Capacity: *energyCap, ScanPerSec: 0.5, TxPerSec: 15, RxPerSec: 10}

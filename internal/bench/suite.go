@@ -88,8 +88,8 @@ const Scan100kPeakHeapBudget = 256 << 20
 // fleet no per-pair scan state could hold — walking a 250 km square sparse
 // enough that most nodes are on no listed pair, so the list's served ticks
 // sample a fraction of the fleet. Traffic is disabled so the measurement
-// isolates contact detection, and the cell size is raised to 500 m, which
-// sets both the fine cells and the list's build cells. The case doubles as
+// isolates contact detection. As in every world, the 100 m range sets the
+// fine cells and the list's 300 m radius its build cells. The case doubles as
 // the suite's peak-memory gate (Perf.PeakHeapBytes): the scan's state is a
 // few dozen bytes per node, so the whole run must fit a budget the
 // per-pair design would blow past by three orders of magnitude.
@@ -101,7 +101,6 @@ func Scan100kScenario() config.Scenario {
 	sc.Area = geo.NewRect(250_000, 250_000)
 	sc.Duration = 300
 	sc.GenIntervalLo = 0 // traffic-free: scanner cost only
-	sc.CellSize = 500
 	return sc
 }
 

@@ -14,11 +14,8 @@ import (
 	"sdsrp/internal/mobility"
 )
 
-// Byte-size units (decimal, as in the ONE simulator's "2.5M").
-const (
-	KB int64 = 1_000
-	MB int64 = 1_000_000
-)
+// MB is the byte-size unit (decimal, as in the ONE simulator's "2.5M").
+const MB int64 = 1_000_000
 
 // MobilityKind selects the movement model.
 type MobilityKind string
@@ -96,14 +93,6 @@ type Scenario struct {
 	Range        float64 // radio range, m
 	Bandwidth    float64 // bytes/s
 	ScanInterval float64 // connectivity scan period, s
-	// CellSize overrides the spatial-hash cell edge (metres) used by the
-	// connectivity scan's grid. 0, the default, uses the largest radio
-	// range in the scenario — the smallest complete cell. Values below
-	// that range are rejected (a 3×3 neighbourhood would miss in-range
-	// pairs). Changing the cell size changes the grid's pair enumeration
-	// order, so traces are only comparable across runs that share a cell
-	// size.
-	CellSize float64
 
 	BufferBytes int64
 	MessageSize int64
@@ -262,9 +251,6 @@ func (s Scenario) Validate() error {
 	if s.ScanInterval <= 0 {
 		add("scan interval %v must be positive", s.ScanInterval)
 	}
-	if s.CellSize != 0 && s.CellSize < s.Range {
-		add("cell size %v must be 0 (auto) or >= range %v", s.CellSize, s.Range)
-	}
 	if s.MessageSize <= 0 {
 		add("message size %d must be positive", s.MessageSize)
 	}
@@ -322,11 +308,9 @@ func (s Scenario) Validate() error {
 			default:
 				add("group %d has unsupported mobility kind %q", i, g.Mobility.Kind)
 			}
+			checkMotion(g.Mobility, fmt.Sprintf("group %d ", i), add)
 			if g.BufferBytes > 0 && g.BufferBytes < maxMsg {
 				add("group %d buffer %dB cannot hold a %dB message", i, g.BufferBytes, maxMsg)
-			}
-			if s.CellSize != 0 && g.Range > s.CellSize {
-				add("group %d range %v exceeds cell size %v", i, g.Range, s.CellSize)
 			}
 		}
 		if total < 2 {
@@ -337,21 +321,13 @@ func (s Scenario) Validate() error {
 		}
 		return errors.Join(errs...)
 	}
+	checkMotion(s.Mobility, "", add)
 	switch s.Mobility.Kind {
 	case MobilityRWP, MobilityRandomDirection:
-		if s.Mobility.SpeedHi < s.Mobility.SpeedLo || s.Mobility.SpeedLo <= 0 {
-			add("speed range [%v,%v] invalid", s.Mobility.SpeedLo, s.Mobility.SpeedHi)
-		}
 		if s.Area.W() <= 0 || s.Area.H() <= 0 {
 			add("area %v degenerate", s.Area)
 		}
 	case MobilityRandomWalk:
-		if s.Mobility.EpochDist <= 0 {
-			add("random walk epoch distance must be positive")
-		}
-		if s.Mobility.SpeedLo <= 0 {
-			add("speed must be positive")
-		}
 	case MobilityTaxi:
 		if s.Mobility.SampleInterval <= 0 {
 			add("taxi sample interval must be positive")
@@ -373,15 +349,9 @@ func (s Scenario) Validate() error {
 		if s.Mobility.MapDropProb < 0 || s.Mobility.MapDropProb >= 1 {
 			add("map-grid drop probability must be in [0,1)")
 		}
-		if s.Mobility.SpeedLo <= 0 || s.Mobility.SpeedHi < s.Mobility.SpeedLo {
-			add("speed range [%v,%v] invalid", s.Mobility.SpeedLo, s.Mobility.SpeedHi)
-		}
 	case MobilityMapFile:
 		if s.Mobility.MapFile == "" {
 			add("map-file mobility needs MapFile")
-		}
-		if s.Mobility.SpeedLo <= 0 || s.Mobility.SpeedHi < s.Mobility.SpeedLo {
-			add("speed range [%v,%v] invalid", s.Mobility.SpeedLo, s.Mobility.SpeedHi)
 		}
 	case MobilityONEFile:
 		if s.Mobility.TraceFile == "" {
@@ -391,6 +361,25 @@ func (s Scenario) Validate() error {
 		add("unknown mobility kind %q", s.Mobility.Kind)
 	}
 	return errors.Join(errs...)
+}
+
+// checkMotion reports, each error prefixed by where, the parameters of m
+// that break the speed bound its model reports. The waypoint and map kinds
+// draw every leg's speed from [SpeedLo, SpeedHi] and report SpeedHi as
+// MaxSpeed, on which the contact scan's neighbour list sizes its period, so
+// an inverted range would let nodes outrun the bound and the scan miss
+// contacts. A random walk also needs legs of positive length, or each
+// position sample would walk zero-length legs without end.
+func checkMotion(m Mobility, where string, add func(string, ...any)) {
+	switch m.Kind {
+	case MobilityRWP, MobilityRandomWalk, MobilityRandomDirection, MobilityMapGrid, MobilityMapFile:
+		if !(0 < m.SpeedLo && m.SpeedLo <= m.SpeedHi) {
+			add("%sspeed range [%v,%v] invalid", where, m.SpeedLo, m.SpeedHi)
+		}
+	}
+	if m.Kind == MobilityRandomWalk && !(m.EpochDist > 0) {
+		add("%srandom walk epoch distance must be positive", where)
+	}
 }
 
 // nonFinite reports every NaN or ±Inf float64 reachable from v through

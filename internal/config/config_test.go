@@ -75,6 +75,7 @@ func TestValidateCatchesProblems(t *testing.T) {
 		mut(&sc)
 		return sc.Validate()
 	}
+	group := func(m Mobility) []Group { return []Group{{Name: "g", Count: 4, Mobility: m}} }
 	cases := map[string]func(*Scenario){
 		"duration":      func(s *Scenario) { s.Duration = 0 },
 		"nodes":         func(s *Scenario) { s.Nodes = 1 },
@@ -88,6 +89,9 @@ func TestValidateCatchesProblems(t *testing.T) {
 		"copies":        func(s *Scenario) { s.InitialCopies = 0 },
 		"expiry":        func(s *Scenario) { s.ExpiryInterval = 0 },
 		"speed":         func(s *Scenario) { s.Mobility.SpeedLo, s.Mobility.SpeedHi = 0, 0 },
+		"walk speed":    func(s *Scenario) { s.Mobility = Mobility{Kind: MobilityRandomWalk, SpeedLo: 3, EpochDist: 250} },
+		"group speed":   func(s *Scenario) { s.Groups = group(Mobility{Kind: MobilityRWP, SpeedLo: 8, SpeedHi: 1}) },
+		"group epoch":   func(s *Scenario) { s.Groups = group(Mobility{Kind: MobilityRandomWalk, SpeedLo: 1, SpeedHi: 3}) },
 		"mobility kind": func(s *Scenario) { s.Mobility.Kind = "hovercraft" },
 		"trace dir":     func(s *Scenario) { s.Mobility = Mobility{Kind: MobilityTraceDir} },
 		"fault loss":    func(s *Scenario) { s.Faults.TransferLossProb = 1.5 },
@@ -129,7 +133,6 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"Range", func(s *Scenario) *float64 { return &s.Range }},
 		{"Bandwidth", func(s *Scenario) *float64 { return &s.Bandwidth }},
 		{"ScanInterval", func(s *Scenario) *float64 { return &s.ScanInterval }},
-		{"CellSize", func(s *Scenario) *float64 { return &s.CellSize }},
 		{"TTL", func(s *Scenario) *float64 { return &s.TTL }},
 		{"GenIntervalLo", func(s *Scenario) *float64 { return &s.GenIntervalLo }},
 		{"GenIntervalHi", func(s *Scenario) *float64 { return &s.GenIntervalHi }},

@@ -425,9 +425,6 @@ func (j *Journal) Entries() []Entry {
 	return out
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close syncs and closes the journal file. The Journal remains readable
 // (Lookup/Entries) but further Records fail.
 func (j *Journal) Close() error {

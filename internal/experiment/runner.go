@@ -205,9 +205,7 @@ func shrinkArea(sc *config.Scenario, ratio float64) {
 // results; errors.Is(err, ErrInterrupted) distinguishes an interrupt from
 // real failures.
 func (o Options) RunScenarios(scs []config.Scenario) ([]world.Result, error) {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
+	o = o.withDefaults()
 	progress := o.ProgressStats
 	results := make([]world.Result, len(scs))
 	errs := make([]error, len(scs))

@@ -32,7 +32,6 @@ var contactFields = map[string]bool{
 	"Scenario.Range":                 true,
 	"Scenario.Bandwidth":             false,
 	"Scenario.ScanInterval":          true,
-	"Scenario.CellSize":              true,
 	"Scenario.BufferBytes":           false,
 	"Scenario.MessageSize":           false,
 	"Scenario.MessageSizeHi":         false,

@@ -259,14 +259,6 @@ func assignRoles(s *rng.Stream, nodes int, blackFrac, selfishFrac float64) []Rol
 	return roles
 }
 
-// Config returns the configuration (zero value on the nil injector).
-func (in *Injector) Config() Config {
-	if in == nil {
-		return Config{}
-	}
-	return in.cfg
-}
-
 // LoseTransfer draws whether the transfer that just completed on the wire
 // is discarded by the receiver. No draw happens at zero intensity.
 func (in *Injector) LoseTransfer() bool {

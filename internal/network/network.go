@@ -63,16 +63,6 @@ type Config struct {
 	// every production caller passes, is the naive scan; only tests force
 	// the reference scan, which emits the same event stream byte for byte.
 	Planner Planner
-	// CellSize overrides the edge in metres of the fine cells whose grid
-	// order a tick's link-ups follow (0 uses the largest radio range, the
-	// minimum legal value — in smaller cells an in-range pair could span
-	// cells that are not neighbours). The neighbour list's build grid uses
-	// max(CellSize, its radius), so larger cells also mean fewer, fuller
-	// build cells over sparse areas. Contact semantics are unchanged, but
-	// the grid's enumeration order (and therefore same-tick link-up order)
-	// differs between cell sizes, so traces are only comparable across runs
-	// using the same value.
-	CellSize float64
 	// RecordPlan, when set, receives every link transition the scan makes
 	// (see ContactPlan); it must be empty. The scanner writes it, ahead of
 	// the engine in a run-ahead world, and the recording is whole once the
@@ -81,7 +71,7 @@ type Config struct {
 	// ReplayPlan, when set, replaces the scan: each tick applies the plan's
 	// recorded transitions instead, and no scanner is built. The plan must
 	// come from a whole recording of a run with the same motion, node
-	// count, range, cell size, scan interval and horizon.
+	// count, ranges, scan interval and horizon.
 	ReplayPlan *ContactPlan
 }
 
@@ -232,13 +222,6 @@ func NewManager(eng *sim.Engine, cfg Config, hosts []*routing.Host, models []mob
 			}
 		}
 	}
-	cell := maxRange
-	if cfg.CellSize != 0 {
-		if cfg.CellSize < maxRange {
-			return nil, fmt.Errorf("network: cell size %v is below the largest radio range %v (a 3×3 bucket neighbourhood would miss contacts)", cfg.CellSize, maxRange)
-		}
-		cell = cfg.CellSize
-	}
 	m := &Manager{
 		eng:    eng,
 		cfg:    cfg,
@@ -259,7 +242,7 @@ func NewManager(eng *sim.Engine, cfg Config, hosts []*routing.Host, models []mob
 		cfg.RecordPlan.nodes = n
 	}
 	if cfg.ReplayPlan == nil {
-		m.scan = newScanner(m, models, cell, maxRange)
+		m.scan = newScanner(m, models, maxRange)
 	}
 	return m, nil
 }

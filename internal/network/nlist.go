@@ -37,7 +37,7 @@ import (
 // id in each endpoint's fine cell (scanner.emitOrdered), which may be a
 // node the tick did not sample. The build grid finds it: until the next
 // build a node moves less than half the gap, under maxRange = radius/3 and
-// so under a third of a build cell, whose edge is at least radius. A node
+// so under a third of a build cell, whose edge is radius. A node
 // in fine cell ci now therefore sat, at the build, in a build cell that
 // overlaps ci's box grown by one build cell on every side; rank walks those
 // cells, sampling the non-members it reads.
@@ -55,10 +55,7 @@ const maxPeriod = 1_000_000
 // nlist is the naive scan's neighbour list.
 type nlist struct {
 	area geo.Rect
-	// fine is the edge of the scanner's fine cells; cell is the edge of the
-	// build grid's, radius or fine where that is larger.
-	fine   float64
-	cell   float64
+	// radius is the listed pairs' reach and the build grid's cell edge.
 	radius float64
 	period int64
 	// due is the scanner tick (scanner.ticks) of the next build; all
@@ -75,9 +72,9 @@ type nlist struct {
 }
 
 // newList sizes the neighbour list of models, scanned every interval
-// seconds over area with fine cells of edge cell and largest radio range
-// maxRange. reference forces period 1 at radius maxRange.
-func newList(models []mobility.Model, area geo.Rect, cell, maxRange, interval float64, reference bool) nlist {
+// seconds over area with largest radio range maxRange. reference forces
+// period 1 at radius maxRange.
+func newList(models []mobility.Model, area geo.Rect, maxRange, interval float64, reference bool) nlist {
 	vmax := 0.0
 	for _, m := range models {
 		vmax = max(vmax, m.MaxSpeed())
@@ -87,7 +84,7 @@ func newList(models []mobility.Model, area geo.Rect, cell, maxRange, interval fl
 	if period < 2 || reference {
 		radius, period = maxRange, 1
 	}
-	return nlist{area: area, fine: cell, cell: max(cell, radius), radius: radius, period: period}
+	return nlist{area: area, radius: radius, period: period}
 }
 
 // boundTicks is the list's motion bound: the whole ticks of interval
@@ -137,7 +134,7 @@ func (s *scanner) sample(now float64) {
 func (s *scanner) build() {
 	l := &s.list
 	if l.grid == nil {
-		l.grid = geo.NewGrid(l.area, l.cell, len(s.positions))
+		l.grid = geo.NewGrid(l.area, l.radius, len(s.positions))
 		l.member = make([]bool, len(s.positions))
 	}
 	l.grid.Update(s.positions)
@@ -193,12 +190,12 @@ func (s *scanner) listCands() int {
 func (s *scanner) rank(ci int32) int32 {
 	l := &s.list
 	cols, _ := s.cells.Dims()
-	x := l.area.Min.X + float64(int(ci)%cols)*l.fine
-	y := l.area.Min.Y + float64(int(ci)/cols)*l.fine
+	x := l.area.Min.X + float64(int(ci)%cols)*s.maxRange
+	y := l.area.Min.Y + float64(int(ci)/cols)*s.maxRange
 	// The build cells of the grown box's corners; CellIndex clamps, so a
 	// fine cell on the area's border reaches the build grid's border too.
-	lo := l.grid.CellIndex(geo.Point{X: x - l.cell, Y: y - l.cell})
-	hi := l.grid.CellIndex(geo.Point{X: x + l.fine + l.cell, Y: y + l.fine + l.cell})
+	lo := l.grid.CellIndex(geo.Point{X: x - l.radius, Y: y - l.radius})
+	hi := l.grid.CellIndex(geo.Point{X: x + s.maxRange + l.radius, Y: y + s.maxRange + l.radius})
 	gcols, _ := l.grid.Dims()
 	best := int32(math.MaxInt32)
 	for row := lo / gcols; row <= hi/gcols; row++ {

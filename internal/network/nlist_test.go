@@ -16,10 +16,10 @@ import (
 	"sdsrp/internal/trace"
 )
 
-// testScanner builds the scanner of a fleet of models on fine cells of the
-// given area and edge, with radio range radio (or the per-node ranges, when
-// not nil) and scan interval, with no scan driven.
-func testScanner(t *testing.T, models []mobility.Model, area geo.Rect, cell, radio, interval float64, ranges []float64) *scanner {
+// testScanner builds the scanner of a fleet of models over the given area,
+// with radio range radio (or the per-node ranges, when not nil) and scan
+// interval, with no scan driven.
+func testScanner(t *testing.T, models []mobility.Model, area geo.Rect, radio, interval float64, ranges []float64) *scanner {
 	t.Helper()
 	eng := sim.NewEngine()
 	collector := stats.NewCollector()
@@ -34,7 +34,7 @@ func testScanner(t *testing.T, models []mobility.Model, area geo.Rect, cell, rad
 	}
 	m, err := NewManager(eng, Config{
 		Area: area, Range: radio, Ranges: ranges, Bandwidth: 100, ScanInterval: interval,
-		CellSize: cell, Tracer: collector,
+		Tracer: collector,
 	}, hosts, models)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,6 @@ func (m *scripted) MaxSpeed() float64       { return m.max }
 type listWorld struct {
 	name     string
 	area     geo.Rect // the grid's
-	cell     float64
 	radio    float64
 	interval float64
 	models   func(t *testing.T, s *rng.Stream) []mobility.Model
@@ -86,13 +85,13 @@ func listWorlds() []listWorld {
 	}
 	small := geo.NewRect(800, 600)
 	return []listWorld{
-		{"rwp-pauses", small, 60, 60, 1, rwp(small, 14, 0.5, 3, 0, 120)},
-		{"rwp-table2-speed", small, 75, 50, 1, rwp(small, 14, 2, 2, 0, 0)},
-		{"rwp-long-ticks", small, 60, 60, 2.5, rwp(small, 14, 0.5, 3, 0, 30)},
+		{"rwp-pauses", small, 60, 1, rwp(small, 14, 0.5, 3, 0, 120)},
+		{"rwp-table2-speed", small, 50, 1, rwp(small, 14, 2, 2, 0, 0)},
+		{"rwp-long-ticks", small, 60, 2.5, rwp(small, 14, 0.5, 3, 0, 30)},
 		// The walkers roam 1200 m squares, the grid covers 800 m: positions
 		// beyond it clamp to the border buckets.
-		{"out-of-area", small, 60, 60, 1, rwp(geo.NewRect(1200, 1200), 14, 0.5, 3, 0, 60)},
-		{"static-peers", small, 60, 60, 1, func(t *testing.T, s *rng.Stream) []mobility.Model {
+		{"out-of-area", small, 60, 1, rwp(geo.NewRect(1200, 1200), 14, 0.5, 3, 0, 60)},
+		{"static-peers", small, 60, 1, func(t *testing.T, s *rng.Stream) []mobility.Model {
 			ms := rwp(small, 8, 0.5, 3, 0, 60)(t, s)
 			for i := 0; i < 6; i++ {
 				p := s.SplitIndex("relay", i)
@@ -103,7 +102,7 @@ func listWorlds() []listWorld {
 		// Half the fares end at a hotspot far outside the area, which clamps
 		// to the corner: consecutive corner fares are zero-length legs, and
 		// a taxi that starts there begins on a zero-duration one.
-		{"taxi-zero-legs", small, 60, 60, 1, func(_ *testing.T, s *rng.Stream) []mobility.Model {
+		{"taxi-zero-legs", small, 60, 1, func(_ *testing.T, s *rng.Stream) []mobility.Model {
 			cfg := mobility.TaxiConfig{
 				Area:        small,
 				Hotspots:    []mobility.Hotspot{{Center: geo.Point{X: -1e5, Y: -1e5}, Sigma: 1, Weight: 1}},
@@ -117,21 +116,21 @@ func listWorlds() []listWorld {
 			}
 			return ms
 		}},
-		{"random-direction", small, 60, 60, 1, func(_ *testing.T, s *rng.Stream) []mobility.Model {
+		{"random-direction", small, 60, 1, func(_ *testing.T, s *rng.Stream) []mobility.Model {
 			ms := make([]mobility.Model, 14)
 			for i := range ms {
 				ms[i] = mobility.NewRandomDirection(small, 0.5, 3, 0, 30, s.SplitIndex("node", i))
 			}
 			return ms
 		}},
-		{"random-walk", small, 60, 60, 1, func(_ *testing.T, s *rng.Stream) []mobility.Model {
+		{"random-walk", small, 60, 1, func(_ *testing.T, s *rng.Stream) []mobility.Model {
 			ms := make([]mobility.Model, 14)
 			for i := range ms {
 				ms[i] = mobility.NewRandomWalk(small, 1, 4, 150, s.SplitIndex("node", i))
 			}
 			return ms
 		}},
-		{"map-route", small, 70, 60, 1, func(t *testing.T, s *rng.Stream) []mobility.Model {
+		{"map-route", small, 60, 1, func(t *testing.T, s *rng.Stream) []mobility.Model {
 			g, err := graph.GridCity(4, 3, 250, 0, s.Split("map"))
 			if err != nil {
 				t.Fatal(err)
@@ -144,7 +143,7 @@ func listWorlds() []listWorld {
 			}
 			return ms
 		}},
-		{"taxi-path", small, 60, 60, 1, func(t *testing.T, s *rng.Stream) []mobility.Model {
+		{"taxi-path", small, 60, 1, func(t *testing.T, s *rng.Stream) []mobility.Model {
 			f := trace.Synthesize(trace.SynthesizeConfig{
 				Taxi: mobility.TaxiConfig{
 					Area:        small,
@@ -161,7 +160,7 @@ func listWorlds() []listWorld {
 			}
 			return ms
 		}},
-		{"head-on", small, 75, 50, 1, func(_ *testing.T, s *rng.Stream) []mobility.Model {
+		{"head-on", small, 50, 1, func(_ *testing.T, s *rng.Stream) []mobility.Model {
 			// Pair k starts 451 + 0.5k m apart on its own row, so at tick 100
 			// it is 151 + 0.5k m apart, just beyond the 150 m list radius,
 			// and at tick 134, after 34 ticks at the 3 m/s closing bound,
@@ -176,7 +175,7 @@ func listWorlds() []listWorld {
 			}
 			return ms
 		}},
-		{"teleport", small, 60, 60, 1, func(_ *testing.T, s *rng.Stream) []mobility.Model {
+		{"teleport", small, 60, 1, func(_ *testing.T, s *rng.Stream) []mobility.Model {
 			ms := make([]mobility.Model, 14)
 			for i := range ms {
 				ms[i] = teleporter{area: small, seed: uint64(s.IntN(1 << 30))}
@@ -229,7 +228,7 @@ func TestListNeverMissesAContact(t *testing.T) {
 	for _, w := range listWorlds() {
 		for seed := uint64(1); seed <= 3; seed++ {
 			twin := w.models(t, rng.New(seed))
-			sc := testScanner(t, w.models(t, rng.New(seed)), w.area, w.cell, w.radio, w.interval, nil)
+			sc := testScanner(t, w.models(t, rng.New(seed)), w.area, w.radio, w.interval, nil)
 			l := &sc.list
 			switch {
 			case w.name == "teleport" && (l.period != 1 || l.radius != w.radio):
@@ -353,7 +352,7 @@ func TestParkTicksConservative(t *testing.T) {
 func walkScan(t *testing.T, w listWorld, seed uint64, first, ticks int, visit func(m int, sc *scanner, truth []geo.Point)) {
 	t.Helper()
 	traj := trajectory(w.models(t, rng.New(seed)), ticks, w.interval)
-	sc := testScanner(t, w.models(t, rng.New(seed)), w.area, w.cell, w.radio, w.interval, nil)
+	sc := testScanner(t, w.models(t, rng.New(seed)), w.area, w.radio, w.interval, nil)
 	nan := geo.Point{X: math.NaN(), Y: math.NaN()}
 	for m := first; m <= ticks; m++ {
 		for i := range sc.positions {
@@ -412,37 +411,30 @@ func TestListSamplesEveryContact(t *testing.T) {
 // in the last build's buckets, to the cells of a twin fleet's true
 // positions: on every tick of every family and seed, build or served, it
 // must return the smallest id of every occupied fine cell, whose other
-// nodes may be members or not. Each family also runs on fine cells four
-// times its range, the cells whose edge sets the build cells' (max(fine,
-// 3 × range)), where nodes that share a fine cell need not share a listed
-// pair.
+// nodes may be members or not.
 func TestRankMatchesFineCells(t *testing.T) {
 	const ticks = 600
 	var served, nonMembers int
-	for _, base := range listWorlds() {
-		wide := base
-		wide.name, wide.cell = base.name+"-wide", 4*base.radio
-		for _, w := range []listWorld{base, wide} {
-			for seed := uint64(1); seed <= 3; seed++ {
-				walkScan(t, w, seed, 0, ticks, func(m int, sc *scanner, truth []geo.Point) {
-					want := map[int32]int32{}
-					for i := len(truth) - 1; i >= 0; i-- {
-						want[int32(sc.cells.CellIndex(truth[i]))] = int32(i)
+	for _, w := range listWorlds() {
+		for seed := uint64(1); seed <= 3; seed++ {
+			walkScan(t, w, seed, 0, ticks, func(m int, sc *scanner, truth []geo.Point) {
+				want := map[int32]int32{}
+				for i := len(truth) - 1; i >= 0; i-- {
+					want[int32(sc.cells.CellIndex(truth[i]))] = int32(i)
+				}
+				for ci, id := range want {
+					if got := sc.rank(ci); got != id {
+						t.Fatalf("%s seed %d tick %d: rank(%d) = %d, want %d (build every %d ticks, members %v)",
+							w.name, seed, m, ci, got, id, sc.list.period, sc.list.members)
 					}
-					for ci, id := range want {
-						if got := sc.rank(ci); got != id {
-							t.Fatalf("%s seed %d tick %d: rank(%d) = %d, want %d (build every %d ticks, members %v)",
-								w.name, seed, m, ci, got, id, sc.list.period, sc.list.members)
-						}
-						if !sc.list.all && !sc.list.member[id] {
-							nonMembers++
-						}
+					if !sc.list.all && !sc.list.member[id] {
+						nonMembers++
 					}
-					if !sc.list.all {
-						served++
-					}
-				})
-			}
+				}
+				if !sc.list.all {
+					served++
+				}
+			})
 		}
 	}
 	t.Logf("%d served ticks; %d ranks a non-member set", served, nonMembers)

@@ -36,8 +36,8 @@ type scanner struct {
 	// time, for every node the tick sampled (see scanner.sample).
 	positions []geo.Point
 	now       float64
-	// cells is the fine tiling, of edge the largest radio range or
-	// Config.CellSize: the cells the up order ranks.
+	// cells is the fine tiling, of edge the largest radio range: the
+	// cells the up order ranks.
 	cells geo.Cells
 	// radio is the uniform range; ranges, when non-nil, gives each node
 	// its own, and maxRange is the largest of all.
@@ -80,15 +80,15 @@ type scanner struct {
 	record *ContactPlan
 }
 
-// newScanner builds the scanner of m's config over models, with fine cells
-// of edge cell.
-func newScanner(m *Manager, models []mobility.Model, cell, maxRange float64) *scanner {
+// newScanner builds the scanner of m's config over models, whose largest
+// radio range is maxRange.
+func newScanner(m *Manager, models []mobility.Model, maxRange float64) *scanner {
 	n := len(models)
 	s := &scanner{
 		models:    models,
 		positions: make([]geo.Point, n),
-		cells:     geo.NewCells(m.cfg.Area, cell),
-		list:      newList(models, m.cfg.Area, cell, maxRange, m.cfg.ScanInterval, m.cfg.Planner == ReferencePlanner),
+		cells:     geo.NewCells(m.cfg.Area, maxRange),
+		list:      newList(models, m.cfg.Area, maxRange, m.cfg.ScanInterval, m.cfg.Planner == ReferencePlanner),
 		radio:     m.cfg.Range,
 		ranges:    m.cfg.Ranges,
 		maxRange:  maxRange,
@@ -257,8 +257,8 @@ func fwdDir(dx, dy int) int8 {
 // built. A cell's rank, the smallest id of the nodes in it this tick, comes
 // from the neighbour list's build grid (scanner.rank, nlist.go). Both
 // endpoints of every candidate must be sampled this tick. Every candidate
-// is within range, and range is at most the cell edge, so its cells are the
-// same or adjacent.
+// is within the largest range, the cell edge, so its cells are the same or
+// adjacent.
 func (s *scanner) emitOrdered() {
 	cols, _ := s.cells.Dims()
 	ord := s.ord[:0]

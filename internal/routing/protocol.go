@@ -203,8 +203,8 @@ func (p *SprayAndFocus) Eligible(a, b *Host, s *msg.Stored) (Kind, bool) {
 	return 0, false
 }
 
-// ProtocolByName resolves a protocol name: "spray-and-wait" (binary),
-// "spray-and-wait-source", "epidemic", "direct", "spray-and-focus".
+// ProtocolByName resolves "spray-and-wait" (binary), "spray-and-wait-source",
+// "epidemic", "direct", "spray-and-focus", "prophet", "spray-and-wait-predict".
 func ProtocolByName(name string) (Protocol, bool) {
 	switch name {
 	case "spray-and-wait", "snw", "":

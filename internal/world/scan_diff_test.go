@@ -104,7 +104,7 @@ func assertPlannerMatchesReference(t *testing.T, sc config.Scenario, p network.P
 
 // diffFamilies is the scenario matrix shared by every scanner-equivalence
 // test: all mobility kinds, walkers that pause, per-node ranges, cells
-// wider than the range, churn/flap faults, and energy death.
+// wider than every pair's range, churn/flap faults, and energy death.
 // TestNaiveScanMatchesReference holds the naive scan to the reference scan,
 // TestRunAheadMatchesLockstep (ahead_test.go) the run-ahead scan to the
 // lockstep one, and TestWorkerCountsMatchSerial (concurrency_test.go) runs
@@ -138,9 +138,6 @@ func diffFamilies() map[string]func() config.Scenario {
 			sc := diffBase()
 			sc.Mobility = config.Mobility{Kind: config.MobilityMapGrid,
 				SpeedLo: 1, SpeedHi: 4, MapCols: 5, MapRows: 4, MapSpacing: 300}
-			// Non-default cell size, so that the whole scanner matrix runs
-			// at an overridden CellSize.
-			sc.CellSize = 130
 			return sc
 		},
 		"groups-static-relays-per-node-ranges": func() config.Scenario {
@@ -196,13 +193,16 @@ func diffFamilies() map[string]func() config.Scenario {
 			return sc
 		},
 		"wide-cells": func() config.Scenario {
-			// Fine cells five times the range, as wide as the list's
-			// build cells: nodes on no listed pair, which the list's
-			// served ticks do not sample, share fine cells with the
-			// tick's up candidates, so the up order's ranks must sample
-			// them.
+			// One 500 m radio among the 100 m walkers: the largest range
+			// sets fine cells five times the range of every pair, so the
+			// walker that ranks an up candidate's cell need not be on any
+			// of the tick's candidates, and the list's radius, 1 500 m,
+			// and period, about 250 ticks, are the matrix's longest.
 			sc := diffBase()
-			sc.CellSize = 5 * sc.Range
+			sc.Groups = []config.Group{
+				{Name: "walkers", Count: sc.Nodes - 1, Mobility: sc.Mobility},
+				{Name: "beacon", Count: 1, Range: 5 * sc.Range, Mobility: sc.Mobility},
+			}
 			return sc
 		},
 	}
@@ -255,11 +255,7 @@ func TestAutoPlannerMatchesForced(t *testing.T) {
 		{"dense", fleet(400, 1000, 600), 4_398_738},
 		// fleet-10k's geometry: bench.Scan100kScenario at a tenth of the
 		// nodes on a tenth of the area, 60 s instead of 300.
-		{"fleet-10k", func() config.Scenario {
-			sc := fleet(10_000, 79_057, 60)
-			sc.CellSize = 500
-			return sc
-		}(), 31_352},
+		{"fleet-10k", fleet(10_000, 79_057, 60), 31_352},
 		{"fleet-65536", fleet(65536, 200_000, 60), 203_810},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

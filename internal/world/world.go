@@ -165,7 +165,6 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 		ScanInterval: sc.ScanInterval,
 		Ranges:       ranges,
 		Planner:      bo.planner,
-		CellSize:     sc.CellSize,
 		Tracer:       tr,
 		Faults:       inj,
 		RecordPlan:   bo.record,
