@@ -2,15 +2,18 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-report test test-short workload-test dropped-tests same-output race bench bench-smoke bench-report trace-smoke resume-smoke fuzz fuzz-smoke experiments check resilience examples clean
+.PHONY: all build vet fmt-check lint lint-report test test-short workload-test workload-ab dropped-tests same-output race bench bench-smoke bench-report trace-smoke resume-smoke fuzz fuzz-smoke experiments check resilience examples clean
 
 all: build vet fmt-check lint test
 
 build:
 	$(GO) build ./...
 
+# The workload benchmark (cmd/dtnworkload) is its own module, which
+# `go vet ./...` at the root skips, so it is vetted on its own.
 vet:
 	$(GO) vet ./...
+	cd cmd/dtnworkload && GOWORK=off $(GO) vet .
 
 # Formatting gate: fails, listing the files, when any Go file in the tree
 # (the workload benchmark module included) is not gofmt-clean.
@@ -45,6 +48,59 @@ test-short:
 # table, and the pinned seed-1 fingerprints.
 workload-test:
 	cd cmd/dtnworkload && GOWORK=off $(GO) test .
+
+# Alternating end-to-end pairs of the workload benchmark against a base
+# revision, PERFORMANCE §11's method: `make workload-ab BASE=<rev>`. BASE is
+# checked out into a temporary git worktree under $TMPDIR, and its benchmark
+# binary is built and run through BASE's own cmd/dtnworkload/run.sh (the
+# first build fills that checkout's empty build cache); the working tree's
+# runs through the tree's run.sh. Each workload in WORKLOADS (default: all
+# four) runs PAIRS alternating pairs (default 10) with --seed 1 --seconds
+# SECONDS (default 25), odd pairs BASE first, all of one workload's pairs
+# before the next workload's. Then, for each workload and metric, it prints
+# both sides' medians and quartiles (linear interpolation between the
+# sorted runs) and the pairs in which the tree read lower. It fails as soon
+# as a run fails, prints correct:false or reports a non-zero fail_ratio.
+# Ten pairs of all four workloads take ~45 min. The worktree and the runs'
+# output are removed on every exit, interrupts included.
+PAIRS ?= 10
+WORKLOADS ?= rwp-long taxi fleet-10k fig8-buffer
+SECONDS ?= 25
+workload-ab:
+	@[ -n "$(BASE)" ] || { echo "usage: make workload-ab BASE=<rev> [PAIRS=10] [WORKLOADS='rwp-long ...'] [SECONDS=25]" >&2; exit 2; }; \
+	tmp=$$(mktemp -d) || exit 1; \
+	trap 'git worktree remove --force "$$tmp/src" 2>/dev/null; git worktree prune; rm -rf "$$tmp"' EXIT; \
+	trap 'exit 130' HUP INT TERM; \
+	run() { \
+		if [ "$$1" = base ]; then dir="$$tmp/src"; else dir="$(CURDIR)"; fi; \
+		out="$$tmp/$$1-$$2-$$3"; \
+		if ! (cd "$$dir" && bash cmd/dtnworkload/run.sh --workload "$$2" --seed 1 --seconds "$(SECONDS)") \
+				> "$$out.txt" 2> "$$out.err" || \
+			! grep -q '^fail_ratio 0 ratio$$' "$$out.txt" || ! grep -q '"correct":true' "$$out.txt"; then \
+			echo "workload-ab: $$1 run of $$2, pair $$3, failed:"; tail -n 5 "$$out.err" "$$out.txt"; return 1; fi; \
+		awk -v s="$$1" -v w="$$2" -v p="$$3" 'NF == 3 && $$1 != "fail_ratio" { print w, $$1, s, p, $$2, $$3 }' \
+			"$$out.txt" >> "$$tmp/runs.txt"; \
+	}; \
+	git worktree add --quiet --detach "$$tmp/src" "$(BASE)" || exit 1; \
+	for w in $(WORKLOADS); do \
+		p=1; while [ $$p -le $(PAIRS) ]; do \
+			if [ $$((p % 2)) -eq 1 ]; then run base $$w $$p && run tree $$w $$p || exit 1; \
+			else run tree $$w $$p && run base $$w $$p || exit 1; fi; \
+			echo "workload-ab: $$w pair $$p of $(PAIRS) done" >&2; p=$$((p + 1)); \
+		done; \
+	done; \
+	awk 'function q(k, s, f,   a, m, i, j, t, h) { \
+			m = n[k, s]; for (i = 1; i <= m; i++) a[i] = v[k, s, i]; \
+			for (i = 2; i <= m; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t; } \
+			h = 1 + f * (m - 1); i = int(h); return i >= m ? a[m] : a[i] + (h - i) * (a[i + 1] - a[i]); } \
+		function side(k, s) { return sprintf("%#.4g [%#.4g, %#.4g]", q(k, s, 0.5), q(k, s, 0.25), q(k, s, 0.75)); } \
+		{ k = $$1 SUBSEP $$2; if (!(k in unit)) { keys[++nk] = k; unit[k] = $$6; } \
+			v[k, $$3, ++n[k, $$3]] = $$5; at[k, $$3, $$4] = $$5; } \
+		END { printf "%-12s %-8s %-5s %-34s %-34s %s\n", "workload", "metric", "unit", "base median [q1, q3]", "tree median [q1, q3]", "tree lower"; \
+			for (o = 1; o <= nk; o++) { k = keys[o]; split(k, name, SUBSEP); lower = 0; \
+				for (p = 1; p <= n[k, "base"]; p++) if (at[k, "tree", p] < at[k, "base", p]) lower++; \
+				printf "%-12s %-8s %-5s %-34s %-34s %d/%d\n", name[1], name[2], unit[k], side(k, "base"), side(k, "tree"), lower, n[k, "base"]; } }' \
+		"$$tmp/runs.txt"
 
 # Test names, subtests included, that ran at BASE and no longer run in the
 # working tree, one package:name a line, then their count:

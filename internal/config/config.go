@@ -286,6 +286,17 @@ func (s Scenario) Validate() error {
 	if s.Energy.Capacity < 0 || s.Energy.ScanPerSec < 0 || s.Energy.TxPerSec < 0 || s.Energy.RxPerSec < 0 {
 		add("energy parameters must be non-negative")
 	}
+	// Without an oracle rate every node learns λ with an estimator that
+	// blends the prior in as PriorWeight pseudo-samples of mean
+	// PriorMeanIntermeeting, which only a positive mean makes sense of.
+	if s.OracleRateMean <= 0 {
+		if s.PriorWeight < 0 {
+			add("prior weight %v must be non-negative", s.PriorWeight)
+		}
+		if s.PriorWeight > 0 && s.PriorMeanIntermeeting <= 0 {
+			add("prior mean intermeeting %v must be positive when the prior weighs %v", s.PriorMeanIntermeeting, s.PriorWeight)
+		}
+	}
 	groupNames := make([]string, 0, len(s.Groups))
 	for _, g := range s.Groups {
 		groupNames = append(groupNames, g.Name)

@@ -99,11 +99,25 @@ func TestValidateCatchesProblems(t *testing.T) {
 		"fault churn":   func(s *Scenario) { s.Faults.Churn.MeanUp = 100 }, // no MeanDown
 		"fault roles":   func(s *Scenario) { s.Faults.BlackHoleFraction, s.Faults.SelfishFraction = 0.7, 0.7 },
 		"churn group":   func(s *Scenario) { s.Faults.Churn = fault.Churn{MeanUp: 10, MeanDown: 10, Groups: []string{"ghost"}} },
+		"prior weight":  func(s *Scenario) { s.PriorWeight = -3 },
+		"prior mean":    func(s *Scenario) { s.PriorMeanIntermeeting = 0 },
 	}
 	for name, mut := range cases {
 		if err := break3(mut); err == nil {
 			t.Fatalf("Validate accepted broken %s", name)
 		}
+	}
+}
+
+// TestValidateIgnoresPriorUnderOracle: an oracle rate replaces every
+// node's estimator, so the prior it would have blended in is never read,
+// and Validate accepts a prior it rejects for an estimator.
+func TestValidateIgnoresPriorUnderOracle(t *testing.T) {
+	sc := RandomWaypoint()
+	sc.OracleRateMean = 20000
+	sc.PriorMeanIntermeeting, sc.PriorWeight = 0, -3
+	if err := sc.Validate(); err != nil {
+		t.Fatalf("oracle-rate scenario with an unused prior rejected: %v", err)
 	}
 }
 

@@ -1,15 +1,25 @@
 package core
 
+// Prior is what the λ estimators of one world share: the prior mean
+// intermeeting time in seconds, its weight in pseudo-samples, and N, the
+// network size (read by CensusEstimator alone). Mean must be > 0 when
+// Weight > 0. An estimator keeps a pointer to it, so a world's estimators
+// hold one copy and it must not change once they are built.
+type Prior struct {
+	Mean   float64
+	Weight float64
+	Nodes  int
+}
+
 // LambdaEstimator maintains a node's running estimate of the mean
 // intermeeting time E(I) from its own contact history (Definition 1). A
 // configurable prior keeps the estimate sane before enough samples arrive;
-// the prior is blended as priorWeight pseudo-samples.
+// the prior is blended as Weight pseudo-samples.
 type LambdaEstimator struct {
-	priorMean   float64
-	priorWeight float64
-	sum         float64
-	n           int
-	lastEnd     map[int]float64 // peer -> end time of previous contact
+	prior   *Prior
+	sum     float64
+	n       int
+	lastEnd map[int]float64 // peer -> end time of previous contact
 }
 
 // NewLambdaEstimator returns an estimator seeded with a prior mean
@@ -17,15 +27,16 @@ type LambdaEstimator struct {
 // priorMean must be > 0 when priorWeight > 0.
 func NewLambdaEstimator(priorMean, priorWeight float64) *LambdaEstimator {
 	e := new(LambdaEstimator)
-	InitLambdaEstimator(e, priorMean, priorWeight)
+	InitLambdaEstimator(e, &Prior{Mean: priorMean, Weight: priorWeight})
 	return e
 }
 
 // InitLambdaEstimator fills e in place as NewLambdaEstimator would build
-// it, for callers that keep a fleet's estimators in one slab. The contact
-// history map is made on the first contact end.
-func InitLambdaEstimator(e *LambdaEstimator, priorMean, priorWeight float64) {
-	*e = LambdaEstimator{priorMean: priorMean, priorWeight: priorWeight}
+// it on prior p, for callers that keep a fleet's estimators in one slab
+// with one Prior. The contact history map is made on the first contact
+// end.
+func InitLambdaEstimator(e *LambdaEstimator, p *Prior) {
+	*e = LambdaEstimator{prior: p}
 }
 
 // OnContactStart records the start of a contact with peer at time now and
@@ -53,11 +64,11 @@ func (e *LambdaEstimator) Samples() int { return e.n }
 
 // MeanI returns the blended estimate of E(I).
 func (e *LambdaEstimator) MeanI() float64 {
-	w := e.priorWeight + float64(e.n)
+	w := e.prior.Weight + float64(e.n)
 	if w == 0 {
 		return 0
 	}
-	return (e.priorMean*e.priorWeight + e.sum) / w
+	return (e.prior.Mean*e.prior.Weight + e.sum) / w
 }
 
 // Lambda returns λ = 1/E(I), or 0 when no information is available.
@@ -74,14 +85,6 @@ func (e *LambdaEstimator) EIMin(nodes int) float64 {
 	return e.MeanI() / float64(nodes-1)
 }
 
-// ContactObserver is implemented by rate estimators that learn from the
-// node's contact history; the routing host feeds them on every link
-// transition.
-type ContactObserver interface {
-	OnContactStart(peer int, now float64)
-	OnContactEnd(peer int, now float64)
-}
-
 // CensusEstimator estimates λ from the node's contact *rate* rather than
 // from completed intermeeting gaps: a node that has seen c contacts over
 // elapsed time t with N−1 potential peers estimates the pairwise meeting
@@ -92,13 +95,11 @@ type ContactObserver interface {
 // censored: pairs that fail to re-meet within the run contribute nothing,
 // biasing E(I) low by whatever fraction of pairwise gaps outlast the
 // experiment — a factor of ~7 at the paper's Table II scale. The prior is
-// blended as priorWeight pseudo-contacts spread over the prior mean.
+// blended as Weight pseudo-contacts spread over the prior mean.
 type CensusEstimator struct {
-	priorMean   float64
-	priorWeight float64
-	nodes       int
-	contacts    int
-	lastEvent   float64
+	prior     *Prior
+	contacts  int
+	lastEvent float64
 }
 
 // NewCensusEstimator returns a census estimator for a network of nodes
@@ -106,17 +107,18 @@ type CensusEstimator struct {
 // pseudo-contacts.
 func NewCensusEstimator(priorMean, priorWeight float64, nodes int) *CensusEstimator {
 	e := new(CensusEstimator)
-	InitCensusEstimator(e, priorMean, priorWeight, nodes)
+	InitCensusEstimator(e, &Prior{Mean: priorMean, Weight: priorWeight, Nodes: nodes})
 	return e
 }
 
 // InitCensusEstimator fills e in place as NewCensusEstimator would build
-// it, for callers that keep a fleet's estimators in one slab.
-func InitCensusEstimator(e *CensusEstimator, priorMean, priorWeight float64, nodes int) {
-	*e = CensusEstimator{priorMean: priorMean, priorWeight: priorWeight, nodes: nodes}
+// it on prior p, for callers that keep a fleet's estimators in one slab
+// with one Prior.
+func InitCensusEstimator(e *CensusEstimator, p *Prior) {
+	*e = CensusEstimator{prior: p}
 }
 
-// OnContactStart implements ContactObserver.
+// OnContactStart implements RateSource.
 func (e *CensusEstimator) OnContactStart(_ int, now float64) {
 	e.contacts++
 	if now > e.lastEvent {
@@ -124,7 +126,7 @@ func (e *CensusEstimator) OnContactStart(_ int, now float64) {
 	}
 }
 
-// OnContactEnd implements ContactObserver.
+// OnContactEnd implements RateSource.
 func (e *CensusEstimator) OnContactEnd(_ int, now float64) {
 	if now > e.lastEvent {
 		e.lastEvent = now
@@ -136,14 +138,14 @@ func (e *CensusEstimator) Samples() int { return e.contacts }
 
 // MeanI returns the blended estimate of the pairwise E(I).
 func (e *CensusEstimator) MeanI() float64 {
-	n1 := float64(e.nodes - 1)
+	n1 := float64(e.prior.Nodes - 1)
 	if n1 <= 0 {
-		return e.priorMean
+		return e.prior.Mean
 	}
-	// Pseudo-observations: priorWeight contacts over the time they would
-	// take at the prior rate.
-	pseudoTime := e.priorWeight * e.priorMean / n1
-	num := float64(e.contacts) + e.priorWeight
+	// Pseudo-observations: Weight contacts over the time they would take
+	// at the prior rate.
+	pseudoTime := e.prior.Weight * e.prior.Mean / n1
+	num := float64(e.contacts) + e.prior.Weight
 	den := e.lastEvent + pseudoTime
 	if num <= 0 || den <= 0 {
 		return 0
@@ -166,11 +168,7 @@ func (e *CensusEstimator) EIMin(nodes int) float64 {
 	return e.MeanI() / float64(nodes-1)
 }
 
-var (
-	_ RateSource      = (*CensusEstimator)(nil)
-	_ ContactObserver = (*CensusEstimator)(nil)
-	_ ContactObserver = (*LambdaEstimator)(nil)
-)
+var _ RateSource = (*CensusEstimator)(nil)
 
 // maxSubtreeShift bounds the per-subtree doubling exponent in EstimateSeen;
 // 2^30 already exceeds any realistic N by orders of magnitude and the result
@@ -279,13 +277,22 @@ func (f FixedRate) Lambda() float64 {
 // EIMin returns mean/(N−1).
 func (f FixedRate) EIMin(nodes int) float64 { return f.Mean / float64(nodes-1) }
 
-// RateSource abstracts where λ comes from: a per-node LambdaEstimator
-// (distributed, the paper's deployment story) or a FixedRate oracle
-// (ablation).
+// OnContactStart implements RateSource: a fixed rate learns nothing.
+func (FixedRate) OnContactStart(int, float64) {}
+
+// OnContactEnd implements RateSource: a fixed rate learns nothing.
+func (FixedRate) OnContactEnd(int, float64) {}
+
+// RateSource abstracts where λ comes from: a per-node LambdaEstimator or
+// CensusEstimator (distributed, the paper's deployment story) or a
+// FixedRate oracle (ablation). The routing host feeds it every link
+// transition of its node through OnContactStart and OnContactEnd.
 type RateSource interface {
 	MeanI() float64
 	Lambda() float64
 	EIMin(nodes int) float64
+	OnContactStart(peer int, now float64)
+	OnContactEnd(peer int, now float64)
 }
 
 var (

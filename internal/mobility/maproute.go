@@ -16,7 +16,7 @@ import (
 // the road graph as the constraint.
 type MapRoute struct {
 	legMover
-	uniformLegs // area unused: the graph bounds every leg
+	uniformLegs // Legs.Area unused: the graph bounds every leg
 	g           *graph.Graph
 	cur         int   // vertex the node last left or reached
 	queue       []int // rest of the current route
@@ -30,7 +30,7 @@ func NewMapRoute(g *graph.Graph, speedLo, speedHi, pauseLo, pauseHi float64, s *
 		return nil, err
 	}
 	m := new(MapRoute)
-	InitMapRoute(m, g, speedLo, speedHi, pauseLo, pauseHi, s)
+	InitMapRoute(m, g, &Legs{SpeedLo: speedLo, SpeedHi: speedHi, PauseLo: pauseLo, PauseHi: pauseHi}, s)
 	return m, nil
 }
 
@@ -46,13 +46,13 @@ func CheckRoadGraph(g *graph.Graph) error {
 	return nil
 }
 
-// InitMapRoute fills m in place as NewMapRoute would build it, for callers
-// that keep a fleet's walkers in one slab. g must pass CheckRoadGraph, which
-// a fleet sharing one graph runs once. m must not be copied afterwards.
-func InitMapRoute(m *MapRoute, g *graph.Graph, speedLo, speedHi, pauseLo, pauseHi float64, s *rng.Stream) {
-	*m = MapRoute{g: g, cur: s.IntN(g.Len()), uniformLegs: uniformLegs{
-		speedLo: speedLo, speedHi: speedHi, pauseLo: pauseLo, pauseHi: pauseHi, s: s}}
-	initLegMover(&m.legMover, g.At(m.cur), speedHi+1e-12, m)
+// InitMapRoute fills m in place as NewMapRoute would build it on legs,
+// whose area it ignores, for callers that keep a fleet's walkers in one
+// slab with one Legs. g must pass CheckRoadGraph, which a fleet sharing one
+// graph runs once. m must not be copied afterwards.
+func InitMapRoute(m *MapRoute, g *graph.Graph, legs *Legs, s *rng.Stream) {
+	*m = MapRoute{g: g, cur: s.IntN(g.Len()), uniformLegs: uniformLegs{legs: legs, s: s}}
+	initLegMover(&m.legMover, g.At(m.cur), legs.SpeedHi+1e-12, m)
 }
 
 // dest returns the next vertex of the current route, first routing to a

@@ -147,33 +147,44 @@ type RandomWaypoint struct {
 // [pauseLo, pauseHi].
 func NewRandomWaypoint(area geo.Rect, speedLo, speedHi, pauseLo, pauseHi float64, s *rng.Stream) *RandomWaypoint {
 	m := new(RandomWaypoint)
-	InitRandomWaypoint(m, area, speedLo, speedHi, pauseLo, pauseHi, s)
+	InitRandomWaypoint(m, &Legs{Area: area, SpeedLo: speedLo, SpeedHi: speedHi,
+		PauseLo: pauseLo, PauseHi: pauseHi}, s)
 	return m
 }
 
-// InitRandomWaypoint fills m in place as NewRandomWaypoint would build it,
-// for callers that keep a fleet's models in one slab. m must not be copied
-// afterwards.
-func InitRandomWaypoint(m *RandomWaypoint, area geo.Rect, speedLo, speedHi, pauseLo, pauseHi float64, s *rng.Stream) {
-	m.uniformLegs = uniformLegs{area: area, speedLo: speedLo, speedHi: speedHi,
-		pauseLo: pauseLo, pauseHi: pauseHi, s: s}
-	initLegMover(&m.legMover, uniformPoint(area, s), speedHi+1e-12, m)
+// InitRandomWaypoint fills m in place as NewRandomWaypoint would build it
+// on legs, for callers that keep a fleet's models in one slab with one
+// Legs per group. m must not be copied afterwards.
+func InitRandomWaypoint(m *RandomWaypoint, legs *Legs, s *rng.Stream) {
+	m.uniformLegs = uniformLegs{legs: legs, s: s}
+	initLegMover(&m.legMover, uniformPoint(legs.Area, s), legs.SpeedHi+1e-12, m)
 }
 
-func (m *RandomWaypoint) dest(geo.Point) geo.Point { return uniformPoint(m.area, m.s) }
+func (m *RandomWaypoint) dest(geo.Point) geo.Point { return uniformPoint(m.legs.Area, m.s) }
 
-// uniformLegs holds what the uniform-range models (RandomWaypoint,
-// RandomWalk, RandomDirection) draw their legs from: the area, the speed and
-// pause ranges, and the node's stream.
+// Legs is what a group of uniform-range walkers (RandomWaypoint,
+// RandomWalk, RandomDirection, MapRoute) draws its legs from: the area, the
+// speed range in m/s and the pause range in seconds, and, for RandomWalk
+// alone, the epoch distance in metres. RandomWalk reads no pause range, and
+// MapRoute no area: its graph bounds every leg. A walker keeps a pointer to
+// it, so a group's walkers hold one copy and it must not change once they
+// are built.
+type Legs struct {
+	Area                               geo.Rect
+	SpeedLo, SpeedHi, PauseLo, PauseHi float64
+	EpochDist                          float64
+}
+
+// uniformLegs is what the uniform-range models draw their legs from: their
+// group's Legs and the node's own stream.
 type uniformLegs struct {
-	area                               geo.Rect
-	speedLo, speedHi, pauseLo, pauseHi float64
-	s                                  *rng.Stream
+	legs *Legs
+	s    *rng.Stream
 }
 
-func (u *uniformLegs) speed() float64 { return u.s.Uniform(u.speedLo, u.speedHi+1e-12) }
+func (u *uniformLegs) speed() float64 { return u.s.Uniform(u.legs.SpeedLo, u.legs.SpeedHi+1e-12) }
 
-func (u *uniformLegs) pause() float64 { return u.s.Uniform(u.pauseLo, u.pauseHi+1e-12) }
+func (u *uniformLegs) pause() float64 { return u.s.Uniform(u.legs.PauseLo, u.legs.PauseHi+1e-12) }
 
 func uniformPoint(area geo.Rect, s *rng.Stream) geo.Point {
 	return geo.Point{

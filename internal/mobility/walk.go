@@ -14,29 +14,28 @@ import (
 type RandomWalk struct {
 	legMover
 	uniformLegs
-	epochDist float64
 }
 
 // NewRandomWalk creates a random walker: each epoch covers epochDist metres
 // at a speed drawn from [speedLo, speedHi] with no pauses.
 func NewRandomWalk(area geo.Rect, speedLo, speedHi, epochDist float64, s *rng.Stream) *RandomWalk {
 	m := new(RandomWalk)
-	InitRandomWalk(m, area, speedLo, speedHi, epochDist, s)
+	InitRandomWalk(m, &Legs{Area: area, SpeedLo: speedLo, SpeedHi: speedHi, EpochDist: epochDist}, s)
 	return m
 }
 
-// InitRandomWalk fills m in place as NewRandomWalk would build it. m must
-// not be copied afterwards.
-func InitRandomWalk(m *RandomWalk, area geo.Rect, speedLo, speedHi, epochDist float64, s *rng.Stream) {
-	m.uniformLegs = uniformLegs{area: area, speedLo: speedLo, speedHi: speedHi, s: s}
-	m.epochDist = epochDist
-	initLegMover(&m.legMover, uniformPoint(area, s), speedHi+1e-12, m)
+// InitRandomWalk fills m in place as NewRandomWalk would build it on legs,
+// whose pause range it ignores. m must not be copied afterwards.
+func InitRandomWalk(m *RandomWalk, legs *Legs, s *rng.Stream) {
+	m.uniformLegs = uniformLegs{legs: legs, s: s}
+	initLegMover(&m.legMover, uniformPoint(legs.Area, s), legs.SpeedHi+1e-12, m)
 }
 
 func (m *RandomWalk) dest(from geo.Point) geo.Point {
 	theta := m.s.Uniform(0, 2*math.Pi)
-	dest := from.Add(geo.Vec{X: m.epochDist * math.Cos(theta), Y: m.epochDist * math.Sin(theta)})
-	return reflect(m.area, dest)
+	d := m.legs.EpochDist
+	dest := from.Add(geo.Vec{X: d * math.Cos(theta), Y: d * math.Sin(theta)})
+	return reflect(m.legs.Area, dest)
 }
 
 // pause is always 0 and draws nothing: a walker turns without stopping.
@@ -52,20 +51,20 @@ type RandomDirection struct {
 // NewRandomDirection creates a random-direction walker.
 func NewRandomDirection(area geo.Rect, speedLo, speedHi, pauseLo, pauseHi float64, s *rng.Stream) *RandomDirection {
 	m := new(RandomDirection)
-	InitRandomDirection(m, area, speedLo, speedHi, pauseLo, pauseHi, s)
+	InitRandomDirection(m, &Legs{Area: area, SpeedLo: speedLo, SpeedHi: speedHi,
+		PauseLo: pauseLo, PauseHi: pauseHi}, s)
 	return m
 }
 
 // InitRandomDirection fills m in place as NewRandomDirection would build
-// it. m must not be copied afterwards.
-func InitRandomDirection(m *RandomDirection, area geo.Rect, speedLo, speedHi, pauseLo, pauseHi float64, s *rng.Stream) {
-	m.uniformLegs = uniformLegs{area: area, speedLo: speedLo, speedHi: speedHi,
-		pauseLo: pauseLo, pauseHi: pauseHi, s: s}
-	initLegMover(&m.legMover, uniformPoint(area, s), speedHi+1e-12, m)
+// it on legs. m must not be copied afterwards.
+func InitRandomDirection(m *RandomDirection, legs *Legs, s *rng.Stream) {
+	m.uniformLegs = uniformLegs{legs: legs, s: s}
+	initLegMover(&m.legMover, uniformPoint(legs.Area, s), legs.SpeedHi+1e-12, m)
 }
 
 func (m *RandomDirection) dest(from geo.Point) geo.Point {
-	return borderHit(m.area, from, m.s.Uniform(0, 2*math.Pi))
+	return borderHit(m.legs.Area, from, m.s.Uniform(0, 2*math.Pi))
 }
 
 // reflect folds a point that left the area back inside by mirroring across

@@ -73,9 +73,12 @@ type Policy interface {
 // Orderer plans evictions using reusable scratch buffers, so a host's
 // overflow handling is allocation-free at steady state. Slices returned by
 // PlanEviction alias the scratch space and are valid only until the next
-// call on the same Orderer; each host owns one and uses the results within
-// a single event. The zero value is ready to use. Not safe for concurrent
-// use.
+// call on the same Orderer. Callers may share one Orderer under a
+// one-caller-at-a-time rule: each is done with the returned slices before
+// any PlanEviction call can follow, and no two calls run concurrently. The
+// hosts of one world share one this way (routing.Env): one goroutine runs
+// the world's engine, and every host method that plans an eviction uses
+// its result before it returns. The zero value is ready to use.
 type Orderer struct {
 	evict ranking
 }

@@ -21,7 +21,9 @@ import (
 	"sdsrp/internal/policy"
 )
 
-// HostConfig assembles a Host.
+// HostConfig assembles a Host. Nodes, UseDropList, PreflightEviction,
+// Clock, Tracer and Truth are the same for every host of a world: NewEnv
+// reads them into the Env the world's hosts share, and InitHost the rest.
 type HostConfig struct {
 	ID     int
 	Nodes  int // N, network size
@@ -60,69 +62,90 @@ type HostConfig struct {
 	Role fault.Role
 }
 
+// Env is what every host of one world shares: N, the clock, the tracer,
+// the truth ledger, the drop-list and preflight switches, and the eviction
+// scratch. world.Build makes one per world and points every host at it;
+// NewHost makes one per host. It must not change once hosts point to it.
+type Env struct {
+	nodes     int
+	useDrops  bool // hosts keep a drop table (HostConfig.UseDropList)
+	preflight bool
+	clock     func() float64
+	truth     *obs.Ledger
+	tracer    obs.Tracer
+	// ord holds the eviction-ranking scratch buffers, making eviction
+	// planning allocation-free at steady state. The world's hosts share it
+	// under policy.Orderer's one-caller rule: one goroutine runs a world's
+	// engine, and Originate, PreAccept and CommitTransfer are done with the
+	// slices PlanEviction returns before they return.
+	ord policy.Orderer
+}
+
+// NewEnv makes the settings shared by the hosts that cfg describes: its
+// Nodes, UseDropList, PreflightEviction, Clock, Tracer and Truth. It panics
+// without a clock or a tracer, as InitHost does on an incomplete config.
+func NewEnv(cfg HostConfig) *Env {
+	if cfg.Clock == nil || cfg.Tracer == nil {
+		//lint:invariant hosts are wired by world.Build from a validated scenario; a nil dependency is builder misuse, not input
+		panic("routing: a host Env needs a clock and a tracer")
+	}
+	return &Env{
+		nodes:     cfg.Nodes,
+		useDrops:  cfg.UseDropList,
+		preflight: cfg.PreflightEviction,
+		clock:     cfg.Clock,
+		truth:     cfg.Truth,
+		tracer:    cfg.Tracer,
+	}
+}
+
 // Host is one DTN node's full protocol state. Its buffer and dropped-list
-// table live inside it, so a fleet's hosts can be one slab (InitHost).
+// table live inside it, so a fleet's hosts can be one slab (InitHost); what
+// the fleet shares lives in its Env.
 type Host struct {
 	id    int
-	nodes int
+	env   *Env
 	buf   buffer.Buffer
 	pol   policy.Policy
 	proto Protocol
-	// ord holds the eviction-ranking scratch buffers, making eviction
-	// planning allocation-free at steady state.
-	ord policy.Orderer
-
-	rate      core.RateSource
-	rateObs   core.ContactObserver // nil when rate is a fixed oracle
-	useDrops  bool                 // drops is in use (HostConfig.UseDropList)
-	preflight bool
-	drops     core.DropTable
-	acks      *AckTable
-
-	clock  func() float64
-	truth  *obs.Ledger
-	tracer obs.Tracer
-	role   fault.Role
+	rate  core.RateSource
+	drops core.DropTable // in use when env.useDrops
+	acks  *AckTable
+	role  fault.Role
 
 	// received marks messages this host has consumed as their destination;
 	// nil until the first delivery.
 	received map[msg.ID]bool
 }
 
-// NewHost builds a host. It panics on an incomplete config — hosts are
-// constructed by the world builder, so a bad config is a programming error.
+// NewHost builds a host on an Env of its own, made from cfg. It panics on
+// an incomplete config — hosts are constructed by the world builder, so a
+// bad config is a programming error.
 func NewHost(cfg HostConfig) *Host {
 	h := new(Host)
-	InitHost(h, cfg)
+	InitHost(h, NewEnv(cfg), cfg)
 	return h
 }
 
-// InitHost fills h in place as NewHost would build it, for callers that
-// keep a fleet's hosts in one slab (world.Build). h must not be copied
-// afterwards.
-func InitHost(h *Host, cfg HostConfig) {
-	if cfg.Policy == nil || cfg.Proto == nil || cfg.Clock == nil || cfg.Tracer == nil {
+// InitHost fills h in place as NewHost would build it, pointing it at env,
+// for callers that keep a fleet's hosts in one slab (world.Build) with one
+// Env. It reads cfg's per-host fields: ID, Buffer, Policy, Proto, Rate,
+// UseAcks and Role; env holds the rest. h must not be copied afterwards.
+func InitHost(h *Host, env *Env, cfg HostConfig) {
+	if env == nil || cfg.Policy == nil || cfg.Proto == nil {
 		//lint:invariant hosts are wired by world.Build from a validated scenario; a nil dependency is builder misuse, not input
 		panic(fmt.Sprintf("routing: incomplete host config for node %d", cfg.ID))
 	}
 	*h = Host{
-		id:        cfg.ID,
-		nodes:     cfg.Nodes,
-		pol:       cfg.Policy,
-		proto:     cfg.Proto,
-		rate:      cfg.Rate,
-		useDrops:  cfg.UseDropList,
-		preflight: cfg.PreflightEviction,
-		clock:     cfg.Clock,
-		truth:     cfg.Truth,
-		tracer:    cfg.Tracer,
-		role:      cfg.Role,
+		id:    cfg.ID,
+		env:   env,
+		pol:   cfg.Policy,
+		proto: cfg.Proto,
+		rate:  cfg.Rate,
+		role:  cfg.Role,
 	}
 	buffer.Init(&h.buf, cfg.Buffer)
-	if obs, ok := cfg.Rate.(core.ContactObserver); ok {
-		h.rateObs = obs
-	}
-	if cfg.UseDropList {
+	if env.useDrops {
 		core.InitDropTable(&h.drops, cfg.ID)
 	}
 	if cfg.UseAcks {
@@ -157,7 +180,7 @@ func (h *Host) markReceived(id msg.ID) {
 
 // DropTable returns the host's gossip table (nil when disabled).
 func (h *Host) DropTable() *core.DropTable {
-	if !h.useDrops {
+	if !h.env.useDrops {
 		return nil
 	}
 	return &h.drops
@@ -169,10 +192,10 @@ func (h *Host) AckTable() *AckTable { return h.acks }
 // --- policy.View implementation -------------------------------------------
 
 // Now implements policy.View.
-func (h *Host) Now() float64 { return h.clock() }
+func (h *Host) Now() float64 { return h.env.clock() }
 
 // Nodes implements policy.View.
-func (h *Host) Nodes() int { return h.nodes }
+func (h *Host) Nodes() int { return h.env.nodes }
 
 // Lambda implements policy.View.
 func (h *Host) Lambda() float64 {
@@ -187,7 +210,7 @@ func (h *Host) EIMin() float64 {
 	if h.rate == nil {
 		return 0
 	}
-	return h.rate.EIMin(h.nodes)
+	return h.rate.EIMin(h.env.nodes)
 }
 
 // SeenEstimate implements policy.View with the Eq. 15 lineage estimator.
@@ -198,35 +221,35 @@ func (h *Host) SeenEstimate(s *msg.Stored) float64 {
 // LiveEstimate implements policy.View with Eq. 14, n̂ = m̂ + 1 − d̂.
 func (h *Host) LiveEstimate(s *msg.Stored) float64 {
 	dropped := 0
-	if h.useDrops {
+	if h.env.useDrops {
 		dropped = h.drops.DroppedCount(s.M.ID)
 	}
-	return float64(core.LiveCopies(h.seen(s), dropped, h.nodes))
+	return float64(core.LiveCopies(h.seen(s), dropped, h.env.nodes))
 }
 
 // seen is m̂ for s at the current time: a walk over the copy's split
 // times, at most ⌈log2 L⌉ of them under binary spray (L−1 under source
 // spray).
 func (h *Host) seen(s *msg.Stored) int {
-	return core.EstimateSeen(s.SprayTimes, s.Copies, h.clock(), h.EIMin(), h.nodes)
+	return core.EstimateSeen(s.SprayTimes, s.Copies, h.env.clock(), h.EIMin(), h.env.nodes)
 }
 
 // TrueSeen implements policy.View via the truth ledger, falling back to the
 // estimate without one.
 func (h *Host) TrueSeen(s *msg.Stored) float64 {
-	if h.truth == nil {
+	if h.env.truth == nil {
 		return h.SeenEstimate(s)
 	}
-	return float64(h.truth.Seen(s.M.ID, h.id, h.buf.Has(s.M.ID)))
+	return float64(h.env.truth.Seen(s.M.ID, h.id, h.buf.Has(s.M.ID)))
 }
 
 // TrueLive implements policy.View via the truth ledger, falling back to the
 // estimate without one.
 func (h *Host) TrueLive(s *msg.Stored) float64 {
-	if h.truth == nil {
+	if h.env.truth == nil {
 		return h.LiveEstimate(s)
 	}
-	return float64(h.truth.Live(s.M.ID, h.id, h.buf.Has(s.M.ID)))
+	return float64(h.env.truth.Live(s.M.ID, h.id, h.buf.Has(s.M.ID)))
 }
 
 var _ policy.View = (*Host)(nil)
@@ -238,10 +261,10 @@ var _ policy.View = (*Host)(nil)
 // the protocol's ContactHook (PRoPHET predictabilities, Spray-and-Focus
 // recency).
 func (h *Host) OnLinkUp(peer *Host, now float64) {
-	if h.rateObs != nil {
-		h.rateObs.OnContactStart(peer.id, now)
+	if h.rate != nil {
+		h.rate.OnContactStart(peer.id, now)
 	}
-	if h.useDrops && peer.useDrops {
+	if h.env.useDrops && peer.env.useDrops {
 		h.drops.MergeFrom(&peer.drops)
 	}
 	if h.acks != nil && peer.acks != nil {
@@ -255,8 +278,8 @@ func (h *Host) OnLinkUp(peer *Host, now float64) {
 
 // OnLinkDown is called when the contact with peer ends.
 func (h *Host) OnLinkDown(peer *Host, now float64) {
-	if h.rateObs != nil {
-		h.rateObs.OnContactEnd(peer.id, now)
+	if h.rate != nil {
+		h.rate.OnContactEnd(peer.id, now)
 	}
 }
 
@@ -267,12 +290,12 @@ func (h *Host) OnLinkDown(peer *Host, now float64) {
 // whose buffer outranks the new message drops it on arrival. It reports
 // whether the message was stored.
 func (h *Host) Originate(m *msg.Message, now float64) bool {
-	h.tracer.Emit(obs.Event{T: now, Type: obs.MessageCreated, Msg: m.ID,
+	h.env.tracer.Emit(obs.Event{T: now, Type: obs.MessageCreated, Msg: m.ID,
 		Node: m.Source, Peer: m.Dest, Size: m.Size, Copies: m.InitialCopies})
 	s := msg.NewSourceCopy(m)
-	victims, scores, inScore, ok := h.ord.PlanEviction(h.pol, h, &h.buf, s)
+	victims, scores, inScore, ok := h.env.ord.PlanEviction(h.pol, h, &h.buf, s)
 	if !ok {
-		h.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped, Msg: m.ID,
+		h.env.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped, Msg: m.ID,
 			Node: h.id, Priority: inScore})
 		return false
 	}
@@ -294,9 +317,9 @@ func (h *Host) DropMessage(s *msg.Stored, score, now float64) {
 	if h.buf.Remove(s.M.ID) == nil {
 		return
 	}
-	h.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped, Msg: s.M.ID,
+	h.env.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped, Msg: s.M.ID,
 		Node: h.id, Priority: score})
-	if h.useDrops {
+	if h.env.useDrops {
 		h.drops.RecordDrop(s.M.ID, now)
 	}
 }
@@ -314,7 +337,7 @@ func (h *Host) purgeAcked(now float64) {
 	}
 	for _, s := range dead {
 		h.buf.Remove(s.M.ID)
-		h.tracer.Emit(obs.Event{T: now, Type: obs.MessagePurged, Msg: s.M.ID,
+		h.env.tracer.Emit(obs.Event{T: now, Type: obs.MessagePurged, Msg: s.M.ID,
 			Node: h.id, Kind: "ack"})
 	}
 }
@@ -331,10 +354,10 @@ func (h *Host) WipeState(now float64) int {
 	copy(dead, items) // Remove mutates the buffer's backing slice
 	for _, s := range dead {
 		h.buf.Remove(s.M.ID)
-		h.tracer.Emit(obs.Event{T: now, Type: obs.MessagePurged, Msg: s.M.ID,
+		h.env.tracer.Emit(obs.Event{T: now, Type: obs.MessagePurged, Msg: s.M.ID,
 			Node: h.id, Kind: "wipe"})
 	}
-	if h.useDrops {
+	if h.env.useDrops {
 		h.drops.Reset()
 	}
 	return len(dead)
@@ -354,7 +377,7 @@ func (h *Host) ExpireMessages(now float64) int {
 	var last msg.ID
 	for _, s := range dead {
 		h.buf.Remove(s.M.ID)
-		h.tracer.Emit(obs.Event{T: now, Type: obs.MessageExpired, Msg: s.M.ID, Node: h.id})
+		h.env.tracer.Emit(obs.Event{T: now, Type: obs.MessageExpired, Msg: s.M.ID, Node: h.id})
 		last = max(last, s.M.ID)
 	}
 	for _, s := range h.buf.Items() {
@@ -363,7 +386,7 @@ func (h *Host) ExpireMessages(now float64) int {
 			panic(fmt.Sprintf("routing: node %d keeps message %d after message %d expired", h.id, s.M.ID, last))
 		}
 	}
-	if h.useDrops {
+	if h.env.useDrops {
 		h.drops.Forget(last)
 	}
 	if h.acks != nil {

@@ -109,7 +109,7 @@ func exchange(tn *testNet, r *rng.Stream, a, b *Host, probe offerProbe) {
 // skipped, and Eligible.
 func offerable(a, b *Host, skip func(msg.ID) bool) []*msg.Stored {
 	var out []*msg.Stored
-	now := a.clock()
+	now := a.Now()
 	for _, s := range a.buf.Items() {
 		if s.M.Expired(now) || skip(s.M.ID) {
 			continue
@@ -141,7 +141,7 @@ func referenceOffer(a, b *Host, skip func(msg.ID) bool) (Offer, bool) {
 		}
 		return items[i].M.ID < items[j].M.ID
 	})
-	now := a.clock()
+	now := a.Now()
 	for _, s := range items {
 		if s.M.Expired(now) || skip(s.M.ID) {
 			continue
@@ -198,7 +198,7 @@ func countStates(seen map[string]int, a, b *Host, skip func(msg.ID) bool, got Of
 			}
 		}
 	}
-	now := a.clock()
+	now := a.Now()
 	for _, s := range a.buf.Items() {
 		id := s.M.ID
 		switch {

@@ -127,7 +127,7 @@ func (p *Prophet) Eligible(a, b *Host, s *msg.Stored) (Kind, bool) {
 	if bt == nil {
 		return 0, false
 	}
-	now := a.clock()
+	now := a.Now()
 	if bt.P(s.M.Dest, now) > p.table.P(s.M.Dest, now) {
 		return KindRelay, true
 	}
@@ -168,7 +168,7 @@ func (p *SprayAndWaitPredict) Eligible(a, b *Host, s *msg.Stored) (Kind, bool) {
 	if bt == nil {
 		return 0, false
 	}
-	now := a.clock()
+	now := a.Now()
 	// Gate: the peer must look at least as promising as the carrier; a
 	// peer with no information (P=0) still receives when the carrier has
 	// none either, preserving spray liveness early on.

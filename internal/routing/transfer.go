@@ -27,7 +27,7 @@ type Offer struct {
 // is eligible. One pass scores each offerable copy once, in buffer order,
 // and keeps the copy that policy.SendsBefore the rest.
 func (h *Host) NextOffer(peer *Host, skip func(msg.ID) bool) (Offer, bool) {
-	now := h.clock()
+	now := h.env.clock()
 	var best Offer
 	var bestScore float64
 	for _, s := range h.buf.Items() {
@@ -95,13 +95,13 @@ func (h *Host) PreAccept(o Offer, now float64) bool {
 	if h.role == fault.RoleSelfish {
 		return false
 	}
-	if h.useDrops && h.drops.RejectsIncoming(o.S.M.ID) {
+	if h.env.useDrops && h.drops.RejectsIncoming(o.S.M.ID) {
 		return false
 	}
-	if !h.preflight {
+	if !h.env.preflight {
 		return true
 	}
-	_, _, _, ok := h.ord.PlanEviction(h.pol, h, &h.buf, o.Phantom(now))
+	_, _, _, ok := h.env.ord.PlanEviction(h.pol, h, &h.buf, o.Phantom(now))
 	return ok
 }
 
@@ -117,7 +117,7 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 	if o.Kind == KindDelivery {
 		if receiver.received[id] {
 			// A second copy arrived through another path mid-transfer.
-			sender.tracer.Emit(obs.Event{T: now, Type: obs.MessageRefused, Msg: id,
+			sender.env.tracer.Emit(obs.Event{T: now, Type: obs.MessageRefused, Msg: id,
 				Node: sender.id, Peer: receiver.id})
 			return false
 		}
@@ -125,7 +125,7 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 		if receiver.acks != nil {
 			receiver.acks.Add(id)
 		}
-		sender.tracer.Emit(obs.Event{T: now, Type: obs.MessageDelivered, Msg: id,
+		sender.env.tracer.Emit(obs.Event{T: now, Type: obs.MessageDelivered, Msg: id,
 			Node: sender.id, Peer: receiver.id, Hops: o.S.Hops + 1,
 			Latency: now - o.S.M.Created})
 		// The delivering node knows the destination is served: its copy is
@@ -138,8 +138,8 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 	// during the transfer. A duplicate or dropped-list hit wastes the
 	// transfer without touching the sender's tokens (header-level dedup).
 	if receiver.buf.Has(id) || receiver.received[id] ||
-		(receiver.useDrops && receiver.drops.RejectsIncoming(id)) {
-		sender.tracer.Emit(obs.Event{T: now, Type: obs.MessageRefused, Msg: id,
+		(receiver.env.useDrops && receiver.drops.RejectsIncoming(id)) {
+		sender.env.tracer.Emit(obs.Event{T: now, Type: obs.MessageRefused, Msg: id,
 			Node: sender.id, Peer: receiver.id})
 		return false
 	}
@@ -165,7 +165,7 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 	case KindHandoff:
 		sender.buf.Remove(id)
 	}
-	sender.tracer.Emit(obs.Event{T: now, Type: obs.MessageForwarded, Msg: id,
+	sender.env.tracer.Emit(obs.Event{T: now, Type: obs.MessageForwarded, Msg: id,
 		Node: sender.id, Peer: receiver.id, Copies: incoming.Copies,
 		Kind: o.Kind.String()})
 
@@ -173,19 +173,19 @@ func CommitTransfer(sender, receiver *Host, o Offer, now float64) bool {
 	// tokens and bandwidth are spent, nothing is stored, and — unlike a
 	// policy drop — no dropped-list record betrays the attacker.
 	if receiver.role == fault.RoleBlackHole {
-		receiver.tracer.Emit(obs.Event{T: now, Type: obs.TransferLost, Msg: id,
+		receiver.env.tracer.Emit(obs.Event{T: now, Type: obs.TransferLost, Msg: id,
 			Node: sender.id, Peer: receiver.id})
 		return false
 	}
 
-	victims, scores, inScore, ok := receiver.ord.PlanEviction(receiver.pol, receiver, &receiver.buf, incoming)
+	victims, scores, inScore, ok := receiver.env.ord.PlanEviction(receiver.pol, receiver, &receiver.buf, incoming)
 	if !ok {
 		// The newcomer is the weakest: dropped on arrival. It enters the
 		// receiver's dropped list (enabling SDSRP's future pre-rejection)
 		// and counts as a policy drop.
-		receiver.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped,
+		receiver.env.tracer.Emit(obs.Event{T: now, Type: obs.MessageDropped,
 			Msg: id, Node: receiver.id, Priority: inScore})
-		if receiver.useDrops {
+		if receiver.env.useDrops {
 			receiver.drops.RecordDrop(id, now)
 		}
 		return false

@@ -2,6 +2,7 @@ package world_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"sdsrp/internal/bench"
@@ -48,6 +49,44 @@ func TestBuildAllocationsIndependentOfNodes(t *testing.T) {
 			t.Errorf("%s: Build allocates %.0f objects at 1 000 nodes and %.0f at 4 000; want them within 8",
 				v.name, small, large)
 		}
+	}
+}
+
+// buildBytesPerNode bounds what world construction allocates per
+// traffic-free RWP node: the host (200 B), walker (96 B), census estimator
+// (24 B) and stream (24 B) slabs, the pointer and interface slices over
+// them, the buffer capacities and the link layer's per-node arrays. The
+// world-wide settings (routing.Env, mobility.Legs, core.Prior) are one
+// value per world, so they cancel. It sits 2 % above the 418.8 B measured,
+// so that one 16-byte field added to a per-node struct fails.
+const buildBytesPerNode = 427
+
+// TestBuildBytesPerNode pins world construction's bytes per node, which
+// TestBuildAllocationsIndependentOfNodes leaves free: it reads
+// runtime.MemStats.TotalAlloc across Build at 1 000 and 4 000 traffic-free
+// nodes, so that the per-world costs cancel, and holds the difference per
+// node to buildBytesPerNode.
+func TestBuildBytesPerNode(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocated := func(n int) uint64 {
+		sc := fleetScenario(n)
+		least := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for range 4 {
+			runtime.ReadMemStats(&before)
+			if _, err := world.Build(sc); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := allocated(1000), allocated(4000)
+	perNode := float64(large-small) / 3000
+	t.Logf("Build allocates %d B at 1 000 nodes and %d B at 4 000: %.1f B per node", small, large, perNode)
+	if perNode > buildBytesPerNode {
+		t.Errorf("Build allocates %.1f B per node; want at most %d B", perNode, buildBytesPerNode)
 	}
 }
 

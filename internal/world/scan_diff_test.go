@@ -3,7 +3,11 @@ package world
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sdsrp/internal/config"
@@ -12,6 +16,7 @@ import (
 	"sdsrp/internal/mobility"
 	"sdsrp/internal/network"
 	"sdsrp/internal/obs"
+	"sdsrp/internal/rng"
 	"sdsrp/internal/trace"
 )
 
@@ -102,9 +107,65 @@ func assertPlannerMatchesReference(t *testing.T, sc config.Scenario, p network.P
 	}
 }
 
+// strayTrace is the border-strays family's ONE movement file, which
+// TestMain writes once per test binary.
+var strayTrace string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "sdsrp-world-test-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	strayTrace = filepath.Join(dir, "strays.one")
+	code := 1
+	if err := writeStrayTrace(strayTrace); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+	} else {
+		code = m.Run()
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// writeStrayTrace writes the border-strays family's trace: 32 walkers on
+// random-waypoint legs at 2 m/s for 1 200 s, under a header whose area is
+// 300 × 1 500 m, three fine cells wide at the preset's 100 m range.
+// Walkers 0–7 roam 400 to 2 000 m left of the area, where every position
+// clamps into the border column's cells; the other 24 walk inside it.
+func writeStrayTrace(path string) error {
+	const (
+		w, h    = 300.0, 1500.0
+		speed   = 2.0
+		horizon = 1200.0
+		strays  = 8
+	)
+	s := rng.New(7)
+	var b strings.Builder
+	fmt.Fprintf(&b, "0 %g 0 %g 0 %g\n", horizon, w, h)
+	for i := range 32 {
+		lo, hi := 0.0, w
+		if i < strays {
+			lo, hi = -2000, -400
+		}
+		p := geo.Point{X: s.Uniform(lo, hi), Y: s.Uniform(0, h)}
+		for t := 0.0; ; {
+			fmt.Fprintf(&b, "%g n%d %g %g\n", t, i, p.X, p.Y)
+			if t >= horizon {
+				break
+			}
+			q := geo.Point{X: s.Uniform(lo, hi), Y: s.Uniform(0, h)}
+			t += math.Sqrt(p.Dist2(q)) / speed
+			p = q
+		}
+	}
+	return os.WriteFile(path, []byte(b.String()), 0o644)
+}
+
 // diffFamilies is the scenario matrix shared by every scanner-equivalence
 // test: all mobility kinds, walkers that pause, per-node ranges, cells
-// wider than every pair's range, churn/flap faults, and energy death.
+// wider than every pair's range, walkers outside the area, churn/flap
+// faults, and energy death.
 // TestNaiveScanMatchesReference holds the naive scan to the reference scan,
 // TestRunAheadMatchesLockstep (ahead_test.go) the run-ahead scan to the
 // lockstep one, and TestWorkerCountsMatchSerial (concurrency_test.go) runs
@@ -190,6 +251,19 @@ func diffFamilies() map[string]func() config.Scenario {
 		"energy-death": func() config.Scenario {
 			sc := diffBase()
 			sc.Energy = config.Energy{Capacity: 400, ScanPerSec: 0.5, TxPerSec: 15, RxPerSec: 10}
+			return sc
+		},
+		"border-strays": func() config.Scenario {
+			// Trace playback with a quarter of the walkers outside the
+			// trace's area (writeStrayTrace). The scan clamps their cells
+			// into the border column, and most of them are farther than
+			// the list radius from every walker, so they are on no listed
+			// pair: a tick the list serves does not sample them, yet one
+			// of them is often the smallest id in a border cell holding an
+			// up candidate, which rank must find (9 such ranks per seed).
+			// The trace is the same at every seed; the traffic is not.
+			sc := diffBase()
+			sc.Mobility = config.Mobility{Kind: config.MobilityONEFile, TraceFile: strayTrace}
 			return sc
 		},
 		"wide-cells": func() config.Scenario {

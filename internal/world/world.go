@@ -199,11 +199,13 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 }
 
 // buildHosts fills one slab of hosts, node i with buffer capacity
-// buffers[i], and one slab of the rate estimators they learn with. Every
-// host reads the one clock. Built-in policies are stateless and never draw,
-// so the fleet shares one instance; a registered policy gets an instance per
-// host on its own substream. Split is pure, so leaving out the streams no
-// policy reads changes no draw.
+// buffers[i], and one slab of the rate estimators they learn with. The
+// hosts share one routing.Env (N, the clock, the tracer, the truth ledger,
+// the switches and the eviction scratch) and the estimators one core.Prior.
+// Built-in policies are stateless and never draw, so the fleet shares one
+// instance; a registered policy gets an instance per host on its own
+// substream. Split is pure, so leaving out the streams no policy reads
+// changes no draw.
 func buildHosts(sc config.Scenario, root *rng.Stream, clock func() float64, buffers []int64,
 	tr obs.Tracer, truth *obs.Ledger, inj *fault.Injector) ([]*routing.Host, error) {
 	nodes := len(buffers)
@@ -218,6 +220,7 @@ func buildHosts(sc config.Scenario, root *rng.Stream, clock func() float64, buff
 	var oracle core.RateSource
 	var gaps []core.LambdaEstimator
 	var census []core.CensusEstimator
+	prior := &core.Prior{Mean: sc.PriorMeanIntermeeting, Weight: sc.PriorWeight, Nodes: nodes}
 	switch {
 	case sc.OracleRateMean > 0:
 		oracle = core.FixedRate{Mean: sc.OracleRateMean}
@@ -226,7 +229,14 @@ func buildHosts(sc config.Scenario, root *rng.Stream, clock func() float64, buff
 	default:
 		census = make([]core.CensusEstimator, nodes)
 	}
-	useDrops := policy.UsesDropList(sc.PolicyName) && !sc.DisableDropList
+	env := routing.NewEnv(routing.HostConfig{
+		Nodes:             nodes,
+		UseDropList:       policy.UsesDropList(sc.PolicyName) && !sc.DisableDropList,
+		PreflightEviction: sc.PreflightEviction,
+		Clock:             clock,
+		Tracer:            tr,
+		Truth:             truth,
+	})
 	slab := make([]routing.Host, nodes)
 	hosts := make([]*routing.Host, nodes)
 	for i := range slab {
@@ -240,28 +250,22 @@ func buildHosts(sc config.Scenario, root *rng.Stream, clock func() float64, buff
 		rate := oracle
 		switch {
 		case gaps != nil:
-			core.InitLambdaEstimator(&gaps[i], sc.PriorMeanIntermeeting, sc.PriorWeight)
+			core.InitLambdaEstimator(&gaps[i], prior)
 			rate = &gaps[i]
 		case census != nil:
-			core.InitCensusEstimator(&census[i], sc.PriorMeanIntermeeting, sc.PriorWeight, nodes)
+			core.InitCensusEstimator(&census[i], prior)
 			rate = &census[i]
 		}
 		// Stateful protocols carry per-node tables: one instance per host.
 		proto, _ := routing.ProtocolByName(sc.ProtocolName)
-		routing.InitHost(&slab[i], routing.HostConfig{
-			ID:                i,
-			Nodes:             nodes,
-			Buffer:            buffers[i],
-			Policy:            pol,
-			Proto:             proto,
-			Rate:              rate,
-			UseDropList:       useDrops,
-			UseAcks:           sc.UseAcks,
-			PreflightEviction: sc.PreflightEviction,
-			Clock:             clock,
-			Tracer:            tr,
-			Truth:             truth,
-			Role:              inj.Role(i),
+		routing.InitHost(&slab[i], env, routing.HostConfig{
+			ID:      i,
+			Buffer:  buffers[i],
+			Policy:  pol,
+			Proto:   proto,
+			Rate:    rate,
+			UseAcks: sc.UseAcks,
+			Role:    inj.Role(i),
 		})
 		hosts[i] = &slab[i]
 	}
@@ -397,25 +401,34 @@ func fillModels[T any, P interface {
 
 // fillUniform fills models with the walkers of nodes first, first+1, … for
 // the uniform-range kinds (random waypoint, random walk, random direction)
-// over area, and reports false, filling nothing, for any other kind.
+// over area, all drawing their legs from one mobility.Legs, and reports
+// false, filling nothing, for any other kind.
 func fillUniform(models []mobility.Model, mroot *rng.Stream, first int, mob config.Mobility, area geo.Rect) bool {
+	legs := legsOf(mob, area)
 	switch mob.Kind {
 	case config.MobilityRWP:
 		fillModels(models, mroot, first, func(m *mobility.RandomWaypoint, s *rng.Stream) {
-			mobility.InitRandomWaypoint(m, area, mob.SpeedLo, mob.SpeedHi, mob.PauseLo, mob.PauseHi, s)
+			mobility.InitRandomWaypoint(m, legs, s)
 		})
 	case config.MobilityRandomWalk:
 		fillModels(models, mroot, first, func(m *mobility.RandomWalk, s *rng.Stream) {
-			mobility.InitRandomWalk(m, area, mob.SpeedLo, mob.SpeedHi, mob.EpochDist, s)
+			mobility.InitRandomWalk(m, legs, s)
 		})
 	case config.MobilityRandomDirection:
 		fillModels(models, mroot, first, func(m *mobility.RandomDirection, s *rng.Stream) {
-			mobility.InitRandomDirection(m, area, mob.SpeedLo, mob.SpeedHi, mob.PauseLo, mob.PauseHi, s)
+			mobility.InitRandomDirection(m, legs, s)
 		})
 	default:
 		return false
 	}
 	return true
+}
+
+// legsOf returns the leg settings one group's walkers share: area, and
+// mob's speed and pause ranges and epoch distance.
+func legsOf(mob config.Mobility, area geo.Rect) *mobility.Legs {
+	return &mobility.Legs{Area: area, SpeedLo: mob.SpeedLo, SpeedHi: mob.SpeedHi,
+		PauseLo: mob.PauseLo, PauseHi: mob.PauseHi, EpochDist: mob.EpochDist}
 }
 
 func buildMobility(sc config.Scenario, root *rng.Stream) ([]mobility.Model, geo.Rect, int, error) {
@@ -474,10 +487,9 @@ func buildMobility(sc config.Scenario, root *rng.Stream) ([]mobility.Model, geo.
 			return nil, geo.Rect{}, 0, fmt.Errorf("world: %w", err)
 		}
 		models := make([]mobility.Model, sc.Nodes)
+		legs := legsOf(sc.Mobility, geo.Rect{})
 		fillModels(models, mroot, 0, func(m *mobility.MapRoute, s *rng.Stream) {
-			mobility.InitMapRoute(m, g,
-				sc.Mobility.SpeedLo, sc.Mobility.SpeedHi,
-				sc.Mobility.PauseLo, sc.Mobility.PauseHi, s)
+			mobility.InitMapRoute(m, g, legs, s)
 		})
 		// Pad the radio area slightly so border vertices sit inside it.
 		area := g.Bounds()
