@@ -128,9 +128,12 @@ dropped-tests:
 # Byte-identity gate for changes that must not move any output:
 # `make same-output BASE=<rev>` builds dtnsim and experiments at BASE,
 # checked out in a temporary git worktree under $TMPDIR, and in the working
-# tree. In one directory per side it runs a Table II run (seed 1) and a
-# 6 000 s Table III run (seed 2), each writing its event log, and every
-# experiment at seed 1 and a tenth of its scale, writing its TSVs. It then
+# tree. In one directory per side it runs a Table II run (seed 1), a
+# 6 000 s Table III run (seed 2), a 6 000 s Table II run on 2 000 J
+# batteries (seed 1, radios die and transfers abort) and a 6 000 s Table II
+# run with link flaps (a -save-config scenario edited to a 40 s mean
+# up-time, seed 1), each writing its event log, and every experiment at
+# seed 1 and a tenth of its scale, writing its TSVs. It then
 # diffs the two directories: event logs, stdout (less the perf line, whose
 # wall-clock readings vary) and TSVs. On any difference it lists the files
 # that differ and the diff's first lines, and fails. It takes ~5 s with
@@ -147,6 +150,11 @@ same-output:
 		mkdir "$$tmp/$$1" && (cd "$$tmp/$$1" && \
 		"$$bin/dtnsim" -seed 1 -events rwp.jsonl > rwp.txt && \
 		"$$bin/dtnsim" -scenario epfl -seed 2 -duration 6000 -events epfl.jsonl > epfl.txt && \
+		"$$bin/dtnsim" -energy 2000 -duration 6000 -seed 1 -events energy.jsonl > energy.txt && \
+		"$$bin/dtnsim" -duration 6000 -save-config rwp.json > /dev/null && \
+		sed 's/"LinkFlapMeanUp": 0,/"LinkFlapMeanUp": 40,/' rwp.json > flap.json && \
+		grep -q '"LinkFlapMeanUp": 40,' flap.json && \
+		"$$bin/dtnsim" -config flap.json -events flap.jsonl > flap.txt && \
 		"$$bin/experiments" -run all -seeds 1 -scale 0.1 -out tsv -no-chart -quiet > experiments.txt); \
 	}; \
 	git worktree add --quiet --detach "$$tmp/src" "$(BASE)" && \

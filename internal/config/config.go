@@ -160,6 +160,14 @@ type Scenario struct {
 	MaxEvents uint64
 }
 
+// MotionOnlyContacts reports whether the scenario's contacts depend on its
+// motion alone: no contact trace, no battery (transfers drain radios dead)
+// and no churn (crashes darken radios). Link flaps cut links, not contacts.
+// Only such scenarios run their scan ahead and share contact plans.
+func (s Scenario) MotionOnlyContacts() bool {
+	return s.ContactTraceFile == "" && s.Energy.Capacity <= 0 && !s.Faults.Churn.Enabled()
+}
+
 // Energy parameterizes the battery model (joules and joules/second).
 type Energy struct {
 	Capacity   float64

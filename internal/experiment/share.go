@@ -10,26 +10,24 @@ import (
 )
 
 // Contact sharing. A sweep compares policies, buffers, copies or traffic on
-// the same mobility per seed, and without a battery, churn or link flapping
-// the contact process depends on motion alone: which links are up at each
-// scan tick, and the order the scanner brings them up, never read a buffer,
-// a message or a policy. So within one RunScenarios call the runs whose
+// the same mobility per seed, and without a battery or churn the contact
+// process depends on motion alone: which pairs the scan finds in range at
+// each tick, and the order it reports them, never read a buffer, a message,
+// a policy or a link fault. So within one RunScenarios call the runs whose
 // scenarios differ only in traffic-only fields form a group: the first run
 // of a group records its scan transitions (network.ContactPlan) and the
-// others replay them through the same link calls, with every event, trace
-// byte and result unchanged. Plans live only as long as their group's runs:
-// nothing is cached across calls.
+// others replay them through the same link-layer call, with every event,
+// trace byte and result unchanged. Plans live only as long as their group's
+// runs: nothing is cached across calls.
 
 // contactKey returns the key under which runs may share sc's contact
-// schedule, and false when sc's links can depend on more than its motion: a
-// contact trace, a battery (transfers drain radios dead), churn or link
-// flapping (both cut links outside the scan). The key is sc with its
-// traffic-only fields cleared. Every other field stays in it, and so does a
-// field added later until someone classifies it here: the safe direction.
+// schedule, and false when sc's contacts can depend on more than its motion
+// (config.Scenario.MotionOnlyContacts). The key is sc with its traffic-only
+// fields cleared. Every other field stays in it, and so does a field added
+// later until someone classifies it here: the safe direction.
 // TestContactKeyClassifiesEveryField enforces the split.
 func contactKey(sc config.Scenario) (string, bool) {
-	if sc.ContactTraceFile != "" || sc.Energy.Capacity != 0 ||
-		sc.Faults.Churn.Enabled() || sc.Faults.LinkFlapMeanUp != 0 {
+	if !sc.MotionOnlyContacts() {
 		return "", false
 	}
 	// Traffic, buffers, routing and estimators act on messages and
@@ -46,9 +44,10 @@ func contactKey(sc config.Scenario) (string, bool) {
 	sc.GapLambdaEstimator, sc.OracleRateMean = false, 0
 	sc.DisableDropList, sc.UseAcks, sc.PreflightEviction = false, false, false
 	sc.MaxEvents, sc.Warmup = 0, 0
-	// Fault models that act on transfers and roles. Jitter is drawn inside
-	// linkUp from its own substream, and replay still calls linkUp.
-	sc.Faults.TransferLossProb = 0
+	// Fault models that act on links, transfers and roles. Jitter and flap
+	// delays are drawn inside linkUp from their own substreams, and replay
+	// still calls linkUp; a flap cuts a link, never the scan's contact.
+	sc.Faults.TransferLossProb, sc.Faults.LinkFlapMeanUp = 0, 0
 	sc.Faults.BandwidthJitterLo, sc.Faults.BandwidthJitterHi = 0, 0
 	sc.Faults.BlackHoleFraction, sc.Faults.SelfishFraction = 0, 0
 	// %#v prints every field, floats in their shortest exact form; unlike

@@ -79,7 +79,7 @@ var contactFields = map[string]bool{
 	"Energy.RxPerSec":   true,
 
 	"Config.TransferLossProb":  false,
-	"Config.LinkFlapMeanUp":    true,
+	"Config.LinkFlapMeanUp":    false,
 	"Config.BandwidthJitterLo": false,
 	"Config.BandwidthJitterHi": false,
 	"Config.BlackHoleFraction": false,

@@ -9,16 +9,16 @@ import (
 	"sdsrp/internal/sim"
 )
 
-// This file runs the scanner ahead of the engine. In a world whose links
-// depend on motion alone (no battery, churn, link flapping or contact
-// trace) the contact process is a function of the mobility models, which
-// nothing else in the run touches, so the scanner can produce tick after
-// tick without waiting for the transfer layer. RunAhead starts it on a
-// goroutine of its own for the length of a Run. It scans the ticks the
-// engine's scan ticker will fire (sim.Ticker gives their times and number)
-// into a bounded stream of chunks, and the engine's per-tick Scan event
-// applies them in order through the same calls as a lockstep or replayed
-// tick.
+// This file runs the scanner ahead of the engine. In a world whose contacts
+// depend on motion alone (no battery, churn or contact trace) the contact
+// process is a function of the mobility models, which nothing else in the
+// run touches, so the scanner can produce tick after tick without waiting
+// for the link layer. Link flaps do not stop it: they act on the link layer
+// alone (Manager.flapped). RunAhead starts the scanner on a goroutine of its
+// own for the length of a Run. It scans the ticks the engine's scan ticker
+// will fire (sim.Ticker gives their times and number) into a bounded stream
+// of chunks, and the engine's per-tick Scan event applies them in order
+// through applyTick, as it applies a lockstep or replayed tick.
 //
 // The run stays deterministic because nothing flows back: the scanner reads
 // only its own state, and the engine reads each tick only after the scanner
@@ -106,10 +106,10 @@ func newRunAhead(sc *scanner, next int64, at sim.Ticker) *runAhead {
 // RunAhead starts the scanner on a goroutine of its own, scanning the ticks
 // a Run(horizon) fires ahead of the engine, and returns stop, which ends the
 // goroutine: the caller must call it before its own return, on every path,
-// panics included. Only a world whose links depend on motion alone runs
-// ahead; a world with a battery, churn or link flapping scans in lockstep,
-// a replaying or contact-trace world does not scan, and stop is then a
-// no-op. Call after Start.
+// panics included. Only a world whose contacts depend on motion alone runs
+// ahead; a world with a battery or churn scans in lockstep, a replaying or
+// contact-trace world does not scan, and stop is then a no-op. Call after
+// Start.
 func (m *Manager) RunAhead(horizon float64) (stop func()) {
 	if m.scan == nil || m.coupled() || m.next.Period == 0 {
 		return func() {}
@@ -166,10 +166,9 @@ func (a *runAhead) produce(horizon float64) {
 			c.reset(a.next)
 			a.filling = c
 		}
-		downs := a.sc.scanDowns(a.at.At)
-		ups := a.sc.scanUps()
+		downs, ups := a.sc.tick(a.at.At)
 		c.plan.add(a.next, downs, ups)
-		c.checked = append(c.checked, a.sc.checked)
+		c.checked = append(c.checked, a.sc.checked())
 		a.next++
 		a.at = a.at.Next()
 		if len(c.checked) == chunkTicks || !a.at.Due(horizon) {

@@ -137,6 +137,33 @@ func TestEnergyDeathSilencesNode(t *testing.T) {
 	}
 }
 
+// TestEnergyAbortDeathRefusesSameTickUp: a tick's downs are torn down before
+// its ups come up, and an abort among them can drain a radio dead that the
+// scan found on. Node 0 sends to node 1 from t = 1; at t = 2.5 node 1 jumps
+// beside node 2, so the t = 3 tick tears down (0, 1), whose abort drains
+// both batteries dry, and finds (1, 2) in range. That up must not come up,
+// and the scan must not count the pair as up afterwards.
+func TestEnergyAbortDeathRefusesSameTickUp(t *testing.T) {
+	r := newEnergyRig(3, EnergyConfig{Capacity: 2, TxPerSec: 2, RxPerSec: 1})
+	r.hosts[0].Originate(&testMsg2, 0)
+	r.puppets[0].p = geo.Point{X: 0, Y: 0}
+	r.puppets[1].p = geo.Point{X: 50, Y: 0}
+	r.eng.At(2.5, func(float64) {
+		r.puppets[1].p = geo.Point{X: 5000, Y: 0}
+		r.puppets[2].p = geo.Point{X: 5050, Y: 0}
+	})
+	r.eng.Run(10)
+	if c, l := r.mgr.Contacts(), r.mgr.ActiveLinks(); c != 1 || l != 0 {
+		t.Fatalf("contacts = %d, links = %d; want 1 and 0: the dead radio's pair came up", c, l)
+	}
+	if got := r.mgr.ScanStats(); got != 12 {
+		t.Fatalf("pairs checked = %d, want 12", got)
+	}
+	if rep := r.mgr.EnergyReport(); rep.DeadNodes != 2 {
+		t.Fatalf("dead nodes = %d, want 2", rep.DeadNodes)
+	}
+}
+
 // Shared fixtures for energy tests (package-level so Originate sees stable
 // pointers).
 var testMsg = msgFixture(1)

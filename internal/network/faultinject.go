@@ -12,17 +12,18 @@ import (
 // here they only turn into link teardowns and scheduled engine events, so
 // the no-fault path costs a nil check per call site.
 
-// flapLink force-drops a live link when its flap timer fires. The pair is
-// suppressed from re-upping until the nodes genuinely leave radio range
-// (scanner mode); in scheduled mode the next recorded contact re-ups it.
+// flapLink force-drops a live link when its flap timer fires. In a scanned
+// or replayed run the pair stays down until the scan reports it out of
+// range (Manager.flapped); in a scheduled run the next recorded contact
+// re-ups it.
 func (m *Manager) flapLink(k pairKey, now float64) {
 	l := m.linkOf(k)
 	if l == nil {
 		return // timer should have been canceled with the link; be safe
 	}
 	m.tracer.Emit(obs.Event{T: now, Type: obs.LinkFlap, Node: int(k[0]), Peer: int(k[1])})
-	if m.scan != nil {
-		m.scan.flap(k)
+	if m.flapped != nil {
+		m.flapped[k] = true
 	}
 	freed := m.linkDown(l, now, nil)
 	kickAll(m, freed, now, -1)

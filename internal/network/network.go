@@ -2,9 +2,10 @@
 // detection and half-duplex, bandwidth-limited transfers that abort when
 // nodes move out of range. It has two parts: the scanner (scan.go), which
 // turns motion into link transitions, and the link layer (this file), which
-// applies them and runs the transfers on top. Worlds whose links depend on
-// motion alone run the scanner ahead of the engine on a goroutine of its own
-// (ahead.go).
+// applies them, one tick at a time through applyTick, and runs the transfers
+// and link faults on top. Worlds whose contacts depend on motion alone (no
+// battery or churn) run the scanner ahead of the engine on a goroutine of
+// its own (ahead.go).
 //
 // Semantics (matching what the paper's ONE setup exercises):
 //
@@ -59,14 +60,10 @@ type Config struct {
 	// Faults is the run's fault injector; nil disables fault injection at
 	// zero cost (every hot-path probe is a nil-guarded branch).
 	Faults *fault.Injector
-	// Planner picks the contact scan. Its zero value, AutoPlanner, which
-	// every production caller passes, is the naive scan; only tests force
-	// the reference scan, which emits the same event stream byte for byte.
-	Planner Planner
 	// RecordPlan, when set, receives every link transition the scan makes
-	// (see ContactPlan); it must be empty. The scanner writes it, ahead of
-	// the engine in a run-ahead world, and the recording is whole once the
-	// run reaches its horizon and Run has returned.
+	// (see ContactPlan); it must be empty. The link layer writes each tick
+	// as it applies it, and the recording is whole once the run reaches its
+	// horizon and Run has returned.
 	RecordPlan *ContactPlan
 	// ReplayPlan, when set, replaces the scan: each tick applies the plan's
 	// recorded transitions instead, and no scanner is built. The plan must
@@ -74,22 +71,6 @@ type Config struct {
 	// count, ranges, scan interval and horizon.
 	ReplayPlan *ContactPlan
 }
-
-// Planner identifies a contact scan.
-type Planner uint8
-
-const (
-	// AutoPlanner is the production scan, the naive scan at every fleet
-	// size: it re-checks every pair on its neighbour list each tick,
-	// rebuilding the list every K ticks and sampling only the nodes on it
-	// in between (nlist.go).
-	AutoPlanner Planner = iota
-	// ReferencePlanner is the naive scan with no certificate: its list is
-	// rebuilt every tick at the largest range, a plain per-tick grid pass.
-	// It is the reference the differential tests hold the list to, and
-	// only tests force it.
-	ReferencePlanner
-)
 
 // pairKey identifies an unordered host pair, low id first.
 type pairKey [2]int32
@@ -177,6 +158,11 @@ type Manager struct {
 	faults *fault.Injector
 	// down marks churn-crashed nodes (nil unless churn is enabled).
 	down []bool
+	// flapped holds the pairs a link flap cut whose nodes have not left
+	// range since: the scan still holds them up, and applyTick keeps them
+	// down until it reports them down (nil unless link flapping is enabled,
+	// and in a scheduled run, whose next recorded contact re-ups the pair).
+	flapped map[pairKey]bool
 
 	// scan is the scanner; nil in replaying and contact-trace runs, which
 	// build none.
@@ -235,6 +221,9 @@ func NewManager(eng *sim.Engine, cfg Config, hosts []*routing.Host, models []mob
 	if m.faults.ChurnEnabled() {
 		m.down = make([]bool, n)
 	}
+	if m.faults.FlapEnabled() {
+		m.flapped = make(map[pairKey]bool)
+	}
 	if err := m.checkPlans(); err != nil {
 		return nil, err
 	}
@@ -247,12 +236,13 @@ func NewManager(eng *sim.Engine, cfg Config, hosts []*routing.Host, models []mob
 	return m, nil
 }
 
-// coupled reports whether links can depend on more than motion: the battery
-// model (transfers drain radios dead), churn or link flapping (both cut links
-// outside the scan). Such a world scans in lockstep and shares no contact
-// plan.
+// coupled reports whether the scan's contacts can depend on more than
+// motion: the battery model (transfers drain radios dead) or churn (crashes
+// darken radios and cut links outside the scan). Such a world scans in
+// lockstep and shares no contact plan. Link flaps act on the links alone,
+// so a flapping world is not coupled.
 func (m *Manager) coupled() bool {
-	return m.energy != nil || m.faults.ChurnEnabled() || m.faults.FlapEnabled()
+	return m.energy != nil || m.faults.ChurnEnabled()
 }
 
 // ScanStats reports the scan's work: the distance-predicate evaluations of
@@ -321,7 +311,7 @@ func (m *Manager) MeanContactDuration() float64 {
 }
 
 // Scan makes one scan tick at time now: it takes the tick's transitions
-// from the run-ahead stream, the replayed plan or an inline scan, and
+// from the replayed plan, the run-ahead stream or an inline scan, and
 // applies them. Exported for tests; normally driven by Start. The scan emits
 // the reference scan's event stream byte for byte, and so does the replay
 // of a plan it recorded, wherever the scanner ran.
@@ -331,67 +321,72 @@ func (m *Manager) Scan(now float64) {
 	tick := m.scans - 1
 	switch c := m.ahead.take(tick); {
 	case m.cfg.ReplayPlan != nil:
-		m.scanReplay(tick, now)
+		p := m.cfg.ReplayPlan
+		if tick >= p.horizon {
+			//lint:invariant plans are shared only between runs of equal Duration and ScanInterval, so a replaying run's scan ticks end where the recording run's did
+			panic(fmt.Sprintf("network: contact plan replayed past its horizon (tick %d of %d)", tick, p.horizon))
+		}
+		downs, ups := p.at(&m.cursor, tick)
+		m.applyTick(tick, downs, ups, now)
 	case c != nil:
-		m.applyPlanned(&c.plan, &c.cursor, tick, now)
+		downs, ups := c.plan.at(&c.cursor, tick)
+		m.applyTick(tick, downs, ups, now)
 		m.pairsChecked += c.checked[tick-c.first]
 	default:
 		// No stream, or one drained whose goroutine ended: the scanner is
 		// at this tick, and a later RunAhead starts afresh from the next.
 		m.ahead = nil
-		m.scanInline(now)
-	}
-}
-
-// scanInline makes the tick in lockstep: the scanner's two halves with the
-// downs applied in between, so a battery an abort drained dead is already
-// dark when the ups are found.
-func (m *Manager) scanInline(now float64) {
-	// Radios beacon continuously: charge the scan drain first so nodes that
-	// die this tick drop out of the pair set immediately.
-	if m.energy != nil {
-		for i := range m.hosts {
-			m.energy.drain(i, m.cfg.Energy.ScanPerSec*m.cfg.ScanInterval, now)
+		// Radios beacon continuously: charge the scan drain first so nodes
+		// that die this tick drop out of the pair set immediately.
+		if m.energy != nil {
+			for i := range m.hosts {
+				m.energy.drain(i, m.cfg.Energy.ScanPerSec*m.cfg.ScanInterval, now)
+			}
 		}
+		downs, ups := m.scan.tick(now)
+		m.applyTick(tick, downs, ups, now)
+		m.pairsChecked += m.scan.checked()
 	}
-	freed := m.applyDowns(m.scan.scanDowns(now), now)
-	m.applyUps(m.scan.scanUps(), now)
-	m.pairsChecked += m.scan.checked
-	m.finishScan(freed, now)
 }
 
-// applyDowns tears down the links of pairs, a tick's downs in key order, and
-// returns the endpoints their aborts freed. Kicks are deferred until every
-// down in the tick is processed (finishScan), so a freed endpoint never
-// starts a transfer on a sibling link that is itself about to drop in the
-// same tick.
-func (m *Manager) applyDowns(pairs []pairKey, now float64) []int {
+// applyTick applies scan tick tick's transitions at time now, wherever they
+// came from: it records them when Config.RecordPlan is set, tears down the
+// downs in key order, brings up the ups in emission order, then kicks the
+// endpoints the downs' aborts freed. Kicks wait until the whole tick is
+// applied, so a freed endpoint never starts a transfer on a sibling link
+// that is itself about to drop in the same tick.
+func (m *Manager) applyTick(tick int64, downs, ups []pairKey, now float64) {
+	if p := m.cfg.RecordPlan; p != nil {
+		p.add(tick, downs, ups)
+	}
 	freed := m.freedBuf[:0]
-	for _, k := range pairs {
-		l := m.linkOf(k)
-		if l == nil {
-			//lint:invariant the applied link set equals the scanner's up record tick by tick, so every down finds its link
-			panic(fmt.Sprintf("network: tick %d tears down link %v, which is not up", m.scans-1, k))
+	for _, k := range downs {
+		switch l := m.linkOf(k); {
+		case l != nil:
+			freed = m.linkDown(l, now, freed)
+		case m.flapped[k]:
+			// A flap cut the link already; the nodes have now separated,
+			// so the pair may come up again.
+			delete(m.flapped, k)
+		default:
+			//lint:invariant the applied link set equals the scanner's up record tick by tick, less flap-cut pairs, so every down finds its link or its flap
+			panic(fmt.Sprintf("network: tick %d tears down link %v, which is not up", tick, k))
 		}
-		freed = m.linkDown(l, now, freed)
 	}
-	return freed
-}
-
-// applyUps brings up the links of pairs, a tick's ups in emission order.
-func (m *Manager) applyUps(pairs []pairKey, now float64) {
-	for _, k := range pairs {
-		if m.linkOf(k) != nil {
+	for _, k := range ups {
+		switch {
+		case !m.energy.alive(int(k[0])) || !m.energy.alive(int(k[1])):
+			// An abort among this tick's downs drained a radio the scan saw
+			// on: the pair is not in contact after all (battery worlds scan
+			// inline, so the scanner is at this tick).
+			m.scan.forget(k)
+		case m.linkOf(k) != nil:
 			//lint:invariant the applied link set equals the scanner's up record tick by tick, so no up finds its link live
-			panic(fmt.Sprintf("network: tick %d brings up link %v, which is already up", m.scans-1, k))
+			panic(fmt.Sprintf("network: tick %d brings up link %v, which is already up", tick, k))
+		default:
+			m.linkUp(k, now)
 		}
-		m.linkUp(k, now)
 	}
-}
-
-// finishScan kicks the endpoints freed by this tick's downs, in sorted
-// deduplicated order, and parks the scratch for the next tick.
-func (m *Manager) finishScan(freed []int, now float64) {
 	kickAll(m, freed, now, -1)
 	m.freedBuf = freed[:0]
 }

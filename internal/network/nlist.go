@@ -19,19 +19,18 @@ import (
 // pair was farther than radius at the build, so it cannot come within the
 // largest range on any tick the list serves, nor on the rebuild tick, the
 // one tick of margin the bound keeps. The list filters on distance only;
-// the contact predicate (radios, per-node ranges, flap suppression) still
-// runs on every listed pair within the largest range on every tick, so
-// battery, churn and flapping worlds stay exact. Those listed pairs are
-// exactly the pairs a grid pass at the largest range would find, so the
-// scan counter does not change either.
+// the contact predicate (radios, per-node ranges) still runs on every
+// listed pair within the largest range on every tick, so battery and churn
+// worlds stay exact. Those listed pairs are exactly the pairs a grid pass
+// at the largest range would find, so the scan counter does not change
+// either.
 //
 // Members: every pair a served tick reads is listed, so its endpoints are
 // members and a served tick samples nothing else; a build tick samples
-// every node. An up candidate is a listed pair by construction. An up or
-// flap-suppressed pair came up from the list since the build, or it held
-// through the build, where the predicate keeps it only within range: the
-// downs drop every up pair out of contact before the build, and the flap
-// sweep drops every suppressed one after it.
+// every node. An up candidate is a listed pair by construction. An up pair
+// came up from the list since the build, or it held through the build,
+// where the predicate keeps it only within range: the downs drop every up
+// pair out of contact before the build.
 //
 // Rank: a tick with two or more up candidates orders them by the smallest
 // id in each endpoint's fine cell (scanner.emitOrdered), which may be a
@@ -45,7 +44,8 @@ import (
 // When the bound gives fewer than two ticks (a teleporting model, or a
 // fleet that can close two ranges within two ticks), the list is rebuilt
 // every tick at radius = the largest range through the same code: the
-// per-tick grid pass. The ReferencePlanner forces that everywhere.
+// per-tick grid pass, the reference the differential tests hold the list
+// to by reporting an unbounded speed.
 
 // maxPeriod caps the list's period, so that the accumulated float error of
 // tick-time addition stays far inside the one tick of margin; a list
@@ -72,16 +72,15 @@ type nlist struct {
 }
 
 // newList sizes the neighbour list of models, scanned every interval
-// seconds over area with largest radio range maxRange. reference forces
-// period 1 at radius maxRange.
-func newList(models []mobility.Model, area geo.Rect, maxRange, interval float64, reference bool) nlist {
+// seconds over area with largest radio range maxRange.
+func newList(models []mobility.Model, area geo.Rect, maxRange, interval float64) nlist {
 	vmax := 0.0
 	for _, m := range models {
 		vmax = max(vmax, m.MaxSpeed())
 	}
 	radius := 3 * maxRange
 	period := boundTicks(geo.DistLowerBound(radius*radius)-maxRange, 2*vmax, interval)
-	if period < 2 || reference {
+	if period < 2 {
 		radius, period = maxRange, 1
 	}
 	return nlist{area: area, radius: radius, period: period}
@@ -154,9 +153,8 @@ func (s *scanner) build() {
 
 // listCands makes the tick's up candidates: it rebuilds the list when due
 // and appends to s.cands every listed pair within the largest range that
-// is in contact, not up and not flap-suppressed (a flapped contact stays
-// down until the nodes genuinely separate). It returns the number of
-// listed pairs within the largest range, the pairs it checked.
+// is in contact and not up. It returns the number of listed pairs within
+// the largest range, the pairs it checked.
 func (s *scanner) listCands() int {
 	l := &s.list
 	if s.ticks >= l.due {
@@ -173,11 +171,9 @@ func (s *scanner) listCands() int {
 		if !s.pairInContact(a, b) {
 			continue
 		}
-		k := pairKey(p)
-		if s.flapped[k] || s.isUp(k) {
-			continue
+		if k := pairKey(p); !s.isUp(k) {
+			s.cands = append(s.cands, k)
 		}
-		s.cands = append(s.cands, k)
 	}
 	return checked
 }

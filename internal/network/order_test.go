@@ -96,20 +96,20 @@ func TestEmitOrderMatchesGridPairs(t *testing.T) {
 	}
 }
 
-// emitAt builds a scanner over models, scans its first tick at time 0, the
-// list's build, and, when tick is later, scans that tick, which the list
-// serves, sampling the members alone. It returns the in-range pairs of a
-// random subset at tick, in the order geo.Grid.Pairs enumerates them from
-// the fleet's true positions, and the order emitOrdered brings the subset
-// up in.
+// emitAt builds a scanner over models, samples its first tick at time 0,
+// the list's build, and, when tick is later, samples that tick, which the
+// list serves, the members alone. It returns the in-range pairs of a random
+// subset at tick, in the order geo.Grid.Pairs enumerates them from the
+// fleet's true positions, and the order emitOrdered brings the subset up
+// in.
 func emitAt(t *testing.T, models []mobility.Model, area geo.Rect, radio float64, ranges []float64, tick int, s *rng.Stream) (want, got []pairKey) {
 	t.Helper()
 	sc := testScanner(t, models, area, radio, 1, ranges)
-	sc.scanDowns(0)
+	sc.sample(0)
 	sc.build()
 	if tick > 0 {
 		sc.ticks = int64(tick)
-		sc.scanDowns(float64(tick))
+		sc.sample(float64(tick))
 		if sc.list.all {
 			t.Fatalf("tick %d sampled every node", tick)
 		}

@@ -7,21 +7,22 @@ import "fmt"
 // apply the same transitions without scanning (Config.RecordPlan,
 // Config.ReplayPlan).
 //
-// Replay is exact because every run applies a tick through the same calls
-// in one fixed order (applyDowns, applyUps, finishScan): the downs in key
-// order, then the ups in emission order, then the kicks. The plan stores
-// exactly those transitions, tagged with their scan tick, and a replaying
-// Manager makes the same calls on the same tick, so everything the transfer
-// layer does on top (and every event it emits) is unchanged. That holds
-// only while the link set depends on positions alone, so NewManager refuses
-// a plan under the battery model, churn or link flapping, which couple links
-// to transfers or to fault draws outside the scan.
+// Replay is exact because every run applies a tick through one function,
+// applyTick, in one fixed order: the downs in key order, then the ups in
+// emission order, then the kicks. The plan stores exactly those
+// transitions, tagged with their scan tick, and a replaying Manager applies
+// them on the same tick, so everything the link layer does on top (link
+// flaps, transfers, and every event they emit) is unchanged. That holds
+// only while the scan's contacts depend on positions alone, so NewManager
+// refuses a plan under the battery model or churn, which darken radios
+// outside the scan. Link flaps act on the link layer alone: a flapping
+// world records and replays the same plan as its non-flapping sibling.
 //
 // The same form carries the run-ahead scan (ahead.go): each chunk of the
 // stream is a ContactPlan of its ticks, written by the scanner's goroutine
-// and applied by the engine's. A recording is written the same way, ahead of
-// the engine, and is read-only once its run has returned, so any number of
-// replaying runs may share it, concurrently too.
+// and applied by the engine's. A recording is written by applyTick, on the
+// engine's goroutine, and is read-only once its run has returned, so any
+// number of replaying runs may share it, concurrently too.
 type ContactPlan struct {
 	nodes int
 	// keys holds each recorded tick's transitions back to back: its downs
@@ -69,7 +70,7 @@ func (m *Manager) checkPlans() error {
 	case rec != nil && rep != nil:
 		return fmt.Errorf("network: a run cannot both record and replay a contact plan")
 	case m.coupled():
-		return fmt.Errorf("network: contact plans need links that depend on motion alone (no battery model, churn or link flapping)")
+		return fmt.Errorf("network: contact plans need contacts that depend on motion alone (no battery model or churn)")
 	case rec != nil && (rec.horizon != 0 || len(rec.keys) != 0):
 		return fmt.Errorf("network: recording into a non-empty contact plan")
 	case rep != nil && rep.nodes != len(m.hosts):
@@ -78,22 +79,13 @@ func (m *Manager) checkPlans() error {
 	return nil
 }
 
-// scanReplay applies the recorded transitions of scan tick tick.
-func (m *Manager) scanReplay(tick int64, now float64) {
-	if p := m.cfg.ReplayPlan; tick >= p.horizon {
-		//lint:invariant plans are shared only between runs of equal Duration and ScanInterval, so a replaying run's scan ticks end where the recording run's did
-		panic(fmt.Sprintf("network: contact plan replayed past its horizon (tick %d of %d)", tick, p.horizon))
-	}
-	m.applyPlanned(m.cfg.ReplayPlan, &m.cursor, tick, now)
-}
-
-// applyPlanned applies p's transitions of scan tick tick, if it has any;
-// *cursor is the index of p's first entry not applied yet, and advances past
-// the tick's.
-func (m *Manager) applyPlanned(p *ContactPlan, cursor *int, tick int64, now float64) {
+// at returns p's transitions of scan tick tick, its downs and its ups, both
+// empty when the tick had none; *cursor is the index of p's first entry not
+// applied yet, and advances past the tick's.
+func (p *ContactPlan) at(cursor *int, tick int64) (downs, ups []pairKey) {
 	i := *cursor
 	if i == len(p.ticks) || p.ticks[i].tick != tick {
-		return // no transition this tick
+		return nil, nil
 	}
 	var start int32
 	if i > 0 {
@@ -101,7 +93,5 @@ func (m *Manager) applyPlanned(p *ContactPlan, cursor *int, tick int64, now floa
 	}
 	t := p.ticks[i]
 	*cursor = i + 1
-	freed := m.applyDowns(p.keys[start:start+t.downs], now)
-	m.applyUps(p.keys[start+t.downs:t.end], now)
-	m.finishScan(freed, now)
+	return p.keys[start : start+t.downs], p.keys[start+t.downs : t.end]
 }

@@ -13,21 +13,22 @@ import (
 // This file holds the scanner, the half of the radio model that turns
 // motion into link transitions. It owns the mobility models, the sampled
 // positions, the fine cells, the neighbour list (nlist.go), the scan
-// counter and its own record of which pairs are up, and makes each scan
-// tick in two halves: scanDowns returns the tick's downs in key order,
-// scanUps its ups in emission order, which emitOrdered alone knows. The
-// link layer (network.go) applies them, always through applyDowns,
-// applyUps and finishScan, whoever scanned:
+// counter and its own record of which pairs are up. Each scan tick is one
+// call, tick, which returns the tick's downs in key order and its ups in
+// emission order, which emitOrdered alone knows. The link layer
+// (network.go) applies every tick through one function, applyTick,
+// whoever scanned:
 //
-//   - a run-ahead world (links that depend on motion alone) runs the
-//     scanner on its own goroutine, ahead of the engine (ahead.go);
-//   - a lockstep world (battery, churn or link flapping) calls both halves
-//     inline on each scan tick, applying the downs in between, because a
-//     teardown's battery drain can silence a radio the ups then see;
+//   - a run-ahead world (no battery or churn) runs the scanner on its own
+//     goroutine, ahead of the engine (ahead.go);
+//   - a lockstep world (battery or churn) calls tick inline on each scan
+//     tick;
 //   - a replaying world builds no scanner and applies a recorded plan.
 //
-// The scanner reads the link layer only through links, for the battery and
-// churn gates of the contact predicate, which only lockstep worlds have.
+// The scanner knows nothing of link flaps: a flap-cut pair stays in its up
+// record until the nodes separate, and the link layer keeps it down. It
+// reads the link layer only through links, for the battery and churn gates
+// of the contact predicate, which only lockstep worlds have.
 
 // scanner turns motion into link transitions for one run.
 type scanner struct {
@@ -53,9 +54,6 @@ type scanner struct {
 
 	// list is the neighbour list whose pairs each tick tests.
 	list nlist
-	// flapped suppresses re-up of pairs whose contact the flap model cut,
-	// until the nodes genuinely separate (nil unless flapping is enabled).
-	flapped map[pairKey]bool
 
 	// up holds every up pair in no meaningful order: pairs join at the end
 	// and leave by swap-removal through upAt, their index in up. Walks that
@@ -66,61 +64,47 @@ type scanner struct {
 	// ticks counts the scan ticks made; the current tick's index is
 	// ticks-1.
 	ticks int64
-	// checked counts the pairs the current tick checked, its share of
-	// ScanStats; downs and ups are its transitions, reused from tick to
-	// tick.
-	checked uint64
-	downs   []pairKey
-	ups     []pairKey
+	// listed counts the listed pairs within the largest range that the
+	// current tick checked (see checked); downs and ups are its
+	// transitions, reused from tick to tick.
+	listed uint64
+	downs  []pairKey
+	ups    []pairKey
 	// cands collects the tick's up candidates in no meaningful order, for
 	// emitOrdered; ord is its scratch.
 	cands []pairKey
 	ord   []upCand
-	// record, when set, receives every tick (Config.RecordPlan).
-	record *ContactPlan
 }
 
 // newScanner builds the scanner of m's config over models, whose largest
 // radio range is maxRange.
 func newScanner(m *Manager, models []mobility.Model, maxRange float64) *scanner {
 	n := len(models)
-	s := &scanner{
+	return &scanner{
 		models:    models,
 		positions: make([]geo.Point, n),
 		cells:     geo.NewCells(m.cfg.Area, maxRange),
-		list:      newList(models, m.cfg.Area, maxRange, m.cfg.ScanInterval, m.cfg.Planner == ReferencePlanner),
+		list:      newList(models, m.cfg.Area, maxRange, m.cfg.ScanInterval),
 		radio:     m.cfg.Range,
 		ranges:    m.cfg.Ranges,
 		maxRange:  maxRange,
 		links:     m,
 		upAt:      make(map[pairKey]int32),
-		record:    m.cfg.RecordPlan,
 	}
-	if m.faults.FlapEnabled() {
-		s.flapped = make(map[pairKey]bool)
-	}
-	return s
 }
 
-// scanDowns makes the first half of the next scan tick, at time now: it
-// samples positions and returns the tick's downs in key order, already gone
-// from the up record. The slice is reused by the next tick.
-func (s *scanner) scanDowns(now float64) []pairKey {
+// tick makes the next scan tick, at time now: it samples positions and
+// returns the tick's downs in key order, already gone from the up record,
+// and its ups in emission order, already in it. Both slices are reused by
+// the next tick.
+func (s *scanner) tick(now float64) (downs, ups []pairKey) {
 	s.ticks++
 	s.downs = s.downs[:0]
 	s.ups = s.ups[:0]
 	s.sample(now)
 	s.collectDowns()
-	return s.downs
-}
-
-// scanUps makes the second half of the tick scanDowns began and returns its
-// ups in emission order, already in the up record; s.checked then counts
-// the whole tick's pairs. The slice is reused by the next tick.
-func (s *scanner) scanUps() []pairKey {
-	// Downs came first and freed endpoints; the ups are every in-contact
-	// listed pair that is not up yet.
-	pairs := s.listCands()
+	// The ups are every in-contact listed pair that is not up yet.
+	s.listed = uint64(s.listCands())
 	switch len(s.cands) {
 	case 0:
 	case 1:
@@ -129,18 +113,13 @@ func (s *scanner) scanUps() []pairKey {
 		s.emitOrdered()
 	}
 	s.cands = s.cands[:0]
-	// Separated pairs may flap again on their next genuine contact.
-	for k := range s.flapped {
-		if !s.pairInContact(int(k[0]), int(k[1])) {
-			delete(s.flapped, k)
-		}
-	}
-	s.checked = uint64(len(s.up)) + uint64(pairs) + uint64(len(s.flapped))
-	if s.record != nil {
-		s.record.add(s.ticks-1, s.downs, s.ups)
-	}
-	return s.ups
+	return s.downs, s.ups
 }
+
+// checked returns the pairs the current tick checked, its share of
+// ScanStats: every up pair and every listed pair within the largest range.
+// Read it once the tick is applied, which may make the scanner forget ups.
+func (s *scanner) checked() uint64 { return uint64(len(s.up)) + s.listed }
 
 // isUp reports whether pair k is in the up record.
 func (s *scanner) isUp(k pairKey) bool {
@@ -158,8 +137,8 @@ func (s *scanner) bringUp(k pairKey) {
 	s.ups = append(s.ups, k)
 }
 
-// forget takes pair k out of the up record, if it is there: every teardown,
-// the scan's own or a flap or churn cut, goes through here.
+// forget takes pair k out of the up record, if it is there: the scan's own
+// downs, churn cuts and ups the link layer refused go through here.
 func (s *scanner) forget(k pairKey) {
 	i, ok := s.upAt[k]
 	if !ok {
@@ -170,13 +149,6 @@ func (s *scanner) forget(k pairKey) {
 	s.upAt[last] = i
 	s.up = s.up[:len(s.up)-1]
 	delete(s.upAt, k)
-}
-
-// flap cuts up pair k outside the scan and keeps it down until the nodes
-// genuinely separate.
-func (s *scanner) flap(k pairKey) {
-	s.flapped[k] = true
-	s.forget(k)
 }
 
 // collectDowns gathers every up pair that fails the contact predicate into

@@ -44,7 +44,9 @@ func (m *Manager) StartScheduled(contacts []trace.Contact) error {
 	if m.cfg.RecordPlan != nil || m.cfg.ReplayPlan != nil {
 		return fmt.Errorf("network: contact plans record and replay scans, and a scheduled run has none")
 	}
-	m.scan = nil // a scheduled run never scans
+	// A scheduled run never scans, and its next recorded contact re-ups a
+	// flapped pair.
+	m.scan, m.flapped = nil, nil
 	m.scheduleChurn()
 	sorted := append([]trace.Contact(nil), contacts...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })

@@ -17,8 +17,8 @@ import (
 // goroutine ahead of the engine must emit the lockstep run's JSONL trace
 // byte for byte and return the same Result, Perf included (scan counters,
 // events, peak queue; only the wall time differs). Coupled
-// families (battery, churn, flapping) scan in lockstep either way. Seeds
-// 1–3 run AutoPlanner, the naive scan every production caller runs.
+// families (battery, churn) scan in lockstep either way. Seeds 1–3 run
+// the production scan, the neighbour list.
 func TestRunAheadMatchesLockstep(t *testing.T) {
 	for name, mk := range diffFamilies() {
 		for _, seed := range []uint64{1, 2, 3} {
@@ -118,11 +118,11 @@ func TestRunAheadStopsWithRun(t *testing.T) {
 }
 
 // TestRunAheadRecordsLockstepPlan: a recording world runs ahead, its
-// scanner writing the plan on its own goroutine, and must publish the very
-// plan a lockstep recording of the same world writes.
+// scanner streaming the ticks from its own goroutine, and must publish the
+// very plan a lockstep recording of the same world writes.
 func TestRunAheadRecordsLockstepPlan(t *testing.T) {
 	for name, mk := range diffFamilies() {
-		if coupled(mk()) {
+		if !mk().MotionOnlyContacts() {
 			continue
 		}
 		sc := mk()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sdsrp/internal/config"
+	"sdsrp/internal/fault"
 )
 
 // TestLongHorizonLogsPinned runs the tiny traced world for ten TTLs, so
@@ -16,10 +17,13 @@ import (
 // digests were taken from tables that never forgot anything, so bounding
 // them by the TTL window must not move a single event. The variants cover
 // the plain SDSRP path, ACK gossip (AckTable.Forget), churn with wiping
-// reboots (DropTable.Reset), both together, and Knapsack, the other
-// drop-list policy.
+// reboots (DropTable.Reset), both together, Knapsack, the other drop-list
+// policy, link flaps with transfer loss and jitter but no churn, a world
+// that runs ahead, and a battery small enough that radios die with
+// transfers in flight.
 func TestLongHorizonLogsPinned(t *testing.T) {
 	ack, wipe := `"kind":"ack"`, `"kind":"wipe"`
+	flap, abort := `"type":"link_flap"`, `"type":"transfer_abort"`
 	variants := []struct {
 		name  string
 		edit  func(*config.Scenario)
@@ -30,6 +34,12 @@ func TestLongHorizonLogsPinned(t *testing.T) {
 		{"sdsrp-churn", func(sc *config.Scenario) { sc.Faults = heavyFaults() }, []string{wipe}},
 		{"sdsrp-acks-churn", func(sc *config.Scenario) { sc.UseAcks, sc.Faults = true, heavyFaults() }, []string{ack, wipe}},
 		{"knapsack", func(sc *config.Scenario) { sc.PolicyName = "Knapsack" }, nil},
+		{"sdsrp-flap", func(sc *config.Scenario) {
+			sc.Faults = fault.Config{LinkFlapMeanUp: 40, TransferLossProb: 0.2, BandwidthJitterLo: 0.5, BandwidthJitterHi: 1}
+		}, []string{flap}},
+		{"sdsrp-battery", func(sc *config.Scenario) {
+			sc.Energy = config.Energy{Capacity: 5000, ScanPerSec: 0.1, TxPerSec: 15, RxPerSec: 10}
+		}, []string{abort}},
 	}
 	want := map[string]string{
 		"sdsrp/1":            "d61f19761b66f3280d5b731128131edef3df362092b9a88564c79bec6e60adb1",
@@ -42,6 +52,10 @@ func TestLongHorizonLogsPinned(t *testing.T) {
 		"sdsrp-acks-churn/2": "1c8a61bdf7f363b943c137c3b6d4d01f3dd407fd2ed4067b6861cf1d0e476009",
 		"knapsack/1":         "0b263ae214e033389dd74897987153a9b495fdf9d7242aecead7948ecfd2b611",
 		"knapsack/2":         "cd4f063070639aebd49d0dc593a0ed53e840a2df91216e09808288406e00391a",
+		"sdsrp-flap/1":       "4f26504202a2c30baa743f2ace9a4d8253509ee5fbbbf8a7317823764dbfc379",
+		"sdsrp-flap/2":       "e4044e4455b931ef78df8ced79105e7a11b6e0f4d29a3293ea8f70b5ecbb1822",
+		"sdsrp-battery/1":    "c2195ea78f13b857fc014287f5ec98f2793e741618e74b4f0263ce7b084eadc9",
+		"sdsrp-battery/2":    "e9705665bd3c002478e82c8ab69019177385c70fc41c58b505607802b1cb1ed2",
 	}
 	for _, v := range variants {
 		for seed := uint64(1); seed <= 2; seed++ {
@@ -51,7 +65,13 @@ func TestLongHorizonLogsPinned(t *testing.T) {
 				sc.Duration = 10 * sc.TTL
 				sc.Seed = seed
 				v.edit(&sc)
-				log := runTraced(t, sc)
+				log, res, _, err := runScenario(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sc.Energy.Capacity > 0 && res.Energy.DeadNodes == 0 {
+					t.Fatal("no battery died: the run misses the path it pins")
+				}
 				for _, frag := range append([]string{`"type":"expired"`}, v.needs...) {
 					if !bytes.Contains(log, []byte(frag)) {
 						t.Fatalf("no %s event: the run misses the path it pins", frag)

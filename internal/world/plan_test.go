@@ -10,15 +10,11 @@ import (
 	"sdsrp/internal/obs"
 )
 
-// coupled reports whether sc's links can depend on more than its motion,
-// which rules out contact plans.
-func coupled(sc config.Scenario) bool {
-	return sc.Energy.Capacity > 0 || sc.Faults.Churn.Enabled() || sc.Faults.LinkFlapMeanUp > 0
-}
-
 // trafficVariant changes every kind of traffic-only field of sc: policy,
-// protocol, buffers, copies, load, bandwidth, and the transfer-side fault
-// models, jitter included, which draws inside linkUp.
+// protocol, buffers, copies, load, bandwidth, and the link- and
+// transfer-side fault models, jitter and flaps included, which draw inside
+// linkUp. It turns link flapping on where sc has none and off where it has
+// some, so every plan is replayed across a flapping sibling.
 func trafficVariant(sc config.Scenario) config.Scenario {
 	sc.Name += "-variant"
 	sc.PolicyName = "SprayAndWait-O"
@@ -30,6 +26,11 @@ func trafficVariant(sc config.Scenario) config.Scenario {
 	sc.Faults.TransferLossProb = 0.1
 	sc.Faults.BandwidthJitterLo, sc.Faults.BandwidthJitterHi = 0.5, 1.5
 	sc.Faults.BlackHoleFraction = 0.1
+	if sc.Faults.LinkFlapMeanUp == 0 {
+		sc.Faults.LinkFlapMeanUp = 25
+	} else {
+		sc.Faults.LinkFlapMeanUp = 0
+	}
 	return sc
 }
 
@@ -70,7 +71,7 @@ func endOnTransition(t *testing.T, sc config.Scenario) config.Scenario {
 }
 
 // TestContactPlanReplayMatchesScan is the contact-sharing differential: for
-// every scanner-differential family whose links depend on motion alone,
+// every scanner-differential family whose contacts depend on motion alone,
 // across seeds, a plan recorded by a traffic variant and replayed into the
 // family's scenario (and back into the variant) must reproduce the
 // standalone runs' JSONL traces byte for byte, while recording leaves the
@@ -79,7 +80,7 @@ func endOnTransition(t *testing.T, sc config.Scenario) config.Scenario {
 // tick with a link transition.
 func TestContactPlanReplayMatchesScan(t *testing.T) {
 	for name, mk := range diffFamilies() {
-		if coupled(mk()) {
+		if !mk().MotionOnlyContacts() {
 			continue
 		}
 		for _, seed := range []uint64{1, 2, 3} {
@@ -134,13 +135,13 @@ func TestContactPlanReplayMatchesScan(t *testing.T) {
 }
 
 // TestContactPlanRefusesCoupledLinks checks the network layer's guard: a
-// battery, churn or link flapping couples links to transfers or fault
-// draws outside the scan, so recording or replaying a plan there fails to
-// build instead of producing a schedule that cannot be shared.
+// battery or churn couples contacts to transfers or fault draws outside the
+// scan, so recording or replaying a plan there fails to build instead of
+// producing a schedule that cannot be shared.
 func TestContactPlanRefusesCoupledLinks(t *testing.T) {
 	for name, mk := range diffFamilies() {
 		sc := mk()
-		if !coupled(sc) {
+		if sc.MotionOnlyContacts() {
 			continue
 		}
 		if _, err := Build(sc, RecordContactPlan(&network.ContactPlan{})); err == nil {

@@ -14,7 +14,6 @@ import (
 	"sdsrp/internal/fault"
 	"sdsrp/internal/geo"
 	"sdsrp/internal/mobility"
-	"sdsrp/internal/network"
 	"sdsrp/internal/obs"
 	"sdsrp/internal/rng"
 	"sdsrp/internal/trace"
@@ -31,21 +30,15 @@ func diffBase() config.Scenario {
 	return sc
 }
 
-// plannerNames labels the planners in failure messages.
-var plannerNames = map[network.Planner]string{
-	network.AutoPlanner:      "auto",
-	network.ReferencePlanner: "reference",
-}
-
-// runScan executes sc under planner p and returns the full JSONL event
+// runScan executes sc built with opts and returns the full JSONL event
 // trace plus the result digest. The trace pins every link-up/down,
 // transfer, drop, and delivery with its timestamp — byte equality between
-// planners is the strongest observable equivalence the simulator offers.
-func runScan(t *testing.T, sc config.Scenario, p network.Planner) ([]byte, Result, []trace.Contact) {
+// scans is the strongest observable equivalence the simulator offers.
+func runScan(t *testing.T, sc config.Scenario, opts ...BuildOption) ([]byte, Result, []trace.Contact) {
 	t.Helper()
-	trace, res, contacts, err := runScenario(sc, withPlanner(p))
+	trace, res, contacts, err := runScenario(sc, opts...)
 	if err != nil {
-		t.Fatalf("%s: %v", plannerNames[p], err)
+		t.Fatal(err)
 	}
 	return trace, res, contacts
 }
@@ -77,33 +70,33 @@ func runScenarioMode(sc config.Scenario, ahead bool, opts ...BuildOption) ([]byt
 	return buf.Bytes(), res, rec.Contacts(), nil
 }
 
-// assertPlannerMatchesReference runs sc under the reference scan (the naive
-// scan's list rebuilt every tick at the largest range, a plain per-tick
-// grid pass with no certificate) and under planner p, and fails on the
-// first diverging trace line or on a different count of pairs checked.
-func assertPlannerMatchesReference(t *testing.T, sc config.Scenario, p network.Planner) {
+// assertMatchesReference runs sc under the reference scan (every model
+// reporting an unbounded speed, so the list is rebuilt every tick at the
+// largest range: a plain per-tick grid pass) and under the production
+// scan, and fails on the first diverging trace line or on a different
+// count of pairs checked.
+func assertMatchesReference(t *testing.T, sc config.Scenario) {
 	t.Helper()
-	mode := plannerNames[p]
-	ref, resR, logR := runScan(t, sc, network.ReferencePlanner)
-	other, resO, logO := runScan(t, sc, p)
-	if line, rl, ol, same := firstDiff(ref, other); !same {
-		t.Fatalf("planners diverge at trace line %d:\n  reference: %s\n  %s: %s", line, rl, mode, ol)
+	ref, resR, logR := runScan(t, sc, withReferenceScan())
+	list, resL, logL := runScan(t, sc)
+	if line, rl, ll, same := firstDiff(ref, list); !same {
+		t.Fatalf("scans diverge at trace line %d:\n  reference: %s\n  list:      %s", line, rl, ll)
 	}
-	if resR.Summary != resO.Summary {
-		t.Fatalf("summaries diverge:\nreference: %+v\n%s: %+v", resR.Summary, mode, resO.Summary)
+	if resR.Summary != resL.Summary {
+		t.Fatalf("summaries diverge:\nreference: %+v\nlist:      %+v", resR.Summary, resL.Summary)
 	}
-	if resR.Contacts != resO.Contacts || resR.MeanContactDuration != resO.MeanContactDuration {
-		t.Fatalf("contact digests diverge: reference (%d, %v) %s (%d, %v)",
-			resR.Contacts, resR.MeanContactDuration, mode, resO.Contacts, resO.MeanContactDuration)
+	if resR.Contacts != resL.Contacts || resR.MeanContactDuration != resL.MeanContactDuration {
+		t.Fatalf("contact digests diverge: reference (%d, %v) list (%d, %v)",
+			resR.Contacts, resR.MeanContactDuration, resL.Contacts, resL.MeanContactDuration)
 	}
-	if !reflect.DeepEqual(logR, logO) {
-		t.Fatalf("recorded contact logs diverge: reference %d entries, %s %d", len(logR), mode, len(logO))
+	if !reflect.DeepEqual(logR, logL) {
+		t.Fatalf("recorded contact logs diverge: reference %d entries, list %d", len(logR), len(logL))
 	}
 	// The list's period is pinned by TestListNeverMissesAContact
 	// (internal/network); whatever it is, the list must check exactly the
 	// pairs the reference's per-tick grid pass checks.
-	if resO.Perf.PairsChecked != resR.Perf.PairsChecked {
-		t.Errorf("%s scan checked %d pairs, the reference %d", mode, resO.Perf.PairsChecked, resR.Perf.PairsChecked)
+	if resL.Perf.PairsChecked != resR.Perf.PairsChecked {
+		t.Errorf("the list checked %d pairs, the reference %d", resL.Perf.PairsChecked, resR.Perf.PairsChecked)
 	}
 }
 
@@ -285,8 +278,7 @@ func diffFamilies() map[string]func() config.Scenario {
 // TestNaiveScanMatchesReference is the neighbour list's differential test:
 // on every family and seed, the naive scan, which rebuilds its list every K
 // ticks, must emit the reference scan's event stream byte for byte and
-// check the same pairs. It runs AutoPlanner, the value every production
-// caller passes.
+// check the same pairs.
 func TestNaiveScanMatchesReference(t *testing.T) {
 	for name, mk := range diffFamilies() {
 		for _, seed := range []uint64{1, 2, 3} {
@@ -295,7 +287,7 @@ func TestNaiveScanMatchesReference(t *testing.T) {
 			sc.Name = fmt.Sprintf("list-%s-%d", name, seed)
 			t.Run(sc.Name, func(t *testing.T) {
 				t.Parallel()
-				assertPlannerMatchesReference(t, sc, network.AutoPlanner)
+				assertMatchesReference(t, sc)
 			})
 		}
 	}
@@ -304,8 +296,8 @@ func TestNaiveScanMatchesReference(t *testing.T) {
 // TestAutoPlannerMatchesForced pins the production scan's work on the
 // benchmark's worlds: Table II and Table III worlds, a shortened fleet-10k
 // world, a dense one, 400 nodes on 1 km², and a 65536-node fleet each run
-// once under AutoPlanner, the naive scan, and their seed-1 pairs-checked
-// counts are pinned. They equal a per-tick grid pass's (the reference
+// once under the production scan, and their seed-1 pairs-checked counts
+// are pinned. They equal a per-tick grid pass's (the reference
 // scan's), so the neighbour lists must check exactly the pairs such a pass
 // checks at every fleet size from 100 to 65 536 nodes;
 // TestNaiveScanMatchesReference holds the list to the reference itself on
@@ -333,7 +325,7 @@ func TestAutoPlannerMatchesForced(t *testing.T) {
 		{"fleet-65536", fleet(65536, 200_000, 60), 203_810},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, auto, _ := runScan(t, tc.sc, network.AutoPlanner)
+			_, auto, _ := runScan(t, tc.sc)
 			if got := auto.Perf.PairsChecked; got != tc.pinned {
 				t.Fatalf("pairs checked %d, pinned %d", got, tc.pinned)
 			}

@@ -7,6 +7,7 @@ package world
 
 import (
 	"fmt"
+	"math"
 	"os"
 
 	"sdsrp/internal/config"
@@ -50,7 +51,7 @@ type BuildOption func(*buildOptions)
 type buildOptions struct {
 	tracer         obs.Tracer
 	record, replay *network.ContactPlan
-	planner        network.Planner
+	reference      bool
 }
 
 // WithTracer routes every lifecycle event of the run (message, contact,
@@ -63,28 +64,34 @@ func WithTracer(tr obs.Tracer) BuildOption {
 // RecordContactPlan records every link transition of the run's contact
 // scan into p, which must be empty. Once Run returns without error, p holds
 // the whole schedule, and ReplayContactPlan may hand it to runs whose
-// contacts are provably the same. Scenarios whose links depend on more than
-// motion (a contact trace, a battery, churn or link flapping) fail to
-// build or start with a plan.
+// contacts are provably the same. Scenarios whose contacts depend on more
+// than motion (config.Scenario.MotionOnlyContacts) fail to build or start
+// with a plan.
 func RecordContactPlan(p *network.ContactPlan) BuildOption {
 	return func(o *buildOptions) { o.record = p }
 }
 
 // ReplayContactPlan replaces the run's contact scan with p, a whole
 // recording of a run that differs from this one in traffic-only fields
-// (buffers, policy, protocol, traffic, transfer faults). Every event, trace
-// byte and result is then the same as a scanning run's; only the scan
-// counters read zero, and Result.Perf.Replayed says why.
+// (buffers, policy, protocol, traffic, transfer and link faults). Every
+// event, trace byte and result is then the same as a scanning run's; only
+// the scan counters read zero, and Result.Perf.Replayed says why.
 func ReplayContactPlan(p *network.ContactPlan) BuildOption {
 	return func(o *buildOptions) { o.replay = p }
 }
 
-// withPlanner forces the run's contact scan, for the differential tests,
-// which hold the naive scan to the reference scan; every other world runs
-// AutoPlanner, the naive scan.
-func withPlanner(p network.Planner) BuildOption {
-	return func(o *buildOptions) { o.planner = p }
+// withReferenceScan makes every model report an unbounded speed, so that
+// the scan's neighbour list is rebuilt every tick at the largest range: a
+// plain per-tick grid pass, the reference the differential tests hold the
+// production scan to.
+func withReferenceScan() BuildOption {
+	return func(o *buildOptions) { o.reference = true }
 }
+
+// unbounded is a model that reports no speed bound.
+type unbounded struct{ mobility.Model }
+
+func (unbounded) MaxSpeed() float64 { return math.Inf(1) }
 
 // Result is the digest of a finished run.
 type Result struct {
@@ -143,6 +150,11 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 	}
 	sc.Nodes = nodes
 	sc.Area = area
+	if bo.reference {
+		for i, m := range models {
+			models[i] = unbounded{m}
+		}
+	}
 
 	if _, ok := routing.ProtocolByName(sc.ProtocolName); !ok {
 		return nil, fmt.Errorf("world: unknown protocol %q", sc.ProtocolName)
@@ -164,7 +176,6 @@ func Build(sc config.Scenario, opts ...BuildOption) (*World, error) {
 		Bandwidth:    sc.Bandwidth,
 		ScanInterval: sc.ScanInterval,
 		Ranges:       ranges,
-		Planner:      bo.planner,
 		Tracer:       tr,
 		Faults:       inj,
 		RecordPlan:   bo.record,
@@ -569,8 +580,8 @@ func (w *World) scheduleTraffic(s *rng.Stream) {
 // engine. Budget and timeout stops return the partial Result alongside the
 // error so callers can report how far the run got.
 //
-// A world whose links depend on motion alone scans ahead of the engine on a
-// second goroutine (network.Manager.RunAhead), which ends before Run
+// A world whose contacts depend on motion alone scans ahead of the engine
+// on a second goroutine (network.Manager.RunAhead), which ends before Run
 // returns, on every path. Every event and result is what a lockstep scan
 // gives.
 func (w *World) Run() (Result, error) { return w.run(true) }
